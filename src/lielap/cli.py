@@ -53,7 +53,6 @@ from .witness import (
     witness_report_json,
     witness_search,
 )
-from .concurrency import parallel_map
 
 
 class UsageError(Exception):
@@ -172,7 +171,7 @@ def cmd_certify(args) -> int:
     if not is_positive_definite(tensor):
         raise DomainError("coefficient tensor must be positive definite")
     labels = labels_up_to_level(spec, level)
-    polys = parallel_map(lambda lab: char_poly_of(spec, lab, tensor), labels)
+    polys = [char_poly_of(spec, lab, tensor) for lab in labels]
     certs = certificate_battery(labels, polys)
     verdict = all(c.verdict for c in certs)
     doc = {

@@ -240,11 +240,9 @@ class QuaternionicStructure:
 
 def quaternionic_structure(m: int) -> QuaternionicStructure:
     """J(sum c_l v_l) = sum conj(c_l) (-1)^l v_{m-l}; J^2 = (-1)^m."""
-    rows = [dict() for _ in range(m + 1)]
-    for l in range(m + 1):
-        rows[m - l][l] = GQ(-1 if l % 2 else 1)
-    P = Matrix(m + 1, m + 1, rows)
-    return QuaternionicStructure(m=m, matrix=P, square_sign=(-1) ** m)
+    return QuaternionicStructure(
+        m=m, matrix=rotation_half_pi(m), square_sign=(-1) ** m
+    )
 
 
 # -- central characters and quotient descent ----------------------------------

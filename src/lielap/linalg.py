@@ -13,6 +13,7 @@ numpy object arrays, which iterate Python ints in a C loop.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -274,10 +275,7 @@ def charpoly_gq(M: Matrix) -> list[GaussianRational]:
         return [ONE]
     den = 1
     for _, _, v in M.entries():
-        for f in (v.re, v.im):
-            d = f.denominator
-            g = _gcd(den, d)
-            den = den // g * d
+        den = math.lcm(den, v.re.denominator, v.im.denominator)
     RE = np.zeros((n, n), dtype=object)
     IM = np.zeros((n, n), dtype=object)
     for i, j, v in M.entries():
@@ -306,12 +304,6 @@ def charpoly_gq(M: Matrix) -> list[GaussianRational]:
         scale = den ** (n - k)
         out.append(GQ(Fraction(cr, scale), Fraction(ci, scale)))
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- exact elimination (field operations over Q(i)) ---------------------------

@@ -16,6 +16,7 @@ the best possible.  The domain checks below enforce exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
@@ -105,6 +106,13 @@ def multiplicity_profile(p: Poly) -> MultiplicityProfile:
     )
 
 
+def _exact_str(q: Fraction) -> str:
+    """str(q) at any size: Python's str() of an int refuses to pass its
+    digit limit, but Decimal converts an int exactly without one."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 @dataclass(frozen=True)
 class Certificate:
     """An integer resultant whose nonvanishing proves a spectral fact."""
@@ -123,7 +131,7 @@ class Certificate:
             "kind": self.kind,
             "labels": [format_label(l) for l in self.labels],
             "tensor": self.tensor_hash,
-            "value": str(self.value),
+            "value": _exact_str(self.value),
             "nonzero": self.verdict,
         }
 

@@ -41,7 +41,6 @@ from .algebra_core import (
     tensor_hash,
     tensor_to_json,
 )
-from .concurrency import parallel_map
 from .errors import DomainError
 from .irreps import (
     IrrepLabel,
@@ -61,11 +60,8 @@ from .poly import (
     int_sign_at,
     primitive_int,
     real_root_brackets,
-    sturm_chain,
-    sturm_variations,
 )
 from .polycert import char_poly_of, multiplicity_profile
-from .operator import build_DV  # noqa: F401  (re-exported for callers)
 
 
 def certified_lower_bound(tensor: SymTensor) -> Fraction:
@@ -203,124 +199,80 @@ def gcd_free_basis(polys: list[Poly]) -> list[Poly]:
     return basis
 
 
-def _horner(cs, xq: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * xq + c
-    return acc
+def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | None]:
+    """The one root of the integer polynomial cs in (a, b], to one ulp.
 
-
-def _polish_newton(monic, deriv, x: float) -> float:
-    # exact-arithmetic Newton: float evaluation of the large monic
-    # coefficients stalls well short of double precision
-    for _ in range(25):
-        xq = Fraction(x)
-        px = _horner(monic, xq)
-        if not px:
-            break
-        dpx = _horner(deriv, xq)
-        if not dpx:
-            break
-        nxt = float(xq - px / dpx)
-        if nxt == x:
-            break
-        x = nxt
-    return x
-
-
-def _ulp_pinned(cs, x: float) -> bool:
-    """True when a sign change of the integer polynomial brackets x within
-    one float step on either side."""
-    lo = Fraction(math.nextafter(x, -math.inf))
-    hi = Fraction(math.nextafter(x, math.inf))
-    slo = int_sign_at(cs, lo)
-    shi = int_sign_at(cs, hi)
-    return slo == 0 or shi == 0 or slo != shi
-
-
-def _alternation_certified(cs, xs) -> bool:
-    """Exact sign alternation across the gaps between the sorted values xs
-    proves each gap cell holds exactly one root of the degree-len(xs)
-    polynomial cs, i.e. the value list is a complete bracketing."""
-    bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1
-    cuts = [Fraction(-bound)]
-    cuts += [Fraction((u + v) / 2) for u, v in zip(xs, xs[1:])]
-    cuts.append(Fraction(bound))
-    signs = [int_sign_at(cs, c) for c in cuts]
-    return all(signs) and all(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _refine_bracket(chain, cs, monic, deriv, a: Fraction, b: Fraction):
-    """One simple root in (a, b]: pin it to double precision exactly."""
+    Bisects at exact midpoints, comparing signs with the sign at b since a
+    may itself be a neighbouring root.  The loop stops once b - a is below
+    half a float step of the midpoint's float x, which keeps the root
+    strictly between the floats next to x (also where x is a power of two
+    and the step below it is half the step above).
+    """
     sb = int_sign_at(cs, b)
     if sb == 0:
         return float(b), b
-
-    x = _polish_newton(monic, deriv, (float(a) + float(b)) / 2)
-    if math.isfinite(x) and a < Fraction(x) <= b and _ulp_pinned(cs, x):
-        return x, None
-
-    sa = int_sign_at(cs, a)
-    for _ in range(300):
-        if float(a) == float(b):
-            break
+    while True:
         mid = (a + b) / 2
+        x = float(mid)
+        if b - a < math.ulp(x) / 2:
+            break
         sm = int_sign_at(cs, mid)
         if sm == 0:
-            return float(mid), mid
-        if sa == 0:
-            # left endpoint sits on an adjacent root; split on counts
-            if sturm_variations(chain, mid) - sturm_variations(chain, b):
-                a = mid
-                sa = sm
-            else:
-                b = mid
-        elif sm == sa:
-            a = mid
-        else:
+            return x, mid
+        if sm == sb:
             b = mid
-    return float((a + b) / 2), None
+        else:
+            a = mid
+    # a rational root p/q of the primitive cs has q | lc; if q <= Q with
+    # 2 Q^2 (b - a) <= 1, it is the fraction nearest mid with denominator <= Q
+    w = b - a
+    Q = math.isqrt(w.denominator // (2 * w.numerator))
+    r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
+    if a < r <= b and int_sign_at(cs, r) == 0:
+        return float(r), r
+    return x, None
 
 
-def real_roots(h: Poly) -> list[tuple[float, Fraction | None]]:
-    """All roots of a squarefree factor known to split over the reals.
+def real_roots(
+    h: Poly, upper: Fraction | None = None
+) -> list[tuple[float, Fraction | None]]:
+    """The roots of a squarefree factor known to split over the reals, in
+    increasing order, as (float, exact value or None); only those
+    <= upper when an upper bound is given.
 
-    Fast route: companion-matrix eigensolver seeds polished by exact
-    Newton, accepted only under two exact certificates (sign alternation
-    between consecutive values, and a sign change within one float step
-    of each value).  When that fails (the companion matrix turns
-    unreliable past degree thirty or so) the roots are isolated with a
-    Sturm chain, seeded by the same values as hints, and bisected; that
-    route cannot misplace a root.
+    Each root is isolated in a bracket (a, b] by a Sturm chain, whose
+    first cuts sit between the real parts of the companion-matrix
+    eigenvalues, and then pinned by exact bisection (`_pin`), so every
+    float lies within one ulp of a sign change of h.  Membership below
+    `upper` is decided by the sign of h at `upper`.  The exact value is
+    set for every rational root that bisection or the nearest small-
+    denominator fraction hits.
     """
     if h.degree <= 0:
         return []
     if h.degree == 1:
         r = -h.coeffs[0] / h.coeffs[1]
-        return [(float(r), r)]
+        return [(float(r), r)] if upper is None or r <= upper else []
 
-    monic = [c / h.coeffs[-1] for c in h.coeffs]
-    deriv = [i * c for i, c in enumerate(monic)][1:]
-    cs = primitive_int(h)
-    seeds = np.roots(np.array([float(c) for c in reversed(monic)]))
-    xs = None
-    if all(math.isfinite(z.real) and math.isfinite(z.imag) for z in seeds):
-        xs = sorted(_polish_newton(monic, deriv, float(z.real)) for z in seeds)
-        if _alternation_certified(cs, xs) and \
-                all(_ulp_pinned(cs, x) for x in xs):
-            return [(x, None) for x in xs]
-
-    brackets = real_root_brackets(h, hints=xs)
+    lc = h.coeffs[-1]
+    hints = np.roots([float(c / lc) for c in reversed(h.coeffs)]).real.tolist()
+    brackets = real_root_brackets(h, hints=hints)
     if len(brackets) != h.degree:
         raise ArithmeticError(
             f"factor of degree {h.degree} has only {len(brackets)} real "
             "roots; hermitian eigenvalue factors must split over the reals"
         )
-    chain = sturm_chain(h)
-    return [
-        _refine_bracket(chain, chain[0], monic, deriv, a, b)
-        for a, b in brackets
-    ]
+    cs = primitive_int(h)
+    out = []
+    for a, b in brackets:
+        if upper is not None and upper < b:
+            # the root lies in (a, upper] exactly when h does not change
+            # sign between upper and b; later roots lie above this one
+            if a >= upper or int_sign_at(cs, upper) not in (0, int_sign_at(cs, b)):
+                break
+            b = upper
+        out.append(_pin(cs, a, b))
+    return out
 
 
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
@@ -328,10 +280,9 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
     labels = enumerate_irreps(spec, tensor, cutoff)
     bound = certified_lower_bound(tensor)
 
-    def profile_of(lab: IrrepLabel):
-        return multiplicity_profile(char_poly_of(spec, lab, tensor).poly)
-
-    profiles = parallel_map(profile_of, labels)
+    profiles = [
+        multiplicity_profile(char_poly_of(spec, lab, tensor).poly) for lab in labels
+    ]
 
     # (label, class multiplicity, squarefree factor), quaternionic sanity
     pieces: list[tuple[IrrepLabel, int, Poly]] = []
@@ -372,12 +323,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
             else:
                 irreducible = c.multiplicity == 1
                 failed = None if irreducible else "b"
-        for approx, exact in real_roots(h):
-            if exact is not None:
-                if exact > cutoff:
-                    continue
-            elif approx > float(cutoff) + 1e-9 * max(1.0, abs(approx)):
-                continue
+        for approx, exact in real_roots(h, cutoff):
             entries.append(
                 SpectrumEntry(
                     value=approx,

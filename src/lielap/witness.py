@@ -41,7 +41,6 @@ from .algebra_core import (
     symmetric_product,
     tensor_hash,
 )
-from .concurrency import parallel_map
 from .errors import DomainError, WitnessSearchExhausted
 from .gaussian import GQ
 from .irreps import (
@@ -471,9 +470,7 @@ def witness_search(
     best: WitnessReport | None = None
     for trial in range(trials):
         tensor = sample_definite_tensor(spec.dim, rng)
-        polys = parallel_map(
-            lambda lab: char_poly_of(spec, lab, tensor), labels
-        )
+        polys = [char_poly_of(spec, lab, tensor) for lab in labels]
         certs = certificate_battery(labels, polys)
         report = WitnessReport(
             spec=spec,

@@ -1,10 +1,17 @@
 """End-to-end CLI behavior: flags, exit codes, deterministic output."""
 
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from lielap.algebra_core import SymTensor, preset
 from lielap.cli import main
+from lielap.irreps import labels_up_to_level
+from lielap.polycert import char_poly_of
+from lielap.witness import certificate_battery
 
 
 def run(capsys, *argv):
@@ -92,6 +99,36 @@ def test_certify_json_structure(capsys):
     doc = json.loads(out)
     assert doc["labels"] == ["0", "2"]
     assert {c["kind"] for c in doc["certificates"]} <= {"a", "b", "c"}
+
+
+def test_certify_json_past_int_str_digit_limit(capsys):
+    # resultants of this tensor pass the 4300 digits that str() of an int
+    # allows; the JSON document still carries every value exactly
+    d = 10**119
+    off = {(0, 1): d + 1, (0, 2): d + 3, (1, 2): d + 7}
+    diag = ["1", "3/2", "2"]
+    rows = [[diag[i] if i == j else f"1/{off[min(i, j), max(i, j)]}"
+             for j in range(3)] for i in range(3)]
+    limit = sys.get_int_max_str_digits()
+    rc, out, _ = run(
+        capsys, "certify", "--group", "su2", "--level", "6",
+        "--tensor", json.dumps(rows), "--format", "json",
+    )
+    assert rc == 0
+    assert sys.get_int_max_str_digits() == limit
+    doc = json.loads(out)
+    spec = preset("su2")
+    tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
+    labels = labels_up_to_level(spec, 6)
+    certs = certificate_battery(
+        labels, [char_poly_of(spec, lab, tensor) for lab in labels]
+    )
+    assert len(certs) == len(doc["certificates"])
+    longest = max(len(c["value"]) for c in doc["certificates"])
+    assert longest > 2 * limit
+    for cert, entry in zip(certs, doc["certificates"]):
+        num, _, den = entry["value"].partition("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den or 1))) == cert.value
 
 
 def test_witness_roundtrip_certify(capsys, tmp_path):

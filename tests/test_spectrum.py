@@ -1,18 +1,30 @@
 """Spectrum assembly: enumeration bounds, collisions, multiplicities."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from lielap.algebra_core import (
     MetricSpec,
+    SymTensor,
     identity_tensor,
     metric_to_tensor,
     preset,
 )
 from lielap.errors import DomainError
-from lielap.irreps import format_label, label
-from lielap.poly import Poly
+from lielap.irreps import format_label, label, labels_up_to_level
+from lielap.operator import build_DV, eigen_decompose_numeric
+from lielap.poly import (
+    Poly,
+    int_sign_at,
+    primitive_int,
+    sturm_chain,
+    sturm_variations,
+)
+from lielap.polycert import char_poly_exact, multiplicity_profile
+from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
     assemble_spectrum,
     certified_lower_bound,
@@ -157,3 +169,83 @@ def test_real_roots_on_ill_conditioned_integer_spectrum():
 def test_real_roots_returns_exact_linear_root():
     roots = real_roots(Poly([Fraction(-1, 3), 1]))
     assert roots == [(float(Fraction(1, 3)), Fraction(1, 3))]
+
+
+def test_close_roots_listed_once_each():
+    # numpy turns two close roots of label (5,1) into a complex pair; both
+    # must still be listed, each at its own value
+    rows = [[25, -3, -1, -2, 4, -4], [-3, 26, 3, -1, 2, 2], [-1, 3, 39, 3, -1, -3],
+            [-2, -1, 3, 31, -2, -3], [4, 2, -1, -2, 35, 1], [-4, 2, -3, -3, 1, 36]]
+    spec = preset("spin4")
+    tensor = SymTensor(tuple(tuple(Fraction(x, 31) for x in r) for r in rows))
+    cutoff = Fraction(1277, 32)
+    t = assemble_spectrum(spec, tensor, cutoff)
+    listed = sorted(
+        e.value for e in t.entries
+        if any(format_label(c.label) == "5,1" for c in e.contributions)
+    )
+    numeric = eigen_decompose_numeric(build_DV(spec, label((5, 1)), tensor))
+    want = [v for v, _ in numeric.clusters if v <= float(cutoff)]
+    assert len(listed) == len(want)
+    for got, ref in zip(listed, want):
+        assert abs(got - ref) <= 1e-9 * max(1.0, ref)
+
+
+def test_cutoff_decided_exactly():
+    tensor = SymTensor((
+        (Fraction(1), Fraction(1, 7), Fraction(1, 5)),
+        (Fraction(1, 7), Fraction(3, 2), Fraction(1, 11)),
+        (Fraction(1, 5), Fraction(1, 11), Fraction(2)),
+    ))
+    h = Poly([-247071952, 63277436, -5336100, 148225])
+    (root,) = [v for v, _ in real_roots(h) if abs(v - 9.7474807749) < 1e-9]
+    eps = Fraction(1, 10**10)
+    below = assemble_spectrum(preset("su2"), tensor, Fraction(root) * (1 - eps))
+    above = assemble_spectrum(preset("su2"), tensor, Fraction(root) * (1 + eps))
+    assert not any(abs(e.value - root) < 1e-9 for e in below.entries)
+    assert any(abs(e.value - root) < 1e-9 for e in above.entries)
+
+
+def test_rational_roots_of_higher_degree_factors_are_exact():
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
+    t = assemble_spectrum(preset("u2"), metric_to_tensor(MetricSpec(gram)), 20)
+    assert Fraction(37, 2) in [e.exact_value for e in t.entries]
+    assert all(e.exact_value is not None for e in t.entries)
+
+
+def _random_suite_factors():
+    """The squarefree factors of the random definite tensors that the
+    acceptance suite's numeric-profile test draws (same seed, same order)."""
+    rng = random.Random(20260817)
+    small = [(preset("su2"), label((m,))) for m in range(8)]
+    small += [(preset("so3"), lab) for lab in labels_up_to_level(preset("so3"), 6)]
+    small += [(preset("u2"), lab) for lab in labels_up_to_level(preset("u2"), 3)]
+    small += [(preset("t2"), lab) for lab in labels_up_to_level(preset("t2"), 1)]
+    spin4 = preset("spin4")
+    small += [(spin4, label((m, mp))) for m in range(4) for mp in range(4)]
+    small += [(preset("so4"), lab) for lab in labels_up_to_level(preset("so4"), 3)]
+    big = [(spin4, label((m, m))) for m in (4, 5, 6, 7)]
+    for spec, lab in small * 4 + big:
+        op = build_DV(spec, lab, sample_definite_tensor(spec.dim, rng))
+        for _, factor in multiplicity_profile(char_poly_exact(op).poly).entries:
+            yield factor
+
+
+def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
+    for factor in _random_suite_factors():
+        cs = primitive_int(factor)
+        roots = real_roots(factor)
+        assert len(roots) == factor.degree
+        values = [x for x, _ in roots]
+        assert values == sorted(set(values))
+        for x, exact in roots:
+            lo = int_sign_at(cs, Fraction(math.nextafter(x, -math.inf)))
+            hi = int_sign_at(cs, Fraction(math.nextafter(x, math.inf)))
+            assert lo * hi <= 0
+            assert exact is None or int_sign_at(cs, exact) == 0
+        # a cut at the float of the middle root, checked by a Sturm count
+        cut = Fraction(values[len(values) // 2])
+        chain = sturm_chain(factor)
+        below = sturm_variations(chain, Fraction(-1 - sum(map(abs, cs)))) - \
+            sturm_variations(chain, cut)
+        assert len(real_roots(factor, cut)) == below
