@@ -199,7 +199,26 @@ def cmd_certify(args) -> int:
 def cmd_witness(args) -> int:
     spec = load_group(args)
     level = _require_level(args)
-    report = witness_search(spec, level, trials=args.trials, seed=args.seed)
+    try:
+        report = witness_search(spec, level, trials=args.trials, seed=args.seed)
+    except WitnessSearchExhausted as e:
+        if e.best is None:
+            raise
+        best = e.best
+        if args.format == "json":
+            dump_json(witness_report_json(best), args.output)
+        else:
+            lines = [
+                f"group {spec.name} level {level} seed {args.seed}: search "
+                f"exhausted; best trial {best.trial} certified {best.score} "
+                f"of {len(best.certificates)} certificates"
+            ]
+            for c in best.certificates:
+                if not c.verdict:
+                    labs = " ".join(format_label(l) for l in c.labels)
+                    lines.append(f"zero certificate {c.kind}: {labs}")
+            emit("\n".join(lines), args.output)
+        return 1
     doc = witness_report_json(report)
 
     failures = []

@@ -253,10 +253,6 @@ def add_product(acc: Rows, A: Matrix, B: Matrix, coeff: GaussianRational) -> Non
                     del ai[j]
 
 
-def finish_rows(nrows: int, ncols: int, acc: Rows) -> Matrix:
-    return Matrix.from_rows(nrows, ncols, acc)
-
-
 # -- exact characteristic polynomial -----------------------------------------
 
 

@@ -3,9 +3,11 @@
 Coefficients are ``Fraction``s stored densely in ascending order.  The
 resultant is computed by a subresultant polynomial remainder sequence over
 the integers (contents and denominators stripped first), which keeps
-intermediate coefficient growth polynomial instead of exponential; a naive
-Sylvester determinant is kept alongside as an independent cross-check for
-tests and small degrees.
+intermediate coefficient growth polynomial instead of exponential (the
+Sylvester determinant that cross-checks it lives in the tests).  The gcd,
+exact division and squarefree decomposition work on primitive integer
+coefficient lists (`int_gcd`, `int_div_exact`); `Poly`s are only their
+inputs and outputs.
 
 Conventions:
   * deg 0 polynomials are nonzero constants, the zero polynomial has
@@ -225,16 +227,22 @@ def _strip(cs: list[int]) -> list[int]:
     return cs
 
 
-def primitive_int(p: Poly) -> list[int]:
-    """Primitive integer coefficient list of p (content and sign of the
-    rational scaling discarded; leading coefficient made positive)."""
-    cs, _ = clear_denominators(p)
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """Primitive form of an integer coefficient list, leading coefficient
+    made positive; [] for the zero polynomial."""
     g = _content(cs)
     if not g:
         return []
+    cs = _strip(list(cs))
     if cs[-1] < 0:
         g = -g
     return [c // g for c in cs]
+
+
+def primitive_int(p: Poly) -> list[int]:
+    """Primitive integer coefficient list of p (content and sign of the
+    rational scaling discarded; leading coefficient made positive)."""
+    return _primitive(clear_denominators(p)[0])
 
 
 def from_int(cs: Sequence[int]) -> Poly:
@@ -322,66 +330,59 @@ def resultant(p: Poly, q: Poly) -> Fraction:
     return Fraction(r) / (Fraction(a) ** dq * Fraction(b) ** dp)
 
 
-def resultant_sylvester(p: Poly, q: Poly) -> Fraction:
-    """Sylvester determinant expansion; independent oracle for resultant."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    dp, dq = p.degree, q.degree
-    n = dp + dq
-    if n == 0:
-        return Fraction(1)
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    rows = []
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (n - i - dp - 1))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (n - i - dq - 1))
-    # fraction-free-ish Gaussian elimination with pivoting
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            f = rows[r][col] / pv
-            if f:
-                rr, rc = rows[r], rows[col]
-                for c in range(col, n):
-                    rr[c] -= f * rc[c]
-    return det
+def int_gcd(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """Primitive positive-lc gcd of two integer polynomials (primitive PRS)."""
+    A, B = _primitive(A), _primitive(B)
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        if len(B) == 1:
+            return [1]
+        A, B = B, _primitive(_prem(A, B))
+    return A
+
+
+def int_div_exact(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """The quotient A / B in Z[x] for a primitive B.
+
+    By Gauss's lemma B divides A over Q exactly when every leading-
+    coefficient step divides exactly and the remainder is zero; anything
+    else raises ValueError.
+    """
+    dB = len(B) - 1
+    if dB < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    R = _strip(list(A))
+    lc = B[-1]
+    Q = [0] * max(0, len(R) - dB)
+    for k in range(len(R) - 1, dB - 1, -1):
+        q, r = divmod(R[k], lc)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if q:
+            off = k - dB
+            Q[off] = q
+            for j in range(dB):
+                R[off + j] -= q * B[j]
+    if any(R[:dB]):
+        raise ValueError("inexact polynomial division")
+    return Q
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Primitive positive-lc integer gcd of the primitive parts of p, q."""
-    A = primitive_int(p)
-    B = primitive_int(q)
-    if not A:
-        return from_int(B)
-    if not B:
-        return from_int(A)
-    if _deg(A) < _deg(B):
-        A, B = B, A
-    # primitive PRS
-    while True:
-        dB = _deg(B)
-        if dB < 0:
-            break
-        if dB == 0:
-            return Poly([1])
-        R = _prem(A, B)
-        g = _content(R)
-        if g:
-            if R[-1] < 0:
-                g = -g
-            R = [c // g for c in R]
-        A, B = B, R
-    return from_int(A)
+    return from_int(int_gcd(clear_denominators(p)[0], clear_denominators(q)[0]))
+
+
+def _derivative(cs: Sequence[int]) -> list[int]:
+    return [i * cs[i] for i in range(1, len(cs))]
+
+
+def _sub(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    out = list(A) + [0] * (len(B) - len(A))
+    for i, b in enumerate(B):
+        out[i] -= b
+    return _strip(out)
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
@@ -389,22 +390,23 @@ def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
     squarefree, primitive, positive leading coefficient."""
     if p.is_zero:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    P = from_int(primitive_int(p))
-    if P.degree == 0:
+    P = primitive_int(p)
+    if len(P) == 1:
         return []
-    g = gcd(P, P.derivative())
-    if g.degree == 0:
-        return [(1, P if P.lc > 0 else -P)]
-    c = div_exact(P, g)
-    d = div_exact(P.derivative(), g) - c.derivative()
+    dP = _derivative(P)
+    g = int_gcd(P, dP)
+    if len(g) == 1:
+        return [(1, from_int(P))]
+    c = int_div_exact(P, g)
+    d = _sub(int_div_exact(dP, g), _derivative(c))
     out = []
     i = 1
-    while c.degree > 0:
-        a = gcd(c, d)
-        if a.degree > 0:
-            out.append((i, a))
-        c = div_exact(c, a)
-        d = div_exact(d, a) - c.derivative()
+    while len(c) > 1:
+        a = int_gcd(c, d)
+        if len(a) > 1:
+            out.append((i, from_int(a)))
+        c = int_div_exact(c, a)
+        d = _sub(int_div_exact(d, a), _derivative(c))
         i += 1
     return out
 

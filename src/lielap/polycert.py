@@ -178,11 +178,6 @@ def cert_c_from_poly(p: CharPoly) -> Certificate:
 def cert_a(
     spec: GroupSpec, labV: IrrepLabel, labW: IrrepLabel, tensor: SymTensor
 ) -> Certificate:
-    if labW in (labV, dual_label(labV)):
-        raise DomainError(
-            "separation certificate needs distinct, non-dual labels; "
-            f"got {format_label(labV)} and {format_label(labW)}"
-        )
     return cert_a_from_polys(
         char_poly_of(spec, labV, tensor), char_poly_of(spec, labW, tensor)
     )
@@ -193,11 +188,6 @@ def cert_b(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> Certificate:
 
 
 def cert_c(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> Certificate:
-    if classify_type(lab) != "quaternionic":
-        raise DomainError(
-            f"certificate kind c applies to quaternionic labels only, "
-            f"got {format_label(lab)}"
-        )
     return cert_c_from_poly(char_poly_of(spec, lab, tensor))
 
 

@@ -9,9 +9,10 @@ The pipeline:
      cuts the enumeration down to a finite ball.
   2. Compute the characteristic polynomial of D_V(s) exactly for each
      candidate label of the dual-reduced, quotient-descended list.
-  3. Refine all squarefree factors into a gcd-free basis, so eigenvalue
-     coincidences across different labels are decided by exact
-     divisibility, never by floating-point comparison.
+  3. Refine all squarefree factors into a gcd-free basis that records,
+     for each element, the factors it divides.  Eigenvalue coincidences
+     across different labels are read off this exact factorisation, never
+     decided by floating-point comparison.
   4. Emit one entry per real root, with the full contributor list and the
      real multiplicity accounting (complex-type labels stand for their
      dual pair and count twice).
@@ -53,14 +54,15 @@ from .irreps import (
 )
 from .poly import (
     Poly,
-    div_exact,
-    divides,
     from_int,
-    gcd,
+    int_div_exact,
+    int_gcd,
     int_sign_at,
     primitive_int,
     real_root_brackets,
 )
+# unused here; perfbench/tracer.py looks up spectrum.divides when it installs
+from .poly import divides  # noqa: F401
 from .polycert import char_poly_of, multiplicity_profile
 
 
@@ -169,34 +171,37 @@ class SpectrumTable:
         return all(e.irreducible for e in self.entries)
 
 
-def gcd_free_basis(polys: list[Poly]) -> list[Poly]:
-    """Pairwise coprime squarefree polynomials spanning the inputs.
+def gcd_free_basis(polys: list[Poly]) -> list[tuple[Poly, list[int]]]:
+    """Pairwise coprime squarefree polynomials spanning the inputs, each
+    with the sorted indices of the inputs it divides.
 
-    Inputs must be squarefree with positive integer leading coefficient
-    (Yun output).  Every input is then a product of basis elements times a
-    constant, so divisibility against the basis classifies shared roots.
+    Inputs must be squarefree (Yun output).  Every input is then a constant
+    times the product of the basis elements that list it, so shared roots
+    are read off the members without any further division.
     """
-    def div_primitive(a: Poly, b: Poly) -> Poly:
-        return from_int(primitive_int(div_exact(a, b)))
-
-    basis: list[Poly] = []
-    for f in polys:
-        f = from_int(primitive_int(f))
+    basis: list[tuple[list[int], list[int]]] = []
+    for n, f in enumerate(polys):
+        f = primitive_int(f)
         i = 0
-        while i < len(basis) and f.degree > 0:
-            b = basis[i]
-            g = gcd(f, b)
-            if g.degree == 0:
+        while i < len(basis) and len(f) > 1:
+            b, members = basis[i]
+            g = int_gcd(f, b)
+            if len(g) == 1:
                 i += 1
                 continue
-            if g.degree < b.degree:
-                basis[i] = g
-                basis.insert(i + 1, div_primitive(b, g))
-            f = div_primitive(f, basis[i])
+            if len(g) < len(b):
+                # b / g keeps b's members, and f is squarefree, so b / g is
+                # coprime to f and the next gcd is skipped
+                basis[i] = (g, members + [n])
+                basis.insert(i + 1, (int_div_exact(b, g), members))
+                i += 1
+            else:
+                members.append(n)
+            f = int_div_exact(f, g)
             i += 1
-        if f.degree > 0:
-            basis.append(f)
-    return basis
+        if len(f) > 1:
+            basis.append((f, [n]))
+    return [(from_int(h), members) for h, members in basis]
 
 
 def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | None]:
@@ -296,22 +301,18 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
                 )
             pieces.append((lab, mult, factor))
 
-    basis = gcd_free_basis([factor for _, _, factor in pieces])
-
     entries: list[SpectrumEntry] = []
-    for h in basis:
-        contribs = []
-        for lab, mult, factor in pieces:
-            if divides(h, factor):
-                contribs.append(
-                    Contribution(
-                        label=lab,
-                        multiplicity=mult,
-                        rep_type=classify_type(lab),
-                        dim=lab.dim,
-                        dual_pair=not is_self_dual(lab),
-                    )
-                )
+    for h, members in gcd_free_basis([factor for _, _, factor in pieces]):
+        contribs = [
+            Contribution(
+                label=lab,
+                multiplicity=mult,
+                rep_type=classify_type(lab),
+                dim=lab.dim,
+                dual_pair=not is_self_dual(lab),
+            )
+            for lab, mult, _ in (pieces[k] for k in members)
+        ]
         real_mult = sum(c.real_multiplicity for c in contribs)
         if len(contribs) > 1:
             irreducible, failed = False, "a"

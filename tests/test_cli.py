@@ -157,6 +157,20 @@ def test_witness_deterministic_json(capsys):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+def test_witness_exhausted_prints_best_report(capsys):
+    rc, out, err = run(
+        capsys, "witness", "--group", "spin4", "--level", "4", "--trials", "1",
+        "--seed", "4", "--format", "json",
+    )
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["success"] is False and doc["trial"] == 0
+    n = len(labels_up_to_level(preset("spin4"), 4))
+    certs = doc["certificates"]
+    assert len(certs) == n * (n + 1) // 2  # one b or c per label, one a per pair
+    assert any(not c["nonzero"] for c in certs)
+
+
 def test_witness_su2xsu2_includes_pairs(capsys):
     rc, out, _ = run(
         capsys, "witness", "--group", "su2xsu2", "--level", "3",

@@ -9,7 +9,6 @@ from lielap.linalg import (
     Matrix,
     add_product,
     charpoly_gq,
-    finish_rows,
     inverse,
     nullspace,
     restrict_operator,
@@ -42,7 +41,7 @@ def test_add_product_accumulates():
     acc = [dict() for _ in range(2)]
     add_product(acc, a, b, GQ(1))
     add_product(acc, a, b, GQ(-1))
-    assert finish_rows(2, 2, acc).is_zero_matrix()
+    assert Matrix.from_rows(2, 2, acc).is_zero_matrix()
 
 
 def test_transpose_and_conj():

@@ -17,7 +17,7 @@ from lielap.algebra_core import (
 from lielap.errors import DomainError
 from lielap.gaussian import GQ
 from lielap.irreps import build_irrep, label, labels_up_to_level
-from lielap.linalg import add_product, finish_rows
+from lielap.linalg import Matrix, add_product
 from lielap.operator import (
     build_DV,
     casimir_tensor,
@@ -39,7 +39,7 @@ def generic_DV(spec, lab, tensor):
             c = tensor[p, q]
             if c:
                 add_product(acc, rep.generators[p], rep.generators[q], GQ(-c))
-    return finish_rows(rep.dim, rep.dim, acc)
+    return Matrix.from_rows(rep.dim, rep.dim, acc)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 9])

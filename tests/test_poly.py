@@ -16,17 +16,54 @@ from lielap.poly import (
     div_exact,
     divides,
     divmod_exact,
+    from_int,
     gcd,
+    int_div_exact,
     int_sign_at,
     monic,
+    primitive_int,
     real_root_brackets,
     resultant,
-    resultant_sylvester,
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
     sturm_variations,
 )
+
+def resultant_sylvester(p: Poly, q: Poly) -> Fraction:
+    """Sylvester determinant expansion; independent oracle for resultant."""
+    if p.is_zero or q.is_zero:
+        return Fraction(0)
+    dp, dq = p.degree, q.degree
+    n = dp + dq
+    if n == 0:
+        return Fraction(1)
+    pc = list(reversed(p.coeffs))
+    qc = list(reversed(q.coeffs))
+    rows = []
+    for i in range(dq):
+        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (n - i - dp - 1))
+    for i in range(dp):
+        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (n - i - dq - 1))
+    # fraction-free-ish Gaussian elimination with pivoting
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        pv = rows[col][col]
+        det *= pv
+        for r in range(col + 1, n):
+            f = rows[r][col] / pv
+            if f:
+                rr, rc = rows[r], rows[col]
+                for c in range(col, n):
+                    rr[c] -= f * rc[c]
+    return det
+
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -62,6 +99,26 @@ def test_divmod_exact():
 def test_div_exact_raises_on_remainder():
     with pytest.raises(ValueError):
         div_exact(Poly([1, 0, 1]), Poly([1, 1]))
+
+
+def test_int_div_exact_raises_unless_exact_over_z():
+    with pytest.raises(ValueError):  # remainder 2
+        int_div_exact([1, 0, 1], [1, 1])
+    for A in ([1, 1], [0, 1]):  # leading step 1/2
+        with pytest.raises(ValueError):
+            int_div_exact(A, [1, 2])
+    assert int_div_exact([3, 5, 2], [3, 2]) == [1, 1]
+    assert int_div_exact([], [3, 2]) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_strategy(4), poly_strategy(4))
+def test_int_div_exact_inverts_products(p, q):
+    A, B = primitive_int(p), primitive_int(q)
+    if not B:
+        return
+    prod = primitive_int(from_int(A) * from_int(B)) if A else []
+    assert int_div_exact(prod, B) == A
 
 
 def test_monic():

@@ -18,6 +18,8 @@ from lielap.irreps import format_label, label, labels_up_to_level
 from lielap.operator import build_DV, eigen_decompose_numeric
 from lielap.poly import (
     Poly,
+    divides,
+    gcd,
     int_sign_at,
     primitive_int,
     sturm_chain,
@@ -68,9 +70,55 @@ def test_gcd_free_basis_splits_shared_factors():
     a = Poly([-1, 1]) * Poly([-2, 1])
     b = Poly([-2, 1]) * Poly([-3, 1])
     basis = gcd_free_basis([a, b])
-    assert sorted(f.degree for f in basis) == [1, 1, 1]
-    roots = sorted(r for f in basis for r, _ in real_roots(f))
+    assert basis == [
+        (Poly([-2, 1]), [0, 1]),
+        (Poly([-1, 1]), [0]),
+        (Poly([-3, 1]), [1]),
+    ]
+    roots = sorted(r for f, _ in basis for r, _ in real_roots(f))
     assert roots == [1.0, 2.0, 3.0]
+
+
+def test_gcd_free_basis_members_factor_every_input():
+    """Inputs built from a pool of pairwise coprime small-integer linear
+    and quadratic factors, with shared factors, a repeated input and an
+    input equal to one basis element.  The basis is checked for pairwise
+    coprimality, for factoring every input exactly, and its members
+    against divisibility of every input by every element."""
+    rng = random.Random(20261018)
+    pool: list[Poly] = []
+    while len(pool) < 9:
+        if rng.random() < 0.5:
+            cand = Poly([rng.randint(-6, 6), rng.randint(1, 3)])
+        else:
+            cand = Poly([rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(1, 3)])
+        if cand.degree < 1 or gcd(cand, cand.derivative()).degree > 0:
+            continue
+        if all(gcd(cand, f).degree == 0 for f in pool):
+            pool.append(cand)
+    for _ in range(5):
+        inputs = []
+        for _ in range(8):
+            chosen = rng.sample(pool, rng.randint(1, 4))
+            inputs.append(math.prod(chosen[1:], start=chosen[0]) * rng.randint(1, 3))
+        inputs.append(inputs[2])  # a repeated input
+        basis = gcd_free_basis(inputs)
+        inputs.append(basis[0][0])  # an input equal to one basis element
+        basis = gcd_free_basis(inputs)
+
+        for i, (h, _) in enumerate(basis):
+            assert h.degree > 0 and h.lc > 0 and primitive_int(h) == list(h.coeffs)
+            for k, _ in basis[i + 1:]:
+                assert gcd(h, k).degree == 0
+        for n, f in enumerate(inputs):
+            listed = [h for h, members in basis if n in members]
+            prod = math.prod(listed[1:], start=listed[0])
+            assert f == prod * (f.lc / prod.lc)
+        for h, members in basis:
+            assert members == sorted(set(members))
+            assert members == [n for n, f in enumerate(inputs) if divides(h, f)]
+        last = len(inputs) - 1
+        assert [h for h, members in basis if last in members] == [inputs[-1]]
 
 
 def test_real_roots_exact_for_linear():
