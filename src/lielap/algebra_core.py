@@ -193,52 +193,50 @@ def identity_tensor(n: int) -> SymTensor:
     )
 
 
+def _gauss_jordan(rows) -> list[list[Fraction]] | None:
+    """Gauss-Jordan over Q on the leading square block of rows, with no
+    row exchanges; None at the first pivot <= 0.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
+    principal minor, so a run that finishes is Sylvester's criterion for a
+    symmetric block, and the columns to its right come out multiplied by
+    the block's inverse."""
+    work = [list(r) for r in rows]
+    for c in range(len(work)):
+        pivot = work[c][c]
+        if pivot <= 0:
+            return None
+        wc = work[c] = [x / pivot for x in work[c]]
+        for r, wr in enumerate(work):
+            f = wr[c]
+            if r != c and f:
+                work[r] = [x - f * y for x, y in zip(wr, wc)]
+    return work
+
+
 def is_positive_definite(entries) -> bool:
     """Exact Sylvester criterion: all leading principal minors positive.
 
-    Accepts a SymTensor, MetricSpec, or raw symmetric rows.  Runs a
-    division-controlled elimination; the pivot sequence is positive iff
-    the leading minors are."""
+    Accepts a SymTensor, MetricSpec, or raw symmetric rows."""
     if isinstance(entries, SymTensor):
         rows = entries.entries
     elif isinstance(entries, MetricSpec):
         rows = entries.gram
     else:
         rows = _freeze_symmetric(entries)
-    n = len(rows)
-    work = [list(r) for r in rows]
-    for c in range(n):
-        pivot = work[c][c]
-        if pivot <= 0:
-            return False
-        for r in range(c + 1, n):
-            f = work[r][c] / pivot
-            if f:
-                wr, wc = work[r], work[c]
-                for j in range(c, n):
-                    wr[j] -= f * wc[j]
-    return True
+    return _gauss_jordan(rows) is not None
 
 
 def metric_to_tensor(metric: MetricSpec) -> SymTensor:
     """Exact inverse of the gram matrix: the tensor of a g-orthonormal
     basis, so that the operator it induces is the metric Laplacian."""
     n = metric.n
-    if not is_positive_definite(metric):
+    work = _gauss_jordan(
+        [list(r) + [Fraction(int(i == j)) for j in range(n)]
+         for i, r in enumerate(metric.gram)]
+    )
+    if work is None:
         raise DomainError("gram matrix is not positive definite")
-    work = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, r in enumerate(metric.gram)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r][c]), None)
-        if piv is None:
-            raise DomainError("gram matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
     return SymTensor(tuple(tuple(row[n:]) for row in work))
 
 
@@ -285,10 +283,6 @@ def tensor_to_json(tensor: SymTensor) -> dict:
     return {
         "tensor": [[format_rational(x) for x in row] for row in tensor.entries]
     }
-
-
-def metric_to_json(metric: MetricSpec) -> dict:
-    return {"gram": [[format_rational(x) for x in row] for row in metric.gram]}
 
 
 def tensor_from_json(doc: dict) -> SymTensor:

@@ -149,10 +149,6 @@ ONE = GQ(1)
 I = GQ(0, 1)
 
 
-def gq(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
-    return GaussianRational(re, im)
-
-
 def parse_rational(s) -> Fraction:
     """Parse "p/q" or "p" (also plain ints) into an exact Fraction.
 

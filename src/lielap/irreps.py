@@ -30,7 +30,7 @@ from itertools import product as iter_product
 
 from .algebra_core import GroupSpec
 from .errors import DomainError
-from .gaussian import GQ, GaussianRational
+from .gaussian import GQ
 from .linalg import Matrix
 
 
@@ -122,22 +122,40 @@ def casimir_eigenvalue(lab: IrrepLabel) -> int:
 # -- generator matrices -------------------------------------------------------
 
 
-def su2_generators(m: int) -> tuple[Matrix, Matrix, Matrix]:
-    """(H, A, B) of the spin-m irreducible in the monomial basis."""
+# The triple (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer matrix,
+# kept as a band {offset: values}: values[i] is the entry at (i, i + offset),
+# 0 where that column is out of range.  Cached bands hold tuples so that no
+# caller can change them.
+PHASES = (1, 1, 0)
+
+
+@lru_cache(maxsize=512)
+def su2_bands(m: int) -> tuple[dict, dict, dict]:
+    """The integer bands (G_H, G_A, G_B) of the spin-m triple, read off the
+    formulas in the module docstring."""
     if m < 0:
         raise DomainError("spin must be nonnegative")
-    d = m + 1
-    H = Matrix.diagonal([GQ(0, m - 2 * l) for l in range(d)])
-    a_rows = [dict() for _ in range(d)]
-    b_rows = [dict() for _ in range(d)]
-    for l in range(d):
-        if l + 1 < d:
-            a_rows[l + 1][l] = GQ(0, m - l)
-            b_rows[l + 1][l] = GQ(m - l)
-        if l - 1 >= 0:
-            a_rows[l - 1][l] = GQ(0, l)
-            b_rows[l - 1][l] = GQ(-l)
-    return H, Matrix(d, d, a_rows), Matrix(d, d, b_rows)
+    rows = range(m + 1)
+    up = tuple(m - i + 1 if i else 0 for i in rows)  # (l + 1, l): m - l
+    down = tuple(i + 1 if i < m else 0 for i in rows)  # (l - 1, l): l
+    return (
+        {0: tuple(m - 2 * i for i in rows)},
+        {-1: up, 1: down},
+        {-1: up, 1: tuple(-v for v in down)},
+    )
+
+
+def su2_generators(m: int) -> tuple[Matrix, Matrix, Matrix]:
+    """(H, A, B) of the spin-m irreducible in the monomial basis."""
+    out = []
+    for band, phase in zip(su2_bands(m), PHASES):
+        rows = [dict() for _ in range(m + 1)]
+        for s, vals in band.items():
+            for i, v in enumerate(vals):
+                if v:
+                    rows[i][i + s] = GQ(0, v) if phase else GQ(v)
+        out.append(Matrix(m + 1, m + 1, rows))
+    return tuple(out)
 
 
 def rotation_half_pi(m: int) -> Matrix:
@@ -161,7 +179,6 @@ class Irrep:
     generators: tuple[Matrix, ...]
 
 
-@lru_cache(maxsize=512)
 def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
     """Tensor-product matrices: factor generators get Kronecker-extended
     by identities, torus directions act as scalars i*l_i."""
@@ -225,12 +242,6 @@ class QuaternionicStructure:
     m: int
     matrix: Matrix
     square_sign: int
-
-    def apply(self, vec: list[GaussianRational]) -> list[GaussianRational]:
-        out = [GQ(0)] * self.matrix.nrows
-        for i, j, p in self.matrix.entries():
-            out[i] = out[i] + p * vec[j].conjugate()
-        return out
 
     def is_equivariant(self, generators) -> bool:
         """P conj(G) == G P for every generator G (conjugate-linearity)."""

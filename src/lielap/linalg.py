@@ -3,6 +3,9 @@
 Rows are dicts keyed by column index holding nonzero ``GaussianRational``
 entries; representation matrices of Lie algebra generators are banded, so
 products and Kronecker factors stay cheap at dimensions in the hundreds.
+There is no elimination here: the one invariant subspace the package
+restricts to comes with a basis whose rows at known positions form the
+identity, so restriction reads rows of a product.
 
 The characteristic polynomial uses the Faddeev-LeVerrier recurrence run
 over Gaussian integers after clearing a common denominator: the recurrence
@@ -64,10 +67,6 @@ class Matrix:
         return cls(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(nrows, ncols)
-
-    @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
         vals = [_as_gq(v) for v in values]
         rows = [{i: v} if v else {} for i, v in enumerate(vals)]
@@ -88,9 +87,6 @@ class Matrix:
         for i, row in enumerate(self.rows):
             for j, v in row.items():
                 yield i, j, v
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -167,18 +163,6 @@ class Matrix:
         rows = [{j: v.conjugate() for j, v in r.items()} for r in self.rows]
         return Matrix(self.nrows, self.ncols, rows)
 
-    def transpose(self) -> "Matrix":
-        rows: Rows = [dict() for _ in range(self.ncols)]
-        for i, j, v in self.entries():
-            rows[j][i] = v
-        return Matrix(self.ncols, self.nrows, rows)
-
-    def conj_transpose(self) -> "Matrix":
-        rows: Rows = [dict() for _ in range(self.ncols)]
-        for i, j, v in self.entries():
-            rows[j][i] = v.conjugate()
-        return Matrix(self.ncols, self.nrows, rows)
-
     def trace(self) -> GaussianRational:
         t = ZERO
         for i in range(min(self.nrows, self.ncols)):
@@ -198,32 +182,6 @@ class Matrix:
                 for i2, j2, b in oentries:
                     rows[base_i + i2][base_j + j2] = a if b == ONE else a * b
         return Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
-
-    def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "Matrix":
-        colmap = {c: t for t, c in enumerate(col_idx)}
-        rows: Rows = []
-        for i in row_idx:
-            row = {}
-            for j, v in self.rows[i].items():
-                t = colmap.get(j)
-                if t is not None:
-                    row[t] = v
-            rows.append(row)
-        return Matrix(len(row_idx), len(col_idx), rows)
-
-    # -- conversions ---------------------------------------------------------
-
-    def to_dense(self) -> list[list[GaussianRational]]:
-        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.entries():
-            out[i][j] = v
-        return out
-
-    def to_numpy(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for i, j, v in self.entries():
-            out[i, j] = complex(v)
-        return out
 
 
 def add_product(acc: Rows, A: Matrix, B: Matrix, coeff: GaussianRational) -> None:
@@ -302,108 +260,23 @@ def charpoly_gq(M: Matrix) -> list[GaussianRational]:
     return out
 
 
-# -- exact elimination (field operations over Q(i)) ---------------------------
+# -- restriction to an invariant subspace -------------------------------------
 
 
-def rref(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [dict(r) for r in M.rows]
-    nr, nc = M.nrows, M.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i].get(c):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != ONE:
-            inv = ONE / pv
-            rows[r] = {j: v * inv for j, v in rows[r].items()}
-        prow = rows[r]
-        for i in range(nr):
-            if i == r:
-                continue
-            f = rows[i].get(c)
-            if f:
-                ri = rows[i]
-                for j, v in prow.items():
-                    s = ri.get(j, ZERO) - f * v
-                    if s:
-                        ri[j] = s
-                    elif j in ri:
-                        del ri[j]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return Matrix(nr, nc, rows), pivots
+def restrict_operator(D: Matrix, K: Matrix, pivots: list[int]) -> Matrix:
+    """Matrix R of D on the span of the columns of K, so that D K = K R.
 
-
-def nullspace(M: Matrix) -> Matrix:
-    """Columns form an exact basis of ker(M); shape ncols x nullity."""
-    R, pivots = rref(M)
-    pivset = set(pivots)
-    free = [c for c in range(M.ncols) if c not in pivset]
-    cols: list[dict[int, GaussianRational]] = []
-    for f in free:
-        col = {f: ONE}
-        for r, pc in enumerate(pivots):
-            v = R.rows[r].get(f)
-            if v:
-                col[pc] = -v
-        cols.append(col)
-    rows: Rows = [dict() for _ in range(M.ncols)]
-    for t, col in enumerate(cols):
-        for i, v in col.items():
-            rows[i][t] = v
-    return Matrix(M.ncols, len(cols), rows)
-
-
-def solve_exact(A: Matrix, B: Matrix) -> Matrix:
-    """Solve A X = B for invertible A, exactly."""
-    n = A.nrows
-    if A.ncols != n or B.nrows != n:
-        raise ValueError("shape mismatch")
-    aug_rows: Rows = []
-    for ra, rb in zip(A.rows, B.rows):
-        row = dict(ra)
-        for j, v in rb.items():
-            row[n + j] = v
-        aug_rows.append(row)
-    aug = Matrix(n, n + B.ncols, aug_rows)
-    R, pivots = rref(aug)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    rows: Rows = []
-    for i in range(n):
-        rows.append({j - n: v for j, v in R.rows[i].items() if j >= n})
-    return Matrix(n, B.ncols, rows)
-
-
-def inverse(A: Matrix) -> Matrix:
-    return solve_exact(A, Matrix.identity(A.nrows))
-
-
-def restrict_operator(D: Matrix, K: Matrix) -> Matrix:
-    """Matrix of D on the invariant subspace spanned by the columns of K.
-
-    K must have independent columns and D must map its span into itself;
-    invariance is verified exactly and violation raises ArithmeticError.
+    Row pivots[k] of K must be the k-th unit row; then the columns of K are
+    independent and R is read off as those rows of D K.  Invariance is
+    verified exactly and violation raises ArithmeticError.
     """
-    r = K.ncols
-    _, piv_rows = rref(K.transpose())
-    if len(piv_rows) != r:
-        raise ValueError("columns of K are dependent")
+    if len(pivots) != K.ncols or any(
+        K.rows[a] != {k: ONE} for k, a in enumerate(pivots)
+    ):
+        raise ValueError("rows of K at the pivots are not the identity")
     DK = D @ K
-    cols = list(range(r))
-    Ksub = K.submatrix(piv_rows, cols)
-    Bsub = DK.submatrix(piv_rows, cols)
-    R = solve_exact(Ksub, Bsub)
+    R = Matrix(K.ncols, K.ncols, [DK.rows[a] for a in pivots])
     if K @ R != DK:
         raise ArithmeticError("subspace is not invariant under the operator")
     return R
+

@@ -48,7 +48,7 @@ from .algebra_core import (
 )
 from .errors import DomainError
 from .gaussian import GQ
-from .irreps import IrrepLabel, orthonormal_weights, su2_generators
+from .irreps import PHASES, IrrepLabel, orthonormal_weights, su2_bands
 from .linalg import Matrix
 
 
@@ -71,30 +71,11 @@ def casimir_tensor(spec: GroupSpec) -> SymTensor:
     return identity_tensor(spec.dim)
 
 
-# Factor-sized integer matrices are bands {offset: values}, values[i] the
-# entry at (i, i + offset) and 0 where that column is out of range; cached
-# bands hold tuples so that no caller can change them.  The su(2) triple
-# (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer band.
-PHASES = (1, 1, 0)
-
-
-@lru_cache(maxsize=512)
-def _integer_generators(m: int) -> tuple[dict, dict, dict]:
-    """The integer bands G_a of the spin-m triple, g_a = i^PHASES[a] G_a."""
-    out = []
-    for g, phase in zip(su2_generators(m), PHASES):
-        band: dict[int, list[int]] = {}
-        for i, j, v in g.entries():
-            band.setdefault(j - i, [0] * (m + 1))[i] = v.im if phase else v.re
-        out.append({s: tuple(vals) for s, vals in band.items()})
-    return tuple(out)
-
-
 @lru_cache(maxsize=128)
 def _integer_products(m: int) -> tuple[tuple[dict, ...], ...]:
-    """[a][b] -> G_a G_b for the spin-m triple, as bands."""
+    """[a][b] -> G_a G_b for the spin-m triple, as bands (see su2_bands)."""
     d = m + 1
-    gens = _integer_generators(m)
+    gens = su2_bands(m)
 
     def mul(x: dict, y: dict) -> dict:
         out: dict[int, list[int]] = {}
@@ -181,7 +162,7 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
         _kron_add(acc, dims, {}, scalar, 0)
 
     for j, m in enumerate(lab.spins):
-        gens, prods = _integer_generators(m), _integer_products(m)
+        gens, prods = su2_bands(m), _integer_products(m)
         block: tuple[dict, dict] = ({}, {})
         for a in range(3):
             p = 3 * j + a
@@ -196,7 +177,7 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
 
         # cross-factor terms, both orders: -2 S_pq g_a x g_b
         for j2 in range(j + 1, k):
-            gens2 = _integer_generators(lab.spins[j2])
+            gens2 = su2_bands(lab.spins[j2])
             for a in range(3):
                 for b in range(3):
                     c = S[3 * j + a][3 * j2 + b]

@@ -42,7 +42,7 @@ from .algebra_core import (
     tensor_hash,
 )
 from .errors import DomainError, WitnessSearchExhausted
-from .gaussian import GQ
+from .gaussian import GQ, ONE
 from .irreps import (
     IrrepLabel,
     build_irrep,
@@ -51,7 +51,7 @@ from .irreps import (
     label,
     rotation_half_pi,
 )
-from .linalg import Matrix, nullspace, restrict_operator
+from .linalg import Matrix, restrict_operator
 from .operator import build_DV
 from .poly import resultant
 from .polycert import (
@@ -280,6 +280,30 @@ class PairsPipelineReport:
         )
 
 
+def orbit_eigenbases(T: Matrix) -> tuple[tuple[Matrix, Matrix], list[int]]:
+    """Bases K_+, K_- of the +1 and -1 eigenspaces of a signed permutation
+    involution T e_a = t_a e_sigma(a), read off its orbits.
+
+    Each orbit {a, sigma a} with a < sigma a gives column k of K_s the
+    vector e_a + s t_a e_sigma(a), and a is returned as the k-th pivot: row
+    a of both bases is the k-th unit row.  Fixed points of sigma get no
+    column; the caller checks T K_s == s K_s and the column counts exactly.
+    """
+    sigma, t = {}, {}
+    for i, row in enumerate(T.rows):
+        for j, v in row.items():
+            sigma[j], t[j] = i, v
+    reps = [a for a in range(T.ncols) if a < sigma.get(a, a)]
+    bases = []
+    for s in (ONE, -ONE):
+        rows = [dict() for _ in range(T.nrows)]
+        for k, a in enumerate(reps):
+            rows[a][k] = ONE
+            rows[sigma[a]][k] = s * t[a]
+        bases.append(Matrix(T.nrows, len(reps), rows))
+    return (bases[0], bases[1]), reps
+
+
 def pairs_pipeline(
     m: int, mprime: int, eps=None, alpha_grid=None
 ) -> PairsPipelineReport:
@@ -290,9 +314,11 @@ def pairs_pipeline(
     of both coordinates.  A real involution built from quarter rotations
     swaps the paired eigenvectors, splitting the product space into two
     halves on which that operator is simple, while the square-of-(B, eps B)
-    operator separates the halves.  A final scan over convex combinations
-    of the two tensors finds one operator with fully simple spectrum and
-    certifies it by resultant.
+    operator separates the halves.  The involution is a signed permutation,
+    so the halves (its +1 and -1 eigenspaces) are written down from its
+    orbits, and both operators are restricted to them by reading rows.  A
+    final scan over convex combinations of the two tensors finds one
+    operator with fully simple spectrum and certifies it by resultant.
     """
     if m < 1 or mprime < 1 or m % 2 == 0 or mprime % 2 == 0:
         raise DomainError("pairs pipeline needs two odd spins")
@@ -334,14 +360,17 @@ def pairs_pipeline(
     h_charpoly_matches = p_h.poly == charpoly_from_eigenvalues(expected)
     h_all_double = multiplicity_profile(p_h.poly).is_all_double
 
-    w_plus = nullspace(T - eye)
-    w_minus = nullspace(T + eye)
-    branch_dims_ok = w_plus.ncols == w_minus.ncols == d // 2
+    (w_plus, w_minus), reps = orbit_eigenbases(T)
+    branch_dims_ok = (
+        T @ w_plus == w_plus
+        and T @ w_minus == -w_minus
+        and 2 * w_plus.ncols == 2 * w_minus.ncols == d
+    )
 
-    h_plus = charpoly_real(restrict_operator(D_h.matrix, w_plus))
-    h_minus = charpoly_real(restrict_operator(D_h.matrix, w_minus))
-    b_plus = charpoly_real(restrict_operator(D_b.matrix, w_plus))
-    b_minus = charpoly_real(restrict_operator(D_b.matrix, w_minus))
+    h_plus = charpoly_real(restrict_operator(D_h.matrix, w_plus, reps))
+    h_minus = charpoly_real(restrict_operator(D_h.matrix, w_minus, reps))
+    b_plus = charpoly_real(restrict_operator(D_b.matrix, w_plus, reps))
+    b_minus = charpoly_real(restrict_operator(D_b.matrix, w_minus, reps))
     th = tensor_hash(s_h)
     h_simple = (
         Certificate("b", (lab,), th, resultant(h_plus, h_plus.derivative())),

@@ -78,6 +78,10 @@ def test_metric_inversion_round_trip():
 def test_metric_rejects_indefinite():
     with pytest.raises(DomainError):
         metric_to_tensor(MetricSpec([[1, 2], [2, 1]]))
+    # positive semidefinite and singular: the second pivot is 0
+    assert not is_positive_definite([[1, 1], [1, 1]])
+    with pytest.raises(DomainError):
+        metric_to_tensor(MetricSpec([[1, 1], [1, 1]]))
 
 
 def test_positive_definite_matches_numeric():

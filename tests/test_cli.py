@@ -65,12 +65,14 @@ def test_spectrum_missing_file_usage_error(capsys):
 
 
 def test_spectrum_indefinite_domain_error(capsys):
-    rc, _, err = run(
-        capsys, "spectrum", "--group", "t2", "--gram", "[[1,2],[2,1]]",
-        "--max-eig", "3",
-    )
-    assert rc == 3
-    assert "definite" in err
+    # indefinite, then positive semidefinite and singular
+    for gram in ("[[1,2],[2,1]]", "[[1,1],[1,1]]"):
+        rc, _, err = run(
+            capsys, "spectrum", "--group", "t2", "--gram", gram,
+            "--max-eig", "3",
+        )
+        assert rc == 3
+        assert "definite" in err
 
 
 def test_spectrum_bad_cutoff(capsys):

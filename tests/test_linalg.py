@@ -1,20 +1,11 @@
-"""Sparse exact matrices: products, kernels, charpolys, restriction."""
+"""Sparse exact matrices: products, charpolys, restriction."""
 
 from fractions import Fraction
 
 import pytest
 
 from lielap.gaussian import GQ, I
-from lielap.linalg import (
-    Matrix,
-    add_product,
-    charpoly_gq,
-    inverse,
-    nullspace,
-    restrict_operator,
-    rref,
-    solve_exact,
-)
+from lielap.linalg import Matrix, add_product, charpoly_gq, restrict_operator
 
 
 def mat(rows):
@@ -44,11 +35,10 @@ def test_add_product_accumulates():
     assert Matrix.from_rows(2, 2, acc).is_zero_matrix()
 
 
-def test_transpose_and_conj():
+def test_conj():
     m = Matrix.from_dense([[I, GQ(1)], [GQ(0), -I]])
-    assert m.transpose()[1, 0] == GQ(1)
     assert m.conj()[0, 0] == -I
-    assert m.conj_transpose() @ m == m.conj_transpose() @ m  # shape sanity
+    assert m.conj()[0, 1] == GQ(1)
 
 
 def test_kron_mixed_product():
@@ -82,41 +72,35 @@ def test_charpoly_companion():
     assert [c.re for c in cs] == [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
 
 
-def test_rref_and_nullspace():
-    m = mat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    r, pivots = rref(m)
-    assert pivots == [0, 1]
-    k = nullspace(m)
-    assert k.ncols == 1
-    assert (m @ k).is_zero_matrix()
-
-
-def test_nullspace_of_invertible_is_empty():
-    assert nullspace(mat([[1, 1], [0, 1]])).ncols == 0
-
-
-def test_solve_and_inverse():
-    m = mat([[2, 1], [1, 1]])
-    rhs = mat([[1], [0]])
-    x = solve_exact(m, rhs)
-    assert m @ x == rhs
-    assert m @ inverse(m) == Matrix.identity(2)
-    with pytest.raises(ValueError):
-        solve_exact(mat([[1, 1], [1, 1]]), rhs)
-
-
 def test_restrict_operator():
     d = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-    k = mat([[0, 0], [1, 1], [0, 1]])  # invariant: spans the 2-eigenspace
-    r = restrict_operator(d, k)
+    k = mat([[0, 0], [1, 0], [0, 1]])  # invariant: spans the 2-eigenspace
+    r = restrict_operator(d, k, [1, 2])
     assert r.nrows == 2 and r.is_scalar(Fraction(2))
+
+
+def test_restrict_operator_reads_rows_at_pivots():
+    # span(e1 + e2, e3) is invariant; the pivots are rows 0 and 2
+    d = mat([[1, 2, 0], [2, 1, 0], [0, 0, 5]])
+    k = mat([[1, 0], [1, 0], [0, 1]])
+    r = restrict_operator(d, k, [0, 2])
+    assert r == mat([[3, 0], [0, 5]])
+    assert k @ r == d @ k
 
 
 def test_restrict_operator_rejects_noninvariant():
     d = mat([[0, 1], [0, 0]])
     k = mat([[0], [1]])  # d maps e2 to e1, outside span(e2)
     with pytest.raises(ArithmeticError):
-        restrict_operator(d, k)
+        restrict_operator(d, k, [1])
+
+
+def test_restrict_operator_needs_identity_rows_at_pivots():
+    d = mat([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        restrict_operator(d, mat([[0], [2]]), [1])
+    with pytest.raises(ValueError):
+        restrict_operator(d, mat([[1], [0]]), [0, 1])
 
 
 def test_trace():

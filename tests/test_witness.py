@@ -5,14 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from lielap.algebra_core import is_positive_definite, preset, tensor_hash
+from lielap.algebra_core import (
+    is_positive_definite,
+    preset,
+    square_of_vector,
+    tensor_hash,
+)
 from lielap.errors import DomainError, WitnessSearchExhausted
-from lielap.irreps import label
+from lielap.irreps import label, rotation_half_pi
+from lielap.linalg import restrict_operator
 from lielap.operator import build_DV, eigen_decompose_numeric
-from lielap.polycert import char_poly_exact, multiplicity_profile
+from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
     epsilon_separation,
+    orbit_eigenbases,
     pairs_mixed_witness,
     pairs_pipeline,
     sample_definite_tensor,
@@ -158,6 +165,47 @@ def test_pipeline_h_spectrum_values():
     ns = eigen_decompose_numeric(build_DV(spec, label((1, 1)), s_h))
     assert [round(c[0], 6) for c in ns.clusters] == [0.25, 2.25]
     assert r.ok
+
+
+# branch certificates of the pipeline, pinned: they do not depend on how the
+# eigenbases of the involution are found
+PIPELINE_BRANCH_VALUES = {
+    (1, 1): ("-4", "16"),
+    (1, 3): ("321126400/387420489", "268435456/3486784401"),
+    (3, 3): (
+        "2332477315761341413537025869445242989228753304944640000000000000000"
+        "/278128389443693511257285776231761",
+        "2372859267439494490915181755742418698523340241036625156505600000000"
+        "/278128389443693511257285776231761",
+    ),
+}
+
+
+@pytest.mark.parametrize("m,mprime", sorted(PIPELINE_BRANCH_VALUES))
+def test_pipeline_branches_split_the_charpoly(m, mprime):
+    r = pairs_pipeline(m, mprime)
+    h_value, b_value = PIPELINE_BRANCH_VALUES[(m, mprime)]
+    assert [c.value for c in r.h_simple_on_branches] == [Fraction(h_value)] * 2
+    assert r.b_branches_disjoint.value == Fraction(b_value)
+    assert r.branch_dims_ok
+
+    eps = r.epsilon
+    s_h = square_of_vector([1, 0, 0, eps, 0, 0])
+    D_h = build_DV(preset("su2xsu2"), label((m, mprime)), s_h).matrix
+    T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
+    (w_plus, w_minus), reps = orbit_eigenbases(T)
+    h_plus, h_minus = (
+        charpoly_real(restrict_operator(D_h, w, reps)) for w in (w_plus, w_minus)
+    )
+    assert charpoly_real(D_h) == h_plus * h_minus
+
+
+def test_orbit_eigenbases_skip_fixed_points():
+    # v_l -> (-1)^l v_{2-l} fixes the middle vector, which gets no column
+    T = rotation_half_pi(2)
+    (w_plus, w_minus), reps = orbit_eigenbases(T)
+    assert reps == [0]
+    assert w_plus.ncols + w_minus.ncols < T.nrows
 
 
 def test_pipeline_domain_checks():
