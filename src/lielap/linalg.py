@@ -3,15 +3,21 @@
 Rows are dicts keyed by column index holding nonzero ``GaussianRational``
 entries; representation matrices of Lie algebra generators are banded, so
 products and Kronecker factors stay cheap at dimensions in the hundreds.
-There is no elimination here: the one invariant subspace the package
-restricts to comes with a basis whose rows at known positions form the
-identity, so restriction reads rows of a product.
+There is no elimination over Q(i) here: the one invariant subspace the
+package restricts to comes with a basis whose rows at known positions form
+the identity, so restriction reads rows of a product.
 
-The characteristic polynomial uses the Faddeev-LeVerrier recurrence run
-over Gaussian integers after clearing a common denominator: the recurrence
-divides only by the step index k (exactly, asserted), so there is no
-rational blowup mid-computation.  The matrix products in that loop run on
-numpy object arrays, which iterate Python ints in a C loop.
+The characteristic polynomial is multimodular.  After clearing a common
+denominator the matrix has Gaussian integer entries, and a bound on its
+eigenvalues (the largest row sum of |Re| + |Im|) bounds every coefficient
+by max_k C(n,k) r^k.
+Each prime p = 1 (mod 4) below 2^31 maps i to a square root of -1 mod p,
+once for a real matrix and under both roots for a complex one, so that the
+two images give the real and imaginary parts.  All images are stacked in
+one int64 array and reduced to Hessenberg form together; the Hessenberg
+recurrence gives each charpoly mod p, and the CRT, taken over enough primes
+to exceed twice the bound, gives the exact integers.  The tests check it
+against Faddeev-LeVerrier, an independent route over Gaussian integers.
 """
 
 from __future__ import annotations
@@ -213,14 +219,161 @@ def add_product(acc: Rows, A: Matrix, B: Matrix, coeff: GaussianRational) -> Non
 
 # -- exact characteristic polynomial -----------------------------------------
 
+# Miller-Rabin with these bases is exact below 3.2e9, so for every p < 2^31
+_MR_BASES = (2, 3, 5, 7)
+# (p, iota) with p = 1 (mod 4) prime and iota^2 = -1 (mod p), p descending
+# from 2^31; extended on demand by split_primes
+_SPLIT_PRIMES: list[tuple[int, int]] = []
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 7 < n < 3.2e9."""
+    d, s = n - 1, 0
+    while not d % 2:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_minus_one(p: int) -> int:
+    a = 2
+    while True:
+        x = pow(a, (p - 1) // 4, p)
+        if x * x % p == p - 1:
+            return x
+        a += 1
+
+
+def split_primes(k: int) -> list[tuple[int, int]]:
+    """The first k primes p = 1 (mod 4) below 2^31, largest first, each
+    paired with a root iota of -1 mod p (-1 is a square exactly when
+    p = 1 mod 4).  Found on the first request and cached for the process.
+    """
+    cand = _SPLIT_PRIMES[-1][0] - 4 if _SPLIT_PRIMES else 2**31 - 3
+    while len(_SPLIT_PRIMES) < k:
+        if cand % 3 and cand % 5 and _is_prime(cand):
+            _SPLIT_PRIMES.append((cand, _root_of_minus_one(cand)))
+        cand -= 4
+    return _SPLIT_PRIMES[:k]
+
+
+def _residues(xs: list[int], p: np.ndarray) -> np.ndarray:
+    """xs mod every prime of the column p, shape (len(p), len(xs)).
+
+    Each |x| is cut into 16-bit limbs and sum_j limb_j (2^(16j) mod p) is
+    one int64 matrix product: a term is below 2^47, so 2^15 of them sum
+    below 2^63.  Integers of any size then cost numpy passes, not a Python
+    division per prime.
+    """
+    width = max([(abs(x).bit_length() + 15) // 16 for x in xs] + [1])
+    raw = b"".join(abs(x).to_bytes(2 * width, "little") for x in xs)
+    limbs = np.frombuffer(raw, dtype="<u2").reshape(len(xs), width).astype(np.int64)
+    radix = np.ones((len(p), width), dtype=np.int64)
+    for j in range(1, width):
+        radix[:, j] = (radix[:, j - 1] << 16) % p[:, 0]
+    r = np.zeros((len(p), len(xs)), dtype=np.int64)
+    for lo in range(0, width, 1 << 15):
+        r += radix[:, lo:lo + (1 << 15)] @ limbs[:, lo:lo + (1 << 15)].T % p
+    r %= p
+    return np.where([x < 0 for x in xs], (p - r) % p, r)
+
+
+def _hessenberg(H: np.ndarray, mod: np.ndarray) -> None:
+    """Reduce every H[b] to upper Hessenberg form mod mod[b], in place.
+
+    Only similarities are applied (row/column swaps and eliminations), so
+    each charpoly mod p is kept.  A lane whose pivot is 0 swaps in the first
+    nonzero below it; a lane whose column is zero below the diagonal skips it.
+    Entries stay in [0, p) with p < 2^31, so every product fits in int64 and
+    is reduced before a row is summed.
+    """
+    n = H.shape[1]
+    p2, p3 = mod[:, None], mod[:, None, None]
+    moduli = mod.tolist()
+    for m in range(1, n - 1):
+        if not H[:, m + 1:, m - 1].any():
+            continue
+        first = np.argmax(H[:, m:, m - 1] != 0, axis=1)
+        swap = np.flatnonzero(first)
+        if swap.size:
+            i = m + first[swap]
+            H[swap, m], H[swap, i] = H[swap, i], H[swap, m]
+            H[swap, :, m], H[swap, :, i] = H[swap, :, i], H[swap, :, m]
+        inv = np.array(
+            [pow(x, -1, q) if x else 0 for x, q in zip(H[:, m, m - 1].tolist(), moduli)],
+            dtype=np.int64,
+        )
+        u = H[:, m + 1:, m - 1] * inv[:, None] % p2
+        H[:, m + 1:, m - 1:] -= u[:, :, None] * H[:, m, None, m - 1:] % p3
+        H[:, m + 1:, m - 1:] %= p3
+        H[:, :, m] += (H[:, :, m + 1:] * u[:, None, :] % p3).sum(axis=2)
+        H[:, :, m] %= p2
+
+
+def _hessenberg_charpoly(H: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """det(X*I - H[b]) mod mod[b], ascending, for upper Hessenberg H[b].
+
+    p_0 = 1 and p_{k+1} = (X - h_kk) p_k - sum_i c_{k,i} p_{k-i} with
+    c_{k,i} = t_{k,i} h_{k-i,k} and t_{k,i} = h_{k,k-1} t_{k-1,i-1} the
+    products along the sub-diagonal; one numpy step per k.
+    """
+    nb, n, _ = H.shape
+    p2, p3 = mod[:, None], mod[:, None, None]
+    P = np.zeros((nb, n + 1, n + 1), dtype=np.int64)
+    P[:, 0, 0] = 1
+    one = np.ones((nb, 1), dtype=np.int64)
+    t = np.ones((nb, 0), dtype=np.int64)
+    for k in range(n):
+        nxt = P[:, k + 1]
+        nxt[:, 1:k + 2] = P[:, k, :k + 1]
+        nxt[:, :k + 1] -= H[:, k, k, None] * P[:, k, :k + 1] % p2
+        if k:
+            t = H[:, k, k - 1, None] * np.concatenate((one, t), axis=1) % p2
+            c = t * H[:, k - 1::-1, k] % p2
+            nxt[:, :k] -= (c[:, :, None] * P[:, k - 1::-1, :k] % p3).sum(axis=1)
+        nxt %= p2
+    return P[:, n]
+
+
+def _crt_signed(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """The integers x_j with |x_j| < prod(primes)/2 and x_j = residues[b, j]
+    mod primes[b]; the CRT constants are shared by every column j."""
+    product = math.prod(primes)
+    cofactors = [product // p for p in primes]
+    inv = np.array([pow(c % p, -1, p) for c, p in zip(cofactors, primes)], dtype=np.int64)
+    mod = np.array(primes, dtype=np.int64)[:, None]
+    scaled = (residues * inv[:, None] % mod).astype(object)
+    half = product // 2
+    out = []
+    for x in np.array(cofactors, dtype=object) @ scaled:
+        x %= product
+        out.append(x - product if x > half else x)
+    return out
+
 
 def charpoly_gq(M: Matrix) -> list[GaussianRational]:
     """Coefficients (ascending) of det(X*I - M), monic of degree n.
 
-    Faddeev-LeVerrier over Gaussian integers: with d the lcm of all entry
-    denominators and B = d*M, the recurrence
-        N_1 = B,  c_{n-k} = -tr(B N_{k-1} ...)/k,  N_k = B N_{k-1} + c_{n-k} I
-    stays integral; det(X*I - M) coefficients are c_k / d^(n-k).
+    Multimodular.  With d the lcm of all entry denominators, A = d*M has
+    Gaussian integer entries and det(X*I - A) = sum a_k X^k with
+    |a_k| <= B = max_k C(n,k) r^k, r the largest row sum of |Re| + |Im|
+    (which bounds every eigenvalue).  For primes p = 1 (mod 4) below 2^31,
+    taken until their product exceeds 2B, the map i -> iota with
+    iota^2 = -1 (mod p) sends A to a matrix mod p whose charpoly is the
+    image of det(X*I - A); all images are reduced to Hessenberg form at
+    once.  A matrix with an imaginary entry is mapped under i -> -iota as
+    well, and the two images give Re a_k and Im a_k mod p.  CRT recovers
+    the signed integers, and the coefficients are a_k / d^(n-k).
     """
     n = M.nrows
     if n != M.ncols:
@@ -230,31 +383,51 @@ def charpoly_gq(M: Matrix) -> list[GaussianRational]:
     den = 1
     for _, _, v in M.entries():
         den = math.lcm(den, v.re.denominator, v.im.denominator)
-    RE = np.zeros((n, n), dtype=object)
-    IM = np.zeros((n, n), dtype=object)
+    rows, cols, re, im = [], [], [], []
+    rowsum = [0] * n
     for i, j, v in M.entries():
-        RE[i, j] = int(v.re * den)
-        IM[i, j] = int(v.im * den)
-    mre = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)], dtype=object)
-    mim = np.zeros((n, n), dtype=object)
-    idx = np.arange(n)
-    coeffs_int: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-    coeffs_int[n] = (1, 0)
-    for k in range(1, n + 1):
-        pre = RE.dot(mre) - IM.dot(mim)
-        pim = RE.dot(mim) + IM.dot(mre)
-        trr = int(sum(pre[idx, idx]))
-        tri = int(sum(pim[idx, idx]))
-        if trr % k or tri % k:
-            raise ArithmeticError("Faddeev-LeVerrier divisibility violated")
-        cr, ci = -(trr // k), -(tri // k)
-        coeffs_int[n - k] = (cr, ci)
-        if k < n:
-            pre[idx, idx] += cr
-            pim[idx, idx] += ci
-            mre, mim = pre, pim
+        a = v.re.numerator * (den // v.re.denominator)
+        b = v.im.numerator * (den // v.im.denominator)
+        rows.append(i)
+        cols.append(j)
+        re.append(a)
+        im.append(b)
+        rowsum[i] += abs(a) + abs(b)
+    r = max(rowsum)
+    bound = max(math.comb(n, k) * r**k for k in range(n + 1))
+    primes, product = [], 1
+    while product <= 2 * bound:
+        primes = split_primes(len(primes) + 1)
+        product *= primes[-1][0]
+    plist = [p for p, _ in primes]
+    p = np.array(plist, dtype=np.int64)[:, None]
+    vals = _residues(re, p)
+    complex_entries = any(im)
+    if complex_entries:
+        # lanes 2j and 2j + 1 map i to iota_j and to -iota_j mod p_j
+        iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
+        ims = _residues(im, p) * iota % p
+        vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, len(re))
+        mod = np.repeat(p[:, 0], 2)
+        vals %= mod[:, None]
+    else:
+        mod = p[:, 0]
+    H = np.zeros((len(mod), n, n), dtype=np.int64)
+    H[:, rows, cols] = vals
+    _hessenberg(H, mod)
+    images = _hessenberg_charpoly(H, mod)
+
+    if complex_entries:
+        half = (p + 1) // 2
+        a, b = images[0::2], images[1::2]
+        re_res = (a + b) % p * half % p
+        im_res = (b - a) % p * iota % p * half % p
+        ints = _crt_signed(np.concatenate((re_res, im_res), axis=1), plist)
+        re_c, im_c = ints[: n + 1], ints[n + 1:]
+    else:
+        re_c, im_c = _crt_signed(images, plist), [0] * (n + 1)
     out = []
-    for k, (cr, ci) in enumerate(coeffs_int):
+    for k, (cr, ci) in enumerate(zip(re_c, im_c)):
         scale = den ** (n - k)
         out.append(GQ(Fraction(cr, scale), Fraction(ci, scale)))
     return out
