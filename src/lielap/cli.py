@@ -199,6 +199,8 @@ def cmd_certify(args) -> int:
 def cmd_witness(args) -> int:
     spec = load_group(args)
     level = _require_level(args)
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     try:
         report = witness_search(spec, level, trials=args.trials, seed=args.seed)
     except WitnessSearchExhausted as e:

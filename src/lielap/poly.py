@@ -464,20 +464,55 @@ def sturm_chain(p: Poly) -> list[list[int]]:
     return chain
 
 
-def int_sign_at(cs: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at the rational point x."""
-    num, den = x.numerator, x.denominator
+def sign_at_dyadic(cs: Sequence[int], m: int, k: int) -> int:
+    """Sign of the integer polynomial cs at the point m / 2^k (k >= 0).
+
+    One shift-Horner pass over the integers: the value times 2^(k deg)
+    is sum c_i m^i 2^(k (deg - i)), so no division and no Fraction.
+    """
     acc = 0
-    dp = 1
+    s = 0
     for c in reversed(cs):
-        acc = acc * num + c * dp
-        dp *= den
+        acc = acc * m + (c << s)
+        s += k
     return (acc > 0) - (acc < 0)
 
 
-def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
-    signs = [s for cs in chain if (s := int_sign_at(cs, x))]
+def fold_odd(cs: Sequence[int], q: int) -> list[int]:
+    """Coefficients c_i q^(deg - i) of q^deg cs(x / q), for q > 0.
+
+    The sign of cs at m / (q 2^k) is the sign of the result at m / 2^k,
+    which lets `sign_at_dyadic` decide signs at points whose denominator
+    has the odd part q.
+    """
+    out = list(cs)
+    pw = 1
+    for i in range(len(out) - 1, -1, -1):
+        out[i] *= pw
+        pw *= q
+    return out
+
+
+def int_sign_at(cs: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial cs at the rational point x.
+
+    x = m / (q 2^k) with q odd: the odd part q of the denominator is
+    folded into the coefficients (`fold_odd`) and the sign is taken at
+    the dyadic point m / 2^k by `sign_at_dyadic`.
+    """
+    den = x.denominator
+    k = (den & -den).bit_length() - 1
+    q = den >> k
+    return sign_at_dyadic(fold_odd(cs, q) if q > 1 else cs, x.numerator, k)
+
+
+def _variations(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
+    return _variations(int_sign_at(cs, x) for cs in chain)
 
 
 def real_root_brackets(p: Poly, hints=None) -> list[tuple[Fraction, Fraction]]:
@@ -489,23 +524,38 @@ def real_root_brackets(p: Poly, hints=None) -> list[tuple[Fraction, Fraction]]:
     `hints` may carry approximate root locations (floats); cut points
     between them pre-split the search so most cells are confirmed with a
     single variation count.  Wrong hints cost extra splits, never roots.
+
+    Every cut is a dyadic point m / 2^k carried as the integer pair
+    (m, k): the bound, the hint cuts (floats are dyadic) and their exact
+    midpoints, which are the same rationals a Fraction bisection takes.
+    Signs come from `sign_at_dyadic`; the brackets become Fractions only
+    when they are returned.
     """
     if p.degree <= 0:
         return []
     chain = sturm_chain(p)
     cs = chain[0]
     bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1
-    lo, hi = Fraction(-bound), Fraction(bound)
-    cuts = {lo, hi}
+
+    def variations(cut: tuple[int, int]) -> int:
+        m, k = cut
+        return _variations(sign_at_dyadic(f, m, k) for f in chain)
+
+    inner = set()
     if hints:
         finite = sorted(x for x in hints if math.isfinite(x))
         for u, v in zip(finite, finite[1:]):
             if u < v:
-                c = Fraction((u + v) / 2)
-                if lo < c < hi:
-                    cuts.add(c)
-    cuts = sorted(cuts)
-    vs = [sturm_variations(chain, c) for c in cuts]
+                c = (u + v) / 2
+                # int-float comparisons are exact
+                if -bound < c < bound:
+                    inner.add(c)
+    cuts = [(-bound, 0)]
+    for c in sorted(inner):
+        m, d = c.as_integer_ratio()
+        cuts.append((m, d.bit_length() - 1))
+    cuts.append((bound, 0))
+    vs = [variations(c) for c in cuts]
     out = []
     stack = [
         (cuts[i], cuts[i + 1], vs[i], vs[i + 1])
@@ -513,15 +563,21 @@ def real_root_brackets(p: Poly, hints=None) -> list[tuple[Fraction, Fraction]]:
     ]
     while stack:
         a, b, va, vb = stack.pop()
-        k = va - vb
-        if k == 0:
+        n = va - vb
+        if n == 0:
             continue
-        if k == 1:
+        if n == 1:
             out.append((a, b))
             continue
-        mid = (a + b) / 2
-        vm = sturm_variations(chain, mid)
+        (ma, ka), (mb, kb) = a, b
+        k = max(ka, kb)
+        mid = ((ma << (k - ka)) + (mb << (k - kb)), k + 1)
+        vm = variations(mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    out.sort()
-    return out
+    brackets = [
+        (Fraction(ma, 1 << ka), Fraction(mb, 1 << kb))
+        for (ma, ka), (mb, kb) in out
+    ]
+    brackets.sort()
+    return brackets

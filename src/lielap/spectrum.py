@@ -54,12 +54,14 @@ from .irreps import (
 )
 from .poly import (
     Poly,
+    fold_odd,
     from_int,
     int_div_exact,
     int_gcd,
     int_sign_at,
     primitive_int,
     real_root_brackets,
+    sign_at_dyadic,
 )
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
@@ -212,28 +214,44 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | Non
     half a float step of the midpoint's float x, which keeps the root
     strictly between the floats next to x (also where x is a power of two
     and the step below it is half the step above).
+
+    The bracket is kept as integers A, B over a shared denominator q 2^k
+    with q odd, so the midpoints are the same rationals a Fraction
+    bisection takes, without a Fraction per step.  Bracket ends are
+    dyadic except a cutoff, which may bring an odd q; q is folded into
+    the coefficients once (`fold_odd`) and every sign is then taken at a
+    dyadic point by `sign_at_dyadic`.
     """
-    sb = int_sign_at(cs, b)
+    d = math.lcm(a.denominator, b.denominator)
+    k = (d & -d).bit_length() - 1
+    q = d >> k
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    folded = fold_odd(cs, q) if q > 1 else cs
+    sb = sign_at_dyadic(folded, B, k)
     if sb == 0:
         return float(b), b
     while True:
-        mid = (a + b) / 2
-        x = float(mid)
-        if b - a < math.ulp(x) / 2:
+        # mid = M / (q 2^(k+1)); int / int is correctly rounded
+        M = A + B
+        x = M / (q << (k + 1))
+        un, ud = math.ulp(x).as_integer_ratio()
+        # b - a < ulp(x) / 2, with b - a = (B - A) / (q 2^k)
+        if ((B - A) * ud) << 1 < (un * q) << k:
             break
-        sm = int_sign_at(cs, mid)
+        k += 1
+        sm = sign_at_dyadic(folded, M, k)
         if sm == 0:
-            return x, mid
+            return x, Fraction(M, q << k)
         if sm == sb:
-            b = mid
+            A, B = A << 1, M
         else:
-            a = mid
-    # a rational root p/q of the primitive cs has q | lc; if q <= Q with
+            A, B = M, B << 1
+    # a rational root r/s of the primitive cs has s | lc; if s <= Q with
     # 2 Q^2 (b - a) <= 1, it is the fraction nearest mid with denominator <= Q
-    w = b - a
-    Q = math.isqrt(w.denominator // (2 * w.numerator))
+    Q = math.isqrt((q << k) // (2 * (B - A)))
+    mid = Fraction(M, q << (k + 1))
     r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
-    if a < r <= b and int_sign_at(cs, r) == 0:
+    if Fraction(A, q << k) < r <= Fraction(B, q << k) and int_sign_at(cs, r) == 0:
         return float(r), r
     return x, None
 
@@ -248,9 +266,12 @@ def real_roots(
     Each root is isolated in a bracket (a, b] by a Sturm chain, whose
     first cuts sit between the real parts of the companion-matrix
     eigenvalues, and then pinned by exact bisection (`_pin`), so every
-    float lies within one ulp of a sign change of h.  Membership below
-    `upper` is decided by the sign of h at `upper`.  The exact value is
-    set for every rational root that bisection or the nearest small-
+    float lies within one ulp of a sign change of h.  Both loops run on
+    integer points m / 2^k (m / (q 2^k) once a cutoff with odd
+    denominator part q cuts a bracket: q is folded into the coefficients)
+    and take the same midpoints as bisection over Fractions.  Membership
+    below `upper` is decided by the sign of h at `upper`.  The exact value
+    is set for every rational root that bisection or the nearest small-
     denominator fraction hits.
     """
     if h.degree <= 0:

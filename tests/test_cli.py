@@ -173,6 +173,18 @@ def test_witness_exhausted_prints_best_report(capsys):
     assert any(not c["nonzero"] for c in certs)
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_witness_rejects_nonpositive_trials(capsys, trials):
+    # no search runs, so nothing partial exists to print: a usage error,
+    # not the exit code 1 of an exhausted search
+    rc, out, err = run(
+        capsys, "witness", "--group", "spin4", "--level", "2", "--trials", trials,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--trials" in err and "search failed" not in err
+
+
 def test_witness_su2xsu2_includes_pairs(capsys):
     rc, out, _ = run(
         capsys, "witness", "--group", "su2xsu2", "--level", "3",

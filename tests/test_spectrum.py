@@ -1,9 +1,11 @@
 """Spectrum assembly: enumeration bounds, collisions, multiplicities."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lielap.algebra_core import (
@@ -22,12 +24,14 @@ from lielap.poly import (
     gcd,
     int_sign_at,
     primitive_int,
+    real_root_brackets,
     sturm_chain,
     sturm_variations,
 )
 from lielap.polycert import char_poly_exact, multiplicity_profile
 from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
+    _pin,
     assemble_spectrum,
     certified_lower_bound,
     enumerate_irreps,
@@ -261,7 +265,8 @@ def test_rational_roots_of_higher_degree_factors_are_exact():
     assert all(e.exact_value is not None for e in t.entries)
 
 
-def _random_suite_factors():
+@functools.cache
+def _random_suite_factors() -> tuple[Poly, ...]:
     """The squarefree factors of the random definite tensors that the
     acceptance suite's numeric-profile test draws (same seed, same order)."""
     rng = random.Random(20260817)
@@ -273,10 +278,11 @@ def _random_suite_factors():
     small += [(spin4, label((m, mp))) for m in range(4) for mp in range(4)]
     small += [(preset("so4"), lab) for lab in labels_up_to_level(preset("so4"), 3)]
     big = [(spin4, label((m, m))) for m in (4, 5, 6, 7)]
+    factors = []
     for spec, lab in small * 4 + big:
         op = build_DV(spec, lab, sample_definite_tensor(spec.dim, rng))
-        for _, factor in multiplicity_profile(char_poly_exact(op).poly).entries:
-            yield factor
+        factors += [f for _, f in multiplicity_profile(char_poly_exact(op).poly).entries]
+    return tuple(factors)
 
 
 def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
@@ -297,3 +303,185 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
         below = sturm_variations(chain, Fraction(-1 - sum(map(abs, cs)))) - \
             sturm_variations(chain, cut)
         assert len(real_roots(factor, cut)) == below
+
+
+# -- oracle: the same bisections over Fractions -------------------------------
+
+
+def sign_at_oracle(cs, x: Fraction) -> int:
+    """Sign of the integer polynomial cs at x by Horner over num / den."""
+    num, den = x.numerator, x.denominator
+    acc = 0
+    dp = 1
+    for c in reversed(cs):
+        acc = acc * num + c * dp
+        dp *= den
+    return (acc > 0) - (acc < 0)
+
+
+def variations_oracle(chain, x: Fraction) -> int:
+    signs = [s for cs in chain if (s := sign_at_oracle(cs, x))]
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def brackets_oracle(p: Poly, hints=None):
+    """Sturm isolation with Fraction cuts and Fraction midpoints."""
+    chain = sturm_chain(p)
+    cs = chain[0]
+    bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1
+    lo, hi = Fraction(-bound), Fraction(bound)
+    cuts = {lo, hi}
+    if hints:
+        finite = sorted(x for x in hints if math.isfinite(x))
+        for u, v in zip(finite, finite[1:]):
+            if u < v:
+                c = Fraction((u + v) / 2)
+                if lo < c < hi:
+                    cuts.add(c)
+    cuts = sorted(cuts)
+    vs = [variations_oracle(chain, c) for c in cuts]
+    out = []
+    stack = [(cuts[i], cuts[i + 1], vs[i], vs[i + 1]) for i in range(len(cuts) - 1)]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            out.append((a, b))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            vm = variations_oracle(chain, mid)
+            stack.append((a, mid, va, vm))
+            stack.append((mid, b, vm, vb))
+    return sorted(out)
+
+
+def pin_oracle(cs, a: Fraction, b: Fraction):
+    """Bisection of (a, b] at Fraction midpoints until b - a < ulp(x) / 2."""
+    sb = sign_at_oracle(cs, b)
+    if sb == 0:
+        return float(b), b
+    while True:
+        mid = (a + b) / 2
+        x = float(mid)
+        if b - a < math.ulp(x) / 2:
+            break
+        sm = sign_at_oracle(cs, mid)
+        if sm == 0:
+            return x, mid
+        if sm == sb:
+            b = mid
+        else:
+            a = mid
+    w = b - a
+    Q = math.isqrt(w.denominator // (2 * w.numerator))
+    r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
+    if a < r <= b and sign_at_oracle(cs, r) == 0:
+        return float(r), r
+    return x, None
+
+
+def _hints(h: Poly):
+    lc = h.coeffs[-1]
+    return np.roots([float(c / lc) for c in reversed(h.coeffs)]).real.tolist()
+
+
+def real_roots_oracle(h: Poly, upper=None):
+    """`real_roots` with both loops over Fractions."""
+    if h.degree == 1:
+        r = -h.coeffs[0] / h.coeffs[1]
+        return [(float(r), r)] if upper is None or r <= upper else []
+    cs = primitive_int(h)
+    out = []
+    for a, b in brackets_oracle(h, _hints(h)):
+        if upper is not None and upper < b:
+            if a >= upper or sign_at_oracle(cs, upper) not in (0, sign_at_oracle(cs, b)):
+                break
+            b = upper
+        out.append(pin_oracle(cs, a, b))
+    return out
+
+
+@functools.cache
+def _suite_oracle_brackets() -> tuple:
+    """The oracle's hinted brackets of every suite factor of degree > 1."""
+    return tuple(
+        brackets_oracle(f, _hints(f)) if f.degree > 1 else ()
+        for f in _random_suite_factors()
+    )
+
+
+def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
+    """Brackets and pins equal the oracle's on every factor; the whole of
+    `real_roots`, and brackets without hints, on the smaller ones (the
+    oracle's hintless isolation of the degree 16-64 factors takes tens of
+    seconds)."""
+    for factor, brackets in zip(_random_suite_factors(), _suite_oracle_brackets()):
+        if factor.degree == 1:
+            assert real_roots(factor) == real_roots_oracle(factor)
+            continue
+        assert real_root_brackets(factor, _hints(factor)) == brackets
+        cs = primitive_int(factor)
+        want = [pin_oracle(cs, a, b) for a, b in brackets]
+        assert [_pin(cs, a, b) for a, b in brackets] == want
+        if factor.degree < 16:
+            assert real_root_brackets(factor) == brackets_oracle(factor)
+            assert real_roots(factor) == want
+
+
+def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
+    """Cutoffs n/3, n/10, n/77 and n/(77 2^30) around every middle root;
+    those that fall inside the root's bracket and above the root make the
+    bisection run over q 2^k with the odd part q folded into the
+    coefficients."""
+    cut_inside = {3: 0, 5: 0, 77: 0}
+    suite = zip(_random_suite_factors(), _suite_oracle_brackets())
+    for n, (factor, brackets) in enumerate(suite):
+        if factor.degree == 1:
+            continue
+        cs = primitive_int(factor)
+        a, b = brackets[len(brackets) // 2]
+        x, _ = _pin(cs, a, b)
+        den = (3, 10, 77)[n % 3]
+        q = den // (den & -den)
+        for upper in (
+            Fraction(math.floor(x * den), den),
+            Fraction(math.ceil(x * den), den),
+            Fraction(math.ceil(x * den * 2**30), den * 2**30),
+        ):
+            if factor.degree < 16:
+                assert real_roots(factor, upper) == real_roots_oracle(factor, upper)
+            if x < upper < b:
+                assert _pin(cs, a, upper) == pin_oracle(cs, a, upper)
+                cut_inside[q] += 1
+    assert all(cut_inside.values()), cut_inside
+
+
+def test_pin_on_a_midpoint_that_is_the_root():
+    # (x - 1)(x - 7) on (0, 4]: the second midpoint is the root 1; with a
+    # cutoff 10/3 the first midpoint 5/3 is the root of (3x - 5)(x - 7)
+    cases = [
+        ([7, -8, 1], Fraction(0), Fraction(4), Fraction(1)),
+        ([35, -26, 3], Fraction(0), Fraction(10, 3), Fraction(5, 3)),
+        ([35, -26, 3], Fraction(1, 2), Fraction(17, 6), Fraction(5, 3)),
+    ]
+    for cs, a, b, root in cases:
+        got = _pin(cs, a, b)
+        assert got == pin_oracle(cs, a, b) == (float(root), root)
+    # a Sturm midpoint on a rational root: x^2 - 4x has the bound 6, and
+    # the first midpoint of (-6, 6] is its root 0
+    p = Poly([0, -4, 1])
+    assert real_root_brackets(p) == brackets_oracle(p)
+    assert real_roots(p) == real_roots_oracle(p) == [(0.0, 0), (4.0, 4)]
+
+
+def test_pin_exact_value_up_to_the_denominator_bound():
+    # on (1, 2] bisection stops at b - a = 2^-54, so rational roots r/s are
+    # recovered for s <= isqrt(2^53) = 94906265 and reported inexact above
+    for r, s, exact in (
+        (135000001, 90000007, True),
+        (150000001, 100000007, False),
+    ):
+        cs = [-r, s]
+        x, value = _pin(cs, Fraction(1), Fraction(2))
+        assert (x, value) == pin_oracle(cs, Fraction(1), Fraction(2))
+        assert value == (Fraction(r, s) if exact else None)
+        assert abs(x - r / s) <= math.ulp(x)
