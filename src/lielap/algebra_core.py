@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -154,6 +156,14 @@ class SymTensor:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, den * S as integers), den the least common denominator;
+        computed on first use and kept on the tensor."""
+        den = math.lcm(*(x.denominator for row in self.entries for x in row))
+        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                          for row in self.entries)
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if self.n != other.n:

@@ -439,11 +439,17 @@ def cmd_verify_paper(args) -> int:
 # -- wiring ------------------------------------------------------------------------
 
 
-def apply_config(args) -> None:
-    """Fill unset flags from a JSON config file mirroring flag names."""
+def config_flags(args) -> list[str]:
+    """The flags of a JSON config file mirroring flag names, as command-line
+    tokens, so that the parser checks each value's type and choices.
+
+    main puts them before the flags given on the command line, which win.
+    The group keys are dropped when the command line names a group, since
+    --group and --group-file exclude each other.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return
+        return []
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -451,12 +457,16 @@ def apply_config(args) -> None:
         raise UsageError(f"cannot load config {path}: {e}") from e
     if not isinstance(doc, dict):
         raise UsageError("config file must hold a JSON object")
+    tokens = []
     for key, value in doc.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("fn", "command") or not hasattr(args, attr):
             raise UsageError(f"config key {key!r} does not match any flag")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+        if attr in ("group", "group_file") and (args.group or args.group_file):
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        tokens += ["--" + attr.replace("_", "-"), text]
+    return tokens
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,10 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        apply_config(args)
+        tokens = config_flags(args)
+        if tokens:
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

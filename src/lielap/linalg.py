@@ -1,16 +1,25 @@
-"""Exact sparse matrices over the Gaussian rationals.
+"""Exact matrices: integers over one denominator, and sparse Q(i) rows.
 
-Rows are dicts keyed by column index holding nonzero ``GaussianRational``
-entries; representation matrices of Lie algebra generators are banded, so
-products and Kronecker factors stay cheap at dimensions in the hundreds.
-There is no elimination over Q(i) here: the one invariant subspace the
-package restricts to comes with a basis whose rows at known positions form
-the identity, so restriction reads rows of a product.
+``IntMatrix`` is the package's operator representation: (re + i im) / den
+with integer re and im, the nonzero entries held row-major (columns
+ascending) in four arrays rows, cols, re, im, and den the least common
+denominator.  The arrays are int64 when a bound computed from the inputs
+shows that every row sum of |re| + |im| fits; otherwise they hold Python
+ints (dtype=object) and the same numpy code runs on them.  ``entries()``
+yields Gaussian rationals for readers that want scalars, ``to_matrix()``
+the sparse ``Matrix`` below, and ``from_matrix`` converts back.
 
-The characteristic polynomial is multimodular.  After clearing a common
-denominator the matrix has Gaussian integer entries, and a bound on its
-eigenvalues (the largest row sum of |Re| + |Im|) bounds every coefficient
-by max_k C(n,k) r^k.
+``Matrix`` keeps rows as dicts keyed by column index holding nonzero
+``GaussianRational`` entries, for the callers that multiply, compare or
+Kronecker-multiply exact matrices (the pairs pipeline and the identity
+checks).  There is no elimination over Q(i) here: the one invariant
+subspace the package restricts to comes with a basis whose rows at known
+positions form the identity, so restriction reads rows of a product.
+
+The characteristic polynomial is multimodular and reads an ``IntMatrix``,
+whose integers are its input as they stand.  A bound on the eigenvalues
+(the largest row sum of |Re| + |Im|) bounds every coefficient by
+max_k C(n,k) r^k.
 Each prime p = 1 (mod 4) below 2^31 maps i to a square root of -1 mod p,
 once for a real matrix and under both roots for a complex one, so that the
 two images give the real and imaginary parts.  All images are stacked in
@@ -105,19 +114,6 @@ class Matrix:
 
     def is_zero_matrix(self) -> bool:
         return all(not r for r in self.rows)
-
-    def is_scalar(self, c) -> bool:
-        """True iff self == c * identity, exactly."""
-        c = _as_gq(c)
-        if self.nrows != self.ncols:
-            return False
-        for i, row in enumerate(self.rows):
-            if c:
-                if len(row) != 1 or row.get(i) != c:
-                    return False
-            elif row:
-                return False
-        return True
 
     def is_real(self) -> bool:
         return all(v.is_real for _, _, v in self.entries())
@@ -215,6 +211,95 @@ def add_product(acc: Rows, A: Matrix, B: Matrix, coeff: GaussianRational) -> Non
                     ai[j] = s
                 elif prev is not None:
                     del ai[j]
+
+
+# -- integers over one denominator ----------------------------------------------
+
+
+def entry_dtype(bound: int, width: int):
+    """int64 if entries with |re|, |im| <= bound and at most width of them
+    in a row keep every row sum of |re| + |im| below 2^63, else object."""
+    return np.int64 if 2 * bound * width < 2**63 else object
+
+
+class IntMatrix:
+    """Exact sparse matrix (re + i im) / den with integer re and im.
+
+    rows, cols, re and im are equal-length arrays over the nonzero
+    entries, row-major with columns ascending; rows and cols are int64, re
+    and im share one dtype (see entry_dtype).  The constructor divides den,
+    re and im by their common gcd, so den is the least common denominator
+    of the entries.
+    """
+
+    __slots__ = ("nrows", "ncols", "den", "rows", "cols", "re", "im")
+
+    def __init__(self, nrows, ncols, den, rows, cols, re, im):
+        if den != 1 and re.size:
+            g = math.gcd(den, int(np.gcd.reduce(re)), int(np.gcd.reduce(im)))
+            if g != 1:
+                den, re, im = den // g, re // g, im // g
+        self.nrows, self.ncols, self.den = nrows, ncols, den
+        self.rows, self.cols, self.re, self.im = rows, cols, re, im
+
+    @classmethod
+    def from_matrix(cls, M: Matrix) -> "IntMatrix":
+        den = 1
+        for _, _, v in M.entries():
+            den = math.lcm(den, v.re.denominator, v.im.denominator)
+        rows, cols, re, im = [], [], [], []
+        for i, row in enumerate(M.rows):
+            for j in sorted(row):
+                v = row[j]
+                if v:
+                    rows.append(i)
+                    cols.append(j)
+                    re.append(v.re.numerator * (den // v.re.denominator))
+                    im.append(v.im.numerator * (den // v.im.denominator))
+        bound = max(map(abs, re + im), default=0)
+        dtype = entry_dtype(bound, max(map(len, M.rows), default=0))
+        return cls(
+            M.nrows, M.ncols, den,
+            np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(re, dtype=dtype), np.array(im, dtype=dtype),
+        )
+
+    def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
+        """(i, j, value) over the nonzero entries, row-major."""
+        den = self.den
+        # one scalar per distinct value: a Casimir operator has one value
+        made: dict[tuple[int, int], GaussianRational] = {}
+        for i, j, x, y in zip(
+            self.rows.tolist(), self.cols.tolist(), self.re.tolist(), self.im.tolist()
+        ):
+            v = made.get((x, y))
+            if v is None:
+                v = GQ(x, y) if den == 1 else GQ(Fraction(x, den), Fraction(y, den))
+                made[x, y] = v
+            yield i, j, v
+
+    def to_matrix(self) -> Matrix:
+        rows: Rows = [dict() for _ in range(self.nrows)]
+        for i, j, v in self.entries():
+            rows[i][j] = v
+        return Matrix(self.nrows, self.ncols, rows)
+
+    def is_scalar(self, c) -> bool:
+        """True iff self == c * identity, exactly, for a rational c."""
+        n = self.nrows
+        if n != self.ncols:
+            return False
+        x = Fraction(c) * self.den
+        if not x:
+            return self.re.size == 0
+        return (
+            x.denominator == 1
+            and self.re.size == n
+            and bool((self.rows == np.arange(n)).all())
+            and bool((self.cols == self.rows).all())
+            and bool((self.re == x.numerator).all())
+            and not self.im.any()
+        )
 
 
 # -- exact characteristic polynomial -----------------------------------------
@@ -361,39 +446,36 @@ def _crt_signed(residues: np.ndarray, primes: list[int]) -> list[int]:
     return out
 
 
-def charpoly_gq(M: Matrix) -> list[GaussianRational]:
+def _mod(xs: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """xs mod every prime of the column p, shape (len(p), len(xs))."""
+    if xs.dtype == object:
+        return _residues(xs.tolist(), p)
+    return xs % p
+
+
+def charpoly_gq(M: IntMatrix) -> list[GaussianRational]:
     """Coefficients (ascending) of det(X*I - M), monic of degree n.
 
-    Multimodular.  With d the lcm of all entry denominators, A = d*M has
-    Gaussian integer entries and det(X*I - A) = sum a_k X^k with
-    |a_k| <= B = max_k C(n,k) r^k, r the largest row sum of |Re| + |Im|
-    (which bounds every eigenvalue).  For primes p = 1 (mod 4) below 2^31,
-    taken until their product exceeds 2B, the map i -> iota with
-    iota^2 = -1 (mod p) sends A to a matrix mod p whose charpoly is the
-    image of det(X*I - A); all images are reduced to Hessenberg form at
-    once.  A matrix with an imaginary entry is mapped under i -> -iota as
-    well, and the two images give Re a_k and Im a_k mod p.  CRT recovers
-    the signed integers, and the coefficients are a_k / d^(n-k).
+    Multimodular.  A = den*M has Gaussian integer entries (re + i im) and
+    det(X*I - A) = sum a_k X^k with |a_k| <= B = max_k C(n,k) r^k, r the
+    largest row sum of |Re| + |Im| (which bounds every eigenvalue).  For
+    primes p = 1 (mod 4) below 2^31, taken until their product exceeds 2B,
+    the map i -> iota with iota^2 = -1 (mod p) sends A to a matrix mod p
+    whose charpoly is the image of det(X*I - A); all images are reduced to
+    Hessenberg form at once.  A matrix with an imaginary entry is mapped
+    under i -> -iota as well, and the two images give Re a_k and Im a_k
+    mod p.  CRT recovers the signed integers, and the coefficients are
+    a_k / den^(n-k).
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
         return [ONE]
-    den = 1
-    for _, _, v in M.entries():
-        den = math.lcm(den, v.re.denominator, v.im.denominator)
-    rows, cols, re, im = [], [], [], []
-    rowsum = [0] * n
-    for i, j, v in M.entries():
-        a = v.re.numerator * (den // v.re.denominator)
-        b = v.im.numerator * (den // v.im.denominator)
-        rows.append(i)
-        cols.append(j)
-        re.append(a)
-        im.append(b)
-        rowsum[i] += abs(a) + abs(b)
-    r = max(rowsum)
+    den, re, im = M.den, M.re, M.im
+    rowsum = np.zeros(n, dtype=re.dtype)
+    np.add.at(rowsum, M.rows, abs(re) + abs(im))
+    r = int(rowsum.max())
     bound = max(math.comb(n, k) * r**k for k in range(n + 1))
     primes, product = [], 1
     while product <= 2 * bound:
@@ -401,19 +483,19 @@ def charpoly_gq(M: Matrix) -> list[GaussianRational]:
         product *= primes[-1][0]
     plist = [p for p, _ in primes]
     p = np.array(plist, dtype=np.int64)[:, None]
-    vals = _residues(re, p)
-    complex_entries = any(im)
+    vals = _mod(re, p)
+    complex_entries = bool(im.any())
     if complex_entries:
         # lanes 2j and 2j + 1 map i to iota_j and to -iota_j mod p_j
         iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
-        ims = _residues(im, p) * iota % p
-        vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, len(re))
+        ims = _mod(im, p) * iota % p
+        vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, re.size)
         mod = np.repeat(p[:, 0], 2)
         vals %= mod[:, None]
     else:
         mod = p[:, 0]
     H = np.zeros((len(mod), n, n), dtype=np.int64)
-    H[:, rows, cols] = vals
+    H[:, M.rows, M.cols] = vals
     _hessenberg(H, mod)
     images = _hessenberg_charpoly(H, mod)
 

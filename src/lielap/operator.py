@@ -10,19 +10,26 @@ because S is symmetric.  With s the tensor of a metric-orthonormal basis
 V-isotypic part; with the identity tensor it is the Casimir element.
 
 D_V(s) is assembled from the product structure of V = V_m1 x ... x V_mk x
-C_l rather than from full-size generator matrices.  Each su(2) generator is
-i^phase times an integer matrix (H and A imaginary, B real), so every term
-below is a real or imaginary integer matrix once S is scaled by the common
-denominator of its entries:
+C_l as an ``IntMatrix``: integers over the common denominator of S, by
+which S is scaled once per tensor.  Each su(2) generator is i^phase times
+an integer matrix (H and A imaginary, B real), and the operator is held
+band by band: a band is a tuple of per-factor offsets (at most two nonzero,
+each in -2..2) with an integer array over the row multi-index, so work and
+memory go as bands x dim V.  The terms are broadcast into their bands:
 
-- single-factor blocks: for each SU(2) factor j the (m_j+1)x(m_j+1) block
-  B_j = -sum_ab S_ab g_a g_b over its own basis directions, from products
-  g_a g_b cached per spin, Kronecker-embedded as I x B_j x I;
-- cross-factor terms: for directions p, q in distinct SU(2) factors the two
-  orderings commute and give -2 S_pq (g_p x g_q), embedded the same way;
-- torus scalars: a torus direction e acts as the scalar i*l_e, so
-  torus-torus terms give (sum S_ef l_e l_f) I and torus-SU(2) terms add
-  -2 i l_e S_pe g_p to the single-factor block of p.
+- single-factor blocks: for each SU(2) factor j, B_j = -sum_ab S_ab g_a g_b
+  over its own directions, one product of its coefficients with a per-spin
+  table of the bands of g_a g_b;
+- cross-factor terms: for p, q in distinct SU(2) factors the two orderings
+  commute and give -2 S_pq (g_p x g_q), an outer product of factor bands;
+- torus scalars: a torus direction e acts as i*l_e, so torus-torus terms
+  give (sum S_ef l_e l_f) I and torus-SU(2) terms add -2 i l_e S_pe g_p to
+  the block of p.
+
+The bands, sorted by flat column offset, are read out row-major as the
+nonzero entries.  The arrays are int64 when a bound (sum |den S_pq| times
+the square of the largest generator row sum) shows that every row sum
+fits, and Python ints (dtype=object) otherwise, on the same code.
 
 The numeric path conjugates D by the diagonal square-root of the invariant
 inner product weights, which makes it honestly hermitian, then uses the
@@ -49,7 +56,7 @@ from .algebra_core import (
 from .errors import DomainError
 from .gaussian import GQ
 from .irreps import PHASES, IrrepLabel, orthonormal_weights, su2_bands
-from .linalg import Matrix
+from .linalg import IntMatrix, Matrix, entry_dtype
 
 
 @dataclass(eq=False)
@@ -59,7 +66,7 @@ class OperatorMatrix:
     spec: GroupSpec
     label: IrrepLabel
     tensor: SymTensor
-    matrix: Matrix
+    matrix: IntMatrix
 
     @property
     def dim(self) -> int:
@@ -71,73 +78,50 @@ def casimir_tensor(spec: GroupSpec) -> SymTensor:
     return identity_tensor(spec.dim)
 
 
-@lru_cache(maxsize=128)
-def _integer_products(m: int) -> tuple[tuple[dict, ...], ...]:
-    """[a][b] -> G_a G_b for the spin-m triple, as bands (see su2_bands)."""
+@lru_cache(maxsize=256)
+def _spin_table(m: int) -> np.ndarray:
+    """The bands of the spin-m triple and of its products, shape (12, 5,
+    m + 1): row 3a + b is G_a G_b and row 9 + a is G_a (su2_bands), and
+    [row, 2 + s, i] is the entry (i, i + s), 0 out of range.  The entries
+    are below (m + 2)^2, which int32 holds for any spin one would build."""
     d = m + 1
-    gens = su2_bands(m)
-
-    def mul(x: dict, y: dict) -> dict:
-        out: dict[int, list[int]] = {}
-        for s, xs in x.items():
-            lo, hi = max(0, -s), min(d, d - s)
-            for t, ys in y.items():
-                acc = out.setdefault(s + t, [0] * d)
-                acc[lo:hi] = [
-                    p + u * v
-                    for p, u, v in zip(acc[lo:hi], xs[lo:hi], ys[lo + s:hi + s])
-                ]
-        return {s: tuple(vals) for s, vals in out.items()}
-
-    return tuple(tuple(mul(x, y) for y in gens) for x in gens)
-
-
-def _part(parts: tuple[dict, dict], coeff: int, phase: int) -> tuple[dict, int]:
-    """The real or imaginary part that coeff * i^phase lands in, and its sign."""
-    return parts[phase % 2], (-coeff if phase % 4 >= 2 else coeff)
-
-
-def _axpy(parts: tuple[dict, dict], band: dict, coeff: int, phase: int) -> None:
-    """parts += coeff * i^phase * band, on a pair of bands."""
-    if coeff:
-        part, c = _part(parts, coeff, phase)
+    # offsets -1..1 of each G_a, padded by one zero column on either side
+    G = np.zeros((3, 3, d + 2), dtype=np.int64)
+    for a, band in enumerate(su2_bands(m)):
         for s, vals in band.items():
-            prev = part.get(s) or [0] * len(vals)
-            part[s] = [p + c * v for p, v in zip(prev, vals)]
+            G[a, 1 + s, 1:-1] = vals
+    table = np.zeros((12, 5, d), dtype=np.int32 if (m + 2) ** 2 < 2**31 else np.int64)
+    table[9:, 1:4] = G[:, :, 1:-1]
+    for s in range(3):
+        for t in range(3):
+            # (G_a G_b)[i, i+s+t-2] = G_a[i, i+s-1] G_b[i+s-1, i+s+t-2]
+            table[:9, s + t] += (G[:, None, s, 1:-1] * G[None, :, t, s:s + d]).reshape(9, d)
+    return table
 
 
-def _kron_add(
-    parts: tuple[dict, dict],
-    dims: list[int],
-    factors: dict[int, dict],
-    coeff: int,
-    phase: int,
-) -> None:
-    """parts += coeff * i^phase * (X_0 x X_1 x ...) with X_j the band
-    factors[j], or the identity where j is absent; parts are keyed by the
-    flat index row * N + col."""
-    part, scaled = _part(parts, coeff, phase)
-    entries = [(0, 0, scaled)]
-    for j, d in enumerate(dims):
-        band = factors.get(j)
-        if band is None:
-            entries = [
-                (r * d + t, c * d + t, v) for r, c, v in entries for t in range(d)
-            ]
-        else:
-            items = [
-                (i, i + s, w) for s, ws in band.items() for i, w in enumerate(ws) if w
-            ]
-            entries = [
-                (r * d + i, c * d + k, v * w)
-                for r, c, v in entries
-                for i, k, w in items
-            ]
-    n = math.prod(dims)
-    for r, c, v in entries:
-        key = r * n + c
-        part[key] = part.get(key, 0) + v
+@lru_cache(maxsize=8)
+def _band_layout(k: int) -> tuple[np.ndarray, list[np.ndarray], dict]:
+    """The bands on k SU(2) factors: their offset tuples (zero first), for
+    each factor j the indices of the offsets -2..2 in j, and for each pair
+    j < j2 those of the offsets (s, t) in {-1, 0, 1}^2, s major."""
+    index = {(0,) * k: 0}
 
+    def at(offset: dict) -> int:
+        return index.setdefault(tuple(offset.get(j, 0) for j in range(k)), len(index))
+
+    single = [np.array([at({j: s}) for s in range(-2, 3)]) for j in range(k)]
+    pairs = {
+        (j, j2): np.array([at({j: s, j2: t}) for s in (-1, 0, 1) for t in (-1, 0, 1)])
+        for j in range(k) for j2 in range(j + 1, k)
+    }
+    return np.array(list(index), dtype=np.int64).reshape(len(index), k), single, pairs
+
+
+# (Re, Im) of i^(PHASES[a] + PHASES[b]), the phase of g_a g_b, and of
+# i^(1 + PHASES[a]), that of (i l_e) g_a
+_RE_IM = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])
+_PAIR = _RE_IM[:, np.add.outer(PHASES, PHASES) % 4]
+_TORUS = _RE_IM[:, (np.array(PHASES) + 1) % 4]
 
 def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMatrix:
     """Exact matrix of D_V(s) on the irreducible with label lab."""
@@ -147,59 +131,55 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
         )
     if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
         raise DomainError("label shape does not match the group")
-    den = math.lcm(*(x.denominator for row in tensor.entries for x in row))
-    S = [[int(x * den) for x in row] for row in tensor.entries]
-    k = spec.k
+    k, su = spec.k, 3 * spec.k
+    den, scaled = tensor.integer_form
+    keys, single, pairs = _band_layout(k)
     dims = [m + 1 for m in lab.spins]
-    torus = range(3 * k, spec.dim)
-    weight = dict(zip(torus, lab.weight))
-    # real and imaginary parts of den * D, keyed by flat index
-    acc: tuple[dict, dict] = ({}, {})
+    total = math.prod(dims)
+    # every generator row sum of |entries| is at most m + 2 (su2) or |l_e|;
+    # r >= 1 keeps den * S itself under the bound
+    r = max([1] + [m + 2 for m in lab.spins] + [abs(x) for x in lab.weight])
+    dtype = entry_dtype(sum(abs(x) for row in scaled for x in row) * r * r, len(keys))
+    S = np.array(scaled, dtype=dtype)
+    w = np.array(lab.weight, dtype=dtype)
+    # real and imaginary parts of den * D, band by band over the multi-index
+    bands = np.zeros((2, len(keys), *dims), dtype=dtype)
 
     # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
-    scalar = sum(S[e][f] * weight[e] * weight[f] for e in torus for f in torus)
-    if scalar:
-        _kron_add(acc, dims, {}, scalar, 0)
-
-    for j, m in enumerate(lab.spins):
-        gens, prods = su2_bands(m), _integer_products(m)
-        block: tuple[dict, dict] = ({}, {})
-        for a in range(3):
-            p = 3 * j + a
-            for b in range(3):
-                _axpy(block, prods[a][b], -S[p][3 * j + b], PHASES[a] + PHASES[b])
-            # torus-SU(2), both orders: -2 S_pe (i l_e) g_a
-            t = sum(S[p][e] * weight[e] for e in torus)
-            _axpy(block, gens[a], -2 * t, PHASES[a] + 1)
-        for phase, part in enumerate(block):
-            if part:
-                _kron_add(acc, dims, {j: part}, 1, phase)
-
+    bands[0, 0] = w @ S[su:, su:] @ w
+    # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
+    lin = -2 * _TORUS[:, None, :] * (S[:su, su:] @ w).reshape(k, 3)
+    blocks = S[:su, :su].reshape(k, 3, k, 3)
+    tables = [_spin_table(m).astype(dtype, copy=False) for m in lab.spins]
+    for j, d in enumerate(dims):
+        # -S_ab g_a g_b on the rows 3a + b of the table, the torus part on 9 + a
+        coef = np.concatenate((-(blocks[j, :, j] * _PAIR).reshape(2, 9), lin[:, j]), axis=1)
+        block = coef @ tables[j].reshape(12, 5 * d)
+        bands[:, single[j]] += block.reshape(2, 5, *[d if i == j else 1 for i in range(k)])
         # cross-factor terms, both orders: -2 S_pq g_a x g_b
         for j2 in range(j + 1, k):
-            gens2 = su2_bands(lab.spins[j2])
-            for a in range(3):
-                for b in range(3):
-                    c = S[3 * j + a][3 * j2 + b]
-                    if c:
-                        _kron_add(
-                            acc, dims, {j: gens[a], j2: gens2[b]},
-                            -2 * c, PHASES[a] + PHASES[b],
-                        )
+            c = -2 * blocks[j, :, j2] * _PAIR
+            if not c.any():
+                continue
+            d2 = dims[j2]
+            g, g2 = tables[j][9:, 1:4].reshape(3, 3 * d), tables[j2][9:, 1:4].reshape(3, 3 * d2)
+            # [part, s, t, i, i2] = sum_ab c[part, a, b] G_a[i, i+s] G_b[i2, i2+t]
+            x = (g.T @ (c @ g2)).reshape(2, 3, d, 3, d2).transpose(0, 1, 3, 2, 4)
+            spread = [dims[i] if i in (j, j2) else 1 for i in range(k)]
+            bands[:, pairs[j, j2]] += x.reshape(2, 9, *spread)
 
-    total = math.prod(dims)
-    rows: list[dict] = [dict() for _ in range(total)]
-    re, im = acc
-    for key in sorted(re.keys() | im.keys()):
-        x, y = re.get(key, 0), im.get(key, 0)
-        if x or y:
-            r, c = divmod(key, total)
-            if den != 1:
-                x, y = Fraction(x, den), Fraction(y, den)
-            rows[r][c] = GQ(x, y)
-    return OperatorMatrix(
-        spec=spec, label=lab, tensor=tensor, matrix=Matrix(total, total, rows)
+    # row-major read-out: bands sorted by flat column offset, so columns
+    # ascend within a row; two bands with one flat offset never both reach
+    # a column in range, since the column's multi-index fixes the band
+    strides = [math.prod(dims[j + 1:]) for j in range(k)]
+    offsets = keys @ np.array(strides, dtype=np.int64)
+    order = np.argsort(offsets, kind="stable")
+    re, im = bands.reshape(2, len(keys), total)[:, order].transpose(0, 2, 1)
+    rows, band = np.nonzero((re != 0) | (im != 0))
+    matrix = IntMatrix(
+        total, total, den, rows, rows + offsets[order][band], re[rows, band], im[rows, band]
     )
+    return OperatorMatrix(spec=spec, label=lab, tensor=tensor, matrix=matrix)
 
 
 # -- numeric cross-check -------------------------------------------------------
@@ -297,8 +277,8 @@ def kronecker_spectrum_check(
     D2 = build_DV(spec2, lab2, s2)
     I1 = Matrix.identity(D1.dim)
     I2 = Matrix.identity(D2.dim)
-    ksum = D1.matrix.kron(I2) + (I1.kron(D2.matrix) * GQ(eps))
-    if D_full.matrix != ksum:
+    ksum = D1.matrix.to_matrix().kron(I2) + (I1.kron(D2.matrix.to_matrix()) * GQ(eps))
+    if D_full.matrix.to_matrix() != ksum:
         return False
 
     n1 = eigen_decompose_numeric(D1, tol)

@@ -22,12 +22,12 @@ from fractions import Fraction
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
-from .linalg import Matrix, charpoly_gq
+from .linalg import IntMatrix, charpoly_gq
 from .operator import OperatorMatrix, build_DV
 from .poly import Poly, resultant, squarefree_decomposition
 
 
-def charpoly_real(M: Matrix) -> Poly:
+def charpoly_real(M: IntMatrix) -> Poly:
     """det(M - X*I) as a rational polynomial.
 
     The sign convention keeps the constant term equal to det(M).  Raises

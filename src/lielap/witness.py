@@ -51,7 +51,7 @@ from .irreps import (
     label,
     rotation_half_pi,
 )
-from .linalg import Matrix, restrict_operator
+from .linalg import IntMatrix, Matrix, restrict_operator
 from .operator import build_DV
 from .poly import resultant
 from .polycert import (
@@ -150,7 +150,7 @@ def su2_even_b_witness(m: int, eps_grid=None) -> Su2EvenWitness:
     lab = label((m,))
 
     # structural checks on the coupling term
-    dA = build_DV(spec, lab, symmetric_product(3, 1, 1, 1)).matrix
+    dA = build_DV(spec, lab, symmetric_product(3, 1, 1, 1)).matrix.to_matrix()
     for i, j, _ in dA.entries():
         if (i - j) % 2:
             raise ArithmeticError("coupling term mixes parity classes")
@@ -348,7 +348,8 @@ def pairs_pipeline(
 
     D_h = build_DV(spec, lab, s_h)
     D_b = build_DV(spec, lab, s_b)
-    if D_h.matrix != -(phi @ phi) or D_b.matrix != -(psi @ psi):
+    h_matrix, b_matrix = D_h.matrix.to_matrix(), D_b.matrix.to_matrix()
+    if h_matrix != -(phi @ phi) or b_matrix != -(psi @ psi):
         raise ArithmeticError("operator does not match its generator square")
 
     expected = [
@@ -367,10 +368,10 @@ def pairs_pipeline(
         and 2 * w_plus.ncols == 2 * w_minus.ncols == d
     )
 
-    h_plus = charpoly_real(restrict_operator(D_h.matrix, w_plus, reps))
-    h_minus = charpoly_real(restrict_operator(D_h.matrix, w_minus, reps))
-    b_plus = charpoly_real(restrict_operator(D_b.matrix, w_plus, reps))
-    b_minus = charpoly_real(restrict_operator(D_b.matrix, w_minus, reps))
+    h_plus, h_minus, b_plus, b_minus = (
+        charpoly_real(IntMatrix.from_matrix(restrict_operator(D, w, reps)))
+        for D in (h_matrix, b_matrix) for w in (w_plus, w_minus)
+    )
     th = tensor_hash(s_h)
     h_simple = (
         Certificate("b", (lab,), th, resultant(h_plus, h_plus.derivative())),

@@ -254,6 +254,34 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_config_values_go_through_the_flag_checks(capsys, tmp_path):
+    # --trials, --seed, --format and --max-m have defaults, and a config
+    # file must still set them, through the same type and choice checks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 0, "format": "json"}))
+    rc, out, err = run(capsys, "witness", "--group", "su2", "--level", "1", "--config", str(cfg))
+    assert rc == 2 and "--trials" in err and out == ""
+
+    cfg.write_text(json.dumps({"format": "json", "seed": 3}))
+    rc, out, _ = run(capsys, "witness", "--group", "su2", "--level", "1", "--config", str(cfg))
+    assert rc == 0 and json.loads(out)["seed"] == 3
+    rc, out, _ = run(
+        capsys, "witness", "--group", "su2", "--level", "1", "--config", str(cfg),
+        "--format", "text",
+    )
+    assert rc == 0 and out.startswith("group su2")
+
+    cfg.write_text(json.dumps({"max-m": 2, "format": "json"}))
+    rc, out, _ = run(capsys, "verify-paper", "--check", "casimir", "--config", str(cfg))
+    assert rc == 0 and "m <= 2" in out
+
+    cfg.write_text(json.dumps({"format": "yaml"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "--group", "su2", "--level", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+
 def test_group_file(capsys, tmp_path):
     gf = tmp_path / "group.json"
     gf.write_text(json.dumps({"k": 0, "n": 1, "central": []}))

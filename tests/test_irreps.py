@@ -44,7 +44,7 @@ def test_su2_commutation_relations(m):
 def test_casimir_from_generators(m):
     H, A, B = su2_generators(m)
     cas = -(H @ H) - (A @ A) - (B @ B)
-    assert cas.is_scalar(Fraction(m * (m + 2)))
+    assert cas == Matrix.identity(m + 1) * GQ(m * (m + 2))
 
 
 def test_h_action_is_diagonal():

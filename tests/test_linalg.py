@@ -9,14 +9,19 @@ import pytest
 
 from lielap.gaussian import GQ, I
 from lielap.linalg import (
+    IntMatrix,
     Matrix,
     add_product,
     charpoly_gq,
     restrict_operator,
     split_primes,
 )
+from lielap.algebra_core import preset, square_of_vector
+from lielap.irreps import label
+from lielap.operator import build_DV
 from lielap.polycert import charpoly_real
 from lielap.poly import Poly
+from lielap.witness import sample_definite_tensor
 
 
 def mat(rows):
@@ -25,9 +30,11 @@ def mat(rows):
 
 def test_identity_and_scalar():
     m = Matrix.identity(3)
-    assert m.is_scalar(Fraction(1))
-    assert (m * GQ(5)).is_scalar(Fraction(5))
-    assert not mat([[1, 1], [0, 1]]).is_scalar(Fraction(1))
+    assert IntMatrix.from_matrix(m).is_scalar(Fraction(1))
+    assert IntMatrix.from_matrix(m * GQ(Fraction(5, 3))).is_scalar(Fraction(5, 3))
+    assert not IntMatrix.from_matrix(m * GQ(5)).is_scalar(Fraction(5, 3))
+    assert not IntMatrix.from_matrix(mat([[1, 1], [0, 1]])).is_scalar(Fraction(1))
+    assert IntMatrix.from_matrix(Matrix(2, 2)).is_scalar(0)
 
 
 def test_matmul_against_dense():
@@ -65,21 +72,21 @@ def test_charpoly_2x2():
     m = Matrix.from_dense(
         [[GQ(2), GQ(1)], [GQ(Fraction(1, 2)), GQ(0)]]
     )
-    cs = charpoly_gq(m)
+    cs = charpoly_gq(IntMatrix.from_matrix(m))
     assert [c.re for c in cs] == [Fraction(-1, 2), Fraction(-2), Fraction(1)]
     assert all(c.im == 0 for c in cs)
 
 
 def test_charpoly_diag_gaussian():
     m = Matrix.diagonal([I, -I])
-    cs = charpoly_gq(m)  # (X - i)(X + i) = X^2 + 1
+    cs = charpoly_gq(IntMatrix.from_matrix(m))  # (X - i)(X + i) = X^2 + 1
     assert [complex(c) for c in cs] == [1, 0, 1]
 
 
 def test_charpoly_companion():
     # companion matrix of X^3 - 7X + 6
     m = mat([[0, 0, -6], [1, 0, 7], [0, 1, 0]])
-    cs = charpoly_gq(m)
+    cs = charpoly_gq(IntMatrix.from_matrix(m))
     assert [c.re for c in cs] == [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
 
 
@@ -87,7 +94,7 @@ def test_restrict_operator():
     d = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
     k = mat([[0, 0], [1, 0], [0, 1]])  # invariant: spans the 2-eigenspace
     r = restrict_operator(d, k, [1, 2])
-    assert r.nrows == 2 and r.is_scalar(Fraction(2))
+    assert r == Matrix.identity(2) * GQ(2)
 
 
 def test_restrict_operator_reads_rows_at_pivots():
@@ -185,7 +192,7 @@ def test_charpoly_matches_faddeev_on_random_matrices(complex_entries):
     rng = random.Random(7013 + complex_entries)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 9), complex_entries)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
 
 
 def test_charpoly_matches_faddeev_past_int64():
@@ -194,7 +201,7 @@ def test_charpoly_matches_faddeev_past_int64():
     rng = random.Random(120)
     for complex_entries in (False, True):
         m = _random_matrix(rng, 4, complex_entries, den_digits=120)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
 
 
 def test_charpoly_zero_subdiagonals_swap_and_skip():
@@ -214,20 +221,58 @@ def test_charpoly_zero_subdiagonals_swap_and_skip():
     ]
     for rows in shapes:
         m = Matrix.from_dense(rows)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
     for _ in range(20):
         n = rng.randint(3, 8)
         m = Matrix.from_dense(
             [[GQ(rng.randint(-4, 4), rng.randint(-1, 1)) if rng.random() < 0.25 else GQ(0)
               for _ in range(n)] for _ in range(n)]
         )
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
+
+
+def test_charpoly_of_operators_matches_faddeev():
+    # build_DV's integer form goes to charpoly_gq as it stands, on both
+    # routes, with imaginary entries.  The object route is taken when
+    # den * S passes 2^63 (su2xsu2), or when den * S fits but the bound on
+    # the operator's row sums does not (u2, den near 2^50)
+    rng = random.Random(1746)
+    big = square_of_vector([Fraction(rng.randint(1, 9), 2**64 + 13) for _ in range(6)])
+    q = 2**25 + 35
+    near = square_of_vector([Fraction(1, q), 0, Fraction(3, q), Fraction(2, q)])
+    cases = [
+        (preset("su2xsu2"), label((2, 1)), sample_definite_tensor(6, rng), np.int64),
+        (preset("u2"), label((3,), (2,)), sample_definite_tensor(4, rng), np.int64),
+        (preset("su2xsu2"), label((2, 1)), sample_definite_tensor(6, rng) + big, object),
+        (preset("u2"), label((2,), (-1,)), sample_definite_tensor(4, rng) + near, object),
+    ]
+    for spec, lab, tensor, dtype in cases:
+        op = build_DV(spec, lab, tensor)
+        assert op.matrix.re.dtype == dtype
+        m = op.matrix.to_matrix()
+        assert charpoly_gq(op.matrix) == charpoly_faddeev(m)
+        back = IntMatrix.from_matrix(m)
+        assert back.to_matrix() == m
+        assert back.den == op.matrix.den and list(back.entries()) == list(op.matrix.entries())
+        assert op.matrix.im.any()
+    assert max(abs(x) for x in op.matrix.re.tolist()) < 2**60
+
+
+def test_from_matrix_round_trips():
+    rng = random.Random(4)
+    for den_digits in (2, 30):
+        for complex_entries in (False, True):
+            m = _random_matrix(rng, 5, complex_entries, den_digits)
+            assert IntMatrix.from_matrix(m).to_matrix() == m
+    for m in (Matrix(0, 0), Matrix(3, 2), mat([[0, 2], [Fraction(1, 3), 0]])):
+        back = IntMatrix.from_matrix(m).to_matrix()
+        assert (back.nrows, back.ncols) == (m.nrows, m.ncols) and back == m
 
 
 def test_charpoly_small_and_zero_matrices():
-    assert charpoly_gq(Matrix(0, 0)) == [GQ(1)]
-    assert charpoly_gq(Matrix.from_dense([[GQ(Fraction(-3, 7), 2)]])) == [GQ(Fraction(3, 7), -2), GQ(1)]
-    assert charpoly_gq(Matrix(4, 4)) == [GQ(0)] * 4 + [GQ(1)]
+    assert charpoly_gq(IntMatrix.from_matrix(Matrix(0, 0))) == [GQ(1)]
+    assert charpoly_gq(IntMatrix.from_matrix(Matrix.from_dense([[GQ(Fraction(-3, 7), 2)]]))) == [GQ(Fraction(3, 7), -2), GQ(1)]
+    assert charpoly_gq(IntMatrix.from_matrix(Matrix(4, 4))) == [GQ(0)] * 4 + [GQ(1)]
 
 
 def test_charpoly_at_the_coefficient_bound():
@@ -248,15 +293,15 @@ def test_charpoly_at_the_coefficient_bound():
                     for _ in range(n - k):
                         c = c * (-unit * r)
                     expected.append(c)
-                assert charpoly_gq(Matrix.diagonal([unit * r] * n)) == expected
+                assert charpoly_gq(IntMatrix.from_matrix(Matrix.diagonal([unit * r] * n))) == expected
 
 
 def test_charpoly_real_rejects_imaginary_coefficients():
     with pytest.raises(ArithmeticError):
-        charpoly_real(Matrix.from_dense([[I]]))
+        charpoly_real(IntMatrix.from_matrix(Matrix.from_dense([[I]])))
     with pytest.raises(ArithmeticError):
-        charpoly_real(Matrix.diagonal([I, I * GQ(2)]))
-    assert charpoly_real(Matrix.diagonal([I, -I])) == Poly([1, 0, 1])
+        charpoly_real(IntMatrix.from_matrix(Matrix.diagonal([I, I * GQ(2)])))
+    assert charpoly_real(IntMatrix.from_matrix(Matrix.diagonal([I, -I]))) == Poly([1, 0, 1])
 
 
 def _sieve(limit):

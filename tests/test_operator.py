@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lielap.algebra_core import (
@@ -13,6 +14,7 @@ from lielap.algebra_core import (
     preset,
     square_of_vector,
     symmetric_product,
+    SymTensor,
 )
 from lielap.errors import DomainError
 from lielap.gaussian import GQ
@@ -53,7 +55,7 @@ def test_square_of_h_diagonal():
     spec = preset("su2")
     op = build_DV(spec, label((4,)), symmetric_product(3, 0, 0, 1))
     for l in range(5):
-        assert op.matrix[l, l].real_fraction() == (4 - 2 * l) ** 2
+        assert op.matrix.to_matrix()[l, l].real_fraction() == (4 - 2 * l) ** 2
 
 
 def test_operator_linear_in_tensor():
@@ -61,9 +63,9 @@ def test_operator_linear_in_tensor():
     lab = label((3,))
     a = symmetric_product(3, 0, 0, 1)
     b = symmetric_product(3, 1, 2, Fraction(1, 2))
-    da = build_DV(spec, lab, a).matrix
-    db = build_DV(spec, lab, b).matrix
-    dsum = build_DV(spec, lab, a + b.scale(2)).matrix
+    da = build_DV(spec, lab, a).matrix.to_matrix()
+    db = build_DV(spec, lab, b).matrix.to_matrix()
+    dsum = build_DV(spec, lab, a + b.scale(2)).matrix.to_matrix()
     assert dsum == da + db + db
 
 
@@ -97,26 +99,52 @@ def test_label_shape_mismatch(spec, lab):
         preset("spin4"),
         preset("so4"),
         build_group_spec(2, 1),
+        build_group_spec(3, 2),
     ],
     ids=lambda spec: spec.name or f"k{spec.k}n{spec.n}",
 )
 def test_build_DV_matches_generic_products(spec):
     rng = random.Random(20160215 + spec.dim)
-    level = 5 if spec.dim <= 3 else 3 if spec.dim <= 6 else 2
+    level = 5 if spec.dim <= 3 else 3 if spec.dim <= 6 else 2 if spec.dim <= 7 else 1
     labels = labels_up_to_level(spec, level)
-    cases = 0
+    assert any(lab.dim == 1 for lab in labels)
+    zero = SymTensor(tuple((Fraction(0),) * spec.dim for _ in range(spec.dim)))
+    cases, widest = 0, 0
     for lab in labels:
         # mixed denominators: a sampled definite tensor plus a rational square
         u = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(spec.dim)]
-        for tensor in (
-            sample_definite_tensor(spec.dim, rng),
-            sample_definite_tensor(spec.dim, rng) + square_of_vector(u),
+        # denominators near 2^64 and 2^61: den * S passes 2^63, the object route
+        big = [Fraction(rng.randint(1, 9), rng.choice((2**64 + 13, 2**61 - 1))) for _ in range(spec.dim)]
+        for tensor, route in (
+            (sample_definite_tensor(spec.dim, rng), np.int64),
+            (sample_definite_tensor(spec.dim, rng) + square_of_vector(u), np.int64),
+            (sample_definite_tensor(spec.dim, rng) + square_of_vector(big), object),
+            (zero, np.int64),
         ):
-            assert build_DV(spec, lab, tensor).matrix == generic_DV(spec, lab, tensor), (
-                lab, tensor,
-            )
+            op = build_DV(spec, lab, tensor)
+            assert op.matrix.re.dtype == route, (lab, tensor)
+            assert op.matrix.to_matrix() == generic_DV(spec, lab, tensor), (lab, tensor)
+            widest = max([widest] + [abs(x) for x in op.matrix.re.tolist() + op.matrix.im.tolist()])
             cases += 1
-    assert cases >= 6
+    assert cases >= 12 and widest > 2**63
+
+
+def test_entries_match_generic_products_in_row_major_order():
+    spec = preset("su2xsu2")
+    generic = sample_definite_tensor(spec.dim, random.Random(1466))
+    for tensor in (casimir_tensor(spec), generic):
+        for spins in [(m, mp) for m in range(6) for mp in range(6)]:
+            lab = label(spins)
+            want = generic_DV(spec, lab, tensor)
+            expected = [(i, j, want[i, j]) for i in range(want.nrows) for j in sorted(want.rows[i])]
+            op = build_DV(spec, lab, tensor)
+            got = list(op.matrix.entries())
+            assert got == expected, spins
+            # the same scalars: ints where the value is integral, else Fractions
+            assert [(type(v.re), type(v.im)) for *_, v in got] == [
+                (type(v.re), type(v.im)) for *_, v in expected
+            ]
+            assert op.matrix.to_matrix() == want
 
 
 def test_torus_operator_is_quadratic_form():
@@ -125,7 +153,7 @@ def test_torus_operator_is_quadratic_form():
     for w in [(1, 0), (0, 1), (2, -3)]:
         op = build_DV(spec, label((), w), S)
         expect = sum(S[i, j] * w[i] * w[j] for i in range(2) for j in range(2))
-        assert op.matrix[0, 0].real_fraction() == expect
+        assert op.matrix.to_matrix()[0, 0].real_fraction() == expect
 
 
 def test_numeric_spectrum_casimir():

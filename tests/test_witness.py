@@ -13,7 +13,7 @@ from lielap.algebra_core import (
 )
 from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import label, rotation_half_pi
-from lielap.linalg import restrict_operator
+from lielap.linalg import IntMatrix, restrict_operator
 from lielap.operator import build_DV, eigen_decompose_numeric
 from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
@@ -195,7 +195,8 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
     T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
     (w_plus, w_minus), reps = orbit_eigenbases(T)
     h_plus, h_minus = (
-        charpoly_real(restrict_operator(D_h, w, reps)) for w in (w_plus, w_minus)
+        charpoly_real(IntMatrix.from_matrix(restrict_operator(D_h.to_matrix(), w, reps)))
+        for w in (w_plus, w_minus)
     )
     assert charpoly_real(D_h) == h_plus * h_minus
 
