@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .gaussian import format_rational, parse_rational
 
 
 # -- group data ---------------------------------------------------------------
@@ -289,6 +288,39 @@ def embed_factor_tensor(spec: GroupSpec, factor: int, tensor: SymTensor) -> SymT
 # -- JSON ---------------------------------------------------------------------
 
 
+def parse_rational(s) -> Fraction:
+    """Parse "p/q" or "p" (also plain ints) into an exact Fraction.
+
+    Floats are rejected: the JSON interfaces carry rationals as strings so
+    no precision is silently lost.
+    """
+    if isinstance(s, bool):
+        raise ValueError(f"not a rational: {s!r}")
+    if isinstance(s, int):
+        return Fraction(s)
+    if isinstance(s, Fraction):
+        return s
+    if isinstance(s, float):
+        raise ValueError(f"refusing float {s!r}; pass a string like 'p/q'")
+    if isinstance(s, str):
+        return Fraction(s.strip())
+    raise ValueError(f"not a rational: {s!r}")
+
+
+def format_rational(x: int | Fraction) -> str:
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _parse_int(x, what: str) -> int:
+    """A JSON integer; floats and booleans are refused rather than cast."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def tensor_to_json(tensor: SymTensor) -> dict:
     return {
         "tensor": [[format_rational(x) for x in row] for row in tensor.entries]
@@ -303,7 +335,7 @@ def tensor_from_json(doc: dict) -> SymTensor:
     if "gram" in doc:
         rows = [[parse_rational(x) for x in r] for r in doc["gram"]]
         return metric_to_tensor(MetricSpec(tuple(tuple(r) for r in rows)))
-    raise DomainError('expected a JSON object with "tensor" or "gram"')
+    raise ValueError('expected a JSON object with "tensor" or "gram"')
 
 
 def tensor_hash(tensor: SymTensor) -> str:
@@ -317,12 +349,12 @@ def group_from_json(doc: dict) -> GroupSpec:
     for g in doc.get("central", []):
         central.append(
             CentralElement(
-                tuple(int(s) for s in g.get("signs", [])),
+                tuple(_parse_int(s, "central sign") for s in g.get("signs", [])),
                 tuple(parse_rational(t) for t in g.get("torus", [])),
             )
         )
     return build_group_spec(
-        int(doc["k"]), int(doc["n"]), central, name=doc.get("name")
+        _parse_int(doc["k"], "k"), _parse_int(doc["n"], "n"), central, name=doc.get("name")
     )
 
 

@@ -27,7 +27,6 @@ from .algebra_core import (
     tensor_to_json,
 )
 from .errors import DomainError, WitnessSearchExhausted
-from .gaussian import GQ
 from .irreps import (
     build_irrep,
     classify_type,
@@ -36,7 +35,6 @@ from .irreps import (
     labels_up_to_level,
     quaternionic_structure,
 )
-from .linalg import Matrix
 from .operator import build_DV, casimir_tensor
 from .polycert import cert_c, char_poly_of, multiplicity_profile
 from .spectrum import (
@@ -302,8 +300,14 @@ def check_eigH(args):
     ms = [args.m] if args.m is not None else list(range(0, args.max_m + 1))
     for m in ms:
         H = build_irrep(spec, label((m,))).generators[0]
-        want = Matrix.diagonal([GQ(Fraction(0), Fraction(m - 2 * l)) for l in range(m + 1)])
-        if H != want:
+        # diag(i(m - 2l)): nonzero on the diagonal except at l = m/2
+        ls = [l for l in range(m + 1) if 2 * l != m]
+        if not (
+            H.den == 1
+            and H.rows.tolist() == H.cols.tolist() == ls
+            and not H.re.any()
+            and H.im.tolist() == [m - 2 * l for l in ls]
+        ):
             return False, f"H action differs at m={m}"
     return True, f"diagonal i(m-2l) for m in {ms[0]}..{ms[-1]}"
 
@@ -411,6 +415,8 @@ CHECKS = {
 
 
 def cmd_verify_paper(args) -> int:
+    if args.max_m < 0:
+        raise UsageError(f"--max-m must be nonnegative, got {args.max_m}")
     names = list(CHECKS) if args.check == "all" else [args.check]
     results = []
     failed = False

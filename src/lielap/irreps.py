@@ -28,10 +28,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
+import numpy as np
+
 from .algebra_core import GroupSpec
 from .errors import DomainError
-from .gaussian import GQ
-from .linalg import Matrix
+from .linalg import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -145,26 +146,26 @@ def su2_bands(m: int) -> tuple[dict, dict, dict]:
     )
 
 
-def su2_generators(m: int) -> tuple[Matrix, Matrix, Matrix]:
+def su2_generators(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(H, A, B) of the spin-m irreducible in the monomial basis."""
     out = []
     for band, phase in zip(su2_bands(m), PHASES):
-        rows = [dict() for _ in range(m + 1)]
+        G = np.zeros((m + 1, m + 1), dtype=np.int64)
         for s, vals in band.items():
             for i, v in enumerate(vals):
                 if v:
-                    rows[i][i + s] = GQ(0, v) if phase else GQ(v)
-        out.append(Matrix(m + 1, m + 1, rows))
+                    G[i, i + s] = v
+        out.append(IntMatrix.from_dense(0 * G, G) if phase else IntMatrix.from_dense(G))
     return tuple(out)
 
 
-def rotation_half_pi(m: int) -> Matrix:
+def rotation_half_pi(m: int) -> IntMatrix:
     """The spin-m matrix of the group element exp(pi/2 B), i.e. the 2x2
     rotation by 90 degrees: v_l -> (-1)^l v_{m-l}.  Integer entries."""
-    rows = [dict() for _ in range(m + 1)]
+    R = np.zeros((m + 1, m + 1), dtype=np.int64)
     for l in range(m + 1):
-        rows[m - l][l] = GQ(-1 if l % 2 else 1)
-    return Matrix(m + 1, m + 1, rows)
+        R[m - l, l] = -1 if l % 2 else 1
+    return IntMatrix.from_dense(R)
 
 
 @dataclass(eq=False)
@@ -176,7 +177,7 @@ class Irrep:
     label: IrrepLabel
     dim: int
     rep_type: str
-    generators: tuple[Matrix, ...]
+    generators: tuple[IntMatrix, ...]
 
 
 def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
@@ -188,7 +189,7 @@ def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
     total = 1
     for d in dims:
         total *= d
-    gens: list[Matrix] = []
+    gens: list[IntMatrix] = []
     for j, m in enumerate(lab.spins):
         H, A, B = su2_generators(m)
         left = 1
@@ -197,11 +198,12 @@ def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
         right = 1
         for d in dims[j + 1:]:
             right *= d
-        IL, IR = Matrix.identity(left), Matrix.identity(right)
+        IL, IR = IntMatrix.identity(left), IntMatrix.identity(right)
         for G in (H, A, B):
             gens.append(IL.kron(G).kron(IR))
+    eye = np.eye(total, dtype=object)
     for l in lab.weight:
-        gens.append(Matrix.identity(total) * GQ(0, l))
+        gens.append(IntMatrix.from_dense(0 * eye, l * eye))
     return Irrep(
         spec=spec,
         label=lab,
@@ -240,7 +242,7 @@ class QuaternionicStructure:
     irreducible; square_sign = (-1)^m is the sign of J^2."""
 
     m: int
-    matrix: Matrix
+    matrix: IntMatrix
     square_sign: int
 
     def is_equivariant(self, generators) -> bool:

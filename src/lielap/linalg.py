@@ -1,20 +1,21 @@
-"""Exact matrices: integers over one denominator, and sparse Q(i) rows.
+"""Exact matrices: Gaussian integers over one denominator.
 
-``IntMatrix`` is the package's operator representation: (re + i im) / den
-with integer re and im, the nonzero entries held row-major (columns
-ascending) in four arrays rows, cols, re, im, and den the least common
-denominator.  The arrays are int64 when a bound computed from the inputs
-shows that every row sum of |re| + |im| fits; otherwise they hold Python
-ints (dtype=object) and the same numpy code runs on them.  ``entries()``
-yields Gaussian rationals for readers that want scalars, ``to_matrix()``
-the sparse ``Matrix`` below, and ``from_matrix`` converts back.
+``IntMatrix`` is the package's one exact matrix: (re + i im) / den with
+integer re and im, the nonzero entries held row-major (columns ascending)
+in four arrays rows, cols, re, im, and den the least common denominator,
+1 for the zero matrix, so that equal matrices have equal fields.  The
+arrays are int64 when a bound computed from the inputs shows that every
+row sum of |re| + |im| fits; otherwise they hold Python ints
+(dtype=object) and the same numpy code runs on them.  ``entries()``
+yields ``Gaussian`` values for readers that want scalars.
 
-``Matrix`` keeps rows as dicts keyed by column index holding nonzero
-``GaussianRational`` entries, for the callers that multiply, compare or
-Kronecker-multiply exact matrices (the pairs pipeline and the identity
-checks).  There is no elimination over Q(i) here: the one invariant
-subspace the package restricts to comes with a basis whose rows at known
-positions form the identity, so restriction reads rows of a product.
+Products, sums and Kronecker products are computed on dense arrays: the
+matrices they are used on (generators, the pairs pipeline's operators)
+have dimension below a hundred.  A product runs in
+int64 when entry_dtype shows that it fits, and in Python ints otherwise.
+There is no elimination over Q(i): the one invariant subspace the package
+restricts to comes with a basis whose rows at known positions form the
+identity, so restriction reads rows of a product.
 
 The characteristic polynomial is multimodular and reads an ``IntMatrix``,
 whose integers are its input as they stand.  A bound on the eigenvalues
@@ -33,187 +34,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .gaussian import GaussianRational, GQ, ZERO, ONE
 
-MINUS_ONE = GQ(-1)
+class Gaussian(NamedTuple):
+    """An exact value re + i im: ints where integral, else Fractions."""
 
-Rows = list[dict[int, GaussianRational]]
-
-
-def _as_gq(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GQ(x)
+    re: int | Fraction
+    im: int | Fraction
 
 
-class Matrix:
-    """Sparse exact matrix; immutable by convention after construction."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: Rows | None = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        if rows is None:
-            rows = [dict() for _ in range(nrows)]
-        self.rows = rows
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, dense: Iterable[Iterable]) -> "Matrix":
-        rows: Rows = []
-        width = None
-        for r in dense:
-            entries = [_as_gq(x) for x in r]
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("ragged rows")
-            rows.append({j: v for j, v in enumerate(entries) if v})
-        return cls(len(rows), width or 0, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [{i: ONE} for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, values: Iterable) -> "Matrix":
-        vals = [_as_gq(v) for v in values]
-        rows = [{i: v} if v else {} for i, v in enumerate(vals)]
-        return cls(len(vals), len(vals), rows)
-
-    @classmethod
-    def from_rows(cls, nrows: int, ncols: int, rows: Rows) -> "Matrix":
-        clean = [{j: v for j, v in r.items() if v} for r in rows]
-        return cls(nrows, ncols, clean)
-
-    # -- queries -----------------------------------------------------------
-
-    def __getitem__(self, ij) -> GaussianRational:
-        i, j = ij
-        return self.rows[i].get(j, ZERO)
-
-    def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                yield i, j, v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and all(
-            a == b for a, b in zip(self.rows, other.rows)
-        )
-
-    __hash__ = None
-
-    def is_zero_matrix(self) -> bool:
-        return all(not r for r in self.rows)
-
-    def is_real(self) -> bool:
-        return all(v.is_real for _, _, v in self.entries())
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        rows: Rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            row = dict(ra)
-            for j, v in rb.items():
-                s = row.get(j, ZERO) + v
-                if s:
-                    row[j] = s
-                elif j in row:
-                    del row[j]
-            rows.append(row)
-        return Matrix(self.nrows, self.ncols, rows)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (other * GQ(-1))
-
-    def __neg__(self) -> "Matrix":
-        return self * GQ(-1)
-
-    def __mul__(self, c) -> "Matrix":
-        c = _as_gq(c)
-        if not c:
-            return Matrix(self.nrows, self.ncols)
-        rows = [{j: v * c for j, v in r.items()} for r in self.rows]
-        return Matrix(self.nrows, self.ncols, rows)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        acc: Rows = [dict() for _ in range(self.nrows)]
-        add_product(acc, self, other, ONE)
-        return Matrix.from_rows(self.nrows, other.ncols, acc)
-
-    def conj(self) -> "Matrix":
-        rows = [{j: v.conjugate() for j, v in r.items()} for r in self.rows]
-        return Matrix(self.nrows, self.ncols, rows)
-
-    def trace(self) -> GaussianRational:
-        t = ZERO
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.rows[i].get(i, ZERO)
-        return t
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        rows: Rows = [dict() for _ in range(self.nrows * other.nrows)]
-        oentries = list(other.entries())
-        for i1, j1, a in self.entries():
-            base_i = i1 * other.nrows
-            base_j = j1 * other.ncols
-            if a == ONE:
-                for i2, j2, b in oentries:
-                    rows[base_i + i2][base_j + j2] = b
-            else:
-                for i2, j2, b in oentries:
-                    rows[base_i + i2][base_j + j2] = a if b == ONE else a * b
-        return Matrix(self.nrows * other.nrows, self.ncols * other.ncols, rows)
-
-
-def add_product(acc: Rows, A: Matrix, B: Matrix, coeff: GaussianRational) -> None:
-    """acc += coeff * A @ B, in place on raw row dicts."""
-    if not coeff:
-        return
-    plain = coeff == ONE
-    negated = coeff == MINUS_ONE
-    brows = B.rows
-    for i, arow in enumerate(A.rows):
-        if not arow:
-            continue
-        ai = acc[i]
-        for k, a in arow.items():
-            if plain:
-                ca = a
-            elif negated:
-                ca = -a
-            else:
-                ca = coeff * a
-            for j, b in brows[k].items():
-                prev = ai.get(j)
-                s = ca * b if prev is None else prev + ca * b
-                if s:
-                    ai[j] = s
-                elif prev is not None:
-                    del ai[j]
-
-
-# -- integers over one denominator ----------------------------------------------
+def _rational(x: int, den: int) -> int | Fraction:
+    q = Fraction(x, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 def entry_dtype(bound: int, width: int):
@@ -229,13 +64,15 @@ class IntMatrix:
     entries, row-major with columns ascending; rows and cols are int64, re
     and im share one dtype (see entry_dtype).  The constructor divides den,
     re and im by their common gcd, so den is the least common denominator
-    of the entries.
+    of the entries, and 1 when there are none.
     """
 
     __slots__ = ("nrows", "ncols", "den", "rows", "cols", "re", "im")
 
     def __init__(self, nrows, ncols, den, rows, cols, re, im):
-        if den != 1 and re.size:
+        if not re.size:
+            den = 1
+        elif den != 1:
             g = math.gcd(den, int(np.gcd.reduce(re)), int(np.gcd.reduce(im)))
             if g != 1:
                 den, re, im = den // g, re // g, im // g
@@ -243,46 +80,51 @@ class IntMatrix:
         self.rows, self.cols, self.re, self.im = rows, cols, re, im
 
     @classmethod
-    def from_matrix(cls, M: Matrix) -> "IntMatrix":
-        den = 1
-        for _, _, v in M.entries():
-            den = math.lcm(den, v.re.denominator, v.im.denominator)
-        rows, cols, re, im = [], [], [], []
-        for i, row in enumerate(M.rows):
-            for j in sorted(row):
-                v = row[j]
-                if v:
-                    rows.append(i)
-                    cols.append(j)
-                    re.append(v.re.numerator * (den // v.re.denominator))
-                    im.append(v.im.numerator * (den // v.im.denominator))
-        bound = max(map(abs, re + im), default=0)
-        dtype = entry_dtype(bound, max(map(len, M.rows), default=0))
-        return cls(
-            M.nrows, M.ncols, den,
-            np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(re, dtype=dtype), np.array(im, dtype=dtype),
+    def from_dense(cls, re, im=None, den: int = 1) -> "IntMatrix":
+        """(re + i im) / den from 2-d integer arrays; im is 0 if omitted."""
+        re = np.asarray(re)
+        im = np.zeros_like(re) if im is None else np.asarray(im)
+        rows, cols = np.nonzero((re != 0) | (im != 0))
+        return cls._from_values(
+            *re.shape, den, rows.astype(np.int64), cols.astype(np.int64),
+            re[rows, cols].tolist(), im[rows, cols].tolist(),
         )
 
-    def entries(self) -> Iterator[tuple[int, int, GaussianRational]]:
+    @classmethod
+    def _from_values(cls, nrows, ncols, den, rows, cols, re: list, im: list) -> "IntMatrix":
+        """From the nonzero entries, row-major, with re and im Python ints."""
+        width = int(np.bincount(rows).max()) if rows.size else 0
+        dtype = entry_dtype(max(map(abs, re + im), default=0), width)
+        return cls(nrows, ncols, den, rows, cols, np.array(re, dtype=dtype), np.array(im, dtype=dtype))
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        idx = np.arange(n, dtype=np.int64)
+        return cls(n, n, 1, idx, idx, np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+
+    def _dense(self, dtype=object) -> tuple[np.ndarray, np.ndarray]:
+        """The integer parts re and im as dense arrays."""
+        re = np.zeros((self.nrows, self.ncols), dtype=dtype)
+        im = np.zeros_like(re)
+        re[self.rows, self.cols] = self.re
+        im[self.rows, self.cols] = self.im
+        return re, im
+
+    def _largest(self) -> int:
+        return max(map(abs, self.re.tolist() + self.im.tolist()), default=0)
+
+    def entries(self) -> Iterator[tuple[int, int, Gaussian]]:
         """(i, j, value) over the nonzero entries, row-major."""
         den = self.den
-        # one scalar per distinct value: a Casimir operator has one value
-        made: dict[tuple[int, int], GaussianRational] = {}
+        # one value per distinct pair: a Casimir operator has one value
+        made: dict[tuple[int, int], Gaussian] = {}
         for i, j, x, y in zip(
             self.rows.tolist(), self.cols.tolist(), self.re.tolist(), self.im.tolist()
         ):
             v = made.get((x, y))
             if v is None:
-                v = GQ(x, y) if den == 1 else GQ(Fraction(x, den), Fraction(y, den))
-                made[x, y] = v
+                v = made[x, y] = Gaussian(_rational(x, den), _rational(y, den))
             yield i, j, v
-
-    def to_matrix(self) -> Matrix:
-        rows: Rows = [dict() for _ in range(self.nrows)]
-        for i, j, v in self.entries():
-            rows[i][j] = v
-        return Matrix(self.nrows, self.ncols, rows)
 
     def is_scalar(self, c) -> bool:
         """True iff self == c * identity, exactly, for a rational c."""
@@ -299,6 +141,61 @@ class IntMatrix:
             and bool((self.cols == self.rows).all())
             and bool((self.re == x.numerator).all())
             and not self.im.any()
+        )
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.nrows, self.ncols, self.den) == (other.nrows, other.ncols, other.den) and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.rows, self.cols, self.re, self.im),
+                (other.rows, other.cols, other.re, other.im),
+            )
+        )
+
+    __hash__ = None
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.ncols != other.nrows:
+            raise ValueError("shape mismatch")
+        # |entries| of the products before the sums are at most this
+        bound = 2 * self.ncols * self._largest() * other._largest()
+        dtype = entry_dtype(bound, other.ncols)
+        (a, b), (c, d) = self._dense(dtype), other._dense(dtype)
+        return IntMatrix.from_dense(a @ c - b @ d, a @ d + b @ c, self.den * other.den)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        den = math.lcm(self.den, other.den)
+        (a, b), (c, d) = self._dense(), other._dense()
+        s, t = den // self.den, den // other.den
+        return IntMatrix.from_dense(a * s + c * t, b * s + d * t, den)
+
+    def __neg__(self) -> "IntMatrix":
+        return IntMatrix(self.nrows, self.ncols, self.den, self.rows, self.cols, -self.re, -self.im)
+
+    def __mul__(self, c) -> "IntMatrix":
+        """The multiple by a rational c."""
+        c = Fraction(c)
+        if not c:
+            return IntMatrix.from_dense(np.zeros((self.nrows, self.ncols), dtype=np.int64))
+        return IntMatrix._from_values(
+            self.nrows, self.ncols, self.den * c.denominator, self.rows, self.cols,
+            [x * c.numerator for x in self.re.tolist()],
+            [x * c.numerator for x in self.im.tolist()],
+        )
+
+    def conj(self) -> "IntMatrix":
+        return IntMatrix(self.nrows, self.ncols, self.den, self.rows, self.cols, self.re, -self.im)
+
+    def kron(self, other: "IntMatrix") -> "IntMatrix":
+        (a, b), (c, d) = self._dense(), other._dense()
+        return IntMatrix.from_dense(
+            np.kron(a, c) - np.kron(b, d), np.kron(a, d) + np.kron(b, c), self.den * other.den
         )
 
 
@@ -453,7 +350,7 @@ def _mod(xs: np.ndarray, p: np.ndarray) -> np.ndarray:
     return xs % p
 
 
-def charpoly_gq(M: IntMatrix) -> list[GaussianRational]:
+def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
     """Coefficients (ascending) of det(X*I - M), monic of degree n.
 
     Multimodular.  A = den*M has Gaussian integer entries (re + i im) and
@@ -471,7 +368,7 @@ def charpoly_gq(M: IntMatrix) -> list[GaussianRational]:
     if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
-        return [ONE]
+        return [Gaussian(1, 0)]
     den, re, im = M.den, M.re, M.im
     rowsum = np.zeros(n, dtype=re.dtype)
     np.add.at(rowsum, M.rows, abs(re) + abs(im))
@@ -508,30 +405,31 @@ def charpoly_gq(M: IntMatrix) -> list[GaussianRational]:
         re_c, im_c = ints[: n + 1], ints[n + 1:]
     else:
         re_c, im_c = _crt_signed(images, plist), [0] * (n + 1)
-    out = []
-    for k, (cr, ci) in enumerate(zip(re_c, im_c)):
-        scale = den ** (n - k)
-        out.append(GQ(Fraction(cr, scale), Fraction(ci, scale)))
-    return out
+    return [
+        Gaussian(_rational(cr, den ** (n - k)), _rational(ci, den ** (n - k)))
+        for k, (cr, ci) in enumerate(zip(re_c, im_c))
+    ]
 
 
 # -- restriction to an invariant subspace -------------------------------------
 
 
-def restrict_operator(D: Matrix, K: Matrix, pivots: list[int]) -> Matrix:
+def _rows_at(M: IntMatrix, idx: list[int]) -> IntMatrix:
+    re, im = M._dense()
+    return IntMatrix.from_dense(re[idx], im[idx], M.den)
+
+
+def restrict_operator(D: IntMatrix, K: IntMatrix, pivots: list[int]) -> IntMatrix:
     """Matrix R of D on the span of the columns of K, so that D K = K R.
 
     Row pivots[k] of K must be the k-th unit row; then the columns of K are
     independent and R is read off as those rows of D K.  Invariance is
     verified exactly and violation raises ArithmeticError.
     """
-    if len(pivots) != K.ncols or any(
-        K.rows[a] != {k: ONE} for k, a in enumerate(pivots)
-    ):
+    if len(pivots) != K.ncols or _rows_at(K, pivots) != IntMatrix.identity(K.ncols):
         raise ValueError("rows of K at the pivots are not the identity")
     DK = D @ K
-    R = Matrix(K.ncols, K.ncols, [DK.rows[a] for a in pivots])
+    R = _rows_at(DK, pivots)
     if K @ R != DK:
         raise ArithmeticError("subspace is not invariant under the operator")
     return R
-

@@ -54,9 +54,8 @@ from .algebra_core import (
     identity_tensor,
 )
 from .errors import DomainError
-from .gaussian import GQ
 from .irreps import PHASES, IrrepLabel, orthonormal_weights, su2_bands
-from .linalg import IntMatrix, Matrix, entry_dtype
+from .linalg import IntMatrix, entry_dtype
 
 
 @dataclass(eq=False)
@@ -221,11 +220,14 @@ def eigen_decompose_numeric(op: OperatorMatrix, tol: float = 1e-8) -> NumericSpe
     if n == 0:
         return NumericSpectrum((), (), tol)
     w = orthonormal_weights(op.label)
+    M = op.matrix
+    rows, cols = M.rows.tolist(), M.cols.tolist()
+    # int / int is correctly rounded: the weights are huge factorials but
+    # their ratios along matrix bands stay small
+    ratio = np.array([math.sqrt(w[i] / w[j]) for i, j in zip(rows, cols)])
+    values = np.array([complex(x / M.den, y / M.den) for x, y in zip(M.re.tolist(), M.im.tolist())])
     C = np.zeros((n, n), dtype=complex)
-    for i, j, v in op.matrix.entries():
-        # exact ratio first: the weights are huge factorials but their
-        # ratios along matrix bands stay small
-        C[i, j] = complex(v) * math.sqrt(Fraction(w[i], w[j]))
+    C[rows, cols] = values * ratio
     scale = max(1.0, float(np.max(np.abs(C))) if n else 1.0)
     asym = float(np.max(np.abs(C - C.conj().T)))
     if asym > 1e-9 * scale:
@@ -275,10 +277,10 @@ def kronecker_spectrum_check(
     spec2, lab2 = factor_spec_and_label(spec, lab, 1)
     D1 = build_DV(spec1, lab1, s1)
     D2 = build_DV(spec2, lab2, s2)
-    I1 = Matrix.identity(D1.dim)
-    I2 = Matrix.identity(D2.dim)
-    ksum = D1.matrix.to_matrix().kron(I2) + (I1.kron(D2.matrix.to_matrix()) * GQ(eps))
-    if D_full.matrix.to_matrix() != ksum:
+    I1 = IntMatrix.identity(D1.dim)
+    I2 = IntMatrix.identity(D2.dim)
+    ksum = D1.matrix.kron(I2) + I1.kron(D2.matrix) * eps
+    if D_full.matrix != ksum:
         return False
 
     n1 = eigen_decompose_numeric(D1, tol)

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra_core import (
     GroupSpec,
     SymTensor,
@@ -42,7 +44,6 @@ from .algebra_core import (
     tensor_hash,
 )
 from .errors import DomainError, WitnessSearchExhausted
-from .gaussian import GQ, ONE
 from .irreps import (
     IrrepLabel,
     build_irrep,
@@ -51,7 +52,7 @@ from .irreps import (
     label,
     rotation_half_pi,
 )
-from .linalg import IntMatrix, Matrix, restrict_operator
+from .linalg import IntMatrix, restrict_operator
 from .operator import build_DV
 from .poly import resultant
 from .polycert import (
@@ -150,12 +151,17 @@ def su2_even_b_witness(m: int, eps_grid=None) -> Su2EvenWitness:
     lab = label((m,))
 
     # structural checks on the coupling term
-    dA = build_DV(spec, lab, symmetric_product(3, 1, 1, 1)).matrix.to_matrix()
-    for i, j, _ in dA.entries():
-        if (i - j) % 2:
-            raise ArithmeticError("coupling term mixes parity classes")
-    even_off = tuple(int(dA[l + 2, l].real_fraction()) for l in range(0, m - 1, 2))
-    odd_off = tuple(int(dA[l + 2, l].real_fraction()) for l in range(1, m - 1, 2))
+    dA = build_DV(spec, lab, symmetric_product(3, 1, 1, 1)).matrix
+    if ((dA.rows - dA.cols) % 2).any():
+        raise ArithmeticError("coupling term mixes parity classes")
+    if dA.den != 1 or dA.im.any():
+        raise ArithmeticError("coupling term is not a real integer matrix")
+    # the entries (l + 2, l), by column
+    below = {
+        j: x for i, j, x in zip(dA.rows.tolist(), dA.cols.tolist(), dA.re.tolist()) if i == j + 2
+    }
+    even_off = tuple(below.get(l, 0) for l in range(0, m - 1, 2))
+    odd_off = tuple(below.get(l, 0) for l in range(1, m - 1, 2))
     expected_even = tuple((m - l) * (m - l - 1) for l in range(0, m - 1, 2))
     expected_odd = tuple((m - l) * (m - l - 1) for l in range(1, m - 1, 2))
     if even_off != expected_even or odd_off != expected_odd:
@@ -280,28 +286,45 @@ class PairsPipelineReport:
         )
 
 
-def orbit_eigenbases(T: Matrix) -> tuple[tuple[Matrix, Matrix], list[int]]:
-    """Bases K_+, K_- of the +1 and -1 eigenspaces of a signed permutation
-    involution T e_a = t_a e_sigma(a), read off its orbits.
+def orbit_eigenbases(T: IntMatrix) -> tuple[tuple[IntMatrix, IntMatrix], list[int]]:
+    """Bases K_+, K_- of the +1 and -1 eigenspaces of a real signed
+    permutation involution T e_a = t_a e_sigma(a), read off its orbits.
 
     Each orbit {a, sigma a} with a < sigma a gives column k of K_s the
     vector e_a + s t_a e_sigma(a), and a is returned as the k-th pivot: row
     a of both bases is the k-th unit row.  Fixed points of sigma get no
     column; the caller checks T K_s == s K_s and the column counts exactly.
     """
-    sigma, t = {}, {}
-    for i, row in enumerate(T.rows):
-        for j, v in row.items():
-            sigma[j], t[j] = i, v
+    cols = T.cols.tolist()
+    sigma = dict(zip(cols, T.rows.tolist()))
+    t = dict(zip(cols, T.re.tolist()))  # t_a = t[a] / T.den
     reps = [a for a in range(T.ncols) if a < sigma.get(a, a)]
     bases = []
-    for s in (ONE, -ONE):
-        rows = [dict() for _ in range(T.nrows)]
+    for s in (1, -1):
+        K = np.zeros((T.nrows, len(reps)), dtype=object)
         for k, a in enumerate(reps):
-            rows[a][k] = ONE
-            rows[sigma[a]][k] = s * t[a]
-        bases.append(Matrix(T.nrows, len(reps), rows))
+            K[a, k] = T.den
+            K[sigma[a], k] = s * t[a]
+        bases.append(IntMatrix.from_dense(K, den=T.den))
     return (bases[0], bases[1]), reps
+
+
+def involution_checks(T: IntMatrix, phi: IntMatrix, psi: IntMatrix) -> tuple[bool, bool, bool]:
+    """Exactly: (T^2 = I and T is real, T phi = -phi T, T psi = psi T)."""
+    return (
+        T @ T == IntMatrix.identity(T.nrows) and not T.im.any(),
+        T @ phi == -(phi @ T),
+        T @ psi == psi @ T,
+    )
+
+
+def eigenbases_check(T: IntMatrix, w_plus: IntMatrix, w_minus: IntMatrix) -> bool:
+    """Exactly: T K_+ = K_+, T K_- = -K_-, and each has half the columns."""
+    return (
+        T @ w_plus == w_plus
+        and T @ w_minus == -w_minus
+        and 2 * w_plus.ncols == 2 * w_minus.ncols == T.nrows
+    )
 
 
 def pairs_pipeline(
@@ -334,22 +357,17 @@ def pairs_pipeline(
     lab = label((m, mprime))
     rep = build_irrep(spec, lab)
     G = rep.generators
-    phi = G[0] + G[3] * GQ(eps)
-    psi = G[2] + G[5] * GQ(eps)
+    phi = G[0] + G[3] * eps
+    psi = G[2] + G[5] * eps
     s_h = square_of_vector([1, 0, 0, eps, 0, 0])
     s_b = square_of_vector([0, 0, 1, 0, 0, eps])
 
     T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
-    d = rep.dim
-    eye = Matrix.identity(d)
-    involution_ok = (T @ T) == eye and T.is_real()
-    anticommutes_ok = (T @ phi) == -(phi @ T)
-    commutes_ok = (T @ psi) == (psi @ T)
+    involution_ok, anticommutes_ok, commutes_ok = involution_checks(T, phi, psi)
 
     D_h = build_DV(spec, lab, s_h)
     D_b = build_DV(spec, lab, s_b)
-    h_matrix, b_matrix = D_h.matrix.to_matrix(), D_b.matrix.to_matrix()
-    if h_matrix != -(phi @ phi) or b_matrix != -(psi @ psi):
+    if D_h.matrix != -(phi @ phi) or D_b.matrix != -(psi @ psi):
         raise ArithmeticError("operator does not match its generator square")
 
     expected = [
@@ -362,15 +380,11 @@ def pairs_pipeline(
     h_all_double = multiplicity_profile(p_h.poly).is_all_double
 
     (w_plus, w_minus), reps = orbit_eigenbases(T)
-    branch_dims_ok = (
-        T @ w_plus == w_plus
-        and T @ w_minus == -w_minus
-        and 2 * w_plus.ncols == 2 * w_minus.ncols == d
-    )
+    branch_dims_ok = eigenbases_check(T, w_plus, w_minus)
 
     h_plus, h_minus, b_plus, b_minus = (
-        charpoly_real(IntMatrix.from_matrix(restrict_operator(D, w, reps)))
-        for D in (h_matrix, b_matrix) for w in (w_plus, w_minus)
+        charpoly_real(restrict_operator(D.matrix, w, reps))
+        for D in (D_h, D_b) for w in (w_plus, w_minus)
     )
     th = tensor_hash(s_h)
     h_simple = (

@@ -10,9 +10,11 @@ from lielap.algebra_core import (
     SymTensor,
     build_group_spec,
     embed_factor_tensor,
+    format_rational,
     identity_tensor,
     is_positive_definite,
     metric_to_tensor,
+    parse_rational,
     preset,
     square_of_vector,
     symmetric_product,
@@ -156,3 +158,20 @@ def test_central_elements_validated():
     assert CentralElement((), (Fraction(3, 2),)).torus == (Fraction(1, 2),)
     with pytest.raises(DomainError):
         build_group_spec(2, 0, central=[CentralElement((-1,), ())])
+
+
+def test_parse_rational():
+    assert parse_rational("7/5") == Fraction(7, 5)
+    assert parse_rational(3) == Fraction(3)
+    assert parse_rational(Fraction(2, 9)) == Fraction(2, 9)
+    assert parse_rational("-4") == Fraction(-4)
+
+
+def test_parse_rational_rejects_floats():
+    with pytest.raises(ValueError):
+        parse_rational(0.5)
+
+
+def test_format_round_trip():
+    for val in (Fraction(0), Fraction(-7, 5), Fraction(12)):
+        assert parse_rational(format_rational(val)) == val

@@ -75,6 +75,16 @@ def test_spectrum_indefinite_domain_error(capsys):
         assert "definite" in err
 
 
+def test_spectrum_tensor_object_without_data_usage_error(capsys):
+    # an input-file problem, not a domain violation
+    rc, out, err = run(
+        capsys, "spectrum", "--group", "su2", "--tensor", '{"foo": 1}', "--max-eig", "3",
+    )
+    assert rc == 2
+    assert out == ""
+    assert '"tensor" or "gram"' in err and "domain error" not in err
+
+
 def test_spectrum_bad_cutoff(capsys):
     rc, _, err = run(
         capsys, "spectrum", "--group", "su2", "--max-eig", "eight",
@@ -222,6 +232,14 @@ def test_verify_paper_single_check(capsys):
     assert out.startswith("PASS eigH")
 
 
+@pytest.mark.parametrize("check", ["eigH", "all"])
+def test_verify_paper_rejects_negative_max_m(capsys, check):
+    rc, out, err = run(capsys, "verify-paper", "--check", check, "--max-m", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--max-m" in err
+
+
 def test_verify_paper_unknown_check():
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--check", "nope"])
@@ -291,3 +309,22 @@ def test_group_file(capsys, tmp_path):
     )
     assert rc == 0
     assert [r.split(",")[0] for r in out.strip().splitlines()[1:]] == ["0", "1", "4"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"k": 1.7, "n": 0},
+        {"k": True, "n": 0},
+        {"k": 1, "n": 0.0},
+        {"k": 1, "n": 0, "central": [{"signs": [-1.0]}]},
+        {"k": 1, "n": 0, "central": [{"signs": [True]}]},
+    ],
+)
+def test_group_file_rejects_non_integers(capsys, tmp_path, doc):
+    gf = tmp_path / "group.json"
+    gf.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "spectrum", "--group-file", str(gf), "--max-eig", "4")
+    assert rc == 2
+    assert out == ""
+    assert "must be an integer" in err

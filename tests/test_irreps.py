@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lielap.algebra_core import preset
 from lielap.errors import DomainError
-from lielap.gaussian import GQ
 from lielap.irreps import (
     IrrepLabel,
     build_irrep,
@@ -24,32 +24,36 @@ from lielap.irreps import (
     rotation_half_pi,
     su2_generators,
 )
-from lielap.linalg import Matrix
+from lielap.linalg import IntMatrix
 
 
 def commutator(a, b):
-    return a @ b - b @ a
+    return a @ b + -(b @ a)
+
+
+def imaginary_diagonal(values):
+    """diag(i v_0, i v_1, ...)."""
+    return IntMatrix.from_dense(np.zeros((len(values),) * 2, dtype=np.int64), np.diag(values))
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
 def test_su2_commutation_relations(m):
     H, A, B = su2_generators(m)
-    two = GQ(2)
-    assert commutator(H, A) == B * two
-    assert commutator(B, H) == A * two
-    assert commutator(A, B) == H * two
+    assert commutator(H, A) == B * 2
+    assert commutator(B, H) == A * 2
+    assert commutator(A, B) == H * 2
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
 def test_casimir_from_generators(m):
     H, A, B = su2_generators(m)
-    cas = -(H @ H) - (A @ A) - (B @ B)
-    assert cas == Matrix.identity(m + 1) * GQ(m * (m + 2))
+    cas = -(H @ H) + -(A @ A) + -(B @ B)
+    assert cas == IntMatrix.identity(m + 1) * (m * (m + 2))
 
 
 def test_h_action_is_diagonal():
     H, _, _ = su2_generators(4)
-    want = Matrix.diagonal([GQ(Fraction(0), Fraction(4 - 2 * l)) for l in range(5)])
+    want = imaginary_diagonal([4 - 2 * l for l in range(5)])
     assert H == want
 
 
@@ -106,11 +110,11 @@ def test_structure_map_oracle_matches_type(m):
 def test_rotation_half_pi_properties():
     for m in (1, 3, 5):
         R = rotation_half_pi(m)
-        assert R @ R == Matrix.identity(m + 1) * GQ(-1)
-        assert R.is_real()
+        assert R @ R == IntMatrix.identity(m + 1) * -1
+        assert not R.im.any()
     for m in (2, 4):
         R = rotation_half_pi(m)
-        assert R @ R == Matrix.identity(m + 1)
+        assert R @ R == IntMatrix.identity(m + 1)
 
 
 def test_rotation_conjugates_h_to_minus_h():
@@ -129,15 +133,15 @@ def test_product_generators_commute_across_factors():
     assert rep.dim == 6
     for i in range(3):
         for j in range(3, 6):
-            assert commutator(G[i], G[j]).is_zero_matrix()
+            assert commutator(G[i], G[j]) == IntMatrix.identity(6) * 0
 
 
 def test_torus_generators_are_scalars():
     spec = preset("t2")
     rep = build_irrep(spec, label((), (3, -1)))
     assert rep.dim == 1
-    assert rep.generators[0][0, 0] == GQ(Fraction(0), Fraction(3))
-    assert rep.generators[1][0, 0] == GQ(Fraction(0), Fraction(-1))
+    assert rep.generators[0] == imaginary_diagonal([3])
+    assert rep.generators[1] == imaginary_diagonal([-1])
 
 
 def test_mixed_group_generator_shapes():
@@ -146,7 +150,7 @@ def test_mixed_group_generator_shapes():
     assert rep.dim == 3
     assert all(g.nrows == 3 for g in rep.generators)
     # torus part acts as i on the twisted spin-2 space
-    assert rep.generators[3] == Matrix.identity(3) * GQ(Fraction(0), Fraction(1))
+    assert rep.generators[3] == imaginary_diagonal([1, 1, 1])
 
 
 # -- descent through central quotients ----------------------------------------

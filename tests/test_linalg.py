@@ -1,4 +1,4 @@
-"""Sparse exact matrices: products, charpolys, restriction."""
+"""Exact matrices: products, charpolys, restriction."""
 
 import math
 import random
@@ -7,11 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lielap.gaussian import GQ, I
 from lielap.linalg import (
     IntMatrix,
-    Matrix,
-    add_product,
     charpoly_gq,
     restrict_operator,
     split_primes,
@@ -23,40 +20,50 @@ from lielap.polycert import charpoly_real
 from lielap.poly import Poly
 from lielap.witness import sample_definite_tensor
 
+I = (0, 1)
+
 
 def mat(rows):
-    return Matrix.from_dense([[GQ(Fraction(x)) for x in row] for row in rows])
+    """The IntMatrix of dense rows whose entries are rationals or (re, im)
+    pairs of rationals."""
+    pairs = [[x if isinstance(x, tuple) else (x, 0) for x in row] for row in rows]
+    den = math.lcm(1, *(Fraction(v).denominator for row in pairs for x in row for v in x))
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    re, im = (
+        np.array([[int(Fraction(x[part]) * den) for x in row] for row in pairs], dtype=object).reshape(shape)
+        for part in (0, 1)
+    )
+    return IntMatrix.from_dense(re, im, den)
+
+
+def diagonal(values):
+    n = len(values)
+    return mat([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def zero(n, m):
+    return IntMatrix.from_dense(np.zeros((n, m), dtype=np.int64))
 
 
 def test_identity_and_scalar():
-    m = Matrix.identity(3)
-    assert IntMatrix.from_matrix(m).is_scalar(Fraction(1))
-    assert IntMatrix.from_matrix(m * GQ(Fraction(5, 3))).is_scalar(Fraction(5, 3))
-    assert not IntMatrix.from_matrix(m * GQ(5)).is_scalar(Fraction(5, 3))
-    assert not IntMatrix.from_matrix(mat([[1, 1], [0, 1]])).is_scalar(Fraction(1))
-    assert IntMatrix.from_matrix(Matrix(2, 2)).is_scalar(0)
+    m = IntMatrix.identity(3)
+    assert m.is_scalar(Fraction(1))
+    assert (m * Fraction(5, 3)).is_scalar(Fraction(5, 3))
+    assert not (m * 5).is_scalar(Fraction(5, 3))
+    assert not mat([[1, 1], [0, 1]]).is_scalar(Fraction(1))
+    assert zero(2, 2).is_scalar(0)
 
 
 def test_matmul_against_dense():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
     assert a @ b == mat([[2, 1], [4, 3]])
-    assert a @ Matrix.identity(2) == a
-
-
-def test_add_product_accumulates():
-    a = mat([[1, 0], [0, 2]])
-    b = mat([[0, 3], [4, 0]])
-    acc = [dict() for _ in range(2)]
-    add_product(acc, a, b, GQ(1))
-    add_product(acc, a, b, GQ(-1))
-    assert Matrix.from_rows(2, 2, acc).is_zero_matrix()
+    assert a @ IntMatrix.identity(2) == a
 
 
 def test_conj():
-    m = Matrix.from_dense([[I, GQ(1)], [GQ(0), -I]])
-    assert m.conj()[0, 0] == -I
-    assert m.conj()[0, 1] == GQ(1)
+    m = mat([[I, 1], [0, (0, -1)]])
+    assert list(m.conj().entries()) == [(0, 0, (0, -1)), (0, 1, (1, 0)), (1, 1, (0, 1))]
 
 
 def test_kron_mixed_product():
@@ -69,24 +76,22 @@ def test_kron_mixed_product():
 
 def test_charpoly_2x2():
     # [[2, 1], [1/2, 0]]: trace 2, det -1/2 -> X^2 - 2X - 1/2
-    m = Matrix.from_dense(
-        [[GQ(2), GQ(1)], [GQ(Fraction(1, 2)), GQ(0)]]
-    )
-    cs = charpoly_gq(IntMatrix.from_matrix(m))
+    m = mat([[2, 1], [Fraction(1, 2), 0]])
+    cs = charpoly_gq(m)
     assert [c.re for c in cs] == [Fraction(-1, 2), Fraction(-2), Fraction(1)]
     assert all(c.im == 0 for c in cs)
 
 
 def test_charpoly_diag_gaussian():
-    m = Matrix.diagonal([I, -I])
-    cs = charpoly_gq(IntMatrix.from_matrix(m))  # (X - i)(X + i) = X^2 + 1
-    assert [complex(c) for c in cs] == [1, 0, 1]
+    m = diagonal([I, (0, -1)])
+    cs = charpoly_gq(m)  # (X - i)(X + i) = X^2 + 1
+    assert [complex(*c) for c in cs] == [1, 0, 1]
 
 
 def test_charpoly_companion():
     # companion matrix of X^3 - 7X + 6
     m = mat([[0, 0, -6], [1, 0, 7], [0, 1, 0]])
-    cs = charpoly_gq(IntMatrix.from_matrix(m))
+    cs = charpoly_gq(m)
     assert [c.re for c in cs] == [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
 
 
@@ -94,7 +99,7 @@ def test_restrict_operator():
     d = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
     k = mat([[0, 0], [1, 0], [0, 1]])  # invariant: spans the 2-eigenspace
     r = restrict_operator(d, k, [1, 2])
-    assert r == Matrix.identity(2) * GQ(2)
+    assert r == IntMatrix.identity(2) * 2
 
 
 def test_restrict_operator_reads_rows_at_pivots():
@@ -121,17 +126,13 @@ def test_restrict_operator_needs_identity_rows_at_pivots():
         restrict_operator(d, mat([[1], [0]]), [0, 1])
 
 
-def test_trace():
-    assert mat([[3, 1], [1, 4]]).trace() == GQ(7)
-
-
 # -- Faddeev-LeVerrier: the differential oracle for charpoly_gq ----------------
 
 
-def charpoly_faddeev(M: Matrix) -> list[GQ]:
+def charpoly_faddeev(M: IntMatrix) -> list[tuple[Fraction, Fraction]]:
     """Coefficients (ascending) of det(X*I - M) by Faddeev-LeVerrier.
 
-    Over Gaussian integers: with d the lcm of all entry denominators and
+    Over Gaussian integers: with d the common denominator of M and
     B = d*M, the recurrence
         N_1 = B,  c_{n-k} = -tr(B N_{k-1} ...)/k,  N_k = B N_{k-1} + c_{n-k} I
     stays integral; det(X*I - M) coefficients are c_k / d^(n-k).  Shares
@@ -139,15 +140,12 @@ def charpoly_faddeev(M: Matrix) -> list[GQ]:
     """
     n = M.nrows
     if n == 0:
-        return [GQ(1)]
-    den = 1
-    for _, _, v in M.entries():
-        den = math.lcm(den, v.re.denominator, v.im.denominator)
+        return [(1, 0)]
+    den = M.den
     RE = np.zeros((n, n), dtype=object)
     IM = np.zeros((n, n), dtype=object)
-    for i, j, v in M.entries():
-        RE[i, j] = int(v.re * den)
-        IM[i, j] = int(v.im * den)
+    RE[M.rows, M.cols] = M.re.tolist()
+    IM[M.rows, M.cols] = M.im.tolist()
     mre = np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)], dtype=object)
     mim = np.zeros((n, n), dtype=object)
     idx = np.arange(n)
@@ -166,7 +164,7 @@ def charpoly_faddeev(M: Matrix) -> list[GQ]:
             pim[idx, idx] += ci
             mre, mim = pre, pim
     return [
-        GQ(Fraction(cr, den ** (n - k)), Fraction(ci, den ** (n - k)))
+        (Fraction(cr, den ** (n - k)), Fraction(ci, den ** (n - k)))
         for k, (cr, ci) in enumerate(coeffs_int)
     ]
 
@@ -178,11 +176,11 @@ def _random_entry(rng, complex_entries, den_digits=2):
         q = rng.randint(1, 10**den_digits)
         return Fraction(rng.randint(-3 * q, 3 * q), q)
 
-    return GQ(part(), part() if complex_entries else 0)
+    return (part(), part() if complex_entries else 0)
 
 
 def _random_matrix(rng, n, complex_entries, den_digits=2):
-    return Matrix.from_dense(
+    return mat(
         [[_random_entry(rng, complex_entries, den_digits) for _ in range(n)] for _ in range(n)]
     )
 
@@ -192,7 +190,7 @@ def test_charpoly_matches_faddeev_on_random_matrices(complex_entries):
     rng = random.Random(7013 + complex_entries)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 9), complex_entries)
-        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
+        assert charpoly_gq(m) == charpoly_faddeev(m)
 
 
 def test_charpoly_matches_faddeev_past_int64():
@@ -201,7 +199,7 @@ def test_charpoly_matches_faddeev_past_int64():
     rng = random.Random(120)
     for complex_entries in (False, True):
         m = _random_matrix(rng, 4, complex_entries, den_digits=120)
-        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
+        assert charpoly_gq(m) == charpoly_faddeev(m)
 
 
 def test_charpoly_zero_subdiagonals_swap_and_skip():
@@ -217,18 +215,18 @@ def test_charpoly_zero_subdiagonals_swap_and_skip():
         [[2, 1, 3], [0, 0, 0], [0, 0, 4]],
         [[1, 2, 3], [p, 4, 5], [6, 7, 8]],
         [[1, 2, 3], [p, 4, 5], [2 * p, 7, 8]],
-        [[1, 2, 3, 4], [GQ(0, p), 4, 5, 6], [GQ(p, 3), 7, 8, 9], [1, GQ(0, 2), 3, 4]],
+        [[1, 2, 3, 4], [(0, p), 4, 5, 6], [(p, 3), 7, 8, 9], [1, (0, 2), 3, 4]],
     ]
     for rows in shapes:
-        m = Matrix.from_dense(rows)
-        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
+        m = mat(rows)
+        assert charpoly_gq(m) == charpoly_faddeev(m)
     for _ in range(20):
         n = rng.randint(3, 8)
-        m = Matrix.from_dense(
-            [[GQ(rng.randint(-4, 4), rng.randint(-1, 1)) if rng.random() < 0.25 else GQ(0)
+        m = mat(
+            [[(rng.randint(-4, 4), rng.randint(-1, 1)) if rng.random() < 0.25 else 0
               for _ in range(n)] for _ in range(n)]
         )
-        assert charpoly_gq(IntMatrix.from_matrix(m)) == charpoly_faddeev(m)
+        assert charpoly_gq(m) == charpoly_faddeev(m)
 
 
 def test_charpoly_of_operators_matches_faddeev():
@@ -249,30 +247,15 @@ def test_charpoly_of_operators_matches_faddeev():
     for spec, lab, tensor, dtype in cases:
         op = build_DV(spec, lab, tensor)
         assert op.matrix.re.dtype == dtype
-        m = op.matrix.to_matrix()
-        assert charpoly_gq(op.matrix) == charpoly_faddeev(m)
-        back = IntMatrix.from_matrix(m)
-        assert back.to_matrix() == m
-        assert back.den == op.matrix.den and list(back.entries()) == list(op.matrix.entries())
+        assert charpoly_gq(op.matrix) == charpoly_faddeev(op.matrix)
         assert op.matrix.im.any()
     assert max(abs(x) for x in op.matrix.re.tolist()) < 2**60
 
 
-def test_from_matrix_round_trips():
-    rng = random.Random(4)
-    for den_digits in (2, 30):
-        for complex_entries in (False, True):
-            m = _random_matrix(rng, 5, complex_entries, den_digits)
-            assert IntMatrix.from_matrix(m).to_matrix() == m
-    for m in (Matrix(0, 0), Matrix(3, 2), mat([[0, 2], [Fraction(1, 3), 0]])):
-        back = IntMatrix.from_matrix(m).to_matrix()
-        assert (back.nrows, back.ncols) == (m.nrows, m.ncols) and back == m
-
-
 def test_charpoly_small_and_zero_matrices():
-    assert charpoly_gq(IntMatrix.from_matrix(Matrix(0, 0))) == [GQ(1)]
-    assert charpoly_gq(IntMatrix.from_matrix(Matrix.from_dense([[GQ(Fraction(-3, 7), 2)]]))) == [GQ(Fraction(3, 7), -2), GQ(1)]
-    assert charpoly_gq(IntMatrix.from_matrix(Matrix(4, 4))) == [GQ(0)] * 4 + [GQ(1)]
+    assert charpoly_gq(zero(0, 0)) == [(1, 0)]
+    assert charpoly_gq(mat([[(Fraction(-3, 7), 2)]])) == [(Fraction(3, 7), -2), (1, 0)]
+    assert charpoly_gq(zero(4, 4)) == [(0, 0)] * 4 + [(1, 0)]
 
 
 def test_charpoly_at_the_coefficient_bound():
@@ -286,22 +269,23 @@ def test_charpoly_at_the_coefficient_bound():
     radii += [r for q in products for r in ((q - 1) // 2, (q + 1) // 2, q - 1)]
     for r in radii:
         for n in (1, 2, 5, 9):
-            for unit in (GQ(1), GQ(-1), I, -I):
+            for u, v in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 expected = []
                 for k in range(n + 1):
-                    c = GQ(math.comb(n, k))
+                    c = (math.comb(n, k), 0)
                     for _ in range(n - k):
-                        c = c * (-unit * r)
+                        # c times -(u + i v) r
+                        c = (-(c[0] * u - c[1] * v) * r, -(c[0] * v + c[1] * u) * r)
                     expected.append(c)
-                assert charpoly_gq(IntMatrix.from_matrix(Matrix.diagonal([unit * r] * n))) == expected
+                assert charpoly_gq(diagonal([(u * r, v * r)] * n)) == expected
 
 
 def test_charpoly_real_rejects_imaginary_coefficients():
     with pytest.raises(ArithmeticError):
-        charpoly_real(IntMatrix.from_matrix(Matrix.from_dense([[I]])))
+        charpoly_real(mat([[I]]))
     with pytest.raises(ArithmeticError):
-        charpoly_real(IntMatrix.from_matrix(Matrix.diagonal([I, I * GQ(2)])))
-    assert charpoly_real(IntMatrix.from_matrix(Matrix.diagonal([I, -I]))) == Poly([1, 0, 1])
+        charpoly_real(diagonal([I, (0, 2)]))
+    assert charpoly_real(diagonal([I, (0, -1)])) == Poly([1, 0, 1])
 
 
 def _sieve(limit):

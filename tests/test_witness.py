@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lielap import witness
 from lielap.algebra_core import (
     is_positive_definite,
     preset,
@@ -12,13 +13,15 @@ from lielap.algebra_core import (
     tensor_hash,
 )
 from lielap.errors import DomainError, WitnessSearchExhausted
-from lielap.irreps import label, rotation_half_pi
+from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix, restrict_operator
 from lielap.operator import build_DV, eigen_decompose_numeric
 from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
+    eigenbases_check,
     epsilon_separation,
+    involution_checks,
     orbit_eigenbases,
     pairs_mixed_witness,
     pairs_pipeline,
@@ -195,7 +198,7 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
     T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
     (w_plus, w_minus), reps = orbit_eigenbases(T)
     h_plus, h_minus = (
-        charpoly_real(IntMatrix.from_matrix(restrict_operator(D_h.to_matrix(), w, reps)))
+        charpoly_real(restrict_operator(D_h, w, reps))
         for w in (w_plus, w_minus)
     )
     assert charpoly_real(D_h) == h_plus * h_minus
@@ -207,6 +210,55 @@ def test_orbit_eigenbases_skip_fixed_points():
     (w_plus, w_minus), reps = orbit_eigenbases(T)
     assert reps == [0]
     assert w_plus.ncols + w_minus.ncols < T.nrows
+
+
+def test_involution_checks_fail_one_at_a_time():
+    # the (1, 1) pipeline's T, phi and psi pass; each replacement breaks
+    # the property it names
+    G = build_irrep(preset("su2xsu2"), label((1, 1))).generators
+    eps = Fraction(1, 2)
+    phi, psi = G[0] + G[3] * eps, G[2] + G[5] * eps
+    R = rotation_half_pi(1)
+    T = R.kron(R)
+    assert involution_checks(T, phi, psi) == (True, True, True)
+    # a real T with T^2 = -I, and a T with T^2 = I that is not real
+    assert not involution_checks(R.kron(IntMatrix.identity(2)), phi, psi)[0]
+    sigma_y = IntMatrix.from_dense([[0, 0], [0, 0]], [[0, -1], [1, 0]])
+    assert sigma_y @ sigma_y == IntMatrix.identity(2)
+    assert not involution_checks(sigma_y.kron(IntMatrix.identity(2)), phi, psi)[0]
+    assert not involution_checks(IntMatrix.identity(4), phi, psi)[1]
+    assert not involution_checks(T, phi, phi)[2]
+
+
+def test_eigenbases_check_fails_one_at_a_time():
+    R = rotation_half_pi(1)
+    T = R.kron(R)
+    (w_plus, w_minus), _ = orbit_eigenbases(T)
+    assert eigenbases_check(T, w_plus, w_minus)
+    assert not eigenbases_check(T, w_minus, w_minus)
+    assert not eigenbases_check(T, w_plus, w_plus)
+    # spin 2: v_1 is fixed, so K_+ and K_- have one column each out of 3
+    (w_plus, w_minus), _ = orbit_eigenbases(rotation_half_pi(2))
+    assert rotation_half_pi(2) @ w_plus == w_plus
+    assert rotation_half_pi(2) @ w_minus == -w_minus
+    assert not eigenbases_check(rotation_half_pi(2), w_plus, w_minus)
+
+
+@pytest.mark.parametrize("corrupt", [0, 1])
+def test_pipeline_checks_operators_against_generator_squares(monkeypatch, corrupt):
+    # the pipeline builds D_h, then D_b; doubling either one must be caught
+    calls = []
+
+    def build(spec, lab, tensor):
+        op = build_DV(spec, lab, tensor)
+        if len(calls) == corrupt:
+            op.matrix = op.matrix * 2
+        calls.append(tensor)
+        return op
+
+    monkeypatch.setattr(witness, "build_DV", build)
+    with pytest.raises(ArithmeticError, match="generator square"):
+        pairs_pipeline(1, 3)
 
 
 def test_pipeline_domain_checks():
