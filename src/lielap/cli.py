@@ -418,6 +418,10 @@ def cmd_verify_paper(args) -> int:
     if args.max_m < 0:
         raise UsageError(f"--max-m must be nonnegative, got {args.max_m}")
     names = list(CHECKS) if args.check == "all" else [args.check]
+    if "pairs-ii" in names:
+        for flag, value in (("--m", args.m), ("--mprime", args.mprime)):
+            if value is not None and (value < 1 or value % 2 == 0):
+                raise UsageError(f"{flag} must be an odd spin >= 1 for pairs-ii, got {value}")
     results = []
     failed = False
     for name in names:

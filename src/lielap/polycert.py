@@ -10,7 +10,27 @@ resultant.  Three certificate kinds:
 Kind a is only meaningful when W is neither V nor its dual (those always
 share the full spectrum); kind c is only meaningful on quaternionic type,
 where every eigenvalue is forced to even multiplicity and "all double" is
-the best possible.  The domain checks below enforce exactly that.
+the best possible, and kind b only off it, since there p_V is a square and
+its kind-b value is 0 for every tensor.  The domain checks below enforce
+exactly that.
+
+On a quaternionic label the structure J makes p_V = c_V * Q_V^2 with Q_V
+monic and c_V = lc(p_V) (`kramers_root`, taken once per label by the
+cached `CharPoly.power_form`).
+Resultants are multiplicative, so every certificate touching such a label
+is computed at half the degree and still reports res(p, q) exactly:
+
+  a, V and W quaternionic   res(p_V, p_W) = c_V^deg p_W * c_W^deg p_V
+                                            * res(Q_V, Q_W)^4
+  a, only V quaternionic    res(p_V, p_W) = c_V^deg p_W * res(Q_V, p_W)^2
+                            (and symmetrically when only W is)
+  c                         res(p, p'')   = c^(n-2) * (2c)^n * res(Q, Q')^4,
+                                            n = deg p
+
+The square root is checked: c * Q^2 must equal p exactly, and otherwise
+ArithmeticError is raised.  So every quaternionic certificate is also a
+Kramers check on its operator, like the odd-multiplicity check of
+`spectrum.assemble_spectrum`.
 """
 
 from __future__ import annotations
@@ -18,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
@@ -59,6 +80,36 @@ class CharPoly:
     @property
     def degree(self) -> int:
         return self.poly.degree
+
+    @cached_property
+    def power_form(self) -> tuple[Fraction, Poly, int]:
+        """(c, B, e) with poly = c * B^e: (lc, Kramers root, 2) on a
+        quaternionic label, (1, poly, 1) on any other."""
+        if classify_type(self.label) != "quaternionic":
+            return Fraction(1), self.poly, 1
+        return self.poly.lc, kramers_root(self.poly), 2
+
+
+def kramers_root(p: Poly) -> Poly:
+    """The monic Q with p = lc(p) * Q^2, by the top-down square-root
+    recursion; ArithmeticError if p is not of that form."""
+    n = p.degree
+    if n < 0 or n % 2:
+        raise ArithmeticError(f"degree {n} polynomial is not c times a square")
+    k = n // 2
+    c = p.lc
+    q = [Fraction(0)] * k + [Fraction(1)]
+    for j in range(1, k + 1):
+        # coefficient of X^(n-j) in Q^2 is 2 q[k-j] plus products of known q's
+        known = sum(q[k - i] * q[k - j + i] for i in range(1, j))
+        q[k - j] = (p.coeffs[n - j] / c - known) / 2
+    Q = Poly(q)
+    if Q * Q * c != p:
+        raise ArithmeticError(
+            "characteristic polynomial of a quaternionic label is not "
+            "c times a square (Kramers degeneracy fails)"
+        )
+    return Q
 
 
 def char_poly_exact(op: OperatorMatrix) -> CharPoly:
@@ -144,15 +195,22 @@ def cert_a_from_polys(p: CharPoly, q: CharPoly) -> Certificate:
         )
     if p.tensor_hash != q.tensor_hash:
         raise DomainError("certificate operands use different coefficient tensors")
+    cp, P, e = p.power_form
+    cq, Q, f = q.power_form
     return Certificate(
         kind="a",
         labels=(p.label, q.label),
         tensor_hash=p.tensor_hash,
-        value=resultant(p.poly, q.poly),
+        value=cp ** q.degree * cq ** p.degree * resultant(P, Q) ** (e * f),
     )
 
 
 def cert_b_from_poly(p: CharPoly) -> Certificate:
+    if classify_type(p.label) == "quaternionic":
+        raise DomainError(
+            f"certificate kind b does not apply to quaternionic labels, "
+            f"got {format_label(p.label)}"
+        )
     return Certificate(
         kind="b",
         labels=(p.label,),
@@ -167,11 +225,13 @@ def cert_c_from_poly(p: CharPoly) -> Certificate:
             f"certificate kind c applies to quaternionic labels only, "
             f"got {format_label(p.label)}"
         )
+    c, Q, _ = p.power_form
+    n = p.degree
     return Certificate(
         kind="c",
         labels=(p.label,),
         tensor_hash=p.tensor_hash,
-        value=resultant(p.poly, p.poly.derivative().derivative()),
+        value=c ** (n - 2) * (2 * c) ** n * resultant(Q, Q.derivative()) ** 4,
     )
 
 

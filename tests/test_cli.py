@@ -240,6 +240,29 @@ def test_verify_paper_rejects_negative_max_m(capsys, check):
     assert "--max-m" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--check", "all", "--m", "2"), "--m "),
+        (("--check", "all", "--m", "0"), "--m "),
+        (("--check", "pairs-ii", "--mprime", "4"), "--mprime "),
+        (("--check", "pairs-ii", "--mprime", "-1"), "--mprime "),
+        (("--check", "pairs-ii", "--m", "1", "--mprime", "-3"), "--mprime "),
+    ],
+)
+def test_verify_paper_pairs_ii_rejects_even_or_nonpositive_spins(capsys, argv, flag):
+    rc, out, err = run(capsys, "verify-paper", *argv)
+    assert rc == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_verify_paper_even_m_is_fine_without_pairs_ii(capsys):
+    rc, out, _ = run(capsys, "verify-paper", "--check", "eigH", "--m", "2")
+    assert rc == 0
+    assert out.startswith("PASS eigH")
+
+
 def test_verify_paper_unknown_check():
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--check", "nope"])

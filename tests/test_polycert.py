@@ -1,23 +1,36 @@
 """Characteristic polynomials, multiplicity profiles, certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from test_poly import resultant_sylvester
 
-from lielap.algebra_core import identity_tensor, preset, symmetric_product
+from lielap.algebra_core import (
+    SymTensor,
+    build_group_spec,
+    identity_tensor,
+    preset,
+    symmetric_product,
+)
 from lielap.errors import DomainError
-from lielap.irreps import label
+from lielap.irreps import classify_type, label
 from lielap.operator import build_DV
-from lielap.poly import Poly
+from lielap.poly import Poly, resultant
 from lielap.polycert import (
+    CharPoly,
     cert_a,
+    cert_a_from_polys,
     cert_b,
     cert_c,
+    cert_c_from_poly,
     char_poly_exact,
     char_poly_of,
     charpoly_from_eigenvalues,
+    kramers_root,
     multiplicity_profile,
 )
+from lielap.witness import sample_definite_tensor
 
 SU2 = preset("su2")
 SQ_H = symmetric_product(3, 0, 0, 1)
@@ -85,6 +98,13 @@ def test_cert_c_domain():
         cert_c(SU2, label((2,)), identity_tensor(3))
 
 
+def test_cert_b_domain():
+    # p_V is a square on quaternionic type, so kind b would read 0 always
+    for spec, lab, dim in [(SU2, (1,), 3), (preset("spin4"), (1, 2), 6)]:
+        with pytest.raises(DomainError):
+            cert_b(spec, label(lab), identity_tensor(dim))
+
+
 def test_cert_a_separates_casimirs():
     c = cert_a(SU2, label((1,)), label((3,)), identity_tensor(3))
     assert c.value == Fraction(12) ** 8
@@ -118,3 +138,129 @@ def test_char_poly_exact_carries_hash():
     p = char_poly_exact(op)
     q = char_poly_of(SU2, label((2,)), SQ_H)
     assert p.tensor_hash == q.tensor_hash and p.poly == q.poly
+
+
+# -- half-degree certificates on quaternionic labels ------------------------------
+
+SPIN4 = preset("spin4")
+SU2_CUBED = build_group_spec(3, 0, [])
+
+# (group, labels, seeds): odd su2 spins, spin4 labels with m + m' odd, and
+# SU(2)^3 labels with an odd spin sum, each mixed with real labels so that
+# kind a meets both, one or neither label quaternionic
+DIFFERENTIAL_CASES = [
+    (SU2, [(1,), (2,), (3,), (4,), (5,)], (0, 1, 2)),
+    (SPIN4, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)], (0, 1)),
+    (SU2_CUBED, [(1, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 2, 1)], (0,)),
+]
+
+
+def full_degree_a(p, q):
+    return resultant(p.poly, q.poly)
+
+
+def full_degree_c(p):
+    return resultant(p.poly, p.poly.derivative().derivative())
+
+
+def differential_polys():
+    for spec, labs, seeds in DIFFERENTIAL_CASES:
+        for seed in seeds:
+            tensor = sample_definite_tensor(spec.dim, random.Random(seed))
+            yield spec, [char_poly_of(spec, label(l), tensor) for l in labs]
+
+
+def test_kramers_root_squares_back():
+    for _, polys in differential_polys():
+        for p in polys:
+            if classify_type(p.label) == "quaternionic":
+                c, Q, e = p.power_form
+                assert e == 2 and Q.lc == 1 and 2 * Q.degree == p.degree
+                assert c == p.poly.lc and Q * Q * c == p.poly
+            else:
+                assert p.power_form == (1, p.poly, 1)
+
+
+def test_half_degree_identities_match_full_degree():
+    kinds = set()
+    for _, polys in differential_polys():
+        for p in polys:
+            if classify_type(p.label) == "quaternionic":
+                assert cert_c_from_poly(p).value == full_degree_c(p)
+        for i, p in enumerate(polys):
+            for q in polys[i + 1:]:
+                assert cert_a_from_polys(p, q).value == full_degree_a(p, q)
+                assert cert_a_from_polys(q, p).value == full_degree_a(q, p)
+                kinds.add((p.power_form[2], q.power_form[2]))
+    assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_half_degree_identities_match_sylvester():
+    checked = 0
+    for _, polys in differential_polys():
+        small = [p for p in polys if p.degree <= 6]
+        for p in small:
+            if classify_type(p.label) == "quaternionic":
+                want = resultant_sylvester(p.poly, p.poly.derivative().derivative())
+                assert cert_c_from_poly(p).value == want
+                checked += 1
+        for i, p in enumerate(small):
+            for q in small[i + 1:]:
+                assert cert_a_from_polys(p, q).value == resultant_sylvester(p.poly, q.poly)
+                checked += 1
+    assert checked > 50
+
+
+def test_kind_c_smallest_degree():
+    # n = 2: p'' = 2c is a constant and res(p, p'') = (2c)^2
+    for seed in range(3):
+        tensor = sample_definite_tensor(3, random.Random(seed))
+        p = char_poly_of(SU2, label((1,)), tensor)
+        assert p.degree == 2 and p.poly.derivative().derivative().degree == 0
+        c = cert_c_from_poly(p)
+        assert c.value == full_degree_c(p) == 4 * p.poly.lc ** 2
+        assert c.value == resultant_sylvester(p.poly, p.poly.derivative().derivative())
+
+
+def test_half_degree_zero_values():
+    # round tensor: (0,1) and (1,0) both have the single eigenvalue 3
+    ident = identity_tensor(6)
+    p, q = char_poly_of(SPIN4, label((0, 1)), ident), char_poly_of(SPIN4, label((1, 0)), ident)
+    assert cert_a_from_polys(p, q).value == full_degree_a(p, q) == 0
+    # 8 Cas_1 + 3 Cas_2: quaternionic (1,0) and real (0,2) both give 24
+    scaled = SymTensor(tuple(
+        tuple(Fraction(8 if i < 3 else 3) if i == j else Fraction(0) for j in range(6))
+        for i in range(6)
+    ))
+    r = char_poly_of(SPIN4, label((1, 0)), scaled)
+    s = char_poly_of(SPIN4, label((0, 2)), scaled)
+    assert cert_a_from_polys(r, s).value == full_degree_a(r, s) == 0
+    assert cert_a_from_polys(s, r).value == full_degree_a(s, r) == 0
+    w = char_poly_of(SPIN4, label((1, 1)), scaled)
+    assert cert_a_from_polys(r, w).value == full_degree_a(r, w) != 0
+    # round su2, odd m >= 3: one eigenvalue of multiplicity m + 1 >= 4
+    for m in (3, 5, 7):
+        p = char_poly_of(SU2, label((m,)), identity_tensor(3))
+        assert cert_c_from_poly(p).value == full_degree_c(p) == 0
+
+
+def test_kramers_check_rejects_non_square():
+    good = char_poly_of(SU2, label((1,)), identity_tensor(3))
+    for poly in (charpoly_from_eigenvalues([1, 2]), charpoly_from_eigenvalues([1, 1, 2, 3])):
+        bad = CharPoly(label=label((3,)), tensor_hash=good.tensor_hash, poly=poly)
+        with pytest.raises(ArithmeticError):
+            cert_c_from_poly(bad)
+        with pytest.raises(ArithmeticError):
+            cert_a_from_polys(bad, good)
+        with pytest.raises(ArithmeticError):
+            cert_a_from_polys(good, bad)
+    with pytest.raises(ArithmeticError):
+        kramers_root(charpoly_from_eigenvalues([1, 1, 2]))
+
+
+def test_kramers_root_is_computed_once_per_charpoly():
+    p = char_poly_of(SPIN4, label((0, 3)), sample_definite_tensor(6, random.Random(4)))
+    assert "power_form" not in vars(p)
+    first = p.power_form
+    cert_c_from_poly(p)
+    assert p.power_form is first
