@@ -1,0 +1,79 @@
+"""Golden outputs: the sha256 of `--format json` files of fixed CLI runs.
+
+The digests were taken before the polynomial layer moved from Fraction
+coefficients to integer ones, so any change to a reported eigenvalue,
+exact root, certificate value or verdict on these runs fails here.  Each
+run writes its JSON document with --output and the file's bytes are
+hashed; the exit code is pinned too.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from lielap.cli import main
+
+
+def _spin4_tensor(numerators) -> str:
+    """Inline JSON rows of a symmetric spin4 tensor over the denominator 31."""
+    return json.dumps([[f"{x}/31" for x in row] for row in numerators])
+
+
+# two spectrum_generic tensors of the benchmark (seed 0, rounds 0 and 1)
+GENERIC_0 = _spin4_tensor([
+    [38, 2, 1, 2, -3, -4], [2, 32, 4, 2, 4, 4], [1, 4, 24, 1, -3, 3],
+    [2, 2, 1, 32, -1, 4], [-3, 4, -3, -1, 25, -1], [-4, 4, 3, 4, -1, 30],
+])
+GENERIC_1 = _spin4_tensor([
+    [33, 4, -3, 2, -3, 2], [4, 25, -2, 1, 1, -1], [-3, -2, 35, -3, 3, -2],
+    [2, 1, -3, 34, -4, 4], [-3, 1, 3, -4, 39, 4], [2, -1, -2, 4, 4, 23],
+])
+BERGER = '[["1","0","0","0"],["0","1","0","0"],["0","0","2/3","0"],["0","0","0","3"]]'
+
+RUNS = {
+    "witness-spin4-l4-s0": (
+        ["witness", "--group", "spin4", "--level", "4", "--seed", "0"], 0,
+        "16217c95940469428804fbb6adeabb2f6a2f90ccbee93fa1bf1af83fa6129d1f",
+    ),
+    "witness-spin4-l4-s1": (
+        ["witness", "--group", "spin4", "--level", "4", "--seed", "1"], 0,
+        "d70dbdb1fa4a5072ebb60444b4fae6a3512de49c00ff011aae4dd6701de01114",
+    ),
+    "witness-spin4-l4-s2": (
+        ["witness", "--group", "spin4", "--level", "4", "--seed", "2"], 0,
+        "3023e9e464376eae8c95676f21737b8d86f9cb51106abb1c95dc85a53a0a911b",
+    ),
+    "witness-spin4-l4-s3": (
+        ["witness", "--group", "spin4", "--level", "4", "--seed", "3"], 0,
+        "18bb9eb2e7aa60ef8042f5d694ff90c522e18050d64530217243555cec89a448",
+    ),
+    "certify-u2-l4": (
+        ["certify", "--group", "u2", "--level", "4"], 1,
+        "27c5e4627abe0ab78487635baedd8120829ba3d74a79bbe3850f6ddcff027366",
+    ),
+    "spectrum-berger": (
+        ["spectrum", "--group", "u2", "--gram", BERGER, "--max-eig", "80"], 0,
+        "a104c5bb5e2f3a44610cc96867fd95dc86f4d0f73013ab7dbb892ae13f740635",
+    ),
+    "spectrum-generic-0": (
+        ["spectrum", "--group", "spin4", "--tensor", GENERIC_0, "--max-eig", "1779/64"], 0,
+        "a0eb55820495b50446d2f1cfbe1cdbb5d48175b5fc2bcdf6b4eabf8c72cf0e24",
+    ),
+    "spectrum-generic-1": (
+        ["spectrum", "--group", "spin4", "--tensor", GENERIC_1, "--max-eig", "1797/64"], 0,
+        "7daab8961f50da56421c9d996ede42b16ee0051f7d74e742fbb673845d96a17f",
+    ),
+    "verify-paper": (
+        ["verify-paper"], 0,
+        "c5a1a06c86e0ca7d1dcb1ea250c0363ae2b09d9ee406a668c588e4eec52133a3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_json_output_matches_golden_digest(name, tmp_path):
+    argv, code, digest = RUNS[name]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--format", "json", "--output", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
