@@ -322,7 +322,7 @@ def check_quaternionic_double(args):
         ):
             return False, f"structure map fails at m={m}"
         p = char_poly_of(spec, label((m,)), sq)
-        if not multiplicity_profile(p.poly).is_all_double:
+        if not multiplicity_profile(p).is_all_double:
             return False, f"profile not all-double at m={m}"
         if not cert_c(spec, label((m,)), sq).verdict:
             return False, f"third-order certificate vanishes at m={m}"

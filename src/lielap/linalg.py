@@ -18,7 +18,9 @@ restricts to comes with a basis whose rows at known positions form the
 identity, so restriction reads rows of a product.
 
 The characteristic polynomial is multimodular and reads an ``IntMatrix``,
-whose integers are its input as they stand.  A bound on the eigenvalues
+whose integers are its input as they stand: it is the charpoly of den*M,
+with Gaussian integer coefficients, and nothing is divided by den after
+the CRT.  A bound on the eigenvalues
 (the largest row sum of |Re| + |Im|) bounds every coefficient by
 max_k C(n,k) r^k.
 Each prime p = 1 (mod 4) below 2^31 maps i to a square root of -1 mod p,
@@ -351,7 +353,9 @@ def _mod(xs: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
-    """Coefficients (ascending) of det(X*I - M), monic of degree n.
+    """Coefficients (ascending) of det(X*I - den*M), den = M.den: monic of
+    degree n with Gaussian integer coefficients, so that det(X*I - M) has
+    the coefficients a_k / den^(n-k).
 
     Multimodular.  A = den*M has Gaussian integer entries (re + i im) and
     det(X*I - A) = sum a_k X^k with |a_k| <= B = max_k C(n,k) r^k, r the
@@ -361,15 +365,14 @@ def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
     whose charpoly is the image of det(X*I - A); all images are reduced to
     Hessenberg form at once.  A matrix with an imaginary entry is mapped
     under i -> -iota as well, and the two images give Re a_k and Im a_k
-    mod p.  CRT recovers the signed integers, and the coefficients are
-    a_k / den^(n-k).
+    mod p.  CRT recovers the signed integers a_k.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     if n == 0:
         return [Gaussian(1, 0)]
-    den, re, im = M.den, M.re, M.im
+    re, im = M.re, M.im
     rowsum = np.zeros(n, dtype=re.dtype)
     np.add.at(rowsum, M.rows, abs(re) + abs(im))
     r = int(rowsum.max())
@@ -405,10 +408,7 @@ def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
         re_c, im_c = ints[: n + 1], ints[n + 1:]
     else:
         re_c, im_c = _crt_signed(images, plist), [0] * (n + 1)
-    return [
-        Gaussian(_rational(cr, den ** (n - k)), _rational(ci, den ** (n - k)))
-        for k, (cr, ci) in enumerate(zip(re_c, im_c))
-    ]
+    return [Gaussian(cr, ci) for cr, ci in zip(re_c, im_c)]
 
 
 # -- restriction to an invariant subspace -------------------------------------

@@ -1,208 +1,33 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomials over the integers.
 
-Coefficients are ``Fraction``s stored densely in ascending order.  The
-resultant is computed by a subresultant polynomial remainder sequence over
-the integers (contents and denominators stripped first), which keeps
-intermediate coefficient growth polynomial instead of exponential (the
-Sylvester determinant that cross-checks it lives in the tests).  The gcd,
-exact division and squarefree decomposition work on primitive integer
-coefficient lists (`int_gcd`, `int_div_exact`); `Poly`s are only their
-inputs and outputs.
+A polynomial is a sequence of Python ints in ascending order, [] the zero
+polynomial.  The resultant is computed by a subresultant polynomial
+remainder sequence (contents stripped first), which keeps intermediate
+coefficient growth polynomial instead of exponential; the Sylvester
+determinant and the Fraction arithmetic that cross-check it live in the
+tests.  The gcd, exact division and squarefree decomposition work on
+primitive lists (`int_gcd`, `int_div_exact`), and real roots are isolated
+by an integer Sturm chain whose signs are taken at dyadic points.
+
+`IntPoly` carries a characteristic polynomial without a single Fraction.
+An operator D = A / den with A integral has the monic integer charpoly
+P = det(X*I - den*D), whose roots are den times the eigenvalues of D;
+det(X*I - D) = P(den*X) / den^n is recovered from (P, den) alone, and
+`IntPoly.primitive` gives its primitive integer form.
 
 Conventions:
-  * deg 0 polynomials are nonzero constants, the zero polynomial has
-    degree -1;
-  * res(p, c) = c^deg(p) for a constant c, res of two nonzero constants
-    is 1, and res involving the zero polynomial is 0;
-  * gcd returns the primitive integer gcd of the primitive parts, with
-    positive leading coefficient (rational contents are ignored).
+  * res(A, c) = res(c, A) = c^deg(A) for a constant c, res of two nonzero
+    constants is 1, and res involving the zero polynomial is 0;
+  * gcds and squarefree factors are primitive with a positive leading
+    coefficient.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
-
-    # -- basic queries ----------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "Poly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*X")
-            else:
-                terms.append(f"{c}*X^{k}")
-        return "Poly(" + " + ".join(terms) + ")"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            other = Poly([other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by X^k."""
-        if self.is_zero:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
-    def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        """Horner evaluation; exact for Fraction input, float for float."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-X = Poly([0, 1])
-
-
-def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division over Q: p = q*quot + rem, deg rem < deg q."""
-    if q.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p.coeffs)
-    dq = q.degree
-    qlc = q.lc
-    quot = [Fraction(0)] * max(0, len(rem) - dq)
-    for k in range(len(rem) - 1, dq - 1, -1):
-        c = rem[k]
-        if not c:
-            continue
-        f = c / qlc
-        quot[k - dq] = f
-        for j in range(dq + 1):
-            rem[k - dq + j] -= f * q.coeffs[j]
-    return Poly(quot), Poly(rem)
-
-
-def div_exact(p: Poly, q: Poly) -> Poly:
-    quot, rem = divmod_exact(p, q)
-    if not rem.is_zero:
-        raise ValueError("inexact polynomial division")
-    return quot
-
-
-def monic(p: Poly) -> Poly:
-    if p.is_zero:
-        return p
-    return p * (1 / p.lc)
-
-
-# -- integer-coefficient plumbing ------------------------------------------
-
-
-def clear_denominators(p: Poly) -> tuple[list[int], int]:
-    """Return (d*p as int list, d) for the smallest positive integer d."""
-    d = 1
-    for c in p.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return [int(c * d) for c in p.coeffs], d
+from typing import Sequence
 
 
 def _content(cs: Sequence[int]) -> int:
@@ -239,14 +64,42 @@ def _primitive(cs: Sequence[int]) -> list[int]:
     return [c // g for c in cs]
 
 
-def primitive_int(p: Poly) -> list[int]:
-    """Primitive integer coefficient list of p (content and sign of the
-    rational scaling discarded; leading coefficient made positive)."""
-    return _primitive(clear_denominators(p)[0])
+@dataclass(frozen=True)
+class IntPoly:
+    """The monic integer charpoly P = det(X*I - den*D) of an operator D,
+    over its denominator den: P's roots are den times D's eigenvalues."""
+
+    coeffs: tuple[int, ...]
+    den: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def primitive(self) -> list[int]:
+        """The primitive integer list of P(den*X), the charpoly of D up to
+        a rational factor, with a positive leading coefficient."""
+        out, pw = [], 1
+        for c in self.coeffs:
+            out.append(c * pw)
+            pw *= self.den
+        return _primitive(out)
 
 
-def from_int(cs: Sequence[int]) -> Poly:
-    return Poly([Fraction(c) for c in cs])
+def mul(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials."""
+    if not A or not B:
+        return []
+    out = [0] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        if a:
+            for j, b in enumerate(B):
+                out[i + j] += a * b
+    return out
+
+
+def derivative(cs: Sequence[int]) -> list[int]:
+    return [i * cs[i] for i in range(1, len(cs))]
 
 
 def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -267,11 +120,14 @@ def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return _strip(R)
 
 
-def _resultant_int(A: list[int], B: list[int]) -> int:
-    """Resultant of two nonzero integer polynomials via subresultant PRS
-    (Collins / Brown-Traub; content stripped up front, the g*h^d divisors
-    keep remainder coefficients at subresultant size)."""
-    dA, dB = _deg(A), _deg(B)
+def resultant(A: Sequence[int], B: Sequence[int]) -> int:
+    """res(A, B) in the Sylvester convention,
+    res(A, B) = lc(A)^deg(B) * prod B(alpha) over the roots alpha of A,
+    via the subresultant PRS (Collins / Brown-Traub; content stripped up
+    front, the g*h^d divisors keep remainder coefficients at subresultant
+    size)."""
+    A, B = _strip(list(A)), _strip(list(B))
+    dA, dB = len(A) - 1, len(B) - 1
     s = 1
     if dA < dB:
         A, B, dA, dB = B, A, dB, dA
@@ -310,24 +166,6 @@ def _resultant_int(A: list[int], B: list[int]) -> int:
     dA = _deg(A)
     res = B[0] ** dA // h ** (dA - 1)
     return s * t * res
-
-
-def resultant(p: Poly, q: Poly) -> Fraction:
-    """res(p, q) in the Sylvester convention:
-    res(p, q) = lc(p)^deg(q) * prod q(alpha) over the roots alpha of p."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    dp, dq = p.degree, q.degree
-    if dp == 0 and dq == 0:
-        return Fraction(1)
-    if dq == 0:
-        return q.lc ** dp
-    if dp == 0:
-        return p.lc ** dq
-    P, a = clear_denominators(p)
-    Q, b = clear_denominators(q)
-    r = _resultant_int(P, Q)
-    return Fraction(r) / (Fraction(a) ** dq * Fraction(b) ** dp)
 
 
 def int_gcd(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -369,13 +207,10 @@ def int_div_exact(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return Q
 
 
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive positive-lc integer gcd of the primitive parts of p, q."""
-    return from_int(int_gcd(clear_denominators(p)[0], clear_denominators(q)[0]))
-
-
-def _derivative(cs: Sequence[int]) -> list[int]:
-    return [i * cs[i] for i in range(1, len(cs))]
+def divides(B: Sequence[int], A: Sequence[int]) -> bool:
+    """True iff the integer polynomial B divides A over Q."""
+    A, B = _strip(list(A)), _strip(list(B))
+    return not _prem(A, B) if B else not A
 
 
 def _sub(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -385,45 +220,30 @@ def _sub(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return _strip(out)
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:
-    """Yun's algorithm: [(i, a_i)] with pp(p) = +/- prod a_i^i, each a_i
+def squarefree_decomposition(cs: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Yun's algorithm: [(i, a_i)] with pp(cs) = +/- prod a_i^i, each a_i
     squarefree, primitive, positive leading coefficient."""
-    if p.is_zero:
+    P = _primitive(cs)
+    if not P:
         raise ValueError("squarefree decomposition of the zero polynomial")
-    P = primitive_int(p)
     if len(P) == 1:
         return []
-    dP = _derivative(P)
+    dP = derivative(P)
     g = int_gcd(P, dP)
     if len(g) == 1:
-        return [(1, from_int(P))]
+        return [(1, P)]
     c = int_div_exact(P, g)
-    d = _sub(int_div_exact(dP, g), _derivative(c))
+    d = _sub(int_div_exact(dP, g), derivative(c))
     out = []
     i = 1
     while len(c) > 1:
         a = int_gcd(c, d)
         if len(a) > 1:
-            out.append((i, from_int(a)))
+            out.append((i, a))
         c = int_div_exact(c, a)
-        d = _sub(int_div_exact(d, a), _derivative(c))
+        d = _sub(int_div_exact(d, a), derivative(c))
         i += 1
     return out
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Product of the distinct irreducible factors, primitive, positive lc."""
-    prod = Poly([1])
-    for _, a in squarefree_decomposition(p):
-        prod = prod * a
-    return from_int(primitive_int(prod))
-
-
-def divides(d: Poly, p: Poly) -> bool:
-    if d.is_zero:
-        return p.is_zero
-    _, rem = divmod_exact(p, d)
-    return rem.is_zero
 
 
 # -- Sturm chains and real root isolation -------------------------------------
@@ -437,13 +257,13 @@ def _primitive_signed(cs: list[int]) -> list[int]:
     return [c // g for c in cs]
 
 
-def sturm_chain(p: Poly) -> list[list[int]]:
-    """Integer Sturm chain of a squarefree p.
+def sturm_chain(cs: Sequence[int]) -> list[list[int]]:
+    """Integer Sturm chain of a squarefree integer polynomial.
 
     Members are scaled by positive constants only, so sign variation
     counts at any rational point are those of the classical chain.
     """
-    a = _primitive_signed(clear_denominators(p)[0])
+    a = _primitive_signed(_strip(list(cs)))
     chain = [a]
     if _deg(a) <= 0:
         return chain
@@ -515,9 +335,9 @@ def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
     return _variations(int_sign_at(cs, x) for cs in chain)
 
 
-def real_root_brackets(p: Poly, hints=None) -> list[tuple[Fraction, Fraction]]:
+def real_root_brackets(p: Sequence[int], hints=None) -> list[tuple[Fraction, Fraction]]:
     """Isolating half-open intervals (a, b], one per distinct real root of
-    a squarefree p, in increasing order.  Complex pairs are simply absent:
+    a squarefree integer polynomial p, in increasing order.  Complex pairs are simply absent:
     the caller compares the count against the degree when all roots must
     be real.
 
@@ -531,7 +351,7 @@ def real_root_brackets(p: Poly, hints=None) -> list[tuple[Fraction, Fraction]]:
     Signs come from `sign_at_dyadic`; the brackets become Fractions only
     when they are returned.
     """
-    if p.degree <= 0:
+    if _deg(p) <= 0:
         return []
     chain = sturm_chain(p)
     cs = chain[0]

@@ -1,7 +1,7 @@
 """Exact characteristic polynomials and resultant certificates.
 
 Every verdict in this package reduces to the nonvanishing of an integer
-resultant.  Three certificate kinds:
+resultant.  Three certificate kinds, on p_V = det(D_V(s) - X*I):
 
   a  res(p_V, p_W) != 0        V, W share no eigenvalue
   b  res(p_V, p_V') != 0       p_V is squarefree (all eigenvalues simple)
@@ -14,23 +14,25 @@ the best possible, and kind b only off it, since there p_V is a square and
 its kind-b value is 0 for every tensor.  The domain checks below enforce
 exactly that.
 
-On a quaternionic label the structure J makes p_V = c_V * Q_V^2 with Q_V
-monic and c_V = lc(p_V) (`kramers_root`, taken once per label by the
-cached `CharPoly.power_form`).
-Resultants are multiplicative, so every certificate touching such a label
-is computed at half the degree and still reports res(p, q) exactly:
+Each charpoly is carried in integer form.  With d the denominator of the
+tensor (`SymTensor.integer_form`), shared by all its labels, the charpoly
+P_V = det(X*I - d*D_V(s)) is monic with integer coefficients and
+p_V(X) = (-1)^n P_V(d*X) / d^n, n = deg P_V (`charpoly_real`, `CharPoly`).
+On a quaternionic label the structure J makes P_V = R_V^2 with R_V monic
+and integral (`kramers_root`, taken once per label by the cached
+`CharPoly.power_form`; lc(p_V) = 1 there, since n is even).  With the
+power forms P_V = A^e and P_W = B^f, (R, 2) or (P, 1), the reported values
+of the rational p's are recovered from integer resultants:
 
-  a, V and W quaternionic   res(p_V, p_W) = c_V^deg p_W * c_W^deg p_V
-                                            * res(Q_V, Q_W)^4
-  a, only V quaternionic    res(p_V, p_W) = c_V^deg p_W * res(Q_V, p_W)^2
-                            (and symmetrically when only W is)
-  c                         res(p, p'')   = c^(n-2) * (2c)^n * res(Q, Q')^4,
-                                            n = deg p
+  a   res(p_V, p_W) = res(A, B)^(ef) / d^(deg A * deg B * ef)
+  b   res(p, p')    = (-1)^n res(P, P') / d^(n(n-1))
+  c   res(p, p'')   = 2^n res(R, R')^4 / d^(4k(k-1)),  k = n / 2
 
-The square root is checked: c * Q^2 must equal p exactly, and otherwise
-ArithmeticError is raised.  So every quaternionic certificate is also a
-Kramers check on its operator, like the odd-multiplicity check of
-`spectrum.assemble_spectrum`.
+so every certificate touching a quaternionic label runs at half the
+degree.  The square root is checked: R^2 must equal P exactly, and
+otherwise ArithmeticError is raised.  So every quaternionic certificate,
+and every multiplicity profile, which `spectrum` reads, is also a Kramers
+check on its operator.
 """
 
 from __future__ import annotations
@@ -45,78 +47,84 @@ from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
 from .linalg import IntMatrix, charpoly_gq
 from .operator import OperatorMatrix, build_DV
-from .poly import Poly, resultant, squarefree_decomposition
+from .poly import IntPoly, derivative, mul, resultant, squarefree_decomposition
 
 
-def charpoly_real(M: IntMatrix) -> Poly:
-    """det(M - X*I) as a rational polynomial.
+def charpoly_real(M: IntMatrix, den: int | None = None) -> IntPoly:
+    """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
 
-    The sign convention keeps the constant term equal to det(M).  Raises
+    charpoly_gq gives det(X*I - M.den*M) with coefficients a_k, and with
+    t = den / M.den the k-th coefficient is a_k t^(n-k).  Raises
     ArithmeticError if any coefficient has a nonzero imaginary part: the
     operators this is applied to are similar to hermitian matrices, so an
     imaginary coefficient means the construction upstream is wrong.
     """
-    coeffs = charpoly_gq(M)  # det(X*I - M), monic, ascending
-    n = M.nrows
-    sign = Fraction(-1 if n % 2 else 1)
-    out = []
-    for c in coeffs:
+    den = M.den if den is None else den
+    t, r = divmod(den, M.den)
+    if r:
+        raise ValueError(f"denominator {den} is not a multiple of {M.den}")
+    out, pw = [], 1
+    for c in reversed(charpoly_gq(M)):
         if c.im:
             raise ArithmeticError(
                 f"characteristic polynomial has imaginary coefficient {c}"
             )
-        out.append(sign * c.re)
-    return Poly(out)
+        out.append(c.re * pw)
+        pw *= t
+    return IntPoly(tuple(reversed(out)), den)
 
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Characteristic polynomial det(D_V(s) - X*I) with its provenance."""
+    """Characteristic polynomial of D_V(s) with its provenance: poly is
+    det(X*I - den*D_V(s)) over the denominator den of the tensor, which
+    every label of one tensor shares."""
 
     label: IrrepLabel
     tensor_hash: str
-    poly: Poly
+    poly: IntPoly
 
     @property
     def degree(self) -> int:
         return self.poly.degree
 
     @cached_property
-    def power_form(self) -> tuple[Fraction, Poly, int]:
-        """(c, B, e) with poly = c * B^e: (lc, Kramers root, 2) on a
-        quaternionic label, (1, poly, 1) on any other."""
+    def power_form(self) -> tuple[IntPoly, int]:
+        """(B, e) with poly = B^e: (Kramers root, 2) on a quaternionic
+        label, (poly, 1) on any other."""
         if classify_type(self.label) != "quaternionic":
-            return Fraction(1), self.poly, 1
-        return self.poly.lc, kramers_root(self.poly), 2
+            return self.poly, 1
+        return kramers_root(self.poly), 2
 
 
-def kramers_root(p: Poly) -> Poly:
-    """The monic Q with p = lc(p) * Q^2, by the top-down square-root
-    recursion; ArithmeticError if p is not of that form."""
+def kramers_root(p: IntPoly) -> IntPoly:
+    """The monic R with R^2 = p, by the top-down square-root recursion;
+    ArithmeticError if p is not of that form.  A monic rational factor of
+    a monic integer polynomial is integral, so R has integer coefficients
+    and each step halves exactly; a step that does not shows in the final
+    check R^2 = p."""
     n = p.degree
     if n < 0 or n % 2:
-        raise ArithmeticError(f"degree {n} polynomial is not c times a square")
+        raise ArithmeticError(f"degree {n} polynomial is not a square")
     k = n // 2
-    c = p.lc
-    q = [Fraction(0)] * k + [Fraction(1)]
+    q = [0] * k + [1]
     for j in range(1, k + 1):
-        # coefficient of X^(n-j) in Q^2 is 2 q[k-j] plus products of known q's
+        # coefficient of X^(n-j) in R^2 is 2 q[k-j] plus products of known q's
         known = sum(q[k - i] * q[k - j + i] for i in range(1, j))
-        q[k - j] = (p.coeffs[n - j] / c - known) / 2
-    Q = Poly(q)
-    if Q * Q * c != p:
+        q[k - j] = (p.coeffs[n - j] - known) // 2
+    if tuple(mul(q, q)) != p.coeffs:
         raise ArithmeticError(
             "characteristic polynomial of a quaternionic label is not "
-            "c times a square (Kramers degeneracy fails)"
+            "a square (Kramers degeneracy fails)"
         )
-    return Q
+    return IntPoly(tuple(q), p.den)
 
 
 def char_poly_exact(op: OperatorMatrix) -> CharPoly:
     return CharPoly(
         label=op.label,
         tensor_hash=tensor_hash(op.tensor),
-        poly=charpoly_real(op.matrix),
+        poly=charpoly_real(op.matrix, op.tensor.integer_form[0]),
     )
 
 
@@ -129,10 +137,10 @@ class MultiplicityProfile:
     """Squarefree split of a charpoly: entries (multiplicity, factor)."""
 
     degree: int
-    entries: tuple[tuple[int, Poly], ...]
+    entries: tuple[tuple[int, list[int]], ...]
 
     def __post_init__(self):
-        total = sum(i * f.degree for i, f in self.entries)
+        total = sum(i * (len(f) - 1) for i, f in self.entries)
         if total != self.degree:
             raise ArithmeticError("multiplicity profile does not cover the degree")
 
@@ -149,11 +157,16 @@ class MultiplicityProfile:
         return self.multiplicities in ((), (2,))
 
 
-def multiplicity_profile(p: Poly) -> MultiplicityProfile:
+def multiplicity_profile(p: CharPoly) -> MultiplicityProfile:
+    """Yun on the primitive form of the power form's base B, with the
+    multiplicities times e: at half the degree on a quaternionic label.
+    The factors are those of the primitive charpoly of D_V(s)."""
     if p.degree < 0:
         raise DomainError("zero polynomial has no multiplicity profile")
+    B, e = p.power_form
     return MultiplicityProfile(
-        degree=p.degree, entries=tuple(squarefree_decomposition(p))
+        degree=p.degree,
+        entries=tuple((e * i, f) for i, f in squarefree_decomposition(B.primitive())),
     )
 
 
@@ -193,15 +206,17 @@ def cert_a_from_polys(p: CharPoly, q: CharPoly) -> Certificate:
             "separation certificate needs distinct, non-dual labels; "
             f"got {format_label(p.label)} and {format_label(q.label)}"
         )
-    if p.tensor_hash != q.tensor_hash:
+    if p.tensor_hash != q.tensor_hash or p.poly.den != q.poly.den:
         raise DomainError("certificate operands use different coefficient tensors")
-    cp, P, e = p.power_form
-    cq, Q, f = q.power_form
+    A, e = p.power_form
+    B, f = q.power_form
     return Certificate(
         kind="a",
         labels=(p.label, q.label),
         tensor_hash=p.tensor_hash,
-        value=cp ** q.degree * cq ** p.degree * resultant(P, Q) ** (e * f),
+        value=Fraction(
+            resultant(A.coeffs, B.coeffs) ** (e * f), A.den ** (p.degree * q.degree)
+        ),
     )
 
 
@@ -211,11 +226,14 @@ def cert_b_from_poly(p: CharPoly) -> Certificate:
             f"certificate kind b does not apply to quaternionic labels, "
             f"got {format_label(p.label)}"
         )
+    P, n = p.poly, p.degree
     return Certificate(
         kind="b",
         labels=(p.label,),
         tensor_hash=p.tensor_hash,
-        value=resultant(p.poly, p.poly.derivative()),
+        value=Fraction(
+            (-1) ** n * resultant(P.coeffs, derivative(P.coeffs)), P.den ** (n * (n - 1))
+        ),
     )
 
 
@@ -225,13 +243,16 @@ def cert_c_from_poly(p: CharPoly) -> Certificate:
             f"certificate kind c applies to quaternionic labels only, "
             f"got {format_label(p.label)}"
         )
-    c, Q, _ = p.power_form
-    n = p.degree
+    R, _ = p.power_form
+    k = R.degree
     return Certificate(
         kind="c",
         labels=(p.label,),
         tensor_hash=p.tensor_hash,
-        value=c ** (n - 2) * (2 * c) ** n * resultant(Q, Q.derivative()) ** 4,
+        value=Fraction(
+            4 ** k * resultant(R.coeffs, derivative(R.coeffs)) ** 4,
+            R.den ** (4 * k * (k - 1)),
+        ),
     )
 
 
@@ -251,9 +272,14 @@ def cert_c(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> Certificate:
     return cert_c_from_poly(char_poly_of(spec, lab, tensor))
 
 
-def charpoly_from_eigenvalues(values) -> Poly:
-    """prod (e - X) over the multiset: the charpoly in the det(D - X) sign."""
-    p = Poly([1])
+def charpoly_from_eigenvalues(values, den: int = 1) -> IntPoly:
+    """prod (X - den*e) over the multiset, over den: the IntPoly of an
+    operator with these eigenvalues.  Each den*e must be an integer, as
+    every rational eigenvalue of an integer matrix is; ValueError if not."""
+    cs = [1]
     for e in values:
-        p = p * Poly([Fraction(e), Fraction(-1)])
-    return p
+        r = Fraction(e) * den
+        if r.denominator != 1:
+            raise ValueError(f"{e} times {den} is not an integer")
+        cs = mul(cs, [-r.numerator, 1])
+    return IntPoly(tuple(cs), den)

@@ -53,13 +53,10 @@ from .irreps import (
     is_self_dual,
 )
 from .poly import (
-    Poly,
     fold_odd,
-    from_int,
     int_div_exact,
     int_gcd,
     int_sign_at,
-    primitive_int,
     real_root_brackets,
     sign_at_dyadic,
 )
@@ -151,7 +148,7 @@ class Contribution:
 class SpectrumEntry:
     value: float
     exact_value: Fraction | None  # rational roots only
-    factor: Poly  # irreducible-over-the-table squarefree factor it solves
+    factor: tuple[int, ...]  # primitive squarefree basis factor it solves
     real_multiplicity: int
     contributions: tuple[Contribution, ...]
     irreducible: bool
@@ -173,17 +170,16 @@ class SpectrumTable:
         return all(e.irreducible for e in self.entries)
 
 
-def gcd_free_basis(polys: list[Poly]) -> list[tuple[Poly, list[int]]]:
+def gcd_free_basis(polys: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     """Pairwise coprime squarefree polynomials spanning the inputs, each
     with the sorted indices of the inputs it divides.
 
-    Inputs must be squarefree (Yun output).  Every input is then a constant
-    times the product of the basis elements that list it, so shared roots
-    are read off the members without any further division.
+    Inputs must be primitive and squarefree (Yun output).  Every input is
+    then a constant times the product of the basis elements that list it,
+    so shared roots are read off the members without any further division.
     """
     basis: list[tuple[list[int], list[int]]] = []
     for n, f in enumerate(polys):
-        f = primitive_int(f)
         i = 0
         while i < len(basis) and len(f) > 1:
             b, members = basis[i]
@@ -203,7 +199,7 @@ def gcd_free_basis(polys: list[Poly]) -> list[tuple[Poly, list[int]]]:
             i += 1
         if len(f) > 1:
             basis.append((f, [n]))
-    return [(from_int(h), members) for h, members in basis]
+    return basis
 
 
 def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | None]:
@@ -257,11 +253,11 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | Non
 
 
 def real_roots(
-    h: Poly, upper: Fraction | None = None
+    h: list[int], upper: Fraction | None = None
 ) -> list[tuple[float, Fraction | None]]:
-    """The roots of a squarefree factor known to split over the reals, in
-    increasing order, as (float, exact value or None); only those
-    <= upper when an upper bound is given.
+    """The roots of a primitive squarefree integer factor known to split
+    over the reals, in increasing order, as (float, exact value or None);
+    only those <= upper when an upper bound is given.
 
     Each root is isolated in a bracket (a, b] by a Sturm chain, whose
     first cuts sit between the real parts of the companion-matrix
@@ -274,30 +270,30 @@ def real_roots(
     is set for every rational root that bisection or the nearest small-
     denominator fraction hits.
     """
-    if h.degree <= 0:
+    n = len(h) - 1
+    if n <= 0:
         return []
-    if h.degree == 1:
-        r = -h.coeffs[0] / h.coeffs[1]
+    if n == 1:
+        r = Fraction(-h[0], h[1])
         return [(float(r), r)] if upper is None or r <= upper else []
 
-    lc = h.coeffs[-1]
-    hints = np.roots([float(c / lc) for c in reversed(h.coeffs)]).real.tolist()
+    # int / int is correctly rounded
+    hints = np.roots([c / h[-1] for c in reversed(h)]).real.tolist()
     brackets = real_root_brackets(h, hints=hints)
-    if len(brackets) != h.degree:
+    if len(brackets) != n:
         raise ArithmeticError(
-            f"factor of degree {h.degree} has only {len(brackets)} real "
+            f"factor of degree {n} has only {len(brackets)} real "
             "roots; hermitian eigenvalue factors must split over the reals"
         )
-    cs = primitive_int(h)
     out = []
     for a, b in brackets:
         if upper is not None and upper < b:
             # the root lies in (a, upper] exactly when h does not change
             # sign between upper and b; later roots lie above this one
-            if a >= upper or int_sign_at(cs, upper) not in (0, int_sign_at(cs, b)):
+            if a >= upper or int_sign_at(h, upper) not in (0, int_sign_at(h, b)):
                 break
             b = upper
-        out.append(_pin(cs, a, b))
+        out.append(_pin(h, a, b))
     return out
 
 
@@ -306,21 +302,13 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
     labels = enumerate_irreps(spec, tensor, cutoff)
     bound = certified_lower_bound(tensor)
 
-    profiles = [
-        multiplicity_profile(char_poly_of(spec, lab, tensor).poly) for lab in labels
+    # (label, class multiplicity, squarefree factor); a quaternionic
+    # label's profile is taken on its checked Kramers root
+    pieces = [
+        (lab, mult, factor)
+        for lab in labels
+        for mult, factor in multiplicity_profile(char_poly_of(spec, lab, tensor)).entries
     ]
-
-    # (label, class multiplicity, squarefree factor), quaternionic sanity
-    pieces: list[tuple[IrrepLabel, int, Poly]] = []
-    for lab, prof in zip(labels, profiles):
-        rep_type = classify_type(lab)
-        for mult, factor in prof.entries:
-            if rep_type == "quaternionic" and mult % 2:
-                raise ArithmeticError(
-                    f"odd eigenvalue multiplicity {mult} on quaternionic "
-                    f"label {format_label(lab)}"
-                )
-            pieces.append((lab, mult, factor))
 
     entries: list[SpectrumEntry] = []
     for h, members in gcd_free_basis([factor for _, _, factor in pieces]):
@@ -350,7 +338,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
                 SpectrumEntry(
                     value=approx,
                     exact_value=exact,
-                    factor=h,
+                    factor=tuple(h),
                     real_multiplicity=real_mult,
                     contributions=tuple(contribs),
                     irreducible=irreducible,

@@ -28,6 +28,7 @@ claiming success.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,7 +239,7 @@ def pairs_mixed_witness(spec: GroupSpec, lab: IrrepLabel, direction) -> MixedWit
     op = build_DV(spec, lab, tensor)
     expected = [Fraction(k) * pairing for k in range(m, -m - 2, -2)]
     p = char_poly_exact(op)
-    matches = p.poly == charpoly_from_eigenvalues(expected)
+    matches = p.poly == charpoly_from_eigenvalues(expected, p.poly.den)
     cert = cert_b_from_poly(p)
     return MixedWitness(
         label=lab,
@@ -376,23 +377,28 @@ def pairs_pipeline(
         for jp in range(-mprime, mprime + 1, 2)
     ]
     p_h = char_poly_exact(D_h)
-    h_charpoly_matches = p_h.poly == charpoly_from_eigenvalues(expected)
-    h_all_double = multiplicity_profile(p_h.poly).is_all_double
+    h_charpoly_matches = p_h.poly == charpoly_from_eigenvalues(expected, p_h.poly.den)
+    h_all_double = multiplicity_profile(p_h).is_all_double
 
     (w_plus, w_minus), reps = orbit_eigenbases(T)
     branch_dims_ok = eigenbases_check(T, w_plus, w_minus)
 
-    h_plus, h_minus, b_plus, b_minus = (
-        charpoly_real(restrict_operator(D.matrix, w, reps))
-        for D in (D_h, D_b) for w in (w_plus, w_minus)
-    )
+    def branch_charpolys(D):
+        # the two restrictions, over the lcm of their denominators
+        plus, minus = (restrict_operator(D.matrix, w, reps) for w in (w_plus, w_minus))
+        den = math.lcm(plus.den, minus.den)
+        return charpoly_real(plus, den), charpoly_real(minus, den)
+
+    h_plus, h_minus = branch_charpolys(D_h)
+    b_plus, b_minus = branch_charpolys(D_b)
     th = tensor_hash(s_h)
-    h_simple = (
-        Certificate("b", (lab,), th, resultant(h_plus, h_plus.derivative())),
-        Certificate("b", (lab,), th, resultant(h_minus, h_minus.derivative())),
-    )
+    h_simple = tuple(cert_b_from_poly(CharPoly(lab, th, h)) for h in (h_plus, h_minus))
     b_disjoint = Certificate(
-        "a", (lab, lab), tensor_hash(s_b), resultant(b_plus, b_minus)
+        "a", (lab, lab), tensor_hash(s_b),
+        Fraction(
+            resultant(b_plus.coeffs, b_minus.coeffs),
+            b_plus.den ** (b_plus.degree * b_minus.degree),
+        ),
     )
 
     if alpha_grid is None:

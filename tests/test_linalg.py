@@ -17,7 +17,7 @@ from lielap.algebra_core import preset, square_of_vector
 from lielap.irreps import label
 from lielap.operator import build_DV
 from lielap.polycert import charpoly_real
-from lielap.poly import Poly
+from lielap.poly import IntPoly
 from lielap.witness import sample_definite_tensor
 
 I = (0, 1)
@@ -75,10 +75,10 @@ def test_kron_mixed_product():
 
 
 def test_charpoly_2x2():
-    # [[2, 1], [1/2, 0]]: trace 2, det -1/2 -> X^2 - 2X - 1/2
+    # [[2, 1], [1/2, 0]] over den 2: 2M has trace 4, det -2 -> X^2 - 4X - 2
     m = mat([[2, 1], [Fraction(1, 2), 0]])
     cs = charpoly_gq(m)
-    assert [c.re for c in cs] == [Fraction(-1, 2), Fraction(-2), Fraction(1)]
+    assert [c.re for c in cs] == [-2, -4, 1]
     assert all(c.im == 0 for c in cs)
 
 
@@ -129,19 +129,18 @@ def test_restrict_operator_needs_identity_rows_at_pivots():
 # -- Faddeev-LeVerrier: the differential oracle for charpoly_gq ----------------
 
 
-def charpoly_faddeev(M: IntMatrix) -> list[tuple[Fraction, Fraction]]:
-    """Coefficients (ascending) of det(X*I - M) by Faddeev-LeVerrier.
+def charpoly_faddeev(M: IntMatrix) -> list[tuple[int, int]]:
+    """Coefficients (ascending) of det(X*I - d*M) by Faddeev-LeVerrier,
+    d = M.den.
 
-    Over Gaussian integers: with d the common denominator of M and
-    B = d*M, the recurrence
+    Over Gaussian integers: with B = d*M, the recurrence
         N_1 = B,  c_{n-k} = -tr(B N_{k-1} ...)/k,  N_k = B N_{k-1} + c_{n-k} I
-    stays integral; det(X*I - M) coefficients are c_k / d^(n-k).  Shares
-    nothing with the multimodular route but the input matrix.
+    stays integral.  Shares nothing with the multimodular route but the
+    input matrix.
     """
     n = M.nrows
     if n == 0:
         return [(1, 0)]
-    den = M.den
     RE = np.zeros((n, n), dtype=object)
     IM = np.zeros((n, n), dtype=object)
     RE[M.rows, M.cols] = M.re.tolist()
@@ -163,10 +162,7 @@ def charpoly_faddeev(M: IntMatrix) -> list[tuple[Fraction, Fraction]]:
             pre[idx, idx] += cr
             pim[idx, idx] += ci
             mre, mim = pre, pim
-    return [
-        (Fraction(cr, den ** (n - k)), Fraction(ci, den ** (n - k)))
-        for k, (cr, ci) in enumerate(coeffs_int)
-    ]
+    return coeffs_int
 
 
 def _random_entry(rng, complex_entries, den_digits=2):
@@ -254,7 +250,8 @@ def test_charpoly_of_operators_matches_faddeev():
 
 def test_charpoly_small_and_zero_matrices():
     assert charpoly_gq(zero(0, 0)) == [(1, 0)]
-    assert charpoly_gq(mat([[(Fraction(-3, 7), 2)]])) == [(Fraction(3, 7), -2), (1, 0)]
+    # den 7: X - 7 (-3/7 + 2i)
+    assert charpoly_gq(mat([[(Fraction(-3, 7), 2)]])) == [(3, -14), (1, 0)]
     assert charpoly_gq(zero(4, 4)) == [(0, 0)] * 4 + [(1, 0)]
 
 
@@ -285,7 +282,18 @@ def test_charpoly_real_rejects_imaginary_coefficients():
         charpoly_real(mat([[I]]))
     with pytest.raises(ArithmeticError):
         charpoly_real(diagonal([I, (0, 2)]))
-    assert charpoly_real(diagonal([I, (0, -1)])) == Poly([1, 0, 1])
+    assert charpoly_real(diagonal([I, (0, -1)])) == IntPoly((1, 0, 1), 1)
+
+
+def test_charpoly_real_rescales_to_a_multiple_of_den():
+    # 2M = [[4, 2], [1, 0]] has X^2 - 4X - 2, so 6M has X^2 - 12X - 18
+    m = mat([[2, 1], [Fraction(1, 2), 0]])
+    assert charpoly_real(m) == IntPoly((-2, -4, 1), 2)
+    assert charpoly_real(m, 6) == IntPoly((-18, -12, 1), 6)
+    # the zero matrix has den 1 and takes any den
+    assert charpoly_real(zero(2, 2), 31) == IntPoly((0, 0, 1), 31)
+    with pytest.raises(ValueError):
+        charpoly_real(m, 3)
 
 
 def _sieve(limit):

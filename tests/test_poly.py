@@ -1,8 +1,10 @@
 """Polynomial kernel: exact division, resultants, squarefree structure.
 
-The subresultant resultant is checked against a direct Sylvester-matrix
-determinant on random inputs; gcd and Yun decomposition are checked by
-their defining properties rather than against fixed strings.
+The integer subresultant resultant is checked against a direct Sylvester-
+matrix determinant on random inputs; gcd and Yun decomposition are checked
+by their defining properties rather than against fixed strings.  The
+Fraction `Poly` of tests/fracpoly.py is the oracle's arithmetic and is
+checked here too.
 """
 
 from fractions import Fraction
@@ -10,59 +12,33 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lielap.poly import (
+from fracpoly import (
     Poly,
     X,
     div_exact,
-    divides,
     divmod_exact,
     from_int,
     gcd,
-    int_div_exact,
-    int_sign_at,
     monic,
     primitive_int,
+    resultant_sylvester,
+    squarefree_part,
+)
+from fracpoly import resultant as fraction_resultant
+from lielap.poly import (
+    IntPoly,
+    derivative,
+    divides,
+    int_div_exact,
+    int_gcd,
+    int_sign_at,
+    mul,
     real_root_brackets,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
     sturm_variations,
 )
-
-def resultant_sylvester(p: Poly, q: Poly) -> Fraction:
-    """Sylvester determinant expansion; independent oracle for resultant."""
-    if p.is_zero or q.is_zero:
-        return Fraction(0)
-    dp, dq = p.degree, q.degree
-    n = dp + dq
-    if n == 0:
-        return Fraction(1)
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    rows = []
-    for i in range(dq):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (n - i - dp - 1))
-    for i in range(dp):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (n - i - dq - 1))
-    # fraction-free-ish Gaussian elimination with pivoting
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            f = rows[r][col] / pv
-            if f:
-                rr, rc = rows[r], rows[col]
-                for c in range(col, n):
-                    rr[c] -= f * rc[c]
-    return det
 
 
 rationals = st.fractions(
@@ -72,6 +48,10 @@ rationals = st.fractions(
 
 def poly_strategy(max_degree=6):
     return st.lists(rationals, min_size=0, max_size=max_degree + 1).map(Poly)
+
+
+def int_poly_strategy(max_degree=6):
+    return st.lists(st.integers(min_value=-12, max_value=12), max_size=max_degree + 1)
 
 
 def test_basic_arithmetic():
@@ -127,72 +107,85 @@ def test_monic():
 
 def test_resultant_known_values():
     # res(x^2 - 1, x^2 - 4) = (1-4)(1-4)... product over roots of p of q
-    p = Poly([-1, 0, 1])
-    q = Poly([-4, 0, 1])
-    assert resultant(p, q) == 9
+    p = [-1, 0, 1]
+    assert resultant(p, [-4, 0, 1]) == 9
     # shared root
-    assert resultant(p, Poly([-1, 1])) == 0
+    assert resultant(p, [-1, 1]) == 0
     # discriminant of x^2 + bx + c is b^2 - 4c up to the convention sign
-    disc = resultant(Poly([3, -4, 1]), Poly([-4, 2]))
-    assert disc != 0
-    assert resultant(Poly([1, 1]), Poly([5])) == 5
-    assert resultant(Poly([7]), Poly([5])) == 1
-    assert resultant(Poly([]), Poly([1, 2])) == 0
+    assert resultant([3, -4, 1], [-4, 2]) != 0
+    assert resultant([1, 1], [5]) == resultant([5], [1, 1]) == 5
+    assert resultant([7], [5]) == 1
+    assert resultant([], [1, 2]) == resultant([1, 2], []) == 0
+    # trailing zeros are not a leading coefficient
+    assert resultant((-1, 0, 1, 0), (-4, 0, 1)) == 9
 
 
 def test_resultant_rational_scaling():
     p = Poly([Fraction(1, 2), 0, 1])
     q = Poly([Fraction(-1, 3), 1])
-    assert resultant(p, q) == resultant_sylvester(p, q)
+    assert fraction_resultant(p, q) == resultant_sylvester(p, q)
 
 
 @settings(max_examples=150, deadline=None)
-@given(poly_strategy(5), poly_strategy(5))
-def test_resultant_matches_sylvester(p, q):
-    assert resultant(p, q) == resultant_sylvester(p, q)
+@given(int_poly_strategy(5), int_poly_strategy(5))
+def test_resultant_matches_sylvester(A, B):
+    assert resultant(A, B) == resultant_sylvester(from_int(A), from_int(B))
 
 
 @settings(max_examples=80, deadline=None)
-@given(poly_strategy(4), poly_strategy(4), poly_strategy(2))
-def test_resultant_multiplicative(p, q, r):
-    if p.degree < 1 or q.degree < 1 or r.degree < 1:
+@given(int_poly_strategy(4), int_poly_strategy(4), int_poly_strategy(2))
+def test_resultant_multiplicative(A, B, C):
+    if min(len(primitive_int(from_int(x))) for x in (A, B, C)) < 2:
         return
-    assert resultant(p, q * r) == resultant(p, q) * resultant(p, r)
+    assert resultant(A, mul(B, C)) == resultant(A, B) * resultant(A, C)
 
 
 @settings(max_examples=100, deadline=None)
-@given(poly_strategy(5), poly_strategy(5))
-def test_gcd_divides_both(p, q):
-    g = gcd(p, q)
-    if g.degree < 0:
-        assert p.degree < 0 and q.degree < 0
+@given(int_poly_strategy(5), int_poly_strategy(5))
+def test_gcd_divides_both(A, B):
+    g = int_gcd(A, B)
+    if not g:
+        assert not any(A) and not any(B)
         return
-    assert divides(g, p) or p.degree < 0
-    assert divides(g, q) or q.degree < 0
+    assert divides(g, A) and divides(g, B)
+    assert gcd(from_int(A), from_int(B)) == from_int(g)
+
+
+def test_divides_over_q():
+    assert divides([2, 2], [-1, 0, 1])  # 2x + 2 divides x^2 - 1 over Q
+    assert not divides([1, 2], [-1, 0, 1])
+    assert divides([3], [1, 5]) and divides([5], [])
+    assert divides([], []) and not divides([], [1])
 
 
 def test_gcd_normalization():
-    g = gcd(Poly([-2, 2]), Poly([-4, 0, 4]))
-    assert g == Poly([-1, 1])  # primitive with positive leading coefficient
+    assert int_gcd([-2, 2], [-4, 0, 4]) == [-1, 1]  # primitive, positive lc
 
 
 def test_gcd_of_coprime_is_constant():
-    assert gcd(Poly([1, 1]), Poly([2, 1])).degree == 0
+    assert int_gcd([1, 1], [2, 1]) == [1]
 
 
 def test_squarefree_decomposition_cube():
-    p = Poly([1, 1]) ** 3 * Poly([-2, 1])
-    parts = squarefree_decomposition(p)
-    assert [(i, f) for i, f in parts] == [(1, Poly([-2, 1])), (3, Poly([1, 1]))]
+    p = mul(mul(mul([1, 1], [1, 1]), [1, 1]), [-2, 1])
+    assert squarefree_decomposition(p) == [(1, [-2, 1]), (3, [1, 1])]
 
 
 def test_squarefree_decomposition_reconstructs():
     p = Poly([1, 1]) ** 2 * Poly([0, 1]) ** 4 * Poly([3, 0, 1])
-    parts = squarefree_decomposition(p)
+    parts = squarefree_decomposition([-2 * c for c in primitive_int(p)])
     prod = Poly([1])
     for i, f in parts:
-        prod = prod * f**i
+        prod = prod * from_int(f) ** i
     assert monic(prod) == monic(p)
+
+
+def test_int_poly_primitive_is_the_charpoly_of_the_operator():
+    # P = (X - 6)(X + 4) over den 4: D has the eigenvalues 3/2 and -1
+    P = IntPoly((-24, -2, 1), 4)
+    assert P.degree == 2
+    assert P.primitive() == primitive_int(Poly([Fraction(-3, 2), 1]) * Poly([1, 1])) == [-3, -1, 2]
+    assert IntPoly((0, 1), 7).primitive() == [0, 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,12 +200,12 @@ def test_squarefree_part_has_no_repeated_factor(p, q, e):
 
 def test_squarefree_vs_derivative_gcd():
     # squarefree iff gcd(p, p') constant iff res(p, p') != 0
-    p = Poly([-1, 0, 1])
-    assert resultant(p, p.derivative()) != 0
-    assert gcd(p, p.derivative()).degree == 0
-    d = p * p
-    assert resultant(d, d.derivative()) == 0
-    assert gcd(d, d.derivative()).degree > 0
+    p = [-1, 0, 1]
+    assert resultant(p, derivative(p)) != 0
+    assert int_gcd(p, derivative(p)) == [1]
+    d = mul(p, p)
+    assert resultant(d, derivative(d)) == 0
+    assert len(int_gcd(d, derivative(d))) > 1
 
 
 def test_shift_is_multiplication_by_x():
@@ -227,7 +220,7 @@ def test_int_sign_at_matches_evaluation():
 
 
 def test_sturm_variation_counts_roots_in_interval():
-    chain = sturm_chain(Poly([6, -7, 0, 1]))
+    chain = sturm_chain([6, -7, 0, 1])
     # roots 1, 2, -3; intervals are half-open (a, b]
     assert sturm_variations(chain, Fraction(-4)) - sturm_variations(chain, Fraction(3)) == 3
     assert sturm_variations(chain, Fraction(0)) - sturm_variations(chain, Fraction(3)) == 2
@@ -237,12 +230,11 @@ def test_sturm_variation_counts_roots_in_interval():
 
 def test_sturm_chain_rejects_repeated_roots():
     with pytest.raises(ValueError):
-        sturm_chain(Poly([1, 2, 1]))
+        sturm_chain([1, 2, 1])
 
 
 def test_brackets_isolate_real_roots_and_skip_complex_pairs():
-    p = Poly([6, -7, 0, 1]) * Poly([1, 0, 1])
-    brackets = real_root_brackets(p)
+    brackets = real_root_brackets(mul([6, -7, 0, 1], [1, 0, 1]))
     assert len(brackets) == 3
     roots = sorted([Fraction(-3), Fraction(1), Fraction(2)])
     for (a, b), r in zip(brackets, roots):
@@ -250,7 +242,7 @@ def test_brackets_isolate_real_roots_and_skip_complex_pairs():
 
 
 def test_brackets_tolerate_misleading_hints():
-    p = Poly([6, -7, 0, 1])
+    p = [6, -7, 0, 1]
     for hints in (None, [1.1, 1.9], [-100.0, 0.5, 0.6, 100.0], [float("nan"), 2.0]):
         brackets = real_root_brackets(p, hints=hints)
         assert len(brackets) == 3
@@ -261,9 +253,9 @@ def test_brackets_tolerate_misleading_hints():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6, unique=True))
 def test_brackets_recover_constructed_integer_roots(roots):
-    p = Poly([1])
+    p = [1]
     for r in roots:
-        p = p * Poly([-r, 1])
+        p = mul(p, [-r, 1])
     brackets = real_root_brackets(p)
     assert len(brackets) == len(roots)
     for (a, b), r in zip(brackets, sorted(roots)):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_poly import resultant_sylvester
+from fracpoly import from_int_poly, resultant, resultant_sylvester
 
 from lielap.algebra_core import (
     SymTensor,
@@ -16,12 +16,13 @@ from lielap.algebra_core import (
 from lielap.errors import DomainError
 from lielap.irreps import classify_type, label
 from lielap.operator import build_DV
-from lielap.poly import Poly, resultant
+from lielap.poly import IntPoly, mul
 from lielap.polycert import (
     CharPoly,
     cert_a,
     cert_a_from_polys,
     cert_b,
+    cert_b_from_poly,
     cert_c,
     cert_c_from_poly,
     char_poly_exact,
@@ -37,18 +38,24 @@ SQ_H = symmetric_product(3, 0, 0, 1)
 
 
 def test_charpoly_sign_convention():
-    # det(D - X): constant term det(D), leading coefficient (-1)^dim
+    # det(X - den D) is monic; the rational det(D - X) the certificates
+    # speak about has constant term det(D) and leading coefficient (-1)^dim
     p = char_poly_of(SU2, label((1,)), identity_tensor(3)).poly
-    assert p == charpoly_from_eigenvalues([3, 3])
-    assert p.coeffs[0] == Fraction(9)
-    assert p.coeffs[-1] == Fraction(1)
+    assert p == charpoly_from_eigenvalues([3, 3]) == IntPoly((9, -6, 1), 1)
+    assert from_int_poly(p).coeffs[0] == 9 and from_int_poly(p).lc == 1
     q = char_poly_of(SU2, label((2,)), identity_tensor(3)).poly
-    assert q.coeffs[-1] == Fraction(-1)
+    assert q.coeffs[-1] == 1 and from_int_poly(q).lc == -1
+    # a tensor with denominator 10 scales every root by 10
+    tensor = sample_definite_tensor(3, random.Random(0))
+    r = char_poly_of(SU2, label((2,)), tensor).poly
+    assert r.den == tensor.integer_form[0] == 10 and r.coeffs[-1] == 1
 
 
 def test_charpoly_matches_explicit_eigenvalues():
     p = char_poly_of(SU2, label((4,)), SQ_H).poly
     assert p == charpoly_from_eigenvalues([16, 4, 0, 4, 16])
+    with pytest.raises(ValueError):
+        charpoly_from_eigenvalues([Fraction(1, 3)], 2)
 
 
 def test_charpoly_rejects_wrong_tensor_pairing():
@@ -60,18 +67,29 @@ def test_charpoly_rejects_wrong_tensor_pairing():
         cert_a_from_polys(p, q)
 
 
+def charpoly_with(values, lab=(2,), den=1):
+    return CharPoly(label(lab), "h", charpoly_from_eigenvalues(values, den))
+
+
 def test_multiplicity_profile_shapes():
-    prof = multiplicity_profile(charpoly_from_eigenvalues([1, 1, 2, 3, 3]))
+    prof = multiplicity_profile(charpoly_with([1, 1, 2, 3, 3]))
     assert prof.degree == 5
     assert prof.multiplicities == (1, 2)
+    assert prof.entries == ((1, [-2, 1]), (2, [3, -4, 1]))
     assert not prof.is_all_simple and not prof.is_all_double
-    assert multiplicity_profile(Poly([2, 1])).is_all_simple
-    assert multiplicity_profile(charpoly_from_eigenvalues([5, 5, 7, 7])).is_all_double
+    assert multiplicity_profile(charpoly_with([-2])).is_all_simple
+    assert multiplicity_profile(charpoly_with([5, 5, 7, 7])).is_all_double
+    # quaternionic: Yun on the Kramers root, multiplicities doubled; the
+    # factors are those of the charpoly of D, whatever the den
+    prof = multiplicity_profile(charpoly_with([Fraction(1, 2)] * 4 + [3, 3], (3,), 6))
+    assert prof.entries == ((2, [-3, 1]), (4, [-1, 2]))
+    with pytest.raises(ArithmeticError):
+        multiplicity_profile(charpoly_with([1, 2, 2, 2], (3,)))
 
 
 def test_multiplicity_profile_zero_poly():
     with pytest.raises(DomainError):
-        multiplicity_profile(Poly([]))
+        multiplicity_profile(CharPoly(label((2,)), "h", IntPoly((), 1)))
 
 
 def test_cert_b_zero_on_degenerate():
@@ -130,7 +148,7 @@ def test_certificate_json():
 def test_quaternionic_all_double_identity_operator():
     for m in (1, 3, 5):
         p = char_poly_of(SU2, label((m,)), SQ_H)
-        assert multiplicity_profile(p.poly).is_all_double
+        assert multiplicity_profile(p).is_all_double
 
 
 def test_char_poly_exact_carries_hash():
@@ -147,20 +165,32 @@ SU2_CUBED = build_group_spec(3, 0, [])
 
 # (group, labels, seeds): odd su2 spins, spin4 labels with m + m' odd, and
 # SU(2)^3 labels with an odd spin sum, each mixed with real labels so that
-# kind a meets both, one or neither label quaternionic
+# kind a meets both, one or neither label quaternionic.  The trivial label
+# has the zero matrix, whose den is 1 while the tensor's is 10 or 19, and
+# its kind-b value at degree 1 is -1
 DIFFERENTIAL_CASES = [
-    (SU2, [(1,), (2,), (3,), (4,), (5,)], (0, 1, 2)),
-    (SPIN4, [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)], (0, 1)),
+    (SU2, [(0,), (1,), (2,), (3,), (4,), (5,)], (0, 1, 2)),
+    (SPIN4, [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (0, 3), (2, 2)], (0, 1)),
     (SU2_CUBED, [(1, 0, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (0, 2, 1)], (0,)),
 ]
 
 
+# the Fraction route: the rational det(D - X) rebuilt from (P, den), and the
+# resultants of the rational polynomials at full degree
+
+
 def full_degree_a(p, q):
-    return resultant(p.poly, q.poly)
+    return resultant(from_int_poly(p.poly), from_int_poly(q.poly))
+
+
+def full_degree_b(p):
+    P = from_int_poly(p.poly)
+    return resultant(P, P.derivative())
 
 
 def full_degree_c(p):
-    return resultant(p.poly, p.poly.derivative().derivative())
+    P = from_int_poly(p.poly)
+    return resultant(P, P.derivative().derivative())
 
 
 def differential_polys():
@@ -170,15 +200,29 @@ def differential_polys():
             yield spec, [char_poly_of(spec, label(l), tensor) for l in labs]
 
 
+def test_differential_cases_cover_mixed_denominators():
+    # the operator dens differ within one tensor (den 1 exactly for the
+    # trivial label, listed first where present), while every charpoly
+    # carries the tensor's den
+    for spec, labs, seeds in DIFFERENTIAL_CASES:
+        for seed in seeds:
+            tensor = sample_definite_tensor(spec.dim, random.Random(seed))
+            dens = {build_DV(spec, label(l), tensor).matrix.den for l in labs}
+            assert len(dens) > 1 and (1 in dens) == (not any(labs[0]))
+            assert {char_poly_of(spec, label(l), tensor).poly.den for l in labs} == {
+                tensor.integer_form[0]
+            }
+
+
 def test_kramers_root_squares_back():
     for _, polys in differential_polys():
         for p in polys:
             if classify_type(p.label) == "quaternionic":
-                c, Q, e = p.power_form
-                assert e == 2 and Q.lc == 1 and 2 * Q.degree == p.degree
-                assert c == p.poly.lc and Q * Q * c == p.poly
+                R, e = p.power_form
+                assert e == 2 and R.coeffs[-1] == 1 and 2 * R.degree == p.degree
+                assert R.den == p.poly.den and tuple(mul(R.coeffs, R.coeffs)) == p.poly.coeffs
             else:
-                assert p.power_form == (1, p.poly, 1)
+                assert p.power_form == (p.poly, 1)
 
 
 def test_half_degree_identities_match_full_degree():
@@ -187,11 +231,15 @@ def test_half_degree_identities_match_full_degree():
         for p in polys:
             if classify_type(p.label) == "quaternionic":
                 assert cert_c_from_poly(p).value == full_degree_c(p)
+            else:
+                assert cert_b_from_poly(p).value == full_degree_b(p)
+                if p.degree == 1:
+                    assert cert_b_from_poly(p).value == -1
         for i, p in enumerate(polys):
             for q in polys[i + 1:]:
                 assert cert_a_from_polys(p, q).value == full_degree_a(p, q)
                 assert cert_a_from_polys(q, p).value == full_degree_a(q, p)
-                kinds.add((p.power_form[2], q.power_form[2]))
+                kinds.add((p.power_form[1], q.power_form[1]))
     assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
@@ -200,13 +248,17 @@ def test_half_degree_identities_match_sylvester():
     for _, polys in differential_polys():
         small = [p for p in polys if p.degree <= 6]
         for p in small:
+            P = from_int_poly(p.poly)
             if classify_type(p.label) == "quaternionic":
-                want = resultant_sylvester(p.poly, p.poly.derivative().derivative())
+                want = resultant_sylvester(P, P.derivative().derivative())
                 assert cert_c_from_poly(p).value == want
-                checked += 1
+            else:
+                assert cert_b_from_poly(p).value == resultant_sylvester(P, P.derivative())
+            checked += 1
         for i, p in enumerate(small):
             for q in small[i + 1:]:
-                assert cert_a_from_polys(p, q).value == resultant_sylvester(p.poly, q.poly)
+                want = resultant_sylvester(from_int_poly(p.poly), from_int_poly(q.poly))
+                assert cert_a_from_polys(p, q).value == want
                 checked += 1
     assert checked > 50
 
@@ -216,10 +268,11 @@ def test_kind_c_smallest_degree():
     for seed in range(3):
         tensor = sample_definite_tensor(3, random.Random(seed))
         p = char_poly_of(SU2, label((1,)), tensor)
-        assert p.degree == 2 and p.poly.derivative().derivative().degree == 0
+        P = from_int_poly(p.poly)
+        assert p.degree == 2 and P.derivative().derivative().degree == 0
         c = cert_c_from_poly(p)
-        assert c.value == full_degree_c(p) == 4 * p.poly.lc ** 2
-        assert c.value == resultant_sylvester(p.poly, p.poly.derivative().derivative())
+        assert c.value == full_degree_c(p) == 4 * P.lc ** 2 == 4
+        assert c.value == resultant_sylvester(P, P.derivative().derivative())
 
 
 def test_half_degree_zero_values():

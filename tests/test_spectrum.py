@@ -18,12 +18,12 @@ from lielap.algebra_core import (
 from lielap.errors import DomainError
 from lielap.irreps import format_label, label, labels_up_to_level
 from lielap.operator import build_DV, eigen_decompose_numeric
+from fracpoly import Poly, from_int, gcd, primitive_int
 from lielap.poly import (
-    Poly,
     divides,
-    gcd,
+    int_gcd,
     int_sign_at,
-    primitive_int,
+    mul,
     real_root_brackets,
     sturm_chain,
     sturm_variations,
@@ -71,14 +71,10 @@ def test_enumerate_torus_dual_reduced():
 
 
 def test_gcd_free_basis_splits_shared_factors():
-    a = Poly([-1, 1]) * Poly([-2, 1])
-    b = Poly([-2, 1]) * Poly([-3, 1])
+    a = mul([-1, 1], [-2, 1])
+    b = mul([-2, 1], [-3, 1])
     basis = gcd_free_basis([a, b])
-    assert basis == [
-        (Poly([-2, 1]), [0, 1]),
-        (Poly([-1, 1]), [0]),
-        (Poly([-3, 1]), [1]),
-    ]
+    assert basis == [([-2, 1], [0, 1]), ([-1, 1], [0]), ([-3, 1], [1])]
     roots = sorted(r for f, _ in basis for r, _ in real_roots(f))
     assert roots == [1.0, 2.0, 3.0]
 
@@ -104,20 +100,21 @@ def test_gcd_free_basis_members_factor_every_input():
         inputs = []
         for _ in range(8):
             chosen = rng.sample(pool, rng.randint(1, 4))
-            inputs.append(math.prod(chosen[1:], start=chosen[0]) * rng.randint(1, 3))
+            prod = math.prod(chosen[1:], start=chosen[0]) * rng.randint(1, 3)
+            inputs.append(primitive_int(prod))
         inputs.append(inputs[2])  # a repeated input
         basis = gcd_free_basis(inputs)
         inputs.append(basis[0][0])  # an input equal to one basis element
         basis = gcd_free_basis(inputs)
 
         for i, (h, _) in enumerate(basis):
-            assert h.degree > 0 and h.lc > 0 and primitive_int(h) == list(h.coeffs)
+            assert len(h) > 1 and h[-1] > 0 and primitive_int(from_int(h)) == h
             for k, _ in basis[i + 1:]:
-                assert gcd(h, k).degree == 0
+                assert int_gcd(h, k) == [1]
         for n, f in enumerate(inputs):
-            listed = [h for h, members in basis if n in members]
+            listed = [from_int(h) for h, members in basis if n in members]
             prod = math.prod(listed[1:], start=listed[0])
-            assert f == prod * (f.lc / prod.lc)
+            assert from_int(f) == prod * (f[-1] / prod.lc)
         for h, members in basis:
             assert members == sorted(set(members))
             assert members == [n for n, f in enumerate(inputs) if divides(h, f)]
@@ -126,12 +123,12 @@ def test_gcd_free_basis_members_factor_every_input():
 
 
 def test_real_roots_exact_for_linear():
-    ((approx, exact),) = real_roots(Poly([-3, 2]))
+    ((approx, exact),) = real_roots([-3, 2])
     assert exact == Fraction(3, 2) and approx == 1.5
 
 
 def test_real_roots_quadratic():
-    vals = real_roots(Poly([2, -3, 1]))  # (x-1)(x-2)
+    vals = real_roots([2, -3, 1])  # (x-1)(x-2)
     assert [round(v, 9) for v, _ in vals] == [1.0, 2.0]
 
 
@@ -209,9 +206,9 @@ def test_zero_cutoff_trivial_only():
 def test_real_roots_on_ill_conditioned_integer_spectrum():
     # products of many close linear factors defeat floating seed finders;
     # the exact fallback must still place every root
-    p = Poly([1])
+    p = [1]
     for k in range(1, 23):
-        p = p * Poly([-k, 1])
+        p = mul(p, [-k, 1])
     roots = real_roots(p)
     assert len(roots) == 22
     for (v, _), k in zip(roots, range(1, 23)):
@@ -219,7 +216,7 @@ def test_real_roots_on_ill_conditioned_integer_spectrum():
 
 
 def test_real_roots_returns_exact_linear_root():
-    roots = real_roots(Poly([Fraction(-1, 3), 1]))
+    roots = real_roots([-1, 3])
     assert roots == [(float(Fraction(1, 3)), Fraction(1, 3))]
 
 
@@ -249,7 +246,7 @@ def test_cutoff_decided_exactly():
         (Fraction(1, 7), Fraction(3, 2), Fraction(1, 11)),
         (Fraction(1, 5), Fraction(1, 11), Fraction(2)),
     ))
-    h = Poly([-247071952, 63277436, -5336100, 148225])
+    h = [-247071952, 63277436, -5336100, 148225]
     (root,) = [v for v, _ in real_roots(h) if abs(v - 9.7474807749) < 1e-9]
     eps = Fraction(1, 10**10)
     below = assemble_spectrum(preset("su2"), tensor, Fraction(root) * (1 - eps))
@@ -266,7 +263,7 @@ def test_rational_roots_of_higher_degree_factors_are_exact():
 
 
 @functools.cache
-def _random_suite_factors() -> tuple[Poly, ...]:
+def _random_suite_factors() -> tuple[list[int], ...]:
     """The squarefree factors of the random definite tensors that the
     acceptance suite's numeric-profile test draws (same seed, same order)."""
     rng = random.Random(20260817)
@@ -281,15 +278,14 @@ def _random_suite_factors() -> tuple[Poly, ...]:
     factors = []
     for spec, lab in small * 4 + big:
         op = build_DV(spec, lab, sample_definite_tensor(spec.dim, rng))
-        factors += [f for _, f in multiplicity_profile(char_poly_exact(op).poly).entries]
+        factors += [f for _, f in multiplicity_profile(char_poly_exact(op)).entries]
     return tuple(factors)
 
 
 def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
-    for factor in _random_suite_factors():
-        cs = primitive_int(factor)
-        roots = real_roots(factor)
-        assert len(roots) == factor.degree
+    for cs in _random_suite_factors():
+        roots = real_roots(cs)
+        assert len(roots) == len(cs) - 1
         values = [x for x, _ in roots]
         assert values == sorted(set(values))
         for x, exact in roots:
@@ -299,10 +295,10 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
             assert exact is None or int_sign_at(cs, exact) == 0
         # a cut at the float of the middle root, checked by a Sturm count
         cut = Fraction(values[len(values) // 2])
-        chain = sturm_chain(factor)
+        chain = sturm_chain(cs)
         below = sturm_variations(chain, Fraction(-1 - sum(map(abs, cs)))) - \
             sturm_variations(chain, cut)
-        assert len(real_roots(factor, cut)) == below
+        assert len(real_roots(cs, cut)) == below
 
 
 # -- oracle: the same bisections over Fractions -------------------------------
@@ -324,7 +320,7 @@ def variations_oracle(chain, x: Fraction) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def brackets_oracle(p: Poly, hints=None):
+def brackets_oracle(p: list[int], hints=None):
     """Sturm isolation with Fraction cuts and Fraction midpoints."""
     chain = sturm_chain(p)
     cs = chain[0]
@@ -379,19 +375,17 @@ def pin_oracle(cs, a: Fraction, b: Fraction):
     return x, None
 
 
-def _hints(h: Poly):
-    lc = h.coeffs[-1]
-    return np.roots([float(c / lc) for c in reversed(h.coeffs)]).real.tolist()
+def _hints(h: list[int]):
+    return np.roots([float(Fraction(c, h[-1])) for c in reversed(h)]).real.tolist()
 
 
-def real_roots_oracle(h: Poly, upper=None):
+def real_roots_oracle(cs: list[int], upper=None):
     """`real_roots` with both loops over Fractions."""
-    if h.degree == 1:
-        r = -h.coeffs[0] / h.coeffs[1]
+    if len(cs) == 2:
+        r = Fraction(-cs[0], cs[1])
         return [(float(r), r)] if upper is None or r <= upper else []
-    cs = primitive_int(h)
     out = []
-    for a, b in brackets_oracle(h, _hints(h)):
+    for a, b in brackets_oracle(cs, _hints(cs)):
         if upper is not None and upper < b:
             if a >= upper or sign_at_oracle(cs, upper) not in (0, sign_at_oracle(cs, b)):
                 break
@@ -404,7 +398,7 @@ def real_roots_oracle(h: Poly, upper=None):
 def _suite_oracle_brackets() -> tuple:
     """The oracle's hinted brackets of every suite factor of degree > 1."""
     return tuple(
-        brackets_oracle(f, _hints(f)) if f.degree > 1 else ()
+        brackets_oracle(f, _hints(f)) if len(f) > 2 else ()
         for f in _random_suite_factors()
     )
 
@@ -414,17 +408,16 @@ def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
     `real_roots`, and brackets without hints, on the smaller ones (the
     oracle's hintless isolation of the degree 16-64 factors takes tens of
     seconds)."""
-    for factor, brackets in zip(_random_suite_factors(), _suite_oracle_brackets()):
-        if factor.degree == 1:
-            assert real_roots(factor) == real_roots_oracle(factor)
+    for cs, brackets in zip(_random_suite_factors(), _suite_oracle_brackets()):
+        if len(cs) == 2:
+            assert real_roots(cs) == real_roots_oracle(cs)
             continue
-        assert real_root_brackets(factor, _hints(factor)) == brackets
-        cs = primitive_int(factor)
+        assert real_root_brackets(cs, _hints(cs)) == brackets
         want = [pin_oracle(cs, a, b) for a, b in brackets]
         assert [_pin(cs, a, b) for a, b in brackets] == want
-        if factor.degree < 16:
-            assert real_root_brackets(factor) == brackets_oracle(factor)
-            assert real_roots(factor) == want
+        if len(cs) < 17:
+            assert real_root_brackets(cs) == brackets_oracle(cs)
+            assert real_roots(cs) == want
 
 
 def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
@@ -434,10 +427,9 @@ def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
     coefficients."""
     cut_inside = {3: 0, 5: 0, 77: 0}
     suite = zip(_random_suite_factors(), _suite_oracle_brackets())
-    for n, (factor, brackets) in enumerate(suite):
-        if factor.degree == 1:
+    for n, (cs, brackets) in enumerate(suite):
+        if len(cs) == 2:
             continue
-        cs = primitive_int(factor)
         a, b = brackets[len(brackets) // 2]
         x, _ = _pin(cs, a, b)
         den = (3, 10, 77)[n % 3]
@@ -447,8 +439,8 @@ def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
             Fraction(math.ceil(x * den), den),
             Fraction(math.ceil(x * den * 2**30), den * 2**30),
         ):
-            if factor.degree < 16:
-                assert real_roots(factor, upper) == real_roots_oracle(factor, upper)
+            if len(cs) < 17:
+                assert real_roots(cs, upper) == real_roots_oracle(cs, upper)
             if x < upper < b:
                 assert _pin(cs, a, upper) == pin_oracle(cs, a, upper)
                 cut_inside[q] += 1
@@ -468,7 +460,7 @@ def test_pin_on_a_midpoint_that_is_the_root():
         assert got == pin_oracle(cs, a, b) == (float(root), root)
     # a Sturm midpoint on a rational root: x^2 - 4x has the bound 6, and
     # the first midpoint of (-6, 6] is its root 0
-    p = Poly([0, -4, 1])
+    p = [0, -4, 1]
     assert real_root_brackets(p) == brackets_oracle(p)
     assert real_roots(p) == real_roots_oracle(p) == [(0.0, 0), (4.0, 4)]
 

@@ -4,17 +4,22 @@ perfbench/tracer.py looks every wrapped name up with getattr when a traced
 run starts, so a refactor that removes or renames one would only show up as
 a traced run exiting with an error.  This loads the tracer by path, checks
 that each name it wraps still resolves, and runs one small traced spectrum
-so that a change to what the size hooks read (the charpoly's matrix
-`.nrows`, its polynomial's `.coeffs`) fails here too.
+and one traced certificate battery, so that a change to what the size hooks
+read (the charpoly's matrix `.nrows`, its polynomial's `.coeffs`, the
+resultant's value) or a resultant the wraps do not see fails here too.
 """
 
 import importlib
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
 from lielap import spectrum
 from lielap.algebra_core import SymTensor, preset
+from lielap.irreps import labels_up_to_level
+from lielap.polycert import char_poly_of
+from lielap.witness import certificate_battery, sample_definite_tensor
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -37,13 +42,10 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
-def test_traced_spectrum_records_charpoly_sizes():
+def _traced(run):
+    """(tracer values, run()) with the tracer installed around the call;
+    every wrapped name is restored afterwards."""
     tracer = _load_tracer()
-    group = preset("su2")
-    rows = [["1", "1/7", "1/5"], ["1/7", "3/2", "1/11"], ["1/5", "1/11", "2"]]
-    tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
-    cutoff = Fraction(30)
-    labels = spectrum.enumerate_irreps(group, tensor, cutoff)
     saved = []
     for module, attr, *_ in tracer.WRAPS:
         mod = importlib.import_module(f"lielap.{module}")
@@ -51,12 +53,37 @@ def test_traced_spectrum_records_charpoly_sizes():
     traced = tracer.Tracer()
     try:
         traced.install()
-        table = spectrum.assemble_spectrum(group, tensor, cutoff)
+        out = run()
     finally:
         for mod, attr, fn in saved:
             setattr(mod, attr, fn)
     assert all(getattr(mod, attr) is fn for mod, attr, fn in saved)
+    return traced, out
+
+
+def test_traced_spectrum_records_charpoly_sizes():
+    group = preset("su2")
+    rows = [["1", "1/7", "1/5"], ["1/7", "3/2", "1/11"], ["1/5", "1/11", "2"]]
+    tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
+    cutoff = Fraction(30)
+    labels = spectrum.enumerate_irreps(group, tensor, cutoff)
+    traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
     assert table.entries
     assert traced.values["linalg.charpoly_calls"] == len(labels) > 1
     assert traced.values["linalg.charpoly_max_dim"] == max(lab.dim for lab in labels)
     assert traced.values["linalg.charpoly_max_bits"] > 0
+
+
+def test_traced_battery_counts_every_resultant():
+    # each certificate runs one resultant, through polycert.resultant
+    group = preset("spin4")
+    labels = labels_up_to_level(group, 2)
+    tensor = sample_definite_tensor(group.dim, random.Random(0))
+
+    def battery():
+        return certificate_battery(labels, [char_poly_of(group, l, tensor) for l in labels])
+
+    traced, certs = _traced(battery)
+    assert traced.values["poly.resultant_calls"] == len(certs) > 0
+    assert traced.values["poly.resultant_max_bits"] > 0
+    assert traced.values["linalg.charpoly_calls"] == len(labels)

@@ -1,9 +1,12 @@
 """Witness constructions and the randomized certificate search."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from fracpoly import from_int_poly, resultant_sylvester
+from test_linalg import charpoly_faddeev
 
 from lielap import witness
 from lielap.algebra_core import (
@@ -16,6 +19,7 @@ from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix, restrict_operator
 from lielap.operator import build_DV, eigen_decompose_numeric
+from lielap.poly import IntPoly, mul
 from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
@@ -163,7 +167,7 @@ def test_pipeline_h_spectrum_values():
 
     s_h = square_of_vector([1, 0, 0, Fraction(1, 2), 0, 0])
     p = char_poly_exact(build_DV(spec, label((1, 1)), s_h))
-    prof = multiplicity_profile(p.poly)
+    prof = multiplicity_profile(p)
     assert prof.is_all_double
     ns = eigen_decompose_numeric(build_DV(spec, label((1, 1)), s_h))
     assert [round(c[0], 6) for c in ns.clusters] == [0.25, 2.25]
@@ -193,15 +197,27 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
     assert r.branch_dims_ok
 
     eps = r.epsilon
-    s_h = square_of_vector([1, 0, 0, eps, 0, 0])
-    D_h = build_DV(preset("su2xsu2"), label((m, mprime)), s_h).matrix
     T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
     (w_plus, w_minus), reps = orbit_eigenbases(T)
-    h_plus, h_minus = (
-        charpoly_real(restrict_operator(D_h, w, reps))
-        for w in (w_plus, w_minus)
-    )
-    assert charpoly_real(D_h) == h_plus * h_minus
+    branches = []
+    for v in ([1, 0, 0, eps, 0, 0], [0, 0, 1, 0, 0, eps]):
+        D = build_DV(preset("su2xsu2"), label((m, mprime)), square_of_vector(v)).matrix
+        R = [restrict_operator(D, w, reps) for w in (w_plus, w_minus)]
+        den = math.lcm(D.den, *(x.den for x in R))
+        plus, minus = (charpoly_real(x, den) for x in R)
+        assert charpoly_real(D, den).coeffs == tuple(mul(plus.coeffs, minus.coeffs))
+        # the Fraction route: det(R - X) over Q by Faddeev-LeVerrier
+        faddeev = [charpoly_faddeev(x) for x in R]
+        assert all(im == 0 for cs in faddeev for _, im in cs)
+        branches.append([
+            from_int_poly(IntPoly(tuple(re for re, _ in cs), x.den))
+            for cs, x in zip(faddeev, R)
+        ])
+    (h_plus, h_minus), (b_plus, b_minus) = branches
+    assert [c.value for c in r.h_simple_on_branches] == [
+        resultant_sylvester(h, h.derivative()) for h in (h_plus, h_minus)
+    ]
+    assert r.b_branches_disjoint.value == resultant_sylvester(b_plus, b_minus)
 
 
 def test_orbit_eigenbases_skip_fixed_points():
