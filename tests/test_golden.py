@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of `--format json` files of fixed CLI runs.
 
 The digests were taken before the polynomial layer moved from Fraction
-coefficients to integer ones, so any change to a reported eigenvalue,
+coefficients to integer ones (the swap-symmetric spectrum's before the
+spectrum decided coincidences from pinned brackets), so any change to a reported eigenvalue,
 exact root, certificate value or verdict on these runs fails here.  Each
 run writes its JSON document with --output and the file's bytes are
 hashed; the exit code is pinned too.
@@ -28,6 +29,12 @@ GENERIC_0 = _spin4_tensor([
 GENERIC_1 = _spin4_tensor([
     [33, 4, -3, 2, -3, 2], [4, 25, -2, 1, 1, -1], [-3, -2, 35, -3, 3, -2],
     [2, 1, -3, 34, -4, 4], [-3, 1, 3, -4, 39, 4], [2, -1, -2, 4, 4, 23],
+])
+# su2 x su2 tensor symmetric under the factor swap: the labels (m, m') and
+# (m', m) have one charpoly, so their irrational roots coincide
+SWAP = _spin4_tensor([
+    [38, 2, 1, 3, -2, 1], [2, 32, 4, -2, 1, 2], [1, 4, 24, 1, 2, -4],
+    [3, -2, 1, 38, 2, 1], [-2, 1, 2, 2, 32, 4], [1, 2, -4, 1, 4, 24],
 ])
 BERGER = '[["1","0","0","0"],["0","1","0","0"],["0","0","2/3","0"],["0","0","0","3"]]'
 
@@ -63,6 +70,10 @@ RUNS = {
     "spectrum-generic-1": (
         ["spectrum", "--group", "spin4", "--tensor", GENERIC_1, "--max-eig", "1797/64"], 0,
         "7daab8961f50da56421c9d996ede42b16ee0051f7d74e742fbb673845d96a17f",
+    ),
+    "spectrum-swap-symmetric": (
+        ["spectrum", "--group", "su2xsu2", "--tensor", SWAP, "--max-eig", "40"], 0,
+        "6ebffc969f3b55a87c74fb3a9edf98f8df52f261e228c4302c9556f7f3a0d148",
     ),
     "verify-paper": (
         ["verify-paper"], 0,
