@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -164,6 +166,18 @@ class SymTensor:
         return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
                           for row in self.entries)
 
+    @cached_property
+    def digest(self) -> str:
+        """`tensor_hash` of the tensor, computed on first use and kept."""
+        doc = json.dumps(tensor_to_json(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(doc.encode()).hexdigest()[:12]
+
+    @cached_property
+    def lower_bound(self) -> Fraction:
+        """`certified_lower_bound` of the tensor, computed on first use and
+        kept."""
+        return certified_lower_bound(self)
+
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if self.n != other.n:
             raise DomainError("tensor size mismatch")
@@ -234,6 +248,29 @@ def is_positive_definite(entries) -> bool:
     else:
         rows = _freeze_symmetric(entries)
     return _gauss_jordan(rows) is not None
+
+
+def certified_lower_bound(tensor: SymTensor) -> Fraction:
+    """A positive rational c with tensor - c*I exactly positive definite."""
+    n = tensor.n
+    dense = np.array([[float(tensor[i, j]) for j in range(n)] for i in range(n)])
+    lam = float(np.linalg.eigvalsh(dense)[0])
+    c = Fraction(max(lam, 0.0)).limit_denominator(10**12) * Fraction(999, 1000)
+    if c <= 0:
+        c = Fraction(1, 10**6)
+
+    def shifted_ok(c: Fraction) -> bool:
+        rows = [
+            [tensor[i, j] - (c if i == j else 0) for j in range(n)]
+            for i in range(n)
+        ]
+        return is_positive_definite(rows)
+
+    while not shifted_ok(c):
+        c /= 2
+        if c < Fraction(1, 10**40):
+            raise ArithmeticError("failed to certify a spectral lower bound")
+    return c
 
 
 def metric_to_tensor(metric: MetricSpec) -> SymTensor:
@@ -340,8 +377,7 @@ def tensor_from_json(doc: dict) -> SymTensor:
 
 def tensor_hash(tensor: SymTensor) -> str:
     """Short stable identifier for certificates."""
-    doc = json.dumps(tensor_to_json(tensor), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(doc.encode()).hexdigest()[:12]
+    return tensor.digest
 
 
 def group_from_json(doc: dict) -> GroupSpec:

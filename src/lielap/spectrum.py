@@ -3,19 +3,29 @@
 The pipeline:
 
   1. Certify a rational lower bound c on the smallest eigenvalue of the
-     coefficient tensor S, exactly (positive definiteness of S - c*I).
-     Since D_V(s) dominates c times the Casimir operator, every irreducible
-     contributing an eigenvalue <= L satisfies Casimir(V) <= L / c, which
-     cuts the enumeration down to a finite ball.
+     coefficient tensor S, exactly (positive definiteness of S - c*I),
+     once per tensor (`SymTensor.lower_bound`).  Since D_V(s) dominates
+     c times the Casimir operator, every irreducible contributing an
+     eigenvalue <= L satisfies Casimir(V) <= L / c, which cuts the
+     enumeration down to a finite ball.
   2. Compute the characteristic polynomial of D_V(s) exactly for each
-     candidate label of the dual-reduced, quotient-descended list.
-  3. Refine all squarefree factors into a gcd-free basis that records,
-     for each element, the factors it divides.  Eigenvalue coincidences
-     across different labels are read off this exact factorisation, never
-     decided by floating-point comparison.
-  4. Emit one entry per real root, with the full contributor list and the
-     real multiplicity accounting (complex-type labels stand for their
-     dual pair and count twice).
+     candidate label of the dual-reduced, quotient-descended list, and
+     split it into squarefree factors.
+  3. Pin every root <= L of every factor in an isolating bracket (a, b],
+     or [r, r] for a rational root r found exactly.  Every factor splits
+     over the reals, so two equal roots have overlapping brackets: the
+     roots are sorted by bracket and swept into clusters of overlapping
+     brackets, and inside a cluster two roots of different factors are
+     one number exactly when their exact values are equal, when one
+     exact value lies in the other's bracket and the other factor
+     vanishes there, or, with neither value known, when the factor that
+     the gcd-free basis of the two lists under both changes sign on the
+     intersection of the brackets.  No floating-point comparison decides
+     a coincidence, and exact gcds run only on overlapping inexact
+     brackets.
+  4. Emit one entry per group of equal roots, with the full contributor
+     list and the real multiplicity accounting (complex-type labels
+     stand for their dual pair and count twice).
 
 Eigenspace irreducibility per entry: exactly one contributing label, with
 multiplicity class 1 (real or complex type) or class 2 (quaternionic).
@@ -31,6 +41,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,33 +70,12 @@ from .poly import (
     int_sign_at,
     real_root_brackets,
     sign_at_dyadic,
+    sturm_chain,
+    sturm_variations,
 )
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
 from .polycert import char_poly_of, multiplicity_profile
-
-
-def certified_lower_bound(tensor: SymTensor) -> Fraction:
-    """A positive rational c with tensor - c*I exactly positive definite."""
-    n = tensor.n
-    dense = np.array([[float(tensor[i, j]) for j in range(n)] for i in range(n)])
-    lam = float(np.linalg.eigvalsh(dense)[0])
-    c = Fraction(max(lam, 0.0)).limit_denominator(10**12) * Fraction(999, 1000)
-    if c <= 0:
-        c = Fraction(1, 10**6)
-
-    def shifted_ok(c: Fraction) -> bool:
-        rows = [
-            [tensor[i, j] - (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return is_positive_definite(rows)
-
-    while not shifted_ok(c):
-        c /= 2
-        if c < Fraction(1, 10**40):
-            raise ArithmeticError("failed to certify a spectral lower bound")
-    return c
 
 
 def enumerate_irreps(
@@ -101,7 +91,7 @@ def enumerate_irreps(
         raise DomainError(
             f"tensor has size {tensor.n}, algebra has dimension {spec.dim}"
         )
-    radius = cutoff / certified_lower_bound(tensor)
+    radius = cutoff / tensor.lower_bound
 
     found: list[IrrepLabel] = []
 
@@ -148,7 +138,6 @@ class Contribution:
 class SpectrumEntry:
     value: float
     exact_value: Fraction | None  # rational roots only
-    factor: tuple[int, ...]  # primitive squarefree basis factor it solves
     real_multiplicity: int
     contributions: tuple[Contribution, ...]
     irreducible: bool
@@ -202,8 +191,20 @@ def gcd_free_basis(polys: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     return basis
 
 
-def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | None]:
-    """The one root of the integer polynomial cs in (a, b], to one ulp.
+class Root(NamedTuple):
+    """A real root of an integer polynomial: its float, its value when it
+    is found rational, and its isolating bracket (lo, hi], or lo = hi =
+    the value for a rational root."""
+
+    value: float
+    exact: Fraction | None
+    lo: Fraction
+    hi: Fraction
+
+
+def _pin(cs: list[int], a: Fraction, b: Fraction) -> Root:
+    """The one root of the integer polynomial cs in (a, b], to one ulp,
+    with the final bracket of the bisection.
 
     Bisects at exact midpoints, comparing signs with the sign at b since a
     may itself be a neighbouring root.  The loop stops once b - a is below
@@ -225,7 +226,7 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | Non
     folded = fold_odd(cs, q) if q > 1 else cs
     sb = sign_at_dyadic(folded, B, k)
     if sb == 0:
-        return float(b), b
+        return Root(float(b), b, b, b)
     while True:
         # mid = M / (q 2^(k+1)); int / int is correctly rounded
         M = A + B
@@ -237,7 +238,8 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | Non
         k += 1
         sm = sign_at_dyadic(folded, M, k)
         if sm == 0:
-            return x, Fraction(M, q << k)
+            r = Fraction(M, q << k)
+            return Root(x, r, r, r)
         if sm == sb:
             A, B = A << 1, M
         else:
@@ -247,16 +249,15 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> tuple[float, Fraction | Non
     Q = math.isqrt((q << k) // (2 * (B - A)))
     mid = Fraction(M, q << (k + 1))
     r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
-    if Fraction(A, q << k) < r <= Fraction(B, q << k) and int_sign_at(cs, r) == 0:
-        return float(r), r
-    return x, None
+    lo, hi = Fraction(A, q << k), Fraction(B, q << k)
+    if lo < r <= hi and int_sign_at(cs, r) == 0:
+        return Root(float(r), r, r, r)
+    return Root(x, None, lo, hi)
 
 
-def real_roots(
-    h: list[int], upper: Fraction | None = None
-) -> list[tuple[float, Fraction | None]]:
+def real_roots(h: list[int], upper: Fraction | None = None) -> list[Root]:
     """The roots of a primitive squarefree integer factor known to split
-    over the reals, in increasing order, as (float, exact value or None);
+    over the reals, in increasing order, each with its isolating bracket;
     only those <= upper when an upper bound is given.
 
     Each root is isolated in a bracket (a, b] by a Sturm chain, whose
@@ -275,7 +276,7 @@ def real_roots(
         return []
     if n == 1:
         r = Fraction(-h[0], h[1])
-        return [(float(r), r)] if upper is None or r <= upper else []
+        return [Root(float(r), r, r, r)] if upper is None or r <= upper else []
 
     # int / int is correctly rounded
     hints = np.roots([c / h[-1] for c in reversed(h)]).real.tolist()
@@ -297,10 +298,92 @@ def real_roots(
     return out
 
 
+def _root_in(h: list[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether the squarefree h, which has at most one root in (lo, hi],
+    has one there: a change of sign, or a Sturm count where lo is itself
+    a root of h."""
+    s_lo = int_sign_at(h, lo)
+    if s_lo == 0:
+        chain = sturm_chain(h)
+        return sturm_variations(chain, lo) > sturm_variations(chain, hi)
+    return int_sign_at(h, hi) != s_lo
+
+
+def _same_root(f: list[int], r: Root, g: list[int], s: Root, shared) -> bool:
+    """Whether the root r of the factor f and the root s of the factor g
+    are one number; shared() is the factor common to f and g."""
+    if r.exact is not None and s.exact is not None:
+        return r.exact == s.exact
+    if s.exact is not None:
+        f, r, g, s = g, s, f, r
+    if r.exact is not None:
+        return s.lo < r.exact <= s.hi and int_sign_at(g, r.exact) == 0
+    # a common root lies in both brackets, and is a root of the common
+    # factor; each bracket holds one root of its factor, so at most one
+    lo, hi = max(r.lo, s.lo), min(r.hi, s.hi)
+    if lo >= hi:
+        return False
+    h = shared()
+    return len(h) > 1 and _root_in(h, lo, hi)
+
+
+def _coincident_roots(
+    factors: list[list[int]], roots: list[tuple[int, Root]]
+) -> list[list[int]]:
+    """The roots that are one number, as groups of indices into roots.
+
+    roots holds (index into factors, root) pairs.  The factors split over
+    the reals and each root carries a bracket that isolates it, so equal
+    roots have overlapping brackets.  The roots are swept in order of
+    their lower ends into clusters of overlapping brackets, and each pair
+    of roots of different factors inside a cluster is decided exactly:
+    by value, by the sign of a factor at a rational root, or, where
+    neither value is known, by a sign change of the factor that
+    `gcd_free_basis` finds common to the two.  Groups come in the order
+    of their first index, each in increasing order.
+    """
+    parent = list(range(len(roots)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    common: dict[tuple[int, int], list[int]] = {}
+
+    def shared(k: int, l: int) -> list[int]:
+        key = (min(k, l), max(k, l))
+        if key not in common:
+            basis = gcd_free_basis([factors[key[0]], factors[key[1]]])
+            common[key] = next((h for h, members in basis if members == [0, 1]), [1])
+        return common[key]
+
+    # the roots of the current cluster, and the top of their brackets
+    cluster: list[int] = []
+    top: Fraction | None = None
+    for i in sorted(range(len(roots)), key=lambda i: roots[i][1].lo):
+        k, r = roots[i]
+        if cluster and r.lo > top:
+            cluster = []
+        for j in cluster:
+            l, s = roots[j]
+            if l != k and find(i) != find(j) and _same_root(
+                factors[k], r, factors[l], s, lambda: shared(k, l)
+            ):
+                parent[find(i)] = find(j)
+        top = max(top, r.hi) if cluster else r.hi
+        cluster.append(i)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
     cutoff = Fraction(cutoff)
     labels = enumerate_irreps(spec, tensor, cutoff)
-    bound = certified_lower_bound(tensor)
 
     # (label, class multiplicity, squarefree factor); a quaternionic
     # label's profile is taken on its checked Kramers root
@@ -309,9 +392,11 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
         for lab in labels
         for mult, factor in multiplicity_profile(char_poly_of(spec, lab, tensor)).entries
     ]
+    factors = [factor for _, _, factor in pieces]
+    roots = [(k, root) for k, f in enumerate(factors) for root in real_roots(f, cutoff)]
 
     entries: list[SpectrumEntry] = []
-    for h, members in gcd_free_basis([factor for _, _, factor in pieces]):
+    for group in _coincident_roots(factors, roots):
         contribs = [
             Contribution(
                 label=lab,
@@ -320,7 +405,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
                 dim=lab.dim,
                 dual_pair=not is_self_dual(lab),
             )
-            for lab, mult, _ in (pieces[k] for k in members)
+            for lab, mult, _ in (pieces[roots[i][0]] for i in group)
         ]
         real_mult = sum(c.real_multiplicity for c in contribs)
         if len(contribs) > 1:
@@ -333,18 +418,19 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
             else:
                 irreducible = c.multiplicity == 1
                 failed = None if irreducible else "b"
-        for approx, exact in real_roots(h, cutoff):
-            entries.append(
-                SpectrumEntry(
-                    value=approx,
-                    exact_value=exact,
-                    factor=tuple(h),
-                    real_multiplicity=real_mult,
-                    contributions=tuple(contribs),
-                    irreducible=irreducible,
-                    failed_condition=failed,
-                )
+        exact = next(
+            (roots[i][1].exact for i in group if roots[i][1].exact is not None), None
+        )
+        entries.append(
+            SpectrumEntry(
+                value=roots[group[0]][1].value if exact is None else float(exact),
+                exact_value=exact,
+                real_multiplicity=real_mult,
+                contributions=tuple(contribs),
+                irreducible=irreducible,
+                failed_condition=failed,
             )
+        )
 
     entries.sort(key=lambda e: e.value)
     return SpectrumTable(
@@ -352,7 +438,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
         tensor=tensor,
         tensor_hash=tensor_hash(tensor),
         cutoff=cutoff,
-        lower_bound=bound,
+        lower_bound=tensor.lower_bound,
         labels=tuple(labels),
         entries=tuple(entries),
     )

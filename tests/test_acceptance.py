@@ -219,8 +219,8 @@ def _profile_multiplicities(profile):
 def _profile_value_list(profile):
     out = []
     for mult, factor in profile.entries:
-        for v, _ in real_roots(factor):
-            out.extend([v] * mult)
+        for r in real_roots(factor):
+            out.extend([r.value] * mult)
     return sorted(out)
 
 

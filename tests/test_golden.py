@@ -1,11 +1,11 @@
 """Golden outputs: the sha256 of `--format json` files of fixed CLI runs.
 
 The digests were taken before the polynomial layer moved from Fraction
-coefficients to integer ones (the swap-symmetric spectrum's before the
-spectrum decided coincidences from pinned brackets), so any change to a reported eigenvalue,
-exact root, certificate value or verdict on these runs fails here.  Each
-run writes its JSON document with --output and the file's bytes are
-hashed; the exit code is pinned too.
+coefficients to integer ones, and the swap-symmetric spectrum's before
+coincidences were decided from pinned brackets, so any change to a
+reported eigenvalue, exact root, certificate value or verdict on these
+runs fails here.  Each run writes its JSON document with --output and the
+file's bytes are hashed; the exit code is pinned too.
 """
 
 import hashlib

@@ -11,12 +11,20 @@ import pytest
 from lielap.algebra_core import (
     MetricSpec,
     SymTensor,
+    certified_lower_bound,
     identity_tensor,
     metric_to_tensor,
     preset,
 )
+from lielap import algebra_core, spectrum
 from lielap.errors import DomainError
-from lielap.irreps import format_label, label, labels_up_to_level
+from lielap.irreps import (
+    classify_type,
+    format_label,
+    is_self_dual,
+    label,
+    labels_up_to_level,
+)
 from lielap.operator import build_DV, eigen_decompose_numeric
 from fracpoly import Poly, from_int, gcd, primitive_int
 from lielap.poly import (
@@ -31,9 +39,9 @@ from lielap.poly import (
 from lielap.polycert import char_poly_exact, multiplicity_profile
 from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
+    _coincident_roots,
     _pin,
     assemble_spectrum,
-    certified_lower_bound,
     enumerate_irreps,
     gcd_free_basis,
     real_roots,
@@ -75,7 +83,7 @@ def test_gcd_free_basis_splits_shared_factors():
     b = mul([-2, 1], [-3, 1])
     basis = gcd_free_basis([a, b])
     assert basis == [([-2, 1], [0, 1]), ([-1, 1], [0]), ([-3, 1], [1])]
-    roots = sorted(r for f, _ in basis for r, _ in real_roots(f))
+    roots = sorted(r.value for f, _ in basis for r in real_roots(f))
     assert roots == [1.0, 2.0, 3.0]
 
 
@@ -123,13 +131,14 @@ def test_gcd_free_basis_members_factor_every_input():
 
 
 def test_real_roots_exact_for_linear():
-    ((approx, exact),) = real_roots([-3, 2])
-    assert exact == Fraction(3, 2) and approx == 1.5
+    (root,) = real_roots([-3, 2])
+    r = Fraction(3, 2)
+    assert root.exact == r and root.value == 1.5 and root.lo == root.hi == r
 
 
 def test_real_roots_quadratic():
     vals = real_roots([2, -3, 1])  # (x-1)(x-2)
-    assert [round(v, 9) for v, _ in vals] == [1.0, 2.0]
+    assert [round(r.value, 9) for r in vals] == [1.0, 2.0]
 
 
 def test_su2_round_metric_table():
@@ -211,13 +220,14 @@ def test_real_roots_on_ill_conditioned_integer_spectrum():
         p = mul(p, [-k, 1])
     roots = real_roots(p)
     assert len(roots) == 22
-    for (v, _), k in zip(roots, range(1, 23)):
-        assert abs(v - k) < 1e-9
+    for r, k in zip(roots, range(1, 23)):
+        assert abs(r.value - k) < 1e-9
 
 
 def test_real_roots_returns_exact_linear_root():
     roots = real_roots([-1, 3])
-    assert roots == [(float(Fraction(1, 3)), Fraction(1, 3))]
+    third = Fraction(1, 3)
+    assert roots == [(float(third), third, third, third)]
 
 
 def test_close_roots_listed_once_each():
@@ -247,7 +257,7 @@ def test_cutoff_decided_exactly():
         (Fraction(1, 5), Fraction(1, 11), Fraction(2)),
     ))
     h = [-247071952, 63277436, -5336100, 148225]
-    (root,) = [v for v, _ in real_roots(h) if abs(v - 9.7474807749) < 1e-9]
+    (root,) = [r.value for r in real_roots(h) if abs(r.value - 9.7474807749) < 1e-9]
     eps = Fraction(1, 10**10)
     below = assemble_spectrum(preset("su2"), tensor, Fraction(root) * (1 - eps))
     above = assemble_spectrum(preset("su2"), tensor, Fraction(root) * (1 + eps))
@@ -260,6 +270,168 @@ def test_rational_roots_of_higher_degree_factors_are_exact():
     t = assemble_spectrum(preset("u2"), metric_to_tensor(MetricSpec(gram)), 20)
     assert Fraction(37, 2) in [e.exact_value for e in t.entries]
     assert all(e.exact_value is not None for e in t.entries)
+
+
+# -- coincidences: bracket sweep against the all-pairs gcd-free basis ---------
+
+
+def _tensor31(numerators) -> SymTensor:
+    return SymTensor(tuple(tuple(Fraction(x, 31) for x in r) for r in numerators))
+
+
+# symmetric under the swap of the two su2 factors, so the labels (m, m') and
+# (m', m) share their charpoly and its irrational roots
+SWAP = _tensor31([
+    [38, 2, 1, 3, -2, 1], [2, 32, 4, -2, 1, 2], [1, 4, 24, 1, 2, -4],
+    [3, -2, 1, 38, 2, 1], [-2, 1, 2, 2, 32, 4], [1, 2, -4, 1, 4, 24],
+])
+# the first spectrum_generic tensor of the benchmark (seed 0, round 0)
+GENERIC = _tensor31([
+    [38, 2, 1, 2, -3, -4], [2, 32, 4, 2, 4, 4], [1, 4, 24, 1, -3, 3],
+    [2, 2, 1, 32, -1, 4], [-3, 4, -3, -1, 25, -1], [-4, 4, 3, 4, -1, 30],
+])
+BERGER_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
+BERGER = metric_to_tensor(MetricSpec(BERGER_GRAM))
+
+
+def all_pairs_spectrum(spec, tensor, cutoff):
+    """The entries grouped by one gcd-free basis of every squarefree factor
+    of every label, as (value, exact value, multiplicity, contributors,
+    verdict) in the order of the table."""
+    cutoff = Fraction(cutoff)
+    pieces = [
+        (lab, mult, f)
+        for lab in enumerate_irreps(spec, tensor, cutoff)
+        for mult, f in multiplicity_profile(char_poly_exact(build_DV(spec, lab, tensor))).entries
+    ]
+    out = []
+    for h, members in gcd_free_basis([f for _, _, f in pieces]):
+        contributors = tuple((pieces[k][0], pieces[k][1]) for k in members)
+        real_mult = sum(
+            mult * lab.dim * (1 if is_self_dual(lab) else 2) for lab, mult in contributors
+        )
+        if len(contributors) > 1:
+            verdict = "a"
+        else:
+            ((lab, mult),) = contributors
+            quaternionic = classify_type(lab) == "quaternionic"
+            verdict = None if mult == (2 if quaternionic else 1) else "bc"[quaternionic]
+        for root in real_roots(h, cutoff):
+            out.append((root.value, root.exact, real_mult, contributors, verdict))
+    return sorted(out, key=lambda e: e[0])
+
+
+def _rows(table):
+    return [
+        (e.value, e.exact_value, e.real_multiplicity,
+         tuple((c.label, c.multiplicity) for c in e.contributions), e.failed_condition)
+        for e in table.entries
+    ]
+
+
+def test_coincidences_match_all_pairs_gcd_free_basis():
+    """The swap-symmetric tensor (irrational roots shared by two labels),
+    the Berger metric (rational roots shared by many) and random spin4
+    tensors (no root shared) give the same table as the all-pairs oracle."""
+    rng = random.Random(20261019)
+    cases = [(preset("spin4"), SWAP, 40), (preset("u2"), BERGER, 80)]
+    cases += [(preset("spin4"), sample_definite_tensor(6, rng), 30) for _ in range(3)]
+    shared_irrational = 0
+    for spec, tensor, cutoff in cases:
+        got = _rows(assemble_spectrum(spec, tensor, cutoff))
+        assert got == all_pairs_spectrum(spec, tensor, cutoff)
+        shared_irrational += sum(1 for e in got if e[1] is None and len(e[3]) > 1)
+    assert shared_irrational > 0
+
+
+def _count_gcds(monkeypatch) -> dict:
+    """Count the exact gcds of the coincidence step: the calls of
+    gcd_free_basis and of the int_gcd it runs, both looked up in spectrum."""
+    calls = {"gcd_free_basis": 0, "int_gcd": 0}
+    for name in calls:
+        fn = getattr(spectrum, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(spectrum, name, counted)
+    return calls
+
+
+def test_no_exact_gcd_where_no_brackets_overlap(monkeypatch):
+    calls = _count_gcds(monkeypatch)
+    assemble_spectrum(preset("u2"), BERGER, 80)
+    assemble_spectrum(preset("spin4"), GENERIC, Fraction(1779, 64))
+    assert calls == {"gcd_free_basis": 0, "int_gcd": 0}
+    # the shared irrational roots of the swap-symmetric tensor take the
+    # exact route, once per pair of factors
+    assemble_spectrum(preset("spin4"), SWAP, 20)
+    assert calls["gcd_free_basis"] > 0 and calls["int_gcd"] > 0
+
+
+def test_bound_and_hash_computed_once_per_spectrum(monkeypatch):
+    calls = {"certified_lower_bound": 0, "tensor_to_json": 0}
+    for name in calls:
+        fn = getattr(algebra_core, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(algebra_core, name, counted)
+    tensor = metric_to_tensor(MetricSpec(BERGER_GRAM))
+    table = assemble_spectrum(preset("u2"), tensor, 80)
+    assert len(table.labels) > 1
+    assert calls == {"certified_lower_bound": 1, "tensor_to_json": 1}
+
+
+def _groups(*factors):
+    roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f)]
+    return [[roots[i][1].value for i in g] for g in _coincident_roots(list(factors), roots)], roots
+
+
+def test_overlapping_inexact_brackets_decided_by_common_factor():
+    sqrt2 = [-2, 0, 1]
+    # sqrt(2) shared with a multiple; -sqrt(2) too; 3 alone
+    groups, _ = _groups(sqrt2, mul(sqrt2, [-3, 1]))
+    assert [len(g) for g in groups] == [2, 2, 1]
+    # sqrt(2 + 2^-60) lies within 2^-62 of sqrt(2): the pinned brackets
+    # overlap, yet the factors are coprime and the roots distinct
+    q = 2**30
+    groups, roots = _groups(sqrt2, [-(2 * q * q + 1), 0, q * q])
+    assert [len(g) for g in groups] == [1, 1, 1, 1]
+    (_, r), (_, s) = roots[1], roots[3]
+    assert r.exact is None and s.exact is None and max(r.lo, s.lo) < min(r.hi, s.hi)
+
+
+def test_exact_root_met_inside_an_inexact_bracket():
+    # 150000001/100000007 is exact as the root of the linear factor, but its
+    # denominator is too large for the pin of the quadratic to recover it
+    h = [-150000001, 100000007]
+    groups, roots = _groups(h, mul(h, [-5, 1]))
+    assert [len(g) for g in groups] == [2, 1]
+    assert roots[0][1].exact is not None and roots[1][1].exact is None
+
+
+def test_common_factor_vanishing_at_the_lower_end():
+    """sqrt(1 + 2^-e) lies so close to the root 1 that its pinned bracket
+    is (1, 1 + 2^-54]: where the common factor has the root 1 too, a sign
+    change alone cannot tell whether it has another in the bracket."""
+    def near_one(e):
+        return [-(2**e + 1), 0, 2**e]
+
+    f = mul(mul([-1, 1], near_one(120)), [4, 1])
+    # the same root 1 + 2^-121 (and -1 - 2^-121, and 1) in both factors
+    groups, roots = _groups(f, mul(mul([-1, 1], near_one(120)), [-6, 1]))
+    assert [len(g) for g in groups] == [1, 2, 2, 2, 1]
+    assert roots[3][1].exact is None and roots[3][1].lo == 1
+    # the common factor (x - 1)(x + 4) has no root in (1, 1 + 2^-54], so
+    # 1 + 2^-121 and 1 + 2^-101 stay apart
+    groups, roots = _groups(f, mul(mul([-1, 1], near_one(100)), [4, 1]))
+    assert [len(g) for g in groups] == [2, 1, 2, 1, 1, 1]
+    (_, r), (_, s) = roots[3], roots[7]
+    assert r.exact is None and s.exact is None and r.lo == s.lo == 1
 
 
 @functools.cache
@@ -286,13 +458,19 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
     for cs in _random_suite_factors():
         roots = real_roots(cs)
         assert len(roots) == len(cs) - 1
-        values = [x for x, _ in roots]
+        values = [r.value for r in roots]
         assert values == sorted(set(values))
-        for x, exact in roots:
+        for x, exact, a, b in roots:
             lo = int_sign_at(cs, Fraction(math.nextafter(x, -math.inf)))
             hi = int_sign_at(cs, Fraction(math.nextafter(x, math.inf)))
             assert lo * hi <= 0
-            assert exact is None or int_sign_at(cs, exact) == 0
+            if exact is not None:
+                assert int_sign_at(cs, exact) == 0 and a == b == exact
+            else:
+                # the bracket holds the root, within the floats next to x
+                assert int_sign_at(cs, a) * int_sign_at(cs, b) < 0
+                assert Fraction(math.nextafter(x, -math.inf)) < a < b
+                assert b < Fraction(math.nextafter(x, math.inf))
         # a cut at the float of the middle root, checked by a Sturm count
         cut = Fraction(values[len(values) // 2])
         chain = sturm_chain(cs)
@@ -351,10 +529,11 @@ def brackets_oracle(p: list[int], hints=None):
 
 
 def pin_oracle(cs, a: Fraction, b: Fraction):
-    """Bisection of (a, b] at Fraction midpoints until b - a < ulp(x) / 2."""
+    """Bisection of (a, b] at Fraction midpoints until b - a < ulp(x) / 2:
+    (float, exact value or None, final bracket)."""
     sb = sign_at_oracle(cs, b)
     if sb == 0:
-        return float(b), b
+        return float(b), b, b, b
     while True:
         mid = (a + b) / 2
         x = float(mid)
@@ -362,7 +541,7 @@ def pin_oracle(cs, a: Fraction, b: Fraction):
             break
         sm = sign_at_oracle(cs, mid)
         if sm == 0:
-            return x, mid
+            return x, mid, mid, mid
         if sm == sb:
             b = mid
         else:
@@ -371,8 +550,8 @@ def pin_oracle(cs, a: Fraction, b: Fraction):
     Q = math.isqrt(w.denominator // (2 * w.numerator))
     r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
     if a < r <= b and sign_at_oracle(cs, r) == 0:
-        return float(r), r
-    return x, None
+        return float(r), r, r, r
+    return x, None, a, b
 
 
 def _hints(h: list[int]):
@@ -383,7 +562,7 @@ def real_roots_oracle(cs: list[int], upper=None):
     """`real_roots` with both loops over Fractions."""
     if len(cs) == 2:
         r = Fraction(-cs[0], cs[1])
-        return [(float(r), r)] if upper is None or r <= upper else []
+        return [(float(r), r, r, r)] if upper is None or r <= upper else []
     out = []
     for a, b in brackets_oracle(cs, _hints(cs)):
         if upper is not None and upper < b:
@@ -431,7 +610,7 @@ def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
         if len(cs) == 2:
             continue
         a, b = brackets[len(brackets) // 2]
-        x, _ = _pin(cs, a, b)
+        x = _pin(cs, a, b).value
         den = (3, 10, 77)[n % 3]
         q = den // (den & -den)
         for upper in (
@@ -457,12 +636,12 @@ def test_pin_on_a_midpoint_that_is_the_root():
     ]
     for cs, a, b, root in cases:
         got = _pin(cs, a, b)
-        assert got == pin_oracle(cs, a, b) == (float(root), root)
+        assert got == pin_oracle(cs, a, b) == (float(root), root, root, root)
     # a Sturm midpoint on a rational root: x^2 - 4x has the bound 6, and
     # the first midpoint of (-6, 6] is its root 0
     p = [0, -4, 1]
     assert real_root_brackets(p) == brackets_oracle(p)
-    assert real_roots(p) == real_roots_oracle(p) == [(0.0, 0), (4.0, 4)]
+    assert real_roots(p) == real_roots_oracle(p) == [(0.0, 0, 0, 0), (4.0, 4, 4, 4)]
 
 
 def test_pin_exact_value_up_to_the_denominator_bound():
@@ -473,7 +652,7 @@ def test_pin_exact_value_up_to_the_denominator_bound():
         (150000001, 100000007, False),
     ):
         cs = [-r, s]
-        x, value = _pin(cs, Fraction(1), Fraction(2))
-        assert (x, value) == pin_oracle(cs, Fraction(1), Fraction(2))
+        x, value, *_ = root = _pin(cs, Fraction(1), Fraction(2))
+        assert root == pin_oracle(cs, Fraction(1), Fraction(2))
         assert value == (Fraction(r, s) if exact else None)
         assert abs(x - r / s) <= math.ulp(x)

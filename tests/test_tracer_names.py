@@ -3,7 +3,7 @@
 perfbench/tracer.py looks every wrapped name up with getattr when a traced
 run starts, so a refactor that removes or renames one would only show up as
 a traced run exiting with an error.  This loads the tracer by path, checks
-that each name it wraps still resolves, and runs one small traced spectrum
+that each name it wraps still resolves, and runs two small traced spectra
 and one traced certificate battery, so that a change to what the size hooks
 read (the charpoly's matrix `.nrows`, its polynomial's `.coeffs`, the
 resultant's value) or a resultant the wraps do not see fails here too.
@@ -18,7 +18,7 @@ from pathlib import Path
 from lielap import spectrum
 from lielap.algebra_core import SymTensor, preset
 from lielap.irreps import labels_up_to_level
-from lielap.polycert import char_poly_of
+from lielap.polycert import char_poly_of, multiplicity_profile
 from lielap.witness import certificate_battery, sample_definite_tensor
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -72,6 +72,27 @@ def test_traced_spectrum_records_charpoly_sizes():
     assert traced.values["linalg.charpoly_calls"] == len(labels) > 1
     assert traced.values["linalg.charpoly_max_dim"] == max(lab.dim for lab in labels)
     assert traced.values["linalg.charpoly_max_bits"] > 0
+
+
+def test_traced_spectrum_sees_the_exact_coincidence_route():
+    # su2 x su2 tensor symmetric under the factor swap: the labels (m, m')
+    # and (m', m) share irrational roots, which only the gcd-free basis of
+    # their factors decides; every factor's roots are pinned once
+    group = preset("su2xsu2")
+    rows = [[38, 2, 1, 3, -2, 1], [2, 32, 4, -2, 1, 2], [1, 4, 24, 1, 2, -4],
+            [3, -2, 1, 38, 2, 1], [-2, 1, 2, 2, 32, 4], [1, 2, -4, 1, 4, 24]]
+    tensor = SymTensor(tuple(tuple(Fraction(x, 31) for x in r) for r in rows))
+    cutoff = Fraction(20)
+    traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
+    pinned = sum(
+        len(spectrum.real_roots(f, cutoff))
+        for lab in spectrum.enumerate_irreps(group, tensor, cutoff)
+        for _, f in multiplicity_profile(char_poly_of(group, lab, tensor)).entries
+    )
+    assert any(len(e.contributions) > 1 and e.exact_value is None for e in table.entries)
+    assert traced.values["spectrum.basis_size"] > 0
+    assert traced.values["spectrum.gcd_free_basis_s"] > 0
+    assert traced.values["spectrum.roots"] == pinned > len(table.entries)
 
 
 def test_traced_battery_counts_every_resultant():
