@@ -69,6 +69,11 @@ class GroupSpec:
         return 3 * self.k + self.n
 
     @property
+    def display_name(self) -> str:
+        """The name, or k<k>n<n> (k1n0 for SU(2)) for an unnamed group."""
+        return self.name or f"k{self.k}n{self.n}"
+
+    @property
     def basis_names(self) -> tuple[str, ...]:
         names = []
         for j in range(1, self.k + 1):
@@ -177,6 +182,14 @@ class SymTensor:
         """`certified_lower_bound` of the tensor, computed on first use and
         kept."""
         return certified_lower_bound(self)
+
+    @cached_property
+    def operator_form(self):
+        """`operator.tensor_form` of the tensor, the part of `build_DV` that
+        depends on the tensor alone; computed on first use and kept."""
+        from .operator import tensor_form
+
+        return tensor_form(self)
 
     def __add__(self, other: "SymTensor") -> "SymTensor":
         if self.n != other.n:

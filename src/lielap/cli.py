@@ -209,7 +209,7 @@ def cmd_witness(args) -> int:
             dump_json(witness_report_json(best), args.output)
         else:
             lines = [
-                f"group {spec.name} level {level} seed {args.seed}: search "
+                f"group {spec.display_name} level {level} seed {args.seed}: search "
                 f"exhausted; best trial {best.trial} certified {best.score} "
                 f"of {len(best.certificates)} certificates"
             ]
@@ -264,7 +264,7 @@ def cmd_witness(args) -> int:
         dump_json(doc, args.output)
     else:
         lines = [
-            f"group {spec.name} level {level} seed {args.seed}: "
+            f"group {spec.display_name} level {level} seed {args.seed}: "
             f"certified on trial {report.trial} "
             f"({len(report.certificates)} certificates)"
         ]
@@ -413,11 +413,20 @@ CHECKS = {
     "types": check_types,
 }
 
+# the least --max-m at which a check runs a case: odd m >= 1, even m >= 2
+LEAST_MAX_M = {"quaternionic-double": 1, "tridiag": 2}
+
 
 def cmd_verify_paper(args) -> int:
     if args.max_m < 0:
         raise UsageError(f"--max-m must be nonnegative, got {args.max_m}")
     names = list(CHECKS) if args.check == "all" else [args.check]
+    idle = [name for name in names if args.max_m < LEAST_MAX_M.get(name, 0)]
+    if idle:
+        raise UsageError(
+            f"--max-m {args.max_m} leaves no case to check for "
+            + ", ".join(f"{name} (needs --max-m >= {LEAST_MAX_M[name]})" for name in idle)
+        )
     if "pairs-ii" in names:
         for flag, value in (("--m", args.m), ("--mprime", args.mprime)):
             if value is not None and (value < 1 or value % 2 == 0):

@@ -136,13 +136,12 @@ def su2_bands(m: int) -> tuple[dict, dict, dict]:
     formulas in the module docstring."""
     if m < 0:
         raise DomainError("spin must be nonnegative")
-    rows = range(m + 1)
-    up = tuple(m - i + 1 if i else 0 for i in rows)  # (l + 1, l): m - l
-    down = tuple(i + 1 if i < m else 0 for i in rows)  # (l - 1, l): l
+    up = (0, *range(m, 0, -1))  # (l + 1, l): m - l
+    down = (*range(1, m + 1), 0)  # (l - 1, l): l
     return (
-        {0: tuple(m - 2 * i for i in rows)},
+        {0: tuple(range(m, -m - 1, -2))},
         {-1: up, 1: down},
-        {-1: up, 1: tuple(-v for v in down)},
+        {-1: up, 1: (*range(-1, -m - 1, -1), 0)},
     )
 
 

@@ -163,9 +163,10 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        # |entries| of the products before the sums are at most this
-        bound = 2 * self.ncols * self._largest() * other._largest()
-        dtype = entry_dtype(bound, other.ncols)
+        # |entries| of the products before the sums are at most the first,
+        # and the dense factors must hold their own entries too
+        x, y = self._largest(), other._largest()
+        dtype = entry_dtype(max(2 * self.ncols * x * y, x, y), other.ncols)
         (a, b), (c, d) = self._dense(dtype), other._dense(dtype)
         return IntMatrix.from_dense(a @ c - b @ d, a @ d + b @ c, self.den * other.den)
 

@@ -31,6 +31,21 @@ nonzero entries.  The arrays are int64 when a bound (sum |den S_pq| times
 the square of the largest generator row sum) shows that every row sum
 fits, and Python ints (dtype=object) otherwise, on the same code.
 
+A label pays only for its band arithmetic, the nonzero read-out and the
+``IntMatrix``; the rest is done once and kept:
+
+- per tensor (`tensor_form`, kept on the tensor as
+  ``SymTensor.operator_form``, so it lives and dies with it): den, the sum
+  of |den S_pq| of the bound, and the phase-weighted coefficient blocks
+  of every factor and pair of factors, with the zero test of each pair;
+- per tuple of spins (`_shape_layout`, a bounded cache): the band offsets
+  sorted by flat column offset and each term's positions among them, so
+  the terms are added straight into read-out order;
+- per spin (`_spin_table`, a bounded cache): the integer bands of the
+  triple and of its products, in int32.  The int64 products upcast them as
+  they read them; int64 copies would double the memory of every cached
+  table.  The object route converts the tables of its label.
+
 The numeric path conjugates D by the diagonal square-root of the invariant
 inner product weights, which makes it honestly hermitian, then uses the
 dense hermitian eigensolver and clusters eigenvalues by relative gap.  It
@@ -43,6 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,37 +94,38 @@ def casimir_tensor(spec: GroupSpec) -> SymTensor:
 
 
 @lru_cache(maxsize=256)
-def _spin_table(m: int) -> np.ndarray:
-    """The bands of the spin-m triple and of its products, shape (12, 5,
-    m + 1): row 3a + b is G_a G_b and row 9 + a is G_a (su2_bands), and
-    [row, 2 + s, i] is the entry (i, i + s), 0 out of range.  The entries
-    are below (m + 2)^2, which int32 holds for any spin one would build."""
+def _spin_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of the spin-m triple's products and of the triple itself
+    (su2_bands), shapes (9, 5 (m + 1)) and (3, 3 (m + 1)): [3a + b, 5 i + s]
+    is the entry (i, i + s - 2) of G_a G_b and [a, 3 i + s] that (i, i + s
+    - 1) of G_a, 0 out of range.  The entries are below (m + 2)^2, which
+    int32 holds for any spin one would build."""
     d = m + 1
     # offsets -1..1 of each G_a, padded by one zero column on either side
     G = np.zeros((3, 3, d + 2), dtype=np.int64)
     for a, band in enumerate(su2_bands(m)):
         for s, vals in band.items():
             G[a, 1 + s, 1:-1] = vals
-    table = np.zeros((12, 5, d), dtype=np.int32 if (m + 2) ** 2 < 2**31 else np.int64)
-    table[9:, 1:4] = G[:, :, 1:-1]
+    products = np.zeros((3, 3, 5, d), dtype=np.int64)
     for s in range(3):
-        for t in range(3):
-            # (G_a G_b)[i, i+s+t-2] = G_a[i, i+s-1] G_b[i+s-1, i+s+t-2]
-            table[:9, s + t] += (G[:, None, s, 1:-1] * G[None, :, t, s:s + d]).reshape(9, d)
-    return table
+        # (G_a G_b)[i, i+s+t-2] = G_a[i, i+s-1] G_b[i+s-1, i+s+t-2], t = 0..2
+        products[:, :, s:s + 3] += G[:, None, None, s, 1:-1] * G[None, :, :, s:s + d]
+    dtype = np.int32 if (m + 2) ** 2 < 2**31 else np.int64
+    return (products.transpose(0, 1, 3, 2).astype(dtype).reshape(9, 5 * d),
+            G[:, :, 1:-1].transpose(0, 2, 1).astype(dtype).reshape(3, 3 * d))
 
 
 @lru_cache(maxsize=8)
 def _band_layout(k: int) -> tuple[np.ndarray, list[np.ndarray], dict]:
     """The bands on k SU(2) factors: their offset tuples (zero first), for
-    each factor j the indices of the offsets -2..2 in j, and for each pair
-    j < j2 those of the offsets (s, t) in {-1, 0, 1}^2, s major."""
+    each factor j the indices of the offsets -2, -1, 1, 2 in j, and for each
+    pair j < j2 those of the offsets (s, t) in {-1, 0, 1}^2, s major."""
     index = {(0,) * k: 0}
 
     def at(offset: dict) -> int:
         return index.setdefault(tuple(offset.get(j, 0) for j in range(k)), len(index))
 
-    single = [np.array([at({j: s}) for s in range(-2, 3)]) for j in range(k)]
+    single = [np.array([at({j: s}) for s in (-2, -1, 1, 2)]) for j in range(k)]
     pairs = {
         (j, j2): np.array([at({j: s, j2: t}) for s in (-1, 0, 1) for t in (-1, 0, 1)])
         for j in range(k) for j2 in range(j + 1, k)
@@ -116,11 +133,86 @@ def _band_layout(k: int) -> tuple[np.ndarray, list[np.ndarray], dict]:
     return np.array(list(index), dtype=np.int64).reshape(len(index), k), single, pairs
 
 
+class _ShapeLayout(NamedTuple):
+    """The layout of D_V on one tuple of spins, bands in read-out order."""
+
+    dims: tuple[int, ...]
+    total: int
+    zero: int  # position of the zero offset
+    reach: int  # bound on every su(2) generator row sum of |entries|, >= 1
+    offsets: np.ndarray  # flat column offset of each band, ascending
+    single: list  # per factor j: (positions of its offsets -2, -1, 1, 2, block shape)
+    pairs: dict  # per pair j < j2: (positions of its offsets (s, t), block shape)
+
+
+@lru_cache(maxsize=4096)
+def _shape_layout(spins: tuple[int, ...]) -> _ShapeLayout:
+    """The bands on the irreducibles with these spins, sorted by flat
+    column offset (stably), so that reading them row by row gives columns
+    in ascending order."""
+    k, dims = len(spins), tuple(m + 1 for m in spins)
+    keys, single, pairs = _band_layout(k)
+    offsets = keys @ np.array([math.prod(dims[j + 1:]) for j in range(k)], dtype=np.int64)
+    order = np.argsort(offsets, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+
+    def shape(factors, nbands: int) -> tuple[int, ...]:
+        return (2, *[dims[i] if i in factors else 1 for i in range(k)], nbands)
+
+    return _ShapeLayout(
+        dims, math.prod(dims), int(position[0]), max([1] + [m + 2 for m in spins]), offsets[order],
+        [(position[idx], shape((j,), 4)) for j, idx in enumerate(single)],
+        {jj: (position[idx], shape(jj, 9)) for jj, idx in pairs.items()},
+    )
+
+
 # (Re, Im) of i^(PHASES[a] + PHASES[b]), the phase of g_a g_b, and of
 # i^(1 + PHASES[a]), that of (i l_e) g_a
 _RE_IM = np.array([[1, 0, -1, 0], [0, 1, 0, -1]])
 _PAIR = _RE_IM[:, np.add.outer(PHASES, PHASES) % 4]
 _TORUS = _RE_IM[:, (np.array(PHASES) + 1) % 4]
+# the offsets -2, -1, 1, 2 among -2..2
+_NONZERO = np.array([0, 1, 3, 4])
+
+
+class TensorForm(NamedTuple):
+    """The part of build_DV that depends on the tensor alone (see
+    `tensor_form`), kept on the tensor as `SymTensor.operator_form`."""
+
+    den: int
+    size: int  # sum of |den S_pq|, the tensor's part of the int64/object bound
+    S: np.ndarray  # den * S
+    single: list  # per factor j, (2, 9): -S_ab times the phase of g_a g_b
+    cross: dict  # per pair j < j2 with a nonzero block, (2, 3, 3): -2 S_ab times that phase
+    torus: np.ndarray  # (2, n, n): -2 S_pe times the phase of (i l_e) g_p
+
+
+def tensor_form(tensor: SymTensor) -> TensorForm:
+    """den * S and its phase-weighted blocks, in int64 when they fit and in
+    Python ints otherwise; on the object route int64 blocks are upcast by
+    the arithmetic with the label's object arrays.  Index p of S is read as
+    direction p mod 3 of SU(2) factor p // 3, which it is on every group of
+    the tensor's size that has that factor, so the blocks do not depend on
+    the group."""
+    den, scaled = tensor.integer_form
+    size = sum(abs(x) for row in scaled for x in row)
+    # every block entry is at most 2 * size
+    S = np.array(scaled, dtype=entry_dtype(size, 1))
+    a = np.arange(len(S)) % 3
+    W = -S * _PAIR[:, a[:, None], a]
+    q = len(S) // 3
+
+    def block(j: int, j2: int) -> np.ndarray:
+        return W[:, 3 * j:3 * j + 3, 3 * j2:3 * j2 + 3]
+
+    return TensorForm(
+        den, size, S,
+        [block(j, j).reshape(2, 9) for j in range(q)],
+        {(j, j2): 2 * block(j, j2) for j in range(q) for j2 in range(j + 1, q) if block(j, j2).any()},
+        -2 * _TORUS[:, a, None] * S,
+    )
+
 
 def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMatrix:
     """Exact matrix of D_V(s) on the irreducible with label lab."""
@@ -131,52 +223,54 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
         raise DomainError("label shape does not match the group")
     k, su = spec.k, 3 * spec.k
-    den, scaled = tensor.integer_form
-    keys, single, pairs = _band_layout(k)
-    dims = [m + 1 for m in lab.spins]
-    total = math.prod(dims)
+    form, layout = tensor.operator_form, _shape_layout(lab.spins)
+    nbands = len(layout.offsets)
     # every generator row sum of |entries| is at most m + 2 (su2) or |l_e|;
     # r >= 1 keeps den * S itself under the bound
-    r = max([1] + [m + 2 for m in lab.spins] + [abs(x) for x in lab.weight])
-    dtype = entry_dtype(sum(abs(x) for row in scaled for x in row) * r * r, len(keys))
-    S = np.array(scaled, dtype=dtype)
-    w = np.array(lab.weight, dtype=dtype)
-    # real and imaginary parts of den * D, band by band over the multi-index
-    bands = np.zeros((2, len(keys), *dims), dtype=dtype)
+    r = max([layout.reach] + [abs(x) for x in lab.weight])
+    dtype = entry_dtype(form.size * r * r, nbands)
+    # real and imaginary parts of den * D over the row multi-index, band by band
+    bands = np.zeros((2, *layout.dims, nbands), dtype=dtype)
 
-    # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
-    bands[0, 0] = w @ S[su:, su:] @ w
-    # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
-    lin = -2 * _TORUS[:, None, :] * (S[:su, su:] @ w).reshape(k, 3)
-    blocks = S[:su, :su].reshape(k, 3, k, 3)
-    tables = [_spin_table(m).astype(dtype, copy=False) for m in lab.spins]
-    for j, d in enumerate(dims):
-        # -S_ab g_a g_b on the rows 3a + b of the table, the torus part on 9 + a
-        coef = np.concatenate((-(blocks[j, :, j] * _PAIR).reshape(2, 9), lin[:, j]), axis=1)
-        block = coef @ tables[j].reshape(12, 5 * d)
-        bands[:, single[j]] += block.reshape(2, 5, *[d if i == j else 1 for i in range(k)])
-        # cross-factor terms, both orders: -2 S_pq g_a x g_b
-        for j2 in range(j + 1, k):
-            c = -2 * blocks[j, :, j2] * _PAIR
-            if not c.any():
-                continue
-            d2 = dims[j2]
-            g, g2 = tables[j][9:, 1:4].reshape(3, 3 * d), tables[j2][9:, 1:4].reshape(3, 3 * d2)
-            # [part, s, t, i, i2] = sum_ab c[part, a, b] G_a[i, i+s] G_b[i2, i2+t]
-            x = (g.T @ (c @ g2)).reshape(2, 3, d, 3, d2).transpose(0, 1, 3, 2, 4)
-            spread = [dims[i] if i in (j, j2) else 1 for i in range(k)]
-            bands[:, pairs[j, j2]] += x.reshape(2, 9, *spread)
+    lin = None
+    if spec.n:
+        w = np.array(lab.weight, dtype=dtype)
+        # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
+        bands[0, ..., layout.zero] = w @ form.S[su:, su:] @ w
+        # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
+        lin = (form.torus[:, :su, su:] @ w).reshape(2, k, 3)
+    tables = [_spin_table(m) for m in lab.spins]
+    if dtype is object:
+        tables = [(p.astype(object), g.astype(object)) for p, g in tables]
+    for j, (d, (products, g)) in enumerate(zip(layout.dims, tables)):
+        # -S_ab g_a g_b on the offsets -2..2, the torus part on -1..1
+        block = (form.single[j] @ products).reshape(2, d, 5)
+        if lin is not None:
+            block[..., 1:4] += (lin[:, j] @ g).reshape(2, d, 3)
+        # the nonzero offsets of factor j are its own bands, so they are
+        # assigned (cheaper than adding through an index); all share offset 0
+        at, spread = layout.single[j]
+        bands[..., at] = block[..., _NONZERO].reshape(spread)
+        bands[..., layout.zero] += block[..., 2].reshape(spread[:-1])
+    # cross-factor terms, both orders: -2 S_pq g_a x g_b, on bands that the
+    # single-factor terms may have written, so after them and added
+    for (j, j2), c in form.cross.items():
+        if j2 >= k:
+            continue
+        d, d2 = layout.dims[j], layout.dims[j2]
+        # x[part, (i, s), (i2, t)] = sum_ab c[part, a, b] G_a[i, i+s] G_b[i2, i2+t]
+        x = tables[j][1].T @ (c @ tables[j2][1])
+        at, spread = layout.pairs[j, j2]
+        bands[..., at] += x.reshape(2, d, 3, d2, 3).transpose(0, 1, 3, 2, 4).reshape(spread)
 
-    # row-major read-out: bands sorted by flat column offset, so columns
-    # ascend within a row; two bands with one flat offset never both reach
-    # a column in range, since the column's multi-index fixes the band
-    strides = [math.prod(dims[j + 1:]) for j in range(k)]
-    offsets = keys @ np.array(strides, dtype=np.int64)
-    order = np.argsort(offsets, kind="stable")
-    re, im = bands.reshape(2, len(keys), total)[:, order].transpose(0, 2, 1)
-    rows, band = np.nonzero((re != 0) | (im != 0))
+    # row-major read-out: the bands are sorted by flat column offset, so
+    # columns ascend within a row; two bands with one flat offset never both
+    # reach a column in range, since the column's multi-index fixes the band
+    re, im = bands.reshape(2, layout.total * nbands)
+    at = np.flatnonzero(re | im)
+    rows, band = np.divmod(at, nbands)
     matrix = IntMatrix(
-        total, total, den, rows, rows + offsets[order][band], re[rows, band], im[rows, band]
+        layout.total, layout.total, form.den, rows, rows + layout.offsets[band], re[at], im[at]
     )
     return OperatorMatrix(spec=spec, label=lab, tensor=tensor, matrix=matrix)
 

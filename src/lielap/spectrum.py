@@ -510,7 +510,7 @@ def table_to_csv(t: SpectrumTable) -> str:
 
 def table_to_text(t: SpectrumTable) -> str:
     lines = [
-        f"group {t.spec.name}  cutoff {t.cutoff}  "
+        f"group {t.spec.display_name}  cutoff {t.cutoff}  "
         f"tensor {t.tensor_hash}",
         f"{'eigenvalue':>16}  {'mult':>5}  {'irr':>3}  contributors",
     ]

@@ -536,7 +536,7 @@ def witness_search(
         if best is None or report.score > best.score:
             best = report
     raise WitnessSearchExhausted(
-        f"no certified tensor found for {spec.name} at level {level} "
+        f"no certified tensor found for {spec.display_name} at level {level} "
         f"after {trials} trials",
         best=best,
     )

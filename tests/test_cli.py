@@ -263,6 +263,30 @@ def test_verify_paper_even_m_is_fine_without_pairs_ii(capsys):
     assert out.startswith("PASS eigH")
 
 
+@pytest.mark.parametrize(
+    "argv, idle",
+    [
+        (("--max-m", "0"), ["quaternionic-double", "tridiag"]),
+        (("--max-m", "1"), ["tridiag"]),
+        (("--check", "tridiag", "--max-m", "1"), ["tridiag"]),
+        (("--check", "quaternionic-double", "--max-m", "0"), ["quaternionic-double"]),
+    ],
+)
+def test_verify_paper_rejects_a_max_m_that_leaves_a_check_no_case(capsys, argv, idle):
+    rc, out, err = run(capsys, "verify-paper", *argv)
+    assert rc == 2
+    assert out == ""
+    assert "--max-m" in err and all(name in err for name in idle)
+    assert all(name not in err for name in {"quaternionic-double", "tridiag"} - set(idle))
+
+
+def test_verify_paper_least_max_m_runs_a_case(capsys):
+    rc, out, _ = run(capsys, "verify-paper", "--check", "tridiag", "--max-m", "2")
+    assert rc == 0 and out.startswith("PASS tridiag: m=2:")
+    rc, out, _ = run(capsys, "verify-paper", "--check", "quaternionic-double", "--max-m", "1")
+    assert rc == 0 and out.startswith("PASS quaternionic-double")
+
+
 def test_verify_paper_unknown_check():
     with pytest.raises(SystemExit) as exc:
         main(["verify-paper", "--check", "nope"])
@@ -332,6 +356,24 @@ def test_group_file(capsys, tmp_path):
     )
     assert rc == 0
     assert [r.split(",")[0] for r in out.strip().splitlines()[1:]] == ["0", "1", "4"]
+
+
+def test_unnamed_group_file_text_names_the_group_by_k_and_n(capsys, tmp_path):
+    gf = tmp_path / "group.json"
+    gf.write_text(json.dumps({"k": 1, "n": 0}))
+    rc, out, _ = run(capsys, "spectrum", "--group-file", str(gf), "--tensor", "identity",
+                     "--max-eig", "8")
+    assert rc == 0 and out.startswith("group k1n0  cutoff 8  tensor ")
+    rc, out, _ = run(capsys, "witness", "--group-file", str(gf), "--level", "2")
+    assert rc == 0 and out.startswith("group k1n0 level 2 seed 0: certified")
+    gf.write_text(json.dumps({"k": 2, "n": 0}))
+    rc, out, _ = run(capsys, "witness", "--group-file", str(gf), "--level", "4",
+                     "--trials", "1", "--seed", "4")
+    assert rc == 1 and out.startswith("group k2n0 level 4 seed 4: search exhausted")
+    # JSON keeps the group as given, with no name
+    rc, out, _ = run(capsys, "spectrum", "--group-file", str(gf), "--tensor", "identity",
+                     "--max-eig", "3", "--format", "json")
+    assert rc == 0 and json.loads(out)["group"] == {"k": 2, "n": 0}
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,12 @@ def test_matmul_against_dense():
     assert a @ IntMatrix.identity(2) == a
 
 
+def test_matmul_of_zero_by_entries_past_int64():
+    # the product is zero, but the factor's own entries still need Python ints
+    big = diagonal([10**30, -(10**30)])
+    assert zero(2, 2) @ big == zero(2, 2) == big @ zero(2, 2)
+
+
 def test_conj():
     m = mat([[I, 1], [0, (0, -1)]])
     assert list(m.conj().entries()) == [(0, 0, (0, -1)), (0, 1, (1, 0)), (1, 1, (0, 1))]

@@ -1,6 +1,8 @@
 """Operator construction, hermitian numerics, product structure."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from lielap.algebra_core import (
     symmetric_product,
     SymTensor,
 )
+from lielap import operator
 from lielap.errors import DomainError
 from lielap.irreps import build_irrep, label, labels_up_to_level
 from lielap.linalg import IntMatrix
@@ -25,6 +28,7 @@ from lielap.operator import (
     cluster_values,
     eigen_decompose_numeric,
     kronecker_spectrum_check,
+    tensor_form,
 )
 from lielap.witness import sample_definite_tensor
 
@@ -101,7 +105,7 @@ def test_label_shape_mismatch(spec, lab):
         build_group_spec(2, 1),
         build_group_spec(3, 2),
     ],
-    ids=lambda spec: spec.name or f"k{spec.k}n{spec.n}",
+    ids=lambda spec: spec.display_name,
 )
 def test_build_DV_matches_generic_products(spec):
     rng = random.Random(20160215 + spec.dim)
@@ -148,6 +152,81 @@ def test_entries_match_generic_products_in_row_major_order():
                 tuple(int if x.denominator == 1 else Fraction for x in v) for *_, v in expected
             ]
             assert op.matrix == want
+
+
+def test_one_tensor_takes_both_routes_in_alternation():
+    # the first u2 tensor of test_build_DV_matches_generic_products; weights
+    # near 10^30 send den * D to Python ints, small ones keep it in int64
+    spec = preset("u2")
+    tensor = sample_definite_tensor(spec.dim, random.Random(20160215 + spec.dim))
+    for m, l, route in [(0, 2, np.int64), (2, 10**30, object), (1, 1, np.int64),
+                        (1, 10**30 + 1, object), (2, -4, np.int64), (0, -10**30, object)]:
+        lab = label((m,), (l,))
+        op = build_DV(spec, lab, tensor)
+        assert op.matrix.re.dtype == route, lab
+        assert op.matrix == generic_DV(spec, lab, tensor), lab
+
+
+def test_alternating_and_equal_tensors_on_the_same_labels():
+    # the inputs of test_entries_match_generic_products_in_row_major_order,
+    # with the tensors alternating label by label, and a second tensor equal
+    # to the generic one but not the same object
+    spec = preset("su2xsu2")
+    generic = sample_definite_tensor(spec.dim, random.Random(1466))
+    twin = SymTensor(generic.entries)
+    assert twin == generic and twin is not generic
+    tensors = (casimir_tensor(spec), generic, twin)
+    for spins in [(m, mp) for m in range(6) for mp in range(6)]:
+        lab = label(spins)
+        for tensor in tensors:
+            assert build_DV(spec, lab, tensor).matrix == generic_DV(spec, lab, tensor), spins
+    assert twin.operator_form is not generic.operator_form
+
+
+def test_tensor_form_is_made_once_per_tensor(monkeypatch):
+    made = []
+
+    def counted(tensor):
+        made.append(tensor)
+        return tensor_form(tensor)
+
+    monkeypatch.setattr(operator, "tensor_form", counted)
+    spec = preset("u2")
+    a, b = (sample_definite_tensor(spec.dim, random.Random(seed)) for seed in (1, 2))
+    for lab in labels_up_to_level(spec, 3):
+        for tensor in (a, b):
+            build_DV(spec, lab, tensor)
+    assert made == [a, b] and made[0] is a and made[1] is b
+
+
+@pytest.mark.parametrize(
+    "spec, lab",
+    [
+        (preset("spin4"), label((2, 3))),
+        (preset("u2"), label((3,), (-1,))),
+        (preset("u2"), label((2,), (10**30,))),
+    ],
+)
+def test_writes_to_a_result_do_not_reach_the_next_build(spec, lab):
+    tensor = sample_definite_tensor(spec.dim, random.Random(99))
+    want = generic_DV(spec, lab, tensor)
+    M = build_DV(spec, lab, tensor).matrix
+    assert M == want
+    for a in (M.rows, M.cols, M.re, M.im):
+        a[...] = 7
+    assert build_DV(spec, lab, tensor).matrix == want
+
+
+def test_no_module_cache_keeps_a_tensor_alive():
+    spec = preset("u2")
+    tensor = sample_definite_tensor(spec.dim, random.Random(5))
+    ops = [build_DV(spec, lab, tensor) for lab in labels_up_to_level(spec, 3)]
+    ops.append(build_DV(spec, label((2,), (10**30,)), tensor))
+    assert all(op.tensor is tensor for op in ops)
+    ref = weakref.ref(tensor)
+    del tensor, ops
+    gc.collect()
+    assert ref() is None
 
 
 def test_torus_operator_is_quadratic_form():
