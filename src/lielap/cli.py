@@ -17,19 +17,17 @@ from .algebra_core import (
     GroupSpec,
     SymTensor,
     group_from_json,
-    group_to_json,
     identity_tensor,
     is_positive_definite,
     preset,
     symmetric_product,
     tensor_from_json,
-    tensor_hash,
-    tensor_to_json,
 )
 from .errors import DomainError, WitnessSearchExhausted
 from .irreps import (
     build_irrep,
     classify_type,
+    descends_to_quotient,
     format_label,
     label,
     labels_up_to_level,
@@ -44,6 +42,7 @@ from .spectrum import (
     table_to_text,
 )
 from .witness import (
+    battery_json,
     certificate_battery,
     pairs_mixed_witness,
     pairs_pipeline,
@@ -172,15 +171,7 @@ def cmd_certify(args) -> int:
     polys = [char_poly_of(spec, lab, tensor) for lab in labels]
     certs = certificate_battery(labels, polys)
     verdict = all(c.verdict for c in certs)
-    doc = {
-        "group": group_to_json(spec),
-        "level": level,
-        "tensor": tensor_to_json(tensor),
-        "tensor_hash": tensor_hash(tensor),
-        "labels": [format_label(l) for l in labels],
-        "certificates": [c.to_json() for c in certs],
-        "verdict": verdict,
-    }
+    doc = {**battery_json(spec, level, tensor, labels, certs), "verdict": verdict}
     if args.format == "json":
         dump_json(doc, args.output)
     else:
@@ -227,6 +218,7 @@ def cmd_witness(args) -> int:
             (m, mp)
             for m in range(1, level + 1, 2)
             for mp in range(m, level + 1, 2)
+            if descends_to_quotient(spec, label((m, mp)))
         ]
         doc["pairs"] = []
         for m, mp in pairs:

@@ -123,37 +123,32 @@ def casimir_eigenvalue(lab: IrrepLabel) -> int:
 # -- generator matrices -------------------------------------------------------
 
 
-# The triple (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer matrix,
-# kept as a band {offset: values}: values[i] is the entry at (i, i + offset),
-# 0 where that column is out of range.  Cached bands hold tuples so that no
-# caller can change them.
+# The triple (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer matrix.
 PHASES = (1, 1, 0)
 
 
 @lru_cache(maxsize=512)
-def su2_bands(m: int) -> tuple[dict, dict, dict]:
-    """The integer bands (G_H, G_A, G_B) of the spin-m triple, read off the
-    formulas in the module docstring."""
+def su2_bands(m: int) -> np.ndarray:
+    """The integer bands of the spin-m triple (G_H, G_A, G_B), read off the
+    formulas in the module docstring: a read-only int64 array of shape
+    (3, 3, m + 1) whose [a, s + 1, i] is the entry (i, i + s) of G_a, 0 where
+    that column is out of range."""
     if m < 0:
         raise DomainError("spin must be nonnegative")
-    up = (0, *range(m, 0, -1))  # (l + 1, l): m - l
-    down = (*range(1, m + 1), 0)  # (l - 1, l): l
-    return (
-        {0: tuple(range(m, -m - 1, -2))},
-        {-1: up, 1: down},
-        {-1: up, 1: (*range(-1, -m - 1, -1), 0)},
-    )
+    bands = np.zeros((3, 3, m + 1), dtype=np.int64)
+    bands[0, 1] = range(m, -m - 1, -2)
+    bands[1:, 0, 1:] = range(m, 0, -1)  # (l + 1, l): m - l
+    bands[1, 2, :-1] = range(1, m + 1)  # (l - 1, l): l
+    bands[2, 2, :-1] = range(-1, -m - 1, -1)
+    bands.flags.writeable = False
+    return bands
 
 
 def su2_generators(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(H, A, B) of the spin-m irreducible in the monomial basis."""
     out = []
-    for band, phase in zip(su2_bands(m), PHASES):
-        G = np.zeros((m + 1, m + 1), dtype=np.int64)
-        for s, vals in band.items():
-            for i, v in enumerate(vals):
-                if v:
-                    G[i, i + s] = v
+    for (below, diag, above), phase in zip(su2_bands(m), PHASES):
+        G = np.diag(below[1:], -1) + np.diag(diag) + np.diag(above[:-1], 1)
         out.append(IntMatrix.from_dense(0 * G, G) if phase else IntMatrix.from_dense(G))
     return tuple(out)
 

@@ -103,9 +103,7 @@ def _spin_table(m: int) -> tuple[np.ndarray, np.ndarray]:
     d = m + 1
     # offsets -1..1 of each G_a, padded by one zero column on either side
     G = np.zeros((3, 3, d + 2), dtype=np.int64)
-    for a, band in enumerate(su2_bands(m)):
-        for s, vals in band.items():
-            G[a, 1 + s, 1:-1] = vals
+    G[:, :, 1:-1] = su2_bands(m)
     products = np.zeros((3, 3, 5, d), dtype=np.int64)
     for s in range(3):
         # (G_a G_b)[i, i+s+t-2] = G_a[i, i+s-1] G_b[i+s-1, i+s+t-2], t = 0..2

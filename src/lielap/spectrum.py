@@ -56,12 +56,11 @@ from .algebra_core import (
 from .errors import DomainError
 from .irreps import (
     IrrepLabel,
-    canonical_dual_rep,
     casimir_eigenvalue,
     classify_type,
-    descends_to_quotient,
     format_label,
     is_self_dual,
+    labels_up_to_level,
 )
 from .poly import (
     fold_odd,
@@ -92,31 +91,9 @@ def enumerate_irreps(
             f"tensor has size {tensor.n}, algebra has dimension {spec.dim}"
         )
     radius = cutoff / tensor.lower_bound
-
-    found: list[IrrepLabel] = []
-
-    def weights(idx: int, budget: Fraction, acc: tuple[int, ...], spins):
-        if idx == spec.n:
-            lab = IrrepLabel(spins, acc)
-            if lab == canonical_dual_rep(lab) and descends_to_quotient(spec, lab):
-                found.append(lab)
-            return
-        top = math.isqrt(int(budget))
-        for w in range(-top, top + 1):
-            weights(idx + 1, budget - w * w, acc + (w,), spins)
-
-    def spins(idx: int, budget: Fraction, acc: tuple[int, ...]):
-        if idx == spec.k:
-            weights(0, budget, (), acc)
-            return
-        m = 0
-        while m * (m + 2) <= budget:
-            spins(idx + 1, budget - m * (m + 2), acc + (m,))
-            m += 1
-
-    spins(0, radius, ())
-    found.sort(key=lambda l: (casimir_eigenvalue(l), l.spins, l.weight))
-    return found
+    # m (m + 2) <= radius and w^2 <= radius keep every coordinate in the box
+    box = labels_up_to_level(spec, math.isqrt(math.floor(radius)))
+    return [lab for lab in box if casimir_eigenvalue(lab) <= radius]
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,13 @@ import numpy as np
 from .algebra_core import (
     GroupSpec,
     SymTensor,
+    group_to_json,
     preset,
     is_positive_definite,
     square_of_vector,
     symmetric_product,
     tensor_hash,
+    tensor_to_json,
 )
 from .errors import DomainError, WitnessSearchExhausted
 from .irreps import (
@@ -51,6 +53,7 @@ from .irreps import (
     classify_type,
     format_label,
     label,
+    labels_up_to_level,
     rotation_half_pi,
 )
 from .linalg import IntMatrix, restrict_operator
@@ -501,7 +504,6 @@ def witness_search(
     level: int,
     trials: int = 8,
     seed: int = 0,
-    labels=None,
 ) -> WitnessReport:
     """Find one definite tensor whose spectrum is certified irreducible
     across every label up to the level bound.
@@ -511,11 +513,7 @@ def witness_search(
     certificates are computed even after a failure, so an exhausted
     search carries the best-scoring trial for diagnosis.
     """
-    from .irreps import labels_up_to_level
-
-    if labels is None:
-        labels = labels_up_to_level(spec, level)
-    labels = tuple(labels)
+    labels = tuple(labels_up_to_level(spec, level))
     rng = random.Random(seed)
     best: WitnessReport | None = None
     for trial in range(trials):
@@ -542,17 +540,22 @@ def witness_search(
     )
 
 
-def witness_report_json(r: WitnessReport) -> dict:
-    from .algebra_core import tensor_to_json
-
+def battery_json(spec: GroupSpec, level: int, tensor: SymTensor, labels, certificates) -> dict:
+    """The JSON document of a certificate battery on the labels up to level."""
     return {
-        "group": r.spec.name,
-        "level": r.level,
+        "group": group_to_json(spec),
+        "level": level,
+        "tensor": tensor_to_json(tensor),
+        "tensor_hash": tensor_hash(tensor),
+        "labels": [format_label(l) for l in labels],
+        "certificates": [c.to_json() for c in certificates],
+    }
+
+
+def witness_report_json(r: WitnessReport) -> dict:
+    return {
+        **battery_json(r.spec, r.level, r.tensor, r.labels, r.certificates),
         "seed": r.seed,
         "trial": r.trial,
-        "tensor": tensor_to_json(r.tensor),
-        "tensor_hash": tensor_hash(r.tensor),
-        "labels": [format_label(l) for l in r.labels],
-        "certificates": [c.to_json() for c in r.certificates],
         "success": r.success,
     }

@@ -207,6 +207,21 @@ def test_witness_su2xsu2_includes_pairs(capsys):
     assert all(p["ok"] for p in doc["pairs"])
 
 
+def test_witness_runs_pairs_only_on_labels_of_the_group(capsys, tmp_path):
+    # SO(3) x SU(2): no label with an odd first spin descends, so no pair does
+    group = {"k": 2, "n": 0, "central": [{"signs": [-1, 1], "torus": []}]}
+    gf = tmp_path / "group.json"
+    gf.write_text(json.dumps(group))
+    rc, out, _ = run(
+        capsys, "witness", "--group-file", str(gf), "--level", "3",
+        "--seed", "0", "--format", "json",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["pairs"] == []
+    assert doc["group"] == group
+
+
 def test_witness_u2_includes_mixed(capsys):
     rc, out, _ = run(
         capsys, "witness", "--group", "u2", "--level", "2",

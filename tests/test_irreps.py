@@ -22,6 +22,7 @@ from lielap.irreps import (
     parse_label,
     quaternionic_structure,
     rotation_half_pi,
+    su2_bands,
     su2_generators,
 )
 from lielap.linalg import IntMatrix
@@ -49,6 +50,25 @@ def test_casimir_from_generators(m):
     H, A, B = su2_generators(m)
     cas = -(H @ H) + -(A @ A) + -(B @ B)
     assert cas == IntMatrix.identity(m + 1) * (m * (m + 2))
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_su2_bands_follow_the_docstring_formulas(m):
+    """su2_bands(m)[a, s + 1, i] is the entry (i, i + s) of G_a.  The module
+    docstring gives G_a column by column: column l of G_H holds m - 2l in
+    row l, and those of G_A and G_B hold m - l in row l + 1 and l (G_A) or
+    -l (G_B) in row l - 1."""
+    want = np.zeros((3, 3, m + 1), dtype=np.int64)
+    for l in range(m + 1):
+        want[0, 1, l] = m - 2 * l
+        if l < m:
+            want[1, 0, l + 1] = want[2, 0, l + 1] = m - l
+        if l > 0:
+            want[1, 2, l - 1], want[2, 2, l - 1] = l, -l
+    bands = su2_bands(m)
+    assert bands.dtype == np.int64 and bands.shape == (3, 3, m + 1)
+    assert np.array_equal(bands, want)
+    assert not bands.flags.writeable
 
 
 def test_h_action_is_diagonal():

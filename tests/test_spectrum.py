@@ -1,6 +1,7 @@
 """Spectrum assembly: enumeration bounds, collisions, multiplicities."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from lielap.algebra_core import (
     MetricSpec,
     SymTensor,
     certified_lower_bound,
+    group_from_json,
     identity_tensor,
     metric_to_tensor,
     preset,
@@ -27,6 +29,7 @@ from lielap.irreps import (
 )
 from lielap.operator import build_DV, eigen_decompose_numeric
 from fracpoly import Poly, from_int, gcd, primitive_int
+from test_irreps import character_descends
 from lielap.poly import (
     divides,
     int_gcd,
@@ -76,6 +79,50 @@ def test_enumerate_torus_dual_reduced():
     labs = enumerate_irreps(preset("t2"), identity_tensor(2), 2)
     names = [format_label(l) for l in labs]
     assert names == [";0,0", ";0,1", ";1,0", ";1,-1", ";1,1"]
+
+
+def brute_force_labels(spec, radius):
+    """Oracle for enumerate_irreps: every label with Casimir <= radius whose
+    central character is trivial, one per dual pair (first nonzero weight
+    entry positive), sorted by Casimir and then by label."""
+    top_spin = 0
+    while (top_spin + 1) * (top_spin + 3) <= radius:
+        top_spin += 1
+    top_weight = 0
+    while (top_weight + 1) ** 2 <= radius:
+        top_weight += 1
+    found = []
+    for spins in itertools.product(range(top_spin + 1), repeat=spec.k):
+        for weight in itertools.product(range(-top_weight, top_weight + 1), repeat=spec.n):
+            casimir = sum(m * (m + 2) for m in spins) + sum(w * w for w in weight)
+            first_nonzero = next((w for w in weight if w), 0)
+            if casimir > radius or first_nonzero < 0:
+                continue
+            lab = label(spins, weight)
+            if character_descends(spec, lab):
+                found.append((casimir, spins, weight, lab))
+    return [lab for *_, lab in sorted(found, key=lambda x: x[:3])]
+
+
+TORUS_CENTRAL_GROUPS = [
+    {"k": 1, "n": 2, "central": [{"signs": [-1], "torus": ["1/2", "1/3"]}]},
+    {"k": 2, "n": 1, "central": [{"signs": [-1, 1], "torus": ["1/2"]},
+                                 {"signs": [1, -1], "torus": ["2/3"]}]},
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [preset(name) for name in ("su2", "so3", "u2", "so4", "spin4", "t1", "t2", "t3")]
+    + [group_from_json(doc) for doc in TORUS_CENTRAL_GROUPS],
+    ids=lambda spec: spec.display_name,
+)
+def test_enumerate_matches_brute_force_walk(spec):
+    for tensor in (identity_tensor(spec.dim),
+                   sample_definite_tensor(spec.dim, random.Random(spec.dim)).scale(Fraction(1, 2))):
+        for cutoff in (0, Fraction(1, 3), 3, Fraction(123, 7), 24):
+            radius = Fraction(cutoff) / tensor.lower_bound
+            assert enumerate_irreps(spec, tensor, cutoff) == brute_force_labels(spec, radius)
 
 
 def test_gcd_free_basis_splits_shared_factors():
