@@ -22,7 +22,6 @@ equivariant map J with J^2 = (-1)^m, exposed for single factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -205,26 +204,6 @@ def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
         rep_type=classify_type(lab),
         generators=tuple(gens),
     )
-
-
-def multi_indices(lab: IrrepLabel):
-    """Basis multi-indices (l_1, ..., l_k) in Kronecker order (first factor
-    slowest)."""
-    ranges = [range(m + 1) for m in lab.spins]
-    return iter_product(*ranges)
-
-
-def orthonormal_weights(lab: IrrepLabel) -> list[int]:
-    """Squared norms of the monomial basis vectors in the invariant inner
-    product: prod_j l_j! (m_j - l_j)!.  Generators are skew-hermitian for
-    these weights, which is what the numeric path conjugates by."""
-    out = []
-    for idx in multi_indices(lab):
-        w = 1
-        for m, l in zip(lab.spins, idx):
-            w *= math.factorial(l) * math.factorial(m - l)
-        out.append(w)
-    return out
 
 
 # -- quaternionic structure ---------------------------------------------------

@@ -48,8 +48,9 @@ A label pays only for its band arithmetic, the nonzero read-out and the
 
 The numeric path conjugates D by the diagonal square-root of the invariant
 inner product weights, which makes it honestly hermitian, then uses the
-dense hermitian eigensolver and clusters eigenvalues by relative gap.  It
-is a cross-check only: verdicts always come from the exact path.
+dense hermitian eigensolver (`hermitian_eigenvalues`) and clusters
+eigenvalues by relative gap.  Its values are hints for root isolation and a
+cross-check only: verdicts always come from the exact path.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .algebra_core import (
     identity_tensor,
 )
 from .errors import DomainError
-from .irreps import PHASES, IrrepLabel, orthonormal_weights, su2_bands
+from .irreps import PHASES, IrrepLabel, su2_bands
 from .linalg import IntMatrix, entry_dtype
 
 
@@ -300,8 +301,21 @@ def cluster_values(values, tol: float) -> tuple[tuple[float, int], ...]:
     return tuple(clusters)
 
 
-def eigen_decompose_numeric(op: OperatorMatrix, tol: float = 1e-8) -> NumericSpectrum:
-    """Hermitian eigenvalues of D in an orthonormal basis, clustered.
+@lru_cache(maxsize=4096)
+def _half_weights(spins: tuple[int, ...]) -> np.ndarray:
+    """sqrt(w) up to one constant factor, w the squared norms prod_j l_j!
+    (m_j - l_j)! of the monomial basis in Kronecker order (first factor
+    slowest): prod_j C(m_j, l_j)^(-1/2), since l! (m - l)! = m! / C(m, l).
+    Read-only, as the cache shares it."""
+    out = np.ones(1)
+    for m in spins:
+        out = np.multiply.outer(out, [math.comb(m, l) ** -0.5 for l in range(m + 1)]).ravel()
+    out.flags.writeable = False
+    return out
+
+
+def hermitian_eigenvalues(op: OperatorMatrix) -> np.ndarray:
+    """The eigenvalues of D in increasing order, in floating point.
 
     The monomial basis is orthogonal but not normalized; conjugating by
     diag(sqrt(w)) with w the squared norms yields an honestly hermitian
@@ -310,24 +324,25 @@ def eigen_decompose_numeric(op: OperatorMatrix, tol: float = 1e-8) -> NumericSpe
     """
     n = op.dim
     if n == 0:
-        return NumericSpectrum((), (), tol)
-    w = orthonormal_weights(op.label)
+        return np.zeros(0)
     M = op.matrix
-    rows, cols = M.rows.tolist(), M.cols.tolist()
-    # int / int is correctly rounded: the weights are huge factorials but
-    # their ratios along matrix bands stay small
-    ratio = np.array([math.sqrt(w[i] / w[j]) for i, j in zip(rows, cols)])
-    values = np.array([complex(x / M.den, y / M.den) for x, y in zip(M.re.tolist(), M.im.tolist())])
+    d = _half_weights(op.label.spins)
     C = np.zeros((n, n), dtype=complex)
-    C[rows, cols] = values * ratio
-    scale = max(1.0, float(np.max(np.abs(C))) if n else 1.0)
-    asym = float(np.max(np.abs(C - C.conj().T)))
+    C[M.rows, M.cols] = (M.re + 1j * M.im) * (d[M.rows] / d[M.cols] / float(M.den))
+    H = C.conj().T
+    scale = max(1.0, float(abs(C).max()))
+    asym = float(abs(C - H).max())
     if asym > 1e-9 * scale:
         raise ArithmeticError(
             f"operator is not hermitian after conjugation (residue {asym:g})"
         )
-    evals = np.linalg.eigvalsh((C + C.conj().T) / 2)
-    eigenvalues = tuple(float(x) for x in evals)
+    return np.linalg.eigvalsh((C + H) / 2)
+
+
+def eigen_decompose_numeric(op: OperatorMatrix, tol: float = 1e-8) -> NumericSpectrum:
+    """Hermitian eigenvalues of D in an orthonormal basis
+    (`hermitian_eigenvalues`), clustered by relative gap."""
+    eigenvalues = tuple(hermitian_eigenvalues(op).tolist())
     return NumericSpectrum(eigenvalues, cluster_values(eigenvalues, tol), tol)
 
 

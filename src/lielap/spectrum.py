@@ -10,19 +10,28 @@ The pipeline:
      enumeration down to a finite ball.
   2. Compute the characteristic polynomial of D_V(s) exactly for each
      candidate label of the dual-reduced, quotient-descended list, and
-     split it into squarefree factors.
-  3. Pin every root <= L of every factor in an isolating bracket (a, b],
-     or [r, r] for a rational root r found exactly.  Every factor splits
-     over the reals, so two equal roots have overlapping brackets: the
-     roots are sorted by bracket and swept into clusters of overlapping
-     brackets, and inside a cluster two roots of different factors are
-     one number exactly when their exact values are equal, when one
-     exact value lies in the other's bracket and the other factor
-     vanishes there, or, with neither value known, when the factor that
-     the gcd-free basis of the two lists under both changes sign on the
-     intersection of the brackets.  No floating-point comparison decides
-     a coincidence, and exact gcds run only on overlapping inexact
-     brackets.
+     the eigenvalues of its hermitian form in floating point
+     (`hermitian_eigenvalues`), which serve as hints only.  Cut the
+     charpoly P (the Kramers root on a quaternionic label) between the
+     clustered hints: if its exact sign changes across deg P cells, P is
+     squarefree and each cell holds one root (`hint_cells`).  Otherwise
+     split P into squarefree factors (Yun) and cut each factor the same
+     way.
+  3. Round every root <= L of every factor to the nearest double, from
+     the hint in its cell, with exact signs at the midpoints between
+     doubles; a factor whose cells the hints do not prove falls back to a
+     Sturm chain and bisection.  Each root keeps an isolating bracket
+     (a, b], or [r, r] for a rational root r found exactly.  Every factor
+     splits over the reals, so two equal roots have overlapping brackets:
+     the roots are sorted by bracket and swept into clusters of
+     overlapping brackets, and inside a cluster two roots of different
+     factors are one number exactly when their exact values are equal,
+     when one exact value lies in the other's bracket and the other
+     factor vanishes there, or, with neither value known, when the factor
+     that the gcd-free basis of the two lists under both changes sign on
+     the intersection of the brackets.  No floating-point comparison
+     decides a coincidence, and exact gcds run only on overlapping
+     inexact brackets.
   4. Emit one entry per group of equal roots, with the full contributor
      list and the real multiplicity accounting (complex-type labels
      stand for their dual pair and count twice).
@@ -39,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -74,7 +84,9 @@ from .poly import (
 )
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
-from .polycert import char_poly_of, multiplicity_profile
+from . import polycert
+from .operator import cluster_values, hermitian_eigenvalues
+from .polycert import char_poly_exact, multiplicity_profile
 
 
 def enumerate_irreps(
@@ -170,8 +182,15 @@ def gcd_free_basis(polys: list[list[int]]) -> list[tuple[list[int], list[int]]]:
 
 class Root(NamedTuple):
     """A real root of an integer polynomial: its float, its value when it
-    is found rational, and its isolating bracket (lo, hi], or lo = hi =
-    the value for a rational root."""
+    is found rational, and an isolating bracket (lo, hi].
+
+    The float is the double nearest the root (for a rational root, its
+    correctly rounded float).  For an inexact root the bracket is the
+    interval between the midpoints of that double and its two neighbours,
+    cut to the upper bound of `real_roots`; only where another root of
+    the polynomial lies in that interval is it cut to the cell the root
+    was isolated in.  For a rational root lo = hi = the value.
+    """
 
     value: float
     exact: Fraction | None
@@ -179,15 +198,110 @@ class Root(NamedTuple):
     hi: Fraction
 
 
+# the doubles in increasing order have consecutive keys; _TOP is the key
+# of the largest finite double
+_NEG = 1 << 63
+_TOP = 0x7FEF_FFFF_FFFF_FFFF
+
+
+def _key(x: float) -> int:
+    (u,) = struct.unpack("<Q", struct.pack("<d", x))
+    return u if u < _NEG else _NEG - u
+
+
+def _double(key: int) -> float:
+    (x,) = struct.unpack("<d", struct.pack("<Q", key if key >= 0 else _NEG - key))
+    return x
+
+
+def _midpoint(key: int) -> tuple[int, int]:
+    """The midpoint of the doubles with keys key and key + 1, as (m, k)
+    for m / 2^k."""
+    n1, d1 = _double(key).as_integer_ratio()
+    n2, d2 = _double(key + 1).as_integer_ratio()
+    d = max(d1, d2)
+    return n1 * (d // d1) + n2 * (d // d2), d.bit_length()
+
+
+def _around(x: float) -> tuple[Fraction, Fraction]:
+    """The midpoints between the double x and its two neighbours."""
+    key = _key(x)
+    (m, k), (n, j) = _midpoint(key - 1), _midpoint(key)
+    return Fraction(m, 1 << k), Fraction(n, 1 << j)
+
+
+def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Root:
+    """The one root of the integer polynomial cs in (a, b], where cs has
+    the sign sb != 0 at b, rounded to the nearest double.
+
+    The nearest double is the x with the root strictly between the
+    midpoints of x and of its two neighbours, and the exact signs of cs at
+    those two midpoints prove it.  The search starts at the double start,
+    gallops away from it in steps that double, then bisects over the
+    doubles: two signs when start is x.  A midpoint outside (a, b] is
+    decided without a sign.  A midpoint that is the root returns it
+    exactly, and so does the fraction nearest x with denominator at most
+    min(lc, isqrt(2 / ulp(x))) when cs vanishes there.  A rational root
+    r / s of the primitive cs has s | lc, and it is that fraction whenever
+    2 s^2 ulp(x) < 1.
+    """
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    hit = []
+
+    def above(key: int) -> bool:
+        """Whether the root lies above the midpoint of key and key + 1."""
+        if key >= _TOP:
+            return False
+        if key < -_TOP:
+            return True
+        m, k = _midpoint(key)
+        if m * bd >= bn << k:
+            return False
+        if m * ad <= an << k:
+            return True
+        s = sign_at_dyadic(cs, m, k)
+        if not s:
+            hit.append(Fraction(m, 1 << k))
+        return s == -sb
+
+    lo = hi = _key(start)
+    step = 1
+    if above(lo):
+        hi = lo + 1
+        while above(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    else:
+        lo = hi - 1
+        while not above(lo):
+            lo, hi, step = lo - 2 * step, lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    if hit:
+        (r,) = hit
+        return Root(float(r), r, r, r)
+    # the root lies strictly between the midpoints of lo and hi = lo + 1
+    x = _double(hi)
+    mid_lo, mid_hi = _around(x)
+    a, b = max(a, mid_lo), min(b, mid_hi)
+    un, ud = math.ulp(x).as_integer_ratio()
+    r = Fraction(x).limit_denominator(max(1, min(abs(cs[-1]), math.isqrt(2 * ud // un))))
+    if a < r <= b and int_sign_at(cs, r) == 0:
+        return Root(float(r), r, r, r)
+    return Root(x, None, a, b)
+
+
 def _pin(cs: list[int], a: Fraction, b: Fraction) -> Root:
-    """The one root of the integer polynomial cs in (a, b], to one ulp,
-    with the final bracket of the bisection.
+    """The one root of the integer polynomial cs in (a, b], rounded to the
+    nearest double (`_round`) once bisection has narrowed the bracket.
 
     Bisects at exact midpoints, comparing signs with the sign at b since a
-    may itself be a neighbouring root.  The loop stops once b - a is below
-    half a float step of the midpoint's float x, which keeps the root
-    strictly between the floats next to x (also where x is a power of two
-    and the step below it is half the step above).
+    may itself be a neighbouring root, until b - a is below half a float
+    step of the midpoint's float x; `_round` then starts from x.  A
+    midpoint that is the root returns it exactly.
 
     The bracket is kept as integers A, B over a shared denominator q 2^k
     with q odd, so the midpoints are the same rationals a Fraction
@@ -221,32 +335,76 @@ def _pin(cs: list[int], a: Fraction, b: Fraction) -> Root:
             A, B = A << 1, M
         else:
             A, B = M, B << 1
-    # a rational root r/s of the primitive cs has s | lc; if s <= Q with
-    # 2 Q^2 (b - a) <= 1, it is the fraction nearest mid with denominator <= Q
-    Q = math.isqrt((q << k) // (2 * (B - A)))
-    mid = Fraction(M, q << (k + 1))
-    r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
-    lo, hi = Fraction(A, q << k), Fraction(B, q << k)
-    if lo < r <= hi and int_sign_at(cs, r) == 0:
-        return Root(float(r), r, r, r)
-    return Root(x, None, lo, hi)
+    return _round(cs, a, b, sb, x)
 
 
-def real_roots(h: list[int], upper: Fraction | None = None) -> list[Root]:
+def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int]] | None:
+    """Cells (a, b] that each hold exactly one root of the primitive h,
+    in increasing order, each with a hint in it and the sign of h at b;
+    None unless exact signs prove deg h such cells.
+
+    h is cut at the midpoints between consecutive finite hints, between -
+    and + its Cauchy bound, where its signs are those of its leading
+    terms.  A cell across which h changes sign holds an odd number of
+    roots, so deg h such cells hold one root each, and prove every root
+    real and simple.  Wrong hints cost the proof, never a root.  A cut on
+    a root of h proves nothing and gives None; near-equal hints of one
+    root put a cut next to it, so a caller clusters them first
+    (`cluster_values`).
+    """
+    n = len(h) - 1
+    hints = sorted(x for x in hints if math.isfinite(x))
+    if n < 1 or len(hints) < n:
+        return None
+    lc = h[-1]
+    bound = 2 + max(abs(c) for c in h[:-1]) // abs(lc)
+    top = 1 if lc > 0 else -1
+    cells = []
+    # the lower end of the current cell, its sign, and the hint in the cell
+    lo, s_lo, start = -bound, (-1) ** n * top, hints[0]
+    for u, v in zip(hints, hints[1:]):
+        c = (u + v) / 2
+        # int-float comparisons are exact
+        if c <= -bound:
+            start = v
+            continue
+        if c >= bound:
+            break
+        if not u < c < v:
+            # equal or adjacent hints: no cell between them
+            continue
+        m, den = c.as_integer_ratio()
+        s = sign_at_dyadic(h, m, den.bit_length() - 1)
+        if not s:
+            return None
+        if s != s_lo:
+            cells.append((Fraction(lo), Fraction(c), start, s))
+        lo, s_lo, start = c, s, v
+    if s_lo != top:
+        cells.append((Fraction(lo), Fraction(bound), start, top))
+    return cells if len(cells) == n else None
+
+
+def real_roots(
+    h: list[int], upper: Fraction | None = None, hints=None, cells=None
+) -> list[Root]:
     """The roots of a primitive squarefree integer factor known to split
-    over the reals, in increasing order, each with its isolating bracket;
-    only those <= upper when an upper bound is given.
+    over the reals, in increasing order, each rounded to the nearest double
+    with an isolating bracket; only those <= upper when an upper bound is
+    given.
 
-    Each root is isolated in a bracket (a, b] by a Sturm chain, whose
-    first cuts sit between the real parts of the companion-matrix
-    eigenvalues, and then pinned by exact bisection (`_pin`), so every
-    float lies within one ulp of a sign change of h.  Both loops run on
-    integer points m / 2^k (m / (q 2^k) once a cutoff with odd
-    denominator part q cuts a bracket: q is folded into the coefficients)
-    and take the same midpoints as bisection over Fractions.  Membership
-    below `upper` is decided by the sign of h at `upper`.  The exact value
-    is set for every rational root that bisection or the nearest small-
-    denominator fraction hits.
+    hints are approximate roots, such as the clustered eigenvalues that
+    `eigvalsh` gives for the operator whose charpoly h divides; cells are
+    those `hint_cells(h, hints)` proved, when the caller has them.  Each
+    root is then rounded from the hint in its cell with a few exact signs
+    (`_round`).  Where the hints do not prove deg h cells, or none are
+    given, a Sturm chain isolates the roots (`real_root_brackets`, its
+    first cuts between the hints or between the real parts of the
+    companion-matrix eigenvalues) and bisection narrows each bracket
+    first (`_pin`); that route raises ArithmeticError when h does not
+    split over the reals.  Both routes give the same value for each root:
+    the nearest double does not depend on the cell.  Membership below
+    `upper` is decided by the sign of h at `upper`.
     """
     n = len(h) - 1
     if n <= 0:
@@ -255,24 +413,55 @@ def real_roots(h: list[int], upper: Fraction | None = None) -> list[Root]:
         r = Fraction(-h[0], h[1])
         return [Root(float(r), r, r, r)] if upper is None or r <= upper else []
 
-    # int / int is correctly rounded
-    hints = np.roots([c / h[-1] for c in reversed(h)]).real.tolist()
-    brackets = real_root_brackets(h, hints=hints)
-    if len(brackets) != n:
-        raise ArithmeticError(
-            f"factor of degree {n} has only {len(brackets)} real "
-            "roots; hermitian eigenvalue factors must split over the reals"
-        )
+    if cells is None and hints is not None:
+        cells = hint_cells(h, hints)
+    if cells is None:
+        if hints is None:
+            # int / int is correctly rounded
+            hints = np.roots([c / h[-1] for c in reversed(h)]).real.tolist()
+        brackets = real_root_brackets(h, hints=hints)
+        if len(brackets) != n:
+            raise ArithmeticError(
+                f"factor of degree {n} has only {len(brackets)} real "
+                "roots; hermitian eigenvalue factors must split over the reals"
+            )
+        cells = [(a, b, None, None) for a, b in brackets]
     out = []
-    for a, b in brackets:
+    for a, b, start, sb in cells:
         if upper is not None and upper < b:
             # the root lies in (a, upper] exactly when h does not change
             # sign between upper and b; later roots lie above this one
-            if a >= upper or int_sign_at(h, upper) not in (0, int_sign_at(h, b)):
+            if a >= upper:
                 break
-            b = upper
-        out.append(_pin(h, a, b))
+            su = int_sign_at(h, upper)
+            if su == 0:
+                out.append(Root(float(upper), upper, upper, upper))
+                break
+            if su != (sb or int_sign_at(h, b)):
+                break
+            b, sb = upper, su
+        out.append(_pin(h, a, b) if start is None else _round(h, a, b, sb, start))
+    # a cell's end may cut into the interval around a root's double; the
+    # whole interval, cut to upper, isolates the root all the same unless
+    # a neighbouring root lies in it, and does not depend on the cells
+    for i, r in enumerate(out):
+        if r.exact is None:
+            lo, hi = _around(r.value)
+            if upper is not None:
+                hi = min(hi, upper)
+            if (lo, hi) != (r.lo, r.hi) and not any(
+                _meets(s, lo, hi) for s in out[max(i - 1, 0):i] + out[i + 1:i + 2]
+            ):
+                out[i] = r._replace(lo=lo, hi=hi)
     return out
+
+
+def _meets(r: Root, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the root r may lie in (lo, hi]: its exact value does, or its
+    bracket meets it."""
+    if r.exact is not None:
+        return lo < r.exact <= hi
+    return max(lo, r.lo) < min(hi, r.hi)
 
 
 def _root_in(h: list[int], lo: Fraction, hi: Fraction) -> bool:
@@ -358,19 +547,38 @@ def _coincident_roots(
     return list(groups.values())
 
 
+# relative gap below which two eigenvalues of one label's hermitian form
+# are taken for one
+_HINT_TOL = 1e-9
+
+
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
     cutoff = Fraction(cutoff)
     labels = enumerate_irreps(spec, tensor, cutoff)
 
     # (label, class multiplicity, squarefree factor); a quaternionic
     # label's profile is taken on its checked Kramers root
-    pieces = [
-        (lab, mult, factor)
-        for lab in labels
-        for mult, factor in multiplicity_profile(char_poly_of(spec, lab, tensor)).entries
-    ]
+    pieces = []
+    # (index into pieces, root)
+    roots = []
+    for lab in labels:
+        # build_DV through polycert's name, which perfbench/tracer.py wraps
+        op = polycert.build_DV(spec, lab, tensor)
+        cp = char_poly_exact(op)
+        hints = [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), _HINT_TOL)]
+        base, e = cp.power_form
+        P = base.primitive()
+        cells = hint_cells(P, hints)
+        if cells is not None:
+            # P changes sign across deg P cells: its roots are simple, so P
+            # is its own squarefree split and Yun's gcd is skipped
+            profile = [(e, P, cells)]
+        else:
+            profile = [(mult, f, None) for mult, f in multiplicity_profile(cp).entries]
+        for mult, f, proved in profile:
+            roots += [(len(pieces), r) for r in real_roots(f, cutoff, hints, proved)]
+            pieces.append((lab, mult, f))
     factors = [factor for _, _, factor in pieces]
-    roots = [(k, root) for k, f in enumerate(factors) for root in real_roots(f, cutoff)]
 
     entries: list[SpectrumEntry] = []
     for group in _coincident_roots(factors, roots):

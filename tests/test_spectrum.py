@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lielap.algebra_core import (
     MetricSpec,
@@ -27,7 +28,12 @@ from lielap.irreps import (
     label,
     labels_up_to_level,
 )
-from lielap.operator import build_DV, eigen_decompose_numeric
+from lielap.operator import (
+    build_DV,
+    cluster_values,
+    eigen_decompose_numeric,
+    hermitian_eigenvalues,
+)
 from fracpoly import Poly, from_int, gcd, primitive_int
 from test_irreps import character_descends
 from lielap.poly import (
@@ -47,6 +53,7 @@ from lielap.spectrum import (
     assemble_spectrum,
     enumerate_irreps,
     gcd_free_basis,
+    hint_cells,
     real_roots,
     table_to_csv,
     table_to_json,
@@ -337,6 +344,11 @@ GENERIC = _tensor31([
     [38, 2, 1, 2, -3, -4], [2, 32, 4, 2, 4, 4], [1, 4, 24, 1, -3, 3],
     [2, 2, 1, 32, -1, 4], [-3, 4, -3, -1, 25, -1], [-4, 4, 3, 4, -1, 30],
 ])
+# the second (seed 0, round 1)
+GENERIC_1 = _tensor31([
+    [33, 4, -3, 2, -3, 2], [4, 25, -2, 1, 1, -1], [-3, -2, 35, -3, 3, -2],
+    [2, 1, -3, 34, -4, 4], [-3, 1, 3, -4, 39, 4], [2, -1, -2, 4, 4, 23],
+])
 BERGER_GRAM = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
 BERGER = metric_to_tensor(MetricSpec(BERGER_GRAM))
 
@@ -481,10 +493,22 @@ def test_common_factor_vanishing_at_the_lower_end():
     assert r.exact is None and s.exact is None and r.lo == s.lo == 1
 
 
+def _hinted_factors(spec, tensor, labels):
+    """(squarefree factor, its label's clustered hermitian eigenvalues) for
+    every factor of every label."""
+    out = []
+    for lab in labels:
+        op = build_DV(spec, lab, tensor)
+        hints = [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), 1e-9)]
+        out += [(f, hints) for _, f in multiplicity_profile(char_poly_exact(op)).entries]
+    return out
+
+
 @functools.cache
-def _random_suite_factors() -> tuple[list[int], ...]:
+def _random_suite() -> tuple[tuple[list[int], list[float]], ...]:
     """The squarefree factors of the random definite tensors that the
-    acceptance suite's numeric-profile test draws (same seed, same order)."""
+    acceptance suite's numeric-profile test draws (same seed, same order),
+    each with its label's clustered hermitian eigenvalues."""
     rng = random.Random(20260817)
     small = [(preset("su2"), label((m,))) for m in range(8)]
     small += [(preset("so3"), lab) for lab in labels_up_to_level(preset("so3"), 6)]
@@ -494,16 +518,20 @@ def _random_suite_factors() -> tuple[list[int], ...]:
     small += [(spin4, label((m, mp))) for m in range(4) for mp in range(4)]
     small += [(preset("so4"), lab) for lab in labels_up_to_level(preset("so4"), 3)]
     big = [(spin4, label((m, m))) for m in (4, 5, 6, 7)]
-    factors = []
+    out = []
     for spec, lab in small * 4 + big:
-        op = build_DV(spec, lab, sample_definite_tensor(spec.dim, rng))
-        factors += [f for _, f in multiplicity_profile(char_poly_exact(op)).entries]
-    return tuple(factors)
+        out += _hinted_factors(spec, sample_definite_tensor(spec.dim, rng), [lab])
+    return tuple(out)
+
+
+def _random_suite_factors() -> tuple[list[int], ...]:
+    return tuple(f for f, _ in _random_suite())
 
 
 def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
-    for cs in _random_suite_factors():
-        roots = real_roots(cs)
+    # the hint route; the Sturm route meets the Fraction oracle below
+    for cs, hints in _random_suite():
+        roots = real_roots(cs, None, hints)
         assert len(roots) == len(cs) - 1
         values = [r.value for r in roots]
         assert values == sorted(set(values))
@@ -523,10 +551,10 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
         chain = sturm_chain(cs)
         below = sturm_variations(chain, Fraction(-1 - sum(map(abs, cs)))) - \
             sturm_variations(chain, cut)
-        assert len(real_roots(cs, cut)) == below
+        assert len(real_roots(cs, cut, hints)) == below
 
 
-# -- oracle: the same bisections over Fractions -------------------------------
+# -- oracle: Sturm brackets and nearest doubles over Fractions ---------------
 
 
 def sign_at_oracle(cs, x: Fraction) -> int:
@@ -576,37 +604,68 @@ def brackets_oracle(p: list[int], hints=None):
 
 
 def pin_oracle(cs, a: Fraction, b: Fraction):
-    """Bisection of (a, b] at Fraction midpoints until b - a < ulp(x) / 2:
-    (float, exact value or None, final bracket)."""
+    """The root of cs in (a, b] as (its nearest double, its exact value or
+    None, bracket), by bisection at Fraction midpoints until the correctly
+    rounded floats of both ends agree.  A root exactly halfway between two
+    doubles never lets them agree; it is met by the sign at that halfway
+    point once the ends round to the two doubles.  The exact value is the
+    one a midpoint meets, or the fraction nearest the double with
+    denominator at most min(lc, isqrt(2 / ulp)) if it is a root in
+    (a, b]; the bracket is the interval between the halfway points to the
+    neighbouring doubles, cut to (a, b]."""
     sb = sign_at_oracle(cs, b)
     if sb == 0:
         return float(b), b, b, b
-    while True:
-        mid = (a + b) / 2
-        x = float(mid)
-        if b - a < math.ulp(x) / 2:
-            break
+    lo, hi = a, b
+    while float(lo) != float(hi):
+        if math.nextafter(float(lo), math.inf) == float(hi):
+            half = (Fraction(float(lo)) + Fraction(float(hi))) / 2
+            if lo < half < hi and sign_at_oracle(cs, half) == 0:
+                return float(half), half, half, half
+        mid = (lo + hi) / 2
         sm = sign_at_oracle(cs, mid)
         if sm == 0:
-            return x, mid, mid, mid
+            return float(mid), mid, mid, mid
         if sm == sb:
-            b = mid
+            hi = mid
         else:
-            a = mid
-    w = b - a
-    Q = math.isqrt(w.denominator // (2 * w.numerator))
-    r = mid.limit_denominator(max(1, min(abs(cs[-1]), Q)))
+            lo = mid
+    x = float(hi)
+    Q = math.isqrt(math.floor(2 / Fraction(math.ulp(x))))
+    r = Fraction(x).limit_denominator(max(1, min(abs(cs[-1]), Q)))
     if a < r <= b and sign_at_oracle(cs, r) == 0:
         return float(r), r, r, r
-    return x, None, a, b
+    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    return x, None, max(a, below), min(b, above)
 
 
 def _hints(h: list[int]):
     return np.roots([float(Fraction(c, h[-1])) for c in reversed(h)]).real.tolist()
 
 
+def widen_oracle(cs, roots, upper=None):
+    """The roots with each inexact bracket replaced by the whole interval
+    between the halfway points to the neighbouring doubles, cut to upper,
+    where a Sturm count finds no other root of cs in it."""
+    chain = sturm_chain(cs)
+    out = []
+    for x, exact, lo, hi in roots:
+        if exact is None:
+            below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+            above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+            if upper is not None:
+                above = min(above, upper)
+            if variations_oracle(chain, below) - variations_oracle(chain, above) == 1:
+                lo, hi = below, above
+        out.append((x, exact, lo, hi))
+    return out
+
+
 def real_roots_oracle(cs: list[int], upper=None):
-    """`real_roots` with both loops over Fractions."""
+    """`real_roots` by the Sturm route, over Fractions: the oracle's
+    brackets, each pinned to the nearest double by `pin_oracle`, with the
+    brackets `widen_oracle` gives."""
     if len(cs) == 2:
         r = Fraction(-cs[0], cs[1])
         return [(float(r), r, r, r)] if upper is None or r <= upper else []
@@ -617,7 +676,7 @@ def real_roots_oracle(cs: list[int], upper=None):
                 break
             b = upper
         out.append(pin_oracle(cs, a, b))
-    return out
+    return widen_oracle(cs, out, upper)
 
 
 @functools.cache
@@ -643,7 +702,7 @@ def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
         assert [_pin(cs, a, b) for a, b in brackets] == want
         if len(cs) < 17:
             assert real_root_brackets(cs) == brackets_oracle(cs)
-            assert real_roots(cs) == want
+            assert real_roots(cs) == widen_oracle(cs, want)
 
 
 def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
@@ -692,8 +751,9 @@ def test_pin_on_a_midpoint_that_is_the_root():
 
 
 def test_pin_exact_value_up_to_the_denominator_bound():
-    # on (1, 2] bisection stops at b - a = 2^-54, so rational roots r/s are
-    # recovered for s <= isqrt(2^53) = 94906265 and reported inexact above
+    # on [1, 2) a double's ulp is 2^-52, so the fraction checked at the
+    # nearest double has s <= isqrt(2 / 2^-52) = 94906265, and a rational
+    # root r/s with a larger s is reported inexact
     for r, s, exact in (
         (135000001, 90000007, True),
         (150000001, 100000007, False),
@@ -703,3 +763,173 @@ def test_pin_exact_value_up_to_the_denominator_bound():
         assert root == pin_oracle(cs, Fraction(1), Fraction(2))
         assert value == (Fraction(r, s) if exact else None)
         assert abs(x - r / s) <= math.ulp(x)
+
+
+# -- the hint route against the Sturm route -----------------------------------
+
+
+def _count_sturm(monkeypatch) -> list:
+    """Count the Sturm isolations real_roots falls back to, looked up in
+    spectrum as the benchmark's tracer does."""
+    calls = []
+    fn = spectrum.real_root_brackets
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "real_root_brackets", counted)
+    return calls
+
+
+FIXED_CASES = {
+    "swap": (preset("spin4"), SWAP, Fraction(20)),
+    "berger": (preset("u2"), BERGER, Fraction(80)),
+    "generic-0": (preset("spin4"), GENERIC, Fraction(1779, 64)),
+    "generic-1": (preset("spin4"), GENERIC_1, Fraction(1797, 64)),
+}
+
+
+@pytest.mark.parametrize("case", list(FIXED_CASES))
+def test_hint_route_matches_sturm_route(case, monkeypatch):
+    """Every factor's hints prove its cells, and the roots they pin, with
+    their exact values and brackets, are the Sturm route's."""
+    spec, tensor, cutoff = FIXED_CASES[case]
+    factors = _hinted_factors(spec, tensor, enumerate_irreps(spec, tensor, cutoff))
+    assert any(len(f) > 2 for f, _ in factors)
+    sturm = _count_sturm(monkeypatch)
+    for f, hints in factors:
+        if len(f) > 2:
+            assert hint_cells(f, hints) is not None
+        hinted = real_roots(f, cutoff, hints)
+        assert sturm == []
+        assert hinted == real_roots(f, cutoff)
+        sturm.clear()
+
+
+def _nearest_double_checked(f, roots):
+    """Each inexact root is the nearest double to a root of f: f has
+    nonzero opposite signs at the midpoints to the neighbouring doubles,
+    and its bracket lies between them."""
+    for x, exact, lo, hi in roots:
+        if exact is not None:
+            assert int_sign_at(f, exact) == 0 and lo == hi == exact
+            assert x == float(exact)
+            continue
+        below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+        above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+        assert int_sign_at(f, below) * int_sign_at(f, above) < 0
+        assert below <= lo < hi <= above
+
+
+def _definite(n: int):
+    """Symmetric integer rows over 31, diagonally dominant and so definite."""
+    off = st.lists(st.integers(-4, 4), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    diag = st.lists(st.integers(23, 40), min_size=n, max_size=n)
+
+    def build(entries):
+        upper, d = entries
+        rows = [[0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), x in zip(pairs, upper):
+            rows[i][j] = rows[j][i] = x
+        for i in range(n):
+            rows[i][i] = d[i]
+        return _tensor31(rows)
+
+    return st.tuples(off, diag).map(build)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["spin4", "u2"]).flatmap(
+        lambda name: st.tuples(st.just(name), _definite(preset(name).dim))
+    ),
+    st.integers(1, 40),
+)
+def test_hint_route_matches_sturm_route_on_drawn_tensors(drawn, cut):
+    """Definite spin4 and u2 tensors: hints never change a root, with and
+    without an upper bound, and every inexact root is a nearest double."""
+    name, tensor = drawn
+    spec = preset(name)
+    upper = Fraction(cut, 4)
+    proven = 0
+    for f, hints in _hinted_factors(spec, tensor, labels_up_to_level(spec, 3)):
+        proven += hint_cells(f, hints) is not None
+        for bound in (None, upper):
+            hinted = real_roots(f, bound, hints)
+            assert hinted == real_roots(f, bound)
+            _nearest_double_checked(f, hinted)
+    assert proven > 0
+
+
+def _square_of_root(quadratic) -> Fraction:
+    a, d = quadratic
+    return Fraction(a, d * d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 400), st.integers(1, 40)), min_size=1, max_size=4,
+        unique_by=_square_of_root,
+    ),
+    st.sampled_from([0.0, 1e-12, -1e-7, 1e-3]),
+)
+def test_inexact_roots_are_nearest_doubles(quadratics, shift):
+    """Products of d^2 x^2 - a, with roots +-sqrt(a) / d, pinned from
+    hints moved by a relative shift and without hints."""
+    f = [1]
+    hints = []
+    for a, d in quadratics:
+        f = mul(f, [-a, 0, d * d])
+        r = math.sqrt(a) / d
+        hints += [-r * (1 + shift), r * (1 + shift)]
+    f = primitive_int(from_int(f))
+    hinted = real_roots(f, None, hints)
+    assert hinted == real_roots(f)
+    assert len(hinted) == len(f) - 1
+    _nearest_double_checked(f, hinted)
+
+
+BAD_HINTS = {
+    "shifted": lambda hs: [h + 1e-3 for h in hs],
+    "dropped": lambda hs: hs[:len(hs) // 2] + hs[len(hs) // 2 + 1:],
+    # as many hints as roots, but two on the first root and none on the second
+    "moved": lambda hs: hs[:1] + [math.nextafter(hs[0], math.inf)] + hs[2:],
+    "duplicated": lambda hs: hs + hs[:1],
+    "nan": lambda hs: hs + [math.nan],
+    "inf": lambda hs: [-math.inf] + hs + [math.inf],
+    "empty": lambda hs: [],
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_HINTS))
+def test_bad_hints_give_the_same_roots(bad, monkeypatch):
+    """Wrong hints fall back to the Sturm route where they cannot prove the
+    cells, and every root stays the same; without hints real_roots runs
+    the Sturm route."""
+    sturm = _count_sturm(monkeypatch)
+    cases = [FIXED_CASES["generic-0"], FIXED_CASES["berger"]]
+    fell_back = 0
+    for spec, tensor, cutoff in cases:
+        for f, hints in _hinted_factors(spec, tensor, enumerate_irreps(spec, tensor, cutoff)):
+            if len(f) < 3:
+                continue
+            want = real_roots(f, cutoff, hints)
+            assert sturm == []
+            assert real_roots(f, cutoff, BAD_HINTS[bad](hints)) == want
+            fell_back += len(sturm)
+            sturm.clear()
+            if bad == "empty":
+                assert real_roots(f, cutoff) == want and len(sturm) == 1
+                sturm.clear()
+    if bad in ("dropped", "moved", "empty"):
+        assert fell_back > 0
+
+
+def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
+    sturm = _count_sturm(monkeypatch)
+    for spec, tensor, cutoff in (FIXED_CASES[k] for k in ("generic-0", "generic-1", "berger")):
+        assert assemble_spectrum(spec, tensor, cutoff).entries
+    assert sturm == []

@@ -3,7 +3,7 @@
 perfbench/tracer.py looks every wrapped name up with getattr when a traced
 run starts, so a refactor that removes or renames one would only show up as
 a traced run exiting with an error.  This loads the tracer by path, checks
-that each name it wraps still resolves, and runs two small traced spectra
+that each name it wraps still resolves, and runs three small traced spectra
 and one traced certificate battery, so that a change to what the size hooks
 read (the charpoly's matrix `.nrows`, its polynomial's `.coeffs`, the
 resultant's value) or a resultant the wraps do not see fails here too.
@@ -72,6 +72,24 @@ def test_traced_spectrum_records_charpoly_sizes():
     assert traced.values["linalg.charpoly_calls"] == len(labels) > 1
     assert traced.values["linalg.charpoly_max_dim"] == max(lab.dim for lab in labels)
     assert traced.values["linalg.charpoly_max_bits"] > 0
+
+
+def test_traced_generic_spectrum_counts_every_operator_and_no_fallback():
+    # build_DV and charpoly_real are reached through the names the tracer
+    # wraps, once per label, and the hints isolate every root without a
+    # Sturm chain (the first spectrum_generic tensor of the benchmark)
+    group = preset("spin4")
+    rows = [[38, 2, 1, 2, -3, -4], [2, 32, 4, 2, 4, 4], [1, 4, 24, 1, -3, 3],
+            [2, 2, 1, 32, -1, 4], [-3, 4, -3, -1, 25, -1], [-4, 4, 3, 4, -1, 30]]
+    tensor = SymTensor(tuple(tuple(Fraction(x, 31) for x in r) for r in rows))
+    cutoff = Fraction(1779, 64)
+    traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
+    labels = traced.values["spectrum.labels"]
+    assert labels == len(table.labels) > 1
+    assert traced.values["operator.build_DV_calls"] == labels
+    assert traced.values["linalg.charpoly_calls"] == labels
+    assert traced.values["spectrum.roots"] > 0
+    assert traced.values["spectrum.sturm_fallbacks"] == 0
 
 
 def test_traced_spectrum_sees_the_exact_coincidence_route():
