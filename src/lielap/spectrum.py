@@ -85,7 +85,7 @@ from .poly import (
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
 from . import polycert
-from .operator import cluster_values, hermitian_eigenvalues
+from .operator import OperatorMatrix, cluster_values, hermitian_eigenvalues
 from .polycert import char_poly_exact, multiplicity_profile
 
 
@@ -349,8 +349,8 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
     roots, so deg h such cells hold one root each, and prove every root
     real and simple.  Wrong hints cost the proof, never a root.  A cut on
     a root of h proves nothing and gives None; near-equal hints of one
-    root put a cut next to it, so a caller clusters them first
-    (`cluster_values`).
+    root put a cut next to it, so a caller clusters them first, as
+    `root_hints` does.
     """
     n = len(h) - 1
     hints = sorted(x for x in hints if math.isfinite(x))
@@ -552,6 +552,13 @@ def _coincident_roots(
 _HINT_TOL = 1e-9
 
 
+def root_hints(op: OperatorMatrix) -> list[float]:
+    """The distinct eigenvalues of the operator as floating point sees
+    them (`hermitian_eigenvalues`, clustered): the hints for the roots of
+    its charpoly."""
+    return [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), _HINT_TOL)]
+
+
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
     cutoff = Fraction(cutoff)
     labels = enumerate_irreps(spec, tensor, cutoff)
@@ -565,7 +572,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
         # build_DV through polycert's name, which perfbench/tracer.py wraps
         op = polycert.build_DV(spec, lab, tensor)
         cp = char_poly_exact(op)
-        hints = [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), _HINT_TOL)]
+        hints = root_hints(op)
         base, e = cp.power_form
         P = base.primitive()
         cells = hint_cells(P, hints)

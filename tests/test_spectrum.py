@@ -28,12 +28,7 @@ from lielap.irreps import (
     label,
     labels_up_to_level,
 )
-from lielap.operator import (
-    build_DV,
-    cluster_values,
-    eigen_decompose_numeric,
-    hermitian_eigenvalues,
-)
+from lielap.operator import build_DV, eigen_decompose_numeric
 from fracpoly import Poly, from_int, gcd, primitive_int
 from test_irreps import character_descends
 from lielap.poly import (
@@ -55,6 +50,7 @@ from lielap.spectrum import (
     gcd_free_basis,
     hint_cells,
     real_roots,
+    root_hints,
     table_to_csv,
     table_to_json,
     verdict_report,
@@ -499,7 +495,7 @@ def _hinted_factors(spec, tensor, labels):
     out = []
     for lab in labels:
         op = build_DV(spec, lab, tensor)
-        hints = [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), 1e-9)]
+        hints = root_hints(op)
         out += [(f, hints) for _, f in multiplicity_profile(char_poly_exact(op)).entries]
     return out
 
