@@ -22,10 +22,11 @@ equivariant map J with J^2 = (-1)^m, exposed for single factors.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -253,22 +254,45 @@ def descends_to_quotient(spec: GroupSpec, lab: IrrepLabel) -> bool:
     return True
 
 
-def labels_up_to_level(spec: GroupSpec, level: int) -> list[IrrepLabel]:
-    """All labels with every spin and |weight entry| <= level, filtered by
-    quotient descent, one representative per dual pair, deterministic
-    order (Casimir value, then label tuple)."""
+def _bounded_tuples(values, count: int, cost, budget) -> list[tuple[tuple[int, ...], int]]:
+    """(tuple, total cost) for every tuple of count entries from values
+    whose costs sum to at most budget, in lexicographic order; a prefix
+    over the budget is not extended."""
+    out = [((), 0)]
+    for _ in range(count):
+        out = [(t + (v,), c + cost(v)) for t, c in out for v in values if c + cost(v) <= budget]
+    return out
+
+
+def labels_up_to_level(
+    spec: GroupSpec, level: int, casimir: int | None = None
+) -> list[IrrepLabel]:
+    """All labels with every spin and |weight entry| <= level, and with
+    Casimir value <= casimir when it is given, filtered by quotient
+    descent, one representative per dual pair (first nonzero weight entry
+    positive), deterministic order (Casimir value, then label tuple).
+
+    The walk keeps the Casimir budget left to each coordinate, so with a
+    budget it visits the labels of the ball rather than the whole box;
+    only those are built and checked for descent."""
     if level < 0:
         raise DomainError("level must be nonnegative")
+    budget = math.inf if casimir is None else casimir
+    spins = _bounded_tuples(range(level + 1), spec.k, lambda m: m * (m + 2), budget)
+    weights = sorted(
+        (
+            (w, c)
+            for w, c in _bounded_tuples(range(-level, level + 1), spec.n, lambda l: l * l, budget)
+            if next((l for l in w if l), 1) > 0
+        ),
+        key=lambda wc: wc[1],
+    )
+    costs = [c for _, c in weights]
     out = []
-    spin_ranges = [range(level + 1)] * spec.k
-    weight_ranges = [range(-level, level + 1)] * spec.n
-    for spins in iter_product(*spin_ranges):
-        for weight in iter_product(*weight_ranges):
-            lab = IrrepLabel(spins, weight)
-            if canonical_dual_rep(lab) != lab:
-                continue
-            if not descends_to_quotient(spec, lab):
-                continue
-            out.append(lab)
-    out.sort(key=lambda l: (casimir_eigenvalue(l), l.spins, l.weight))
-    return out
+    for s, cs in spins:
+        for w, cw in weights[:bisect_right(costs, budget - cs)]:
+            lab = IrrepLabel(s, w)
+            if descends_to_quotient(spec, lab):
+                out.append((cs + cw, lab))
+    out.sort(key=lambda x: (x[0], x[1].spins, x[1].weight))
+    return [lab for _, lab in out]

@@ -145,6 +145,25 @@ class IntMatrix:
             and not self.im.any()
         )
 
+    def scalar_offset(self, other: "IntMatrix", den: int) -> int | None:
+        """The integer t with den*self - den*other = t*I exactly, or None
+        if there is none; den must be a multiple of both denominators."""
+        n = self.nrows
+        if (self.ncols, other.nrows, other.ncols) != (n, n, n):
+            return None
+        s, u = den // self.den, den // other.den
+        if s * self.den != den or u * other.den != den:
+            raise ValueError(f"denominator {den} is not a multiple of {self.den} and {other.den}")
+        # int64 when every entry of den*self and den*other is below 2^61, so
+        # that their difference fits too
+        top = max(s * self._largest(), u * other._largest())
+        dtype = np.int64 if top < 2**61 else object
+        (a, b), (c, d) = self._dense(dtype), other._dense(dtype)
+        re, im = a * s - c * u, b * s - d * u
+        t = re[0, 0] if n else 0
+        re.flat[::n + 1] -= t
+        return None if re.any() or im.any() else int(t)
+
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

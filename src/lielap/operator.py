@@ -274,6 +274,14 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     return OperatorMatrix(spec=spec, label=lab, tensor=tensor, matrix=matrix)
 
 
+def weight_is_scalar(spec: GroupSpec, tensor: SymTensor) -> bool:
+    """Whether the torus weight w enters D_V(s) only as (w S_TT w) I: no
+    entry of S couples a torus direction with an SU(2) one, so two labels
+    with the same spins have operators that differ by a scalar."""
+    su = 3 * spec.k
+    return not tensor.operator_form.S[:su, su:].any()
+
+
 # -- numeric cross-check -------------------------------------------------------
 
 

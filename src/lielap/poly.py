@@ -102,6 +102,27 @@ def derivative(cs: Sequence[int]) -> list[int]:
     return [i * cs[i] for i in range(1, len(cs))]
 
 
+def taylor_shift(cs: Sequence[int], t: int) -> list[int]:
+    """The coefficients of P(X - t), for the integer polynomial P = cs and
+    an integer t: deg P rounds of synthetic division by X + t, O(deg^2)
+    integer steps."""
+    out = list(cs)
+    if t:
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] -= t * out[j + 1]
+    return out
+
+
+def shift_primitive(cs: Sequence[int], t: int, d: int) -> list[int]:
+    """The primitive form of P(X - t/d), with a positive leading
+    coefficient, for the integer polynomial P = cs and d > 0: the roots of
+    P moved by t/d.  It is taken as d^n P(Z/d) shifted by t at Z = d X."""
+    n = len(cs) - 1
+    scaled = taylor_shift([c * d ** (n - i) for i, c in enumerate(cs)], t)
+    return _primitive([c * d**i for i, c in enumerate(scaled)])
+
+
 def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B, all over Z."""
     dA, dB = len(A) - 1, len(B) - 1

@@ -8,15 +8,22 @@ The pipeline:
      c times the Casimir operator, every irreducible contributing an
      eigenvalue <= L satisfies Casimir(V) <= L / c, which cuts the
      enumeration down to a finite ball.
-  2. Compute the characteristic polynomial of D_V(s) exactly for each
-     candidate label of the dual-reduced, quotient-descended list, and
-     the eigenvalues of its hermitian form in floating point
-     (`hermitian_eigenvalues`), which serve as hints only.  Cut the
-     charpoly P (the Kramers root on a quaternionic label) between the
-     clustered hints: if its exact sign changes across deg P cells, P is
-     squarefree and each cell holds one root (`hint_cells`).  Otherwise
-     split P into squarefree factors (Yun) and cut each factor the same
-     way.
+  2. Build D_V(s) for each candidate label of the dual-reduced,
+     quotient-descended list, and do its exact work once per operator
+     class (`label_work`).  The work is the characteristic polynomial of
+     D_V(s), exactly, and the eigenvalues of its hermitian form in
+     floating point (`hermitian_eigenvalues`), which serve as hints only.
+     The charpoly P (the Kramers root on a quaternionic label) is cut
+     between the clustered hints: if its exact sign changes across deg P
+     cells, P is squarefree and each cell holds one root (`hint_cells`).
+     Otherwise P is split into squarefree factors (Yun), and each factor
+     is cut the same way.  A class is the labels with one tuple of
+     spins, on a tensor whose weight enters D_V(s) only as a scalar
+     (`weight_is_scalar`).  A later label of a class whose operator is the
+     first label's plus t/d times the identity, checked exactly (t an
+     integer, d the tensor's denominator), takes the first label's work
+     moved by t/d: the charpoly P(X - t) (`taylor_shift`), and its hints,
+     squarefree factors and cells shifted.
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
@@ -51,7 +58,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,27 +73,34 @@ from .algebra_core import (
 from .errors import DomainError
 from .irreps import (
     IrrepLabel,
-    casimir_eigenvalue,
     classify_type,
     format_label,
     is_self_dual,
     labels_up_to_level,
 )
 from .poly import (
+    IntPoly,
     fold_odd,
     int_div_exact,
     int_gcd,
     int_sign_at,
     real_root_brackets,
+    shift_primitive,
     sign_at_dyadic,
     sturm_chain,
     sturm_variations,
+    taylor_shift,
 )
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
 from . import polycert
-from .operator import OperatorMatrix, cluster_values, hermitian_eigenvalues
-from .polycert import char_poly_exact, multiplicity_profile
+from .operator import (
+    OperatorMatrix,
+    cluster_values,
+    hermitian_eigenvalues,
+    weight_is_scalar,
+)
+from .polycert import CharPoly, char_poly_exact, multiplicity_profile
 
 
 def enumerate_irreps(
@@ -104,8 +118,8 @@ def enumerate_irreps(
         )
     radius = cutoff / tensor.lower_bound
     # m (m + 2) <= radius and w^2 <= radius keep every coordinate in the box
-    box = labels_up_to_level(spec, math.isqrt(math.floor(radius)))
-    return [lab for lab in box if casimir_eigenvalue(lab) <= radius]
+    budget = math.floor(radius)
+    return labels_up_to_level(spec, math.isqrt(budget), casimir=budget)
 
 
 @dataclass(frozen=True)
@@ -559,6 +573,103 @@ def root_hints(op: OperatorMatrix) -> list[float]:
     return [v for v, _ in cluster_values(hermitian_eigenvalues(op).tolist(), _HINT_TOL)]
 
 
+class LabelWork(NamedTuple):
+    """A label's exact work on the way to its roots.
+
+    split lists (multiplicity in the charpoly, primitive squarefree factor,
+    the factor's hint cells or None); shift is the integer t by which the
+    work was moved from the first label of its operator class, None when
+    it was done on the label's own operator.
+    """
+
+    label: IrrepLabel
+    charpoly: CharPoly
+    hints: list[float]
+    split: list[tuple[int, list[int], list | None]]
+    shift: int | None
+
+
+def _direct_work(op: OperatorMatrix) -> LabelWork:
+    """Charpoly, hints and squarefree split of the operator itself."""
+    cp = char_poly_exact(op)
+    hints = root_hints(op)
+    base, e = cp.power_form
+    P = base.primitive()
+    cells = hint_cells(P, hints)
+    if cells is not None:
+        # P changes sign across deg P cells: its roots are simple, so P is
+        # its own squarefree split and Yun's gcd is skipped
+        split = [(e, P, cells)]
+    else:
+        split = [
+            (mult, f, hint_cells(f, hints) if len(f) > 2 else None)
+            for mult, f in multiplicity_profile(cp).entries
+        ]
+    return LabelWork(op.label, cp, hints, split, None)
+
+
+def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWork:
+    """rep's work moved to the label whose operator is rep's plus t/den
+    times the identity: charpoly P(X - t) over den, every hint, factor
+    and cell moved by t/den.
+
+    The split is that of the whole charpoly, which the shift carries over
+    whatever the label's type; the charpoly's power form is the label's
+    own.  A quaternionic label has weight 0, so it comes first among the
+    labels with its spins and is never moved."""
+    cp = CharPoly(
+        label=lab,
+        tensor_hash=rep.charpoly.tensor_hash,
+        poly=IntPoly(tuple(taylor_shift(rep.charpoly.poly.coeffs, t)), den),
+    )
+    s, x = Fraction(t, den), t / den
+
+    def moved(f, cells):
+        # real_roots reads no cells for a linear factor
+        if cells is None or len(f) == 2:
+            return None
+        return [(a + s, b + s, h + x, sb) for a, b, h, sb in cells]
+
+    return LabelWork(
+        lab,
+        cp,
+        [h + x for h in rep.hints],
+        [(mult, shift_primitive(f, t, den), moved(f, cells)) for mult, f, cells in rep.split],
+        t,
+    )
+
+
+def label_work(
+    spec: GroupSpec, tensor: SymTensor, labels: list[IrrepLabel]
+) -> Iterator[LabelWork]:
+    """Each label's exact work, done once per operator class.
+
+    Every label's operator is built (through polycert.build_DV, the name
+    perfbench/tracer.py wraps).  Where the weight enters D_V(s) only as a
+    scalar (`weight_is_scalar`), the first label of each tuple of spins
+    does the work on its operator, and a later label with those spins
+    whose operator is the first one's plus t/den times the identity, for
+    an integer t checked exactly on the built matrices, takes that work
+    moved by t/den (`_shifted_work`).  Any other label does its own.
+    """
+    den = tensor.integer_form[0]
+    first: dict[tuple[int, ...], tuple[OperatorMatrix, LabelWork]] | None = (
+        {} if weight_is_scalar(spec, tensor) else None
+    )
+    for lab in labels:
+        op = polycert.build_DV(spec, lab, tensor)
+        if first is not None and lab.spins in first:
+            rep_op, rep = first[lab.spins]
+            t = op.matrix.scalar_offset(rep_op.matrix, den)
+            if t is not None:
+                yield _shifted_work(rep, lab, t, den)
+                continue
+        work = _direct_work(op)
+        if first is not None:
+            first.setdefault(lab.spins, (op, work))
+        yield work
+
+
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
     cutoff = Fraction(cutoff)
     labels = enumerate_irreps(spec, tensor, cutoff)
@@ -568,23 +679,10 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
     pieces = []
     # (index into pieces, root)
     roots = []
-    for lab in labels:
-        # build_DV through polycert's name, which perfbench/tracer.py wraps
-        op = polycert.build_DV(spec, lab, tensor)
-        cp = char_poly_exact(op)
-        hints = root_hints(op)
-        base, e = cp.power_form
-        P = base.primitive()
-        cells = hint_cells(P, hints)
-        if cells is not None:
-            # P changes sign across deg P cells: its roots are simple, so P
-            # is its own squarefree split and Yun's gcd is skipped
-            profile = [(e, P, cells)]
-        else:
-            profile = [(mult, f, None) for mult, f in multiplicity_profile(cp).entries]
-        for mult, f, proved in profile:
-            roots += [(len(pieces), r) for r in real_roots(f, cutoff, hints, proved)]
-            pieces.append((lab, mult, f))
+    for work in label_work(spec, tensor, labels):
+        for mult, f, cells in work.split:
+            roots += [(len(pieces), r) for r in real_roots(f, cutoff, work.hints, cells)]
+            pieces.append((work.label, mult, f))
     factors = [factor for _, _, factor in pieces]
 
     entries: list[SpectrumEntry] = []

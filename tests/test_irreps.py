@@ -245,6 +245,17 @@ def test_labels_up_to_level():
     assert len(labels_up_to_level(spin4, 4)) == 25
 
 
+@pytest.mark.parametrize("name", ["su2", "so3", "u2", "spin4", "t3"])
+def test_casimir_budget_cuts_the_box_to_the_ball(name):
+    spec = preset(name)
+    for level in range(5):
+        box = labels_up_to_level(spec, level)
+        for budget in (0, 3, 8, 15, 24, 40):
+            assert labels_up_to_level(spec, level, casimir=budget) == [
+                lab for lab in box if casimir_eigenvalue(lab) <= budget
+            ]
+
+
 def test_labels_sorted_by_casimir():
     labs = labels_up_to_level(preset("u2"), 4)
     cas = [casimir_eigenvalue(l) for l in labs]

@@ -35,9 +35,11 @@ from lielap.poly import (
     mul,
     real_root_brackets,
     resultant,
+    shift_primitive,
     squarefree_decomposition,
     sturm_chain,
     sturm_variations,
+    taylor_shift,
 )
 
 
@@ -52,6 +54,44 @@ def poly_strategy(max_degree=6):
 
 def int_poly_strategy(max_degree=6):
     return st.lists(st.integers(min_value=-12, max_value=12), max_size=max_degree + 1)
+
+
+def _expand_shift(cs, t: int) -> list[int]:
+    """sum c_i (X - t)^i expanded through `mul`, padded to len(cs)."""
+    out = [0] * len(cs)
+    power = [1]
+    for c in cs:
+        for i, x in enumerate(power):
+            out[i] += c * x
+        power = mul(power, [-t, 1])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=9),
+    st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10**12, 10**12)),
+)
+def test_taylor_shift_is_the_expansion_of_p_at_x_minus_t(cs, t):
+    # covers t = 0, negative t, the zero polynomial and degree 0
+    shifted = taylor_shift(cs, t)
+    assert shifted == _expand_shift(cs, t)
+    assert taylor_shift(shifted, -t) == list(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    int_poly_strategy().filter(lambda cs: any(cs)),
+    st.integers(-30, 30),
+    st.integers(1, 12),
+)
+def test_shift_primitive_moves_every_root_by_t_over_d(cs, t, d):
+    """The primitive form of p(X - t/d), against the Fraction expansion."""
+    p = from_int(cs)
+    want = Poly([0])
+    for i, c in enumerate(p.coeffs):
+        want = want + Poly([c]) * Poly([Fraction(-t, d), 1]) ** i
+    assert shift_primitive(cs, t, d) == primitive_int(want)
 
 
 def test_basic_arithmetic():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from lielap.algebra_core import (
     MetricSpec,
     SymTensor,
+    build_group_spec,
     certified_lower_bound,
     group_from_json,
     identity_tensor,
@@ -40,7 +42,7 @@ from lielap.poly import (
     sturm_chain,
     sturm_variations,
 )
-from lielap.polycert import char_poly_exact, multiplicity_profile
+from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
     _coincident_roots,
@@ -49,6 +51,7 @@ from lielap.spectrum import (
     enumerate_irreps,
     gcd_free_basis,
     hint_cells,
+    label_work,
     real_roots,
     root_hints,
     table_to_csv,
@@ -82,6 +85,18 @@ def test_enumerate_torus_dual_reduced():
     labs = enumerate_irreps(preset("t2"), identity_tensor(2), 2)
     names = [format_label(l) for l in labs]
     assert names == [";0,0", ";0,1", ";1,0", ";1,-1", ";1,1"]
+
+
+def test_enumerate_walks_the_ball_not_the_box():
+    # t3 at cutoff 900: 56,541 labels in the ball against 226,981 in the box
+    # of side 61 (the walk used to build and check every one of them)
+    spec, tensor = preset("t3"), identity_tensor(3)
+    tensor.lower_bound
+    start = time.perf_counter()
+    labels = enumerate_irreps(spec, tensor, 900)
+    elapsed = time.perf_counter() - start
+    assert len(labels) == 56541
+    assert elapsed < 1.5, f"{elapsed:.2f}s over the 1.5s budget"
 
 
 def brute_force_labels(spec, radius):
@@ -929,3 +944,71 @@ def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
     for spec, tensor, cutoff in (FIXED_CASES[k] for k in ("generic-0", "generic-1", "berger")):
         assert assemble_spectrum(spec, tensor, cutoff).entries
     assert sturm == []
+
+
+# -- one exact computation per operator class ---------------------------------
+
+# SU(2) x T^1 under a product tensor: the weight enters as a scalar, and the
+# quaternionic (1;0) shares its class with the complex (1;1), (1;2), ...
+SU2_T1 = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in [
+    ["1", "1/7", "1/5", "0"], ["1/7", "3/2", "1/11", "0"],
+    ["1/5", "1/11", "2", "0"], ["0", "0", "0", "3/2"],
+]))
+# a u2 metric whose B and torus directions are coupled: D_V(s) has a
+# torus-SU(2) term, so no two labels share a class
+U2_CROSS = metric_to_tensor(MetricSpec(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), Fraction(1, 5)], [0, 0, Fraction(1, 5), 3]]
+))
+SHARED_CASES = {
+    "berger": (preset("u2"), BERGER, Fraction(80)),
+    "su2xt1": (build_group_spec(1, 1), SU2_T1, Fraction(30)),
+    "t3": (preset("t3"), identity_tensor(3), Fraction(20)),
+    "u2-cross": (preset("u2"), U2_CROSS, Fraction(40)),
+}
+
+
+@pytest.mark.parametrize("case", list(SHARED_CASES))
+def test_shared_work_matches_the_direct_route(case, monkeypatch):
+    """Every label's charpoly and squarefree split, where it was moved from
+    its class's first label, are those computed on its own operator; every
+    shifted hint cell holds one root of its factor; the table is the one
+    the direct route gives."""
+    spec, tensor, cutoff = SHARED_CASES[case]
+    labels = enumerate_irreps(spec, tensor, cutoff)
+    works = list(label_work(spec, tensor, labels))
+    assert [w.label for w in works] == labels
+    for w in works:
+        direct = char_poly_of(spec, w.label, tensor)
+        assert w.charpoly == direct
+        assert [(m, f) for m, f, _ in w.split] == list(multiplicity_profile(direct).entries)
+        for _, f, cells in w.split:
+            for a, b, _, sb in cells or ():
+                assert int_sign_at(f, b) == sb and int_sign_at(f, a) == -sb
+    shared = [w for w in works if w.shift is not None]
+    if case == "u2-cross":
+        assert shared == []
+    else:
+        assert shared
+    if case == "su2xt1":
+        # one class mixes quaternionic and complex labels
+        types = {}
+        for w in works:
+            types.setdefault(w.label.spins, set()).add(classify_type(w.label))
+        assert any(len(t) > 1 for t in types.values())
+    table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
+    monkeypatch.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
+    assert all(w.shift is None for w in label_work(spec, tensor, labels))
+    assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
+
+
+def test_cutoff_decided_exactly_on_a_shifted_member():
+    """28/3 is an eigenvalue of (2;2) alone, which takes the work of (2;0)
+    moved by 8/6: listed at the cutoff 28/3, not at 28/3 - 2^-40."""
+    spec, value = preset("u2"), Fraction(28, 3)
+    works = {w.label: w for w in label_work(spec, BERGER, enumerate_irreps(spec, BERGER, value))}
+    assert works[label((2,), (2,))].shift == 8
+    assert works[label((2,), (0,))].shift is None
+    (entry,) = [e for e in assemble_spectrum(spec, BERGER, value).entries if e.exact_value == value]
+    assert [c.label for c in entry.contributions] == [label((2,), (2,))]
+    below = assemble_spectrum(spec, BERGER, value - Fraction(1, 2**40))
+    assert all(e.exact_value != value and e.value < value for e in below.entries)

@@ -3,7 +3,7 @@
 perfbench/tracer.py looks every wrapped name up with getattr when a traced
 run starts, so a refactor that removes or renames one would only show up as
 a traced run exiting with an error.  This loads the tracer by path, checks
-that each name it wraps still resolves, and runs three small traced spectra
+that each name it wraps still resolves, and runs four small traced spectra
 and one traced certificate battery, so that a change to what the size hooks
 read (the charpoly's matrix `.nrows`, its polynomial's `.coeffs`, the
 resultant's value) or a resultant the wraps do not see fails here too.
@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from lielap import spectrum
-from lielap.algebra_core import SymTensor, preset
+from lielap import polycert, spectrum
+from lielap.algebra_core import MetricSpec, SymTensor, metric_to_tensor, preset
 from lielap.irreps import labels_up_to_level
 from lielap.polycert import char_poly_of, multiplicity_profile
 from lielap.witness import certificate_battery, sample_definite_tensor
@@ -111,6 +111,32 @@ def test_traced_spectrum_sees_the_exact_coincidence_route():
     assert traced.values["spectrum.basis_size"] > 0
     assert traced.values["spectrum.gcd_free_basis_s"] > 0
     assert traced.values["spectrum.roots"] == pinned > len(table.entries)
+
+
+def test_traced_berger_spectrum_does_the_exact_work_once_per_class(monkeypatch):
+    # the Berger metric on U(2) (the spectrum_berger input): labels with the
+    # same spins differ by a scalar, so one charpoly and at most one
+    # squarefree split per tuple of spins, and still one operator per label
+    group = preset("u2")
+    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
+    tensor = metric_to_tensor(MetricSpec(gram))
+    cutoff = Fraction(80)
+    labels = spectrum.enumerate_irreps(group, tensor, cutoff)
+    classes = len({lab.spins for lab in labels})
+    splits = []
+    yun = polycert.squarefree_decomposition
+
+    def counted(*args):
+        splits.append(args)
+        return yun(*args)
+
+    monkeypatch.setattr(polycert, "squarefree_decomposition", counted)
+    traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
+    assert table.entries
+    assert (len(labels), classes) == (96, 15)
+    assert traced.values["linalg.charpoly_calls"] == classes
+    assert traced.values["operator.build_DV_calls"] == len(labels)
+    assert 0 < len(splits) <= classes
 
 
 def test_traced_battery_counts_every_resultant():
