@@ -23,13 +23,23 @@ with Gaussian integer coefficients, and nothing is divided by den after
 the CRT.  A bound on the eigenvalues
 (the largest row sum of |Re| + |Im|) bounds every coefficient by
 max_k C(n,k) r^k.
-Each prime p = 1 (mod 4) below 2^31 maps i to a square root of -1 mod p,
-once for a real matrix and under both roots for a complex one, so that the
-two images give the real and imaginary parts.  All images are stacked in
-one int64 array and reduced to Hessenberg form together; the Hessenberg
-recurrence gives each charpoly mod p, and the CRT, taken over enough primes
-to exceed twice the bound, gives the exact integers.  The tests check it
-against Faddeev-LeVerrier, an independent route over Gaussian integers.
+Each prime p = 1 (mod 4) below 2^31 maps i to a square root iota of -1
+mod p, and each image is one lane of the modular pass:
+
+- one lane per prime for a real matrix;
+- one lane per prime for a complex matrix given with the weights c of an
+  identity c_j M_ij = c_i conj(M_ji), which `weighted_hermitian` checks
+  exactly (ArithmeticError if it fails): M is then similar to a hermitian
+  matrix, so its charpoly is real and is its own image under i -> iota.
+  The operators D_V(s) satisfy it with `operator.norm_weights`;
+- two lanes per prime for any other complex matrix, i -> iota and
+  i -> -iota, whose images give the real and imaginary parts.
+
+All lanes are stacked in one int64 array and reduced to Hessenberg form
+together; the Hessenberg recurrence gives each charpoly mod p, and the
+CRT, taken over enough primes to exceed twice the bound, gives the exact
+integers.  The tests check it against Faddeev-LeVerrier, an independent
+route over Gaussian integers.
 """
 
 from __future__ import annotations
@@ -318,10 +328,9 @@ def _hessenberg(H: np.ndarray, mod: np.ndarray) -> None:
             dtype=np.int64,
         )
         u = H[:, m + 1:, m - 1] * inv[:, None] % p2
-        H[:, m + 1:, m - 1:] -= u[:, :, None] * H[:, m, None, m - 1:] % p3
-        H[:, m + 1:, m - 1:] %= p3
-        H[:, :, m] += (H[:, :, m + 1:] * u[:, None, :] % p3).sum(axis=2)
-        H[:, :, m] %= p2
+        # H - u h lies in (-2^62, 2^31): one reduction per update
+        H[:, m + 1:, m - 1:] = (H[:, m + 1:, m - 1:] - u[:, :, None] * H[:, m, None, m - 1:]) % p3
+        H[:, :, m] = (H[:, :, m] + (H[:, :, m + 1:] * u[:, None, :] % p3).sum(axis=2)) % p2
 
 
 def _hessenberg_charpoly(H: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -372,7 +381,29 @@ def _mod(xs: np.ndarray, p: np.ndarray) -> np.ndarray:
     return xs % p
 
 
-def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
+def weighted_hermitian(M: IntMatrix, weights: np.ndarray) -> bool:
+    """Whether c_j M_ij = c_i conj(M_ji) for all i, j, exactly, with c the
+    positive integers weights: then diag(c)^(1/2) M diag(c)^(-1/2) is
+    hermitian, so M is similar to a hermitian matrix and its charpoly is
+    real.  Each entry is paired with its transpose by one lexsort; the
+    products are int64 when a bound shows they fit, Python ints otherwise.
+    """
+    n = M.nrows
+    if (M.ncols, len(weights)) != (n, n):
+        raise ValueError(f"{len(weights)} weights for a {M.nrows} x {M.ncols} matrix")
+    rows, cols = M.rows, M.cols
+    # the entries in column-major order are those of the transpose, row-major
+    t = np.lexsort((rows, cols))
+    if not (np.array_equal(rows[t], cols) and np.array_equal(cols[t], rows)):
+        return False
+    top = M._largest() * int(weights.max()) if n else 0
+    dtype = np.int64 if top < 2**63 else object
+    c, re, im = weights.astype(dtype), M.re.astype(dtype), M.im.astype(dtype)
+    ci, cj = c[rows], c[cols]
+    return bool(np.array_equal(cj * re, ci * re[t]) and np.array_equal(cj * im, -(ci * im[t])))
+
+
+def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[Gaussian]:
     """Coefficients (ascending) of det(X*I - den*M), den = M.den: monic of
     degree n with Gaussian integer coefficients, so that det(X*I - M) has
     the coefficients a_k / den^(n-k).
@@ -383,13 +414,17 @@ def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
     primes p = 1 (mod 4) below 2^31, taken until their product exceeds 2B,
     the map i -> iota with iota^2 = -1 (mod p) sends A to a matrix mod p
     whose charpoly is the image of det(X*I - A); all images are reduced to
-    Hessenberg form at once.  A matrix with an imaginary entry is mapped
-    under i -> -iota as well, and the two images give Re a_k and Im a_k
-    mod p.  CRT recovers the signed integers a_k.
+    Hessenberg form at once.  With weights c, M must be weighted hermitian
+    (`weighted_hermitian`, ArithmeticError if not): its charpoly is then
+    real and one image per prime gives it.  Otherwise a matrix with an
+    imaginary entry is mapped under i -> -iota as well, and the two images
+    give Re a_k and Im a_k mod p.  CRT recovers the signed integers a_k.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
+    if weights is not None and not weighted_hermitian(M, weights):
+        raise ArithmeticError("operator is not hermitian for its invariant weights")
     if n == 0:
         return [Gaussian(1, 0)]
     re, im = M.re, M.im
@@ -403,23 +438,26 @@ def charpoly_gq(M: IntMatrix) -> list[Gaussian]:
         product *= primes[-1][0]
     plist = [p for p, _ in primes]
     p = np.array(plist, dtype=np.int64)[:, None]
-    vals = _mod(re, p)
+    vals, mod = _mod(re, p), p[:, 0]
     complex_entries = bool(im.any())
+    two_lanes = complex_entries and weights is None
     if complex_entries:
-        # lanes 2j and 2j + 1 map i to iota_j and to -iota_j mod p_j
         iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
         ims = _mod(im, p) * iota % p
-        vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, re.size)
-        mod = np.repeat(p[:, 0], 2)
+        if two_lanes:
+            # lanes 2j and 2j + 1 map i to iota_j and to -iota_j mod p_j
+            vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, re.size)
+            mod = np.repeat(mod, 2)
+        else:
+            # the charpoly is real, so its image under i -> iota is it
+            vals += ims
         vals %= mod[:, None]
-    else:
-        mod = p[:, 0]
     H = np.zeros((len(mod), n, n), dtype=np.int64)
     H[:, M.rows, M.cols] = vals
     _hessenberg(H, mod)
     images = _hessenberg_charpoly(H, mod)
 
-    if complex_entries:
+    if two_lanes:
         half = (p + 1) // 2
         a, b = images[0::2], images[1::2]
         re_res = (a + b) % p * half % p

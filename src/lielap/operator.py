@@ -322,6 +322,22 @@ def _half_weights(spins: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4096)
+def norm_weights(spins: tuple[int, ...]) -> np.ndarray:
+    """The exact c_i = prod_j C(m_j, l_j) of the monomial basis in
+    Kronecker order, to which the invariant squared norms are inversely
+    proportional, so that D_V(s), self-adjoint for them, satisfies
+    c_j D_ij = c_i conj(D_ji).  int64 when every c_i fits, Python ints
+    otherwise; read-only, as the cache shares it."""
+    out = [1]
+    for m in spins:
+        row = [math.comb(m, l) for l in range(m + 1)]
+        out = [x * y for x in out for y in row]
+    out = np.array(out, dtype=np.int64 if max(out) < 2**63 else object)
+    out.flags.writeable = False
+    return out
+
+
 def hermitian_eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """The eigenvalues of D in increasing order, in floating point.
 

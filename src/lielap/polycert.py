@@ -1,7 +1,8 @@
 """Exact characteristic polynomials and resultant certificates.
 
-Every verdict in this package reduces to the nonvanishing of an integer
-resultant.  Three certificate kinds, on p_V = det(D_V(s) - X*I):
+Every certificate of a witness battery is the nonvanishing of an integer
+resultant (spectrum verdicts come from exact signs, exact values and gcds
+in `spectrum`).  Three certificate kinds, on p_V = det(D_V(s) - X*I):
 
   a  res(p_V, p_W) != 0        V, W share no eigenvalue
   b  res(p_V, p_V') != 0       p_V is squarefree (all eigenvalues simple)
@@ -18,6 +19,9 @@ Each charpoly is carried in integer form.  With d the denominator of the
 tensor (`SymTensor.integer_form`), shared by all its labels, the charpoly
 P_V = det(X*I - d*D_V(s)) is monic with integer coefficients and
 p_V(X) = (-1)^n P_V(d*X) / d^n, n = deg P_V (`charpoly_real`, `CharPoly`).
+`char_poly_exact` passes the label's `norm_weights`, so that P_V is proved
+real by an exact weighted-hermitian check and taken from one modular
+image per prime.
 On a quaternionic label the structure J makes P_V = R_V^2 with R_V monic
 and integral (`kramers_root`, taken once per label by the cached
 `CharPoly.power_form`; lc(p_V) = 1 there, since n is even).  With the
@@ -46,25 +50,29 @@ from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
 from .linalg import IntMatrix, charpoly_gq
-from .operator import OperatorMatrix, build_DV
+from .operator import OperatorMatrix, build_DV, norm_weights
 from .poly import IntPoly, derivative, mul, resultant, squarefree_decomposition
 
 
-def charpoly_real(M: IntMatrix, den: int | None = None) -> IntPoly:
+def charpoly_real(M: IntMatrix, den: int | None = None, weights=None) -> IntPoly:
     """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
 
     charpoly_gq gives det(X*I - M.den*M) with coefficients a_k, and with
-    t = den / M.den the k-th coefficient is a_k t^(n-k).  Raises
-    ArithmeticError if any coefficient has a nonzero imaginary part: the
-    operators this is applied to are similar to hermitian matrices, so an
-    imaginary coefficient means the construction upstream is wrong.
+    t = den / M.den the k-th coefficient is a_k t^(n-k).  The operators
+    this is applied to are similar to hermitian matrices, so the charpoly
+    is real.  With weights (`operator.norm_weights` of the label's spins)
+    charpoly_gq proves that exactly by the weighted-hermitian identity and
+    takes one modular image per prime; without them a complex M takes two
+    images per prime, and the imaginary parts are checked here.  A failed
+    check, or a nonzero imaginary part, raises ArithmeticError: the
+    construction upstream is wrong.
     """
     den = M.den if den is None else den
     t, r = divmod(den, M.den)
     if r:
         raise ValueError(f"denominator {den} is not a multiple of {M.den}")
     out, pw = [], 1
-    for c in reversed(charpoly_gq(M)):
+    for c in reversed(charpoly_gq(M, weights)):
         if c.im:
             raise ArithmeticError(
                 f"characteristic polynomial has imaginary coefficient {c}"
@@ -124,7 +132,7 @@ def char_poly_exact(op: OperatorMatrix) -> CharPoly:
     return CharPoly(
         label=op.label,
         tensor_hash=tensor_hash(op.tensor),
-        poly=charpoly_real(op.matrix, op.tensor.integer_form[0]),
+        poly=charpoly_real(op.matrix, op.tensor.integer_form[0], norm_weights(op.label.spins)),
     )
 
 

@@ -490,12 +490,9 @@ def _root_in(h: list[int], lo: Fraction, hi: Fraction) -> bool:
 
 
 def _same_root(f: list[int], r: Root, g: list[int], s: Root, shared) -> bool:
-    """Whether the root r of the factor f and the root s of the factor g
-    are one number; shared() is the factor common to f and g."""
-    if r.exact is not None and s.exact is not None:
-        return r.exact == s.exact
-    if s.exact is not None:
-        f, r, g, s = g, s, f, r
+    """Whether the root r of the factor f and the root s of the factor g,
+    which has no exact value, are one number; shared() is the factor
+    common to f and g."""
     if r.exact is not None:
         return s.lo < r.exact <= s.hi and int_sign_at(g, r.exact) == 0
     # a common root lies in both brackets, and is a root of the common
@@ -515,9 +512,12 @@ def _coincident_roots(
     roots holds (index into factors, root) pairs.  The factors split over
     the reals and each root carries a bracket that isolates it, so equal
     roots have overlapping brackets.  The roots are swept in order of
-    their lower ends into clusters of overlapping brackets, and each pair
-    of roots of different factors inside a cluster is decided exactly:
-    by value, by the sign of a factor at a rational root, or, where
+    their lower ends into clusters of overlapping brackets.  A root with
+    an exact value joins the first root of that value in its cluster;
+    every other root is compared with the earlier roots of the cluster
+    that have no exact value.  So a cluster of equal exact roots costs
+    linear time.  Each comparison of roots of different factors is
+    decided exactly: by the sign of a factor at a rational root or, where
     neither value is known, by a sign change of the factor that
     `gcd_free_basis` finds common to the two.  Groups come in the order
     of their first index, each in increasing order.
@@ -539,21 +539,32 @@ def _coincident_roots(
             common[key] = next((h for h, members in basis if members == [0, 1]), [1])
         return common[key]
 
-    # the roots of the current cluster, and the top of their brackets
-    cluster: list[int] = []
+    # the current cluster: the first root of each exact value in it, the
+    # roots without one, and the top of their brackets.  A rational root's
+    # bracket is its value, so a root equal to it without an exact value,
+    # whose bracket (lo, hi] holds the value, comes earlier
+    values: dict[Fraction, int] = {}
+    inexact: list[int] = []
     top: Fraction | None = None
     for i in sorted(range(len(roots)), key=lambda i: roots[i][1].lo):
         k, r = roots[i]
-        if cluster and r.lo > top:
-            cluster = []
-        for j in cluster:
+        if top is None or r.lo > top:
+            values, inexact, top = {}, [], r.hi
+        else:
+            top = max(top, r.hi)
+        if r.exact is not None:
+            j = values.setdefault(r.exact, i)
+            if j != i:
+                parent[find(i)] = find(j)
+                continue
+        for j in inexact:
             l, s = roots[j]
             if l != k and find(i) != find(j) and _same_root(
                 factors[k], r, factors[l], s, lambda: shared(k, l)
             ):
                 parent[find(i)] = find(j)
-        top = max(top, r.hi) if cluster else r.hi
-        cluster.append(i)
+        if r.exact is None:
+            inexact.append(i)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(roots)):

@@ -7,15 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lielap import linalg
 from lielap.linalg import (
     IntMatrix,
+    _hessenberg,
+    _hessenberg_charpoly,
     charpoly_gq,
     restrict_operator,
     split_primes,
+    weighted_hermitian,
 )
-from lielap.algebra_core import preset, square_of_vector
-from lielap.irreps import label
-from lielap.operator import build_DV
+from lielap.algebra_core import group_from_json, preset, square_of_vector
+from lielap.irreps import classify_type, label, labels_up_to_level
+from lielap.operator import build_DV, norm_weights, weight_is_scalar
 from lielap.polycert import charpoly_real
 from lielap.poly import IntPoly
 from lielap.witness import sample_definite_tensor
@@ -274,6 +278,103 @@ def test_charpoly_of_operators_matches_faddeev():
         assert charpoly_gq(op.matrix) == charpoly_faddeev(op.matrix)
         assert op.matrix.im.any()
     assert max(abs(x) for x in op.matrix.re.tolist()) < 2**60
+
+
+def _lanes(monkeypatch) -> list:
+    """The moduli of every Hessenberg pass, one list per charpoly."""
+    seen = []
+
+    def recorded(H, mod):
+        seen.append(mod.tolist())
+        return _hessenberg(H, mod)
+
+    monkeypatch.setattr(linalg, "_hessenberg", recorded)
+    return seen
+
+
+def test_one_image_route_matches_faddeev_on_operators(monkeypatch):
+    # with the invariant weights every operator takes one lane per prime,
+    # imaginary entries and quaternionic labels included
+    lanes = _lanes(monkeypatch)
+    rng = random.Random(18)
+    u2 = preset("u2")
+    coupled = sample_definite_tensor(4, rng)
+    assert not weight_is_scalar(u2, coupled)
+    cases = [
+        (preset("su2"), sample_definite_tensor(3, rng), 4),
+        (u2, coupled, 3),
+        (preset("spin4"), sample_definite_tensor(6, rng), 3),
+        (preset("so4"), sample_definite_tensor(6, rng), 4),
+        (group_from_json({"k": 3, "n": 1}), sample_definite_tensor(10, rng), 1),
+    ]
+    types = set()
+    for spec, tensor, level in cases:
+        for lab in labels_up_to_level(spec, level):
+            M = build_DV(spec, lab, tensor).matrix
+            assert charpoly_gq(M, norm_weights(lab.spins)) == charpoly_faddeev(M)
+            assert len(set(lanes[-1])) == len(lanes[-1])
+            if M.im.any():
+                types.add(classify_type(lab))
+    assert types == {"real", "complex", "quaternionic"}
+
+
+def test_one_image_route_past_int64():
+    # 2^64 + 13 in the denominators: the entries are Python ints, and so
+    # are the products of the weighted-hermitian check
+    rng = random.Random(64)
+    big = square_of_vector([Fraction(rng.randint(1, 9), 2**64 + 13) for _ in range(6)])
+    spec, lab = preset("spin4"), label((3, 2))
+    M = build_DV(spec, lab, sample_definite_tensor(6, rng) + big).matrix
+    assert M.re.dtype == object and M.im.any()
+    assert charpoly_gq(M, norm_weights(lab.spins)) == charpoly_faddeev(M)
+
+
+def test_weighted_hermitian_check_bounds_its_products():
+    # c_1 D_01 = 8 (2^58 + 2^61) = 2^61 + 2^64 is 2^61 = c_0 D_10 mod 2^64:
+    # int64 products would wrap and accept it
+    w = np.array([1, 8], dtype=np.int64)
+    good = IntMatrix.from_dense([[0, 2**58], [2**61, 0]])
+    bad = IntMatrix.from_dense([[0, 2**58 + 2**61], [2**61, 0]])
+    assert bad.re.dtype == np.int64
+    assert weighted_hermitian(good, w) and not weighted_hermitian(bad, w)
+    # the pattern must be symmetric, and a diagonal entry real
+    assert not weighted_hermitian(mat([[1, 2], [0, 1]]), np.array([1, 1]))
+    assert not weighted_hermitian(mat([[(1, 1), 0], [0, 1]]), np.array([1, 1]))
+    assert weighted_hermitian(mat([[1, (2, 3)], [(4, -6), 1]]), np.array([1, 2]))
+    assert weighted_hermitian(zero(0, 0), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError):
+        weighted_hermitian(zero(2, 2), np.array([1]))
+    with pytest.raises(ArithmeticError):
+        charpoly_gq(mat([[1, 2], [3, 1]]), np.array([1, 1]))
+
+
+def test_single_reduction_at_the_largest_residues():
+    # every entry -1 or 1 is p - 1 or 1 in every image, so with a unit pivot
+    # the row update subtracts (p - 1)^2 from 0, the most negative case;
+    # zero sub-diagonals force swaps, and lanes of the largest split primes
+    # run side by side
+    primes = np.array([p for p, _ in split_primes(6)], dtype=np.int64)
+    rng = random.Random(2**31)
+    shapes = [
+        [[-1, -1, -1, -1], [1, -1, -1, -1], [-1, 0, 0, 0], [-1, 0, 0, -1]],
+        [[-1, -1, -1, -1, -1], [0, -1, -1, -1, -1], [1, -1, -1, -1, -1], [-1, 0, 0, 0, 0], [-1, -1, 0, -1, 0]],
+    ]
+    for _ in range(20):
+        n = rng.randint(3, 9)
+        shapes.append([
+            [rng.choice((-1, -1, -1, 0, 1)) if j >= i - 1 or rng.random() < 0.5 else 0
+             for j in range(n)] for i in range(n)
+        ])
+    for rows in shapes:
+        m = mat(rows)
+        expected = charpoly_faddeev(m)
+        assert charpoly_gq(m) == expected
+        n = len(rows)
+        H = np.repeat(np.array(rows, dtype=np.int64)[None], len(primes), axis=0) % primes[:, None, None]
+        _hessenberg(H, primes)
+        assert ((0 <= H) & (H < primes[:, None, None])).all()
+        got = _hessenberg_charpoly(H, primes)
+        assert (got == np.array([c for c, _ in expected]) % primes[:, None]).all()
 
 
 def test_charpoly_small_and_zero_matrices():

@@ -15,7 +15,8 @@ from lielap.algebra_core import (
 )
 from lielap.errors import DomainError
 from lielap.irreps import classify_type, label
-from lielap.operator import build_DV
+from lielap.linalg import IntMatrix
+from lielap.operator import OperatorMatrix, build_DV
 from lielap.poly import IntPoly, mul
 from lielap.polycert import (
     CharPoly,
@@ -156,6 +157,35 @@ def test_char_poly_exact_carries_hash():
     p = char_poly_exact(op)
     q = char_poly_of(SU2, label((2,)), SQ_H)
     assert p.tensor_hash == q.tensor_hash and p.poly == q.poly
+
+
+def _mutated(op, i, j, dre, dim):
+    """op with (dre + i dim) added to the entry (i, j) of its integer matrix."""
+    M = op.matrix
+    re, im = M._dense()
+    re[i, j] += dre
+    im[i, j] += dim
+    return OperatorMatrix(op.spec, op.label, op.tensor, IntMatrix.from_dense(re, im, M.den))
+
+
+def test_char_poly_exact_rejects_a_non_hermitian_operator():
+    # the one-image route takes the charpoly as real only after the exact
+    # weighted-hermitian check, so a broken entry raises instead of giving
+    # a wrong charpoly; on complex (1,2) and quaternionic (3,0) labels
+    tensor = sample_definite_tensor(6, random.Random(5))
+    for lab in (label((1, 2)), label((3, 0))):
+        op = build_DV(SPIN4, lab, tensor)
+        assert op.matrix.im.any()
+        char_poly_exact(op)
+        i, j = int(op.matrix.rows[1]), int(op.matrix.cols[1])
+        assert i != j
+        for broken in (_mutated(op, i, j, 1, 0), _mutated(op, i, j, 0, 1), _mutated(op, 0, 0, 0, 1)):
+            with pytest.raises(ArithmeticError):
+                char_poly_exact(broken)
+    # a real operator is checked too
+    op = build_DV(SU2, label((2,)), SQ_H)
+    with pytest.raises(ArithmeticError):
+        char_poly_exact(_mutated(op, 0, 2, 1, 0))
 
 
 # -- half-degree certificates on quaternionic labels ------------------------------

@@ -504,6 +504,80 @@ def test_common_factor_vanishing_at_the_lower_end():
     assert r.exact is None and s.exact is None and r.lo == s.lo == 1
 
 
+def _all_pairs_groups(factors, roots):
+    """The oracle of _coincident_roots: every pair of roots decided, two
+    exact values by equality and any other pair of different factors by
+    _same_root, joined by a plain union-find."""
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(roots)), 2):
+        (k, r), (l, s) = roots[i], roots[j]
+        if s.exact is not None:
+            (k, r), (l, s) = (l, s), (k, r)
+        if s.exact is not None:
+            same = r.exact == s.exact
+        else:
+            same = k != l and spectrum._same_root(
+                factors[k], r, factors[l], s, lambda: _common(factors[k], factors[l])
+            )
+        if same:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(roots)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _common(f, g):
+    return next((h for h, members in gcd_free_basis([f, g]) if members == [0, 1]), [1])
+
+
+def test_coincident_roots_match_all_pairs_on_mixed_clusters():
+    # exact roots of linear factors, the same roots met inexactly inside
+    # quadratics whose pin cannot recover them, and irrational roots, all
+    # in few clusters, with each factor's roots in shuffled order
+    h = [-150000001, 100000007]
+    pieces = [h, [-2, 1], [-2, 0, 1], [-3, 1], [-5, 1]]
+    rng = random.Random(31)
+    mixed = 0
+    for _ in range(12):
+        factors = []
+        for _ in range(rng.randint(2, 9)):
+            f = [1]
+            for piece in rng.sample(pieces, rng.randint(1, 3)):
+                f = mul(f, piece)
+            factors.append(f)
+        roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f)]
+        rng.shuffle(roots)
+        groups = _coincident_roots(factors, roots)
+        assert groups == _all_pairs_groups(factors, roots)
+        mixed += sum(1 for g in groups if len({roots[i][1].exact is None for i in g}) == 2)
+    assert mixed > 0
+
+
+def test_coincident_roots_linear_on_equal_exact_roots(monkeypatch):
+    calls = []
+    same_root = spectrum._same_root
+
+    def counted(*args):
+        calls.append(args)
+        return same_root(*args)
+
+    monkeypatch.setattr(spectrum, "_same_root", counted)
+    # 300 equal exact roots and one irrational root in their cluster: one
+    # group, and one comparison, that of the irrational root with the value
+    factors = [[-2, 1]] * 300 + [[-4 * 2**80 - 1, 0, 2**80]]
+    roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f)]
+    groups = _coincident_roots(factors, roots)
+    assert sorted(map(len, groups)) == [1, 1, 300]
+    assert len(calls) == 1
+
+
 def _hinted_factors(spec, tensor, labels):
     """(squarefree factor, its label's clustered hermitian eigenvalues) for
     every factor of every label."""
