@@ -19,21 +19,16 @@ identity, so restriction reads rows of a product.
 
 The characteristic polynomial is multimodular and reads an ``IntMatrix``,
 whose integers are its input as they stand: it is the charpoly of den*M,
-with Gaussian integer coefficients, and nothing is divided by den after
-the CRT.  A bound on the eigenvalues
-(the largest row sum of |Re| + |Im|) bounds every coefficient by
-max_k C(n,k) r^k.
-Each prime p = 1 (mod 4) below 2^31 maps i to a square root iota of -1
-mod p, and each image is one lane of the modular pass:
-
-- one lane per prime for a real matrix;
-- one lane per prime for a complex matrix given with the weights c of an
-  identity c_j M_ij = c_i conj(M_ji), which `weighted_hermitian` checks
-  exactly (ArithmeticError if it fails): M is then similar to a hermitian
-  matrix, so its charpoly is real and is its own image under i -> iota.
-  The operators D_V(s) satisfy it with `operator.norm_weights`;
-- two lanes per prime for any other complex matrix, i -> iota and
-  i -> -iota, whose images give the real and imaginary parts.
+with integer coefficients, and nothing is divided by den after the CRT.
+A bound on the eigenvalues (the largest row sum of |Re| + |Im|) bounds
+every coefficient by max_k C(n,k) r^k.  Each prime p = 1 (mod 4) below
+2^31 maps i to a square root iota of -1 mod p, and its image is one lane
+of the modular pass.  One lane per prime suffices because the charpoly is
+real: the matrix is real, or it comes with the weights c of an identity
+c_j M_ij = c_i conj(M_ji), which `weighted_hermitian` checks exactly
+(ArithmeticError if it fails), so that it is similar to a hermitian
+matrix.  The operators D_V(s) satisfy it with `operator.norm_weights`.  A
+complex matrix without weights is refused (ValueError).
 
 All lanes are stacked in one int64 array and reduced to Hessenberg form
 together; the Hessenberg recurrence gives each charpoly mod p, and the
@@ -403,31 +398,34 @@ def weighted_hermitian(M: IntMatrix, weights: np.ndarray) -> bool:
     return bool(np.array_equal(cj * re, ci * re[t]) and np.array_equal(cj * im, -(ci * im[t])))
 
 
-def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[Gaussian]:
+def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
     """Coefficients (ascending) of det(X*I - den*M), den = M.den: monic of
-    degree n with Gaussian integer coefficients, so that det(X*I - M) has
-    the coefficients a_k / den^(n-k).
+    degree n with integer coefficients, so that det(X*I - M) has the
+    coefficients a_k / den^(n-k).
 
+    M must be real, or come with weights c for which it is weighted
+    hermitian (`weighted_hermitian`, ArithmeticError if not), so that its
+    charpoly is real; a complex M without weights raises ValueError.
     Multimodular.  A = den*M has Gaussian integer entries (re + i im) and
     det(X*I - A) = sum a_k X^k with |a_k| <= B = max_k C(n,k) r^k, r the
     largest row sum of |Re| + |Im| (which bounds every eigenvalue).  For
     primes p = 1 (mod 4) below 2^31, taken until their product exceeds 2B,
     the map i -> iota with iota^2 = -1 (mod p) sends A to a matrix mod p
-    whose charpoly is the image of det(X*I - A); all images are reduced to
-    Hessenberg form at once.  With weights c, M must be weighted hermitian
-    (`weighted_hermitian`, ArithmeticError if not): its charpoly is then
-    real and one image per prime gives it.  Otherwise a matrix with an
-    imaginary entry is mapped under i -> -iota as well, and the two images
-    give Re a_k and Im a_k mod p.  CRT recovers the signed integers a_k.
+    whose charpoly is the image of the real det(X*I - A), so one image per
+    prime gives it; all images are reduced to Hessenberg form at once.
+    CRT recovers the signed integers a_k.
     """
     n = M.nrows
     if n != M.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    if weights is not None and not weighted_hermitian(M, weights):
+    re, im = M.re, M.im
+    if weights is None:
+        if im.any():
+            raise ValueError("a complex matrix needs the weights that make it hermitian")
+    elif not weighted_hermitian(M, weights):
         raise ArithmeticError("operator is not hermitian for its invariant weights")
     if n == 0:
-        return [Gaussian(1, 0)]
-    re, im = M.re, M.im
+        return [1]
     rowsum = np.zeros(n, dtype=re.dtype)
     np.add.at(rowsum, M.rows, abs(re) + abs(im))
     r = int(rowsum.max())
@@ -439,34 +437,13 @@ def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[Gaussia
     plist = [p for p, _ in primes]
     p = np.array(plist, dtype=np.int64)[:, None]
     vals, mod = _mod(re, p), p[:, 0]
-    complex_entries = bool(im.any())
-    two_lanes = complex_entries and weights is None
-    if complex_entries:
+    if im.any():
         iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
-        ims = _mod(im, p) * iota % p
-        if two_lanes:
-            # lanes 2j and 2j + 1 map i to iota_j and to -iota_j mod p_j
-            vals = np.stack((vals + ims, vals - ims), axis=1).reshape(-1, re.size)
-            mod = np.repeat(mod, 2)
-        else:
-            # the charpoly is real, so its image under i -> iota is it
-            vals += ims
-        vals %= mod[:, None]
+        vals = (vals + _mod(im, p) * iota % p) % p
     H = np.zeros((len(mod), n, n), dtype=np.int64)
     H[:, M.rows, M.cols] = vals
     _hessenberg(H, mod)
-    images = _hessenberg_charpoly(H, mod)
-
-    if two_lanes:
-        half = (p + 1) // 2
-        a, b = images[0::2], images[1::2]
-        re_res = (a + b) % p * half % p
-        im_res = (b - a) % p * iota % p * half % p
-        ints = _crt_signed(np.concatenate((re_res, im_res), axis=1), plist)
-        re_c, im_c = ints[: n + 1], ints[n + 1:]
-    else:
-        re_c, im_c = _crt_signed(images, plist), [0] * (n + 1)
-    return [Gaussian(cr, ci) for cr, ci in zip(re_c, im_c)]
+    return _crt_signed(_hessenberg_charpoly(H, mod), plist)
 
 
 # -- restriction to an invariant subspace -------------------------------------

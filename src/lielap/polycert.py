@@ -58,14 +58,11 @@ def charpoly_real(M: IntMatrix, den: int | None = None, weights=None) -> IntPoly
     """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
 
     charpoly_gq gives det(X*I - M.den*M) with coefficients a_k, and with
-    t = den / M.den the k-th coefficient is a_k t^(n-k).  The operators
-    this is applied to are similar to hermitian matrices, so the charpoly
-    is real.  With weights (`operator.norm_weights` of the label's spins)
-    charpoly_gq proves that exactly by the weighted-hermitian identity and
-    takes one modular image per prime; without them a complex M takes two
-    images per prime, and the imaginary parts are checked here.  A failed
-    check, or a nonzero imaginary part, raises ArithmeticError: the
-    construction upstream is wrong.
+    t = den / M.den the k-th coefficient is a_k t^(n-k).  M is real, or
+    complex with weights (`operator.norm_weights` of the label's spins),
+    by which charpoly_gq proves the charpoly real exactly; a failed proof
+    raises ArithmeticError (the construction upstream is wrong), and a
+    complex M without weights ValueError.
     """
     den = M.den if den is None else den
     t, r = divmod(den, M.den)
@@ -73,11 +70,7 @@ def charpoly_real(M: IntMatrix, den: int | None = None, weights=None) -> IntPoly
         raise ValueError(f"denominator {den} is not a multiple of {M.den}")
     out, pw = [], 1
     for c in reversed(charpoly_gq(M, weights)):
-        if c.im:
-            raise ArithmeticError(
-                f"characteristic polynomial has imaginary coefficient {c}"
-            )
-        out.append(c.re * pw)
+        out.append(c * pw)
         pw *= t
     return IntPoly(tuple(reversed(out)), den)
 

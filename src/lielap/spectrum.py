@@ -27,10 +27,11 @@ The pipeline:
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
-     Sturm chain and bisection.  Each root keeps an isolating bracket
-     (a, b], or [r, r] for a rational root r found exactly.  Every factor
-     splits over the reals, so two equal roots have overlapping brackets:
-     the roots are sorted by bracket and swept into clusters of
+     Sturm chain, whose brackets are rounded the same way by bisection
+     over the doubles between their ends.  Each root keeps an isolating
+     bracket (a, b], or [r, r] for a rational root r found exactly.  Every
+     factor splits over the reals, so two equal roots have overlapping
+     brackets: the roots are sorted by bracket and swept into clusters of
      overlapping brackets, and inside a cluster two roots of different
      factors are one number exactly when their exact values are equal,
      when one exact value lies in the other's bracket and the other
@@ -56,6 +57,7 @@ import csv
 import io
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -80,7 +82,6 @@ from .irreps import (
 )
 from .poly import (
     IntPoly,
-    fold_odd,
     int_div_exact,
     int_gcd,
     int_sign_at,
@@ -216,6 +217,7 @@ class Root(NamedTuple):
 # of the largest finite double
 _NEG = 1 << 63
 _TOP = 0x7FEF_FFFF_FFFF_FFFF
+_MAX = sys.float_info.max
 
 
 def _key(x: float) -> int:
@@ -244,21 +246,28 @@ def _around(x: float) -> tuple[Fraction, Fraction]:
     return Fraction(m, 1 << k), Fraction(n, 1 << j)
 
 
-def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Root:
+def _round(
+    cs: list[int], a: Fraction, b: Fraction, sb: int, start: float | None
+) -> Root:
     """The one root of the integer polynomial cs in (a, b], where cs has
-    the sign sb != 0 at b, rounded to the nearest double.
+    the sign sb at b, rounded to the nearest double; b itself when sb = 0.
 
     The nearest double is the x with the root strictly between the
     midpoints of x and of its two neighbours, and the exact signs of cs at
     those two midpoints prove it.  The search starts at the double start,
     gallops away from it in steps that double, then bisects over the
-    doubles: two signs when start is x.  A midpoint outside (a, b] is
-    decided without a sign.  A midpoint that is the root returns it
-    exactly, and so does the fraction nearest x with denominator at most
+    doubles: two signs when start is x.  Without a start it bisects over
+    the doubles between a and b.  A midpoint outside (a, b] is decided
+    without a sign.  A midpoint that is the root returns it exactly, and
+    so does the fraction nearest x with denominator at most
     min(lc, isqrt(2 / ulp(x))) when cs vanishes there.  A rational root
     r / s of the primitive cs has s | lc, and it is that fraction whenever
-    2 s^2 ulp(x) < 1.
+    2 s^2 ulp(x) < 1.  So the result depends on the root alone, not on the
+    cell it was isolated in, apart from the cut of its bracket to (a, b]
+    and a cell that ends on the root.
     """
+    if not sb:
+        return Root(float(b), b, b, b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     hit = []
 
@@ -278,16 +287,22 @@ def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Ro
             hit.append(Fraction(m, 1 << k))
         return s == -sb
 
-    lo = hi = _key(start)
-    step = 1
-    if above(lo):
-        hi = lo + 1
-        while above(hi):
-            lo, hi, step = hi, hi + 2 * step, 2 * step
+    if start is None:
+        # float() rounds to nearest, so the midpoint below float(a) is at
+        # or below a, and the one above float(b) at or above b
+        lo = _key(float(max(a, -_MAX))) - 1
+        hi = _key(float(min(b, _MAX)))
     else:
-        lo = hi - 1
-        while not above(lo):
-            lo, hi, step = lo - 2 * step, lo, 2 * step
+        lo = hi = _key(start)
+        step = 1
+        if above(lo):
+            hi = lo + 1
+            while above(hi):
+                lo, hi, step = hi, hi + 2 * step, 2 * step
+        else:
+            lo = hi - 1
+            while not above(lo):
+                lo, hi, step = lo - 2 * step, lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -306,50 +321,6 @@ def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Ro
     if a < r <= b and int_sign_at(cs, r) == 0:
         return Root(float(r), r, r, r)
     return Root(x, None, a, b)
-
-
-def _pin(cs: list[int], a: Fraction, b: Fraction) -> Root:
-    """The one root of the integer polynomial cs in (a, b], rounded to the
-    nearest double (`_round`) once bisection has narrowed the bracket.
-
-    Bisects at exact midpoints, comparing signs with the sign at b since a
-    may itself be a neighbouring root, until b - a is below half a float
-    step of the midpoint's float x; `_round` then starts from x.  A
-    midpoint that is the root returns it exactly.
-
-    The bracket is kept as integers A, B over a shared denominator q 2^k
-    with q odd, so the midpoints are the same rationals a Fraction
-    bisection takes, without a Fraction per step.  Bracket ends are
-    dyadic except a cutoff, which may bring an odd q; q is folded into
-    the coefficients once (`fold_odd`) and every sign is then taken at a
-    dyadic point by `sign_at_dyadic`.
-    """
-    d = math.lcm(a.denominator, b.denominator)
-    k = (d & -d).bit_length() - 1
-    q = d >> k
-    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    folded = fold_odd(cs, q) if q > 1 else cs
-    sb = sign_at_dyadic(folded, B, k)
-    if sb == 0:
-        return Root(float(b), b, b, b)
-    while True:
-        # mid = M / (q 2^(k+1)); int / int is correctly rounded
-        M = A + B
-        x = M / (q << (k + 1))
-        un, ud = math.ulp(x).as_integer_ratio()
-        # b - a < ulp(x) / 2, with b - a = (B - A) / (q 2^k)
-        if ((B - A) * ud) << 1 < (un * q) << k:
-            break
-        k += 1
-        sm = sign_at_dyadic(folded, M, k)
-        if sm == 0:
-            r = Fraction(M, q << k)
-            return Root(x, r, r, r)
-        if sm == sb:
-            A, B = A << 1, M
-        else:
-            A, B = M, B << 1
-    return _round(cs, a, b, sb, x)
 
 
 def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int]] | None:
@@ -409,16 +380,16 @@ def real_roots(
 
     hints are approximate roots, such as the clustered eigenvalues that
     `eigvalsh` gives for the operator whose charpoly h divides; cells are
-    those `hint_cells(h, hints)` proved, when the caller has them.  Each
-    root is then rounded from the hint in its cell with a few exact signs
-    (`_round`).  Where the hints do not prove deg h cells, or none are
-    given, a Sturm chain isolates the roots (`real_root_brackets`, its
-    first cuts between the hints or between the real parts of the
-    companion-matrix eigenvalues) and bisection narrows each bracket
-    first (`_pin`); that route raises ArithmeticError when h does not
-    split over the reals.  Both routes give the same value for each root:
-    the nearest double does not depend on the cell.  Membership below
-    `upper` is decided by the sign of h at `upper`.
+    those `hint_cells(h, hints)` proved, when the caller has them.  Where
+    the hints do not prove deg h cells, or none are given, a Sturm chain
+    isolates the roots (`real_root_brackets`, its first cuts between the
+    hints or between the real parts of the companion-matrix eigenvalues),
+    and its brackets become cells without a hint; that route raises
+    ArithmeticError when h does not split over the reals.  `_round` rounds
+    every root from its cell, so both routes give each root the same float
+    and the same exact value, except that a Sturm bracket ending on a root
+    gives that root exactly.  Membership below `upper` is decided by the
+    sign of h at `upper`.
     """
     n = len(h) - 1
     if n <= 0:
@@ -439,7 +410,7 @@ def real_roots(
                 f"factor of degree {n} has only {len(brackets)} real "
                 "roots; hermitian eigenvalue factors must split over the reals"
             )
-        cells = [(a, b, None, None) for a, b in brackets]
+        cells = [(a, b, None, int_sign_at(h, b)) for a, b in brackets]
     out = []
     for a, b, start, sb in cells:
         if upper is not None and upper < b:
@@ -451,10 +422,10 @@ def real_roots(
             if su == 0:
                 out.append(Root(float(upper), upper, upper, upper))
                 break
-            if su != (sb or int_sign_at(h, b)):
+            if su != sb:
                 break
             b, sb = upper, su
-        out.append(_pin(h, a, b) if start is None else _round(h, a, b, sb, start))
+        out.append(_round(h, a, b, sb, start))
     # a cell's end may cut into the interval around a root's double; the
     # whole interval, cut to upper, isolates the root all the same unless
     # a neighbouring root lies in it, and does not depend on the cells

@@ -21,7 +21,7 @@ from lielap.algebra_core import group_from_json, preset, square_of_vector
 from lielap.irreps import classify_type, label, labels_up_to_level
 from lielap.operator import build_DV, norm_weights, weight_is_scalar
 from lielap.polycert import charpoly_real
-from lielap.poly import IntPoly
+from lielap.poly import IntPoly, mul
 from lielap.witness import sample_definite_tensor
 
 I = (0, 1)
@@ -109,22 +109,23 @@ def test_kron_mixed_product():
 def test_charpoly_2x2():
     # [[2, 1], [1/2, 0]] over den 2: 2M has trace 4, det -2 -> X^2 - 4X - 2
     m = mat([[2, 1], [Fraction(1, 2), 0]])
-    cs = charpoly_gq(m)
-    assert [c.re for c in cs] == [-2, -4, 1]
-    assert all(c.im == 0 for c in cs)
+    assert charpoly_gq(m) == [-2, -4, 1]
 
 
 def test_charpoly_diag_gaussian():
-    m = diagonal([I, (0, -1)])
-    cs = charpoly_gq(m)  # (X - i)(X + i) = X^2 + 1
-    assert [complex(*c) for c in cs] == [1, 0, 1]
+    # (X - i)(X + i) = X^2 + 1 is real, but without weights nothing proves
+    # that, and a complex matrix is refused before any modular work
+    for m in (diagonal([I, (0, -1)]), mat([[I]]), mat([[1, I], [I, 1]])):
+        with pytest.raises(ValueError):
+            charpoly_gq(m)
+    # [[1, i], [-i, 1]] is hermitian: (X - 1)^2 - 1
+    assert charpoly_gq(mat([[1, I], [(0, -1), 1]]), np.array([1, 1])) == [0, -2, 1]
 
 
 def test_charpoly_companion():
     # companion matrix of X^3 - 7X + 6
     m = mat([[0, 0, -6], [1, 0, 7], [0, 1, 0]])
-    cs = charpoly_gq(m)
-    assert [c.re for c in cs] == [Fraction(6), Fraction(-7), Fraction(0), Fraction(1)]
+    assert charpoly_gq(m) == [6, -7, 0, 1]
 
 
 def test_restrict_operator():
@@ -197,6 +198,30 @@ def charpoly_faddeev(M: IntMatrix) -> list[tuple[int, int]]:
     return coeffs_int
 
 
+def faddeev_real(M: IntMatrix) -> list[int]:
+    """The Faddeev-LeVerrier coefficients, which must be real."""
+    cs = charpoly_faddeev(M)
+    assert all(im == 0 for _, im in cs)
+    return [re for re, _ in cs]
+
+
+def weighted(rows, c):
+    """The matrix with the entries of rows on and above the diagonal (the
+    diagonal real) and M_ji = (c_j / c_i) conj(M_ij) below it, with its
+    weights: c_j M_ij = c_i conj(M_ji) for the positive integers c."""
+    n = len(rows)
+    full = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = rows[i][j]
+            re, im = x if isinstance(x, tuple) else (x, 0)
+            assert i < j or im == 0
+            full[i][j] = (re, im)
+            r = Fraction(c[j], c[i])
+            full[j][i] = (r * re, -r * im)
+    return mat(full), np.array(c, dtype=np.int64)
+
+
 def _random_entry(rng, complex_entries, den_digits=2):
     def part():
         if rng.random() < 0.4:
@@ -208,17 +233,26 @@ def _random_entry(rng, complex_entries, den_digits=2):
 
 
 def _random_matrix(rng, n, complex_entries, den_digits=2):
-    return mat(
-        [[_random_entry(rng, complex_entries, den_digits) for _ in range(n)] for _ in range(n)]
-    )
+    """A real matrix with no weights, or a complex weighted-hermitian one
+    with random positive weights; (matrix, weights or None)."""
+    if not complex_entries:
+        rows = [[_random_entry(rng, False, den_digits) for _ in range(n)] for _ in range(n)]
+        return mat(rows), None
+    rows = [
+        [_random_entry(rng, i < j, den_digits) for j in range(n)] for i in range(n)
+    ]
+    return weighted(rows, [rng.randint(1, 12) for _ in range(n)])
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
 def test_charpoly_matches_faddeev_on_random_matrices(complex_entries):
     rng = random.Random(7013 + complex_entries)
+    imaginary = 0
     for _ in range(40):
-        m = _random_matrix(rng, rng.randint(1, 9), complex_entries)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        m, c = _random_matrix(rng, rng.randint(1, 9), complex_entries)
+        assert charpoly_gq(m, c) == faddeev_real(m)
+        imaginary += bool(m.im.any())
+    assert (imaginary > 30) == complex_entries
 
 
 def test_charpoly_matches_faddeev_past_int64():
@@ -226,14 +260,16 @@ def test_charpoly_matches_faddeev_past_int64():
     # hundreds of primes
     rng = random.Random(120)
     for complex_entries in (False, True):
-        m = _random_matrix(rng, 4, complex_entries, den_digits=120)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        m, c = _random_matrix(rng, 4, complex_entries, den_digits=120)
+        assert m.re.dtype == object
+        assert charpoly_gq(m, c) == faddeev_real(m)
 
 
 def test_charpoly_zero_subdiagonals_swap_and_skip():
     # pivots that are 0 in every image: the first column needs a swap, a
     # later column is zero below the diagonal and is skipped; multiples of
-    # the first prime p make the swap or the skip happen in its image only
+    # the first prime p make the swap or the skip happen in its image only.
+    # Complex matrices come weighted hermitian, with their weights
     rng = random.Random(31)
     p = split_primes(1)[0][0]
     shapes = [
@@ -243,23 +279,31 @@ def test_charpoly_zero_subdiagonals_swap_and_skip():
         [[2, 1, 3], [0, 0, 0], [0, 0, 4]],
         [[1, 2, 3], [p, 4, 5], [6, 7, 8]],
         [[1, 2, 3], [p, 4, 5], [2 * p, 7, 8]],
-        [[1, 2, 3, 4], [(0, p), 4, 5, 6], [(p, 3), 7, 8, 9], [1, (0, 2), 3, 4]],
     ]
-    for rows in shapes:
-        m = mat(rows)
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+    cases = [(mat(rows), None) for rows in shapes]
+    cases += [
+        weighted([[1, (0, p), (p, 3), 1], [0, 4, 5, (0, 2)], [0, 0, 8, 9], [0, 0, 0, 4]], [1, 1, 1, 1]),
+        weighted([[1, (0, p), (2 * p, p), 0], [0, 4, 0, (0, 2)], [0, 0, 8, 0], [0, 0, 0, 4]], [1, 3, 2, 5]),
+        weighted([[0, 0, (0, 1), 0], [0, 0, 0, (2, -1)], [0, 0, 3, 0], [0, 0, 0, 1]], [2, 1, 4, 1]),
+    ]
+
+    def sparse(imaginary):
+        # zero three times in four, else a small integer or its multiple by p
+        if rng.random() >= 0.25:
+            return 0
+        return rng.randint(-1 if imaginary else -4, 1 if imaginary else 4) * rng.choice((1, p))
+
     for _ in range(20):
         n = rng.randint(3, 8)
-        m = mat(
-            [[(rng.randint(-4, 4), rng.randint(-1, 1)) if rng.random() < 0.25 else 0
-              for _ in range(n)] for _ in range(n)]
-        )
-        assert charpoly_gq(m) == charpoly_faddeev(m)
+        rows = [[(sparse(False), sparse(True) if i < j else 0) for j in range(n)] for i in range(n)]
+        cases.append(weighted(rows, [rng.randint(1, 6) for _ in range(n)]))
+    for m, c in cases:
+        assert charpoly_gq(m, c) == faddeev_real(m)
 
 
 def test_charpoly_of_operators_matches_faddeev():
-    # build_DV's integer form goes to charpoly_gq as it stands, on both
-    # routes, with imaginary entries.  The object route is taken when
+    # build_DV's integer form goes to charpoly_gq as it stands, with its
+    # weights, on both routes, with imaginary entries.  The object route is taken when
     # den * S passes 2^63 (su2xsu2), or when den * S fits but the bound on
     # the operator's row sums does not (u2, den near 2^50)
     rng = random.Random(1746)
@@ -275,7 +319,7 @@ def test_charpoly_of_operators_matches_faddeev():
     for spec, lab, tensor, dtype in cases:
         op = build_DV(spec, lab, tensor)
         assert op.matrix.re.dtype == dtype
-        assert charpoly_gq(op.matrix) == charpoly_faddeev(op.matrix)
+        assert charpoly_gq(op.matrix, norm_weights(lab.spins)) == faddeev_real(op.matrix)
         assert op.matrix.im.any()
     assert max(abs(x) for x in op.matrix.re.tolist()) < 2**60
 
@@ -311,7 +355,7 @@ def test_one_image_route_matches_faddeev_on_operators(monkeypatch):
     for spec, tensor, level in cases:
         for lab in labels_up_to_level(spec, level):
             M = build_DV(spec, lab, tensor).matrix
-            assert charpoly_gq(M, norm_weights(lab.spins)) == charpoly_faddeev(M)
+            assert charpoly_gq(M, norm_weights(lab.spins)) == faddeev_real(M)
             assert len(set(lanes[-1])) == len(lanes[-1])
             if M.im.any():
                 types.add(classify_type(lab))
@@ -326,7 +370,7 @@ def test_one_image_route_past_int64():
     spec, lab = preset("spin4"), label((3, 2))
     M = build_DV(spec, lab, sample_definite_tensor(6, rng) + big).matrix
     assert M.re.dtype == object and M.im.any()
-    assert charpoly_gq(M, norm_weights(lab.spins)) == charpoly_faddeev(M)
+    assert charpoly_gq(M, norm_weights(lab.spins)) == faddeev_real(M)
 
 
 def test_weighted_hermitian_check_bounds_its_products():
@@ -367,51 +411,70 @@ def test_single_reduction_at_the_largest_residues():
         ])
     for rows in shapes:
         m = mat(rows)
-        expected = charpoly_faddeev(m)
+        expected = faddeev_real(m)
         assert charpoly_gq(m) == expected
         n = len(rows)
         H = np.repeat(np.array(rows, dtype=np.int64)[None], len(primes), axis=0) % primes[:, None, None]
         _hessenberg(H, primes)
         assert ((0 <= H) & (H < primes[:, None, None])).all()
         got = _hessenberg_charpoly(H, primes)
-        assert (got == np.array([c for c, _ in expected]) % primes[:, None]).all()
+        assert (got == np.array(expected) % primes[:, None]).all()
 
 
 def test_charpoly_small_and_zero_matrices():
-    assert charpoly_gq(zero(0, 0)) == [(1, 0)]
-    # den 7: X - 7 (-3/7 + 2i)
-    assert charpoly_gq(mat([[(Fraction(-3, 7), 2)]])) == [(3, -14), (1, 0)]
-    assert charpoly_gq(zero(4, 4)) == [(0, 0)] * 4 + [(1, 0)]
+    assert charpoly_gq(zero(0, 0)) == [1]
+    assert charpoly_gq(zero(0, 0), np.array([], dtype=np.int64)) == [1]
+    # den 7: X - 7 (-3/7)
+    assert charpoly_gq(mat([[Fraction(-3, 7)]])) == [3, 1]
+    assert charpoly_gq(mat([[Fraction(-3, 7)]]), np.array([5])) == [3, 1]
+    assert charpoly_gq(zero(4, 4)) == [0] * 4 + [1]
 
 
 def test_charpoly_at_the_coefficient_bound():
-    # (X - u r)^n, u a unit of Z[i], has coefficients of absolute value
-    # C(n,k) r^(n-k): the bound itself.  With P_k the product of the first
-    # k primes, r = (P_k + 1)/2 and r = P_k - 1 need k + 1 primes, and
+    # (X - u r)^n, u = +-1, has coefficients of absolute value C(n,k)
+    # r^(n-k): the bound itself.  With P_k the product of the first k
+    # primes, r = (P_k + 1)/2 and r = P_k - 1 need k + 1 primes, and
     # r = (P_k - 1)/2 is the largest |a_0| that k primes recover as a
-    # symmetric residue
+    # symmetric residue.  The hermitian blocks [[0, v r], [conj(v) r, 0]],
+    # v = +-i, have row sum r and eigenvalues +-r, so with one more real
+    # entry u r for odd n their |a_0| = r^n is the bound once r^n is the
+    # largest C(n,k) r^k
     products = [math.prod(p for p, _ in split_primes(k)) for k in (1, 2)]
     radii = [1, 3, 2**40 + 1, 10**30]
     radii += [r for q in products for r in ((q - 1) // 2, (q + 1) // 2, q - 1)]
     for r in radii:
         for n in (1, 2, 5, 9):
-            for u, v in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                expected = []
-                for k in range(n + 1):
-                    c = (math.comb(n, k), 0)
-                    for _ in range(n - k):
-                        # c times -(u + i v) r
-                        c = (-(c[0] * u - c[1] * v) * r, -(c[0] * v + c[1] * u) * r)
-                    expected.append(c)
-                assert charpoly_gq(diagonal([(u * r, v * r)] * n)) == expected
+            for u in (1, -1):
+                expected = [math.comb(n, k) * (-u * r) ** (n - k) for k in range(n + 1)]
+                assert charpoly_gq(diagonal([u * r] * n)) == expected
+                rows = [[0] * n for _ in range(n)]
+                for i in range(0, n - 1, 2):
+                    rows[i][i + 1] = (0, u * r)
+                if n % 2:
+                    rows[-1][-1] = u * r
+                m, c = weighted(rows, [1] * n)
+                assert m.im.any() or n == 1
+                expected = [1]
+                for _ in range(n // 2):
+                    expected = mul(expected, [-r * r, 0, 1])
+                expected = mul(expected, [-u * r, 1] if n % 2 else [1])
+                assert charpoly_gq(m, c) == expected
+                if r**n == max(math.comb(n, k) * r**k for k in range(n + 1)):
+                    assert abs(expected[0]) == r**n
 
 
 def test_charpoly_real_rejects_imaginary_coefficients():
-    with pytest.raises(ArithmeticError):
-        charpoly_real(mat([[I]]))
-    with pytest.raises(ArithmeticError):
-        charpoly_real(diagonal([I, (0, 2)]))
-    assert charpoly_real(diagonal([I, (0, -1)])) == IntPoly((1, 0, 1), 1)
+    # a complex matrix is taken only with weights that prove its charpoly
+    # real: ValueError without them, ArithmeticError when they fail
+    for m in (mat([[I]]), diagonal([I, (0, 2)]), diagonal([I, (0, -1)])):
+        with pytest.raises(ValueError):
+            charpoly_real(m)
+        with pytest.raises(ArithmeticError):
+            charpoly_real(m, weights=np.ones(m.nrows, dtype=np.int64))
+    # [[0, i/2], [-2i, 0]] is hermitian for the weights (1, 4): X^2 - 1
+    m, c = weighted([[0, (0, Fraction(1, 2))], [0, 0]], [1, 4])
+    assert charpoly_real(m, weights=c) == IntPoly((-4, 0, 1), 2)
+    assert charpoly_real(m, 6, c) == IntPoly((-36, 0, 1), 6)
 
 
 def test_charpoly_real_rescales_to_a_multiple_of_den():

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
     _coincident_roots,
-    _pin,
+    _round,
     assemble_spectrum,
     enumerate_irreps,
     gcd_free_basis,
@@ -764,6 +765,12 @@ def real_roots_oracle(cs: list[int], upper=None):
     return widen_oracle(cs, out, upper)
 
 
+def round_bracket(cs, a: Fraction, b: Fraction):
+    """The root in a Sturm bracket (a, b], rounded as `real_roots` rounds
+    it: a cell without a hint, with the sign of cs at b."""
+    return _round(cs, a, b, int_sign_at(cs, b), None)
+
+
 @functools.cache
 def _suite_oracle_brackets() -> tuple:
     """The oracle's hinted brackets of every suite factor of degree > 1."""
@@ -774,17 +781,17 @@ def _suite_oracle_brackets() -> tuple:
 
 
 def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
-    """Brackets and pins equal the oracle's on every factor; the whole of
-    `real_roots`, and brackets without hints, on the smaller ones (the
-    oracle's hintless isolation of the degree 16-64 factors takes tens of
-    seconds)."""
+    """Brackets and their roots equal the oracle's on every factor; the
+    whole of `real_roots`, and brackets without hints, on the smaller ones
+    (the oracle's hintless isolation of the degree 16-64 factors takes
+    tens of seconds)."""
     for cs, brackets in zip(_random_suite_factors(), _suite_oracle_brackets()):
         if len(cs) == 2:
             assert real_roots(cs) == real_roots_oracle(cs)
             continue
         assert real_root_brackets(cs, _hints(cs)) == brackets
         want = [pin_oracle(cs, a, b) for a, b in brackets]
-        assert [_pin(cs, a, b) for a, b in brackets] == want
+        assert [round_bracket(cs, a, b) for a, b in brackets] == want
         if len(cs) < 17:
             assert real_root_brackets(cs) == brackets_oracle(cs)
             assert real_roots(cs) == widen_oracle(cs, want)
@@ -792,16 +799,16 @@ def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
 
 def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
     """Cutoffs n/3, n/10, n/77 and n/(77 2^30) around every middle root;
-    those that fall inside the root's bracket and above the root make the
-    bisection run over q 2^k with the odd part q folded into the
-    coefficients."""
+    those that fall inside the root's bracket and above the root end its
+    cell at a point whose denominator has an odd part q, which the
+    rounding compares with the dyadic midpoints between doubles."""
     cut_inside = {3: 0, 5: 0, 77: 0}
     suite = zip(_random_suite_factors(), _suite_oracle_brackets())
     for n, (cs, brackets) in enumerate(suite):
         if len(cs) == 2:
             continue
         a, b = brackets[len(brackets) // 2]
-        x = _pin(cs, a, b).value
+        x = round_bracket(cs, a, b).value
         den = (3, 10, 77)[n % 3]
         q = den // (den & -den)
         for upper in (
@@ -812,21 +819,25 @@ def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
             if len(cs) < 17:
                 assert real_roots(cs, upper) == real_roots_oracle(cs, upper)
             if x < upper < b:
-                assert _pin(cs, a, upper) == pin_oracle(cs, a, upper)
+                assert round_bracket(cs, a, upper) == pin_oracle(cs, a, upper)
                 cut_inside[q] += 1
     assert all(cut_inside.values()), cut_inside
 
 
 def test_pin_on_a_midpoint_that_is_the_root():
-    # (x - 1)(x - 7) on (0, 4]: the second midpoint is the root 1; with a
-    # cutoff 10/3 the first midpoint 5/3 is the root of (3x - 5)(x - 7)
+    # rational roots of Sturm brackets, which the oracle's bisection lands
+    # on: (x - 1)(x - 7) on (0, 4] has the root 1, a double; with a cutoff
+    # 10/3, (3x - 5)(x - 7) has the root 5/3, the fraction nearest its
+    # double; the root 1 + 2^-53 of a factor 2^53 x - (2^53 + 1) is the
+    # midpoint between the doubles 1 and 1 + 2^-52
     cases = [
         ([7, -8, 1], Fraction(0), Fraction(4), Fraction(1)),
         ([35, -26, 3], Fraction(0), Fraction(10, 3), Fraction(5, 3)),
         ([35, -26, 3], Fraction(1, 2), Fraction(17, 6), Fraction(5, 3)),
+        (mul([-(2**53 + 1), 2**53], [-7, 1]), Fraction(0), Fraction(4), 1 + Fraction(1, 2**53)),
     ]
     for cs, a, b, root in cases:
-        got = _pin(cs, a, b)
+        got = round_bracket(cs, a, b)
         assert got == pin_oracle(cs, a, b) == (float(root), root, root, root)
     # a Sturm midpoint on a rational root: x^2 - 4x has the bound 6, and
     # the first midpoint of (-6, 6] is its root 0
@@ -844,10 +855,24 @@ def test_pin_exact_value_up_to_the_denominator_bound():
         (150000001, 100000007, False),
     ):
         cs = [-r, s]
-        x, value, *_ = root = _pin(cs, Fraction(1), Fraction(2))
+        x, value, *_ = root = round_bracket(cs, Fraction(1), Fraction(2))
         assert root == pin_oracle(cs, Fraction(1), Fraction(2))
         assert value == (Fraction(r, s) if exact else None)
         assert abs(x - r / s) <= math.ulp(x)
+
+
+def test_sturm_cell_from_past_the_largest_double():
+    """(x + 1) prod (x - 10^20 k): the Cauchy bound passes the largest
+    double, and the Sturm bracket of the root -1 starts at minus it."""
+    h = [1, 1]
+    for k in range(1, 17):
+        h = mul(h, [-(10**20) * k, 1])
+    assert max(map(abs, h)) > sys.float_info.max
+    (a, b), *_ = real_root_brackets(h)
+    assert a < -sys.float_info.max < -1 <= b
+    roots = real_roots(h, None, [])
+    assert [r.exact for r in roots] == [-1] + [10**20 * k for k in range(1, 17)]
+    assert all(r.value == r.exact == r.lo == r.hi for r in roots)
 
 
 # -- the hint route against the Sturm route -----------------------------------
@@ -890,6 +915,21 @@ def test_hint_route_matches_sturm_route(case, monkeypatch):
         assert sturm == []
         assert hinted == real_roots(f, cutoff)
         sturm.clear()
+
+
+def test_both_routes_agree_on_the_exact_value():
+    """The root 1 + 2^-k of (2^k x - (2^k + 1))(x - 3) is a double whose
+    denominator 2^k is past the fraction check's bound for k > 26, so it
+    has no exact value on either route, though a bisection of its Sturm
+    bracket at exact midpoints lands on it for k = 51 and 52."""
+    for k in range(20, 53):
+        h = mul([-(2**k + 1), 2**k], [-3, 1])
+        r = 1 + Fraction(1, 2**k)
+        hinted = real_roots(h, None, [float(r), 3.0])
+        assert hinted == real_roots(h)
+        assert hinted[0].value == float(r) == r
+        assert (hinted[0].exact is None) == (k > 26)
+        _nearest_double_checked(h, hinted)
 
 
 def _nearest_double_checked(f, roots):
