@@ -6,8 +6,11 @@ coincidences were decided from pinned brackets, so any change to a
 reported eigenvalue, exact root, certificate value or verdict on these
 runs fails here.  The witness digests were retaken when the witness
 document's "group" became the group object, as in the certify and
-spectrum documents; nothing else in them changed.  Each run writes its JSON document with --output and the
-file's bytes are hashed; the exit code is pinned too.
+spectrum documents; nothing else in them changed.  The t3 spectrum's
+digest was taken before coincidences were keyed by each root's nearest
+double: its 86 entries are rational roots shared by up to 72 labels.
+Each run writes its JSON document with --output and the file's bytes
+are hashed; the exit code is pinned too.
 """
 
 import hashlib
@@ -72,6 +75,10 @@ RUNS = {
     "spectrum-generic-1": (
         ["spectrum", "--group", "spin4", "--tensor", GENERIC_1, "--max-eig", "1797/64"], 0,
         "7daab8961f50da56421c9d996ede42b16ee0051f7d74e742fbb673845d96a17f",
+    ),
+    "spectrum-t3": (
+        ["spectrum", "--group", "t3", "--max-eig", "100"], 0,
+        "9037c68f808f5c6e7f516e246997351641d4b2ddf5ff68cd37efdad6ab21b251",
     ),
     "spectrum-swap-symmetric": (
         ["spectrum", "--group", "su2xsu2", "--tensor", SWAP, "--max-eig", "40"], 0,
