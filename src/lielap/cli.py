@@ -34,7 +34,7 @@ from .irreps import (
     quaternionic_structure,
 )
 from .operator import build_DV, casimir_tensor
-from .polycert import cert_c, char_poly_of, multiplicity_profile
+from .polycert import cert_c_from_poly, char_poly_of, multiplicity_profile
 from .spectrum import (
     assemble_spectrum,
     table_to_csv,
@@ -316,7 +316,7 @@ def check_quaternionic_double(args):
         p = char_poly_of(spec, label((m,)), sq)
         if not multiplicity_profile(p).is_all_double:
             return False, f"profile not all-double at m={m}"
-        if not cert_c(spec, label((m,)), sq).verdict:
+        if not cert_c_from_poly(p).verdict:
             return False, f"third-order certificate vanishes at m={m}"
     return True, f"all-double with nonzero cert_c for odd m <= {args.max_m}"
 

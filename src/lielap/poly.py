@@ -356,6 +356,24 @@ def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
     return _variations(int_sign_at(cs, x) for cs in chain)
 
 
+def root_bound(cs: Sequence[int]) -> int:
+    """A power of two above |z| for every complex root z of the integer
+    polynomial cs (nonzero leading coefficient, degree >= 1).
+
+    Every root has |z| < 2 max_i |c_i / c_n|^(1 / (n - i)) (Fujiwara), and
+    |c_i / c_n| < 2^(bitlen c_i - bitlen c_n + 1), so the bit lengths give
+    the power.  It is at most 16 n times the largest root modulus M, where
+    Cauchy's bound 1 + max |c_i / c_n| can reach M^n, and a bisection from
+    +-bound spends one step per bit of it before the roots part.
+    """
+    n, ln = len(cs) - 1, abs(cs[-1]).bit_length()
+    e = max(
+        (-((ln - 1 - abs(c).bit_length()) // (n - i)) for i, c in enumerate(cs[:-1]) if c),
+        default=0,
+    )
+    return 1 << (1 + max(e, 0))
+
+
 def real_root_brackets(p: Sequence[int], hints=None) -> list[tuple[Fraction, Fraction]]:
     """Isolating half-open intervals (a, b], one per distinct real root of
     a squarefree integer polynomial p, in increasing order.  Complex pairs are simply absent:
@@ -367,16 +385,15 @@ def real_root_brackets(p: Sequence[int], hints=None) -> list[tuple[Fraction, Fra
     single variation count.  Wrong hints cost extra splits, never roots.
 
     Every cut is a dyadic point m / 2^k carried as the integer pair
-    (m, k): the bound, the hint cuts (floats are dyadic) and their exact
-    midpoints, which are the same rationals a Fraction bisection takes.
-    Signs come from `sign_at_dyadic`; the brackets become Fractions only
-    when they are returned.
+    (m, k): +-`root_bound`, the hint cuts (floats are dyadic) and their
+    exact midpoints, which are the same rationals a Fraction bisection
+    takes.  Signs come from `sign_at_dyadic`; the brackets become
+    Fractions only when they are returned.
     """
     if _deg(p) <= 0:
         return []
     chain = sturm_chain(p)
-    cs = chain[0]
-    bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1
+    bound = root_bound(chain[0])
 
     def variations(cut: tuple[int, int]) -> int:
         m, k = cut

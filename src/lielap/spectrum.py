@@ -22,24 +22,25 @@ The pipeline:
      (`weight_is_scalar`).  A later label of a class whose operator is the
      first label's plus t/d times the identity, checked exactly (t an
      integer, d the tensor's denominator), takes the first label's work
-     moved by t/d: the charpoly P(X - t) (`taylor_shift`), and its hints,
-     squarefree factors and cells shifted.
+     moved by t/d: its hints, squarefree factors and cells shifted.
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
      Sturm chain, whose brackets are rounded the same way by bisection
-     over the doubles between their ends.  Each root keeps an isolating
-     bracket (a, b], or [r, r] for a rational root r found exactly.  Every
-     factor splits over the reals, so two equal roots have overlapping
-     brackets: the roots are sorted by bracket and swept into clusters of
-     overlapping brackets, and inside a cluster two roots of different
-     factors are one number exactly when their exact values are equal,
-     when one exact value lies in the other's bracket and the other
-     factor vanishes there, or, with neither value known, when the factor
-     that the gcd-free basis of the two lists under both changes sign on
-     the intersection of the brackets.  No floating-point comparison
-     decides a coincidence, and exact gcds run only on overlapping
-     inexact brackets.
+     over the doubles between their ends.  A root is exact when a
+     midpoint is the root or the denominator rule of `_round` recovers
+     it, whatever cell it came from.  Each inexact root keeps a bracket
+     (lo, hi] that isolates it within its factor: the interval between
+     the midpoints around its double, cut to its cell.  Two equal roots
+     have one nearest double, so the roots are put in buckets by their
+     doubles, and inside a bucket two roots are one number exactly when
+     their exact values are equal, when one exact value lies in the
+     other's bracket and the other factor vanishes there, or, with neither
+     value known, when the factor that the gcd-free basis of the two lists
+     under both has a root in the intersection of the brackets.  No
+     floating-point comparison decides a coincidence: the doubles only
+     sort the roots into buckets, and exact gcds run only on inexact
+     roots that share a double.
   4. Emit one entry per group of equal roots, with the full contributor
      list and the real multiplicity accounting (complex-type labels
      stand for their dual pair and count twice).
@@ -62,8 +63,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .algebra_core import (
     GroupSpec,
     SymTensor,
@@ -81,16 +80,14 @@ from .irreps import (
     labels_up_to_level,
 )
 from .poly import (
-    IntPoly,
+    derivative,
     int_div_exact,
     int_gcd,
     int_sign_at,
     real_root_brackets,
+    root_bound,
     shift_primitive,
     sign_at_dyadic,
-    sturm_chain,
-    sturm_variations,
-    taylor_shift,
 )
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
@@ -101,7 +98,7 @@ from .operator import (
     hermitian_eigenvalues,
     weight_is_scalar,
 )
-from .polycert import CharPoly, char_poly_exact, multiplicity_profile
+from .polycert import char_poly_exact, multiplicity_profile
 
 
 def enumerate_irreps(
@@ -200,11 +197,12 @@ class Root(NamedTuple):
     is found rational, and an isolating bracket (lo, hi].
 
     The float is the double nearest the root (for a rational root, its
-    correctly rounded float).  For an inexact root the bracket is the
-    interval between the midpoints of that double and its two neighbours,
-    cut to the upper bound of `real_roots`; only where another root of
-    the polynomial lies in that interval is it cut to the cell the root
-    was isolated in.  For a rational root lo = hi = the value.
+    correctly rounded float), so equal roots of any two polynomials have
+    equal floats.  For an inexact root the bracket is the interval between
+    the midpoints of that double and its two neighbours, cut to the cell
+    the root was isolated in and to the upper bound of `real_roots`: it
+    holds no other root of the polynomial.  For a rational root lo = hi =
+    the value.
     """
 
     value: float
@@ -250,7 +248,7 @@ def _round(
     cs: list[int], a: Fraction, b: Fraction, sb: int, start: float | None
 ) -> Root:
     """The one root of the integer polynomial cs in (a, b], where cs has
-    the sign sb at b, rounded to the nearest double; b itself when sb = 0.
+    the sign sb at b (0 when the root is b), rounded to the nearest double.
 
     The nearest double is the x with the root strictly between the
     midpoints of x and of its two neighbours, and the exact signs of cs at
@@ -262,12 +260,12 @@ def _round(
     so does the fraction nearest x with denominator at most
     min(lc, isqrt(2 / ulp(x))) when cs vanishes there.  A rational root
     r / s of the primitive cs has s | lc, and it is that fraction whenever
-    2 s^2 ulp(x) < 1.  So the result depends on the root alone, not on the
-    cell it was isolated in, apart from the cut of its bracket to (a, b]
-    and a cell that ends on the root.
+    2 s^2 ulp(x) < 1.  A root at b is searched for like any other, from
+    the sign of cs just above b, so the result depends on the root alone,
+    not on the cell it was isolated in, apart from the cut of its bracket
+    to (a, b].
     """
-    if not sb:
-        return Root(float(b), b, b, b)
+    sb = sb or int_sign_at(derivative(cs), b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     hit = []
 
@@ -278,7 +276,7 @@ def _round(
         if key < -_TOP:
             return True
         m, k = _midpoint(key)
-        if m * bd >= bn << k:
+        if m * bd > bn << k:
             return False
         if m * ad <= an << k:
             return True
@@ -289,9 +287,10 @@ def _round(
 
     if start is None:
         # float() rounds to nearest, so the midpoint below float(a) is at
-        # or below a, and the one above float(b) at or above b
+        # or below a, and the one above float(b) at or above b; one key
+        # more puts every midpoint in (a, b] between the two
         lo = _key(float(max(a, -_MAX))) - 1
-        hi = _key(float(min(b, _MAX)))
+        hi = _key(float(min(b, _MAX))) + 1
     else:
         lo = hi = _key(start)
         step = 1
@@ -329,7 +328,7 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
     None unless exact signs prove deg h such cells.
 
     h is cut at the midpoints between consecutive finite hints, between -
-    and + its Cauchy bound, where its signs are those of its leading
+    and + its `root_bound`, where its signs are those of its leading
     terms.  A cell across which h changes sign holds an odd number of
     roots, so deg h such cells hold one root each, and prove every root
     real and simple.  Wrong hints cost the proof, never a root.  A cut on
@@ -341,9 +340,8 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
     hints = sorted(x for x in hints if math.isfinite(x))
     if n < 1 or len(hints) < n:
         return None
-    lc = h[-1]
-    bound = 2 + max(abs(c) for c in h[:-1]) // abs(lc)
-    top = 1 if lc > 0 else -1
+    bound = root_bound(h)
+    top = 1 if h[-1] > 0 else -1
     cells = []
     # the lower end of the current cell, its sign, and the hint in the cell
     lo, s_lo, start = -bound, (-1) ** n * top, hints[0]
@@ -371,7 +369,7 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
 
 
 def real_roots(
-    h: list[int], upper: Fraction | None = None, hints=None, cells=None
+    h: list[int], upper: Fraction | None = None, hints=(), cells=None
 ) -> list[Root]:
     """The roots of a primitive squarefree integer factor known to split
     over the reals, in increasing order, each rounded to the nearest double
@@ -383,13 +381,11 @@ def real_roots(
     those `hint_cells(h, hints)` proved, when the caller has them.  Where
     the hints do not prove deg h cells, or none are given, a Sturm chain
     isolates the roots (`real_root_brackets`, its first cuts between the
-    hints or between the real parts of the companion-matrix eigenvalues),
-    and its brackets become cells without a hint; that route raises
-    ArithmeticError when h does not split over the reals.  `_round` rounds
-    every root from its cell, so both routes give each root the same float
-    and the same exact value, except that a Sturm bracket ending on a root
-    gives that root exactly.  Membership below `upper` is decided by the
-    sign of h at `upper`.
+    hints), and its brackets become cells without a hint; that route
+    raises ArithmeticError when h does not split over the reals.  `_round`
+    rounds every root from its cell, so both routes give each root the
+    same float and the same exact value.  Membership below `upper` is
+    decided by the sign of h at `upper`.
     """
     n = len(h) - 1
     if n <= 0:
@@ -398,12 +394,9 @@ def real_roots(
         r = Fraction(-h[0], h[1])
         return [Root(float(r), r, r, r)] if upper is None or r <= upper else []
 
-    if cells is None and hints is not None:
+    if cells is None:
         cells = hint_cells(h, hints)
     if cells is None:
-        if hints is None:
-            # int / int is correctly rounded
-            hints = np.roots([c / h[-1] for c in reversed(h)]).real.tolist()
         brackets = real_root_brackets(h, hints=hints)
         if len(brackets) != n:
             raise ArithmeticError(
@@ -419,44 +412,18 @@ def real_roots(
             if a >= upper:
                 break
             su = int_sign_at(h, upper)
-            if su == 0:
-                out.append(Root(float(upper), upper, upper, upper))
-                break
-            if su != sb:
+            if su and su != sb:
                 break
             b, sb = upper, su
         out.append(_round(h, a, b, sb, start))
-    # a cell's end may cut into the interval around a root's double; the
-    # whole interval, cut to upper, isolates the root all the same unless
-    # a neighbouring root lies in it, and does not depend on the cells
-    for i, r in enumerate(out):
-        if r.exact is None:
-            lo, hi = _around(r.value)
-            if upper is not None:
-                hi = min(hi, upper)
-            if (lo, hi) != (r.lo, r.hi) and not any(
-                _meets(s, lo, hi) for s in out[max(i - 1, 0):i] + out[i + 1:i + 2]
-            ):
-                out[i] = r._replace(lo=lo, hi=hi)
     return out
-
-
-def _meets(r: Root, lo: Fraction, hi: Fraction) -> bool:
-    """Whether the root r may lie in (lo, hi]: its exact value does, or its
-    bracket meets it."""
-    if r.exact is not None:
-        return lo < r.exact <= hi
-    return max(lo, r.lo) < min(hi, r.hi)
 
 
 def _root_in(h: list[int], lo: Fraction, hi: Fraction) -> bool:
     """Whether the squarefree h, which has at most one root in (lo, hi],
-    has one there: a change of sign, or a Sturm count where lo is itself
-    a root of h."""
-    s_lo = int_sign_at(h, lo)
-    if s_lo == 0:
-        chain = sturm_chain(h)
-        return sturm_variations(chain, lo) > sturm_variations(chain, hi)
+    has one there: its sign at hi differs from its sign just above lo,
+    which is that of h' where lo is itself a root of h."""
+    s_lo = int_sign_at(h, lo) or int_sign_at(derivative(h), lo)
     return int_sign_at(h, hi) != s_lo
 
 
@@ -480,27 +447,19 @@ def _coincident_roots(
 ) -> list[list[int]]:
     """The roots that are one number, as groups of indices into roots.
 
-    roots holds (index into factors, root) pairs.  The factors split over
-    the reals and each root carries a bracket that isolates it, so equal
-    roots have overlapping brackets.  The roots are swept in order of
-    their lower ends into clusters of overlapping brackets.  A root with
-    an exact value joins the first root of that value in its cluster;
-    every other root is compared with the earlier roots of the cluster
-    that have no exact value.  So a cluster of equal exact roots costs
-    linear time.  Each comparison of roots of different factors is
-    decided exactly: by the sign of a factor at a rational root or, where
-    neither value is known, by a sign change of the factor that
-    `gcd_free_basis` finds common to the two.  Groups come in the order
-    of their first index, each in increasing order.
+    roots holds (index into factors, root) pairs.  Equal roots have one
+    nearest double, so the roots are put in buckets by their floats, and
+    only roots of one bucket are compared.  Inside a bucket a root with an
+    exact value joins the first root of that value through a dict; every
+    other root is compared with the first root of each group of its
+    bucket and joins the first group it equals, since equality is
+    transitive.  So a bucket of equal exact roots costs linear time.
+    Each comparison of roots of different factors is decided exactly: by
+    the sign of a factor at a rational root or, where neither value is
+    known, by a root of the factor that `gcd_free_basis` finds common to
+    the two.  Groups come in the order of their first index, each in
+    increasing order.
     """
-    parent = list(range(len(roots)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     common: dict[tuple[int, int], list[int]] = {}
 
     def shared(k: int, l: int) -> list[int]:
@@ -510,37 +469,34 @@ def _coincident_roots(
             common[key] = next((h for h, members in basis if members == [0, 1]), [1])
         return common[key]
 
-    # the current cluster: the first root of each exact value in it, the
-    # roots without one, and the top of their brackets.  A rational root's
-    # bracket is its value, so a root equal to it without an exact value,
-    # whose bracket (lo, hi] holds the value, comes earlier
-    values: dict[Fraction, int] = {}
-    inexact: list[int] = []
-    top: Fraction | None = None
-    for i in sorted(range(len(roots)), key=lambda i: roots[i][1].lo):
-        k, r = roots[i]
-        if top is None or r.lo > top:
-            values, inexact, top = {}, [], r.hi
-        else:
-            top = max(top, r.hi)
-        if r.exact is not None:
-            j = values.setdefault(r.exact, i)
-            if j != i:
-                parent[find(i)] = find(j)
-                continue
-        for j in inexact:
-            l, s = roots[j]
-            if l != k and find(i) != find(j) and _same_root(
-                factors[k], r, factors[l], s, lambda: shared(k, l)
-            ):
-                parent[find(i)] = find(j)
-        if r.exact is None:
-            inexact.append(i)
+    def same(i: int, j: int) -> bool:
+        (k, r), (l, s) = roots[i], roots[j]
+        # the roots of one squarefree factor are distinct, and two exact
+        # roots are compared by value, through the dict below
+        if k == l or r.exact is not None and s.exact is not None:
+            return False
+        if s.exact is not None:
+            (k, r), (l, s) = (l, s), (k, r)
+        return _same_root(factors[k], r, factors[l], s, lambda: shared(k, l))
 
-    groups: dict[int, list[int]] = {}
-    for i in range(len(roots)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    groups: list[list[int]] = []
+    # each bucket's groups as indices into groups, and the group of each
+    # exact value
+    buckets: dict[float, list[int]] = {}
+    values: dict[Fraction, int] = {}
+    for i, (_, r) in enumerate(roots):
+        g = values.get(r.exact)
+        if g is None:
+            bucket = buckets.setdefault(r.value, [])
+            g = next((h for h in bucket if same(i, groups[h][0])), None)
+            if g is None:
+                g = len(groups)
+                groups.append([])
+                bucket.append(g)
+            if r.exact is not None:
+                values[r.exact] = g
+        groups[g].append(i)
+    return groups
 
 
 # relative gap below which two eigenvalues of one label's hermitian form
@@ -565,7 +521,6 @@ class LabelWork(NamedTuple):
     """
 
     label: IrrepLabel
-    charpoly: CharPoly
     hints: list[float]
     split: list[tuple[int, list[int], list | None]]
     shift: int | None
@@ -587,23 +542,16 @@ def _direct_work(op: OperatorMatrix) -> LabelWork:
             (mult, f, hint_cells(f, hints) if len(f) > 2 else None)
             for mult, f in multiplicity_profile(cp).entries
         ]
-    return LabelWork(op.label, cp, hints, split, None)
+    return LabelWork(op.label, hints, split, None)
 
 
 def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWork:
     """rep's work moved to the label whose operator is rep's plus t/den
-    times the identity: charpoly P(X - t) over den, every hint, factor
-    and cell moved by t/den.
+    times the identity: every hint, factor and cell moved by t/den.
 
     The split is that of the whole charpoly, which the shift carries over
-    whatever the label's type; the charpoly's power form is the label's
-    own.  A quaternionic label has weight 0, so it comes first among the
-    labels with its spins and is never moved."""
-    cp = CharPoly(
-        label=lab,
-        tensor_hash=rep.charpoly.tensor_hash,
-        poly=IntPoly(tuple(taylor_shift(rep.charpoly.poly.coeffs, t)), den),
-    )
+    whatever the label's type.  A quaternionic label has weight 0, so it
+    comes first among the labels with its spins and is never moved."""
     s, x = Fraction(t, den), t / den
 
     def moved(f, cells):
@@ -614,7 +562,6 @@ def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWor
 
     return LabelWork(
         lab,
-        cp,
         [h + x for h in rep.hints],
         [(mult, shift_primitive(f, t, den), moved(f, cells)) for mult, f, cells in rep.split],
         t,
@@ -695,7 +642,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
         )
         entries.append(
             SpectrumEntry(
-                value=roots[group[0]][1].value if exact is None else float(exact),
+                value=roots[group[0]][1].value,
                 exact_value=exact,
                 real_multiplicity=real_mult,
                 contributions=tuple(contribs),

@@ -7,6 +7,7 @@ Fraction `Poly` of tests/fracpoly.py is the oracle's arithmetic and is
 checked here too.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,7 @@ from lielap.poly import (
     mul,
     real_root_brackets,
     resultant,
+    root_bound,
     shift_primitive,
     squarefree_decomposition,
     sturm_chain,
@@ -288,6 +290,38 @@ def test_brackets_tolerate_misleading_hints():
         assert len(brackets) == 3
         for (a, b), r in zip(brackets, [Fraction(-3), Fraction(1), Fraction(2)]):
             assert a < r <= b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=7),
+    st.integers(1, 10**6),
+    st.lists(st.tuples(st.integers(-10**4, 10**4), st.integers(1, 10**4)), max_size=3),
+)
+def test_root_bound_lies_above_every_root(roots, lead, quadratics):
+    """Integer roots r and complex pairs of x^2 + b x + c, whose roots have
+    modulus sqrt(c) when b^2 < 4c: each lies strictly inside the bound.
+    The bound is at most 16 n times the largest modulus M, since
+    |c_i / c_n|^(1 / (n - i)) <= n M and the bit lengths lose a factor 8;
+    Cauchy's bound grows with M^n instead."""
+    p = [lead]
+    for r in roots:
+        p = mul(p, [-r, 1])
+    top = max(map(abs, roots))
+    for b, c in quadratics:
+        p = mul(p, [c, b, 1])
+        disc = b * b - 4 * c
+        if disc < 0:
+            moduli = [math.sqrt(c)]
+        else:
+            moduli = [abs(-b + sign * math.sqrt(disc)) / 2 for sign in (1, -1)]
+        top = max(top, *moduli)
+    bound = root_bound(p)
+    assert bound & (bound - 1) == 0
+    for r in roots:
+        assert abs(r) < bound
+    assert top < bound * (1 - 1e-9)
+    assert bound <= 16 * (len(p) - 1) * max(top, 1)
 
 
 @settings(max_examples=40, deadline=None)

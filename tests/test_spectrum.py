@@ -40,6 +40,7 @@ from lielap.poly import (
     int_sign_at,
     mul,
     real_root_brackets,
+    root_bound,
     sturm_chain,
     sturm_variations,
 )
@@ -457,8 +458,8 @@ def test_bound_and_hash_computed_once_per_spectrum(monkeypatch):
     assert calls == {"certified_lower_bound": 1, "tensor_to_json": 1}
 
 
-def _groups(*factors):
-    roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f)]
+def _groups(*factors, hints=()):
+    roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f, None, hints)]
     return [[roots[i][1].value for i in g] for g in _coincident_roots(list(factors), roots)], roots
 
 
@@ -485,21 +486,33 @@ def test_exact_root_met_inside_an_inexact_bracket():
     assert roots[0][1].exact is not None and roots[1][1].exact is None
 
 
-def test_common_factor_vanishing_at_the_lower_end():
-    """sqrt(1 + 2^-e) lies so close to the root 1 that its pinned bracket
-    is (1, 1 + 2^-54]: where the common factor has the root 1 too, a sign
-    change alone cannot tell whether it has another in the bracket."""
+def test_common_factor_vanishing_at_the_lower_end(monkeypatch):
+    """sqrt(1 + 2^-e) lies so close to the root 1 that, cut at 1 by the
+    hints 0.5 and 1.5, its bracket is (1, 1 + 2^-53]: where the common
+    factor has the root 1 too, its sign at 1 is 0, and the sign of its
+    derivative there tells whether it has another root in the bracket."""
     def near_one(e):
         return [-(2**e + 1), 0, 2**e]
 
+    calls = []
+    derivative = spectrum.derivative
+
+    def counted(cs):
+        calls.append(cs)
+        return derivative(cs)
+
     f = mul(mul([-1, 1], near_one(120)), [4, 1])
     # the same root 1 + 2^-121 (and -1 - 2^-121, and 1) in both factors
-    groups, roots = _groups(f, mul(mul([-1, 1], near_one(120)), [-6, 1]))
+    f2 = mul(mul([-1, 1], near_one(120)), [-6, 1])
+    roots = [(k, r) for k, h in enumerate((f, f2)) for r in real_roots(h, None, [0.5, 1.5])]
+    monkeypatch.setattr(spectrum, "derivative", counted)
+    groups = _coincident_roots([f, f2], roots)
     assert [len(g) for g in groups] == [1, 2, 2, 2, 1]
     assert roots[3][1].exact is None and roots[3][1].lo == 1
-    # the common factor (x - 1)(x + 4) has no root in (1, 1 + 2^-54], so
+    assert calls == [mul([-1, 1], near_one(120))]
+    # the common factor (x - 1)(x + 4) has no root in (1, 1 + 2^-53], so
     # 1 + 2^-121 and 1 + 2^-101 stay apart
-    groups, roots = _groups(f, mul(mul([-1, 1], near_one(100)), [4, 1]))
+    groups, roots = _groups(f, mul(mul([-1, 1], near_one(100)), [4, 1]), hints=[0.5, 1.5])
     assert [len(g) for g in groups] == [2, 1, 2, 1, 1, 1]
     (_, r), (_, s) = roots[3], roots[7]
     assert r.exact is None and s.exact is None and r.lo == s.lo == 1
@@ -570,7 +583,7 @@ def test_coincident_roots_linear_on_equal_exact_roots(monkeypatch):
         return same_root(*args)
 
     monkeypatch.setattr(spectrum, "_same_root", counted)
-    # 300 equal exact roots and one irrational root in their cluster: one
+    # 300 equal exact roots and one irrational root with their double: one
     # group, and one comparison, that of the irrational root with the value
     factors = [[-2, 1]] * 300 + [[-4 * 2**80 - 1, 0, 2**80]]
     roots = [(k, r) for k, f in enumerate(factors) for r in real_roots(f)]
@@ -660,10 +673,10 @@ def variations_oracle(chain, x: Fraction) -> int:
 
 
 def brackets_oracle(p: list[int], hints=None):
-    """Sturm isolation with Fraction cuts and Fraction midpoints."""
+    """Sturm isolation with Fraction cuts and Fraction midpoints, from the
+    same root bound."""
     chain = sturm_chain(p)
-    cs = chain[0]
-    bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1
+    bound = root_bound(chain[0])
     lo, hi = Fraction(-bound), Fraction(bound)
     cuts = {lo, hi}
     if hints:
@@ -694,16 +707,16 @@ def pin_oracle(cs, a: Fraction, b: Fraction):
     None, bracket), by bisection at Fraction midpoints until the correctly
     rounded floats of both ends agree.  A root exactly halfway between two
     doubles never lets them agree; it is met by the sign at that halfway
-    point once the ends round to the two doubles.  The exact value is the
-    one a midpoint meets, or the fraction nearest the double with
-    denominator at most min(lc, isqrt(2 / ulp)) if it is a root in
-    (a, b]; the bracket is the interval between the halfway points to the
-    neighbouring doubles, cut to (a, b]."""
+    point once the ends round to the two doubles.  A root at b is b, so
+    its double is float(b), and it is exact when it lies halfway between
+    two doubles.  Otherwise the exact value is the one a midpoint meets,
+    or the fraction nearest the double with denominator at most
+    min(lc, isqrt(2 / ulp)) if it is a root in (a, b]; the bracket is the
+    interval between the halfway points to the neighbouring doubles, cut
+    to (a, b]."""
     sb = sign_at_oracle(cs, b)
-    if sb == 0:
-        return float(b), b, b, b
     lo, hi = a, b
-    while float(lo) != float(hi):
+    while sb and float(lo) != float(hi):
         if math.nextafter(float(lo), math.inf) == float(hi):
             half = (Fraction(float(lo)) + Fraction(float(hi))) / 2
             if lo < half < hi and sign_at_oracle(cs, half) == 0:
@@ -717,52 +730,40 @@ def pin_oracle(cs, a: Fraction, b: Fraction):
         else:
             lo = mid
     x = float(hi)
+    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    if not sb and b in (below, above):
+        return x, b, b, b
     Q = math.isqrt(math.floor(2 / Fraction(math.ulp(x))))
     r = Fraction(x).limit_denominator(max(1, min(abs(cs[-1]), Q)))
     if a < r <= b and sign_at_oracle(cs, r) == 0:
         return float(r), r, r, r
-    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
-    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
     return x, None, max(a, below), min(b, above)
+
+
+@functools.cache
+def _unhinted_oracle_brackets(cs: tuple) -> list:
+    return brackets_oracle(list(cs))
 
 
 def _hints(h: list[int]):
     return np.roots([float(Fraction(c, h[-1])) for c in reversed(h)]).real.tolist()
 
 
-def widen_oracle(cs, roots, upper=None):
-    """The roots with each inexact bracket replaced by the whole interval
-    between the halfway points to the neighbouring doubles, cut to upper,
-    where a Sturm count finds no other root of cs in it."""
-    chain = sturm_chain(cs)
-    out = []
-    for x, exact, lo, hi in roots:
-        if exact is None:
-            below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
-            above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
-            if upper is not None:
-                above = min(above, upper)
-            if variations_oracle(chain, below) - variations_oracle(chain, above) == 1:
-                lo, hi = below, above
-        out.append((x, exact, lo, hi))
-    return out
-
-
 def real_roots_oracle(cs: list[int], upper=None):
-    """`real_roots` by the Sturm route, over Fractions: the oracle's
-    brackets, each pinned to the nearest double by `pin_oracle`, with the
-    brackets `widen_oracle` gives."""
+    """`real_roots` without hints, over Fractions: the oracle's brackets,
+    each pinned to the nearest double by `pin_oracle`."""
     if len(cs) == 2:
         r = Fraction(-cs[0], cs[1])
         return [(float(r), r, r, r)] if upper is None or r <= upper else []
     out = []
-    for a, b in brackets_oracle(cs, _hints(cs)):
+    for a, b in _unhinted_oracle_brackets(tuple(cs)):
         if upper is not None and upper < b:
             if a >= upper or sign_at_oracle(cs, upper) not in (0, sign_at_oracle(cs, b)):
                 break
             b = upper
         out.append(pin_oracle(cs, a, b))
-    return widen_oracle(cs, out, upper)
+    return out
 
 
 def round_bracket(cs, a: Fraction, b: Fraction):
@@ -793,8 +794,9 @@ def test_dyadic_route_matches_fraction_oracle_on_suite_factors():
         want = [pin_oracle(cs, a, b) for a, b in brackets]
         assert [round_bracket(cs, a, b) for a, b in brackets] == want
         if len(cs) < 17:
-            assert real_root_brackets(cs) == brackets_oracle(cs)
-            assert real_roots(cs) == widen_oracle(cs, want)
+            unhinted = _unhinted_oracle_brackets(tuple(cs))
+            assert real_root_brackets(cs) == unhinted
+            assert real_roots(cs) == [pin_oracle(cs, a, b) for a, b in unhinted]
 
 
 def test_dyadic_route_matches_oracle_at_odd_denominator_cutoffs():
@@ -862,15 +864,19 @@ def test_pin_exact_value_up_to_the_denominator_bound():
 
 
 def test_sturm_cell_from_past_the_largest_double():
-    """(x + 1) prod (x - 10^20 k): the Cauchy bound passes the largest
-    double, and the Sturm bracket of the root -1 starts at minus it."""
+    """(x + 1)(x - 2^1100): the root bound passes the largest double, and
+    the Sturm bracket of the root -1 starts at minus it.  (x + 1) prod
+    (x - 10^20 k) has coefficients past the largest double, and no
+    coefficient ratio is taken as a float."""
+    h = mul([1, 1], [-(2**1100), 1])
+    (a, b), _ = real_root_brackets(h)
+    assert a < -sys.float_info.max < -1 <= b
+    assert real_roots(h, Fraction(0)) == [(-1.0, -1, -1, -1)]
     h = [1, 1]
     for k in range(1, 17):
         h = mul(h, [-(10**20) * k, 1])
     assert max(map(abs, h)) > sys.float_info.max
-    (a, b), *_ = real_root_brackets(h)
-    assert a < -sys.float_info.max < -1 <= b
-    roots = real_roots(h, None, [])
+    roots = real_roots(h)
     assert [r.exact for r in roots] == [-1] + [10**20 * k for k in range(1, 17)]
     assert all(r.value == r.exact == r.lo == r.hi for r in roots)
 
@@ -918,24 +924,40 @@ def test_hint_route_matches_sturm_route(case, monkeypatch):
 
 
 def test_both_routes_agree_on_the_exact_value():
-    """The root 1 + 2^-k of (2^k x - (2^k + 1))(x - 3) is a double whose
-    denominator 2^k is past the fraction check's bound for k > 26, so it
-    has no exact value on either route, though a bisection of its Sturm
-    bracket at exact midpoints lands on it for k = 51 and 52."""
-    for k in range(20, 53):
+    """The root r = 1 + 2^-k of (2^k x - (2^k + 1))(x - 3) gets one double
+    and one exact value on every route: from hints that prove its cell,
+    from hints whose cut lands on r and so ends a Sturm bracket there,
+    without hints, where a bisection of its Sturm bracket at exact
+    midpoints lands on r for k = 51 and 52, and with r as the cutoff,
+    which ends its cell there.  r is exact for k <= 26, where the fraction
+    check's denominator bound reaches 2^k, and for k = 53, where r lies
+    halfway between the doubles 1 and 1 + 2^-52 and the search meets it
+    as a midpoint."""
+    for k in range(20, 61):
         h = mul([-(2**k + 1), 2**k], [-3, 1])
         r = 1 + Fraction(1, 2**k)
         hinted = real_roots(h, None, [float(r), 3.0])
-        assert hinted == real_roots(h)
-        assert hinted[0].value == float(r) == r
-        assert (hinted[0].exact is None) == (k > 26)
+        routes = [real_roots(h)]
+        if k < 53:
+            cut = [1.0, 1 + 2.0 ** (1 - k), 3.0]
+            assert hint_cells(h, cut) is None
+            routes.append(real_roots(h, None, cut))
+        for other in routes:
+            assert _values(other) == _values(hinted)
+            _nearest_double_checked(h, other)
+        for other in (real_roots(h, r, [float(r), 3.0]), real_roots(h, r)):
+            assert _values(other) == _values(hinted[:1])
+            _nearest_double_checked(h, other)
+        assert hinted[0].value == float(r)
+        assert (hinted[0].exact is None) == (26 < k != 53)
         _nearest_double_checked(h, hinted)
 
 
 def _nearest_double_checked(f, roots):
     """Each inexact root is the nearest double to a root of f: f has
     nonzero opposite signs at the midpoints to the neighbouring doubles,
-    and its bracket lies between them."""
+    and its bracket lies between them and holds one root of f."""
+    chain = sturm_chain(f) if len(f) > 2 else None
     for x, exact, lo, hi in roots:
         if exact is not None:
             assert int_sign_at(f, exact) == 0 and lo == hi == exact
@@ -945,6 +967,13 @@ def _nearest_double_checked(f, roots):
         above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
         assert int_sign_at(f, below) * int_sign_at(f, above) < 0
         assert below <= lo < hi <= above
+        assert sturm_variations(chain, lo) - sturm_variations(chain, hi) == 1
+
+
+def _values(roots):
+    """The roots as (nearest double, exact value): what two routes share;
+    their brackets may be cut to different cells."""
+    return [(r.value, r.exact) for r in roots]
 
 
 def _definite(n: int):
@@ -1032,8 +1061,8 @@ BAD_HINTS = {
 @pytest.mark.parametrize("bad", list(BAD_HINTS))
 def test_bad_hints_give_the_same_roots(bad, monkeypatch):
     """Wrong hints fall back to the Sturm route where they cannot prove the
-    cells, and every root stays the same; without hints real_roots runs
-    the Sturm route."""
+    cells, and every root keeps its double and exact value, with a bracket
+    that isolates it; without hints real_roots runs the Sturm route."""
     sturm = _count_sturm(monkeypatch)
     cases = [FIXED_CASES["generic-0"], FIXED_CASES["berger"]]
     fell_back = 0
@@ -1041,13 +1070,15 @@ def test_bad_hints_give_the_same_roots(bad, monkeypatch):
         for f, hints in _hinted_factors(spec, tensor, enumerate_irreps(spec, tensor, cutoff)):
             if len(f) < 3:
                 continue
-            want = real_roots(f, cutoff, hints)
+            want = _values(real_roots(f, cutoff, hints))
             assert sturm == []
-            assert real_roots(f, cutoff, BAD_HINTS[bad](hints)) == want
+            got = real_roots(f, cutoff, BAD_HINTS[bad](hints))
+            assert _values(got) == want
+            _nearest_double_checked(f, got)
             fell_back += len(sturm)
             sturm.clear()
             if bad == "empty":
-                assert real_roots(f, cutoff) == want and len(sturm) == 1
+                assert _values(real_roots(f, cutoff)) == want and len(sturm) == 1
                 sturm.clear()
     if bad in ("dropped", "moved", "empty"):
         assert fell_back > 0
@@ -1083,8 +1114,8 @@ SHARED_CASES = {
 
 @pytest.mark.parametrize("case", list(SHARED_CASES))
 def test_shared_work_matches_the_direct_route(case, monkeypatch):
-    """Every label's charpoly and squarefree split, where it was moved from
-    its class's first label, are those computed on its own operator; every
+    """Every label's squarefree split, where it was moved from its class's
+    first label, is Yun's on the charpoly of its own operator; every
     shifted hint cell holds one root of its factor; the table is the one
     the direct route gives."""
     spec, tensor, cutoff = SHARED_CASES[case]
@@ -1093,7 +1124,6 @@ def test_shared_work_matches_the_direct_route(case, monkeypatch):
     assert [w.label for w in works] == labels
     for w in works:
         direct = char_poly_of(spec, w.label, tensor)
-        assert w.charpoly == direct
         assert [(m, f) for m, f, _ in w.split] == list(multiplicity_profile(direct).entries)
         for _, f, cells in w.split:
             for a, b, _, sb in cells or ():
