@@ -7,7 +7,7 @@ exactly, and every spectral claim (simplicity, separation, multiplicity)
 is decided in exact arithmetic rather than from floating-point
 eigenvalues: spectra by exact sign changes, exact values and gcds of
 integer charpolys, certificates by nonzero integer resultants.
-Numerics supply hints and a cross-check only.
+Numerics supply hints only.
 """
 
 from .algebra_core import (
@@ -16,7 +16,6 @@ from .algebra_core import (
     MetricSpec,
     SymTensor,
     build_group_spec,
-    embed_factor_tensor,
     identity_tensor,
     is_positive_definite,
     metric_to_tensor,
@@ -32,8 +31,6 @@ from .irreps import (
     Irrep,
     IrrepLabel,
     build_irrep,
-    canonical_dual_rep,
-    casimir_eigenvalue,
     classify_type,
     descends_to_quotient,
     dual_label,
@@ -41,24 +38,13 @@ from .irreps import (
     is_self_dual,
     label,
     labels_up_to_level,
-    parse_label,
     quaternionic_structure,
 )
-from .operator import (
-    NumericSpectrum,
-    OperatorMatrix,
-    build_DV,
-    casimir_tensor,
-    eigen_decompose_numeric,
-    kronecker_spectrum_check,
-)
+from .operator import OperatorMatrix, build_DV, casimir_tensor
 from .polycert import (
     Certificate,
     CharPoly,
     MultiplicityProfile,
-    cert_a,
-    cert_b,
-    cert_c,
     char_poly_exact,
     char_poly_of,
     multiplicity_profile,
@@ -71,13 +57,13 @@ from .spectrum import (
     table_to_csv,
     table_to_json,
     table_to_text,
-    verdict_report,
 )
 from .witness import (
     MixedWitness,
     PairsPipelineReport,
     Su2EvenWitness,
     WitnessReport,
+    certificate_battery,
     epsilon_separation,
     pairs_mixed_witness,
     pairs_pipeline,
@@ -99,7 +85,6 @@ __all__ = [
     "MetricSpec",
     "MixedWitness",
     "MultiplicityProfile",
-    "NumericSpectrum",
     "OperatorMatrix",
     "PairsPipelineReport",
     "SpectrumEntry",
@@ -112,33 +97,25 @@ __all__ = [
     "build_DV",
     "build_group_spec",
     "build_irrep",
-    "canonical_dual_rep",
-    "casimir_eigenvalue",
     "casimir_tensor",
-    "cert_a",
-    "cert_b",
-    "cert_c",
+    "certificate_battery",
     "char_poly_exact",
     "char_poly_of",
     "classify_type",
     "descends_to_quotient",
     "dual_label",
-    "eigen_decompose_numeric",
-    "embed_factor_tensor",
     "enumerate_irreps",
     "epsilon_separation",
     "format_label",
     "identity_tensor",
     "is_positive_definite",
     "is_self_dual",
-    "kronecker_spectrum_check",
     "label",
     "labels_up_to_level",
     "metric_to_tensor",
     "multiplicity_profile",
     "pairs_mixed_witness",
     "pairs_pipeline",
-    "parse_label",
     "preset",
     "quaternionic_structure",
     "sample_definite_tensor",
@@ -151,6 +128,5 @@ __all__ = [
     "tensor_from_json",
     "tensor_hash",
     "tensor_to_json",
-    "verdict_report",
     "witness_search",
 ]

@@ -73,27 +73,6 @@ class GroupSpec:
         """The name, or k<k>n<n> (k1n0 for SU(2)) for an unnamed group."""
         return self.name or f"k{self.k}n{self.n}"
 
-    @property
-    def basis_names(self) -> tuple[str, ...]:
-        names = []
-        for j in range(1, self.k + 1):
-            names += [f"H{j}", f"A{j}", f"B{j}"]
-        names += [f"e{i}" for i in range(1, self.n + 1)]
-        return tuple(names)
-
-    @property
-    def factor_count(self) -> int:
-        """Number of factor blocks: one per SU(2) plus one torus block."""
-        return self.k + (1 if self.n else 0)
-
-    def factor_block(self, factor: int) -> tuple[int, int]:
-        """(offset, size) of a factor block, 0-based; torus block is last."""
-        if factor < 0 or factor >= self.factor_count:
-            raise DomainError(f"factor index {factor} out of range")
-        if factor < self.k:
-            return 3 * factor, 3
-        return 3 * self.k, self.n
-
 
 def build_group_spec(
     k: int,
@@ -318,21 +297,6 @@ def square_of_vector(coeffs: Sequence) -> SymTensor:
     """(sum u_p X_p)^2: the rank-one coefficient matrix u u^T."""
     u = [Fraction(x) for x in coeffs]
     return SymTensor(tuple(tuple(a * b for b in u) for a in u))
-
-
-def embed_factor_tensor(spec: GroupSpec, factor: int, tensor: SymTensor) -> SymTensor:
-    """Extend a tensor on one factor block by zero to the full algebra."""
-    off, size = spec.factor_block(factor)
-    if tensor.n != size:
-        raise DomainError(
-            f"factor {factor} has block size {size}, tensor has {tensor.n}"
-        )
-    N = spec.dim
-    rows = [[Fraction(0)] * N for _ in range(N)]
-    for i in range(size):
-        for j in range(size):
-            rows[off + i][off + j] = tensor[i, j]
-    return SymTensor(tuple(tuple(r) for r in rows))
 
 
 # -- JSON ---------------------------------------------------------------------

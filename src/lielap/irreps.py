@@ -74,20 +74,6 @@ def format_label(lab: IrrepLabel) -> str:
     return f"{spins};{weights}"
 
 
-def parse_label(s: str, spec: GroupSpec | None = None) -> IrrepLabel:
-    s = s.strip()
-    spins_part, _, weight_part = s.partition(";")
-    spins = tuple(int(t) for t in spins_part.split(",") if t.strip() != "")
-    weight = tuple(int(t) for t in weight_part.split(",") if t.strip() != "")
-    lab = IrrepLabel(spins, weight)
-    if spec is not None:
-        if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
-            raise DomainError(
-                f"label {s!r} does not match group with k={spec.k}, n={spec.n}"
-            )
-    return lab
-
-
 def dual_label(lab: IrrepLabel) -> IrrepLabel:
     """The dual representation: spins fixed, weight negated."""
     return IrrepLabel(lab.spins, tuple(-l for l in lab.weight))
@@ -97,27 +83,12 @@ def is_self_dual(lab: IrrepLabel) -> bool:
     return lab == dual_label(lab)
 
 
-def canonical_dual_rep(lab: IrrepLabel) -> IrrepLabel:
-    """Canonical representative of {V, V*}: first nonzero weight entry
-    positive."""
-    for l in lab.weight:
-        if l > 0:
-            return lab
-        if l < 0:
-            return dual_label(lab)
-    return lab
-
-
 def classify_type(lab: IrrepLabel) -> str:
     """'complex' | 'quaternionic' | 'real'."""
     if any(lab.weight):
         return "complex"
     odd = sum(1 for m in lab.spins if m % 2)
     return "quaternionic" if odd % 2 else "real"
-
-
-def casimir_eigenvalue(lab: IrrepLabel) -> int:
-    return sum(m * (m + 2) for m in lab.spins) + sum(l * l for l in lab.weight)
 
 
 # -- generator matrices -------------------------------------------------------

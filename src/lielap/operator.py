@@ -1,4 +1,4 @@
-"""Laplace-type operators D_V(s) and their numeric cross-check path.
+"""Laplace-type operators D_V(s) and the floating-point hints for their roots.
 
 For a symmetric coefficient matrix S the operator on the irreducible V is
 
@@ -48,28 +48,21 @@ A label pays only for its band arithmetic, the nonzero read-out and the
 
 The numeric path conjugates D by the diagonal square-root of the invariant
 inner product weights, which makes it honestly hermitian, then uses the
-dense hermitian eigensolver (`hermitian_eigenvalues`) and clusters
-eigenvalues by relative gap.  Its values are hints for root isolation and a
-cross-check only: verdicts always come from the exact path.
+dense hermitian eigensolver (`hermitian_eigenvalues`); `cluster_values`
+groups eigenvalues by relative gap.  Their values are hints for root
+isolation only: verdicts always come from the exact path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra_core import (
-    GroupSpec,
-    SymTensor,
-    build_group_spec,
-    embed_factor_tensor,
-    identity_tensor,
-)
+from .algebra_core import GroupSpec, SymTensor, identity_tensor
 from .errors import DomainError
 from .irreps import PHASES, IrrepLabel, su2_bands
 from .linalg import IntMatrix, entry_dtype
@@ -282,14 +275,7 @@ def weight_is_scalar(spec: GroupSpec, tensor: SymTensor) -> bool:
     return not tensor.operator_form.S[:su, su:].any()
 
 
-# -- numeric cross-check -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericSpectrum:
-    eigenvalues: tuple[float, ...]
-    clusters: tuple[tuple[float, int], ...]
-    tolerance: float
+# -- numeric hints --------------------------------------------------------------
 
 
 def cluster_values(values, tol: float) -> tuple[tuple[float, int], ...]:
@@ -307,19 +293,6 @@ def cluster_values(values, tol: float) -> tuple[tuple[float, int], ...]:
             clusters.append((sum(chunk) / len(chunk), len(chunk)))
             start = i
     return tuple(clusters)
-
-
-@lru_cache(maxsize=4096)
-def _half_weights(spins: tuple[int, ...]) -> np.ndarray:
-    """sqrt(w) up to one constant factor, w the squared norms prod_j l_j!
-    (m_j - l_j)! of the monomial basis in Kronecker order (first factor
-    slowest): prod_j C(m_j, l_j)^(-1/2), since l! (m - l)! = m! / C(m, l).
-    Read-only, as the cache shares it."""
-    out = np.ones(1)
-    for m in spins:
-        out = np.multiply.outer(out, [math.comb(m, l) ** -0.5 for l in range(m + 1)]).ravel()
-    out.flags.writeable = False
-    return out
 
 
 @lru_cache(maxsize=4096)
@@ -342,15 +315,16 @@ def hermitian_eigenvalues(op: OperatorMatrix) -> np.ndarray:
     """The eigenvalues of D in increasing order, in floating point.
 
     The monomial basis is orthogonal but not normalized; conjugating by
-    diag(sqrt(w)) with w the squared norms yields an honestly hermitian
-    matrix.  If the conjugated matrix fails hermiticity beyond rounding,
-    the operator construction is broken and this raises ArithmeticError.
+    diag(sqrt(w)) with w the squared norms, proportional to
+    1 / `norm_weights`, yields an honestly hermitian matrix.  If the
+    conjugated matrix fails hermiticity beyond rounding, the operator
+    construction is broken and this raises ArithmeticError.
     """
     n = op.dim
     if n == 0:
         return np.zeros(0)
     M = op.matrix
-    d = _half_weights(op.label.spins)
+    d = np.asarray(norm_weights(op.label.spins), dtype=float) ** -0.5
     C = np.zeros((n, n), dtype=complex)
     C[M.rows, M.cols] = (M.re + 1j * M.im) * (d[M.rows] / d[M.cols] / float(M.den))
     H = C.conj().T
@@ -361,67 +335,3 @@ def hermitian_eigenvalues(op: OperatorMatrix) -> np.ndarray:
             f"operator is not hermitian after conjugation (residue {asym:g})"
         )
     return np.linalg.eigvalsh((C + H) / 2)
-
-
-def eigen_decompose_numeric(op: OperatorMatrix, tol: float = 1e-8) -> NumericSpectrum:
-    """Hermitian eigenvalues of D in an orthonormal basis
-    (`hermitian_eigenvalues`), clustered by relative gap."""
-    eigenvalues = tuple(hermitian_eigenvalues(op).tolist())
-    return NumericSpectrum(eigenvalues, cluster_values(eigenvalues, tol), tol)
-
-
-def factor_spec_and_label(
-    spec: GroupSpec, lab: IrrepLabel, factor: int
-) -> tuple[GroupSpec, IrrepLabel]:
-    """The standalone group and label of one factor block."""
-    if factor < spec.k:
-        return build_group_spec(1, 0), IrrepLabel((lab.spins[factor],), ())
-    if spec.n == 0:
-        raise DomainError("no torus block")
-    return build_group_spec(0, spec.n), IrrepLabel((), lab.weight)
-
-
-def kronecker_spectrum_check(
-    spec: GroupSpec,
-    lab: IrrepLabel,
-    s1: SymTensor,
-    s2: SymTensor,
-    eps,
-    tol: float = 1e-8,
-) -> bool:
-    """Verify the product structure of D on a two-block group.
-
-    Exact half: the operator of iota_1(s1) + eps * iota_2(s2) built on the
-    product equals the Kronecker sum D_1 x I + eps I x D_2 of the factor
-    operators, entry for entry.  build_DV itself assembles D from factor
-    blocks, so this half checks the embedding of the blocks rather than
-    the operator independently.  Numeric half: its clustered spectrum is
-    the Minkowski multiset {mu_i + eps nu_j} within clustering tolerance.
-    """
-    if spec.factor_count != 2:
-        raise DomainError("kronecker_spectrum_check needs exactly two factor blocks")
-    eps = Fraction(eps)
-    full = embed_factor_tensor(spec, 0, s1) + embed_factor_tensor(spec, 1, s2).scale(eps)
-    D_full = build_DV(spec, lab, full)
-
-    spec1, lab1 = factor_spec_and_label(spec, lab, 0)
-    spec2, lab2 = factor_spec_and_label(spec, lab, 1)
-    D1 = build_DV(spec1, lab1, s1)
-    D2 = build_DV(spec2, lab2, s2)
-    I1 = IntMatrix.identity(D1.dim)
-    I2 = IntMatrix.identity(D2.dim)
-    ksum = D1.matrix.kron(I2) + I1.kron(D2.matrix) * eps
-    if D_full.matrix != ksum:
-        return False
-
-    n1 = eigen_decompose_numeric(D1, tol)
-    n2 = eigen_decompose_numeric(D2, tol)
-    feps = float(eps)
-    sums = sorted(
-        mu + feps * nu for mu in n1.eigenvalues for nu in n2.eigenvalues
-    )
-    got = sorted(eigen_decompose_numeric(D_full, tol).eigenvalues)
-    if len(sums) != len(got):
-        return False
-    scale = max(1.0, max(abs(v) for v in sums + got))
-    return all(abs(a - b) <= tol * scale for a, b in zip(sums, got))

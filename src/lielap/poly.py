@@ -352,10 +352,6 @@ def _variations(signs) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
-def sturm_variations(chain: list[list[int]], x: Fraction) -> int:
-    return _variations(int_sign_at(cs, x) for cs in chain)
-
-
 def root_bound(cs: Sequence[int]) -> int:
     """A power of two above |z| for every complex root z of the integer
     polynomial cs (nonzero leading coefficient, degree >= 1).

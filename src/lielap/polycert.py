@@ -150,10 +150,6 @@ class MultiplicityProfile:
         return tuple(i for i, _ in self.entries)
 
     @property
-    def is_all_simple(self) -> bool:
-        return self.multiplicities in ((), (1,))
-
-    @property
     def is_all_double(self) -> bool:
         return self.multiplicities in ((), (2,))
 
@@ -255,22 +251,6 @@ def cert_c_from_poly(p: CharPoly) -> Certificate:
             R.den ** (4 * k * (k - 1)),
         ),
     )
-
-
-def cert_a(
-    spec: GroupSpec, labV: IrrepLabel, labW: IrrepLabel, tensor: SymTensor
-) -> Certificate:
-    return cert_a_from_polys(
-        char_poly_of(spec, labV, tensor), char_poly_of(spec, labW, tensor)
-    )
-
-
-def cert_b(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> Certificate:
-    return cert_b_from_poly(char_poly_of(spec, lab, tensor))
-
-
-def cert_c(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> Certificate:
-    return cert_c_from_poly(char_poly_of(spec, lab, tensor))
 
 
 def charpoly_from_eigenvalues(values, den: int = 1) -> IntPoly:

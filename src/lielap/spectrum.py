@@ -746,19 +746,3 @@ def table_to_text(t: SpectrumTable) -> str:
         else "reducible eigenspaces present"
     )
     return "\n".join(lines)
-
-
-def verdict_report(t: SpectrumTable) -> dict:
-    return {
-        "irreducible_spectrum": t.all_irreducible,
-        "entries": len(t.entries),
-        "violations": [
-            {
-                "eigenvalue": _fmt_float(e.value),
-                "condition": e.failed_condition,
-                "labels": [format_label(c.label) for c in e.contributions],
-            }
-            for e in t.entries
-            if not e.irreducible
-        ],
-    }

@@ -73,6 +73,9 @@ from .polycert import (
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+# the eps scanned by su2_even_b_witness and the alpha by pairs_pipeline
+_EPS_GRID = tuple(Fraction(1, p) for p in _PRIMES)
+_ALPHA_GRID = tuple(Fraction(j, 64) for j in range(1, 64))
 
 
 # -- spectra shifting ----------------------------------------------------------
@@ -138,7 +141,7 @@ class Su2EvenWitness:
     blocks_disjoint_at_zero: bool
 
 
-def su2_even_b_witness(m: int, eps_grid=None) -> Su2EvenWitness:
+def su2_even_b_witness(m: int) -> Su2EvenWitness:
     """Split the doubled square-of-H spectrum on even spin m.
 
     The operator of the square of the first basis direction is diagonal
@@ -177,16 +180,14 @@ def su2_even_b_witness(m: int, eps_grid=None) -> Su2EvenWitness:
     if not disjoint:
         raise ArithmeticError("parity class spectra collide at eps = 0")
 
-    if eps_grid is None:
-        eps_grid = [Fraction(1, p) for p in _PRIMES]
     best = None
-    for eps in eps_grid:
+    for eps in _EPS_GRID:
         tensor = symmetric_product(3, 0, 0, 1) + symmetric_product(3, 1, 1, eps)
         cert = cert_b_from_poly(char_poly_of(spec, lab, tensor))
         if cert.verdict:
             return Su2EvenWitness(
                 m=m,
-                epsilon=Fraction(eps),
+                epsilon=eps,
                 tensor=tensor,
                 certificate=cert,
                 even_block_offdiag=even_off,
@@ -331,9 +332,7 @@ def eigenbases_check(T: IntMatrix, w_plus: IntMatrix, w_minus: IntMatrix) -> boo
     )
 
 
-def pairs_pipeline(
-    m: int, mprime: int, eps=None, alpha_grid=None
-) -> PairsPipelineReport:
+def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     """Full simplicity witness on the product of two odd spins.
 
     The square-of-(H, eps H) operator has doubled spectrum: eigenvalues
@@ -349,14 +348,8 @@ def pairs_pipeline(
     """
     if m < 1 or mprime < 1 or m % 2 == 0 or mprime % 2 == 0:
         raise DomainError("pairs pipeline needs two odd spins")
-    if eps is None:
-        eps = Fraction(1, 2 * mprime)
-    eps = Fraction(eps)
-    if not (0 < eps < Fraction(1, mprime)):
-        raise DomainError(
-            f"eps must lie strictly between 0 and 1/{mprime} to keep the "
-            "doubled eigenvalues from colliding further"
-        )
+    # 0 < eps < 1/m' keeps the doubled eigenvalues from colliding further
+    eps = Fraction(1, 2 * mprime)
     spec = preset("su2xsu2")
     lab = label((m, mprime))
     rep = build_irrep(spec, lab)
@@ -404,14 +397,9 @@ def pairs_pipeline(
         ),
     )
 
-    if alpha_grid is None:
-        alpha_grid = [Fraction(j, 64) for j in range(1, 64)]
     alpha_found = None
     combined = None
-    for alpha in alpha_grid:
-        alpha = Fraction(alpha)
-        if not (0 < alpha < 1):
-            raise DomainError("alpha grid values must lie strictly in (0, 1)")
+    for alpha in _ALPHA_GRID:
         s_alpha = s_h.scale(1 - alpha) + s_b.scale(alpha)
         cert = cert_b_from_poly(char_poly_of(spec, lab, s_alpha))
         if cert.verdict:

@@ -9,7 +9,6 @@ from lielap.algebra_core import (
     MetricSpec,
     SymTensor,
     build_group_spec,
-    embed_factor_tensor,
     format_rational,
     identity_tensor,
     is_positive_definite,
@@ -31,19 +30,6 @@ def test_group_dimensions():
     assert preset("so4").dim == 6
     assert preset("t3").dim == 3
     assert build_group_spec(2, 2).dim == 8
-
-
-def test_basis_names_order():
-    spec = preset("u2")
-    assert spec.basis_names == ("H1", "A1", "B1", "e1")
-
-
-def test_factor_blocks():
-    spec = build_group_spec(2, 2)
-    assert spec.factor_count == 3
-    assert spec.factor_block(0) == (0, 3)
-    assert spec.factor_block(1) == (3, 3)
-    assert spec.factor_block(2) == (6, 2)
 
 
 def test_preset_unknown():
@@ -116,14 +102,6 @@ def test_square_of_vector():
     assert s[0, 0] == 1 and s[2, 2] == Fraction(1, 4) and s[0, 2] == Fraction(1, 2)
     # rank one: every 2x2 minor vanishes
     assert s[0, 0] * s[2, 2] - s[0, 2] * s[2, 0] == 0
-
-
-def test_embed_factor_tensor():
-    spec = preset("so4")
-    inner = identity_tensor(3)
-    emb = embed_factor_tensor(spec, 1, inner)
-    assert emb.n == 6
-    assert emb[3, 3] == 1 and emb[0, 0] == 0
 
 
 def test_tensor_add_scale():

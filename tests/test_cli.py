@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: flags, exit codes, deterministic output."""
 
 import json
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import lielap
 from lielap.algebra_core import SymTensor, preset
 from lielap.cli import main
 from lielap.irreps import labels_up_to_level
@@ -408,3 +411,12 @@ def test_group_file_rejects_non_integers(capsys, tmp_path, doc):
     assert rc == 2
     assert out == ""
     assert "must be an integer" in err
+
+
+def test_readme_entry_points_and_public_names_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = re.search(r"the usual entry points are(.*?)\.\n", readme, re.S).group(1)
+    entry_points = re.findall(r"`(\w+)`", sentence)
+    assert "certificate_battery" in entry_points
+    assert set(entry_points) <= set(lielap.__all__)
+    assert [n for n in lielap.__all__ if not hasattr(lielap, n)] == []

@@ -26,8 +26,7 @@ from lielap.operator import (
     build_DV,
     casimir_tensor,
     cluster_values,
-    eigen_decompose_numeric,
-    kronecker_spectrum_check,
+    hermitian_eigenvalues,
     tensor_form,
 )
 from lielap.witness import sample_definite_tensor
@@ -240,16 +239,16 @@ def test_torus_operator_is_quadratic_form():
 
 def test_numeric_spectrum_casimir():
     spec = preset("su2")
-    ns = eigen_decompose_numeric(build_DV(spec, label((3,)), casimir_tensor(spec)))
-    assert ns.clusters == ((15.0, 4),)
+    op = build_DV(spec, label((3,)), casimir_tensor(spec))
+    assert cluster_values(hermitian_eigenvalues(op).tolist(), 1e-8) == ((15.0, 4),)
 
 
 def test_numeric_spectrum_clusters_squares():
     spec = preset("su2")
     op = build_DV(spec, label((5,)), symmetric_product(3, 0, 0, 1))
-    ns = eigen_decompose_numeric(op)
-    assert [c[1] for c in ns.clusters] == [2, 2, 2]
-    assert [round(c[0]) for c in ns.clusters] == [1, 9, 25]
+    clusters = cluster_values(hermitian_eigenvalues(op).tolist(), 1e-8)
+    assert [c[1] for c in clusters] == [2, 2, 2]
+    assert [round(c[0]) for c in clusters] == [1, 9, 25]
 
 
 def test_numeric_requires_hermitian_weights():
@@ -258,8 +257,7 @@ def test_numeric_requires_hermitian_weights():
     op = build_DV(
         spec, label((2, 1)), identity_tensor(6).scale(Fraction(1, 3))
     )
-    ns = eigen_decompose_numeric(op)
-    assert len(ns.eigenvalues) == 6
+    assert len(hermitian_eigenvalues(op)) == 6
 
 
 def test_cluster_values_gap_logic():
@@ -269,21 +267,24 @@ def test_cluster_values_gap_logic():
 
 
 def test_kronecker_structure_su2xsu2():
-    spec = preset("su2xsu2")
-    s1 = square_of_vector([1, 0, Fraction(1, 2)])
-    s2 = identity_tensor(3)
-    assert kronecker_spectrum_check(spec, label((2, 1)), s1, s2, Fraction(1, 5))
+    # the operator of s1 + eps s2 on two factor blocks is, exactly, the
+    # Kronecker sum D_1 x I + eps I x D_2 of the factor operators
+    eps = Fraction(1, 5)
+    full = square_of_vector([1, 0, Fraction(1, 2), 0, 0, 0])
+    for p in (3, 4, 5):
+        full = full + symmetric_product(6, p, p, eps)
+    D = build_DV(preset("su2xsu2"), label((2, 1)), full).matrix
+    D1 = build_DV(preset("su2"), label((2,)), square_of_vector([1, 0, Fraction(1, 2)])).matrix
+    D2 = build_DV(preset("su2"), label((1,)), identity_tensor(3)).matrix
+    assert D == D1.kron(IntMatrix.identity(2)) + IntMatrix.identity(3).kron(D2) * eps
 
 
 def test_kronecker_structure_mixed_torus():
-    spec = preset("u2")
-    assert kronecker_spectrum_check(
-        spec, label((1,), (2,)), identity_tensor(3), identity_tensor(1), Fraction(1, 2)
-    )
-
-
-def test_kronecker_requires_two_blocks():
-    with pytest.raises(DomainError):
-        kronecker_spectrum_check(
-            preset("su2"), label((1,)), identity_tensor(3), identity_tensor(3), 1
-        )
+    eps = Fraction(1, 2)
+    full = symmetric_product(4, 3, 3, eps)
+    for p in (0, 1, 2):
+        full = full + symmetric_product(4, p, p)
+    D = build_DV(preset("u2"), label((1,), (2,)), full).matrix
+    D1 = build_DV(preset("su2"), label((1,)), identity_tensor(3)).matrix
+    D2 = build_DV(preset("t1"), label((), (2,)), identity_tensor(1)).matrix
+    assert D == D1.kron(IntMatrix.identity(1)) + IntMatrix.identity(2).kron(D2) * eps

@@ -20,11 +20,8 @@ from lielap.operator import OperatorMatrix, build_DV
 from lielap.poly import IntPoly, mul
 from lielap.polycert import (
     CharPoly,
-    cert_a,
     cert_a_from_polys,
-    cert_b,
     cert_b_from_poly,
-    cert_c,
     cert_c_from_poly,
     char_poly_exact,
     char_poly_of,
@@ -77,8 +74,8 @@ def test_multiplicity_profile_shapes():
     assert prof.degree == 5
     assert prof.multiplicities == (1, 2)
     assert prof.entries == ((1, [-2, 1]), (2, [3, -4, 1]))
-    assert not prof.is_all_simple and not prof.is_all_double
-    assert multiplicity_profile(charpoly_with([-2])).is_all_simple
+    assert not prof.is_all_double
+    assert multiplicity_profile(charpoly_with([-2])).multiplicities == (1,)
     assert multiplicity_profile(charpoly_with([5, 5, 7, 7])).is_all_double
     # quaternionic: Yun on the Kramers root, multiplicities doubled; the
     # factors are those of the charpoly of D, whatever the den
@@ -94,52 +91,55 @@ def test_multiplicity_profile_zero_poly():
 
 
 def test_cert_b_zero_on_degenerate():
-    c = cert_b(SU2, label((2,)), SQ_H)
+    c = cert_b_from_poly(char_poly_of(SU2, label((2,)), SQ_H))
     assert c.value == 0 and not c.verdict
     assert c.kind == "b"
 
 
 def test_cert_b_nonzero_on_simple():
     spec = preset("t1")
-    c = cert_b(spec, label((), (2,)), identity_tensor(1))
+    c = cert_b_from_poly(char_poly_of(spec, label((), (2,)), identity_tensor(1)))
     assert c.verdict
 
 
 def test_cert_c_on_quaternionic():
-    c = cert_c(SU2, label((1,)), identity_tensor(3))
+    c = cert_c_from_poly(char_poly_of(SU2, label((1,)), identity_tensor(3)))
     assert c.value == 4  # res((3-X)^2, 2) = 2^2
-    c = cert_c(SU2, label((3,)), SQ_H)
+    c = cert_c_from_poly(char_poly_of(SU2, label((3,)), SQ_H))
     assert c.verdict
 
 
 def test_cert_c_domain():
     with pytest.raises(DomainError):
-        cert_c(SU2, label((2,)), identity_tensor(3))
+        cert_c_from_poly(char_poly_of(SU2, label((2,)), identity_tensor(3)))
 
 
 def test_cert_b_domain():
     # p_V is a square on quaternionic type, so kind b would read 0 always
     for spec, lab, dim in [(SU2, (1,), 3), (preset("spin4"), (1, 2), 6)]:
         with pytest.raises(DomainError):
-            cert_b(spec, label(lab), identity_tensor(dim))
+            cert_b_from_poly(char_poly_of(spec, label(lab), identity_tensor(dim)))
 
 
 def test_cert_a_separates_casimirs():
-    c = cert_a(SU2, label((1,)), label((3,)), identity_tensor(3))
+    p, q = (char_poly_of(SU2, label((m,)), identity_tensor(3)) for m in (1, 3))
+    c = cert_a_from_polys(p, q)
     assert c.value == Fraction(12) ** 8
     assert c.labels == (label((1,)), label((3,)))
 
 
 def test_cert_a_domain_rejects_self_and_dual():
+    p = char_poly_of(SU2, label((2,)), identity_tensor(3))
     with pytest.raises(DomainError):
-        cert_a(SU2, label((2,)), label((2,)), identity_tensor(3))
+        cert_a_from_polys(p, p)
     u2 = preset("u2")
+    p, q = (char_poly_of(u2, label((1,), (w,)), identity_tensor(4)) for w in (1, -1))
     with pytest.raises(DomainError):
-        cert_a(u2, label((1,), (1,)), label((1,), (-1,)), identity_tensor(4))
+        cert_a_from_polys(p, q)
 
 
 def test_certificate_json():
-    c = cert_c(SU2, label((1,)), identity_tensor(3))
+    c = cert_c_from_poly(char_poly_of(SU2, label((1,)), identity_tensor(3)))
     doc = c.to_json()
     assert doc["kind"] == "c" and doc["nonzero"] is True
     assert doc["labels"] == ["1"]

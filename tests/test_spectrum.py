@@ -31,7 +31,7 @@ from lielap.irreps import (
     label,
     labels_up_to_level,
 )
-from lielap.operator import build_DV, eigen_decompose_numeric
+from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
 from fracpoly import Poly, from_int, gcd, primitive_int
 from test_irreps import character_descends
 from lielap.poly import (
@@ -42,7 +42,6 @@ from lielap.poly import (
     real_root_brackets,
     root_bound,
     sturm_chain,
-    sturm_variations,
 )
 from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
@@ -58,7 +57,6 @@ from lielap.spectrum import (
     root_hints,
     table_to_csv,
     table_to_json,
-    verdict_report,
 )
 
 
@@ -246,15 +244,6 @@ def test_cross_label_collision_tagged():
     assert len(collision.contributions) == 2
 
 
-def test_verdict_report_lists_violations():
-    t = assemble_spectrum(preset("su2"), identity_tensor(3), 8)
-    rep = verdict_report(t)
-    assert rep["irreducible_spectrum"] is False
-    assert rep["violations"] == [
-        {"eigenvalue": 8.0, "condition": "b", "labels": ["2"]}
-    ]
-
-
 def test_dual_pair_counts_twice():
     t = assemble_spectrum(preset("t1"), identity_tensor(1), 4)
     by_val = {e.exact_value: e for e in t.entries}
@@ -310,8 +299,8 @@ def test_close_roots_listed_once_each():
         e.value for e in t.entries
         if any(format_label(c.label) == "5,1" for c in e.contributions)
     )
-    numeric = eigen_decompose_numeric(build_DV(spec, label((5, 1)), tensor))
-    want = [v for v, _ in numeric.clusters if v <= float(cutoff)]
+    numeric = hermitian_eigenvalues(build_DV(spec, label((5, 1)), tensor)).tolist()
+    want = [v for v, _ in cluster_values(numeric, 1e-8) if v <= float(cutoff)]
     assert len(listed) == len(want)
     for got, ref in zip(listed, want):
         assert abs(got - ref) <= 1e-9 * max(1.0, ref)
@@ -648,9 +637,10 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
         # a cut at the float of the middle root, checked by a Sturm count
         cut = Fraction(values[len(values) // 2])
         chain = sturm_chain(cs)
-        below = sturm_variations(chain, Fraction(-1 - sum(map(abs, cs)))) - \
-            sturm_variations(chain, cut)
-        assert len(real_roots(cs, cut, hints)) == below
+        signs = [[s for g in chain if (s := int_sign_at(g, x))]
+                 for x in (Fraction(-1 - sum(map(abs, cs))), cut)]
+        v_lo, v_hi = (sum(u != v for u, v in zip(s, s[1:])) for s in signs)
+        assert len(real_roots(cs, cut, hints)) == v_lo - v_hi
 
 
 # -- oracle: Sturm brackets and nearest doubles over Fractions ---------------
@@ -967,7 +957,10 @@ def _nearest_double_checked(f, roots):
         above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
         assert int_sign_at(f, below) * int_sign_at(f, above) < 0
         assert below <= lo < hi <= above
-        assert sturm_variations(chain, lo) - sturm_variations(chain, hi) == 1
+        # the Sturm chain loses one sign change across (lo, hi]
+        signs = [[s for g in chain if (s := int_sign_at(g, x))] for x in (lo, hi)]
+        v_lo, v_hi = (sum(u != v for u, v in zip(s, s[1:])) for s in signs)
+        assert v_lo - v_hi == 1
 
 
 def _values(roots):

@@ -18,7 +18,7 @@ from lielap.algebra_core import (
 from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix, restrict_operator
-from lielap.operator import build_DV, eigen_decompose_numeric
+from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
 from lielap.poly import IntPoly, mul
 from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
@@ -80,8 +80,8 @@ def test_even_witness_m2():
     assert w.even_block_offdiag == (2,)
     assert w.odd_block_offdiag == ()
     op = build_DV(preset("su2"), label((2,)), w.tensor)
-    ns = eigen_decompose_numeric(op)
-    assert [round(c[0], 6) for c in ns.clusters] == [2.0, 4.0, 6.0]
+    clusters = cluster_values(hermitian_eigenvalues(op).tolist(), 1e-8)
+    assert [round(c[0], 6) for c in clusters] == [2.0, 4.0, 6.0]
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])
@@ -104,9 +104,10 @@ def test_even_witness_domain():
         su2_even_b_witness(0)
 
 
-def test_even_witness_exhaustion_carries_best():
+def test_even_witness_exhaustion_carries_best(monkeypatch):
+    monkeypatch.setattr(witness, "_EPS_GRID", (Fraction(0),))
     with pytest.raises(WitnessSearchExhausted) as exc:
-        su2_even_b_witness(4, eps_grid=[Fraction(0)])
+        su2_even_b_witness(4)
     assert exc.value.best is not None
 
 
@@ -161,16 +162,17 @@ def test_pipeline_small_pair_details():
 
 
 def test_pipeline_h_spectrum_values():
-    r = pairs_pipeline(1, 1, eps=Fraction(1, 2))
+    r = pairs_pipeline(1, 1)
+    assert r.epsilon == Fraction(1, 2)
     spec = preset("su2xsu2")
     from lielap.algebra_core import square_of_vector
 
     s_h = square_of_vector([1, 0, 0, Fraction(1, 2), 0, 0])
-    p = char_poly_exact(build_DV(spec, label((1, 1)), s_h))
-    prof = multiplicity_profile(p)
+    op = build_DV(spec, label((1, 1)), s_h)
+    prof = multiplicity_profile(char_poly_exact(op))
     assert prof.is_all_double
-    ns = eigen_decompose_numeric(build_DV(spec, label((1, 1)), s_h))
-    assert [round(c[0], 6) for c in ns.clusters] == [0.25, 2.25]
+    clusters = cluster_values(hermitian_eigenvalues(op).tolist(), 1e-8)
+    assert [round(c[0], 6) for c in clusters] == [0.25, 2.25]
     assert r.ok
 
 
@@ -280,10 +282,14 @@ def test_pipeline_checks_operators_against_generator_squares(monkeypatch, corrup
 def test_pipeline_domain_checks():
     with pytest.raises(DomainError):
         pairs_pipeline(2, 1)
-    with pytest.raises(DomainError):
-        pairs_pipeline(1, 3, eps=Fraction(1, 2))  # needs eps < 1/3
-    with pytest.raises(DomainError):
-        pairs_pipeline(1, 1, alpha_grid=[Fraction(2)])
+
+
+def test_pipeline_exhaustion_carries_report(monkeypatch):
+    # at alpha = 0 the combined tensor is the doubled square of (H, eps H)
+    monkeypatch.setattr(witness, "_ALPHA_GRID", (Fraction(0),))
+    with pytest.raises(WitnessSearchExhausted) as exc:
+        pairs_pipeline(1, 1)
+    assert exc.value.best.alpha is None and exc.value.best.involution_ok
 
 
 # -- randomized search ----------------------------------------------------------------
