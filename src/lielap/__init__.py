@@ -64,7 +64,6 @@ from .witness import (
     Su2EvenWitness,
     WitnessReport,
     certificate_battery,
-    epsilon_separation,
     pairs_mixed_witness,
     pairs_pipeline,
     sample_definite_tensor,
@@ -105,7 +104,6 @@ __all__ = [
     "descends_to_quotient",
     "dual_label",
     "enumerate_irreps",
-    "epsilon_separation",
     "format_label",
     "identity_tensor",
     "is_positive_definite",

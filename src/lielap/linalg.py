@@ -35,6 +35,12 @@ together; the Hessenberg recurrence gives each charpoly mod p, and the
 CRT, taken over enough primes to exceed twice the bound, gives the exact
 integers.  The tests check it against Faddeev-LeVerrier, an independent
 route over Gaussian integers.
+
+`eigenvalues_above` proves, on the same weighted-hermitian matrices, that
+every eigenvalue exceeds a rational cutoff: a float Cholesky factor of
+the shifted, scaled hermitian form proposes, and an int64 residue that is
+strictly diagonally dominant proves.  It is a one-sided proof of a
+sufficient condition: False means only that it did not go through.
 """
 
 from __future__ import annotations
@@ -396,6 +402,100 @@ def weighted_hermitian(M: IntMatrix, weights: np.ndarray) -> bool:
     c, re, im = weights.astype(dtype), M.re.astype(dtype), M.im.astype(dtype)
     ci, cj = c[rows], c[cols]
     return bool(np.array_equal(cj * re, ci * re[t]) and np.array_equal(cj * im, -(ci * im[t])))
+
+
+def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) -> bool:
+    """True only if every eigenvalue of M exceeds the rational cutoff, by
+    an exact proof; False where the proof does not go through, which
+    proves nothing either way.  lowest is a float estimate of the
+    smallest eigenvalue: it sets the float step, and a wrong one costs
+    the proof, never its soundness.
+
+    M must satisfy c_j M_ij = c_i conj(M_ji) for the positive integers
+    weights c, as in `weighted_hermitian`.  With cutoff a / b and
+    den = M.den, A = b den M - a den I is then a Gaussian-integer matrix
+    with c_j A_ij = c_i conj(A_ji), so H = A diag(c) is hermitian (checked
+    exactly on its int64 entries, ArithmeticError if not) and congruent
+    to diag(c)^(-1/2) H diag(c)^(-1/2), which is similar to A: H is
+    positive definite exactly when every eigenvalue of M exceeds a / b.
+
+    Floating point proposes and integers prove.  H_ii > 0 and
+    |H_ij|^2 < H_ii H_jj are checked exactly, and H is scaled to
+    G = T H T, T = diag(2^k_i), with every G_ii in [2^50, 2^52) and so,
+    by the second check, every |G_ij| below 2^52.  The float Cholesky
+    factor of G - delta diag(G), rounded to Gaussian integers R, leaves
+    the exact residue E = G - R R^H, hermitian; if every E_ii exceeds the
+    sum of |Re E_ij| + |Im E_ij| over j != i, E is positive definite
+    (Gershgorin), and so is G = R R^H + E.  The smallest eigenvalue of
+    G scaled to a unit diagonal is at least (lowest - a/b) / max_i
+    (M_ii - a/b), and delta is half that, so that E keeps about delta
+    diag(G), room for the rounding of R.  Every int64 step runs after a
+    bound shows that it cannot wrap; an input past a bound (object
+    entries or weights, a cutoff denominator near 2^52, more than 255
+    rows) or a failed Cholesky gives False.
+    """
+    cutoff = Fraction(cutoff)
+    if not lowest > cutoff:
+        return False
+    n, a, b = M.nrows, cutoff.numerator, cutoff.denominator
+    if (M.ncols, len(weights)) != (n, n):
+        raise ValueError(f"{len(weights)} weights for a {M.nrows} x {M.ncols} matrix")
+    if not n:
+        return True
+    # R has entries below 2^27, so each entry of R R^H is below 2n 2^54,
+    # and that of G - R R^H below 2^52 more
+    if M.re.dtype == object or weights.dtype == object or 2 * n * 2**54 + 2**52 >= 2**63:
+        return False
+    # every |H_ij| is at most (b |den M_ij| + |a| den) c_j, below 2^52
+    top = max(int(abs(M.re).max(initial=1)), int(abs(M.im).max(initial=0)))
+    if (b * top + abs(a) * M.den) * int(weights.max()) >= 2**52:
+        return False
+    rows, cols, c = M.rows, M.cols, weights.astype(np.int64)
+    Hre = np.zeros((n, n), dtype=np.int64)
+    Him = np.zeros_like(Hre)
+    Hre[rows, cols] = b * M.re * c[cols]
+    Him[rows, cols] = b * M.im * c[cols]
+    diag = np.arange(n)
+    Hre[diag, diag] -= a * M.den * c
+    # H hermitian is the weighted-hermitian identity of M
+    if not (np.array_equal(Hre, Hre.T) and np.array_equal(Him, -Him.T)):
+        raise ArithmeticError("operator is not hermitian for its invariant weights")
+    h = Hre[diag, diag]
+    if (h <= 0).any():
+        return False
+    # H is hermitian, so the entries above the diagonal are enough
+    up = rows < cols
+    i, j = rows[up], cols[up]
+    x, y, hh = Hre[i, j].astype(object), Him[i, j].astype(object), h.astype(object)
+    if not (x * x + y * y < hh[i] * hh[j]).all():
+        return False
+    # 0 < h < 2^52, so the factors 2^(k_i + k_j) <= 2^50 fit, and so, by
+    # the check above, do the entries of G
+    t = np.array([1 << (52 - v.bit_length()) // 2 for v in h.tolist()], dtype=np.int64)
+    T = t[:, None] * t
+    Gre, Gim = Hre * T, Him * T
+    # lowest - a/b over max_i (M_ii - a/b) = max_i h_i / (b den c_i)
+    delta = (lowest - float(cutoff)) * (b * M.den) / float((h // c).max()) / 2
+    F = Gre + 1j * Gim
+    F[diag, diag] *= 1 - delta
+    try:
+        L = np.linalg.cholesky(F)
+    except np.linalg.LinAlgError:
+        return False
+    Rre, Rim = np.rint(L.real), np.rint(L.imag)
+    # NaN fails the comparison too
+    if not max(abs(Rre).max(), abs(Rim).max()) < 2**27:
+        return False
+    Rre, Rim = Rre.astype(np.int64), Rim.astype(np.int64)
+    Ere = Gre - (Rre @ Rre.T + Rim @ Rim.T)
+    Eim = Gim - (Rim @ Rre.T - Rre @ Rim.T)
+    e = Ere[diag, diag]
+    Ere[diag, diag] = 0
+    Ere, Eim = abs(Ere), abs(Eim)
+    # a row sum adds 2n entries, each below 2^63 / 2n
+    if 2 * n * int(max(Ere.max(), Eim.max())) >= 2**63:
+        return False
+    return bool((e > (Ere + Eim).sum(axis=1)).all())
 
 
 def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:

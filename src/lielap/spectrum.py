@@ -10,9 +10,15 @@ The pipeline:
      enumeration down to a finite ball.
   2. Build D_V(s) for each candidate label of the dual-reduced,
      quotient-descended list, and do its exact work once per operator
-     class (`label_work`).  The work is the characteristic polynomial of
-     D_V(s), exactly, and the eigenvalues of its hermitian form in
-     floating point (`hermitian_eigenvalues`), which serve as hints only.
+     class (`label_work`).  The work is the eigenvalues of the hermitian
+     form of D_V(s) in floating point (`hermitian_eigenvalues`), which
+     serve as hints only, and its characteristic polynomial, exactly.
+     Where the smallest hint lies above the cutoff, one exact proof that
+     every eigenvalue does is tried first (`linalg.eigenvalues_above`: a
+     float Cholesky factor of the shifted weighted-hermitian form, whose
+     integer residue is checked diagonally dominant).  A proved label
+     has no charpoly and contributes no root; a failed proof leaves it
+     on the charpoly route, so no verdict depends on a float.
      The charpoly P (the Kramers root on a quaternionic label) is cut
      between the clustered hints: if its exact sign changes across deg P
      cells, P is squarefree and each cell holds one root (`hint_cells`).
@@ -22,7 +28,9 @@ The pipeline:
      (`weight_is_scalar`).  A later label of a class whose operator is the
      first label's plus t/d times the identity, checked exactly (t an
      integer, d the tensor's denominator), takes the first label's work
-     moved by t/d: its hints, squarefree factors and cells shifted.
+     moved by t/d: its hints, squarefree factors and cells shifted.  A
+     proved first label has nothing to move, and t >= 0 keeps the later
+     label's spectrum above the cutoff too.
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
@@ -92,10 +100,12 @@ from .poly import (
 # unused here; perfbench/tracer.py looks up spectrum.divides when it installs
 from .poly import divides  # noqa: F401
 from . import polycert
+from .linalg import eigenvalues_above
 from .operator import (
     OperatorMatrix,
     cluster_values,
     hermitian_eigenvalues,
+    norm_weights,
     weight_is_scalar,
 )
 from .polycert import char_poly_exact, multiplicity_profile
@@ -515,7 +525,8 @@ class LabelWork(NamedTuple):
     """A label's exact work on the way to its roots.
 
     split lists (multiplicity in the charpoly, primitive squarefree factor,
-    the factor's hint cells or None); shift is the integer t by which the
+    the factor's hint cells or None), and is empty on a label whose
+    spectrum is proved above the cutoff; shift is the integer t by which the
     work was moved from the first label of its operator class, None when
     it was done on the label's own operator.
     """
@@ -526,10 +537,14 @@ class LabelWork(NamedTuple):
     shift: int | None
 
 
-def _direct_work(op: OperatorMatrix) -> LabelWork:
-    """Charpoly, hints and squarefree split of the operator itself."""
-    cp = char_poly_exact(op)
+def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
+    """Hints, charpoly and squarefree split of the operator itself; no
+    split at all when the smallest hint lies above the cutoff and
+    `eigenvalues_above` proves that every eigenvalue does."""
     hints = root_hints(op)
+    if hints and eigenvalues_above(op.matrix, norm_weights(op.label.spins), cutoff, hints[0]):
+        return LabelWork(op.label, hints, [], None)
+    cp = char_poly_exact(op)
     base, e = cp.power_form
     P = base.primitive()
     cells = hint_cells(P, hints)
@@ -569,9 +584,10 @@ def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWor
 
 
 def label_work(
-    spec: GroupSpec, tensor: SymTensor, labels: list[IrrepLabel]
+    spec: GroupSpec, tensor: SymTensor, labels: list[IrrepLabel], cutoff
 ) -> Iterator[LabelWork]:
-    """Each label's exact work, done once per operator class.
+    """Each label's exact work, done once per operator class; none on a
+    label proved to have no eigenvalue at or below the cutoff.
 
     Every label's operator is built (through polycert.build_DV, the name
     perfbench/tracer.py wraps).  Where the weight enters D_V(s) only as a
@@ -579,7 +595,10 @@ def label_work(
     does the work on its operator, and a later label with those spins
     whose operator is the first one's plus t/den times the identity, for
     an integer t checked exactly on the built matrices, takes that work
-    moved by t/den (`_shifted_work`).  Any other label does its own.
+    moved by t/den (`_shifted_work`).  Any other label does its own
+    (`_direct_work`), which is empty when its spectrum is proved above
+    the cutoff.  Such an empty work is moved only by t >= 0, which keeps
+    every eigenvalue above the cutoff; a label below it does its own.
     """
     den = tensor.integer_form[0]
     first: dict[tuple[int, ...], tuple[OperatorMatrix, LabelWork]] | None = (
@@ -590,10 +609,10 @@ def label_work(
         if first is not None and lab.spins in first:
             rep_op, rep = first[lab.spins]
             t = op.matrix.scalar_offset(rep_op.matrix, den)
-            if t is not None:
+            if t is not None and (rep.split or t >= 0):
                 yield _shifted_work(rep, lab, t, den)
                 continue
-        work = _direct_work(op)
+        work = _direct_work(op, cutoff)
         if first is not None:
             first.setdefault(lab.spins, (op, work))
         yield work
@@ -608,7 +627,7 @@ def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTab
     pieces = []
     # (index into pieces, root)
     roots = []
-    for work in label_work(spec, tensor, labels):
+    for work in label_work(spec, tensor, labels, cutoff):
         for mult, f, cells in work.split:
             roots += [(len(pieces), r) for r in real_roots(f, cutoff, work.hints, cells)]
             pieces.append((work.label, mult, f))

@@ -4,9 +4,6 @@ Reducible eigenspaces disappear for well-chosen coefficient tensors; this
 module constructs tensors together with exact certificates that the bad
 coincidences are gone.  Four devices:
 
-  * epsilon_separation: given two finite rational spectra, a rational
-    eps > 0 such that the multiset {mu + eps * nu} has a prescribed
-    collision pattern (all simple, or all double).
   * su2_even_b_witness: for even spin the square-of-H tensor has a doubly
     degenerate operator; adding eps times the square of the second basis
     direction splits it.  The search scans eps over prime reciprocals and
@@ -76,55 +73,6 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 # the eps scanned by su2_even_b_witness and the alpha by pairs_pipeline
 _EPS_GRID = tuple(Fraction(1, p) for p in _PRIMES)
 _ALPHA_GRID = tuple(Fraction(j, 64) for j in range(1, 64))
-
-
-# -- spectra shifting ----------------------------------------------------------
-
-
-def epsilon_separation(first, second, mode: str = "simple") -> Fraction:
-    """A rational eps > 0 giving {mu + eps*nu} the requested pattern.
-
-    mode "simple": both inputs are collision-free lists and the output
-    multiset must be collision-free.  mode "double": the first list is
-    collision-free, the second consists of exact pairs, and the output
-    must consist of exact pairs.  Any eps below every positive ratio
-    (mu_i - mu_k) / (nu_l - nu_j) works; half the smallest is returned,
-    or 1 when there is no constraint.
-    """
-    mu = [Fraction(x) for x in first]
-    nu = [Fraction(x) for x in second]
-    if mode not in ("simple", "double"):
-        raise DomainError(f"unknown separation mode {mode!r}")
-    if len(set(mu)) != len(mu):
-        raise DomainError("first spectrum must be collision-free")
-    if mode == "simple":
-        if len(set(nu)) != len(nu):
-            raise DomainError("second spectrum must be collision-free")
-    else:
-        counts = {}
-        for x in nu:
-            counts[x] = counts.get(x, 0) + 1
-        if any(c != 2 for c in counts.values()):
-            raise DomainError("second spectrum must consist of exact pairs")
-
-    ratios = [
-        (a - b) / (d - c)
-        for a in mu
-        for b in mu
-        for c in nu
-        for d in nu
-        if d != c and (a - b) / (d - c) > 0
-    ]
-    eps = min(ratios) / 2 if ratios else Fraction(1)
-
-    shifted = sorted(a + eps * c for a in mu for c in nu)
-    counts = {}
-    for x in shifted:
-        counts[x] = counts.get(x, 0) + 1
-    want = 1 if mode == "simple" else 2
-    if any(c != want for c in counts.values()):
-        raise ArithmeticError("separation post-check failed")
-    return eps
 
 
 # -- even-spin splitting witness ------------------------------------------------

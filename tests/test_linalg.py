@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lielap import linalg
 from lielap.linalg import (
@@ -13,11 +14,19 @@ from lielap.linalg import (
     _hessenberg,
     _hessenberg_charpoly,
     charpoly_gq,
+    eigenvalues_above,
     restrict_operator,
     split_primes,
     weighted_hermitian,
 )
-from lielap.algebra_core import group_from_json, preset, square_of_vector
+from lielap.algebra_core import (
+    MetricSpec,
+    group_from_json,
+    identity_tensor,
+    metric_to_tensor,
+    preset,
+    square_of_vector,
+)
 from lielap.irreps import classify_type, label, labels_up_to_level
 from lielap.operator import build_DV, norm_weights, weight_is_scalar
 from lielap.polycert import charpoly_real
@@ -510,3 +519,177 @@ def test_split_primes():
     expected = [x for x in range(2**31 - 1, lo - 1, -1) if x % 4 == 1 and flags[x - lo]]
     assert [p for p, _ in primes] == expected
     assert all(iota * iota % p == p - 1 for p, iota in primes)
+
+
+# -- the exact proof that every eigenvalue exceeds a cutoff ----------------------
+
+
+def exceeds_by_charpoly(M: IntMatrix, weights, cutoff) -> bool:
+    """Whether every eigenvalue of M exceeds the cutoff L, from the sign
+    pattern of its exact charpoly: P(X) = det(X*I - d*M), d = M.den, has
+    the real roots d*lambda_i, so q(y) = (-1)^n P(d*L - y) = prod (y + d
+    (lambda_i - L)) has only positive coefficients exactly when every
+    lambda_i exceeds L."""
+    P = charpoly_gq(M, weights)
+    n, x = len(P) - 1, Fraction(cutoff) * M.den
+    # Taylor shift to P(x - y), ascending in y
+    q = [Fraction(0)] * (n + 1)
+    for c in reversed(P):
+        q = [c + x * q[0]] + [x * q[k] - q[k - 1] for k in range(1, n + 1)]
+    return all((-1) ** n * c > 0 for c in q)
+
+
+def _operator(spec, spins, tensor, weight=()):
+    op = build_DV(spec, label(spins, weight), tensor)
+    return op.matrix, norm_weights(op.label.spins)
+
+
+def _lowest(M: IntMatrix, c) -> float:
+    """The smallest eigenvalue of diag(c)^(-1/2) M diag(c)^(1/2), which is
+    hermitian, in floating point."""
+    re, im = M._dense(float)
+    d = np.asarray(c, dtype=float) ** -0.5
+    return float(np.linalg.eigvalsh((re + 1j * im) * d[:, None] / d / M.den)[0])
+
+
+BERGER = metric_to_tensor(
+    MetricSpec([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]])
+)
+
+
+@pytest.mark.parametrize(
+    "spec, spins, weight, tensor, lowest",
+    [
+        # a m(m+2) + (b - a) k^2 + c l^2 with a = 1, b = 3/2, c = 1/3, k = m, m - 2, ..
+        (preset("u2"), (3,), (1,), BERGER, Fraction(95, 6)),
+        (preset("u2"), (4,), (2,), BERGER, Fraction(76, 3)),
+        # the Casimir operator is m1(m1 + 2) + m2(m2 + 2) times the identity
+        (preset("spin4"), (2, 3), (), identity_tensor(6), Fraction(23)),
+        (preset("spin4"), (0, 0), (), identity_tensor(6), Fraction(0)),
+    ],
+)
+def test_proof_refuses_a_cutoff_at_a_rational_eigenvalue(spec, spins, weight, tensor, lowest):
+    """Proved just below the smallest eigenvalue; refused at it and above
+    it, even with an estimate that puts it above the cutoff."""
+    M, c = _operator(spec, spins, tensor, weight)
+    assert eigenvalues_above(M, c, lowest - Fraction(1, 1000), float(lowest))
+    for cutoff in (lowest, lowest + Fraction(1, 2**40), lowest + 1):
+        assert not exceeds_by_charpoly(M, c, cutoff)
+        for estimate in (float(lowest), float(cutoff) + 2**-30, 2 * float(cutoff) + 1):
+            assert not eigenvalues_above(M, c, cutoff, estimate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    spins=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    rel=st.fractions(Fraction(-1, 20), Fraction(1, 20), max_denominator=10**6),
+)
+def test_proof_agrees_with_the_charpoly_sign_on_drawn_tensors(seed, spins, rel):
+    """Never a proof where the exact charpoly has a root at or below the
+    cutoff, on cutoffs within 5 % of the smallest eigenvalue."""
+    tensor = sample_definite_tensor(6, random.Random(seed))
+    M, c = _operator(preset("spin4"), spins, tensor)
+    lowest = _lowest(M, c)
+    cutoff = Fraction(lowest).limit_denominator(10**6) * (1 + rel)
+    for estimate in (lowest, float(cutoff) * (1 + 2**-20)):
+        if eigenvalues_above(M, c, cutoff, estimate):
+            assert exceeds_by_charpoly(M, c, cutoff)
+
+
+def test_proof_holds_where_the_floats_show_a_margin():
+    """Every spin4 label of the seed-0 tensor whose float spectrum lies a
+    thousandth above the cutoff is proved, and no other label is."""
+    spec, tensor, cutoff = preset("spin4"), sample_definite_tensor(6, random.Random(0)), Fraction(40)
+    proved = 0
+    for lab in labels_up_to_level(spec, 6):
+        M, c = _operator(spec, lab.spins, tensor)
+        lowest = _lowest(M, c)
+        if eigenvalues_above(M, c, cutoff, lowest):
+            assert exceeds_by_charpoly(M, c, cutoff)
+            proved += 1
+        else:
+            assert lowest < cutoff * (1 + 1e-3)
+    assert proved > 10
+
+
+def test_proof_refuses_inputs_past_its_int64_bounds():
+    M, c = _operator(preset("spin4"), (2, 1), sample_definite_tensor(6, random.Random(3)))
+    lowest = _lowest(M, c)
+    below = Fraction(lowest).limit_denominator(100) - Fraction(1, 100)
+    assert eigenvalues_above(M, c, below, lowest)
+    for den in (2**52, 2**64 + 13, 10**40):
+        for num in (math.floor(lowest * den) - 1, math.ceil(lowest * den) + 1):
+            assert not eigenvalues_above(M, c, Fraction(num, den), lowest + 1)
+    # the weights and the entries as Python ints
+    assert not eigenvalues_above(M, c.astype(object), lowest - 1, lowest)
+    big = IntMatrix(M.nrows, M.ncols, M.den, M.rows, M.cols, M.re.astype(object), M.im.astype(object))
+    assert not eigenvalues_above(big, c, lowest - 1, lowest)
+    # a den c and b re c past 2^63: int64 would wrap the diagonal
+    # -2^61 - 2^63 to a positive one
+    one = np.array([1], dtype=np.int64)
+    assert mat([[-(2**61)]]).re.dtype == np.int64
+    assert not eigenvalues_above(mat([[-(2**61)]]), one, 2**63, 2.0**64)
+    assert not eigenvalues_above(mat([[2**61]]), one, Fraction(1, 2**63), 2.0**61)
+    # 256 rows would let R R^H pass 2^63
+    for n in (255, 256):
+        identity, ones = IntMatrix.identity(n), np.ones(n, dtype=np.int64)
+        assert eigenvalues_above(identity, ones, Fraction(1, 2), 1.0) == (n == 255)
+
+
+def test_proof_refuses_a_matrix_that_is_not_weighted_hermitian():
+    with pytest.raises(ArithmeticError):
+        eigenvalues_above(mat([[3, 1], [2, 3]]), np.array([1, 1]), 0, 1.0)
+    with pytest.raises(ArithmeticError):
+        eigenvalues_above(mat([[3, (0, 1)], [(0, 1), 3]]), np.array([1, 1]), 0, 1.0)
+    with pytest.raises(ValueError):
+        eigenvalues_above(mat([[3]]), np.array([1, 1]), 0, 1.0)
+    # the same entries under the weights that make them weighted hermitian
+    assert eigenvalues_above(mat([[3, 1], [2, 3]]), np.array([1, 2]), 0, 1.0)
+
+
+def test_proof_checks_any_proposal_exactly(monkeypatch):
+    """The float Cholesky only proposes: with the zero factor, the residue
+    is the scaled matrix itself, and the singular Laplacian of a triangle,
+    whose rows are dominant with equality, is refused, while a strictly
+    dominant one is proved."""
+    triangle = mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    one = np.ones(3, dtype=np.int64)
+    monkeypatch.setattr(np.linalg, "cholesky", np.zeros_like)
+    assert not eigenvalues_above(triangle, one, 0, 1.0)
+    assert eigenvalues_above(triangle, one, Fraction(-1, 10**6), 1.0)
+    # and a proposal that fails to factor proves nothing
+    def fails(F):
+        raise np.linalg.LinAlgError("not definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails)
+    assert not eigenvalues_above(IntMatrix.identity(3), one, 0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), noise=st.integers(-8, 30))
+def test_proof_refuses_a_singular_matrix_whatever_the_proposal(seed, noise):
+    """H = V V^H with V of n - 1 Gaussian-integer columns is singular, so
+    no proposal proves it definite: not the float square root Q
+    sqrt(Lambda) of the matrix handed to the Cholesky (its negative
+    eigenvalues cut to 0), nor that root moved by noise of size 2^noise."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+    V = np.array([
+        [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(n - 1)] for _ in range(n)
+    ])
+    H = V @ V.conj().T
+    M = IntMatrix.from_dense(H.real.astype(np.int64), H.imag.astype(np.int64))
+    one = np.ones(n, dtype=np.int64)
+    assert not exceeds_by_charpoly(M, one, 0)
+    noisy = np.random.default_rng(seed)
+
+    def propose(F):
+        w, Q = np.linalg.eigh(F)
+        jitter = noisy.standard_normal((n, n)) + 1j * noisy.standard_normal((n, n))
+        return Q * np.sqrt(w.clip(0)) + 2.0**noise * jitter
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", propose)
+        for cutoff in (0, Fraction(1, 10**9)):
+            assert not eigenvalues_above(M, one, cutoff, 1.0)

@@ -1108,16 +1108,20 @@ SHARED_CASES = {
 @pytest.mark.parametrize("case", list(SHARED_CASES))
 def test_shared_work_matches_the_direct_route(case, monkeypatch):
     """Every label's squarefree split, where it was moved from its class's
-    first label, is Yun's on the charpoly of its own operator; every
-    shifted hint cell holds one root of its factor; the table is the one
-    the direct route gives."""
+    first label, is Yun's on the charpoly of its own operator, and a label
+    with no split has no root at or below the cutoff; every shifted hint
+    cell holds one root of its factor; the table is the one the direct
+    route gives."""
     spec, tensor, cutoff = SHARED_CASES[case]
     labels = enumerate_irreps(spec, tensor, cutoff)
-    works = list(label_work(spec, tensor, labels))
+    works = list(label_work(spec, tensor, labels, cutoff))
     assert [w.label for w in works] == labels
     for w in works:
-        direct = char_poly_of(spec, w.label, tensor)
-        assert [(m, f) for m, f, _ in w.split] == list(multiplicity_profile(direct).entries)
+        profile = multiplicity_profile(char_poly_of(spec, w.label, tensor)).entries
+        if not w.split:
+            assert not any(real_roots(f, cutoff) for _, f in profile)
+            continue
+        assert [(m, f) for m, f, _ in w.split] == list(profile)
         for _, f, cells in w.split:
             for a, b, _, sb in cells or ():
                 assert int_sign_at(f, b) == sb and int_sign_at(f, a) == -sb
@@ -1134,7 +1138,7 @@ def test_shared_work_matches_the_direct_route(case, monkeypatch):
         assert any(len(t) > 1 for t in types.values())
     table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
     monkeypatch.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
-    assert all(w.shift is None for w in label_work(spec, tensor, labels))
+    assert all(w.shift is None for w in label_work(spec, tensor, labels, cutoff))
     assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
 
 
@@ -1142,10 +1146,66 @@ def test_cutoff_decided_exactly_on_a_shifted_member():
     """28/3 is an eigenvalue of (2;2) alone, which takes the work of (2;0)
     moved by 8/6: listed at the cutoff 28/3, not at 28/3 - 2^-40."""
     spec, value = preset("u2"), Fraction(28, 3)
-    works = {w.label: w for w in label_work(spec, BERGER, enumerate_irreps(spec, BERGER, value))}
+    works = {w.label: w for w in label_work(spec, BERGER, enumerate_irreps(spec, BERGER, value), value)}
     assert works[label((2,), (2,))].shift == 8
     assert works[label((2,), (0,))].shift is None
     (entry,) = [e for e in assemble_spectrum(spec, BERGER, value).entries if e.exact_value == value]
     assert [c.label for c in entry.contributions] == [label((2,), (2,))]
     below = assemble_spectrum(spec, BERGER, value - Fraction(1, 2**40))
     assert all(e.exact_value != value and e.value < value for e in below.entries)
+
+
+# -- labels proved wholly above the cutoff ------------------------------------
+
+# SU(2) x T^2 over a central quotient that keeps odd spins off the weight
+# 0, under a tensor whose torus block makes the weight (1, 3) cheaper than
+# (1, 0), which comes first: (1; 1, 0) is proved above 27/5, and
+# (1; 1, 3), 3/10 below it, has the eigenvalue 26/5
+TORUS2_SPEC = group_from_json({"k": 1, "n": 2, "central": [{"signs": [-1], "torus": ["1/2", "1/3"]}]})
+TORUS2 = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in [
+    ["1", "1/7", "0", "0", "0"], ["1/7", "3/2", "0", "0", "0"], ["0", "0", "2", "0", "0"],
+    ["0", "0", "0", "1", "-1/5"], ["0", "0", "0", "-1/5", "1/10"],
+]))
+SKIP_CASES = {
+    "swap": (preset("spin4"), SWAP, Fraction(20)),
+    "torus2": (TORUS2_SPEC, TORUS2, Fraction(27, 5)),
+    # one operator class, whose first label (weight 0) has the eigenvalue
+    # 0: every other label takes its work moved, and none is skipped
+    "t3": (preset("t3"), identity_tensor(3), Fraction(20)),
+    "berger": (preset("u2"), BERGER, Fraction(80)),
+    "spin4": (preset("spin4"), sample_definite_tensor(6, random.Random(0)), Fraction(60)),
+}
+
+
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_skipped_labels_match_the_charpoly_route(case, monkeypatch):
+    """The table with labels skipped where `eigenvalues_above` proves
+    their spectrum above the cutoff is the one every label's charpoly
+    gives."""
+    spec, tensor, cutoff = SKIP_CASES[case]
+    prove, proved = spectrum.eigenvalues_above, []
+
+    def counted(*args):
+        proved.append(prove(*args))
+        return proved[-1]
+
+    monkeypatch.setattr(spectrum, "eigenvalues_above", counted)
+    table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
+    assert any(proved) == (case != "t3")
+    monkeypatch.setattr(spectrum, "eigenvalues_above", lambda *args: False)
+    assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
+
+
+def test_a_proved_first_label_moves_only_upwards():
+    """A class whose first label is proved above the cutoff passes its
+    empty work on by t >= 0 only: a label below it does its own."""
+    spec, tensor, cutoff = SKIP_CASES["torus2"]
+    works = {
+        w.label.weight: w
+        for w in label_work(spec, tensor, enumerate_irreps(spec, tensor, cutoff), cutoff)
+        if w.label.spins == (1,)
+    }
+    first, lower, higher = works[1, 0], works[1, 3], works[1, 6]
+    assert (first.split, first.shift) == ([], None)
+    assert lower.shift is None and [f for _, f, _ in lower.split] == [[-26, 5]]
+    assert (higher.split, higher.shift) == ([], 84)

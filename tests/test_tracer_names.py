@@ -15,20 +15,26 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from lielap import polycert, spectrum
 from lielap.algebra_core import MetricSpec, SymTensor, metric_to_tensor, preset
 from lielap.irreps import labels_up_to_level
 from lielap.polycert import char_poly_of, multiplicity_profile
 from lielap.witness import certificate_battery, sample_definite_tensor
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return _load("tracer")
 
 
 def test_every_wrapped_name_resolves():
@@ -75,19 +81,31 @@ def test_traced_spectrum_records_charpoly_sizes():
 
 
 def test_traced_generic_spectrum_counts_every_operator_and_no_fallback():
-    # build_DV and charpoly_real are reached through the names the tracer
-    # wraps, once per label, and the hints isolate every root without a
-    # Sturm chain (the first spectrum_generic tensor of the benchmark)
+    # build_DV is reached through the name the tracer wraps once per label,
+    # and charpoly_real once per label with an eigenvalue at or below the
+    # cutoff, which the float operator of perfbench/oracles.py, built apart
+    # from lielap, tells with a wide margin; the others are proved above
+    # it.  The hints isolate every root without a Sturm chain (the first
+    # spectrum_generic tensor of the benchmark)
     group = preset("spin4")
     rows = [[38, 2, 1, 2, -3, -4], [2, 32, 4, 2, 4, 4], [1, 4, 24, 1, -3, 3],
             [2, 2, 1, 32, -1, 4], [-3, 4, -3, -1, 25, -1], [-4, 4, 3, 4, -1, 30]]
-    tensor = SymTensor(tuple(tuple(Fraction(x, 31) for x in r) for r in rows))
+    S = tuple(tuple(Fraction(x, 31) for x in r) for r in rows)
+    tensor = SymTensor(S)
     cutoff = Fraction(1779, 64)
     traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
     labels = traced.values["spectrum.labels"]
     assert labels == len(table.labels) > 1
     assert traced.values["operator.build_DV_calls"] == labels
-    assert traced.values["linalg.charpoly_calls"] == labels
+    oracles = _load("oracles")
+    lowest = [
+        np.linalg.eigvalsh(oracles.hermitian_operator(lab.spins, (), S))[0] / float(cutoff)
+        for lab in table.labels
+    ]
+    assert all(abs(x - 1) > 1e-3 for x in lowest)
+    below = sum(x < 1 for x in lowest)
+    assert 0 < below < labels
+    assert traced.values["linalg.charpoly_calls"] == below
     assert traced.values["spectrum.roots"] > 0
     assert traced.values["spectrum.sturm_fallbacks"] == 0
 
@@ -116,13 +134,20 @@ def test_traced_spectrum_sees_the_exact_coincidence_route():
 def test_traced_berger_spectrum_does_the_exact_work_once_per_class(monkeypatch):
     # the Berger metric on U(2) (the spectrum_berger input): labels with the
     # same spins differ by a scalar, so one charpoly and at most one
-    # squarefree split per tuple of spins, and still one operator per label
+    # squarefree split per tuple of spins with an eigenvalue at or below
+    # the cutoff (from the closed form of perfbench/oracles.py), none for
+    # the others, and still one operator per label
     group = preset("u2")
     gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
     tensor = metric_to_tensor(MetricSpec(gram))
     cutoff = Fraction(80)
     labels = spectrum.enumerate_irreps(group, tensor, cutoff)
     classes = len({lab.spins for lab in labels})
+    contributing = len({
+        name.partition(";")[0]
+        for entry in _load("oracles").berger_spectrum(gram, cutoff).values()
+        for name in entry["contributors"]
+    })
     splits = []
     yun = polycert.squarefree_decomposition
 
@@ -133,10 +158,10 @@ def test_traced_berger_spectrum_does_the_exact_work_once_per_class(monkeypatch):
     monkeypatch.setattr(polycert, "squarefree_decomposition", counted)
     traced, table = _traced(lambda: spectrum.assemble_spectrum(group, tensor, cutoff))
     assert table.entries
-    assert (len(labels), classes) == (96, 15)
-    assert traced.values["linalg.charpoly_calls"] == classes
+    assert (len(labels), classes, contributing) == (96, 15, 9)
+    assert traced.values["linalg.charpoly_calls"] == contributing
     assert traced.values["operator.build_DV_calls"] == len(labels)
-    assert 0 < len(splits) <= classes
+    assert 0 < len(splits) <= contributing
 
 
 def test_traced_battery_counts_every_resultant():

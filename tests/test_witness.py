@@ -24,7 +24,6 @@ from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
     eigenbases_check,
-    epsilon_separation,
     involution_checks,
     orbit_eigenbases,
     pairs_mixed_witness,
@@ -34,40 +33,6 @@ from lielap.witness import (
     witness_report_json,
     witness_search,
 )
-
-
-# -- epsilon separation ----------------------------------------------------------
-
-
-def test_separation_simple_example():
-    assert epsilon_separation([1, 2], [10, 20]) == Fraction(1, 20)
-
-
-def test_separation_no_constraint():
-    assert epsilon_separation([0], [1, 2]) == 1
-
-
-def test_separation_double_mode():
-    eps = epsilon_separation([0, 5], [3, 3, 7, 7], mode="double")
-    shifted = [a + eps * c for a in (0, 5) for c in (3, 3, 7, 7)]
-    assert all(shifted.count(x) == 2 for x in shifted)
-
-
-def test_separation_validates_inputs():
-    with pytest.raises(DomainError):
-        epsilon_separation([1, 1], [2, 3])
-    with pytest.raises(DomainError):
-        epsilon_separation([1], [2, 2], mode="simple")
-    with pytest.raises(DomainError):
-        epsilon_separation([1], [2, 2, 2], mode="double")
-    with pytest.raises(DomainError):
-        epsilon_separation([1], [2], mode="triple")
-
-
-def test_separation_preserves_patterns():
-    eps = epsilon_separation([0, 1, 7], [2, 5, 11])
-    shifted = [a + eps * c for a in (0, 1, 7) for c in (2, 5, 11)]
-    assert len(set(shifted)) == 9
 
 
 # -- even-spin splitting -----------------------------------------------------------
