@@ -10,121 +10,46 @@ integer charpolys, certificates by nonzero integer resultants.
 Numerics supply hints only.
 """
 
-from .algebra_core import (
-    CentralElement,
-    GroupSpec,
-    MetricSpec,
-    SymTensor,
-    build_group_spec,
-    identity_tensor,
-    is_positive_definite,
-    metric_to_tensor,
-    preset,
-    square_of_vector,
-    symmetric_product,
-    tensor_from_json,
-    tensor_hash,
-    tensor_to_json,
-)
-from .errors import DomainError, WitnessSearchExhausted
-from .irreps import (
-    Irrep,
-    IrrepLabel,
-    build_irrep,
-    classify_type,
-    descends_to_quotient,
-    dual_label,
-    format_label,
-    is_self_dual,
-    label,
-    labels_up_to_level,
-    quaternionic_structure,
-)
-from .operator import OperatorMatrix, build_DV, casimir_tensor
-from .polycert import (
-    Certificate,
-    CharPoly,
-    MultiplicityProfile,
-    char_poly_exact,
-    char_poly_of,
-    multiplicity_profile,
-)
-from .spectrum import (
-    SpectrumEntry,
-    SpectrumTable,
-    assemble_spectrum,
-    enumerate_irreps,
-    table_to_csv,
-    table_to_json,
-    table_to_text,
-)
-from .witness import (
-    MixedWitness,
-    PairsPipelineReport,
-    Su2EvenWitness,
-    WitnessReport,
-    certificate_battery,
-    pairs_mixed_witness,
-    pairs_pipeline,
-    sample_definite_tensor,
-    su2_even_b_witness,
-    witness_search,
-)
+import importlib
+
+# each public name and the submodule that defines it; a name is imported
+# on first use (PEP 562), so that `import lielap` loads no submodule
+_HOMES = {
+    "algebra_core": (
+        "CentralElement", "GroupSpec", "MetricSpec", "SymTensor", "build_group_spec",
+        "identity_tensor", "is_positive_definite", "metric_to_tensor", "preset",
+        "square_of_vector", "symmetric_product", "tensor_from_json", "tensor_hash",
+        "tensor_to_json",
+    ),
+    "errors": ("DomainError", "WitnessSearchExhausted"),
+    "irreps": (
+        "Irrep", "IrrepLabel", "build_irrep", "classify_type", "descends_to_quotient",
+        "dual_label", "format_label", "is_self_dual", "label", "labels_up_to_level",
+        "quaternionic_structure",
+    ),
+    "operator": ("OperatorMatrix", "build_DV", "casimir_tensor"),
+    "polycert": (
+        "Certificate", "CharPoly", "MultiplicityProfile", "char_poly_exact", "char_poly_of",
+        "multiplicity_profile",
+    ),
+    "spectrum": (
+        "SpectrumEntry", "SpectrumTable", "assemble_spectrum", "enumerate_irreps",
+        "table_to_csv", "table_to_json", "table_to_text",
+    ),
+    "witness": (
+        "MixedWitness", "PairsPipelineReport", "Su2EvenWitness", "WitnessReport",
+        "certificate_battery", "pairs_mixed_witness", "pairs_pipeline",
+        "sample_definite_tensor", "su2_even_b_witness", "witness_search",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CentralElement",
-    "Certificate",
-    "CharPoly",
-    "DomainError",
-    "GroupSpec",
-    "Irrep",
-    "IrrepLabel",
-    "MetricSpec",
-    "MixedWitness",
-    "MultiplicityProfile",
-    "OperatorMatrix",
-    "PairsPipelineReport",
-    "SpectrumEntry",
-    "SpectrumTable",
-    "Su2EvenWitness",
-    "SymTensor",
-    "WitnessReport",
-    "WitnessSearchExhausted",
-    "assemble_spectrum",
-    "build_DV",
-    "build_group_spec",
-    "build_irrep",
-    "casimir_tensor",
-    "certificate_battery",
-    "char_poly_exact",
-    "char_poly_of",
-    "classify_type",
-    "descends_to_quotient",
-    "dual_label",
-    "enumerate_irreps",
-    "format_label",
-    "identity_tensor",
-    "is_positive_definite",
-    "is_self_dual",
-    "label",
-    "labels_up_to_level",
-    "metric_to_tensor",
-    "multiplicity_profile",
-    "pairs_mixed_witness",
-    "pairs_pipeline",
-    "preset",
-    "quaternionic_structure",
-    "sample_definite_tensor",
-    "square_of_vector",
-    "su2_even_b_witness",
-    "symmetric_product",
-    "table_to_csv",
-    "table_to_json",
-    "table_to_text",
-    "tensor_from_json",
-    "tensor_hash",
-    "tensor_to_json",
-    "witness_search",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

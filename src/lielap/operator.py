@@ -26,10 +26,12 @@ memory go as bands x dim V.  The terms are broadcast into their bands:
   give (sum S_ef l_e l_f) I and torus-SU(2) terms add -2 i l_e S_pe g_p to
   the block of p.
 
-The bands, sorted by flat column offset, are read out row-major as the
-nonzero entries.  The arrays are int64 when a bound (sum |den S_pq| times
-the square of the largest generator row sum) shows that every row sum
-fits, and Python ints (dtype=object) otherwise, on the same code.
+The bands, in lexicographic order of their offset tuples, are read out
+row-major as the nonzero entries; that order gives ascending columns in
+every row whatever the spins (see `build_DV`).  The arrays are int64
+when a bound (sum |den S_pq| times the square of the largest generator
+row sum) shows that every row sum fits, and Python ints (dtype=object)
+otherwise, on the same code.
 
 A label pays only for its band arithmetic, the nonzero read-out and the
 ``IntMatrix``; the rest is done once and kept:
@@ -38,9 +40,11 @@ A label pays only for its band arithmetic, the nonzero read-out and the
   ``SymTensor.operator_form``, so it lives and dies with it): den, the sum
   of |den S_pq| of the bound, and the phase-weighted coefficient blocks
   of every factor and pair of factors, with the zero test of each pair;
-- per tuple of spins (`_shape_layout`, a bounded cache): the band offsets
-  sorted by flat column offset and each term's positions among them, so
-  the terms are added straight into read-out order;
+- per number of SU(2) factors (`_band_layout`): the offset tuples of the
+  bands in lexicographic order, each term's positions among them and the
+  index that spreads its block over the row multi-index, so the terms are
+  added straight into read-out order; a label computes only its strides
+  and the flat offsets of the bands;
 - per spin (`_spin_table`, a bounded cache): the integer bands of the
   triple and of its products, in int32.  The int64 products upcast them as
   they read them; int64 copies would double the memory of every cached
@@ -108,54 +112,31 @@ def _spin_table(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _band_layout(k: int) -> tuple[np.ndarray, list[np.ndarray], dict]:
-    """The bands on k SU(2) factors: their offset tuples (zero first), for
-    each factor j the indices of the offsets -2, -1, 1, 2 in j, and for each
-    pair j < j2 those of the offsets (s, t) in {-1, 0, 1}^2, s major."""
-    index = {(0,) * k: 0}
+def _band_layout(k: int) -> tuple[np.ndarray, int, list, dict]:
+    """The bands on k SU(2) factors in lexicographic order of their offset
+    tuples: the tuples, the index of the zero tuple, for each factor j the
+    indices of the offsets -2, -1, 1, 2 in j, and for each pair j < j2
+    those of the offsets (s, t) in {-1, 0, 1}^2, s major.  Each term's
+    indices come with the index that spreads its block, (2, d_j, ...) or
+    (2, d_j, d_j2, ...), over the row multi-index."""
 
-    def at(offset: dict) -> int:
-        return index.setdefault(tuple(offset.get(j, 0) for j in range(k)), len(index))
+    def offset(entries: dict) -> tuple[int, ...]:
+        return tuple(entries.get(j, 0) for j in range(k))
 
-    single = [np.array([at({j: s}) for s in (-2, -1, 1, 2)]) for j in range(k)]
+    def spread(factors: tuple[int, ...]) -> tuple:
+        return (slice(None), *[slice(None) if j in factors else None for j in range(k)])
+
+    single = [[offset({j: s}) for s in (-2, -1, 1, 2)] for j in range(k)]
     pairs = {
-        (j, j2): np.array([at({j: s, j2: t}) for s in (-1, 0, 1) for t in (-1, 0, 1)])
+        (j, j2): [offset({j: s, j2: t}) for s in (-1, 0, 1) for t in (-1, 0, 1)]
         for j in range(k) for j2 in range(j + 1, k)
     }
-    return np.array(list(index), dtype=np.int64).reshape(len(index), k), single, pairs
-
-
-class _ShapeLayout(NamedTuple):
-    """The layout of D_V on one tuple of spins, bands in read-out order."""
-
-    dims: tuple[int, ...]
-    total: int
-    zero: int  # position of the zero offset
-    reach: int  # bound on every su(2) generator row sum of |entries|, >= 1
-    offsets: np.ndarray  # flat column offset of each band, ascending
-    single: list  # per factor j: (positions of its offsets -2, -1, 1, 2, block shape)
-    pairs: dict  # per pair j < j2: (positions of its offsets (s, t), block shape)
-
-
-@lru_cache(maxsize=4096)
-def _shape_layout(spins: tuple[int, ...]) -> _ShapeLayout:
-    """The bands on the irreducibles with these spins, sorted by flat
-    column offset (stably), so that reading them row by row gives columns
-    in ascending order."""
-    k, dims = len(spins), tuple(m + 1 for m in spins)
-    keys, single, pairs = _band_layout(k)
-    offsets = keys @ np.array([math.prod(dims[j + 1:]) for j in range(k)], dtype=np.int64)
-    order = np.argsort(offsets, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-
-    def shape(factors, nbands: int) -> tuple[int, ...]:
-        return (2, *[dims[i] if i in factors else 1 for i in range(k)], nbands)
-
-    return _ShapeLayout(
-        dims, math.prod(dims), int(position[0]), max([1] + [m + 2 for m in spins]), offsets[order],
-        [(position[idx], shape((j,), 4)) for j, idx in enumerate(single)],
-        {jj: (position[idx], shape(jj, 9)) for jj, idx in pairs.items()},
+    keys = sorted({offset({})}.union(*single, *pairs.values()))
+    index = {key: i for i, key in enumerate(keys)}
+    return (
+        np.array(keys, dtype=np.int64).reshape(len(keys), k), index[offset({})],
+        [(np.array([index[t] for t in ts]), spread((j,))) for j, ts in enumerate(single)],
+        {jj: (np.array([index[t] for t in ts]), spread(jj)) for jj, ts in pairs.items()},
     )
 
 
@@ -215,55 +196,59 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
         raise DomainError("label shape does not match the group")
     k, su = spec.k, 3 * spec.k
-    form, layout = tensor.operator_form, _shape_layout(lab.spins)
-    nbands = len(layout.offsets)
+    form = tensor.operator_form
+    keys, zero, single, pairs = _band_layout(k)
+    dims = tuple(m + 1 for m in lab.spins)
+    total, nbands = math.prod(dims), len(keys)
+    # int64 strides keep the offsets int64 when k = 0 and keys @ [] is empty
+    offsets = keys @ np.array([math.prod(dims[j + 1:]) for j in range(k)], dtype=np.int64)
     # every generator row sum of |entries| is at most m + 2 (su2) or |l_e|;
     # r >= 1 keeps den * S itself under the bound
-    r = max([layout.reach] + [abs(x) for x in lab.weight])
+    r = max([1] + [m + 2 for m in lab.spins] + [abs(x) for x in lab.weight])
     dtype = entry_dtype(form.size * r * r, nbands)
     # real and imaginary parts of den * D over the row multi-index, band by band
-    bands = np.zeros((2, *layout.dims, nbands), dtype=dtype)
+    bands = np.zeros((2, *dims, nbands), dtype=dtype)
 
     lin = None
     if spec.n:
         w = np.array(lab.weight, dtype=dtype)
         # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
-        bands[0, ..., layout.zero] = w @ form.S[su:, su:] @ w
+        bands[0, ..., zero] = w @ form.S[su:, su:] @ w
         # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
         lin = (form.torus[:, :su, su:] @ w).reshape(2, k, 3)
     tables = [_spin_table(m) for m in lab.spins]
     if dtype is object:
         tables = [(p.astype(object), g.astype(object)) for p, g in tables]
-    for j, (d, (products, g)) in enumerate(zip(layout.dims, tables)):
+    for j, (d, (products, g)) in enumerate(zip(dims, tables)):
         # -S_ab g_a g_b on the offsets -2..2, the torus part on -1..1
         block = (form.single[j] @ products).reshape(2, d, 5)
         if lin is not None:
             block[..., 1:4] += (lin[:, j] @ g).reshape(2, d, 3)
         # the nonzero offsets of factor j are its own bands, so they are
         # assigned (cheaper than adding through an index); all share offset 0
-        at, spread = layout.single[j]
-        bands[..., at] = block[..., _NONZERO].reshape(spread)
-        bands[..., layout.zero] += block[..., 2].reshape(spread[:-1])
+        at, spread = single[j]
+        bands[..., at] = block[..., _NONZERO][spread]
+        bands[..., zero] += block[..., 2][spread]
     # cross-factor terms, both orders: -2 S_pq g_a x g_b, on bands that the
     # single-factor terms may have written, so after them and added
     for (j, j2), c in form.cross.items():
         if j2 >= k:
             continue
-        d, d2 = layout.dims[j], layout.dims[j2]
+        d, d2 = dims[j], dims[j2]
         # x[part, (i, s), (i2, t)] = sum_ab c[part, a, b] G_a[i, i+s] G_b[i2, i2+t]
         x = tables[j][1].T @ (c @ tables[j2][1])
-        at, spread = layout.pairs[j, j2]
-        bands[..., at] += x.reshape(2, d, 3, d2, 3).transpose(0, 1, 3, 2, 4).reshape(spread)
+        x = x.reshape(2, d, 3, d2, 3).transpose(0, 1, 3, 2, 4).reshape(2, d, d2, 9)
+        at, spread = pairs[j, j2]
+        bands[..., at] += x[spread]
 
-    # row-major read-out: the bands are sorted by flat column offset, so
-    # columns ascend within a row; two bands with one flat offset never both
-    # reach a column in range, since the column's multi-index fixes the band
-    re, im = bands.reshape(2, layout.total * nbands)
+    # row-major read-out.  In row i, band s reaches the column multi-index
+    # i + s; columns in range compare in flat order as their multi-indices
+    # do lexicographically, and i + s against i + s' as s against s', so
+    # the bands in lexicographic order give strictly ascending columns
+    re, im = bands.reshape(2, total * nbands)
     at = np.flatnonzero(re | im)
     rows, band = np.divmod(at, nbands)
-    matrix = IntMatrix(
-        layout.total, layout.total, form.den, rows, rows + layout.offsets[band], re[at], im[at]
-    )
+    matrix = IntMatrix(total, total, form.den, rows, rows + offsets[band], re[at], im[at])
     return OperatorMatrix(spec=spec, label=lab, tensor=tensor, matrix=matrix)
 
 

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: flags, exit codes, deterministic output."""
 
 import json
+import os
 import re
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -420,3 +422,43 @@ def test_readme_entry_points_and_public_names_resolve():
     assert "certificate_battery" in entry_points
     assert set(entry_points) <= set(lielap.__all__)
     assert [n for n in lielap.__all__ if not hasattr(lielap, n)] == []
+
+
+_LAZY_IMPORT = """
+import importlib, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("lielap."))
+
+import lielap
+bare = loaded()
+from lielap import operator
+layer = loaded()
+same = all(
+    getattr(lielap, name) is getattr(importlib.import_module("lielap." + home), name)
+    for home, names in lielap._HOMES.items() for name in names
+)
+try:
+    lielap.no_such_name
+    unknown = False
+except AttributeError:
+    unknown = True
+print(json.dumps([bare, layer, operator.__name__, same, unknown]))
+"""
+
+
+def test_package_names_are_imported_on_first_use():
+    # a fresh interpreter, so that no other test has imported a layer yet
+    path = [str(Path(lielap.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    bare, layer, name, same, unknown = json.loads(out)
+    assert bare == []
+    assert name == "lielap.operator"
+    above = {"lielap.poly", "lielap.polycert", "lielap.spectrum", "lielap.witness", "lielap.cli"}
+    assert not above & set(layer)
+    assert same and unknown
+    homes = [name for names in lielap._HOMES.values() for name in names]
+    assert lielap.__all__ == sorted(set(homes)) and len(homes) == len(set(homes))

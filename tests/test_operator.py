@@ -1,6 +1,7 @@
 """Operator construction, hermitian numerics, product structure."""
 
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -151,6 +152,27 @@ def test_entries_match_generic_products_in_row_major_order():
                 tuple(int if x.denominator == 1 else Fraction for x in v) for *_, v in expected
             ]
             assert op.matrix == want
+
+
+@pytest.mark.parametrize(
+    "k, n", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)]
+)
+def test_read_out_is_row_major_on_every_shape(k, n):
+    # the bands are read out in one order per k whatever the spins; dims
+    # below 5 are included, where two bands share a flat column offset.
+    # On three factors the reference, dense and cubic in the dim, is taken
+    # up to dim 16 only
+    spec = build_group_spec(k, n)
+    tensor = sample_definite_tensor(spec.dim, random.Random(10 * k + n))
+    spins = list(itertools.product(range(6), repeat=k))
+    weights = list(itertools.product(range(-2, 3), repeat=n))
+    for i in range(max(len(spins), len(weights))):
+        lab = label(spins[i % len(spins)], weights[i % len(weights)])
+        M = build_DV(spec, lab, tensor).matrix
+        assert M.rows.dtype == M.cols.dtype == np.int64, lab
+        assert (np.diff(M.rows * M.ncols + M.cols) > 0).all(), lab
+        if k < 3 or lab.dim <= 16:
+            assert M == generic_DV(spec, lab, tensor), lab
 
 
 def test_one_tensor_takes_both_routes_in_alternation():
