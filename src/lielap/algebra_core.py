@@ -358,8 +358,14 @@ def tensor_hash(tensor: SymTensor) -> str:
 
 
 def group_from_json(doc: dict) -> GroupSpec:
+    """The group of a JSON object; ValueError on one of the wrong shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("a group is a JSON object")
+    elements = doc.get("central", [])
+    if not isinstance(elements, list) or not all(isinstance(g, dict) for g in elements):
+        raise ValueError('"central" must be a list of JSON objects')
     central = []
-    for g in doc.get("central", []):
+    for g in elements:
         central.append(
             CentralElement(
                 tuple(_parse_int(s, "central sign") for s in g.get("signs", [])),

@@ -105,6 +105,8 @@ def _matrix_doc(raw: str, key: str) -> dict:
             raise UsageError(f"cannot load --{key} file {raw}: {e}") from e
     if isinstance(doc, list):
         doc = {key: doc}
+    if not isinstance(doc, dict):
+        raise UsageError(f"--{key} must hold a JSON object or a list of rows")
     return doc
 
 

@@ -23,8 +23,8 @@ memory go as bands x dim V.  The terms are broadcast into their bands:
 - cross-factor terms: for p, q in distinct SU(2) factors the two orderings
   commute and give -2 S_pq (g_p x g_q), an outer product of factor bands;
 - torus scalars: a torus direction e acts as i*l_e, so torus-torus terms
-  give (sum S_ef l_e l_f) I and torus-SU(2) terms add -2 i l_e S_pe g_p to
-  the block of p.
+  give (sum S_ef l_e l_f) I (`torus_scalar`) and torus-SU(2) terms add
+  -2 i l_e S_pe g_p to the block of p.
 
 The bands, in lexicographic order of their offset tuples, are read out
 row-major as the nonzero entries; that order gives ascending columns in
@@ -213,7 +213,7 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     if spec.n:
         w = np.array(lab.weight, dtype=dtype)
         # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
-        bands[0, ..., zero] = w @ form.S[su:, su:] @ w
+        bands[0, ..., zero] = torus_scalar(spec, tensor, lab.weight)
         # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
         lin = (form.torus[:, :su, su:] @ w).reshape(2, k, 3)
     tables = [_spin_table(m) for m in lab.spins]
@@ -250,6 +250,15 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     rows, band = np.divmod(at, nbands)
     matrix = IntMatrix(total, total, form.den, rows, rows + offsets[band], re[at], im[at])
     return OperatorMatrix(spec=spec, label=lab, tensor=tensor, matrix=matrix)
+
+
+def torus_scalar(spec: GroupSpec, tensor: SymTensor, weight: tuple[int, ...]) -> int:
+    """w S' w for the torus weight w, with S' = den * S_TT the integer torus
+    block of the tensor: the torus-torus term of den * D_V(s) is this
+    scalar times the identity."""
+    su = 3 * spec.k
+    rows = tensor.integer_form[1][su:]
+    return sum(x * row[su + f] * y for x, row in zip(weight, rows) for f, y in enumerate(weight))
 
 
 def weight_is_scalar(spec: GroupSpec, tensor: SymTensor) -> bool:

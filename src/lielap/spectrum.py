@@ -8,9 +8,9 @@ The pipeline:
      c times the Casimir operator, every irreducible contributing an
      eigenvalue <= L satisfies Casimir(V) <= L / c, which cuts the
      enumeration down to a finite ball.
-  2. Build D_V(s) for each candidate label of the dual-reduced,
-     quotient-descended list, and do its exact work once per operator
-     class (`label_work`).  The work is the eigenvalues of the hermitian
+  2. Build D_V(s) once per operator class of the dual-reduced,
+     quotient-descended list of candidate labels, and do its exact work
+     on it (`label_work`).  The work is the eigenvalues of the hermitian
      form of D_V(s) in floating point (`hermitian_eigenvalues`), which
      serve as hints only, and its characteristic polynomial, exactly.
      Where the smallest hint lies above the cutoff, one exact proof that
@@ -24,13 +24,11 @@ The pipeline:
      cells, P is squarefree and each cell holds one root (`hint_cells`).
      Otherwise P is split into squarefree factors (Yun), and each factor
      is cut the same way.  A class is the labels with one tuple of
-     spins, on a tensor whose weight enters D_V(s) only as a scalar
-     (`weight_is_scalar`).  A later label of a class whose operator is the
-     first label's plus t/d times the identity, checked exactly (t an
-     integer, d the tensor's denominator), takes the first label's work
-     moved by t/d: its hints, squarefree factors and cells shifted.  A
-     proved first label has nothing to move, and t >= 0 keeps the later
-     label's spectrum above the cutoff too.
+     spins, on a tensor whose weight w enters D_V(s) only as (w S' w / d) I
+     (`weight_is_scalar`, `torus_scalar`; S' = d S_TT, d the tensor's
+     denominator).  Its member with the least scalar does the work, and
+     every other takes it moved by t/d, t >= 0 the difference of the
+     scalars: its hints, squarefree factors and cells shifted.
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
@@ -106,6 +104,7 @@ from .operator import (
     cluster_values,
     hermitian_eigenvalues,
     norm_weights,
+    torus_scalar,
     weight_is_scalar,
 )
 from .polycert import char_poly_exact, multiplicity_profile
@@ -527,8 +526,8 @@ class LabelWork(NamedTuple):
     split lists (multiplicity in the charpoly, primitive squarefree factor,
     the factor's hint cells or None), and is empty on a label whose
     spectrum is proved above the cutoff; shift is the integer t by which the
-    work was moved from the first label of its operator class, None when
-    it was done on the label's own operator.
+    work was moved from the representative of its operator class, None
+    when it was done on the label's own operator.
     """
 
     label: IrrepLabel
@@ -565,8 +564,9 @@ def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWor
     times the identity: every hint, factor and cell moved by t/den.
 
     The split is that of the whole charpoly, which the shift carries over
-    whatever the label's type.  A quaternionic label has weight 0, so it
-    comes first among the labels with its spins and is never moved."""
+    whatever the label's type.  A quaternionic label has weight 0, whose
+    torus scalar 0 is the least of its class, so it is its class's
+    representative and is never moved."""
     s, x = Fraction(t, den), t / den
 
     def moved(f, cells):
@@ -586,36 +586,35 @@ def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWor
 def label_work(
     spec: GroupSpec, tensor: SymTensor, labels: list[IrrepLabel], cutoff
 ) -> Iterator[LabelWork]:
-    """Each label's exact work, done once per operator class; none on a
-    label proved to have no eigenvalue at or below the cutoff.
+    """Each label's exact work, in the order of labels, done once per
+    operator class; none on a label proved to have no eigenvalue at or
+    below the cutoff.
 
-    Every label's operator is built (through polycert.build_DV, the name
-    perfbench/tracer.py wraps).  Where the weight enters D_V(s) only as a
-    scalar (`weight_is_scalar`), the first label of each tuple of spins
-    does the work on its operator, and a later label with those spins
-    whose operator is the first one's plus t/den times the identity, for
-    an integer t checked exactly on the built matrices, takes that work
-    moved by t/den (`_shifted_work`).  Any other label does its own
-    (`_direct_work`), which is empty when its spectrum is proved above
-    the cutoff.  Such an empty work is moved only by t >= 0, which keeps
-    every eigenvalue above the cutoff; a label below it does its own.
+    Where the weight enters D_V(s) only as a scalar (`weight_is_scalar`),
+    the representative of each tuple of spins is its label with the least
+    `torus_scalar`, the first on a tie.  Only its operator is built
+    (through polycert.build_DV, the name perfbench/tracer.py wraps), and
+    it does the work (`_direct_work`); every other label with its spins
+    takes that work moved by t/den, t >= 0 the difference of their
+    scalars (`_shifted_work`), so a representative proved above the
+    cutoff proves them all.  On any other tensor each label does its own.
     """
+    if not weight_is_scalar(spec, tensor):
+        for lab in labels:
+            yield _direct_work(polycert.build_DV(spec, lab, tensor), cutoff)
+        return
     den = tensor.integer_form[0]
-    first: dict[tuple[int, ...], tuple[OperatorMatrix, LabelWork]] | None = (
-        {} if weight_is_scalar(spec, tensor) else None
-    )
+    scalar = {lab: torus_scalar(spec, tensor, lab.weight) for lab in labels}
+    rep: dict[tuple[int, ...], IrrepLabel] = {}
+    # sorted() is stable: a tie keeps the first label
+    for lab in sorted(labels, key=scalar.get):
+        rep.setdefault(lab.spins, lab)
+    done: dict[IrrepLabel, LabelWork] = {}
     for lab in labels:
-        op = polycert.build_DV(spec, lab, tensor)
-        if first is not None and lab.spins in first:
-            rep_op, rep = first[lab.spins]
-            t = op.matrix.scalar_offset(rep_op.matrix, den)
-            if t is not None and (rep.split or t >= 0):
-                yield _shifted_work(rep, lab, t, den)
-                continue
-        work = _direct_work(op, cutoff)
-        if first is not None:
-            first.setdefault(lab.spins, (op, work))
-        yield work
+        r = rep[lab.spins]
+        if r not in done:
+            done[r] = _direct_work(polycert.build_DV(spec, r, tensor), cutoff)
+        yield done[r] if lab == r else _shifted_work(done[r], lab, scalar[lab] - scalar[r], den)
 
 
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:

@@ -90,6 +90,25 @@ def test_spectrum_tensor_object_without_data_usage_error(capsys):
     assert '"tensor" or "gram"' in err and "domain error" not in err
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--group-file", "[1]"),
+    ("--group-file", '{"k": 1, "n": 0, "central": "x"}'),
+    ("--group-file", '{"k": 1, "n": 0, "central": [5]}'),
+    ("--tensor", "5"),
+    ("--tensor", '"x"'),
+    ("--gram", "null"),
+])
+def test_malformed_json_file_usage_error(capsys, tmp_path, flag, text):
+    # JSON of the wrong shape is a usage error (exit 2), not a traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    group = [] if flag == "--group-file" else ["--group", "su2"]
+    rc, out, err = run(capsys, "spectrum", *group, flag, str(path), "--max-eig", "3")
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_spectrum_bad_cutoff(capsys):
     rc, _, err = run(
         capsys, "spectrum", "--group", "su2", "--max-eig", "eight",

@@ -9,6 +9,8 @@ document's "group" became the group object, as in the certify and
 spectrum documents; nothing else in them changed.  The t3 spectrum's
 digest was taken before coincidences were keyed by each root's nearest
 double: its 86 entries are rational roots shared by up to 72 labels.
+The two torus2 digests were taken before each operator class did its
+work on its member of least torus scalar instead of its first label.
 Each run writes its JSON document with --output and the file's bytes
 are hashed; the exit code is pinned too.
 """
@@ -42,6 +44,16 @@ SWAP = _spin4_tensor([
     [3, -2, 1, 38, 2, 1], [-2, 1, 2, 2, 32, 4], [1, 2, -4, 1, 4, 24],
 ])
 BERGER = '[["1","0","0","0"],["0","1","0","0"],["0","0","2/3","0"],["0","0","0","3"]]'
+# SU(2) x T^2 over a central quotient and a tensor without torus-SU(2)
+# coupling (TORUS2 of test_spectrum.py): the class of the spins (1,) has
+# its least torus scalar at (1; 1, 3), not at its first label (1; 1, 0).
+# The group is written to a file that replaces GROUP_FILE in the argv
+TORUS2_GROUP = {"k": 1, "n": 2, "central": [{"signs": [-1], "torus": ["1/2", "1/3"]}]}
+TORUS2 = json.dumps([
+    ["1", "1/7", "0", "0", "0"], ["1/7", "3/2", "0", "0", "0"], ["0", "0", "2", "0", "0"],
+    ["0", "0", "0", "1", "-1/5"], ["0", "0", "0", "-1/5", "1/10"],
+])
+GROUP_FILE = "<group file>"
 
 RUNS = {
     "witness-spin4-l4-s0": (
@@ -84,6 +96,14 @@ RUNS = {
         ["spectrum", "--group", "su2xsu2", "--tensor", SWAP, "--max-eig", "40"], 0,
         "6ebffc969f3b55a87c74fb3a9edf98f8df52f261e228c4302c9556f7f3a0d148",
     ),
+    "spectrum-torus2-5.4": (
+        ["spectrum", "--group-file", GROUP_FILE, "--tensor", TORUS2, "--max-eig", "27/5"], 0,
+        "72a66eb070a7b581e8d20fe77a6185a779b49c07af4453d41818416a88caa25a",
+    ),
+    "spectrum-torus2-40": (
+        ["spectrum", "--group-file", GROUP_FILE, "--tensor", TORUS2, "--max-eig", "40"], 0,
+        "dd651eb5c7318b9af03e5ea241ab24472ecbd6514eaca0ae7019cdbb5361f1d8",
+    ),
     "verify-paper": (
         ["verify-paper"], 0,
         "c5a1a06c86e0ca7d1dcb1ea250c0363ae2b09d9ee406a668c588e4eec52133a3",
@@ -94,6 +114,9 @@ RUNS = {
 @pytest.mark.parametrize("name", list(RUNS))
 def test_json_output_matches_golden_digest(name, tmp_path):
     argv, code, digest = RUNS[name]
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(TORUS2_GROUP))
+    argv = [str(group) if a == GROUP_FILE else a for a in argv]
     out = tmp_path / "out.json"
     assert main([*argv, "--format", "json", "--output", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

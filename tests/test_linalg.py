@@ -67,28 +67,6 @@ def test_identity_and_scalar():
     assert zero(2, 2).is_scalar(0)
 
 
-def test_scalar_offset():
-    a = IntMatrix.from_dense([[1, 2], [3, 0]], [[0, 1], [-1, 0]], 3)
-    eye = IntMatrix.identity(2)
-    # a + (5/6) I has den 6; over den 6 the diagonals differ by 5
-    assert (a + eye * Fraction(5, 6)).scalar_offset(a, 6) == 5
-    assert a.scalar_offset(a + eye * Fraction(5, 6), 12) == -10
-    assert a.scalar_offset(a, 3) == 0
-    # a zero diagonal entry is held as no entry at all
-    assert (a + eye * Fraction(-1, 3)).scalar_offset(a, 3) == -1
-    assert zero(2, 2).scalar_offset(eye * 4, 1) == -4
-    assert (a + diagonal([0, 1])).scalar_offset(a, 3) is None
-    assert (a + mat([[0, 0], [1, 0]])).scalar_offset(a, 3) is None
-    assert (a + IntMatrix.from_dense([[0, 0], [0, 0]], [[1, 0], [0, 1]])).scalar_offset(a, 3) is None
-    assert a.scalar_offset(eye, 3) is None
-    assert eye.scalar_offset(IntMatrix.identity(3), 1) is None
-    # entries past int64 once over the denominator
-    big = diagonal([10**18, 3 * 10**18])
-    assert (big + eye * Fraction(1, 7)).scalar_offset(big, 7) == 1
-    with pytest.raises(ValueError):
-        a.scalar_offset(a, 2)
-
-
 def test_matmul_against_dense():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])

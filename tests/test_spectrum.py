@@ -31,7 +31,7 @@ from lielap.irreps import (
     label,
     labels_up_to_level,
 )
-from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
+from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues, torus_scalar
 from fracpoly import Poly, from_int, gcd, primitive_int
 from test_irreps import character_descends
 from lielap.poly import (
@@ -1159,8 +1159,8 @@ def test_cutoff_decided_exactly_on_a_shifted_member():
 
 # SU(2) x T^2 over a central quotient that keeps odd spins off the weight
 # 0, under a tensor whose torus block makes the weight (1, 3) cheaper than
-# (1, 0), which comes first: (1; 1, 0) is proved above 27/5, and
-# (1; 1, 3), 3/10 below it, has the eigenvalue 26/5
+# (1, 0), which comes first: (1; 1, 3), 3/10 below (1; 1, 0), has the
+# eigenvalue 26/5, and (1; 1, 0) has 11/2, above 27/5
 TORUS2_SPEC = group_from_json({"k": 1, "n": 2, "central": [{"signs": [-1], "torus": ["1/2", "1/3"]}]})
 TORUS2 = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in [
     ["1", "1/7", "0", "0", "0"], ["1/7", "3/2", "0", "0", "0"], ["0", "0", "2", "0", "0"],
@@ -1196,16 +1196,43 @@ def test_skipped_labels_match_the_charpoly_route(case, monkeypatch):
     assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
 
 
-def test_a_proved_first_label_moves_only_upwards():
-    """A class whose first label is proved above the cutoff passes its
-    empty work on by t >= 0 only: a label below it does its own."""
+def test_the_least_scalar_label_does_its_class_work(monkeypatch):
+    """The class of the spins (1,) does its work on (1; 1, 3), its label
+    of least torus scalar, and not on its first label (1; 1, 0): that one
+    and (1; 1, 6) take the work moved by 21/70 and 105/70.  The table is
+    the one every label's own operator gives."""
     spec, tensor, cutoff = SKIP_CASES["torus2"]
+    labels = enumerate_irreps(spec, tensor, cutoff)
     works = {
-        w.label.weight: w
-        for w in label_work(spec, tensor, enumerate_irreps(spec, tensor, cutoff), cutoff)
-        if w.label.spins == (1,)
+        w.label.weight: w for w in label_work(spec, tensor, labels, cutoff) if w.label.spins == (1,)
     }
-    first, lower, higher = works[1, 0], works[1, 3], works[1, 6]
-    assert (first.split, first.shift) == ([], None)
-    assert lower.shift is None and [f for _, f, _ in lower.split] == [[-26, 5]]
-    assert (higher.split, higher.shift) == ([], 84)
+    assert next(iter(works)) == (1, 0)
+    first, least, higher = works[1, 0], works[1, 3], works[1, 6]
+    assert least.shift is None and [f for _, f, _ in least.split] == [[-26, 5]]
+    assert first.shift == 21 and [f for _, f, _ in first.split] == [[-11, 2]]
+    assert higher.shift == 105 and [f for _, f, _ in higher.split] == [[-67, 10]]
+    table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
+    monkeypatch.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
+    assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
+
+
+@pytest.mark.parametrize("case", ["berger", "su2xt1", "t3", "torus2"])
+def test_each_label_is_its_representative_plus_its_shift(case):
+    """In every class, each label's operator is exactly that of the label
+    with the least torus scalar (the first on a tie) plus t/den times the
+    identity, t >= 0 the difference of their scalars; that label's work
+    is not moved, and every other label's is moved by t."""
+    spec, tensor, cutoff = {**SHARED_CASES, **SKIP_CASES}[case]
+    den = tensor.integer_form[0]
+    labels = enumerate_irreps(spec, tensor, cutoff)
+    scalar = {lab: torus_scalar(spec, tensor, lab.weight) for lab in labels}
+    works = {w.label: w for w in label_work(spec, tensor, labels, cutoff)}
+    for spins in {lab.spins for lab in labels}:
+        members = [lab for lab in labels if lab.spins == spins]
+        rep = min(members, key=scalar.get)
+        minus_rep = build_DV(spec, rep, tensor).matrix * -1
+        for lab in members:
+            t = scalar[lab] - scalar[rep]
+            assert t >= 0
+            assert (build_DV(spec, lab, tensor).matrix + minus_rep).is_scalar(Fraction(t, den))
+            assert works[lab].shift == (None if lab == rep else t)

@@ -136,7 +136,7 @@ def test_traced_berger_spectrum_does_the_exact_work_once_per_class(monkeypatch):
     # same spins differ by a scalar, so one charpoly and at most one
     # squarefree split per tuple of spins with an eigenvalue at or below
     # the cutoff (from the closed form of perfbench/oracles.py), none for
-    # the others, and still one operator per label
+    # the others, and one operator per tuple of spins
     group = preset("u2")
     gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), 0], [0, 0, 0, 3]]
     tensor = metric_to_tensor(MetricSpec(gram))
@@ -160,7 +160,7 @@ def test_traced_berger_spectrum_does_the_exact_work_once_per_class(monkeypatch):
     assert table.entries
     assert (len(labels), classes, contributing) == (96, 15, 9)
     assert traced.values["linalg.charpoly_calls"] == contributing
-    assert traced.values["operator.build_DV_calls"] == len(labels)
+    assert traced.values["operator.build_DV_calls"] == classes
     assert 0 < len(splits) <= contributing
 
 
