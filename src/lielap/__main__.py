@@ -1,0 +1,8 @@
+"""`python -m lielap ...` runs the command-line interface (`lielap.cli`)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -206,23 +205,40 @@ def quaternionic_structure(m: int) -> QuaternionicStructure:
 # -- central characters and quotient descent ----------------------------------
 
 
+def _central_phases(spec: GroupSpec) -> list[tuple[int, list[int], list[int]]]:
+    """Per central element g: D = lcm(2, the denominators of g's torus
+    point t), the integer D/2 on each SU(2) factor that g negates and 0 on
+    the others, and the integers D t_i.  g acts on a label by the phase
+    #(odd spins on negated factors) / 2 + l . t, which is D times an
+    integer exactly when the label descends past g."""
+    out = []
+    for g in spec.central:
+        D = math.lcm(2, *(t.denominator for t in g.torus))
+        out.append((D, [D // 2 if s == -1 else 0 for s in g.signs], [int(t * D) for t in g.torus]))
+    return out
+
+
+def _spin_phases(phases, spins: tuple[int, ...]) -> tuple[int, ...]:
+    """D times the spins' part of each central phase, mod D."""
+    return tuple(sum(h for h, m in zip(halves, spins) if m % 2) % D for D, halves, _ in phases)
+
+
+def _weight_phases(phases, weight: tuple[int, ...]) -> tuple[int, ...]:
+    """Minus D times the weight's part of each central phase, mod D: equal
+    to `_spin_phases` exactly when the label descends."""
+    return tuple(-sum(c * l for c, l in zip(cs, weight)) % D for D, _, cs in phases)
+
+
 def descends_to_quotient(spec: GroupSpec, lab: IrrepLabel) -> bool:
     """True iff every central generator acts trivially: the sign factors
     contribute a half period when an odd number of odd spins meets -Id,
     the torus part contributes the phase l . t; descent means the total
-    phase is an integer.  Evaluated exactly over Fractions."""
+    phase is an integer.  Decided in integers, by the rule of
+    `labels_up_to_level`."""
     if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
         raise DomainError("label shape does not match the group")
-    for g in spec.central:
-        neg = sum(
-            1 for s, m in zip(g.signs, lab.spins) if s == -1 and m % 2
-        )
-        phase = Fraction(neg, 2) + sum(
-            (l * t for l, t in zip(lab.weight, g.torus)), Fraction(0)
-        )
-        if phase % 1 != 0:
-            return False
-    return True
+    phases = _central_phases(spec)
+    return _spin_phases(phases, lab.spins) == _weight_phases(phases, lab.weight)
 
 
 def _bounded_tuples(values, count: int, cost, budget) -> list[tuple[tuple[int, ...], int]]:
@@ -244,26 +260,30 @@ def labels_up_to_level(
     positive), deterministic order (Casimir value, then label tuple).
 
     The walk keeps the Casimir budget left to each coordinate, so with a
-    budget it visits the labels of the ball rather than the whole box;
-    only those are built and checked for descent."""
+    budget it visits the labels of the ball rather than the whole box.
+    Descent is decided on integers: per central element, D times the
+    phase mod D splits into a part of the spins and one of the weight
+    (`_central_phases`), so the weights are grouped by their part, and
+    each tuple of spins meets only the weights of its group that fit its
+    budget.  Only the labels kept are built."""
     if level < 0:
         raise DomainError("level must be nonnegative")
     budget = math.inf if casimir is None else casimir
+    phases = _central_phases(spec)
     spins = _bounded_tuples(range(level + 1), spec.k, lambda m: m * (m + 2), budget)
-    weights = sorted(
-        (
-            (w, c)
-            for w, c in _bounded_tuples(range(-level, level + 1), spec.n, lambda l: l * l, budget)
-            if next((l for l in w if l), 1) > 0
-        ),
+    # weight phases -> (weights, their costs), in increasing cost
+    groups: dict[tuple[int, ...], tuple[list, list]] = {}
+    for w, c in sorted(
+        _bounded_tuples(range(-level, level + 1), spec.n, lambda l: l * l, budget),
         key=lambda wc: wc[1],
-    )
-    costs = [c for _, c in weights]
+    ):
+        if next((l for l in w if l), 1) > 0:
+            ws, cs = groups.setdefault(_weight_phases(phases, w), ([], []))
+            ws.append(w)
+            cs.append(c)
     out = []
-    for s, cs in spins:
-        for w, cw in weights[:bisect_right(costs, budget - cs)]:
-            lab = IrrepLabel(s, w)
-            if descends_to_quotient(spec, lab):
-                out.append((cs + cw, lab))
-    out.sort(key=lambda x: (x[0], x[1].spins, x[1].weight))
-    return [lab for _, lab in out]
+    for s, c in spins:
+        ws, cs = groups.get(_spin_phases(phases, s), ((), ()))
+        out += [(c + cw, s, w) for w, cw in zip(ws, cs[:bisect_right(cs, budget - c)])]
+    out.sort()
+    return [IrrepLabel(s, w) for _, s, w in out]

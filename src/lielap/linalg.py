@@ -207,9 +207,19 @@ class IntMatrix:
         return IntMatrix(self.nrows, self.ncols, self.den, self.rows, self.cols, self.re, -self.im)
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        (a, b), (c, d) = self._dense(), other._dense()
-        return IntMatrix.from_dense(
-            np.kron(a, c) - np.kron(b, d), np.kron(a, d) + np.kron(b, c), self.den * other.den
+        """The Kronecker product, from the nonzero entries of both: entry
+        (i, j) of self times entry (p, q) of other is entry
+        (i P + p, j Q + q) of the product, (P, Q) the shape of other.  A
+        product of nonzero Gaussian integers is nonzero."""
+        rows = np.add.outer(self.rows * other.nrows, other.rows).ravel()
+        cols = np.add.outer(self.cols * other.ncols, other.cols).ravel()
+        order = np.lexsort((cols, rows))
+        a, b, c, d = (x.astype(object) for x in (self.re, self.im, other.re, other.im))
+        re = np.multiply.outer(a, c) - np.multiply.outer(b, d)
+        im = np.multiply.outer(a, d) + np.multiply.outer(b, c)
+        return IntMatrix._from_values(
+            self.nrows * other.nrows, self.ncols * other.ncols, self.den * other.den,
+            rows[order], cols[order], re.ravel()[order].tolist(), im.ravel()[order].tolist(),
         )
 
 

@@ -26,9 +26,13 @@ The pipeline:
      is cut the same way.  A class is the labels with one tuple of
      spins, on a tensor whose weight w enters D_V(s) only as (w S' w / d) I
      (`weight_is_scalar`, `torus_scalar`; S' = d S_TT, d the tensor's
-     denominator).  Its member with the least scalar does the work, and
-     every other takes it moved by t/d, t >= 0 the difference of the
-     scalars: its hints, squarefree factors and cells shifted.
+     denominator).  Its member with the least scalar does the work and
+     finds its roots (step 3), and every other takes them moved by t/d,
+     t >= 0 the difference of the scalars: an exact root r becomes
+     r + t/d, kept when it is <= L, where 2 q^2 ulp(float(r + t/d)) < 1
+     for its denominator q shows that step 3 would find it exactly too.
+     Only a factor with another root is shifted (`shift_primitive`) and
+     goes through step 3, from the moved hints and cells.
   3. Round every root <= L of every factor to the nearest double, from
      the hint in its cell, with exact signs at the midpoints between
      doubles; a factor whose cells the hints do not prove falls back to a
@@ -387,7 +391,8 @@ def real_roots(
 
     hints are approximate roots, such as the clustered eigenvalues that
     `eigvalsh` gives for the operator whose charpoly h divides; cells are
-    those `hint_cells(h, hints)` proved, when the caller has them.  Where
+    those `hint_cells(h, hints)` proved, when the caller has them, and ()
+    when the caller's proof failed, which is then not tried again.  Where
     the hints do not prove deg h cells, or none are given, a Sturm chain
     isolates the roots (`real_root_brackets`, its first cuts between the
     hints), and its brackets become cells without a hint; that route
@@ -405,7 +410,7 @@ def real_roots(
 
     if cells is None:
         cells = hint_cells(h, hints)
-    if cells is None:
+    if not cells:
         brackets = real_root_brackets(h, hints=hints)
         if len(brackets) != n:
             raise ArithmeticError(
@@ -456,7 +461,9 @@ def _coincident_roots(
 ) -> list[list[int]]:
     """The roots that are one number, as groups of indices into roots.
 
-    roots holds (index into factors, root) pairs.  Equal roots have one
+    roots holds (index into factors, root) pairs.  A factor is read only
+    for a root without an exact value, so it may be None where every root
+    of it is exact.  Equal roots have one
     nearest double, so the roots are put in buckets by their floats, and
     only roots of one bucket are compared.  Inside a bucket a root with an
     exact value joins the first root of that value through a dict; every
@@ -521,24 +528,27 @@ def root_hints(op: OperatorMatrix) -> list[float]:
 
 
 class LabelWork(NamedTuple):
-    """A label's exact work on the way to its roots.
+    """A label's exact work and its roots.
 
     split lists (multiplicity in the charpoly, primitive squarefree factor,
-    the factor's hint cells or None), and is empty on a label whose
-    spectrum is proved above the cutoff; shift is the integer t by which the
-    work was moved from the representative of its operator class, None
-    when it was done on the label's own operator.
+    the factor's hint cells, its roots at or below the cutoff), and is
+    empty on a label whose spectrum is proved above the cutoff.  The cells
+    are () where `hint_cells` did not prove them, None where they were not
+    tried, and the factor and cells are None on a piece whose roots were
+    all moved exactly from the representative of its operator class.  shift is the integer t by which
+    the work was moved from that representative, None when it was done on
+    the label's own operator.
     """
 
     label: IrrepLabel
     hints: list[float]
-    split: list[tuple[int, list[int], list | None]]
+    split: list[tuple[int, list[int] | None, list | None, list[Root]]]
     shift: int | None
 
 
 def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
-    """Hints, charpoly and squarefree split of the operator itself; no
-    split at all when the smallest hint lies above the cutoff and
+    """Hints, charpoly, squarefree split and roots of the operator itself;
+    no split at all when the smallest hint lies above the cutoff and
     `eigenvalues_above` proves that every eigenvalue does."""
     hints = root_hints(op)
     if hints and eigenvalues_above(op.matrix, norm_weights(op.label.spins), cutoff, hints[0]):
@@ -552,43 +562,70 @@ def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
         # its own squarefree split and Yun's gcd is skipped
         split = [(e, P, cells)]
     else:
-        split = [
-            (mult, f, hint_cells(f, hints) if len(f) > 2 else None)
-            for mult, f in multiplicity_profile(cp).entries
-        ]
-    return LabelWork(op.label, hints, split, None)
-
-
-def _shifted_work(rep: LabelWork, lab: IrrepLabel, t: int, den: int) -> LabelWork:
-    """rep's work moved to the label whose operator is rep's plus t/den
-    times the identity: every hint, factor and cell moved by t/den.
-
-    The split is that of the whole charpoly, which the shift carries over
-    whatever the label's type.  A quaternionic label has weight 0, whose
-    torus scalar 0 is the least of its class, so it is its class's
-    representative and is never moved."""
-    s, x = Fraction(t, den), t / den
-
-    def moved(f, cells):
-        # real_roots reads no cells for a linear factor
-        if cells is None or len(f) == 2:
-            return None
-        return [(a + s, b + s, h + x, sb) for a, b, h, sb in cells]
-
+        split = []
+        for mult, f in multiplicity_profile(cp).entries:
+            # a linear factor needs no cells, and P itself failed just now
+            cells = hint_cells(f, hints) if len(f) > 2 and f != P else None
+            split.append((mult, f, cells or ()))
     return LabelWork(
-        lab,
-        [h + x for h in rep.hints],
-        [(mult, shift_primitive(f, t, den), moved(f, cells)) for mult, f, cells in rep.split],
-        t,
+        op.label,
+        hints,
+        [(mult, f, cells, real_roots(f, cutoff, hints, cells)) for mult, f, cells in split],
+        None,
     )
+
+
+def _moves_exactly(v: Fraction) -> bool:
+    """Whether `_round` gives the rational root v = p/q of a primitive
+    integer factor exactly, as Root(float(v), v, v, v), from any cell:
+    2 q^2 ulp(float(v)) < 1, the bound of its docstring, since q divides
+    the factor's leading coefficient."""
+    un, ud = math.ulp(float(v)).as_integer_ratio()
+    return 2 * v.denominator**2 * un < ud
+
+
+def _shifted_work(
+    rep: LabelWork, lab: IrrepLabel, t: int, den: int, cutoff: Fraction
+) -> LabelWork:
+    """rep's work moved to the label whose operator is rep's plus t/den
+    times the identity.
+
+    A factor whose listed roots have exact values moves them: each
+    r + t/den at or below the cutoff is kept, with no factor, where
+    `_moves_exactly` shows that `real_roots` would find it exactly.  A
+    root without an exact value does not stop the move when its bracket
+    (lo, hi] moved by t/den lies above the cutoff.  Any other factor is
+    shifted by t/den (`shift_primitive`) and its roots are
+    found as on the label's own split, from the hints and hint cells moved
+    by t/den.  t >= 0, so the roots the member keeps are among those rep
+    listed.  The split is that of the whole charpoly, which the shift
+    carries over whatever the label's type.  A quaternionic label has
+    weight 0, whose torus scalar 0 is the least of its class, so it is its
+    class's representative and is never moved."""
+    s, x = Fraction(t, den), t / den
+    hints = [h + x for h in rep.hints]
+    split = []
+    for mult, f, cells, roots in rep.split:
+        # a root without an exact value above lo moves past the cutoff
+        # when lo does
+        if all(r.exact is not None or r.lo + s >= cutoff for r in roots):
+            kept = [r.exact + s for r in roots if r.exact is not None and r.exact + s <= cutoff]
+            if all(map(_moves_exactly, kept)):
+                split.append((mult, None, None, [Root(float(v), v, v, v) for v in kept]))
+                continue
+        g = shift_primitive(f, t, den)
+        # a failed proof on f is tried again on g, at the moved hints
+        moved = [(a + s, b + s, h + x, sb) for a, b, h, sb in cells] if cells else None
+        split.append((mult, g, moved, real_roots(g, cutoff, hints, moved)))
+    return LabelWork(lab, hints, split, t)
 
 
 def label_work(
     spec: GroupSpec, tensor: SymTensor, labels: list[IrrepLabel], cutoff
 ) -> Iterator[LabelWork]:
-    """Each label's exact work, in the order of labels, done once per
-    operator class; none on a label proved to have no eigenvalue at or
-    below the cutoff.
+    """Each label's exact work and roots at or below the cutoff, in the
+    order of labels, done once per operator class; none on a label proved
+    to have no eigenvalue at or below the cutoff.
 
     Where the weight enters D_V(s) only as a scalar (`weight_is_scalar`),
     the representative of each tuple of spins is its label with the least
@@ -596,9 +633,12 @@ def label_work(
     (through polycert.build_DV, the name perfbench/tracer.py wraps), and
     it does the work (`_direct_work`); every other label with its spins
     takes that work moved by t/den, t >= 0 the difference of their
-    scalars (`_shifted_work`), so a representative proved above the
-    cutoff proves them all.  On any other tensor each label does its own.
+    scalars (`_shifted_work`): its exact roots move, and only a factor
+    with another root is shifted and isolated again.  A representative
+    proved above the cutoff proves its class.  On any other tensor each
+    label does its own.
     """
+    cutoff = Fraction(cutoff)
     if not weight_is_scalar(spec, tensor):
         for lab in labels:
             yield _direct_work(polycert.build_DV(spec, lab, tensor), cutoff)
@@ -614,21 +654,25 @@ def label_work(
         r = rep[lab.spins]
         if r not in done:
             done[r] = _direct_work(polycert.build_DV(spec, r, tensor), cutoff)
-        yield done[r] if lab == r else _shifted_work(done[r], lab, scalar[lab] - scalar[r], den)
+        if lab == r:
+            yield done[r]
+        else:
+            yield _shifted_work(done[r], lab, scalar[lab] - scalar[r], den, cutoff)
 
 
 def assemble_spectrum(spec: GroupSpec, tensor: SymTensor, cutoff) -> SpectrumTable:
     cutoff = Fraction(cutoff)
     labels = enumerate_irreps(spec, tensor, cutoff)
 
-    # (label, class multiplicity, squarefree factor); a quaternionic
-    # label's profile is taken on its checked Kramers root
+    # (label, class multiplicity, squarefree factor or None), in label
+    # order; a quaternionic label's profile is taken on its checked
+    # Kramers root
     pieces = []
     # (index into pieces, root)
     roots = []
     for work in label_work(spec, tensor, labels, cutoff):
-        for mult, f, cells in work.split:
-            roots += [(len(pieces), r) for r in real_roots(f, cutoff, work.hints, cells)]
+        for mult, f, _, found in work.split:
+            roots += [(len(pieces), r) for r in found]
             pieces.append((work.label, mult, f))
     factors = [factor for _, _, factor in pieces]
 

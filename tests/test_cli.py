@@ -481,3 +481,15 @@ def test_package_names_are_imported_on_first_use():
     assert same and unknown
     homes = [name for names in lielap._HOMES.values() for name in names]
     assert lielap.__all__ == sorted(set(homes)) and len(homes) == len(set(homes))
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the README's quick start: a checkout's src/ on PYTHONPATH, no install
+    src = str(Path(lielap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lielap", "spectrum", "--group", "so3", "--max-eig", "8"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("group so3  cutoff 8")

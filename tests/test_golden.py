@@ -10,7 +10,9 @@ spectrum documents; nothing else in them changed.  The t3 spectrum's
 digest was taken before coincidences were keyed by each root's nearest
 double: its 86 entries are rational roots shared by up to 72 labels.
 The two torus2 digests were taken before each operator class did its
-work on its member of least torus scalar instead of its first label.
+work on its member of least torus scalar instead of its first label, and
+the Berger digest at cutoff 300 before class members moved their
+representative's exact roots instead of shifting its factors.
 Each run writes its JSON document with --output and the file's bytes
 are hashed; the exit code is pinned too.
 """
@@ -79,6 +81,10 @@ RUNS = {
     "spectrum-berger": (
         ["spectrum", "--group", "u2", "--gram", BERGER, "--max-eig", "80"], 0,
         "a104c5bb5e2f3a44610cc96867fd95dc86f4d0f73013ab7dbb892ae13f740635",
+    ),
+    "spectrum-berger-300": (
+        ["spectrum", "--group", "u2", "--gram", BERGER, "--max-eig", "300"], 0,
+        "193b019d11194298d9faf39c25f6f7fea9408d9ea6af8d04ad9127b3156ba250",
     ),
     "spectrum-generic-0": (
         ["spectrum", "--group", "spin4", "--tensor", GENERIC_0, "--max-eig", "1779/64"], 0,

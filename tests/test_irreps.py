@@ -1,11 +1,12 @@
 """Representation data: generator relations, types, duality, descent."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lielap.algebra_core import build_group_spec, identity_tensor, preset
+from lielap.algebra_core import build_group_spec, group_from_json, identity_tensor, preset
 from lielap.errors import DomainError
 from lielap.irreps import (
     IrrepLabel,
@@ -200,6 +201,42 @@ def test_descent_matches_character_oracle(name):
         for weight in weights_list:
             lab = label(spins, weight)
             assert descends_to_quotient(spec, lab) == character_descends(spec, lab)
+
+
+# --group-file groups whose central elements carry torus points
+TORUS_POINT_GROUPS = [
+    {"k": 1, "n": 2, "central": [{"signs": [-1], "torus": ["1/2", "1/3"]}]},
+    {"k": 2, "n": 1, "central": [{"signs": [-1, 1], "torus": ["1/2"]},
+                                 {"signs": [1, -1], "torus": ["2/5"]}]},
+    {"k": 1, "n": 2, "central": [{"signs": [1], "torus": ["1/3", "2/5"]}]},
+    {"k": 0, "n": 2, "central": [{"signs": [], "torus": ["2/5", "7/3"]}]},
+    {"k": 3, "n": 1, "central": [{"signs": [-1, -1, 1], "torus": ["5/6"]},
+                                 {"signs": [1, -1, -1], "torus": ["0"]}]},
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [preset(name) for name in ("so3", "u2", "so4")] + [group_from_json(d) for d in TORUS_POINT_GROUPS],
+    ids=lambda spec: spec.display_name,
+)
+def test_one_integer_descent_rule_matches_the_character_oracle(spec):
+    """descends_to_quotient and the walk of labels_up_to_level decide
+    descent on integers by one rule; both agree with the Fraction phases of
+    character_descends, on random labels and on every label of a box."""
+    rng = random.Random(spec.k * 10 + spec.n)
+    for _ in range(400):
+        lab = label(
+            [rng.randint(0, 11) for _ in range(spec.k)], [rng.randint(-15, 15) for _ in range(spec.n)]
+        )
+        assert descends_to_quotient(spec, lab) == character_descends(spec, lab)
+    free = build_group_spec(spec.k, spec.n)
+    for level in (0, 1, 3, 5):
+        for budget in (None, 7, 30):
+            assert labels_up_to_level(spec, level, casimir=budget) == [
+                lab for lab in labels_up_to_level(free, level, casimir=budget)
+                if character_descends(spec, lab)
+            ]
 
 
 def test_so3_keeps_even_spins():

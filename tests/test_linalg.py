@@ -93,6 +93,40 @@ def test_kron_mixed_product():
     assert (a @ c).kron(b @ d) == (a.kron(b)) @ (c.kron(d))
 
 
+def _dense_kron(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The Kronecker product through np.kron on dense object arrays."""
+    (a, b), (c, d) = x._dense(), y._dense()
+    return IntMatrix.from_dense(np.kron(a, c) - np.kron(b, d), np.kron(a, d) + np.kron(b, c), x.den * y.den)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kron_matches_dense_kron(seed):
+    """The sparse Kronecker product has the entries, order, denominator
+    and dtype of np.kron on dense arrays, on rectangular, empty and
+    Gaussian factors, with entries past int64 too."""
+    rng = random.Random(seed)
+
+    def draw() -> IntMatrix:
+        shape = (rng.randint(0, 4), rng.randint(0, 4))
+        top = rng.choice((3, 2**31, 2**70))
+
+        def part():
+            return np.array(
+                [rng.randint(-top, top) if rng.random() < 0.4 else 0
+                 for _ in range(shape[0] * shape[1])],
+                dtype=object,
+            ).reshape(shape)
+
+        return IntMatrix.from_dense(part(), part() if rng.random() < 0.5 else None, rng.randint(1, 6))
+
+    for _ in range(4):
+        x, y = draw(), draw()
+        got, want = x.kron(y), _dense_kron(x, y)
+        assert got == want
+        assert (got.nrows, got.ncols) == (x.nrows * y.nrows, x.ncols * y.ncols)
+        assert (got.re.dtype, got.im.dtype) == (want.re.dtype, want.im.dtype)
+
+
 def test_charpoly_2x2():
     # [[2, 1], [1/2, 0]] over den 2: 2M has trace 4, det -2 -> X^2 - 4X - 2
     m = mat([[2, 1], [Fraction(1, 2), 0]])

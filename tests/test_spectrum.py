@@ -22,7 +22,7 @@ from lielap.algebra_core import (
     metric_to_tensor,
     preset,
 )
-from lielap import algebra_core, spectrum
+from lielap import algebra_core, polycert, spectrum
 from lielap.errors import DomainError
 from lielap.irreps import (
     classify_type,
@@ -1077,6 +1077,39 @@ def test_bad_hints_give_the_same_roots(bad, monkeypatch):
         assert fell_back > 0
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_a_failed_hint_cell_proof_is_not_tried_again(every, monkeypatch):
+    """On the swap-symmetric su2 x su2 spectrum at cutoff 40, with its
+    hints and with every other hint dropped, so that proofs fail, no label
+    runs `hint_cells` twice on one factor with one set of hints: a factor
+    whose proof failed goes straight to the Sturm route.  Calls are told
+    apart by label from the operator each label builds first.  (The
+    labels (m, m') and (m', m) have one charpoly and one set of hints, so
+    the same pair does recur across labels.)  The table is unchanged."""
+    group, cutoff = preset("su2xsu2"), Fraction(40)
+    table = table_to_json(assemble_spectrum(group, SWAP, cutoff))
+    hints_of, prove, build = spectrum.root_hints, spectrum.hint_cells, polycert.build_DV
+    calls: list[list] = []
+
+    def counted(h, hints):
+        out = prove(h, hints)
+        calls[-1].append((tuple(h), tuple(hints), out is None))
+        return out
+
+    def built(*args):
+        calls.append([])
+        return build(*args)
+
+    monkeypatch.setattr(spectrum, "root_hints", lambda op: hints_of(op)[::every])
+    monkeypatch.setattr(spectrum, "hint_cells", counted)
+    monkeypatch.setattr(polycert, "build_DV", built)
+    assert table_to_json(assemble_spectrum(group, SWAP, cutoff)) == table
+    assert len(calls) == len(enumerate_irreps(group, SWAP, cutoff))
+    for label_calls in calls:
+        assert len({c[:2] for c in label_calls}) == len(label_calls)
+    assert any(c[2] for label_calls in calls for c in label_calls) == (every == 2)
+
+
 def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
     sturm = _count_sturm(monkeypatch)
     for spec, tensor, cutoff in (FIXED_CASES[k] for k in ("generic-0", "generic-1", "berger")):
@@ -1097,39 +1130,77 @@ SU2_T1 = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in [
 U2_CROSS = metric_to_tensor(MetricSpec(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(2, 3), Fraction(1, 5)], [0, 0, Fraction(1, 5), 3]]
 ))
+# u2 with a torus entry over the denominator N = 10^8 + 7: a member's
+# moved exact roots have denominators near 10^8, past 2 q^2 ulp < 1, so
+# its factors are shifted and isolated again, and its nonlinear factors'
+# roots come out inexact
+BIG_DEN = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in [
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, Fraction(3, 2), 0], [0, 0, 0, 1 + Fraction(1, 10**8 + 7)],
+]))
 SHARED_CASES = {
     "berger": (preset("u2"), BERGER, Fraction(80)),
     "su2xt1": (build_group_spec(1, 1), SU2_T1, Fraction(30)),
     "t3": (preset("t3"), identity_tensor(3), Fraction(20)),
     "u2-cross": (preset("u2"), U2_CROSS, Fraction(40)),
+    "u2-big-den": (preset("u2"), BIG_DEN, Fraction(40)),
 }
+
+
+def _label_roots(work) -> list:
+    """(multiplicity, root) over a label's work, in its order."""
+    return [(mult, r) for mult, _, _, roots in work.split for r in roots]
+
+
+def _direct_works(spec, tensor, labels, cutoff, monkeypatch) -> list:
+    """Each label's work on its own operator: the oracle of moved work."""
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
+        works = list(label_work(spec, tensor, labels, cutoff))
+    assert all(w.shift is None for w in works)
+    return works
 
 
 @pytest.mark.parametrize("case", list(SHARED_CASES))
 def test_shared_work_matches_the_direct_route(case, monkeypatch):
-    """Every label's squarefree split, where it was moved from its class's
-    first label, is Yun's on the charpoly of its own operator, and a label
-    with no split has no root at or below the cutoff; every shifted hint
-    cell holds one root of its factor; the table is the one the direct
-    route gives."""
+    """Every label's roots at or below the cutoff, each with its value,
+    exact value and bracket, and its multiplicity, are those its own
+    operator gives, where its work was moved from its class's
+    representative; a piece moved without a factor has only exact roots,
+    and a shifted factor is one of the label's own; the table is the one
+    the direct route gives."""
     spec, tensor, cutoff = SHARED_CASES[case]
     labels = enumerate_irreps(spec, tensor, cutoff)
     works = list(label_work(spec, tensor, labels, cutoff))
-    assert [w.label for w in works] == labels
-    for w in works:
-        profile = multiplicity_profile(char_poly_of(spec, w.label, tensor)).entries
-        if not w.split:
-            assert not any(real_roots(f, cutoff) for _, f in profile)
+    direct = _direct_works(spec, tensor, labels, cutoff, monkeypatch)
+    assert [w.label for w in works] == [w.label for w in direct] == labels
+    pieces = {"moved": 0, "shifted": 0}
+    for w, d in zip(works, direct):
+        assert _label_roots(w) == _label_roots(d)
+        if w.shift is None:
             continue
-        assert [(m, f) for m, f, _ in w.split] == list(profile)
-        for _, f, cells in w.split:
-            for a, b, _, sb in cells or ():
-                assert int_sign_at(f, b) == sb and int_sign_at(f, a) == -sb
-    shared = [w for w in works if w.shift is not None]
+        own = [f for _, f, _, _ in d.split]
+        for _, f, cells, roots in w.split:
+            if f is None:
+                assert cells is None and all(r.exact is not None for r in roots)
+                pieces["moved"] += 1
+            else:
+                # a label proved above the cutoff has no split of its own
+                assert f in own or not own
+                # every moved hint cell holds one root of the shifted factor
+                for a, b, _, sb in cells or ():
+                    assert int_sign_at(f, b) == sb and int_sign_at(f, a) == -sb
+                pieces["shifted"] += 1
     if case == "u2-cross":
-        assert shared == []
+        assert pieces == {"moved": 0, "shifted": 0}
+    elif case == "u2-big-den":
+        assert pieces["shifted"] and any(
+            r.exact is None for w in works if w.shift for _, f, _, rs in w.split if f for r in rs
+        )
     else:
-        assert shared
+        assert pieces["moved"]
+    if case in ("berger", "t3"):
+        # every root of these spectra is rational with a small denominator
+        assert not pieces["shifted"]
     if case == "su2xt1":
         # one class mixes quaternionic and complex labels
         types = {}
@@ -1138,7 +1209,6 @@ def test_shared_work_matches_the_direct_route(case, monkeypatch):
         assert any(len(t) > 1 for t in types.values())
     table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
     monkeypatch.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
-    assert all(w.shift is None for w in label_work(spec, tensor, labels, cutoff))
     assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
 
 
@@ -1199,21 +1269,29 @@ def test_skipped_labels_match_the_charpoly_route(case, monkeypatch):
 def test_the_least_scalar_label_does_its_class_work(monkeypatch):
     """The class of the spins (1,) does its work on (1; 1, 3), its label
     of least torus scalar, and not on its first label (1; 1, 0): that one
-    and (1; 1, 6) take the work moved by 21/70 and 105/70.  The table is
-    the one every label's own operator gives."""
-    spec, tensor, cutoff = SKIP_CASES["torus2"]
-    labels = enumerate_irreps(spec, tensor, cutoff)
-    works = {
-        w.label.weight: w for w in label_work(spec, tensor, labels, cutoff) if w.label.spins == (1,)
-    }
-    assert next(iter(works)) == (1, 0)
-    first, least, higher = works[1, 0], works[1, 3], works[1, 6]
-    assert least.shift is None and [f for _, f, _ in least.split] == [[-26, 5]]
-    assert first.shift == 21 and [f for _, f, _ in first.split] == [[-11, 2]]
-    assert higher.shift == 105 and [f for _, f, _ in higher.split] == [[-67, 10]]
-    table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
-    monkeypatch.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
-    assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
+    and (1; 1, 6) take the work moved by 21/70 and 105/70.  At 27/5 the
+    root 26/5 moves to 11/2 and 67/10, above the cutoff, and at 40 it is
+    kept; each member's roots are those its own operator gives, and the
+    table is the one every label's own operator gives."""
+    spec, tensor, _ = SKIP_CASES["torus2"]
+    for cutoff, kept in ((Fraction(27, 5), []), (Fraction(40), [Fraction(11, 2), Fraction(67, 10)])):
+        labels = enumerate_irreps(spec, tensor, cutoff)
+        works = {w.label: w for w in label_work(spec, tensor, labels, cutoff)}
+        direct = {w.label: w for w in _direct_works(spec, tensor, labels, cutoff, monkeypatch)}
+        spin1 = [lab.weight for lab in labels if lab.spins == (1,)]
+        assert spin1[0] == (1, 0)
+        first, least, higher = (works[label((1,), w)] for w in ((1, 0), (1, 3), (1, 6)))
+        assert least.shift is None and [r.exact for _, r in _label_roots(least)] == [Fraction(26, 5)]
+        assert first.shift == 21 and higher.shift == 105
+        # the roots move without a factor
+        assert [f for w in (first, higher) for _, f, _, _ in w.split] == [None, None]
+        assert [r.exact for w in (first, higher) for _, r in _label_roots(w)] == kept
+        for lab, w in works.items():
+            assert _label_roots(w) == _label_roots(direct[lab])
+        table = table_to_json(assemble_spectrum(spec, tensor, cutoff))
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "weight_is_scalar", lambda spec, tensor: False)
+            assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
 
 
 @pytest.mark.parametrize("case", ["berger", "su2xt1", "t3", "torus2"])
