@@ -533,11 +533,11 @@ class LabelWork(NamedTuple):
     split lists (multiplicity in the charpoly, primitive squarefree factor,
     the factor's hint cells, its roots at or below the cutoff), and is
     empty on a label whose spectrum is proved above the cutoff.  The cells
-    are () where `hint_cells` did not prove them, None where they were not
-    tried, and the factor and cells are None on a piece whose roots were
-    all moved exactly from the representative of its operator class.  shift is the integer t by which
-    the work was moved from that representative, None when it was done on
-    the label's own operator.
+    are () on a linear factor and where `hint_cells` did not prove them,
+    and the factor and cells are None on a piece whose roots were all
+    moved exactly from the representative of its operator class.  shift
+    is the integer t by which the work was moved from that representative,
+    None when it was done on the label's own operator.
     """
 
     label: IrrepLabel
@@ -590,15 +590,13 @@ def _shifted_work(
     """rep's work moved to the label whose operator is rep's plus t/den
     times the identity.
 
-    A factor whose listed roots have exact values moves them: each
+    A factor whose listed roots all have exact values moves them: each
     r + t/den at or below the cutoff is kept, with no factor, where
-    `_moves_exactly` shows that `real_roots` would find it exactly.  A
-    root without an exact value does not stop the move when its bracket
-    (lo, hi] moved by t/den lies above the cutoff.  Any other factor is
-    shifted by t/den (`shift_primitive`) and its roots are
+    `_moves_exactly` shows that `real_roots` would find it exactly.  Any
+    other factor is shifted by t/den (`shift_primitive`) and its roots are
     found as on the label's own split, from the hints and hint cells moved
-    by t/den.  t >= 0, so the roots the member keeps are among those rep
-    listed.  The split is that of the whole charpoly, which the shift
+    by t/den; a proof that failed on rep's factor is not tried again.
+    t >= 0, so the roots the member keeps are among those rep listed.  The split is that of the whole charpoly, which the shift
     carries over whatever the label's type.  A quaternionic label has
     weight 0, whose torus scalar 0 is the least of its class, so it is its
     class's representative and is never moved."""
@@ -606,16 +604,14 @@ def _shifted_work(
     hints = [h + x for h in rep.hints]
     split = []
     for mult, f, cells, roots in rep.split:
-        # a root without an exact value above lo moves past the cutoff
-        # when lo does
-        if all(r.exact is not None or r.lo + s >= cutoff for r in roots):
-            kept = [r.exact + s for r in roots if r.exact is not None and r.exact + s <= cutoff]
+        if all(r.exact is not None for r in roots):
+            kept = [r.exact + s for r in roots if r.exact + s <= cutoff]
             if all(map(_moves_exactly, kept)):
                 split.append((mult, None, None, [Root(float(v), v, v, v) for v in kept]))
                 continue
         g = shift_primitive(f, t, den)
-        # a failed proof on f is tried again on g, at the moved hints
-        moved = [(a + s, b + s, h + x, sb) for a, b, h, sb in cells] if cells else None
+        # () for a linear factor or a failed proof, which stays failed
+        moved = [(a + s, b + s, h + x, sb) for a, b, h, sb in cells]
         split.append((mult, g, moved, real_roots(g, cutoff, hints, moved)))
     return LabelWork(lab, hints, split, t)
 

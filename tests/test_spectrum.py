@@ -1078,36 +1078,61 @@ def test_bad_hints_give_the_same_roots(bad, monkeypatch):
 
 
 @pytest.mark.parametrize("every", [1, 2])
-def test_a_failed_hint_cell_proof_is_not_tried_again(every, monkeypatch):
-    """On the swap-symmetric su2 x su2 spectrum at cutoff 40, with its
-    hints and with every other hint dropped, so that proofs fail, no label
-    runs `hint_cells` twice on one factor with one set of hints: a factor
-    whose proof failed goes straight to the Sturm route.  Calls are told
-    apart by label from the operator each label builds first.  (The
-    labels (m, m') and (m', m) have one charpoly and one set of hints, so
-    the same pair does recur across labels.)  The table is unchanged."""
-    group, cutoff = preset("su2xsu2"), Fraction(40)
-    table = table_to_json(assemble_spectrum(group, SWAP, cutoff))
+@pytest.mark.parametrize("case", ["swap", "su2xt1"])
+def test_a_failed_hint_cell_proof_is_not_tried_again(case, every, monkeypatch):
+    """With a spectrum's hints and with every other hint dropped, so that
+    proofs fail, no label runs `hint_cells` twice on one factor with one
+    set of hints: a factor whose proof failed goes straight to the Sturm
+    route.  Calls are told apart by label from the operator each label
+    builds first.  (On the swap-symmetric su2 x su2 tensor at cutoff 40,
+    the labels (m, m') and (m', m) have one charpoly and one set of hints,
+    so the same pair does recur across labels.)  A class member (su2 x T^1)
+    runs no proof at all: it moves the cells its representative proved,
+    and a factor whose proof failed there takes the Sturm route.  The table
+    is unchanged."""
+    group, tensor, cutoff = {
+        "swap": (preset("su2xsu2"), SWAP, Fraction(40)),
+        "su2xt1": SHARED_CASES["su2xt1"],
+    }[case]
+    table = table_to_json(assemble_spectrum(group, tensor, cutoff))
     hints_of, prove, build = spectrum.root_hints, spectrum.hint_cells, polycert.build_DV
+    shifted = spectrum._shifted_work
     calls: list[list] = []
+    # the split of each member, None while it runs, and the hint_cells
+    # calls members made
+    members: list[list | None] = []
+    member_calls: list = []
 
     def counted(h, hints):
         out = prove(h, hints)
-        calls[-1].append((tuple(h), tuple(hints), out is None))
+        (member_calls if members and members[-1] is None else calls[-1]).append(
+            (tuple(h), tuple(hints), out is None)
+        )
         return out
 
     def built(*args):
         calls.append([])
         return build(*args)
 
+    def moved_work(*args):
+        members.append(None)
+        work = shifted(*args)
+        members[-1] = work.split
+        return work
+
     monkeypatch.setattr(spectrum, "root_hints", lambda op: hints_of(op)[::every])
     monkeypatch.setattr(spectrum, "hint_cells", counted)
     monkeypatch.setattr(polycert, "build_DV", built)
-    assert table_to_json(assemble_spectrum(group, SWAP, cutoff)) == table
-    assert len(calls) == len(enumerate_irreps(group, SWAP, cutoff))
+    monkeypatch.setattr(spectrum, "_shifted_work", moved_work)
+    assert table_to_json(assemble_spectrum(group, tensor, cutoff)) == table
+    assert len(calls) + len(members) == len(enumerate_irreps(group, tensor, cutoff))
     for label_calls in calls:
         assert len({c[:2] for c in label_calls}) == len(label_calls)
     assert any(c[2] for label_calls in calls for c in label_calls) == (every == 2)
+    assert member_calls == []
+    # members shifted a factor of degree > 1 whose proof failed
+    sturm = [f for split in members for _, f, cells, _ in split if f and len(f) > 2 and not cells]
+    assert bool(sturm) == (case == "su2xt1" and every == 2)
 
 
 def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
@@ -1187,7 +1212,7 @@ def test_shared_work_matches_the_direct_route(case, monkeypatch):
                 # a label proved above the cutoff has no split of its own
                 assert f in own or not own
                 # every moved hint cell holds one root of the shifted factor
-                for a, b, _, sb in cells or ():
+                for a, b, _, sb in cells:
                     assert int_sign_at(f, b) == sb and int_sign_at(f, a) == -sb
                 pieces["shifted"] += 1
     if case == "u2-cross":
