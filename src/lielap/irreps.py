@@ -79,7 +79,8 @@ def dual_label(lab: IrrepLabel) -> IrrepLabel:
 
 
 def is_self_dual(lab: IrrepLabel) -> bool:
-    return lab == dual_label(lab)
+    """Whether the label is its own dual: its weight is 0."""
+    return not any(lab.weight)
 
 
 def classify_type(lab: IrrepLabel) -> str:

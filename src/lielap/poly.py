@@ -6,8 +6,9 @@ remainder sequence (contents stripped first), which keeps intermediate
 coefficient growth polynomial instead of exponential; the Sylvester
 determinant and the Fraction arithmetic that cross-check it live in the
 tests.  The gcd, exact division and squarefree decomposition work on
-primitive lists (`int_gcd`, `int_div_exact`), and real roots are isolated
-by an integer Sturm chain whose signs are taken at dyadic points.
+primitive lists (`int_gcd`, `int_div_exact`).  The gcd and the integer
+Sturm chain that isolates real roots, with signs taken at dyadic points,
+read one primitive remainder sequence.
 
 `IntPoly` carries a characteristic polynomial without a single Fraction.
 An operator D = A / den with A integral has the monic integer charpoly
@@ -189,16 +190,33 @@ def resultant(A: Sequence[int], B: Sequence[int]) -> int:
     return s * t * res
 
 
+def _remainder_sequence(A: Sequence[int], B: Sequence[int]) -> list[list[int]]:
+    """A, B, then the negated remainder of each two members before, up to
+    the last nonzero one, each divided by its positive content.  Positive
+    constants keep every sign that of the classical sequence over Q, so
+    for B = A' it is a Sturm chain; the last member is gcd(A, B) up to a
+    constant."""
+    seq: list[list[int]] = []
+    r = _strip(list(A))
+    while r:
+        g = _content(r)
+        seq.append([c // g for c in r])
+        if len(seq) == 1:
+            r = _strip(list(B))
+            continue
+        a, b = seq[-2:]
+        r = _prem(a, b)
+        # _prem scales the remainder by lc(b)^(deg a - deg b + 1)
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+    return seq
+
+
 def int_gcd(A: Sequence[int], B: Sequence[int]) -> list[int]:
-    """Primitive positive-lc gcd of two integer polynomials (primitive PRS)."""
-    A, B = _primitive(A), _primitive(B)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        if len(B) == 1:
-            return [1]
-        A, B = B, _primitive(_prem(A, B))
-    return A
+    """Primitive positive-lc gcd of two integer polynomials."""
+    # the sequence from A = 0 is empty
+    seq = _remainder_sequence(A, B) or _remainder_sequence(B, A)
+    return _primitive(seq[-1]) if seq else []
 
 
 def int_div_exact(A: Sequence[int], B: Sequence[int]) -> list[int]:
@@ -270,38 +288,16 @@ def squarefree_decomposition(cs: Sequence[int]) -> list[tuple[int, list[int]]]:
 # -- Sturm chains and real root isolation -------------------------------------
 
 
-def _primitive_signed(cs: list[int]) -> list[int]:
-    """Divide by the positive integer content; the sign pattern is kept."""
-    g = _content(cs)
-    if not g:
-        return []
-    return [c // g for c in cs]
-
-
 def sturm_chain(cs: Sequence[int]) -> list[list[int]]:
-    """Integer Sturm chain of a squarefree integer polynomial.
+    """Integer Sturm chain of a squarefree integer polynomial: its
+    `_remainder_sequence` with its derivative.
 
     Members are scaled by positive constants only, so sign variation
     counts at any rational point are those of the classical chain.
     """
-    a = _primitive_signed(_strip(list(cs)))
-    chain = [a]
-    if _deg(a) <= 0:
-        return chain
-    b = _primitive_signed(_strip([i * a[i] for i in range(1, len(a))]))
-    chain.append(b)
-    while _deg(b) > 0:
-        e = _deg(a) - _deg(b) + 1
-        r = _prem(a, b)
-        if not r:
-            raise ValueError("sturm chain needs a squarefree polynomial")
-        # _prem scales by lc(b)^e; an odd power of a negative leader would
-        # flip the remainder's orientation
-        if b[-1] < 0 and e % 2:
-            r = [-x for x in r]
-        r = _primitive_signed([-x for x in r])
-        a, b = b, r
-        chain.append(b)
+    chain = _remainder_sequence(cs, derivative(cs))
+    if not chain or _deg(chain[-1]) > 0:
+        raise ValueError("sturm chain needs a squarefree polynomial")
     return chain
 
 
@@ -370,13 +366,28 @@ def root_bound(cs: Sequence[int]) -> int:
     return 1 << (1 + max(e, 0))
 
 
+def hint_cuts(hints, bound: int) -> list[tuple[float, float]]:
+    """The cuts between approximate roots, in increasing order, each with
+    the hint above it: (c, v) for each two consecutive finite hints u < v
+    (sorted) whose float midpoint c lies strictly between them and strictly
+    between -bound and bound.  Both root isolations cut here: the
+    hint-sign proof of `spectrum.hint_cells` and `real_root_brackets`."""
+    finite = sorted(x for x in hints if math.isfinite(x))
+    # int-float comparisons are exact
+    return [
+        (c, v)
+        for u, v in zip(finite, finite[1:])
+        if u < (c := (u + v) / 2) < v and -bound < c < bound
+    ]
+
+
 def real_root_brackets(p: Sequence[int], hints=None) -> list[tuple[Fraction, Fraction]]:
     """Isolating half-open intervals (a, b], one per distinct real root of
     a squarefree integer polynomial p, in increasing order.  Complex pairs are simply absent:
     the caller compares the count against the degree when all roots must
     be real.
 
-    `hints` may carry approximate root locations (floats); cut points
+    `hints` may carry approximate root locations (floats); the `hint_cuts`
     between them pre-split the search so most cells are confirmed with a
     single variation count.  Wrong hints cost extra splits, never roots.
 
@@ -395,17 +406,8 @@ def real_root_brackets(p: Sequence[int], hints=None) -> list[tuple[Fraction, Fra
         m, k = cut
         return _variations(sign_at_dyadic(f, m, k) for f in chain)
 
-    inner = set()
-    if hints:
-        finite = sorted(x for x in hints if math.isfinite(x))
-        for u, v in zip(finite, finite[1:]):
-            if u < v:
-                c = (u + v) / 2
-                # int-float comparisons are exact
-                if -bound < c < bound:
-                    inner.add(c)
     cuts = [(-bound, 0)]
-    for c in sorted(inner):
+    for c, _ in hint_cuts(hints or (), bound):
         m, d = c.as_integer_ratio()
         cuts.append((m, d.bit_length() - 1))
     cuts.append((bound, 0))

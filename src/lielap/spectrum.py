@@ -20,10 +20,12 @@ The pipeline:
      has no charpoly and contributes no root; a failed proof leaves it
      on the charpoly route, so no verdict depends on a float.
      The charpoly P (the Kramers root on a quaternionic label) is cut
-     between the clustered hints: if its exact sign changes across deg P
-     cells, P is squarefree and each cell holds one root (`hint_cells`).
-     Otherwise P is split into squarefree factors (Yun), and each factor
-     is cut the same way.  A class is the labels with one tuple of
+     at the midpoints between the clustered hints (`hint_cuts`): if its
+     exact sign changes across deg P cells, P is squarefree and each cell
+     holds one root (`hint_cells`).  Otherwise P is split into squarefree
+     factors (Yun), and each factor is cut the same way; one whose cells
+     the hints do not prove takes the brackets of its Sturm chain at the
+     same cuts (`proved_cells`).  A class is the labels with one tuple of
      spins, on a tensor whose weight w enters D_V(s) only as (w S' w / d) I
      (`weight_is_scalar`, `torus_scalar`; S' = d S_TT, d the tensor's
      denominator).  Its member with the least scalar does the work and
@@ -31,17 +33,15 @@ The pipeline:
      t >= 0 the difference of the scalars: an exact root r becomes
      r + t/d, kept when it is <= L, where 2 q^2 ulp(float(r + t/d)) < 1
      for its denominator q shows that step 3 would find it exactly too.
-     Only a factor with another root is shifted (`shift_primitive`) and
-     goes through step 3, from the moved hints and cells.
+     Any other factor is shifted (`shift_primitive`) and goes through
+     step 3 in its moved cells, so no member proves a cell again.
   3. Round every root <= L of every factor to the nearest double, from
-     the hint in its cell, with exact signs at the midpoints between
-     doubles; a factor whose cells the hints do not prove falls back to a
-     Sturm chain, whose brackets are rounded the same way by bisection
-     over the doubles between their ends.  A root is exact when a
-     midpoint is the root or the denominator rule of `_round` recovers
-     it, whatever cell it came from.  Each inexact root keeps a bracket
-     (lo, hi] that isolates it within its factor: the interval between
-     the midpoints around its double, cut to its cell.  Two equal roots
+     the double its cell starts at (its hint, or a Sturm bracket's
+     midpoint), with exact signs at the midpoints between doubles.  A
+     root is exact when a midpoint is the root or the denominator rule of
+     `_round` recovers it, whatever cell it came from.  Each inexact root
+     keeps a bracket (lo, hi] that isolates it within its factor: the
+     interval between the midpoints around its double, cut to its cell.  Two equal roots
      have one nearest double, so the roots are put in buckets by their
      doubles, and inside a bucket two roots are one number exactly when
      their exact values are equal, when one exact value lies in the
@@ -91,6 +91,7 @@ from .irreps import (
 )
 from .poly import (
     derivative,
+    hint_cuts,
     int_div_exact,
     int_gcd,
     int_sign_at,
@@ -257,9 +258,7 @@ def _around(x: float) -> tuple[Fraction, Fraction]:
     return Fraction(m, 1 << k), Fraction(n, 1 << j)
 
 
-def _round(
-    cs: list[int], a: Fraction, b: Fraction, sb: int, start: float | None
-) -> Root:
+def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Root:
     """The one root of the integer polynomial cs in (a, b], where cs has
     the sign sb at b (0 when the root is b), rounded to the nearest double.
 
@@ -267,8 +266,7 @@ def _round(
     midpoints of x and of its two neighbours, and the exact signs of cs at
     those two midpoints prove it.  The search starts at the double start,
     gallops away from it in steps that double, then bisects over the
-    doubles: two signs when start is x.  Without a start it bisects over
-    the doubles between a and b.  A midpoint outside (a, b] is decided
+    doubles: two signs when start is x.  A midpoint outside (a, b] is decided
     without a sign.  A midpoint that is the root returns it exactly, and
     so does the fraction nearest x with denominator at most
     min(lc, isqrt(2 / ulp(x))) when cs vanishes there.  A rational root
@@ -298,23 +296,16 @@ def _round(
             hit.append(Fraction(m, 1 << k))
         return s == -sb
 
-    if start is None:
-        # float() rounds to nearest, so the midpoint below float(a) is at
-        # or below a, and the one above float(b) at or above b; one key
-        # more puts every midpoint in (a, b] between the two
-        lo = _key(float(max(a, -_MAX))) - 1
-        hi = _key(float(min(b, _MAX))) + 1
+    lo = hi = _key(start)
+    step = 1
+    if above(lo):
+        hi = lo + 1
+        while above(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
     else:
-        lo = hi = _key(start)
-        step = 1
-        if above(lo):
-            hi = lo + 1
-            while above(hi):
-                lo, hi, step = hi, hi + 2 * step, 2 * step
-        else:
-            lo = hi - 1
-            while not above(lo):
-                lo, hi, step = lo - 2 * step, lo, 2 * step
+        lo = hi - 1
+        while not above(lo):
+            lo, hi, step = lo - 2 * step, lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if above(mid):
@@ -335,19 +326,23 @@ def _round(
     return Root(x, None, a, b)
 
 
-def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int]] | None:
-    """Cells (a, b] that each hold exactly one root of the primitive h,
-    in increasing order, each with a hint in it and the sign of h at b;
-    None unless exact signs prove deg h such cells.
+# a cell (a, b] that holds one root of a factor, the double its rounding
+# starts from, and the sign of the factor at b
+Cell = tuple[Fraction, Fraction, float, int]
 
-    h is cut at the midpoints between consecutive finite hints, between -
-    and + its `root_bound`, where its signs are those of its leading
-    terms.  A cell across which h changes sign holds an odd number of
-    roots, so deg h such cells hold one root each, and prove every root
-    real and simple.  Wrong hints cost the proof, never a root.  A cut on
-    a root of h proves nothing and gives None; near-equal hints of one
-    root put a cut next to it, so a caller clusters them first, as
-    `root_hints` does.
+
+def hint_cells(h: list[int], hints) -> list[Cell] | None:
+    """Cells (a, b] that each hold exactly one root of the primitive h, in
+    increasing order, each with a hint in it to start from and the sign of
+    h at b; None unless exact signs prove deg h such cells.
+
+    h is cut at the `hint_cuts` of its `root_bound`, between - and + the
+    bound, where its signs are those of its leading terms.  A cell across
+    which h changes sign holds an odd number of roots, so deg h such cells
+    hold one root each, and prove every root real and simple.  Wrong hints
+    cost the proof, never a root.  A cut on a root of h proves nothing and
+    gives None; near-equal hints of one root put a cut next to it, so a
+    caller clusters them first, as `root_hints` does.
     """
     n = len(h) - 1
     hints = sorted(x for x in hints if math.isfinite(x))
@@ -358,17 +353,7 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
     cells = []
     # the lower end of the current cell, its sign, and the hint in the cell
     lo, s_lo, start = -bound, (-1) ** n * top, hints[0]
-    for u, v in zip(hints, hints[1:]):
-        c = (u + v) / 2
-        # int-float comparisons are exact
-        if c <= -bound:
-            start = v
-            continue
-        if c >= bound:
-            break
-        if not u < c < v:
-            # equal or adjacent hints: no cell between them
-            continue
+    for c, v in hint_cuts(hints, bound):
         m, den = c.as_integer_ratio()
         s = sign_at_dyadic(h, m, den.bit_length() - 1)
         if not s:
@@ -381,25 +366,49 @@ def hint_cells(h: list[int], hints) -> list[tuple[Fraction, Fraction, float, int
     return cells if len(cells) == n else None
 
 
+def _sturm_cells(h: list[int], hints) -> list[Cell]:
+    """The cells of a Sturm chain: the `real_root_brackets` of h, cut at
+    the same `hint_cuts` as `hint_cells`, each starting from the double
+    nearest its midpoint, clamped to the finite doubles.  Raises
+    ArithmeticError when h does not split over the reals."""
+    n = len(h) - 1
+    brackets = real_root_brackets(h, hints)
+    if len(brackets) != n:
+        raise ArithmeticError(
+            f"factor of degree {n} has only {len(brackets)} real "
+            "roots; hermitian eigenvalue factors must split over the reals"
+        )
+    return [
+        (a, b, float(min(max((a + b) / 2, -_MAX), _MAX)), int_sign_at(h, b))
+        for a, b in brackets
+    ]
+
+
+def proved_cells(h: list[int], hints) -> list[Cell]:
+    """One cell per root of the primitive squarefree h: those the hints
+    prove (`hint_cells`), else those of its Sturm chain (`_sturm_cells`);
+    none on a linear h, whose root `real_roots` takes exactly."""
+    if len(h) < 3:
+        return []
+    cells = hint_cells(h, hints)
+    return _sturm_cells(h, hints) if cells is None else cells
+
+
 def real_roots(
-    h: list[int], upper: Fraction | None = None, hints=(), cells=None
+    h: list[int], upper: Fraction | None = None, hints=(), cells: list[Cell] | None = None
 ) -> list[Root]:
     """The roots of a primitive squarefree integer factor known to split
     over the reals, in increasing order, each rounded to the nearest double
     with an isolating bracket; only those <= upper when an upper bound is
     given.
 
-    hints are approximate roots, such as the clustered eigenvalues that
-    `eigvalsh` gives for the operator whose charpoly h divides; cells are
-    those `hint_cells(h, hints)` proved, when the caller has them, and ()
-    when the caller's proof failed, which is then not tried again.  Where
-    the hints do not prove deg h cells, or none are given, a Sturm chain
-    isolates the roots (`real_root_brackets`, its first cuts between the
-    hints), and its brackets become cells without a hint; that route
-    raises ArithmeticError when h does not split over the reals.  `_round`
-    rounds every root from its cell, so both routes give each root the
-    same float and the same exact value.  Membership below `upper` is
-    decided by the sign of h at `upper`.
+    cells are the factor's `proved_cells`, which are found from the hints
+    when the caller has none: approximate roots, such as the clustered
+    eigenvalues that `eigvalsh` gives for the operator whose charpoly h
+    divides.  `_round` rounds every root from its cell, so the hint cells
+    and the Sturm cells give each root the same float and the same exact
+    value.  Membership below `upper` is decided by the sign of h at
+    `upper`.
     """
     n = len(h) - 1
     if n <= 0:
@@ -408,18 +417,8 @@ def real_roots(
         r = Fraction(-h[0], h[1])
         return [Root(float(r), r, r, r)] if upper is None or r <= upper else []
 
-    if cells is None:
-        cells = hint_cells(h, hints)
-    if not cells:
-        brackets = real_root_brackets(h, hints=hints)
-        if len(brackets) != n:
-            raise ArithmeticError(
-                f"factor of degree {n} has only {len(brackets)} real "
-                "roots; hermitian eigenvalue factors must split over the reals"
-            )
-        cells = [(a, b, None, int_sign_at(h, b)) for a, b in brackets]
     out = []
-    for a, b, start, sb in cells:
+    for a, b, start, sb in proved_cells(h, hints) if cells is None else cells:
         if upper is not None and upper < b:
             # the root lies in (a, upper] exactly when h does not change
             # sign between upper and b; later roots lie above this one
@@ -531,48 +530,45 @@ class LabelWork(NamedTuple):
     """A label's exact work and its roots.
 
     split lists (multiplicity in the charpoly, primitive squarefree factor,
-    the factor's hint cells, its roots at or below the cutoff), and is
+    the factor's `proved_cells`, its roots at or below the cutoff), and is
     empty on a label whose spectrum is proved above the cutoff.  The cells
-    are () on a linear factor and where `hint_cells` did not prove them,
-    and the factor and cells are None on a piece whose roots were all
-    moved exactly from the representative of its operator class.  shift
-    is the integer t by which the work was moved from that representative,
-    None when it was done on the label's own operator.
+    are [] on a linear factor, and the factor and cells are None on a
+    piece whose roots were all moved exactly from the representative of
+    its operator class.  shift is the integer t by which the work was
+    moved from that representative, None when it was done on the label's
+    own operator.
     """
 
     label: IrrepLabel
-    hints: list[float]
-    split: list[tuple[int, list[int] | None, list | None, list[Root]]]
+    split: list[tuple[int, list[int] | None, list[Cell] | None, list[Root]]]
     shift: int | None
 
 
 def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
-    """Hints, charpoly, squarefree split and roots of the operator itself;
-    no split at all when the smallest hint lies above the cutoff and
-    `eigenvalues_above` proves that every eigenvalue does."""
+    """Charpoly, squarefree split, proved cells and roots of the operator
+    itself, from its hints; no split at all when the smallest hint lies
+    above the cutoff and `eigenvalues_above` proves that every eigenvalue
+    does."""
     hints = root_hints(op)
     if hints and eigenvalues_above(op.matrix, norm_weights(op.label.spins), cutoff, hints[0]):
-        return LabelWork(op.label, hints, [], None)
+        return LabelWork(op.label, [], None)
     cp = char_poly_exact(op)
     base, e = cp.power_form
     P = base.primitive()
-    cells = hint_cells(P, hints)
+    # a linear factor needs no cells
+    cells = hint_cells(P, hints) if len(P) > 2 else []
     if cells is not None:
         # P changes sign across deg P cells: its roots are simple, so P is
         # its own squarefree split and Yun's gcd is skipped
         split = [(e, P, cells)]
     else:
-        split = []
-        for mult, f in multiplicity_profile(cp).entries:
-            # a linear factor needs no cells, and P itself failed just now
-            cells = hint_cells(f, hints) if len(f) > 2 and f != P else None
-            split.append((mult, f, cells or ()))
-    return LabelWork(
-        op.label,
-        hints,
-        [(mult, f, cells, real_roots(f, cutoff, hints, cells)) for mult, f, cells in split],
-        None,
-    )
+        # P's proof failed just now, so a factor equal to P goes straight
+        # to its Sturm chain
+        split = [
+            (mult, f, _sturm_cells(f, hints) if f == P else proved_cells(f, hints))
+            for mult, f in multiplicity_profile(cp).entries
+        ]
+    return LabelWork(op.label, [(m, f, c, real_roots(f, cutoff, cells=c)) for m, f, c in split], None)
 
 
 def _moves_exactly(v: Fraction) -> bool:
@@ -593,15 +589,14 @@ def _shifted_work(
     A factor whose listed roots all have exact values moves them: each
     r + t/den at or below the cutoff is kept, with no factor, where
     `_moves_exactly` shows that `real_roots` would find it exactly.  Any
-    other factor is shifted by t/den (`shift_primitive`) and its roots are
-    found as on the label's own split, from the hints and hint cells moved
-    by t/den; a proof that failed on rep's factor is not tried again.
-    t >= 0, so the roots the member keeps are among those rep listed.  The split is that of the whole charpoly, which the shift
+    other factor is shifted by t/den (`shift_primitive`), and its roots
+    are rounded from rep's proved cells moved by t/den, so no cell is
+    proved again.  t >= 0, so the roots the member keeps are among those
+    rep listed.  The split is that of the whole charpoly, which the shift
     carries over whatever the label's type.  A quaternionic label has
     weight 0, whose torus scalar 0 is the least of its class, so it is its
     class's representative and is never moved."""
     s, x = Fraction(t, den), t / den
-    hints = [h + x for h in rep.hints]
     split = []
     for mult, f, cells, roots in rep.split:
         if all(r.exact is not None for r in roots):
@@ -610,10 +605,9 @@ def _shifted_work(
                 split.append((mult, None, None, [Root(float(v), v, v, v) for v in kept]))
                 continue
         g = shift_primitive(f, t, den)
-        # () for a linear factor or a failed proof, which stays failed
-        moved = [(a + s, b + s, h + x, sb) for a, b, h, sb in cells]
-        split.append((mult, g, moved, real_roots(g, cutoff, hints, moved)))
-    return LabelWork(lab, hints, split, t)
+        moved = [(a + s, b + s, start + x, sb) for a, b, start, sb in cells]
+        split.append((mult, g, moved, real_roots(g, cutoff, cells=moved)))
+    return LabelWork(lab, split, t)
 
 
 def label_work(
@@ -630,9 +624,9 @@ def label_work(
     it does the work (`_direct_work`); every other label with its spins
     takes that work moved by t/den, t >= 0 the difference of their
     scalars (`_shifted_work`): its exact roots move, and only a factor
-    with another root is shifted and isolated again.  A representative
-    proved above the cutoff proves its class.  On any other tensor each
-    label does its own.
+    with another root is shifted and rounded again, in moved cells.  A
+    representative proved above the cutoff proves its class.  On any
+    other tensor each label does its own.
     """
     cutoff = Fraction(cutoff)
     if not weight_is_scalar(spec, tensor):

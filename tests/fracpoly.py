@@ -200,7 +200,11 @@ def clear_denominators(p: Poly) -> tuple[list[int], int]:
 def primitive_int(p: Poly) -> list[int]:
     """Primitive integer coefficient list of p (content and sign of the
     rational scaling discarded; leading coefficient made positive)."""
-    return intpoly._primitive(clear_denominators(p)[0])
+    cs = clear_denominators(p)[0]
+    g = math.gcd(*cs)
+    if cs and cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
 
 
 def from_int(cs: Sequence[int]) -> Poly:
@@ -262,8 +266,24 @@ def resultant_sylvester(p: Poly, q: Poly) -> Fraction:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive positive-lc integer gcd of the primitive parts of p, q."""
-    return from_int(intpoly.int_gcd(clear_denominators(p)[0], clear_denominators(q)[0]))
+    """gcd(p, q) by Euclid's algorithm over Q, made primitive with a
+    positive leading coefficient; zero when both are."""
+    while q:
+        p, q = q, divmod_exact(p, q)[1]
+    return from_int(primitive_int(p))
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    """The classical Sturm chain of p over Q: p, p', then each member the
+    negated remainder of the two before it, down to the last nonzero one.
+    Each member is divided by the absolute value of its leading
+    coefficient, which keeps its signs and its Fractions small."""
+    chain: list[Poly] = []
+    q = p
+    while q:
+        chain.append(q * (1 / abs(q.lc)))
+        q = chain[-1].derivative() if len(chain) == 1 else -divmod_exact(chain[-2], chain[-1])[1]
+    return chain
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[int, Poly]]:

@@ -1,0 +1,80 @@
+"""No unread imports and no unreferenced private helpers in src/lielap.
+
+A static check over the syntax trees of the package's modules: every
+module-level import is read somewhere in its module, and every private
+module-level function or class is referenced there.  The one kind of
+import allowed to go unread is a name the benchmark's tracer
+(perfbench/tracer.py, `WRAPS`) looks up in that module, since the tracer
+wraps it where its callers would look for it.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lielap"
+
+
+def _wrapped() -> set[tuple[str, str]]:
+    """(module, name) for every name the tracer looks up."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(module, attr) for module, attr, *_ in tracer.WRAPS}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """The names bound by the module's top-level imports."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.asname or a.name.split(".")[0] for a in node.names]
+    return names
+
+
+def test_every_module_level_import_is_read():
+    wrapped = _wrapped()
+    unread = [
+        f"{module}.{name}"
+        for module, tree in _modules().items()
+        for name in _imported(tree)
+        if name not in _read_names(tree) and (module, name) not in wrapped
+    ]
+    assert unread == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in _read_names(tree)
+    ]
+    assert unused == []
+
+
+def test_the_check_sees_the_package():
+    """The package is found, and the one tracer-wrapped import the check
+    allows is among the names it collects."""
+    modules = _modules()
+    assert {"spectrum", "poly", "irreps"} <= set(modules)
+    assert "divides" in _imported(modules["spectrum"])
+    assert ("spectrum", "divides") in _wrapped()

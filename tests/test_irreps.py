@@ -95,6 +95,13 @@ def test_duality():
     assert dual_label(dual_label(lab)) == lab
     assert is_self_dual(label((4,)))
     assert not is_self_dual(lab)
+    # the weight test agrees with the dual label's over the u2, t2 and
+    # su2 x T^1 labels
+    for spec in (preset("u2"), preset("t2"), build_group_spec(1, 1)):
+        labels = labels_up_to_level(spec, 4)
+        assert any(map(is_self_dual, labels)) and not all(map(is_self_dual, labels))
+        for lab in labels:
+            assert is_self_dual(lab) == (lab == dual_label(lab))
 
 
 def test_classify_type_rule():

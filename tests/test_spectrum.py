@@ -22,7 +22,7 @@ from lielap.algebra_core import (
     metric_to_tensor,
     preset,
 )
-from lielap import algebra_core, polycert, spectrum
+from lielap import algebra_core, spectrum
 from lielap.errors import DomainError
 from lielap.irreps import (
     classify_type,
@@ -32,7 +32,8 @@ from lielap.irreps import (
     labels_up_to_level,
 )
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues, torus_scalar
-from fracpoly import Poly, from_int, gcd, primitive_int
+from fracpoly import Poly, clear_denominators, from_int, gcd, primitive_int
+from fracpoly import sturm_chain as fraction_sturm_chain
 from test_irreps import character_descends
 from lielap.poly import (
     divides,
@@ -41,7 +42,6 @@ from lielap.poly import (
     mul,
     real_root_brackets,
     root_bound,
-    sturm_chain,
 )
 from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
@@ -636,7 +636,7 @@ def test_real_roots_pinned_within_one_ulp_and_cut_exactly():
                 assert b < Fraction(math.nextafter(x, math.inf))
         # a cut at the float of the middle root, checked by a Sturm count
         cut = Fraction(values[len(values) // 2])
-        chain = sturm_chain(cs)
+        chain = oracle_chain(tuple(cs))
         signs = [[s for g in chain if (s := int_sign_at(g, x))]
                  for x in (Fraction(-1 - sum(map(abs, cs))), cut)]
         v_lo, v_hi = (sum(u != v for u, v in zip(s, s[1:])) for s in signs)
@@ -662,20 +662,27 @@ def variations_oracle(chain, x: Fraction) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
+@functools.cache
+def oracle_chain(p: tuple) -> list[list[int]]:
+    """The classical Sturm chain of p over Q (`fracpoly.sturm_chain`),
+    each member times a positive integer that clears its denominators."""
+    return [clear_denominators(g)[0] for g in fraction_sturm_chain(from_int(p))]
+
+
 def brackets_oracle(p: list[int], hints=None):
-    """Sturm isolation with Fraction cuts and Fraction midpoints, from the
-    same root bound."""
-    chain = sturm_chain(p)
-    bound = root_bound(chain[0])
+    """Sturm isolation on the classical chain, with Fraction cuts and
+    Fraction midpoints, from the same root bound and the same cuts between
+    hints: the float midpoint of two hints strictly between them."""
+    chain = oracle_chain(tuple(p))
+    bound = root_bound(primitive_int(from_int(p)))
     lo, hi = Fraction(-bound), Fraction(bound)
     cuts = {lo, hi}
     if hints:
         finite = sorted(x for x in hints if math.isfinite(x))
         for u, v in zip(finite, finite[1:]):
-            if u < v:
-                c = Fraction((u + v) / 2)
-                if lo < c < hi:
-                    cuts.add(c)
+            c = (u + v) / 2
+            if u < c < v and lo < c < hi:
+                cuts.add(Fraction(c))
     cuts = sorted(cuts)
     vs = [variations_oracle(chain, c) for c in cuts]
     out = []
@@ -758,8 +765,10 @@ def real_roots_oracle(cs: list[int], upper=None):
 
 def round_bracket(cs, a: Fraction, b: Fraction):
     """The root in a Sturm bracket (a, b], rounded as `real_roots` rounds
-    it: a cell without a hint, with the sign of cs at b."""
-    return _round(cs, a, b, int_sign_at(cs, b), None)
+    it: from the double nearest the bracket's midpoint, clamped to the
+    finite doubles, with the sign of cs at b."""
+    mid = min(max((a + b) / 2, -sys.float_info.max), sys.float_info.max)
+    return _round(cs, a, b, int_sign_at(cs, b), float(mid))
 
 
 @functools.cache
@@ -947,7 +956,7 @@ def _nearest_double_checked(f, roots):
     """Each inexact root is the nearest double to a root of f: f has
     nonzero opposite signs at the midpoints to the neighbouring doubles,
     and its bracket lies between them and holds one root of f."""
-    chain = sturm_chain(f) if len(f) > 2 else None
+    chain = oracle_chain(tuple(f)) if len(f) > 2 else None
     for x, exact, lo, hi in roots:
         if exact is not None:
             assert int_sign_at(f, exact) == 0 and lo == hi == exact
@@ -1083,56 +1092,73 @@ def test_a_failed_hint_cell_proof_is_not_tried_again(case, every, monkeypatch):
     """With a spectrum's hints and with every other hint dropped, so that
     proofs fail, no label runs `hint_cells` twice on one factor with one
     set of hints: a factor whose proof failed goes straight to the Sturm
-    route.  Calls are told apart by label from the operator each label
-    builds first.  (On the swap-symmetric su2 x su2 tensor at cutoff 40,
+    route, once.  (On the swap-symmetric su2 x su2 tensor at cutoff 40,
     the labels (m, m') and (m', m) have one charpoly and one set of hints,
     so the same pair does recur across labels.)  A class member (su2 x T^1)
-    runs no proof at all: it moves the cells its representative proved,
-    and a factor whose proof failed there takes the Sturm route.  The table
-    is unchanged."""
+    calls neither `hint_cells` nor `real_root_brackets`: it moves the
+    cells its representative proved, Sturm cells included, so Sturm runs
+    once per class whose representative fell back.  The table is
+    unchanged."""
     group, tensor, cutoff = {
         "swap": (preset("su2xsu2"), SWAP, Fraction(40)),
         "su2xt1": SHARED_CASES["su2xt1"],
     }[case]
     table = table_to_json(assemble_spectrum(group, tensor, cutoff))
-    hints_of, prove, build = spectrum.root_hints, spectrum.hint_cells, polycert.build_DV
-    shifted = spectrum._shifted_work
-    calls: list[list] = []
-    # the split of each member, None while it runs, and the hint_cells
-    # calls members made
-    members: list[list | None] = []
+    hints_of, prove, sturm = spectrum.root_hints, spectrum.hint_cells, spectrum.real_root_brackets
+    direct, shifted = spectrum._direct_work, spectrum._shifted_work
+    # per label doing its own work: its hint_cells calls, its Sturm
+    # isolations and its split; and the calls members made
+    reps: list[dict] = []
     member_calls: list = []
+    in_member = []
+
+    def log(kind, entry):
+        (member_calls if in_member else reps[-1][kind]).append(entry)
 
     def counted(h, hints):
         out = prove(h, hints)
-        (member_calls if members and members[-1] is None else calls[-1]).append(
-            (tuple(h), tuple(hints), out is None)
-        )
+        log("proofs", (tuple(h), tuple(hints), out is None))
         return out
 
-    def built(*args):
-        calls.append([])
-        return build(*args)
+    def isolated(h, hints=None):
+        log("sturm", tuple(h))
+        return sturm(h, hints)
+
+    def own_work(*args):
+        reps.append({"proofs": [], "sturm": []})
+        work = direct(*args)
+        reps[-1]["split"] = work.split
+        return work
 
     def moved_work(*args):
-        members.append(None)
-        work = shifted(*args)
-        members[-1] = work.split
-        return work
+        in_member.append(True)
+        try:
+            return shifted(*args)
+        finally:
+            in_member.pop()
 
     monkeypatch.setattr(spectrum, "root_hints", lambda op: hints_of(op)[::every])
     monkeypatch.setattr(spectrum, "hint_cells", counted)
-    monkeypatch.setattr(polycert, "build_DV", built)
+    monkeypatch.setattr(spectrum, "real_root_brackets", isolated)
+    monkeypatch.setattr(spectrum, "_direct_work", own_work)
     monkeypatch.setattr(spectrum, "_shifted_work", moved_work)
     assert table_to_json(assemble_spectrum(group, tensor, cutoff)) == table
-    assert len(calls) + len(members) == len(enumerate_irreps(group, tensor, cutoff))
-    for label_calls in calls:
-        assert len({c[:2] for c in label_calls}) == len(label_calls)
-    assert any(c[2] for label_calls in calls for c in label_calls) == (every == 2)
+    members = len(enumerate_irreps(group, tensor, cutoff)) - len(reps)
+    assert (members > 0) == (case == "su2xt1")
     assert member_calls == []
-    # members shifted a factor of degree > 1 whose proof failed
-    sturm = [f for split in members for _, f, cells, _ in split if f and len(f) > 2 and not cells]
-    assert bool(sturm) == (case == "su2xt1" and every == 2)
+    fell_back = 0
+    for rep in reps:
+        assert len({c[:2] for c in rep["proofs"]}) == len(rep["proofs"])
+        # the Sturm route isolates each factor of degree > 1 that no hint
+        # proof of this label proved, once
+        proved = {c[0] for c in rep["proofs"] if not c[2]}
+        unproved = [tuple(f) for _, f, _, _ in rep["split"] if len(f) > 2 and tuple(f) not in proved]
+        assert rep["sturm"] == unproved
+        fell_back += bool(unproved)
+    assert any(c[2] for rep in reps for c in rep["proofs"]) == (every == 2)
+    sturm_runs = sum(len(rep["sturm"]) for rep in reps)
+    assert sturm_runs == fell_back
+    assert bool(sturm_runs) == (every == 2)
 
 
 def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
