@@ -9,13 +9,11 @@ row sum of |re| + |im| fits; otherwise they hold Python ints
 (dtype=object) and the same numpy code runs on them.  ``entries()``
 yields ``Gaussian`` values for readers that want scalars.
 
-Products, sums and Kronecker products are computed on dense arrays: the
-matrices they are used on (generators, the pairs pipeline's operators)
-have dimension below a hundred.  A product runs in
-int64 when entry_dtype shows that it fits, and in Python ints otherwise.
-There is no elimination over Q(i): the one invariant subspace the package
-restricts to comes with a basis whose rows at known positions form the
-identity, so restriction reads rows of a product.
+Products and sums are computed on dense arrays: the matrices they are
+used on (generators, the pairs pipeline's operators) have dimension below
+a hundred.  A product runs in int64 when entry_dtype shows that it fits,
+and in Python ints otherwise.  Kronecker products are taken on the
+nonzero entries of both factors.  There is no elimination over Q(i).
 
 The characteristic polynomial is multimodular and reads an ``IntMatrix``,
 whose integers are its input as they stand: it is the charpoly of den*M,
@@ -535,27 +533,3 @@ def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
     H[:, M.rows, M.cols] = vals
     _hessenberg(H, mod)
     return _crt_signed(_hessenberg_charpoly(H, mod), plist)
-
-
-# -- restriction to an invariant subspace -------------------------------------
-
-
-def _rows_at(M: IntMatrix, idx: list[int]) -> IntMatrix:
-    re, im = M._dense()
-    return IntMatrix.from_dense(re[idx], im[idx], M.den)
-
-
-def restrict_operator(D: IntMatrix, K: IntMatrix, pivots: list[int]) -> IntMatrix:
-    """Matrix R of D on the span of the columns of K, so that D K = K R.
-
-    Row pivots[k] of K must be the k-th unit row; then the columns of K are
-    independent and R is read off as those rows of D K.  Invariance is
-    verified exactly and violation raises ArithmeticError.
-    """
-    if len(pivots) != K.ncols or _rows_at(K, pivots) != IntMatrix.identity(K.ncols):
-        raise ValueError("rows of K at the pivots are not the identity")
-    DK = D @ K
-    R = _rows_at(DK, pivots)
-    if K @ R != DK:
-        raise ArithmeticError("subspace is not invariant under the operator")
-    return R

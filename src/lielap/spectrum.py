@@ -28,10 +28,11 @@ The pipeline:
      same cuts (`proved_cells`).  A class is the labels with one tuple of
      spins, on a tensor whose weight w enters D_V(s) only as (w S' w / d) I
      (`weight_is_scalar`, `torus_scalar`; S' = d S_TT, d the tensor's
-     denominator).  Its member with the least scalar does the work and
-     finds its roots (step 3), and every other takes them moved by t/d,
-     t >= 0 the difference of the scalars: an exact root r becomes
-     r + t/d, kept when it is <= L, where 2 q^2 ulp(float(r + t/d)) < 1
+     denominator), and one label on any other tensor.  Its member with
+     the least scalar does the work and finds its roots (step 3), and
+     every other takes them moved by t/d, t >= 0 the difference of the
+     scalars: an exact root r becomes r + t/d, kept when it is <= L,
+     where 2 q^2 ulp(float(r + t/d)) < 1
      for its denominator q shows that step 3 would find it exactly too.
      Any other factor is shifted (`shift_primitive`) and goes through
      step 3 in its moved cells, so no member proves a cell again.
@@ -617,31 +618,28 @@ def label_work(
     order of labels, done once per operator class; none on a label proved
     to have no eigenvalue at or below the cutoff.
 
-    Where the weight enters D_V(s) only as a scalar (`weight_is_scalar`),
-    the representative of each tuple of spins is its label with the least
-    `torus_scalar`, the first on a tie.  Only its operator is built
-    (through polycert.build_DV, the name perfbench/tracer.py wraps), and
-    it does the work (`_direct_work`); every other label with its spins
-    takes that work moved by t/den, t >= 0 the difference of their
-    scalars (`_shifted_work`): its exact roots move, and only a factor
-    with another root is shifted and rounded again, in moved cells.  A
-    representative proved above the cutoff proves its class.  On any
-    other tensor each label does its own.
+    A class is a tuple of spins where the weight enters D_V(s) only as a
+    scalar (`weight_is_scalar`), and a single label on any other tensor.
+    Its representative is its label with the least `torus_scalar`, the
+    first on a tie.  Only its operator is built (through polycert.build_DV,
+    the name perfbench/tracer.py wraps), and it does the work
+    (`_direct_work`); every other label of the class takes that work moved
+    by t/den, t >= 0 the difference of their scalars (`_shifted_work`):
+    its exact roots move, and only a factor with another root is shifted
+    and rounded again, in moved cells.  A representative proved above the
+    cutoff proves its class.
     """
     cutoff = Fraction(cutoff)
-    if not weight_is_scalar(spec, tensor):
-        for lab in labels:
-            yield _direct_work(polycert.build_DV(spec, lab, tensor), cutoff)
-        return
+    key = (lambda lab: lab.spins) if weight_is_scalar(spec, tensor) else (lambda lab: lab)
     den = tensor.integer_form[0]
     scalar = {lab: torus_scalar(spec, tensor, lab.weight) for lab in labels}
-    rep: dict[tuple[int, ...], IrrepLabel] = {}
+    rep: dict = {}
     # sorted() is stable: a tie keeps the first label
     for lab in sorted(labels, key=scalar.get):
-        rep.setdefault(lab.spins, lab)
+        rep.setdefault(key(lab), lab)
     done: dict[IrrepLabel, LabelWork] = {}
     for lab in labels:
-        r = rep[lab.spins]
+        r = rep[key(lab)]
         if r not in done:
             done[r] = _direct_work(polycert.build_DV(spec, r, tensor), cutoff)
         if lab == r:

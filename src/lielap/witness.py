@@ -14,7 +14,10 @@ coincidences are gone.  Four devices:
   * pairs_pipeline: on SU(2) x SU(2) with both spins odd, a staged
     construction splits the doubled spectrum using a real involution that
     anticommutes with one generator and commutes with another, then finds
-    a single tensor with fully simple spectrum on the product.
+    a single tensor with fully simple spectrum on the product.  The
+    involution is a signed permutation, so its checks are index reads, and
+    each operator on its +1 and -1 eigenspaces is read from the operator's
+    entries over the orbits of the permutation.
   * witness_search: random definite perturbations of the round tensor,
     with the full certificate battery (b/c per label, a per pair) checked
     exactly per trial.
@@ -53,7 +56,7 @@ from .irreps import (
     labels_up_to_level,
     rotation_half_pi,
 )
-from .linalg import IntMatrix, restrict_operator
+from .linalg import IntMatrix
 from .operator import build_DV
 from .poly import resultant
 from .polycert import (
@@ -239,44 +242,64 @@ class PairsPipelineReport:
         )
 
 
-def orbit_eigenbases(T: IntMatrix) -> tuple[tuple[IntMatrix, IntMatrix], list[int]]:
-    """Bases K_+, K_- of the +1 and -1 eigenspaces of a real signed
-    permutation involution T e_a = t_a e_sigma(a), read off its orbits.
+def _involution(T: IntMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """sigma and t with T e_a = t_a e_sigma(a), if T is a real signed
+    permutation (den 1, no imaginary part, one entry +-1 in each row and
+    column) with T = T^T, which for such an orthogonal T is T^2 = I;
+    None otherwise."""
+    n = T.nrows
+    if T.ncols != n or T.den != 1 or T.im.any() or T.re.size != n or not (abs(T.re) == 1).all():
+        return None
+    sigma, t = np.full(n, -1), np.zeros(n, dtype=np.int64)
+    sigma[T.cols], t[T.cols] = T.rows, T.re
+    if (sigma < 0).any() or not np.array_equal(sigma[sigma], np.arange(n)) or not np.array_equal(t[sigma], t):
+        return None
+    return sigma, t
 
-    Each orbit {a, sigma a} with a < sigma a gives column k of K_s the
-    vector e_a + s t_a e_sigma(a), and a is returned as the k-th pivot: row
-    a of both bases is the k-th unit row.  Fixed points of sigma get no
-    column; the caller checks T K_s == s K_s and the column counts exactly.
-    """
-    cols = T.cols.tolist()
-    sigma = dict(zip(cols, T.rows.tolist()))
-    t = dict(zip(cols, T.re.tolist()))  # t_a = t[a] / T.den
-    reps = [a for a in range(T.ncols) if a < sigma.get(a, a)]
-    bases = []
-    for s in (1, -1):
-        K = np.zeros((T.nrows, len(reps)), dtype=object)
-        for k, a in enumerate(reps):
-            K[a, k] = T.den
-            K[sigma[a], k] = s * t[a]
-        bases.append(IntMatrix.from_dense(K, den=T.den))
-    return (bases[0], bases[1]), reps
+
+def _conjugate(sigma: np.ndarray, t: np.ndarray, X: IntMatrix) -> IntMatrix:
+    """T X T for the involution T e_a = t_a e_sigma(a): X's entry (i, j)
+    moved to (sigma i, sigma j) and multiplied by t_i t_j."""
+    rows, cols, s = sigma[X.rows], sigma[X.cols], t[X.rows] * t[X.cols]
+    order = np.lexsort((cols, rows))
+    return IntMatrix(X.nrows, X.ncols, X.den, rows[order], cols[order], (s * X.re)[order], (s * X.im)[order])
 
 
 def involution_checks(T: IntMatrix, phi: IntMatrix, psi: IntMatrix) -> tuple[bool, bool, bool]:
-    """Exactly: (T^2 = I and T is real, T phi = -phi T, T psi = psi T)."""
-    return (
-        T @ T == IntMatrix.identity(T.nrows) and not T.im.any(),
-        T @ phi == -(phi @ T),
-        T @ psi == psi @ T,
-    )
+    """Exactly: (T is a real signed permutation with T^2 = I, T phi = -phi T,
+    T psi = psi T), read on T as the permutation and its signs; the last
+    two are T phi T = -phi and T psi T = psi, and all three are False
+    where T is no such involution."""
+    read = _involution(T)
+    if read is None:
+        return False, False, False
+    return True, _conjugate(*read, phi) == -phi, _conjugate(*read, psi) == psi
 
 
-def eigenbases_check(T: IntMatrix, w_plus: IntMatrix, w_minus: IntMatrix) -> bool:
-    """Exactly: T K_+ = K_+, T K_- = -K_-, and each has half the columns."""
-    return (
-        T @ w_plus == w_plus
-        and T @ w_minus == -w_minus
-        and 2 * w_plus.ncols == 2 * w_minus.ncols == T.nrows
+def involution_branches(T: IntMatrix, D: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """The matrices R_+ and R_- of D on the +1 and -1 eigenspaces of T, a
+    real signed permutation T e_a = t_a e_sigma(a) with T^2 = I.
+
+    An orbit {a, sigma a}, a < sigma a, gives the eigenvectors
+    e_a + s t_a e_sigma(a), s = +-1, and over the representatives
+    a_1 < a_2 < ... row a_k of these is the k-th unit row: R_s[k, l] =
+    D[a_k, a_l] + s t_(a_l) D[a_k, sigma a_l].  T D T = D is checked
+    exactly first (ArithmeticError if it fails or T is no such involution).
+    A fixed point of sigma gets no row, so R_+ and R_- together have as
+    many rows as D exactly when sigma has none.
+    """
+    read = _involution(T)
+    if read is None or _conjugate(*read, D) != D:
+        raise ArithmeticError("operator does not commute with a signed permutation involution")
+    sigma, t = read
+    n = len(sigma)
+    re, im = np.zeros((n, n), dtype=object), np.zeros((n, n), dtype=object)
+    re[D.rows, D.cols], im[D.rows, D.cols] = D.re, D.im
+    a = np.flatnonzero(np.arange(n) < sigma)
+    b, u = sigma[a], t[a].astype(object)
+    return tuple(
+        IntMatrix.from_dense(*(x[np.ix_(a, a)] + s * u * x[np.ix_(a, b)] for x in (re, im)), den=D.den)
+        for s in (1, -1)
     )
 
 
@@ -289,8 +312,9 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     swaps the paired eigenvectors, splitting the product space into two
     halves on which that operator is simple, while the square-of-(B, eps B)
     operator separates the halves.  The involution is a signed permutation,
-    so the halves (its +1 and -1 eigenspaces) are written down from its
-    orbits, and both operators are restricted to them by reading rows.  A
+    so every fact about it is an index read on its permutation and signs,
+    and both operators on the halves (its +1 and -1 eigenspaces) are read
+    from their entries over its orbits (`involution_branches`).  A
     final scan over convex combinations of the two tensors finds one
     operator with fully simple spectrum and certifies it by resultant.
     """
@@ -324,17 +348,15 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     h_charpoly_matches = p_h.poly == charpoly_from_eigenvalues(expected, p_h.poly.den)
     h_all_double = multiplicity_profile(p_h).is_all_double
 
-    (w_plus, w_minus), reps = orbit_eigenbases(T)
-    branch_dims_ok = eigenbases_check(T, w_plus, w_minus)
-
-    def branch_charpolys(D):
-        # the two restrictions, over the lcm of their denominators
-        plus, minus = (restrict_operator(D.matrix, w, reps) for w in (w_plus, w_minus))
+    def branch_charpolys(plus, minus):
+        # over the lcm of the two denominators
         den = math.lcm(plus.den, minus.den)
         return charpoly_real(plus, den), charpoly_real(minus, den)
 
-    h_plus, h_minus = branch_charpolys(D_h)
-    b_plus, b_minus = branch_charpolys(D_b)
+    h_branches = involution_branches(T, D_h.matrix)
+    branch_dims_ok = sum(R.nrows for R in h_branches) == T.nrows
+    h_plus, h_minus = branch_charpolys(*h_branches)
+    b_plus, b_minus = branch_charpolys(*involution_branches(T, D_b.matrix))
     th = tensor_hash(s_h)
     h_simple = tuple(cert_b_from_poly(CharPoly(lab, th, h)) for h in (h_plus, h_minus))
     b_disjoint = Certificate(

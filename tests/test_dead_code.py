@@ -1,16 +1,20 @@
-"""No unread imports and no unreferenced private helpers in src/lielap.
+"""No unread imports and no unread functions or classes in src/lielap.
 
 A static check over the syntax trees of the package's modules: every
-module-level import is read somewhere in its module, and every private
-module-level function or class is referenced there.  The one kind of
-import allowed to go unread is a name the benchmark's tracer
-(perfbench/tracer.py, `WRAPS`) looks up in that module, since the tracer
-wraps it where its callers would look for it.
+module-level import is read somewhere in its module, every private
+module-level function or class is referenced there, and every public one
+is read by some module of the package, exported by `lielap._HOMES` or
+looked up by the benchmark's tracer.  The one kind of import allowed to
+go unread is a name the tracer (perfbench/tracer.py, `WRAPS`) looks up
+in that module, since the tracer wraps it where its callers would look
+for it.
 """
 
 import ast
 import importlib.util
 from pathlib import Path
+
+import lielap
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lielap"
@@ -33,6 +37,15 @@ def _read_names(tree: ast.Module) -> set[str]:
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """The attribute names the module reads, as in `polycert.build_DV`."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -69,6 +82,22 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in _read_names(tree)
     ]
     assert unused == []
+
+
+def test_every_public_function_and_class_is_read():
+    modules = _modules()
+    read = {name for tree in modules.values() for name in _read_names(tree) | _read_attributes(tree)}
+    read |= {name for names in lielap._HOMES.values() for name in names}
+    read |= {name for _, name in _wrapped()}
+    unread = [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []
 
 
 def test_the_check_sees_the_package():

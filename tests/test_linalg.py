@@ -1,4 +1,4 @@
-"""Exact matrices: products, charpolys, restriction."""
+"""Exact matrices: products, charpolys, the eigenvalue bound."""
 
 import math
 import random
@@ -15,7 +15,6 @@ from lielap.linalg import (
     _hessenberg_charpoly,
     charpoly_gq,
     eigenvalues_above,
-    restrict_operator,
     split_primes,
     weighted_hermitian,
 )
@@ -147,37 +146,6 @@ def test_charpoly_companion():
     # companion matrix of X^3 - 7X + 6
     m = mat([[0, 0, -6], [1, 0, 7], [0, 1, 0]])
     assert charpoly_gq(m) == [6, -7, 0, 1]
-
-
-def test_restrict_operator():
-    d = mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-    k = mat([[0, 0], [1, 0], [0, 1]])  # invariant: spans the 2-eigenspace
-    r = restrict_operator(d, k, [1, 2])
-    assert r == IntMatrix.identity(2) * 2
-
-
-def test_restrict_operator_reads_rows_at_pivots():
-    # span(e1 + e2, e3) is invariant; the pivots are rows 0 and 2
-    d = mat([[1, 2, 0], [2, 1, 0], [0, 0, 5]])
-    k = mat([[1, 0], [1, 0], [0, 1]])
-    r = restrict_operator(d, k, [0, 2])
-    assert r == mat([[3, 0], [0, 5]])
-    assert k @ r == d @ k
-
-
-def test_restrict_operator_rejects_noninvariant():
-    d = mat([[0, 1], [0, 0]])
-    k = mat([[0], [1]])  # d maps e2 to e1, outside span(e2)
-    with pytest.raises(ArithmeticError):
-        restrict_operator(d, k, [1])
-
-
-def test_restrict_operator_needs_identity_rows_at_pivots():
-    d = mat([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        restrict_operator(d, mat([[0], [2]]), [1])
-    with pytest.raises(ValueError):
-        restrict_operator(d, mat([[1], [0]]), [0, 1])
 
 
 # -- Faddeev-LeVerrier: the differential oracle for charpoly_gq ----------------

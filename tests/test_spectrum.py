@@ -22,7 +22,7 @@ from lielap.algebra_core import (
     metric_to_tensor,
     preset,
 )
-from lielap import algebra_core, spectrum
+from lielap import algebra_core, polycert, spectrum
 from lielap.errors import DomainError
 from lielap.irreps import (
     classify_type,
@@ -31,6 +31,7 @@ from lielap.irreps import (
     label,
     labels_up_to_level,
 )
+from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues, torus_scalar
 from fracpoly import Poly, clear_denominators, from_int, gcd, primitive_int
 from fracpoly import sturm_chain as fraction_sturm_chain
@@ -1315,6 +1316,41 @@ def test_skipped_labels_match_the_charpoly_route(case, monkeypatch):
     assert any(proved) == (case != "t3")
     monkeypatch.setattr(spectrum, "eigenvalues_above", lambda *args: False)
     assert table_to_json(assemble_spectrum(spec, tensor, cutoff)) == table
+
+
+@pytest.mark.parametrize("spins,above", [((1, 1), False), ((0, 4), True)])
+def test_a_non_hermitian_operator_is_refused_exactly(spins, above, monkeypatch):
+    """One imaginary entry of one label's operator flipped: floating point
+    reads only the hermitian part and refuses nothing, and the exact
+    weighted-hermitian check refuses the operator: on the charpoly route,
+    and, where the smallest hint lies above the cutoff, in
+    `eigenvalues_above`, before any charpoly."""
+    spec, tensor, _ = SKIP_CASES["spin4"]
+    cutoff, target = Fraction(20), label(spins)
+
+    def corrupt(spec, lab, tensor):
+        op = build_DV(spec, lab, tensor)
+        if lab == target:
+            M = op.matrix
+            im = M.im.copy()
+            k = np.flatnonzero(im)[0]
+            im[k] = -im[k]
+            op.matrix = IntMatrix(M.nrows, M.ncols, M.den, M.rows, M.cols, M.re, im)
+        return op
+
+    assert target in enumerate_irreps(spec, tensor, cutoff)
+    assert (root_hints(corrupt(spec, target, tensor))[0] > cutoff) == above
+    charpolys = []
+
+    def charpoly(op):
+        charpolys.append(op.label)
+        return char_poly_exact(op)
+
+    monkeypatch.setattr(polycert, "build_DV", corrupt)
+    monkeypatch.setattr(spectrum, "char_poly_exact", charpoly)
+    with pytest.raises(ArithmeticError, match="not hermitian"):
+        assemble_spectrum(spec, tensor, cutoff)
+    assert (target in charpolys) != above
 
 
 def test_the_least_scalar_label_does_its_class_work(monkeypatch):

@@ -1,12 +1,11 @@
 """Witness constructions and the randomized certificate search."""
 
-import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from fracpoly import from_int_poly, resultant_sylvester
-from test_linalg import charpoly_faddeev
+from fracpoly import Poly, resultant_sylvester
 
 from lielap import witness
 from lielap.algebra_core import (
@@ -17,15 +16,13 @@ from lielap.algebra_core import (
 )
 from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
-from lielap.linalg import IntMatrix, restrict_operator
+from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
-from lielap.poly import IntPoly, mul
-from lielap.polycert import char_poly_exact, charpoly_real, multiplicity_profile
+from lielap.polycert import char_poly_exact, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
-    eigenbases_check,
+    involution_branches,
     involution_checks,
-    orbit_eigenbases,
     pairs_mixed_witness,
     pairs_pipeline,
     sample_definite_tensor,
@@ -155,8 +152,70 @@ PIPELINE_BRANCH_VALUES = {
 }
 
 
+def _quarter_rotations(m: int, mprime: int) -> np.ndarray:
+    """exp(pi/2 B) x exp(pi/2 B) as a dense Fraction matrix in Kronecker
+    order: v_l x v_l' -> (-1)^(l + l') v_(m-l) x v_(m'-l')."""
+    d = mprime + 1
+    T = np.full(((m + 1) * d, (m + 1) * d), Fraction(0), dtype=object)
+    for l in range(m + 1):
+        for lp in range(d):
+            T[(m - l) * d + mprime - lp, l * d + lp] = Fraction((-1) ** (l + lp))
+    return T
+
+
+def _fractions(M: IntMatrix) -> np.ndarray:
+    """A real IntMatrix as a dense Fraction matrix."""
+    assert not M.im.any()
+    out = np.full((M.nrows, M.ncols), Fraction(0), dtype=object)
+    out[M.rows, M.cols] = [Fraction(x, M.den) for x in M.re.tolist()]
+    return out
+
+
+def _column_basis(P: np.ndarray) -> np.ndarray:
+    """The columns of P that raise the rank, in order: a basis of its image."""
+    kept, echelon = [], []
+    for j in range(P.shape[1]):
+        v = P[:, j].copy()
+        for pivot, w in echelon:
+            v = v - v[pivot] / w[pivot] * w
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, v))
+            kept.append(j)
+    return P[:, kept]
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with A X = B for an invertible Fraction matrix A, by Gauss-Jordan."""
+    n = len(A)
+    M = np.concatenate((A, B), axis=1)
+    for c in range(n):
+        r = next(i for i in range(c, n) if M[i, c])
+        M[[c, r]] = M[[r, c]]
+        M[c] = M[c] / M[c, c]
+        for i in range(n):
+            if i != c:
+                M[i] = M[i] - M[i, c] * M[c]
+    return M[:, n:]
+
+
+def _fraction_charpoly(R: np.ndarray) -> Poly:
+    """det(R - X*I) over Q by Faddeev-LeVerrier."""
+    n = len(R)
+    eye = np.diag([Fraction(1)] * n).astype(object)
+    c, N = [Fraction(0)] * n + [Fraction(1)], eye
+    for k in range(1, n + 1):
+        RN = R.dot(N)
+        c[n - k] = -sum(RN.diagonal()) / k
+        N = RN + c[n - k] * eye
+    return Poly([(-1) ** n * x for x in c])
+
+
 @pytest.mark.parametrize("m,mprime", sorted(PIPELINE_BRANCH_VALUES))
 def test_pipeline_branches_split_the_charpoly(m, mprime):
+    """The branch certificates are those of D on the images of the
+    projections (I + T)/2 and (I - T)/2, found over Q apart from the
+    pipeline: a column basis K of each image, D K = K R solved exactly."""
     r = pairs_pipeline(m, mprime)
     h_value, b_value = PIPELINE_BRANCH_VALUES[(m, mprime)]
     assert [c.value for c in r.h_simple_on_branches] == [Fraction(h_value)] * 2
@@ -164,22 +223,21 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
     assert r.branch_dims_ok
 
     eps = r.epsilon
-    T = rotation_half_pi(m).kron(rotation_half_pi(mprime))
-    (w_plus, w_minus), reps = orbit_eigenbases(T)
+    T = _quarter_rotations(m, mprime)
+    eye = np.diag([Fraction(1)] * len(T)).astype(object)
+    bases = [_column_basis((eye + s * T) / 2) for s in (1, -1)]
+    assert sum(K.shape[1] for K in bases) == len(T)
     branches = []
     for v in ([1, 0, 0, eps, 0, 0], [0, 0, 1, 0, 0, eps]):
-        D = build_DV(preset("su2xsu2"), label((m, mprime)), square_of_vector(v)).matrix
-        R = [restrict_operator(D, w, reps) for w in (w_plus, w_minus)]
-        den = math.lcm(D.den, *(x.den for x in R))
-        plus, minus = (charpoly_real(x, den) for x in R)
-        assert charpoly_real(D, den).coeffs == tuple(mul(plus.coeffs, minus.coeffs))
-        # the Fraction route: det(R - X) over Q by Faddeev-LeVerrier
-        faddeev = [charpoly_faddeev(x) for x in R]
-        assert all(im == 0 for cs in faddeev for _, im in cs)
-        branches.append([
-            from_int_poly(IntPoly(tuple(re for re, _ in cs), x.den))
-            for cs, x in zip(faddeev, R)
-        ])
+        Dq = _fractions(build_DV(preset("su2xsu2"), label((m, mprime)), square_of_vector(v)).matrix)
+        polys = []
+        for K in bases:
+            DK = Dq.dot(K)
+            R = _solve(K.T.dot(K), K.T.dot(DK))
+            assert (K.dot(R) == DK).all()
+            polys.append(_fraction_charpoly(R))
+        assert polys[0] * polys[1] == _fraction_charpoly(Dq)
+        branches.append(polys)
     (h_plus, h_minus), (b_plus, b_minus) = branches
     assert [c.value for c in r.h_simple_on_branches] == [
         resultant_sylvester(h, h.derivative()) for h in (h_plus, h_minus)
@@ -188,11 +246,12 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
 
 
 def test_orbit_eigenbases_skip_fixed_points():
-    # v_l -> (-1)^l v_{2-l} fixes the middle vector, which gets no column
+    # v_l -> (-1)^l v_{2-l} fixes the middle vector, which gets no row, so
+    # the branches fall short of the dimension: branch_dims_ok fails
     T = rotation_half_pi(2)
-    (w_plus, w_minus), reps = orbit_eigenbases(T)
-    assert reps == [0]
-    assert w_plus.ncols + w_minus.ncols < T.nrows
+    plus, minus = involution_branches(T, IntMatrix.from_dense(np.diag([4, 0, 4])))
+    assert plus == minus == IntMatrix.from_dense([[4]])
+    assert plus.nrows + minus.nrows < T.nrows
 
 
 def test_involution_checks_fail_one_at_a_time():
@@ -213,18 +272,25 @@ def test_involution_checks_fail_one_at_a_time():
     assert not involution_checks(T, phi, phi)[2]
 
 
-def test_eigenbases_check_fails_one_at_a_time():
+def test_branch_reads_fail_one_at_a_time():
+    # the (1, 1) pipeline's T and D_h give two 2 x 2 branches, R_s[k, l] =
+    # D[a_k, a_l] + s t_(a_l) D[a_k, sigma a_l] over a = (0, 1), sigma a =
+    # (3, 2) and t_a = (1, -1); each replacement breaks the read
     R = rotation_half_pi(1)
     T = R.kron(R)
-    (w_plus, w_minus), _ = orbit_eigenbases(T)
-    assert eigenbases_check(T, w_plus, w_minus)
-    assert not eigenbases_check(T, w_minus, w_minus)
-    assert not eigenbases_check(T, w_plus, w_plus)
-    # spin 2: v_1 is fixed, so K_+ and K_- have one column each out of 3
-    (w_plus, w_minus), _ = orbit_eigenbases(rotation_half_pi(2))
-    assert rotation_half_pi(2) @ w_plus == w_plus
-    assert rotation_half_pi(2) @ w_minus == -w_minus
-    assert not eigenbases_check(rotation_half_pi(2), w_plus, w_minus)
+    D = build_DV(preset("su2xsu2"), label((1, 1)), square_of_vector([1, 0, 0, Fraction(1, 2), 0, 0])).matrix
+    dense = _fractions(D)
+    plus, minus = involution_branches(T, D)
+    for s, branch in ((1, plus), (-1, minus)):
+        expected = [[dense[a, b] + s * t * dense[a, 3 - b] for b, t in ((0, 1), (1, -1))] for a in (0, 1)]
+        assert _fractions(branch).tolist() == expected
+    with pytest.raises(ArithmeticError, match="does not commute"):
+        involution_branches(T, D + IntMatrix.from_dense(np.diag([1, 0, 0, 0])))
+    # a real T with T^2 = -I, and a T with T^2 = I that is not real
+    sigma_y = IntMatrix.from_dense([[0, 0], [0, 0]], [[0, -1], [1, 0]])
+    for bad in (R.kron(IntMatrix.identity(2)), sigma_y.kron(IntMatrix.identity(2))):
+        with pytest.raises(ArithmeticError):
+            involution_branches(bad, IntMatrix.identity(4))
 
 
 @pytest.mark.parametrize("corrupt", [0, 1])
