@@ -14,6 +14,11 @@ is written x -> exp(i l.x) with x in units where the period is 2*pi; a
 weight-l circle rep in period-1 units multiplies eigenvalues of quadratic
 operators by (2*pi)^2.)
 
+So (H, A, B) = (iD, i(L + U), L - U) with three basic bands: L below the
+diagonal (v_l -> (m-l) v_{l+1}), D on it (v_l -> (m-2l) v_l) and U above
+it (v_l -> l v_{l-1}).  `su2_table` holds them with their nine products,
+once per spin, for both the generator matrices and the operator layer.
+
 Type classification: complex iff the weight is nonzero; otherwise
 quaternionic iff an odd number of spins is odd, else real.  The
 quaternionic/real dichotomy is witnessed by an explicit conjugate-linear
@@ -94,32 +99,43 @@ def classify_type(lab: IrrepLabel) -> str:
 # -- generator matrices -------------------------------------------------------
 
 
-# The triple (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer matrix.
+# The triple (H, A, B) is g_a = i^PHASES[a] G_a with G_a an integer matrix,
+# G_a = sum_q GAMMA[a, q] X_q over the basic bands X = (L, D, U).
 PHASES = (1, 1, 0)
+GAMMA = np.array([[0, 1, 0], [1, 0, 1], [1, 0, -1]], dtype=np.int64)
 
 
-@lru_cache(maxsize=512)
-def su2_bands(m: int) -> np.ndarray:
-    """The integer bands of the spin-m triple (G_H, G_A, G_B), read off the
-    formulas in the module docstring: a read-only int64 array of shape
-    (3, 3, m + 1) whose [a, s + 1, i] is the entry (i, i + s) of G_a, 0 where
-    that column is out of range."""
+@lru_cache(maxsize=256)
+def su2_table(m: int) -> np.ndarray:
+    """The spin-m basic bands and their one-band products, read off the
+    formulas in the module docstring: a read-only array of shape
+    (12, m + 1).  Row q < 3 is X_q, whose [i] is the entry (i, i + q - 1):
+    L[i] = m - i + 1, D[i] = m - 2i and U[i] = i + 1.  Row 3 + 3q + r is
+    X_q X_r, whose [i] is the entry (i, i + q + r - 2), X_q[i] X_r[i + q - 1].
+    Entries whose column is out of range are 0.  All are below (m + 2)^2:
+    int32 while that is below 2^31, int64 beyond."""
     if m < 0:
         raise DomainError("spin must be nonnegative")
-    bands = np.zeros((3, 3, m + 1), dtype=np.int64)
-    bands[0, 1] = range(m, -m - 1, -2)
-    bands[1:, 0, 1:] = range(m, 0, -1)  # (l + 1, l): m - l
-    bands[1, 2, :-1] = range(1, m + 1)  # (l - 1, l): l
-    bands[2, 2, :-1] = range(-1, -m - 1, -1)
-    bands.flags.writeable = False
-    return bands
+    dtype = np.int32 if (m + 2) ** 2 < 2**31 else np.int64
+    i = np.arange(m + 1, dtype=dtype)
+    # the basics padded by one zero column on either side
+    X = np.zeros((3, m + 3), dtype=dtype)
+    X[:, 1:-1] = m - i + 1, m - 2 * i, i + 1
+    X[0, 1] = X[2, -2] = 0
+    table = np.empty((12, m + 1), dtype=dtype)
+    table[:3] = X[:, 1:-1]
+    # X_r[i + q - 1] is X[r, i + q] in the padded array
+    table[3:] = (X[:, None, 1:-1] * np.stack([X[:, q:q + m + 1] for q in range(3)])).reshape(9, m + 1)
+    table.flags.writeable = False
+    return table
 
 
 def su2_generators(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(H, A, B) of the spin-m irreducible in the monomial basis."""
+    L, D, U = su2_table(m)[:3].astype(np.int64)
     out = []
-    for (below, diag, above), phase in zip(su2_bands(m), PHASES):
-        G = np.diag(below[1:], -1) + np.diag(diag) + np.diag(above[:-1], 1)
+    for (cl, cd, cu), phase in zip(GAMMA.tolist(), PHASES):
+        G = np.diag(cl * L[1:], -1) + np.diag(cd * D) + np.diag(cu * U[:-1], 1)
         out.append(IntMatrix.from_dense(0 * G, G) if phase else IntMatrix.from_dense(G))
     return tuple(out)
 

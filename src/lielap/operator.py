@@ -12,26 +12,37 @@ V-isotypic part; with the identity tensor it is the Casimir element.
 D_V(s) is assembled from the product structure of V = V_m1 x ... x V_mk x
 C_l as an ``IntMatrix``: integers over the common denominator of S, by
 which S is scaled once per tensor.  Each su(2) generator is i^phase times
-an integer matrix (H and A imaginary, B real), and the operator is held
-band by band: a band is a tuple of per-factor offsets (at most two nonzero,
+an integer matrix G_a (H and A imaginary, B real), and each G_a is a signed
+sum of three basic bands, G_a = sum_q GAMMA[a, q] X_q with X = (L, D, U)
+on the offsets -1, 0, 1 (`irreps.su2_table`).  The operator is held band
+by band: a band is a tuple of per-factor offsets (at most two nonzero,
 each in -2..2) with an integer array over the row multi-index, so work and
-memory go as bands x dim V.  The terms are broadcast into their bands:
+memory go as bands x dim V.  The coefficient blocks are mapped onto the
+basics once per tensor (a block c over the generators becomes
+GAMMA^T c GAMMA), and the terms are broadcast into their bands:
 
 - single-factor blocks: for each SU(2) factor j, B_j = -sum_ab S_ab g_a g_b
-  over its own directions, one product of its coefficients with a per-spin
-  table of the bands of g_a g_b;
+  over its own directions, one product of its coefficients, spread over
+  the offsets -2..2 (`TensorForm.single`), with the spin's table of the
+  nine one-band products X_q X_r;
 - cross-factor terms: for p, q in distinct SU(2) factors the two orderings
-  commute and give -2 S_pq (g_p x g_q), an outer product of factor bands;
+  commute and give -2 S_pq (g_p x g_q), a broadcast of the coefficients
+  of X_q x X_r against the basics of the two factors;
 - torus scalars: a torus direction e acts as i*l_e, so torus-torus terms
   give (sum S_ef l_e l_f) I (`torus_scalar`) and torus-SU(2) terms add
-  -2 i l_e S_pe g_p to the block of p.
+  -2 i l_e S_pe g_p, a multiple of each basic, to the block of p.
 
 The bands, in lexicographic order of their offset tuples, are read out
 row-major as the nonzero entries; that order gives ascending columns in
 every row whatever the spins (see `build_DV`).  The arrays are int64
-when a bound (sum |den S_pq| times the square of the largest generator
-row sum) shows that every row sum fits, and Python ints (dtype=object)
-otherwise, on the same code.
+when a bound (sum |den S_pq| times the square r^2 of the largest
+generator row sum of |entries|) shows that every row sum fits, and Python
+ints (dtype=object) otherwise, on the same code.  The bound covers the
+partial sums on the way too.  In row i the basics sit at distinct offsets,
+so sum_q |GAMMA[a, q]| |X_q[i]| is the row sum of |G_a|, at most r.  For a
+block with coefficients W the terms (GAMMA^T W GAMMA)_qr (X_q X_r)[i] of
+one row, over all q and r, therefore sum in absolute value to at most
+sum_ab |W_ab| r^2, and so do those of a cross broadcast.
 
 A label pays only for its band arithmetic, the nonzero read-out and the
 ``IntMatrix``; the rest is done once and kept:
@@ -39,16 +50,18 @@ A label pays only for its band arithmetic, the nonzero read-out and the
 - per tensor (`tensor_form`, kept on the tensor as
   ``SymTensor.operator_form``, so it lives and dies with it): den, the sum
   of |den S_pq| of the bound, and the phase-weighted coefficient blocks
-  of every factor and pair of factors, with the zero test of each pair;
+  of every factor and pair of factors on the basics, with the zero test of
+  each pair;
 - per number of SU(2) factors (`_band_layout`): the offset tuples of the
   bands in lexicographic order, each term's positions among them and the
   index that spreads its block over the row multi-index, so the terms are
   added straight into read-out order; a label computes only its strides
   and the flat offsets of the bands;
-- per spin (`_spin_table`, a bounded cache): the integer bands of the
-  triple and of its products, in int32.  The int64 products upcast them as
-  they read them; int64 copies would double the memory of every cached
-  table.  The object route converts the tables of its label.
+- per spin (`irreps.su2_table`, a bounded cache shared with the generator
+  matrices): one (12, m + 1) table of the basics and their nine products,
+  in int32.  The int64 products upcast it as they read it; an int64 copy
+  would double the memory of every cached table.  The object route
+  converts the tables of its label.
 
 The numeric path conjugates D by the diagonal square-root of the invariant
 inner product weights, which makes it hermitian, and hands the hermitian
@@ -71,7 +84,7 @@ import numpy as np
 
 from .algebra_core import GroupSpec, SymTensor, identity_tensor
 from .errors import DomainError
-from .irreps import PHASES, IrrepLabel, su2_bands
+from .irreps import GAMMA, PHASES, IrrepLabel, su2_table
 from .linalg import IntMatrix, entry_dtype
 
 
@@ -92,26 +105,6 @@ class OperatorMatrix:
 def casimir_tensor(spec: GroupSpec) -> SymTensor:
     """The identity coefficient matrix: sum of squares of the basis."""
     return identity_tensor(spec.dim)
-
-
-@lru_cache(maxsize=256)
-def _spin_table(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bands of the spin-m triple's products and of the triple itself
-    (su2_bands), shapes (9, 5 (m + 1)) and (3, 3 (m + 1)): [3a + b, 5 i + s]
-    is the entry (i, i + s - 2) of G_a G_b and [a, 3 i + s] that (i, i + s
-    - 1) of G_a, 0 out of range.  The entries are below (m + 2)^2, which
-    int32 holds for any spin one would build."""
-    d = m + 1
-    # offsets -1..1 of each G_a, padded by one zero column on either side
-    G = np.zeros((3, 3, d + 2), dtype=np.int64)
-    G[:, :, 1:-1] = su2_bands(m)
-    products = np.zeros((3, 3, 5, d), dtype=np.int64)
-    for s in range(3):
-        # (G_a G_b)[i, i+s+t-2] = G_a[i, i+s-1] G_b[i+s-1, i+s+t-2], t = 0..2
-        products[:, :, s:s + 3] += G[:, None, None, s, 1:-1] * G[None, :, :, s:s + d]
-    dtype = np.int32 if (m + 2) ** 2 < 2**31 else np.int64
-    return (products.transpose(0, 1, 3, 2).astype(dtype).reshape(9, 5 * d),
-            G[:, :, 1:-1].transpose(0, 2, 1).astype(dtype).reshape(3, 3 * d))
 
 
 @lru_cache(maxsize=8)
@@ -150,43 +143,63 @@ _PAIR = _RE_IM[:, np.add.outer(PHASES, PHASES) % 4]
 _TORUS = _RE_IM[:, (np.array(PHASES) + 1) % 4]
 # the offsets -2, -1, 1, 2 among -2..2
 _NONZERO = np.array([0, 1, 3, 4])
+# X_q X_r, row 3q + r of a product table, lies on the offset q + r - 2
+_PRODUCT_OFFSET = np.add.outer(range(3), range(3)).ravel()
 
 
 class TensorForm(NamedTuple):
     """The part of build_DV that depends on the tensor alone (see
-    `tensor_form`), kept on the tensor as `SymTensor.operator_form`."""
+    `tensor_form`), kept on the tensor as `SymTensor.operator_form`.  The
+    blocks act on the basic bands X_q of `su2_table` rather than on the
+    generators: G_a = sum_q GAMMA[a, q] X_q turns a block c over the
+    generators into GAMMA^T c GAMMA."""
 
     den: int
     size: int  # sum of |den S_pq|, the tensor's part of the int64/object bound
     S: np.ndarray  # den * S
-    single: list  # per factor j, (2, 9): -S_ab times the phase of g_a g_b
-    cross: dict  # per pair j < j2 with a nonzero block, (2, 3, 3): -2 S_ab times that phase
-    torus: np.ndarray  # (2, n, n): -2 S_pe times the phase of (i l_e) g_p
+    # per factor j, (10, 9): [5 part + q + r, 3q + r] is the coefficient of
+    # X_q X_r in -sum_ab S_ab g_a g_b over the directions of j (part 0 real,
+    # 1 imaginary), and the other entries are 0, so row 5 part + s collects
+    # the offset s - 2
+    single: list
+    # per pair j < j2 with a nonzero block, (2, 3, 3): [part, q, r] is the
+    # coefficient of X_q x X_r in -2 sum_ab S_ab g_a x g_b
+    cross: dict
+    # (2, n // 3, 3, n): [part, j, q, e] is the coefficient of l_e X_q in
+    # -2 sum_a S_pe (i l_e) g_a, p = 3j + a the directions of factor j
+    torus: np.ndarray
 
 
 def tensor_form(tensor: SymTensor) -> TensorForm:
-    """den * S and its phase-weighted blocks, in int64 when they fit and in
-    Python ints otherwise; on the object route int64 blocks are upcast by
-    the arithmetic with the label's object arrays.  Index p of S is read as
-    direction p mod 3 of SU(2) factor p // 3, which it is on every group of
-    the tensor's size that has that factor, so the blocks do not depend on
-    the group."""
+    """den * S and its phase-weighted blocks on the basic bands, in int64
+    when they fit and in Python ints otherwise; on the object route int64
+    blocks are upcast by the arithmetic with the label's object arrays.
+    Index p of S is read as direction p mod 3 of SU(2) factor p // 3, which
+    it is on every group of the tensor's size that has that factor, so the
+    blocks do not depend on the group."""
     den, scaled = tensor.integer_form
     size = sum(abs(x) for row in scaled for x in row)
-    # every block entry is at most 2 * size
+    # every block entry is at most 2 * size, and so is every entry of
+    # GAMMA^T c GAMMA and every partial sum on the way: each is a signed
+    # sum of distinct entries of c
     S = np.array(scaled, dtype=entry_dtype(size, 1))
     a = np.arange(len(S)) % 3
     W = -S * _PAIR[:, a[:, None], a]
     q = len(S) // 3
 
-    def block(j: int, j2: int) -> np.ndarray:
-        return W[:, 3 * j:3 * j + 3, 3 * j2:3 * j2 + 3]
+    def basic(j: int, j2: int) -> np.ndarray:
+        return GAMMA.T @ W[:, 3 * j:3 * j + 3, 3 * j2:3 * j2 + 3] @ GAMMA
 
+    single = []
+    for j in range(q):
+        K = np.zeros((2, 5, 9), dtype=S.dtype)
+        K[:, _PRODUCT_OFFSET, range(9)] = basic(j, j).reshape(2, 9)
+        single.append(K.reshape(10, 9))
+    torus = -2 * _TORUS[:, a, None] * S
     return TensorForm(
-        den, size, S,
-        [block(j, j).reshape(2, 9) for j in range(q)],
-        {(j, j2): 2 * block(j, j2) for j in range(q) for j2 in range(j + 1, q) if block(j, j2).any()},
-        -2 * _TORUS[:, a, None] * S,
+        den, size, S, single,
+        {(j, j2): 2 * basic(j, j2) for j in range(q) for j2 in range(j + 1, q) if basic(j, j2).any()},
+        GAMMA.T @ torus[:, :3 * q].reshape(2, q, 3, len(S)),
     )
 
 
@@ -218,15 +231,15 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
         # torus-torus: -S_ef (i l_e)(i l_f) = S_ef l_e l_f on the identity
         bands[0, ..., zero] = torus_scalar(spec, tensor, lab.weight)
         # torus-SU(2), both orders: -2 S_pe (i l_e) g_a, per factor and a
-        lin = (form.torus[:, :su, su:] @ w).reshape(2, k, 3)
-    tables = [_spin_table(m) for m in lab.spins]
+        lin = form.torus[:, :k, :, su:] @ w
+    tables = [su2_table(m) for m in lab.spins]
     if dtype is object:
-        tables = [(p.astype(object), g.astype(object)) for p, g in tables]
-    for j, (d, (products, g)) in enumerate(zip(dims, tables)):
+        tables = [t.astype(object) for t in tables]
+    for j, (d, table) in enumerate(zip(dims, tables)):
         # -S_ab g_a g_b on the offsets -2..2, the torus part on -1..1
-        block = (form.single[j] @ products).reshape(2, d, 5)
+        block = (form.single[j] @ table[3:]).reshape(2, 5, d).transpose(0, 2, 1)
         if lin is not None:
-            block[..., 1:4] += (lin[:, j] @ g).reshape(2, d, 3)
+            block[..., 1:4] += lin[:, j, None] * table[:3].T
         # the nonzero offsets of factor j are its own bands, so they are
         # assigned (cheaper than adding through an index); all share offset 0
         at, spread = single[j]
@@ -237,12 +250,11 @@ def build_DV(spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor) -> OperatorMat
     for (j, j2), c in form.cross.items():
         if j2 >= k:
             continue
-        d, d2 = dims[j], dims[j2]
-        # x[part, (i, s), (i2, t)] = sum_ab c[part, a, b] G_a[i, i+s] G_b[i2, i2+t]
-        x = tables[j][1].T @ (c @ tables[j2][1])
-        x = x.reshape(2, d, 3, d2, 3).transpose(0, 1, 3, 2, 4).reshape(2, d, d2, 9)
+        # x[part, i, i2, 3q + r] = c[part, q, r] X_q[i] X_r[i2], on the offsets
+        # (q - 1, r - 1) of the pair
+        x = c[:, None, None] * tables[j][:3].T[:, None, :, None] * tables[j2][:3].T[:, None, :]
         at, spread = pairs[j, j2]
-        bands[..., at] += x[spread]
+        bands[..., at] += x.reshape(2, dims[j], dims[j2], 9)[spread]
 
     # row-major read-out.  In row i, band s reaches the column multi-index
     # i + s; columns in range compare in flat order as their multi-indices

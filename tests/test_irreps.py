@@ -1,5 +1,6 @@
 """Representation data: generator relations, types, duality, descent."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ import pytest
 from lielap.algebra_core import build_group_spec, group_from_json, identity_tensor, preset
 from lielap.errors import DomainError
 from lielap.irreps import (
+    GAMMA,
+    PHASES,
     IrrepLabel,
     build_irrep,
     classify_type,
@@ -20,8 +23,8 @@ from lielap.irreps import (
     labels_up_to_level,
     quaternionic_structure,
     rotation_half_pi,
-    su2_bands,
     su2_generators,
+    su2_table,
 )
 from lielap.linalg import IntMatrix
 from lielap.operator import build_DV
@@ -53,21 +56,67 @@ def test_casimir_from_generators(m):
 
 @pytest.mark.parametrize("m", range(7))
 def test_su2_bands_follow_the_docstring_formulas(m):
-    """su2_bands(m)[a, s + 1, i] is the entry (i, i + s) of G_a.  The module
-    docstring gives G_a column by column: column l of G_H holds m - 2l in
-    row l, and those of G_A and G_B hold m - l in row l + 1 and l (G_A) or
-    -l (G_B) in row l - 1."""
-    want = np.zeros((3, 3, m + 1), dtype=np.int64)
+    """su2_table(m)[q, i] is the entry (i, i + q - 1) of the basic band X_q,
+    and G_a = sum_q GAMMA[a, q] X_q, so GAMMA[a, q] X_q[i] is the entry
+    (i, i + q - 1) of G_a.  The module docstring gives G_a column by
+    column: column l of G_H holds m - 2l in row l, and those of G_A and G_B
+    hold m - l in row l + 1 and l (G_A) or -l (G_B) in row l - 1."""
+    want = np.zeros((3, 3, m + 1), dtype=np.int64)  # [a, s + 1, i]: entry (i, i + s) of G_a
     for l in range(m + 1):
         want[0, 1, l] = m - 2 * l
         if l < m:
             want[1, 0, l + 1] = want[2, 0, l + 1] = m - l
         if l > 0:
             want[1, 2, l - 1], want[2, 2, l - 1] = l, -l
-    bands = su2_bands(m)
-    assert bands.dtype == np.int64 and bands.shape == (3, 3, m + 1)
-    assert np.array_equal(bands, want)
-    assert not bands.flags.writeable
+    table = su2_table(m)
+    assert table.dtype == np.int32 and table.shape == (12, m + 1)
+    assert np.array_equal(want, GAMMA[:, :, None] * table[:3])
+    assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("m", range(13))
+def test_su2_table_rows_are_bands_of_the_dense_products(m):
+    # the dense G_a and G_a G_b of the generators; 2 GAMMA^-1 is integer, so
+    # 2 X_q and 4 X_q X_r are integer combinations of them
+    G = []
+    for M, phase in zip(su2_generators(m), PHASES):
+        dense = np.zeros((m + 1, m + 1), dtype=np.int64)
+        dense[M.rows, M.cols] = M.im if phase else M.re
+        G.append(dense)
+    inverse = np.array([[0, 1, 1], [2, 0, 0], [0, 1, -1]])
+    assert np.array_equal(GAMMA @ inverse, 2 * np.eye(3, dtype=np.int64))
+    products = [[sum(inverse[q, a] * inverse[r, b] * (G[a] @ G[b]) for a in range(3) for b in range(3))
+                 for r in range(3)] for q in range(3)]
+
+    def band(dense, s):
+        """[i] = dense[i, i + s], 0 where i + s is out of range; and whether
+        dense has no entry off that band."""
+        out = np.array([dense[i, i + s] if 0 <= i + s <= m else 0 for i in range(m + 1)])
+        return out, np.count_nonzero(out) == np.count_nonzero(dense)
+
+    table = su2_table(m)
+    assert table.shape == (12, m + 1)
+    for q in range(3):
+        X, only = band(np.einsum("a,aij->ij", inverse[q], G), q - 1)
+        assert only and np.array_equal(2 * table[q], X), q
+        for r in range(3):
+            P, only = band(products[q][r], q + r - 2)
+            assert only and np.array_equal(4 * table[3 + 3 * q + r], P), (q, r)
+
+
+def test_su2_table_switches_to_int64_where_its_entries_reach_2_31():
+    m = math.isqrt(2**31 - 1) - 2  # the largest m with (m + 2)^2 < 2^31
+    below, above = su2_table.__wrapped__(m), su2_table.__wrapped__(m + 1)
+    assert below.dtype == np.int32 and above.dtype == np.int64
+    # the largest entries, exact: D D at 0 is n^2, L L at 2 and U U at n - 2 are (n - 1) n
+    for table, n in ((below, m), (above, m + 1)):
+        assert table[7, 0] == n * n and table[3, 2] == table[11, n - 2] == (n - 1) * n
+
+
+def test_su2_tables_of_256_spins_fit_in_2_mb():
+    # 12 int32 entries per basis vector: 1.58 MB over the spins 0..255 that
+    # a build_DV pass over the su2 x su2 labels of dim <= 256 reads
+    assert sum(su2_table(m).nbytes for m in range(256)) <= 2_000_000
 
 
 def test_h_action_is_diagonal():
