@@ -23,7 +23,7 @@ _HOMES = {
     ),
     "errors": ("DomainError", "WitnessSearchExhausted"),
     "irreps": (
-        "Irrep", "IrrepLabel", "build_irrep", "classify_type", "descends_to_quotient",
+        "IrrepLabel", "build_irrep", "classify_type", "descends_to_quotient",
         "dual_label", "format_label", "is_self_dual", "label", "labels_up_to_level",
         "quaternionic_structure",
     ),

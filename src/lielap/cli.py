@@ -293,7 +293,7 @@ def check_eigH(args):
     spec = preset("su2")
     ms = [args.m] if args.m is not None else list(range(0, args.max_m + 1))
     for m in ms:
-        H = build_irrep(spec, label((m,))).generators[0]
+        H = build_irrep(spec, label((m,)))[0]
         # diag(i(m - 2l)): nonzero on the diagonal except at l = m/2
         ls = [l for l in range(m + 1) if 2 * l != m]
         if not (
@@ -312,7 +312,7 @@ def check_quaternionic_double(args):
     for m in range(1, args.max_m + 1, 2):
         J = quaternionic_structure(m)
         if J.square_sign != -1 or not J.is_equivariant(
-            build_irrep(spec, label((m,))).generators
+            build_irrep(spec, label((m,)))
         ):
             return False, f"structure map fails at m={m}"
         p = char_poly_of(spec, label((m,)), sq)
@@ -381,7 +381,7 @@ def check_types(args):
         J = quaternionic_structure(m)
         sign = 1 if m % 2 == 0 else -1
         if J.square_sign != sign or not J.is_equivariant(
-            build_irrep(spec, label((m,))).generators
+            build_irrep(spec, label((m,)))
         ):
             return False, f"structure-map oracle fails at m={m}"
     for m in range(0, 4):

@@ -17,7 +17,10 @@ operators by (2*pi)^2.)
 So (H, A, B) = (iD, i(L + U), L - U) with three basic bands: L below the
 diagonal (v_l -> (m-l) v_{l+1}), D on it (v_l -> (m-2l) v_l) and U above
 it (v_l -> l v_{l-1}).  `su2_table` holds them with their nine products,
-once per spin, for both the generator matrices and the operator layer.
+once per spin.  Both the generator matrices (`build_irrep`) and the
+operator layer (`operator.build_DV`) read their entries off it by the
+strides of the row multi-index of V_m1 x ... x V_mk x C_l, so neither
+builds a dense matrix.
 
 Type classification: complex iff the weight is nonzero; otherwise
 quaternionic iff an odd number of spins is odd, else real.  The
@@ -130,68 +133,47 @@ def su2_table(m: int) -> np.ndarray:
     return table
 
 
-def su2_generators(m: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """(H, A, B) of the spin-m irreducible in the monomial basis."""
-    L, D, U = su2_table(m)[:3].astype(np.int64)
-    out = []
-    for (cl, cd, cu), phase in zip(GAMMA.tolist(), PHASES):
-        G = np.diag(cl * L[1:], -1) + np.diag(cd * D) + np.diag(cu * U[:-1], 1)
-        out.append(IntMatrix.from_dense(0 * G, G) if phase else IntMatrix.from_dense(G))
-    return tuple(out)
-
-
 def rotation_half_pi(m: int) -> IntMatrix:
     """The spin-m matrix of the group element exp(pi/2 B), i.e. the 2x2
-    rotation by 90 degrees: v_l -> (-1)^l v_{m-l}.  Integer entries."""
-    R = np.zeros((m + 1, m + 1), dtype=np.int64)
-    for l in range(m + 1):
-        R[m - l, l] = -1 if l % 2 else 1
-    return IntMatrix.from_dense(R)
+    rotation by 90 degrees: v_l -> (-1)^l v_{m-l}.  Integer entries: row
+    m - l holds (-1)^l in column l."""
+    rows = np.arange(m + 1, dtype=np.int64)
+    cols = m - rows
+    return IntMatrix(m + 1, m + 1, 1, rows, cols, 1 - 2 * (cols % 2), np.zeros(m + 1, dtype=np.int64))
 
 
-@dataclass(eq=False)
-class Irrep:
-    """An irreducible with exact generator matrices for every basis
-    direction of the Lie algebra, in basis order."""
-
-    spec: GroupSpec
-    label: IrrepLabel
-    dim: int
-    rep_type: str
-    generators: tuple[IntMatrix, ...]
-
-
-def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> Irrep:
-    """Tensor-product matrices: factor generators get Kronecker-extended
-    by identities, torus directions act as scalars i*l_i."""
+def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> tuple[IntMatrix, ...]:
+    """The generator matrices of the irreducible, one per basis direction
+    of the Lie algebra, in basis order, read off `su2_table` by the
+    strides `build_DV` uses: with s_j the product of the dims after
+    factor j, generator a of factor j holds, in row r whose coordinate in
+    factor j is i, the entry i^PHASES[a] GAMMA[a, q] X_q[i] in column
+    r + (q - 1) s_j.  Torus direction e acts as the scalar i l_e.  Zero
+    entries, the table's out-of-range ones among them, are not stored."""
     if len(lab.spins) != spec.k or len(lab.weight) != spec.n:
         raise DomainError("label shape does not match the group")
     dims = [m + 1 for m in lab.spins]
-    total = 1
-    for d in dims:
-        total *= d
-    gens: list[IntMatrix] = []
+    total = math.prod(dims)
+    r = np.arange(total, dtype=np.int64)
+
+    def generator(rows, cols, values: list, phase: int) -> IntMatrix:
+        zeros = [0] * len(values)
+        return IntMatrix._from_values(total, total, 1, rows, cols, *((zeros, values) if phase else (values, zeros)))
+
+    gens = []
     for j, m in enumerate(lab.spins):
-        H, A, B = su2_generators(m)
-        left = 1
-        for d in dims[:j]:
-            left *= d
-        right = 1
-        for d in dims[j + 1:]:
-            right *= d
-        IL, IR = IntMatrix.identity(left), IntMatrix.identity(right)
-        for G in (H, A, B):
-            gens.append(IL.kron(G).kron(IR))
-    eye = np.eye(total, dtype=object)
+        s = math.prod(dims[j + 1:])
+        # [r, q]: X_q at row r's coordinate in factor j, and its column
+        X = su2_table(m)[:3, r // s % dims[j]].T
+        cols = (r[:, None] + s * np.arange(-1, 2)).ravel()
+        for g, phase in zip(GAMMA, PHASES):
+            v = (g * X).ravel()
+            at = np.flatnonzero(v)
+            gens.append(generator(at // 3, cols[at], v[at].tolist(), phase))
     for l in lab.weight:
-        gens.append(IntMatrix.from_dense(0 * eye, l * eye))
-    return Irrep(
-        spec=spec,
-        label=lab,
-        dim=total,
-        rep_type=classify_type(lab),
-        generators=tuple(gens),
-    )
+        at = r if l else r[:0]
+        gens.append(generator(at, at, [l] * at.size, 1))
+    return tuple(gens)
 
 
 # -- quaternionic structure ---------------------------------------------------

@@ -401,10 +401,10 @@ def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) 
     the proof, never its soundness.
 
     M must satisfy c_j M_ij = c_i conj(M_ji) for the positive integers
-    weights c, as in `weighted_hermitian`.  With cutoff a / b and
-    den = M.den, A = b den M - a den I is then a Gaussian-integer matrix
-    with c_j A_ij = c_i conj(A_ji), so H = A diag(c) is hermitian (checked
-    exactly on its int64 entries, ArithmeticError if not) and congruent
+    weights c, which `weighted_hermitian` checks (ArithmeticError if it
+    fails).  With cutoff a / b and den = M.den, A = b den M - a den I is
+    then a Gaussian-integer matrix with c_j A_ij = c_i conj(A_ji), so
+    H = A diag(c) is hermitian and congruent
     to diag(c)^(-1/2) H diag(c)^(-1/2), which is similar to A: H is
     positive definite exactly when every eigenvalue of M exceeds a / b.
 
@@ -439,6 +439,9 @@ def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) 
     top = max(int(abs(M.re).max(initial=1)), int(abs(M.im).max(initial=0)))
     if (b * top + abs(a) * M.den) * int(weights.max()) >= 2**52:
         return False
+    # H below is hermitian exactly when M is weighted-hermitian
+    if not weighted_hermitian(M, weights):
+        raise ArithmeticError("operator is not hermitian for its invariant weights")
     rows, cols, c = M.rows, M.cols, weights.astype(np.int64)
     Hre = np.zeros((n, n), dtype=np.int64)
     Him = np.zeros_like(Hre)
@@ -446,9 +449,6 @@ def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) 
     Him[rows, cols] = b * M.im * c[cols]
     diag = np.arange(n)
     Hre[diag, diag] -= a * M.den * c
-    # H hermitian is the weighted-hermitian identity of M
-    if not (np.array_equal(Hre, Hre.T) and np.array_equal(Him, -Him.T)):
-        raise ArithmeticError("operator is not hermitian for its invariant weights")
     h = Hre[diag, diag]
     if (h <= 0).any():
         return False

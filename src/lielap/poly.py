@@ -315,32 +315,19 @@ def sign_at_dyadic(cs: Sequence[int], m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def fold_odd(cs: Sequence[int], q: int) -> list[int]:
-    """Coefficients c_i q^(deg - i) of q^deg cs(x / q), for q > 0.
-
-    The sign of cs at m / (q 2^k) is the sign of the result at m / 2^k,
-    which lets `sign_at_dyadic` decide signs at points whose denominator
-    has the odd part q.
-    """
-    out = list(cs)
-    pw = 1
-    for i in range(len(out) - 1, -1, -1):
-        out[i] *= pw
-        pw *= q
-    return out
-
-
 def int_sign_at(cs: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer polynomial cs at the rational point x.
+    """Sign of the integer polynomial cs at the rational point x = p / q.
 
-    x = m / (q 2^k) with q odd: the odd part q of the denominator is
-    folded into the coefficients (`fold_odd`) and the sign is taken at
-    the dyadic point m / 2^k by `sign_at_dyadic`.
+    One Horner pass over the integers, as in `sign_at_dyadic`: the value
+    times q^deg is sum c_i p^i q^(deg - i), and q > 0.
     """
-    den = x.denominator
-    k = (den & -den).bit_length() - 1
-    q = den >> k
-    return sign_at_dyadic(fold_odd(cs, q) if q > 1 else cs, x.numerator, k)
+    p, q = x.numerator, x.denominator
+    acc = 0
+    pw = 1
+    for c in reversed(cs):
+        acc = acc * p + c * pw
+        pw *= q
+    return (acc > 0) - (acc < 0)
 
 
 def _variations(signs) -> int:

@@ -324,8 +324,7 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     eps = Fraction(1, 2 * mprime)
     spec = preset("su2xsu2")
     lab = label((m, mprime))
-    rep = build_irrep(spec, lab)
-    G = rep.generators
+    G = build_irrep(spec, lab)
     phi = G[0] + G[3] * eps
     psi = G[2] + G[5] * eps
     s_h = square_of_vector([1, 0, 0, eps, 0, 0])

@@ -7,7 +7,8 @@ is read by some module of the package, exported by `lielap._HOMES` or
 looked up by the benchmark's tracer.  The one kind of import allowed to
 go unread is a name the tracer (perfbench/tracer.py, `WRAPS`) looks up
 in that module, since the tracer wraps it where its callers would look
-for it.
+for it.  Every public method or property of a class in src/lielap is read
+as an attribute somewhere in the package, the tests or the benchmark.
 """
 
 import ast
@@ -100,10 +101,31 @@ def test_every_public_function_and_class_is_read():
     assert unread == []
 
 
+def _public_methods(modules: dict[str, ast.Module]) -> list[tuple[str, str, str]]:
+    """(module, class, name) for every public method or property of a
+    top-level class."""
+    return [
+        (module, cls.name, node.name)
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_method_and_property_is_read():
+    readers = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    read = set().union(*(_read_attributes(ast.parse(path.read_text(), str(path))) for path in readers))
+    unread = [".".join(m) for m in _public_methods(_modules()) if m[2] not in read]
+    assert unread == []
+
+
 def test_the_check_sees_the_package():
-    """The package is found, and the one tracer-wrapped import the check
-    allows is among the names it collects."""
+    """The package is found, the one tracer-wrapped import the check
+    allows is among the names it collects, and so are the methods."""
     modules = _modules()
     assert {"spectrum", "poly", "irreps"} <= set(modules)
+    assert {("linalg", "IntMatrix", "kron"), ("irreps", "IrrepLabel", "dim")} <= set(_public_methods(modules))
     assert "divides" in _imported(modules["spectrum"])
     assert ("spectrum", "divides") in _wrapped()

@@ -1,5 +1,6 @@
 """Representation data: generator relations, types, duality, descent."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,7 +24,6 @@ from lielap.irreps import (
     labels_up_to_level,
     quaternionic_structure,
     rotation_half_pi,
-    su2_generators,
     su2_table,
 )
 from lielap.linalg import IntMatrix
@@ -41,7 +41,7 @@ def imaginary_diagonal(values):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
 def test_su2_commutation_relations(m):
-    H, A, B = su2_generators(m)
+    H, A, B = build_irrep(preset("su2"), label((m,)))
     assert commutator(H, A) == B * 2
     assert commutator(B, H) == A * 2
     assert commutator(A, B) == H * 2
@@ -49,7 +49,7 @@ def test_su2_commutation_relations(m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 4, 7])
 def test_casimir_from_generators(m):
-    H, A, B = su2_generators(m)
+    H, A, B = build_irrep(preset("su2"), label((m,)))
     cas = -(H @ H) + -(A @ A) + -(B @ B)
     assert cas == IntMatrix.identity(m + 1) * (m * (m + 2))
 
@@ -79,7 +79,7 @@ def test_su2_table_rows_are_bands_of_the_dense_products(m):
     # the dense G_a and G_a G_b of the generators; 2 GAMMA^-1 is integer, so
     # 2 X_q and 4 X_q X_r are integer combinations of them
     G = []
-    for M, phase in zip(su2_generators(m), PHASES):
+    for M, phase in zip(build_irrep(preset("su2"), label((m,))), PHASES):
         dense = np.zeros((m + 1, m + 1), dtype=np.int64)
         dense[M.rows, M.cols] = M.im if phase else M.re
         G.append(dense)
@@ -120,7 +120,7 @@ def test_su2_tables_of_256_spins_fit_in_2_mb():
 
 
 def test_h_action_is_diagonal():
-    H, _, _ = su2_generators(4)
+    H, _, _ = build_irrep(preset("su2"), label((4,)))
     want = imaginary_diagonal([4 - 2 * l for l in range(5)])
     assert H == want
 
@@ -169,7 +169,7 @@ def test_structure_map_oracle_matches_type(m):
     spec = preset("su2")
     J = quaternionic_structure(m)
     assert J.square_sign == (1 if m % 2 == 0 else -1)
-    assert J.is_equivariant(build_irrep(spec, label((m,))).generators)
+    assert J.is_equivariant(build_irrep(spec, label((m,))))
     expected = "real" if J.square_sign == 1 else "quaternionic"
     assert classify_type(label((m,))) == expected
 
@@ -187,7 +187,7 @@ def test_rotation_half_pi_properties():
 def test_rotation_conjugates_h_to_minus_h():
     # the quarter turn around B sends H to -H
     for m in (1, 2, 3, 4):
-        H, _, B = su2_generators(m)
+        H, _, B = build_irrep(preset("su2"), label((m,)))
         R = rotation_half_pi(m)
         assert R @ H == -(H @ R)
         assert R @ B == B @ R
@@ -195,9 +195,8 @@ def test_rotation_conjugates_h_to_minus_h():
 
 def test_product_generators_commute_across_factors():
     spec = preset("su2xsu2")
-    rep = build_irrep(spec, label((1, 2)))
-    G = rep.generators
-    assert rep.dim == 6
+    G = build_irrep(spec, label((1, 2)))
+    assert all(g.nrows == g.ncols == 6 for g in G)
     for i in range(3):
         for j in range(3, 6):
             assert commutator(G[i], G[j]) == IntMatrix.identity(6) * 0
@@ -205,19 +204,91 @@ def test_product_generators_commute_across_factors():
 
 def test_torus_generators_are_scalars():
     spec = preset("t2")
-    rep = build_irrep(spec, label((), (3, -1)))
-    assert rep.dim == 1
-    assert rep.generators[0] == imaginary_diagonal([3])
-    assert rep.generators[1] == imaginary_diagonal([-1])
+    G = build_irrep(spec, label((), (3, -1)))
+    assert all(g.nrows == g.ncols == 1 for g in G)
+    assert G[0] == imaginary_diagonal([3])
+    assert G[1] == imaginary_diagonal([-1])
 
 
 def test_mixed_group_generator_shapes():
     spec = preset("u2")
-    rep = build_irrep(spec, label((2,), (1,)))
-    assert rep.dim == 3
-    assert all(g.nrows == 3 for g in rep.generators)
+    G = build_irrep(spec, label((2,), (1,)))
+    assert len(G) == 4
+    assert all(g.nrows == g.ncols == 3 for g in G)
     # torus part acts as i on the twisted spin-2 space
-    assert rep.generators[3] == imaginary_diagonal([1, 1, 1])
+    assert G[3] == imaginary_diagonal([1, 1, 1])
+
+
+# -- reference construction of the generator matrices -------------------------
+
+
+def reference_su2(m):
+    """(H, A, B) of spin m from the module docstring's formulas, column by
+    column on dense arrays, with no use of `su2_table`."""
+    G = np.zeros((3, m + 1, m + 1), dtype=np.int64)
+    for l in range(m + 1):
+        G[0, l, l] = m - 2 * l
+        if l < m:
+            G[1, l + 1, l] = G[2, l + 1, l] = m - l
+        if l > 0:
+            G[1, l - 1, l], G[2, l - 1, l] = l, -l
+    zero = np.zeros_like(G[0])
+    return IntMatrix.from_dense(zero, G[0]), IntMatrix.from_dense(zero, G[1]), IntMatrix.from_dense(G[2])
+
+
+def reference_irrep(lab):
+    """The generators of the label: each factor's (H, A, B) Kronecker-
+    embedded between identities, and i l_e on the identity per torus
+    direction."""
+    dims = [m + 1 for m in lab.spins]
+    total = math.prod(dims)
+    gens = []
+    for j, m in enumerate(lab.spins):
+        left = IntMatrix.identity(math.prod(dims[:j]))
+        right = IntMatrix.identity(math.prod(dims[j + 1:]))
+        gens += [left.kron(G).kron(right) for G in reference_su2(m)]
+    for l in lab.weight:
+        gens.append(IntMatrix.from_dense([[0]], [[l]]).kron(IntMatrix.identity(total)))
+    return gens
+
+
+def fields(M):
+    """Every field of an IntMatrix, the dtypes of its arrays included."""
+    arrays = (M.rows, M.cols, M.re, M.im)
+    return (M.nrows, M.ncols, M.den, *(a.tolist() for a in arrays), *(a.dtype for a in arrays))
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(4) for n in range(3) if k + n])
+def test_build_irrep_matches_the_kronecker_reference(k, n):
+    spec = build_group_spec(k, n)
+    spins = itertools.product(range(3 if k == 3 else 5), repeat=k)
+    weights = list(itertools.product((-2, 0, 3, 2**70), repeat=n))
+    for s in spins:
+        for w in weights:
+            lab = label(s, w)
+            got = build_irrep(spec, lab)
+            assert len(got) == 3 * k + n
+            assert [fields(G) for G in got] == [fields(G) for G in reference_irrep(lab)], lab
+    # a weight of 2^70 takes the object route, and so does the reference
+    if n:
+        assert build_irrep(spec, label((0,) * k, (2**70,) * n))[-1].im.dtype == object
+
+
+def test_rotation_half_pi_matches_its_formula():
+    for m in range(10):
+        R = np.zeros((m + 1, m + 1), dtype=np.int64)
+        for l in range(m + 1):
+            R[m - l, l] = (-1) ** l
+        assert fields(rotation_half_pi(m)) == fields(IntMatrix.from_dense(R)), m
+
+
+def test_build_irrep_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("IntMatrix.from_dense called")
+
+    monkeypatch.setattr(IntMatrix, "from_dense", classmethod(refuse))
+    H, A, B = build_irrep(preset("su2"), label((2000,)))
+    assert H.nrows == 2001 and H.re.size == 2000 and A.re.size == B.re.size == 4000
 
 
 # -- descent through central quotients ----------------------------------------

@@ -42,9 +42,8 @@ def generic_DV(spec, lab, tensor):
     over the common denominator of S.  The result lists the nonzero
     entries row-major as (i, j, re, im) with Fraction re and im, as
     `listed` reads an IntMatrix."""
-    rep = build_irrep(spec, lab)
     gens = []  # per generator, row -> [(column, re, im)]
-    for G in rep.generators:
+    for G in build_irrep(spec, lab):
         assert G.den == 1
         rows = {}
         for i, j, x, y in zip(*(a.tolist() for a in (G.rows, G.cols, G.re, G.im))):

@@ -257,7 +257,7 @@ def test_orbit_eigenbases_skip_fixed_points():
 def test_involution_checks_fail_one_at_a_time():
     # the (1, 1) pipeline's T, phi and psi pass; each replacement breaks
     # the property it names
-    G = build_irrep(preset("su2xsu2"), label((1, 1))).generators
+    G = build_irrep(preset("su2xsu2"), label((1, 1)))
     eps = Fraction(1, 2)
     phi, psi = G[0] + G[3] * eps, G[2] + G[5] * eps
     R = rotation_half_pi(1)
