@@ -17,7 +17,6 @@ as fractions of the full period per coordinate.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,16 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# CPython's built-in SHA-256, so that hashing a tensor does not load OpenSSL
+# (the module `random` takes its sha512 the same way); hashlib is the fallback.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import DomainError
 
@@ -152,9 +161,12 @@ class SymTensor:
 
     @cached_property
     def digest(self) -> str:
-        """`tensor_hash` of the tensor, computed on first use and kept."""
+        """`tensor_hash` of the tensor, computed on first use and kept: the
+        first 12 hex digits of the SHA-256 of the canonical tensor JSON,
+        taken from CPython's built-in hash module (hashlib only where the
+        interpreter has none), so no run loads OpenSSL."""
         doc = json.dumps(tensor_to_json(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode()).hexdigest()[:12]
+        return sha256(doc.encode()).hexdigest()[:12]
 
     @cached_property
     def lower_bound(self) -> Fraction:

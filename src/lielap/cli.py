@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check or search failed, 2 usage or input-file
-problems, 3 mathematical domain violations (indefinite tensor, bad cutoff).
+problems or an --output path that cannot be written, 3 mathematical domain
+violations (indefinite tensor, bad cutoff).
 JSON output is deterministic: keys sorted, floats at fixed precision, and
 searches driven entirely by --seed.
 """
@@ -53,13 +54,16 @@ from .witness import (
 
 
 class UsageError(Exception):
-    """Bad flags or unreadable input files: exit code 2."""
+    """Bad flags, unreadable input files or an unwritable --output: exit code 2."""
 
 
 def emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write --output {output}: {e}") from e
     else:
         print(text)
 

@@ -126,19 +126,16 @@ def shift_primitive(cs: Sequence[int], t: int, d: int) -> list[int]:
 
 def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B, all over Z."""
-    dA, dB = len(A) - 1, len(B) - 1
+    dB = len(B) - 1
     l = B[-1]
     R = list(A)
-    for k in range(dA, dB - 1, -1):
-        c = R[k]
-        for j in range(len(R)):
-            R[j] *= l
+    while len(R) > dB:
+        c = R.pop()
+        R = [l * x for x in R]
         if c:
-            off = k - dB
-            for j in range(dB + 1):
+            off = len(R) - dB
+            for j in range(dB):
                 R[off + j] -= c * B[j]
-        R[k] = 0
-    del R[dB:]
     return _strip(R)
 
 
@@ -174,7 +171,7 @@ def resultant(A: Sequence[int], B: Sequence[int]) -> int:
         R = _prem(A, B)
         A = B
         divisor = g * h ** delta
-        B = [c // divisor for c in R]
+        B = R if divisor == 1 else [c // divisor for c in R]
         g = A[-1]
         if delta == 1:
             h = g

@@ -1,5 +1,7 @@
 """Group descriptions, symmetric tensors, exact metric inversion."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +127,16 @@ def test_tensor_hash_stability():
     assert tensor_hash(a) == tensor_hash(b)
     assert tensor_hash(a) != tensor_hash(identity_tensor(4))
     assert len(tensor_hash(a)) == 12
+    # the reference: hashlib's SHA-256 of the canonical tensor JSON
+    big = 2**64 + 3
+    for t in (
+        a,
+        SymTensor(((Fraction(2), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(5, 7)))),
+        SymTensor(((Fraction(big), Fraction(-big, 7)), (Fraction(-big, 7), Fraction(1, big)))),
+        symmetric_product(3, 0, 2),
+    ):
+        doc = json.dumps(tensor_to_json(t), sort_keys=True, separators=(",", ":"))
+        assert tensor_hash(t) == hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
 def test_central_elements_validated():

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, deterministic output."""
 
+import importlib.util
 import json
 import os
 import re
@@ -462,18 +463,27 @@ try:
     unknown = False
 except AttributeError:
     unknown = True
-print(json.dumps([bare, layer, operator.__name__, same, unknown]))
+from lielap.cli import main
+out = sys.argv[1]
+for argv in (["spectrum", "--group", "so3", "--max-eig", "8", "--format", "json"],
+             ["witness", "--group", "so3", "--level", "1", "--format", "json"]):
+    path = f"{out}/{argv[0]}.json"
+    assert main([*argv, "--output", path]) == 0
+    assert json.load(open(path))["tensor_hash"]
+openssl = "_hashlib" in sys.modules
+print(json.dumps([bare, layer, operator.__name__, same, unknown, openssl]))
 """
 
 
-def test_package_names_are_imported_on_first_use():
+def test_package_names_are_imported_on_first_use(tmp_path):
     # a fresh interpreter, so that no other test has imported a layer yet
     path = [str(Path(lielap.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
-        [sys.executable, "-c", _LAZY_IMPORT], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LAZY_IMPORT, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
-    bare, layer, name, same, unknown = json.loads(out)
+    bare, layer, name, same, unknown, openssl = json.loads(out)
     assert bare == []
     assert name == "lielap.operator"
     above = {"lielap.poly", "lielap.polycert", "lielap.spectrum", "lielap.witness", "lielap.cli"}
@@ -481,6 +491,22 @@ def test_package_names_are_imported_on_first_use():
     assert same and unknown
     homes = [name for names in lielap._HOMES.values() for name in names]
     assert lielap.__all__ == sorted(set(homes)) and len(homes) == len(set(homes))
+    # tensor hashes come from CPython's built-in SHA-256, so a spectrum and a
+    # witness run load no OpenSSL (hashlib's `_hashlib`)
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no built-in SHA-256 module")
+    assert not openssl
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "dir"])
+@pytest.mark.parametrize("command", ["spectrum", "certify"])
+def test_unwritable_output_exits_2(capsys, tmp_path, command, where):
+    output = tmp_path / "missing" / "out.json" if where == "missing-dir" else tmp_path
+    flag = ("--max-eig", "8") if command == "spectrum" else ("--level", "2")
+    rc, out, err = run(capsys, command, "--group", "so3", *flag, "--output", str(output))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --output {output}: ")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
