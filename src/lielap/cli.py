@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .irreps import (
     quaternionic_structure,
 )
 from .operator import build_DV, casimir_tensor
-from .polycert import cert_c_from_poly, char_poly_of, multiplicity_profile
+from .polycert import PRIME, cert_c_from_poly, char_poly_of, multiplicity_profile
 from .spectrum import (
     assemble_spectrum,
     table_to_csv,
@@ -66,6 +67,21 @@ def emit(text: str, output: str | None) -> None:
             raise UsageError(f"cannot write --output {output}: {e}") from e
     else:
         print(text)
+
+
+def check_output(output: str | None) -> None:
+    """UsageError unless the --output path can be opened for writing,
+    checked before any work; a file that the check makes is removed."""
+    if not output:
+        return
+    existed = os.path.lexists(output)
+    try:
+        with open(output, "a"):
+            pass
+    except OSError as e:
+        raise UsageError(f"cannot write --output {output}: {e}") from e
+    if not existed:
+        os.remove(output)
 
 
 def dump_json(doc: dict, output: str | None) -> None:
@@ -174,7 +190,7 @@ def cmd_certify(args) -> int:
     if not is_positive_definite(tensor):
         raise DomainError("coefficient tensor must be positive definite")
     labels = labels_up_to_level(spec, level)
-    polys = [char_poly_of(spec, lab, tensor) for lab in labels]
+    polys = [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
     certs = certificate_battery(labels, polys)
     verdict = all(c.verdict for c in certs)
     doc = {**battery_json(spec, level, tensor, labels, certs), "verdict": verdict}
@@ -548,6 +564,7 @@ def main(argv=None) -> int:
         tokens = config_flags(args)
         if tokens:
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        check_output(args.output)
         return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

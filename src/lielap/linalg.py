@@ -31,8 +31,9 @@ complex matrix without weights is refused (ValueError).
 All lanes are stacked in one int64 array and reduced to Hessenberg form
 together; the Hessenberg recurrence gives each charpoly mod p, and the
 CRT, taken over enough primes to exceed twice the bound, gives the exact
-integers.  The tests check it against Faddeev-LeVerrier, an independent
-route over Gaussian integers.
+integers.  Asked for one prime, the pass runs the one lane of that prime
+and returns its residues, with no bound and no CRT.  The tests check it
+against Faddeev-LeVerrier, an independent route over Gaussian integers.
 
 `eigenvalues_above` proves, on the same weighted-hermitian matrices, that
 every eigenvalue exceeds a rational cutoff: a float Cholesky factor of
@@ -487,7 +488,9 @@ def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) 
     return bool((e > (Ere + Eim).sum(axis=1)).all())
 
 
-def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
+def charpoly_gq(
+    M: IntMatrix, weights: np.ndarray | None = None, prime: int | None = None
+) -> list[int]:
     """Coefficients (ascending) of det(X*I - den*M), den = M.den: monic of
     degree n with integer coefficients, so that det(X*I - M) has the
     coefficients a_k / den^(n-k).
@@ -503,6 +506,10 @@ def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
     whose charpoly is the image of the real det(X*I - A), so one image per
     prime gives it; all images are reduced to Hessenberg form at once.
     CRT recovers the signed integers a_k.
+
+    With a prime p = 1 (mod 4) below 2^31, the one lane at p gives the a_k
+    mod p, in [0, p), and no CRT is taken; the weighted-hermitian proof is
+    the same.
     """
     n = M.nrows
     if n != M.ncols:
@@ -513,16 +520,21 @@ def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
             raise ValueError("a complex matrix needs the weights that make it hermitian")
     elif not weighted_hermitian(M, weights):
         raise ArithmeticError("operator is not hermitian for its invariant weights")
+    if prime is not None and not (7 < prime < 2**31 and prime % 4 == 1 and _is_prime(prime)):
+        raise ValueError(f"{prime} is not a prime = 1 (mod 4) below 2^31")
     if n == 0:
         return [1]
-    rowsum = np.zeros(n, dtype=re.dtype)
-    np.add.at(rowsum, M.rows, abs(re) + abs(im))
-    r = int(rowsum.max())
-    bound = max(math.comb(n, k) * r**k for k in range(n + 1))
-    primes, product = [], 1
-    while product <= 2 * bound:
-        primes = split_primes(len(primes) + 1)
-        product *= primes[-1][0]
+    if prime is not None:
+        primes = [(prime, _root_of_minus_one(prime) if im.any() else 0)]
+    else:
+        rowsum = np.zeros(n, dtype=re.dtype)
+        np.add.at(rowsum, M.rows, abs(re) + abs(im))
+        r = int(rowsum.max())
+        bound = max(math.comb(n, k) * r**k for k in range(n + 1))
+        primes, product = [], 1
+        while product <= 2 * bound:
+            primes = split_primes(len(primes) + 1)
+            product *= primes[-1][0]
     plist = [p for p, _ in primes]
     p = np.array(plist, dtype=np.int64)[:, None]
     vals, mod = _mod(re, p), p[:, 0]
@@ -532,4 +544,5 @@ def charpoly_gq(M: IntMatrix, weights: np.ndarray | None = None) -> list[int]:
     H = np.zeros((len(mod), n, n), dtype=np.int64)
     H[:, M.rows, M.cols] = vals
     _hessenberg(H, mod)
-    return _crt_signed(_hessenberg_charpoly(H, mod), plist)
+    lanes = _hessenberg_charpoly(H, mod)
+    return lanes[0].tolist() if prime is not None else _crt_signed(lanes, plist)

@@ -5,8 +5,9 @@ polynomial.  The resultant is computed by a subresultant polynomial
 remainder sequence (contents stripped first), which keeps intermediate
 coefficient growth polynomial instead of exponential; the Sylvester
 determinant and the Fraction arithmetic that cross-check it live in the
-tests.  The gcd, exact division and squarefree decomposition work on
-primitive lists (`int_gcd`, `int_div_exact`).  The gcd and the integer
+tests.  Asked for a prime, the resultant is taken over GF(p) by Euclid.
+The gcd, exact division and squarefree decomposition work on primitive
+lists (`int_gcd`, `int_div_exact`).  The gcd and the integer
 Sturm chain that isolates real roots, with signs taken at dyadic points,
 read one primitive remainder sequence.
 
@@ -68,7 +69,9 @@ def _primitive(cs: Sequence[int]) -> list[int]:
 @dataclass(frozen=True)
 class IntPoly:
     """The monic integer charpoly P = det(X*I - den*D) of an operator D,
-    over its denominator den: P's roots are den times D's eigenvalues."""
+    over its denominator den: P's roots are den times D's eigenvalues.  A
+    charpoly read at a prime holds P's residues instead
+    (`polycert.CharPoly`)."""
 
     coeffs: tuple[int, ...]
     den: int
@@ -139,12 +142,19 @@ def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return _strip(R)
 
 
-def resultant(A: Sequence[int], B: Sequence[int]) -> int:
+def resultant(A: Sequence[int], B: Sequence[int], prime: int | None = None) -> int:
     """res(A, B) in the Sylvester convention,
     res(A, B) = lc(A)^deg(B) * prod B(alpha) over the roots alpha of A,
     via the subresultant PRS (Collins / Brown-Traub; content stripped up
     front, the g*h^d divisors keep remainder coefficients at subresultant
-    size)."""
+    size).
+
+    With a prime p, the resultant of A mod p and B mod p in GF(p), in
+    [0, p), by `_resultant_mod`.  It is res(A, B) mod p whenever neither
+    leading coefficient vanishes mod p.
+    """
+    if prime is not None:
+        return _resultant_mod([c % prime for c in A], [c % prime for c in B], prime)
     A, B = _strip(list(A)), _strip(list(B))
     dA, dB = len(A) - 1, len(B) - 1
     s = 1
@@ -185,6 +195,44 @@ def resultant(A: Sequence[int], B: Sequence[int]) -> int:
     dA = _deg(A)
     res = B[0] ** dA // h ** (dA - 1)
     return s * t * res
+
+
+def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
+    """res(A, B) in GF(p) for coefficient lists in [0, p), by Euclid.
+
+    With m = deg A, n = deg B and R = A mod B of degree r,
+    res(A, B) = (-1)^(mn) res(B, A) = (-1)^(mn) lc(B)^(m - r) res(B, R),
+    and res(A, b) = b^m for a constant b; a zero remainder of a
+    nonconstant B, or a zero B, gives 0.  Where m = n + 1, as at almost
+    every step, both quotient terms are found first and
+    R = A - (q1 X + q0) B is one pass; otherwise each quotient term takes
+    its own pass.
+    """
+    A, B = _strip(A), _strip(B)
+    res = 1
+    while True:
+        m, n = len(A) - 1, len(B) - 1
+        if n <= 0:
+            return 0 if min(m, n) < 0 else res * pow(B[0], m, p) % p
+        inv = pow(B[-1], -1, p)
+        if m == n + 1:
+            q1 = A[-1] * inv % p
+            q0 = (A[-2] - q1 * B[-2]) * inv % p
+            R = [(a - q1 * x - q0 * y) % p for a, x, y in zip(A[:n], [0] + B, B)]
+        else:
+            R, low = A, B[:-1]
+            while len(R) > n:
+                c = R.pop() * inv % p
+                if c:
+                    off = len(R) - n
+                    R[off:] = [(x - c * b) % p for x, b in zip(R[off:], low)]
+        _strip(R)
+        if not R:
+            return 0
+        if m & n & 1:
+            res = -res
+        res = res * pow(B[-1], m - len(R) + 1, p) % p
+        A, B = B, R
 
 
 def _remainder_sequence(A: Sequence[int], B: Sequence[int]) -> list[list[int]]:

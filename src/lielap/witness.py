@@ -19,8 +19,8 @@ coincidences are gone.  Four devices:
     each operator on its +1 and -1 eigenspaces is read from the operator's
     entries over the orbits of the permutation.
   * witness_search: random definite perturbations of the round tensor,
-    with the full certificate battery (b/c per label, a per pair) checked
-    exactly per trial.
+    with the full certificate battery (b/c per label, a per pair) decided
+    per trial at one prime, a nonzero residue being an exact proof.
 
 Failure is an exception carrying the best partial report, never a report
 claiming success.
@@ -58,8 +58,11 @@ from .irreps import (
 )
 from .linalg import IntMatrix
 from .operator import build_DV
-from .poly import resultant
+# unused here; perfbench/tracer.py looks up witness.resultant and
+# witness.charpoly_real when it installs
+from .poly import resultant  # noqa: F401
 from .polycert import (
+    PRIME,
     CharPoly,
     Certificate,
     cert_a_from_polys,
@@ -68,8 +71,10 @@ from .polycert import (
     char_poly_exact,
     char_poly_of,
     charpoly_from_eigenvalues,
-    charpoly_real,
+    charpoly_real,  # noqa: F401
+    matrix_char_poly,
     multiplicity_profile,
+    separation_certificate,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
@@ -317,6 +322,8 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     from their entries over its orbits (`involution_branches`).  A
     final scan over convex combinations of the two tensors finds one
     operator with fully simple spectrum and certifies it by resultant.
+    Every certificate is decided at PRIME, and exactly where its residue
+    there is zero (`polycert`).
     """
     if m < 1 or mprime < 1 or m % 2 == 0 or mprime % 2 == 0:
         raise DomainError("pairs pipeline needs two odd spins")
@@ -347,30 +354,24 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     h_charpoly_matches = p_h.poly == charpoly_from_eigenvalues(expected, p_h.poly.den)
     h_all_double = multiplicity_profile(p_h).is_all_double
 
-    def branch_charpolys(plus, minus):
-        # over the lcm of the two denominators
+    def branch_charpolys(tensor, plus, minus):
+        # at the prime, over the lcm of the two denominators
         den = math.lcm(plus.den, minus.den)
-        return charpoly_real(plus, den), charpoly_real(minus, den)
+        th = tensor_hash(tensor)
+        return [matrix_char_poly(lab, th, R, den, prime=PRIME) for R in (plus, minus)]
 
     h_branches = involution_branches(T, D_h.matrix)
     branch_dims_ok = sum(R.nrows for R in h_branches) == T.nrows
-    h_plus, h_minus = branch_charpolys(*h_branches)
-    b_plus, b_minus = branch_charpolys(*involution_branches(T, D_b.matrix))
-    th = tensor_hash(s_h)
-    h_simple = tuple(cert_b_from_poly(CharPoly(lab, th, h)) for h in (h_plus, h_minus))
-    b_disjoint = Certificate(
-        "a", (lab, lab), tensor_hash(s_b),
-        Fraction(
-            resultant(b_plus.coeffs, b_minus.coeffs),
-            b_plus.den ** (b_plus.degree * b_minus.degree),
-        ),
+    h_simple = tuple(cert_b_from_poly(h) for h in branch_charpolys(s_h, *h_branches))
+    b_disjoint = separation_certificate(
+        (lab, lab), *branch_charpolys(s_b, *involution_branches(T, D_b.matrix))
     )
 
     alpha_found = None
     combined = None
     for alpha in _ALPHA_GRID:
         s_alpha = s_h.scale(1 - alpha) + s_b.scale(alpha)
-        cert = cert_b_from_poly(char_poly_of(spec, lab, s_alpha))
+        cert = cert_b_from_poly(char_poly_of(spec, lab, s_alpha, PRIME))
         if cert.verdict:
             alpha_found, combined = alpha, cert
             break
@@ -443,7 +444,9 @@ class WitnessReport:
 def certificate_battery(
     labels, polys: list[CharPoly]
 ) -> list[Certificate]:
-    """Kind b or c per label by type, kind a per unordered pair."""
+    """Kind b or c per label by type, kind a per unordered pair: exact on
+    exact charpolys, and on charpolys at a prime decided there wherever
+    the residue is nonzero (see `polycert`)."""
     certs: list[Certificate] = []
     for lab, p in zip(labels, polys):
         if classify_type(lab) == "quaternionic":
@@ -466,7 +469,8 @@ def witness_search(
     across every label up to the level bound.
 
     Each trial draws a random definite perturbation of the round tensor
-    and evaluates the complete certificate battery exactly.  All
+    and evaluates the complete certificate battery, at PRIME with exact
+    fallbacks (`polycert`).  All
     certificates are computed even after a failure, so an exhausted
     search carries the best-scoring trial for diagnosis.
     """
@@ -475,7 +479,7 @@ def witness_search(
     best: WitnessReport | None = None
     for trial in range(trials):
         tensor = sample_definite_tensor(spec.dim, rng)
-        polys = [char_poly_of(spec, lab, tensor) for lab in labels]
+        polys = [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
         certs = certificate_battery(labels, polys)
         report = WitnessReport(
             spec=spec,

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import lielap
+from lielap import cli
 from lielap.algebra_core import SymTensor, preset
 from lielap.cli import main
 from lielap.irreps import labels_up_to_level
-from lielap.polycert import char_poly_of
+from lielap.polycert import PRIME, char_poly_of
 from lielap.witness import certificate_battery
 
 
@@ -140,9 +141,11 @@ def test_certify_json_structure(capsys):
 
 def test_certify_json_past_int_str_digit_limit(capsys):
     # resultants of this tensor pass the 4300 digits that str() of an int
-    # allows; the JSON document still carries every value exactly
+    # allows; the JSON document still carries every value exactly.  Its
+    # denominator is a multiple of PRIME, so every certificate is decided
+    # exactly
     d = 10**119
-    off = {(0, 1): d + 1, (0, 2): d + 3, (1, 2): d + 7}
+    off = {(0, 1): PRIME * (d + 1), (0, 2): d + 3, (1, 2): d + 7}
     diag = ["1", "3/2", "2"]
     rows = [[diag[i] if i == j else f"1/{off[min(i, j), max(i, j)]}"
              for j in range(3)] for i in range(3)]
@@ -156,11 +159,13 @@ def test_certify_json_past_int_str_digit_limit(capsys):
     doc = json.loads(out)
     spec = preset("su2")
     tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
+    assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(spec, 6)
     certs = certificate_battery(
         labels, [char_poly_of(spec, lab, tensor) for lab in labels]
     )
     assert len(certs) == len(doc["certificates"])
+    assert all(c["prime"] is None for c in doc["certificates"])
     longest = max(len(c["value"]) for c in doc["certificates"])
     assert longest > 2 * limit
     for cert, entry in zip(certs, doc["certificates"]):
@@ -507,6 +512,36 @@ def test_unwritable_output_exits_2(capsys, tmp_path, command, where):
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: cannot write --output {output}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["spectrum", "--group", "so3", "--max-eig", "8"], "assemble_spectrum"),
+        (["certify", "--group", "so3", "--level", "2"], "certificate_battery"),
+        (["witness", "--group", "so3", "--level", "2"], "witness_search"),
+    ],
+)
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, argv, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the --output check")
+
+    monkeypatch.setattr(cli, work, fail)
+    output = tmp_path / "missing" / "out.json"
+    rc, out, err = run(capsys, *argv, "--output", str(output))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write --output {output}: ")
+
+
+def test_output_check_leaves_no_file_behind(capsys, tmp_path):
+    # a run that fails after the check writes no output file
+    output = tmp_path / "out.json"
+    rc, _, err = run(
+        capsys, "certify", "--group", "su2", "--level", "2",
+        "--tensor", "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "--output", str(output),
+    )
+    assert rc == 3 and err.startswith("domain error")
+    assert not output.exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -6,7 +6,11 @@ coincidences were decided from pinned brackets, so any change to a
 reported eigenvalue, exact root, certificate value or verdict on these
 runs fails here.  The witness digests were retaken when the witness
 document's "group" became the group object, as in the certify and
-spectrum documents; nothing else in them changed.  The t3 spectrum's
+spectrum documents; nothing else in them changed.  The four witness
+digests and the certify digest were retaken again when certificates came
+to be decided at one prime: each document differs from the one before
+only in every certificate's "value", now the residue mod 2147483629 of
+the exact value wherever that residue is nonzero, and its new "prime".  The t3 spectrum's
 digest was taken before coincidences were keyed by each root's nearest
 double: its 86 entries are rational roots shared by up to 72 labels.
 The two torus2 digests were taken before each operator class did its
@@ -60,23 +64,23 @@ GROUP_FILE = "<group file>"
 RUNS = {
     "witness-spin4-l4-s0": (
         ["witness", "--group", "spin4", "--level", "4", "--seed", "0"], 0,
-        "26a7279c89d456c4b1f1fede8dae068af8252a56ba8fa92e86352b32243e4cc2",
+        "c0dbc7819eccba4fe9d699d657038880878172ad6ecb33e0769840525409f07f",
     ),
     "witness-spin4-l4-s1": (
         ["witness", "--group", "spin4", "--level", "4", "--seed", "1"], 0,
-        "c32278db8b5cd7f6663378ab1ee668851021d996f25b192a9071d4d2d1996cfa",
+        "0d50115779418f029df239f634bffe3104532adf3763164ec713b45c9afafdaf",
     ),
     "witness-spin4-l4-s2": (
         ["witness", "--group", "spin4", "--level", "4", "--seed", "2"], 0,
-        "187da23601d0772d2b64116213974f9f309aacf1a83d8e76334f3d52bb2b0e68",
+        "45c5a046fa57434d136c5dac538d59b49975895ddc37f28ed4766dc2a2365e67",
     ),
     "witness-spin4-l4-s3": (
         ["witness", "--group", "spin4", "--level", "4", "--seed", "3"], 0,
-        "c3a7beffcb2e77045b13828f2da909acf9812994feae991b5da28964d74c7509",
+        "22918fae1a0e93efe4cc166611dac55dc5a639f59ca3f99c5f34d158b67e5687",
     ),
     "certify-u2-l4": (
         ["certify", "--group", "u2", "--level", "4"], 1,
-        "27c5e4627abe0ab78487635baedd8120829ba3d74a79bbe3850f6ddcff027366",
+        "4406b553e27f2a4eb627aed9d51c308580787dca0f4f15e97127d1a2292e5f8c",
     ),
     "spectrum-berger": (
         ["spectrum", "--group", "u2", "--gram", BERGER, "--max-eig", "80"], 0,

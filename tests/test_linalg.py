@@ -290,6 +290,27 @@ def test_charpoly_zero_subdiagonals_swap_and_skip():
         assert charpoly_gq(m, c) == faddeev_real(m)
 
 
+def test_one_prime_lane_is_the_charpoly_mod_that_prime():
+    # a prime argument gives one lane: the CRT route's coefficients mod p,
+    # real and complex, past int64 too, each behind the same checks
+    rng = random.Random(2024)
+    primes = [p for p, _ in split_primes(3)]
+    for complex_entries in (False, True):
+        for den_digits in (2, 120):
+            for _ in range(6):
+                m, c = _random_matrix(rng, rng.randint(1, 7), complex_entries, den_digits)
+                exact = charpoly_gq(m, c)
+                for p in primes:
+                    assert charpoly_gq(m, c, p) == [x % p for x in exact]
+    m, c = weighted([[0, (0, Fraction(1, 2))], [0, 0]], [1, 4])
+    with pytest.raises(ArithmeticError):
+        charpoly_gq(m, np.ones(2, dtype=np.int64), primes[0])
+    # p = 3 (mod 4) has no square root of -1, and 2^31 - 3 = 5 * 429496729
+    for bad in (2**31 - 1, 2**31 - 3, 2**31 + 11, 5):
+        with pytest.raises(ValueError):
+            charpoly_gq(m, c, bad)
+
+
 def test_charpoly_of_operators_matches_faddeev():
     # build_DV's integer form goes to charpoly_gq as it stands, with its
     # weights, on both routes, with imaginary entries.  The object route is taken when

@@ -9,16 +9,19 @@ from fracpoly import from_int_poly, resultant, resultant_sylvester
 from lielap.algebra_core import (
     SymTensor,
     build_group_spec,
+    group_from_json,
     identity_tensor,
     preset,
     symmetric_product,
 )
 from lielap.errors import DomainError
-from lielap.irreps import classify_type, label
+from lielap.irreps import classify_type, label, labels_up_to_level
 from lielap.linalg import IntMatrix
 from lielap.operator import OperatorMatrix, build_DV
 from lielap.poly import IntPoly, mul
 from lielap.polycert import (
+    PRIME,
+    Certificate,
     CharPoly,
     cert_a_from_polys,
     cert_b_from_poly,
@@ -27,9 +30,10 @@ from lielap.polycert import (
     char_poly_of,
     charpoly_from_eigenvalues,
     kramers_root,
+    matrix_char_poly,
     multiplicity_profile,
 )
-from lielap.witness import sample_definite_tensor
+from lielap.witness import certificate_battery, sample_definite_tensor
 
 SU2 = preset("su2")
 SQ_H = symmetric_product(3, 0, 0, 1)
@@ -347,3 +351,90 @@ def test_kramers_root_is_computed_once_per_charpoly():
     first = p.power_form
     cert_c_from_poly(p)
     assert p.power_form is first
+
+
+# -- certificates decided at one prime --------------------------------------------
+
+# (group, level): the residue battery against the exact one on the trial-0
+# tensors of seeds 0..23.  The torus groups are read as a --group-file
+# would give them.  There the operator dens differ most from the tensor's:
+# a mod-p charpoly left at its operator's den turns the battery verdict of
+# SU(2)^3 x T^1 at seed 15 and of SU(2) x T^2 at seed 4 into false
+# successes
+RESIDUE_CASES = [
+    ("spin4", 3), ("so4", 4), ("u2", 6), ("so3", 8),
+    ({"k": 3, "n": 1, "central": []}, 2), ({"k": 1, "n": 2, "central": []}, 3),
+]
+
+
+def _residue(q: Fraction) -> int:
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+
+
+@pytest.mark.parametrize("group, level", RESIDUE_CASES, ids=lambda x: str(x))
+def test_residue_battery_matches_exact_battery(group, level):
+    spec = preset(group) if isinstance(group, str) else group_from_json(group)
+    labels = labels_up_to_level(spec, level)
+    verdicts = set()
+    for seed in range(24):
+        tensor = sample_definite_tensor(spec.dim, random.Random(seed))
+        assert tensor.integer_form[0] % PRIME
+        at_p = [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
+        exact = [p.exact for p in at_p]
+        assert all(p.prime == PRIME and e.prime is None for p, e in zip(at_p, exact))
+        assert [p.poly.coeffs for p in at_p] == [
+            tuple(c % PRIME for c in e.poly.coeffs) for e in exact
+        ]
+        for r, e in zip(certificate_battery(labels, at_p), certificate_battery(labels, exact)):
+            assert (r.kind, r.labels, r.verdict) == (e.kind, e.labels, e.verdict)
+            if r.prime is None:
+                assert r.value == e.value
+            else:
+                assert r.prime == PRIME and r.value == _residue(e.value) != 0
+            verdicts.add(r.verdict)
+    assert True in verdicts
+
+
+def test_zero_residue_is_decided_exactly():
+    # X^2 + PRIME is X^2 mod PRIME, whose kind-b residue is 0, while its
+    # exact value res(X^2 + PRIME, 2X) = 4 PRIME is not
+    M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
+    p = matrix_char_poly(label((2,)), "h", M, 1, prime=PRIME)
+    assert (p.prime, p.poly.coeffs) == (PRIME, (0, 0, 1))
+    assert p.exact.poly == IntPoly((PRIME, 0, 1), 1)
+    c = cert_b_from_poly(p)
+    assert (c.prime, c.value, c.verdict) == (None, 4 * PRIME, True)
+    assert c.to_json()["prime"] is None
+    # a nonzero residue is reported with its prime
+    q = matrix_char_poly(label((2,)), "h", IntMatrix.from_dense([[0, -2], [1, 0]]), 1, prime=PRIME)
+    assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", Fraction(8), PRIME)
+
+
+def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
+    # d has no inverse mod PRIME: every charpoly and certificate is exact
+    q = Fraction(1, PRIME)
+    tensor = SymTensor((
+        (Fraction(1), q, Fraction(0)), (q, Fraction(3, 2), Fraction(1, 5)),
+        (Fraction(0), Fraction(1, 5), Fraction(2)),
+    ))
+    assert tensor.integer_form[0] % PRIME == 0
+    labels = labels_up_to_level(SU2, 4)
+    at_p = [char_poly_of(SU2, lab, tensor, PRIME) for lab in labels]
+    exact = [char_poly_of(SU2, lab, tensor) for lab in labels]
+    assert at_p == exact and all(p.prime is None for p in at_p)
+    certs = certificate_battery(labels, at_p)
+    assert certs == certificate_battery(labels, exact)
+    assert {c.kind for c in certs} == {"a", "b", "c"}
+    assert all(c.prime is None and c.verdict for c in certs)
+
+
+def test_kramers_root_mod_prime_checks_the_square():
+    # R_p is taken with the inverse of 2 and squared back mod the prime
+    p = char_poly_of(SU2, label((3,)), sample_definite_tensor(3, random.Random(2)), PRIME)
+    R, e = p.power_form
+    assert e == 2 and all(0 <= c < PRIME for c in R.coeffs)
+    assert tuple(c % PRIME for c in mul(R.coeffs, R.coeffs)) == p.poly.coeffs
+    assert R.coeffs == tuple(c % PRIME for c in p.exact.power_form[0].coeffs)
+    bad = IntPoly(tuple(c % PRIME for c in charpoly_from_eigenvalues([1, 1, 2, 3]).coeffs), 1)
+    with pytest.raises(ArithmeticError):
+        kramers_root(bad, PRIME)

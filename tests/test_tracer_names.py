@@ -20,7 +20,7 @@ import numpy as np
 from lielap import polycert, spectrum
 from lielap.algebra_core import MetricSpec, SymTensor, metric_to_tensor, preset
 from lielap.irreps import labels_up_to_level
-from lielap.polycert import char_poly_of, multiplicity_profile
+from lielap.polycert import PRIME, char_poly_of, multiplicity_profile
 from lielap.witness import certificate_battery, sample_definite_tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -177,3 +177,21 @@ def test_traced_battery_counts_every_resultant():
     assert traced.values["poly.resultant_calls"] == len(certs) > 0
     assert traced.values["poly.resultant_max_bits"] > 0
     assert traced.values["linalg.charpoly_calls"] == len(labels)
+
+
+def test_traced_battery_at_the_prime_counts_one_residue_per_certificate():
+    # the battery of witness and certify: one charpoly lane per label and
+    # one resultant mod PRIME per certificate, through the wrapped names
+    group = preset("spin4")
+    labels = labels_up_to_level(group, 2)
+    tensor = sample_definite_tensor(group.dim, random.Random(0))
+
+    def battery():
+        return certificate_battery(labels, [char_poly_of(group, l, tensor, PRIME) for l in labels])
+
+    traced, certs = _traced(battery)
+    assert all(c.prime == PRIME for c in certs)
+    assert traced.values["poly.resultant_calls"] == len(certs) > 0
+    assert 0 < traced.values["poly.resultant_max_bits"] <= 31
+    assert traced.values["linalg.charpoly_calls"] == len(labels)
+    assert traced.values["linalg.charpoly_max_bits"] <= 31

@@ -18,7 +18,7 @@ from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
-from lielap.polycert import char_poly_exact, multiplicity_profile
+from lielap.polycert import PRIME, char_poly_exact, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
     involution_branches,
@@ -138,8 +138,9 @@ def test_pipeline_h_spectrum_values():
     assert r.ok
 
 
-# branch certificates of the pipeline, pinned: they do not depend on how the
-# eigenbases of the involution are found
+# the exact values of the branch certificates of the pipeline, pinned: they
+# do not depend on how the eigenbases of the involution are found.  The
+# pipeline reports their residues mod PRIME
 PIPELINE_BRANCH_VALUES = {
     (1, 1): ("-4", "16"),
     (1, 3): ("321126400/387420489", "268435456/3486784401"),
@@ -150,6 +151,11 @@ PIPELINE_BRANCH_VALUES = {
         "/278128389443693511257285776231761",
     ),
 }
+
+
+def _residue(q: Fraction) -> int:
+    """The residue of a rational q mod PRIME."""
+    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
 
 
 def _quarter_rotations(m: int, mprime: int) -> np.ndarray:
@@ -218,8 +224,9 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
     pipeline: a column basis K of each image, D K = K R solved exactly."""
     r = pairs_pipeline(m, mprime)
     h_value, b_value = PIPELINE_BRANCH_VALUES[(m, mprime)]
-    assert [c.value for c in r.h_simple_on_branches] == [Fraction(h_value)] * 2
-    assert r.b_branches_disjoint.value == Fraction(b_value)
+    assert {c.prime for c in (*r.h_simple_on_branches, r.b_branches_disjoint)} == {PRIME}
+    assert [c.value for c in r.h_simple_on_branches] == [_residue(Fraction(h_value))] * 2
+    assert r.b_branches_disjoint.value == _residue(Fraction(b_value))
     assert r.branch_dims_ok
 
     eps = r.epsilon
@@ -239,10 +246,10 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
         assert polys[0] * polys[1] == _fraction_charpoly(Dq)
         branches.append(polys)
     (h_plus, h_minus), (b_plus, b_minus) = branches
-    assert [c.value for c in r.h_simple_on_branches] == [
-        resultant_sylvester(h, h.derivative()) for h in (h_plus, h_minus)
-    ]
-    assert r.b_branches_disjoint.value == resultant_sylvester(b_plus, b_minus)
+    assert [resultant_sylvester(h, h.derivative()) for h in (h_plus, h_minus)] == [
+        Fraction(h_value)
+    ] * 2
+    assert resultant_sylvester(b_plus, b_minus) == Fraction(b_value)
 
 
 def test_orbit_eigenbases_skip_fixed_points():
