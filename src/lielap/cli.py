@@ -71,17 +71,23 @@ def emit(text: str, output: str | None) -> None:
 
 def check_output(output: str | None) -> None:
     """UsageError unless the --output path can be opened for writing,
-    checked before any work; a file that the check makes is removed."""
+    checked before any work on the path that symlinks lead to; a file
+    that the check makes is removed.  An existing path that is neither a
+    regular file nor a directory, such as a FIFO or a device, is left to
+    `emit`, which opens it once."""
     if not output:
         return
-    existed = os.path.lexists(output)
+    path = os.path.realpath(output)
+    existed = os.path.exists(path)
+    if existed and not os.path.isfile(path) and not os.path.isdir(path):
+        return
     try:
-        with open(output, "a"):
+        with open(path, "a"):
             pass
     except OSError as e:
         raise UsageError(f"cannot write --output {output}: {e}") from e
     if not existed:
-        os.remove(output)
+        os.remove(path)
 
 
 def dump_json(doc: dict, output: str | None) -> None:

@@ -203,10 +203,8 @@ def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
     With m = deg A, n = deg B and R = A mod B of degree r,
     res(A, B) = (-1)^(mn) res(B, A) = (-1)^(mn) lc(B)^(m - r) res(B, R),
     and res(A, b) = b^m for a constant b; a zero remainder of a
-    nonconstant B, or a zero B, gives 0.  Where m = n + 1, as at almost
-    every step, both quotient terms are found first and
-    R = A - (q1 X + q0) B is one pass; otherwise each quotient term takes
-    its own pass.
+    nonconstant B, or a zero B, gives 0.  Each quotient term takes one
+    pass over the top n coefficients of the running remainder.
     """
     A, B = _strip(A), _strip(B)
     res = 1
@@ -215,17 +213,12 @@ def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
         if n <= 0:
             return 0 if min(m, n) < 0 else res * pow(B[0], m, p) % p
         inv = pow(B[-1], -1, p)
-        if m == n + 1:
-            q1 = A[-1] * inv % p
-            q0 = (A[-2] - q1 * B[-2]) * inv % p
-            R = [(a - q1 * x - q0 * y) % p for a, x, y in zip(A[:n], [0] + B, B)]
-        else:
-            R, low = A, B[:-1]
-            while len(R) > n:
-                c = R.pop() * inv % p
-                if c:
-                    off = len(R) - n
-                    R[off:] = [(x - c * b) % p for x, b in zip(R[off:], low)]
+        R, low = A, B[:-1]
+        while len(R) > n:
+            c = R.pop() * inv % p
+            if c:
+                off = len(R) - n
+                R[off:] = [(x - c * b) % p for x, b in zip(R[off:], low)]
         _strip(R)
         if not R:
             return 0

@@ -19,7 +19,7 @@ Each charpoly is carried in integer form.  With d the denominator of the
 tensor (`SymTensor.integer_form`), shared by all its labels, the charpoly
 P_V = det(X*I - d*D_V(s)) is monic with integer coefficients and
 p_V(X) = (-1)^n P_V(d*X) / d^n, n = deg P_V (`charpoly_real`, `CharPoly`).
-`char_poly_exact` passes the label's `norm_weights`, so that P_V is proved
+`CharPoly.read` takes the label's `norm_weights`, so that P_V is proved
 real by an exact weighted-hermitian check and taken from one modular
 image per prime.
 On a quaternionic label the structure J makes P_V = R_V^2 with R_V monic
@@ -126,6 +126,18 @@ class CharPoly:
     prime: int | None = None
     source: tuple[IntMatrix, object] | None = field(default=None, compare=False, repr=False)
 
+    @classmethod
+    def read(
+        cls, lab: IrrepLabel, th: str, M: IntMatrix, den: int, weights=None,
+        prime: int | None = None,
+    ) -> "CharPoly":
+        """The charpoly of M over den (`charpoly_real`) for the label lab
+        of the tensor of hash th: its residues mod the prime, or exact
+        where the prime is None or divides den."""
+        if prime is None or den % prime == 0:
+            return cls(lab, th, charpoly_real(M, den, weights))
+        return cls(lab, th, charpoly_real(M, den, weights, prime), prime, (M, weights))
+
     @property
     def degree(self) -> int:
         return self.poly.degree
@@ -136,7 +148,7 @@ class CharPoly:
         if self.prime is None:
             return self
         M, weights = self.source
-        return CharPoly(self.label, self.tensor_hash, charpoly_real(M, self.poly.den, weights))
+        return CharPoly.read(self.label, self.tensor_hash, M, self.poly.den, weights)
 
     @cached_property
     def power_form(self) -> tuple[IntPoly, int]:
@@ -178,28 +190,23 @@ def kramers_root(p: IntPoly, prime: int | None = None) -> IntPoly:
     return IntPoly(tuple(q), p.den)
 
 
-def matrix_char_poly(
-    lab: IrrepLabel, th: str, M: IntMatrix, den: int, weights=None, prime: int | None = None
-) -> CharPoly:
-    """The CharPoly of M over den (`charpoly_real`) for the label lab of
-    the tensor of hash th, read at the prime unless it is None or divides
-    den, where the charpoly is read exactly."""
-    if prime is None or den % prime == 0:
-        return CharPoly(lab, th, charpoly_real(M, den, weights))
-    return CharPoly(lab, th, charpoly_real(M, den, weights, prime), prime, (M, weights))
-
-
-def char_poly_exact(op: OperatorMatrix, prime: int | None = None) -> CharPoly:
-    return matrix_char_poly(
+def char_poly_exact(op: OperatorMatrix) -> CharPoly:
+    """The exact CharPoly of the operator D_V(s)."""
+    return CharPoly.read(
         op.label, tensor_hash(op.tensor), op.matrix, op.tensor.integer_form[0],
-        norm_weights(op.label.spins), prime,
+        norm_weights(op.label.spins),
     )
 
 
 def char_poly_of(
     spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor, prime: int | None = None
 ) -> CharPoly:
-    return char_poly_exact(build_DV(spec, lab, tensor), prime)
+    """The CharPoly of D_V(s), read at the prime by `CharPoly.read`;
+    exact without one."""
+    op = build_DV(spec, lab, tensor)
+    return CharPoly.read(
+        lab, tensor_hash(tensor), op.matrix, tensor.integer_form[0], norm_weights(lab.spins), prime
+    )
 
 
 @dataclass(frozen=True)
@@ -226,10 +233,11 @@ class MultiplicityProfile:
 def multiplicity_profile(p: CharPoly) -> MultiplicityProfile:
     """Yun on the primitive form of the power form's base B, with the
     multiplicities times e: at half the degree on a quaternionic label.
-    The factors are those of the primitive charpoly of D_V(s)."""
+    The factors are those of the primitive charpoly of D_V(s), read
+    exactly when p holds residues."""
     if p.degree < 0:
         raise DomainError("zero polynomial has no multiplicity profile")
-    B, e = p.power_form
+    B, e = p.exact.power_form
     return MultiplicityProfile(
         degree=p.degree,
         entries=tuple((e * i, f) for i, f in squarefree_decomposition(B.primitive())),

@@ -72,7 +72,6 @@ from .polycert import (
     char_poly_of,
     charpoly_from_eigenvalues,
     charpoly_real,  # noqa: F401
-    matrix_char_poly,
     multiplicity_profile,
     separation_certificate,
 )
@@ -358,7 +357,7 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
         # at the prime, over the lcm of the two denominators
         den = math.lcm(plus.den, minus.den)
         th = tensor_hash(tensor)
-        return [matrix_char_poly(lab, th, R, den, prime=PRIME) for R in (plus, minus)]
+        return [CharPoly.read(lab, th, R, den, prime=PRIME) for R in (plus, minus)]
 
     h_branches = involution_branches(T, D_h.matrix)
     branch_dims_ok = sum(R.nrows for R in h_branches) == T.nrows

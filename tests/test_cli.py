@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -542,6 +543,47 @@ def test_output_check_leaves_no_file_behind(capsys, tmp_path):
     )
     assert rc == 3 and err.startswith("domain error")
     assert not output.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_output_to_a_fifo_is_opened_once(capsys, monkeypatch, tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("the --output check opened a FIFO")
+
+    # an open and close by the check would hand a reader EOF before the
+    # output, and leave emit's open waiting for a reader that has gone
+    with monkeypatch.context() as m:
+        m.setattr(cli, "open", no_open, raising=False)
+        cli.check_output(str(fifo))
+    reads = []
+
+    def reader():
+        with open(fifo) as fh:
+            reads.append(fh.read())
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    rc, out, _ = run(capsys, "spectrum", "--group", "so3", "--max-eig", "8", "--output", str(fifo))
+    thread.join(10)
+    assert (rc, out) == (0, "")
+    assert len(reads) == 1 and reads[0].startswith("group so3  cutoff 8")
+
+
+def test_output_check_follows_a_dangling_symlink(capsys, tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    # a run that fails after the check leaves the link dangling
+    rc, _, _ = run(
+        capsys, "certify", "--group", "su2", "--level", "2",
+        "--tensor", "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "--output", str(link),
+    )
+    assert rc == 3
+    assert link.is_symlink() and not target.exists()
+    rc, _, _ = run(capsys, "spectrum", "--group", "so3", "--max-eig", "8", "--output", str(link))
+    assert rc == 0 and target.read_text().startswith("group so3  cutoff 8")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -8,6 +8,7 @@ checked here too.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,38 @@ def test_resultant_known_values():
     assert resultant([], [1, 2]) == resultant([1, 2], []) == 0
     # trailing zeros are not a leading coefficient
     assert resultant((-1, 0, 1, 0), (-4, 0, 1)) == 9
+
+
+def _mod_p_coeffs(rng, n, p):
+    # coefficients that often vanish mod p, so that remainders mod p skip
+    # degrees, mixed with ones far past p
+    pool = (0, 0, 0, 1, -1, 2, p, -p, 3 * p + 1, p**3 - 2)
+    return [rng.choice(pool) if rng.random() < 0.6 else rng.randint(-10**12, 10**12)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("p", [7, 11, 2147483629])
+def test_resultant_mod_prime_is_the_exact_resultant_mod_prime(p):
+    # reduction commutes with the resultant when neither leading
+    # coefficient vanishes mod p: here A is monic and lc(B) is not 0 mod p
+    X6 = [1, 0, 0, 0, 0, 0, 1]
+    cases = [
+        (X6, [2, 0, 0, 1]),  # X^6 + 1 = (X^3 + 2)(X^3 - 2) + 5
+        ([1, 0, 0, p, 1], [3, p, 1]),  # mod p, X^4 + 1 over X^2 + 3
+        ([p, 3] + [0] * 18 + [1], [1, 0, 2]),  # deg A much larger than deg B
+        ([5, 1], [1, 1, 0, 0, 0, 3]),  # deg A < deg B
+        ([-1, 1], [-1 - p, 1]),  # a root shared mod p only
+        ([1], [5]), ([3], [5]), ([1, 1], [5]), ([5], [1, 1]),
+        ([], [1, 2]), ([1, 2], []), ([], []), ([1, 1], [0, 0]),
+    ]
+    rng = random.Random(p)
+    for _ in range(300):
+        A = _mod_p_coeffs(rng, rng.randint(0, 12), p) + [1]
+        lc = rng.randint(1, min(p - 1, 50)) + p * rng.randint(-3, 3)
+        cases.append((A, _mod_p_coeffs(rng, rng.randint(0, 12), p) + [lc]))
+    for A, B in cases:
+        r = resultant(A, B, p)
+        assert 0 <= r < p and r == resultant(A, B) % p, (A, B)
 
 
 def test_resultant_rational_scaling():

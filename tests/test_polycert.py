@@ -30,7 +30,6 @@ from lielap.polycert import (
     char_poly_of,
     charpoly_from_eigenvalues,
     kramers_root,
-    matrix_char_poly,
     multiplicity_profile,
 )
 from lielap.witness import certificate_battery, sample_definite_tensor
@@ -399,14 +398,14 @@ def test_zero_residue_is_decided_exactly():
     # X^2 + PRIME is X^2 mod PRIME, whose kind-b residue is 0, while its
     # exact value res(X^2 + PRIME, 2X) = 4 PRIME is not
     M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
-    p = matrix_char_poly(label((2,)), "h", M, 1, prime=PRIME)
+    p = CharPoly.read(label((2,)), "h", M, 1, prime=PRIME)
     assert (p.prime, p.poly.coeffs) == (PRIME, (0, 0, 1))
     assert p.exact.poly == IntPoly((PRIME, 0, 1), 1)
     c = cert_b_from_poly(p)
     assert (c.prime, c.value, c.verdict) == (None, 4 * PRIME, True)
     assert c.to_json()["prime"] is None
     # a nonzero residue is reported with its prime
-    q = matrix_char_poly(label((2,)), "h", IntMatrix.from_dense([[0, -2], [1, 0]]), 1, prime=PRIME)
+    q = CharPoly.read(label((2,)), "h", IntMatrix.from_dense([[0, -2], [1, 0]]), 1, prime=PRIME)
     assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", Fraction(8), PRIME)
 
 
@@ -426,6 +425,19 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
     assert certs == certificate_battery(labels, exact)
     assert {c.kind for c in certs} == {"a", "b", "c"}
     assert all(c.prime is None and c.verdict for c in certs)
+
+
+def test_multiplicity_profile_of_residues_reads_the_exact_charpoly():
+    # Yun on residues would split X^2 + PRIME = X^2 mod PRIME as a double
+    # root; the exact X^2 + PRIME is squarefree
+    M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
+    p = CharPoly.read(label((2,)), "h", M, 1, prime=PRIME)
+    assert multiplicity_profile(p).multiplicities == (1,)
+    for lab in (label((2,)), label((3,))):
+        tensor = sample_definite_tensor(3, random.Random(5))
+        at_p = char_poly_of(SU2, lab, tensor, PRIME)
+        assert at_p.prime == PRIME
+        assert multiplicity_profile(at_p) == multiplicity_profile(char_poly_of(SU2, lab, tensor))
 
 
 def test_kramers_root_mod_prime_checks_the_square():
