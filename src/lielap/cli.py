@@ -36,7 +36,7 @@ from .irreps import (
     quaternionic_structure,
 )
 from .operator import build_DV, casimir_tensor
-from .polycert import PRIME, cert_c_from_poly, char_poly_of, multiplicity_profile
+from .polycert import PRIME, cert_c_from_poly, char_poly_of, char_polys_of, multiplicity_profile
 from .spectrum import (
     assemble_spectrum,
     table_to_csv,
@@ -196,8 +196,7 @@ def cmd_certify(args) -> int:
     if not is_positive_definite(tensor):
         raise DomainError("coefficient tensor must be positive definite")
     labels = labels_up_to_level(spec, level)
-    polys = [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
-    certs = certificate_battery(labels, polys)
+    certs = certificate_battery(labels, char_polys_of(spec, labels, tensor, PRIME))
     verdict = all(c.verdict for c in certs)
     doc = {**battery_json(spec, level, tensor, labels, certs), "verdict": verdict}
     if args.format == "json":

@@ -28,11 +28,15 @@ c_j M_ij = c_i conj(M_ji), which `weighted_hermitian` checks exactly
 matrix.  The operators D_V(s) satisfy it with `operator.norm_weights`.  A
 complex matrix without weights is refused (ValueError).
 
-All lanes are stacked in one int64 array and reduced to Hessenberg form
-together; the Hessenberg recurrence gives each charpoly mod p, and the
-CRT, taken over enough primes to exceed twice the bound, gives the exact
-integers.  Asked for one prime, the pass runs the one lane of that prime
-and returns its residues, with no bound and no CRT.  The tests check it
+There is one kernel, `charpolys_gq`, over a sequence of matrices, each
+with its own weights, proof and primes; `charpoly_gq` is its one-matrix
+case.  The lanes of all matrices of one dimension, one per (matrix,
+prime), are stacked in one int64 array and reduced to Hessenberg form
+together, and no matrix is padded to another's size; the Hessenberg
+recurrence gives each charpoly mod p, and the CRT, taken over enough
+primes to exceed twice the matrix's bound, gives the exact integers.
+Asked for one prime, each matrix has the one lane of that prime and
+returns its residues, with no bound and no CRT.  The tests check it
 against Faddeev-LeVerrier, an independent route over Gaussian integers.
 
 `eigenvalues_above` proves, on the same weighted-hermitian matrices, that
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -488,6 +492,79 @@ def eigenvalues_above(M: IntMatrix, weights: np.ndarray, cutoff, lowest: float) 
     return bool((e > (Ere + Eim).sum(axis=1)).all())
 
 
+def _images(
+    M: IntMatrix, weights: np.ndarray | None, prime: int | None
+) -> tuple[list[int], np.ndarray]:
+    """(primes, vals): the primes of M's lanes and, in row b, the nonzero
+    entries of M's image mod primes[b], after the checks of `charpolys_gq`."""
+    n = M.nrows
+    if n != M.ncols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    re, im = M.re, M.im
+    if weights is None:
+        if im.any():
+            raise ValueError("a complex matrix needs the weights that make it hermitian")
+    elif not weighted_hermitian(M, weights):
+        raise ArithmeticError("operator is not hermitian for its invariant weights")
+    if prime is not None:
+        primes = [(prime, _root_of_minus_one(prime) if im.any() else 0)]
+    else:
+        rowsum = np.zeros(n, dtype=re.dtype)
+        np.add.at(rowsum, M.rows, abs(re) + abs(im))
+        r = int(rowsum.max(initial=0))
+        bound = max(math.comb(n, k) * r**k for k in range(n + 1))
+        primes, product = [], 1
+        while product <= 2 * bound:
+            primes = split_primes(len(primes) + 1)
+            product *= primes[-1][0]
+    p = np.array([q for q, _ in primes], dtype=np.int64)[:, None]
+    vals = _mod(re, p)
+    if im.any():
+        iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
+        vals = (vals + _mod(im, p) * iota % p) % p
+    return p[:, 0].tolist(), vals
+
+
+def charpolys_gq(
+    Ms: Sequence[IntMatrix], weights: Sequence[np.ndarray | None], prime: int | None = None
+) -> list[list[int]]:
+    """`charpoly_gq` of every matrix of Ms, weights[j] the weights of Ms[j]
+    (None for a real matrix), in one modular pass per dimension.
+
+    Each matrix keeps its own checks and its own primes: with a prime,
+    its one lane there; otherwise as many primes as its own bound asks.
+    The lanes of all matrices of one dimension, one per (matrix, prime),
+    are stacked in one array, reduced to Hessenberg form together and
+    read by one recurrence; no matrix is padded to another's size.
+    """
+    if prime is not None and not (7 < prime < 2**31 and prime % 4 == 1 and _is_prime(prime)):
+        raise ValueError(f"{prime} is not a prime = 1 (mod 4) below 2^31")
+    images = [_images(M, w, prime) for M, w in zip(Ms, weights)]
+    by_dim: dict[int, list[int]] = {}
+    for j, M in enumerate(Ms):
+        by_dim.setdefault(M.nrows, []).append(j)
+    out: list[list[int]] = [[1] for _ in Ms]
+    for n, js in by_dim.items():
+        if n == 0:
+            continue
+        mod = np.array([q for j in js for q in images[j][0]], dtype=np.int64)
+        H = np.zeros((len(mod), n, n), dtype=np.int64)
+        start = 0
+        for j in js:
+            vals = images[j][1]
+            H[start:start + len(vals), Ms[j].rows, Ms[j].cols] = vals
+            start += len(vals)
+        _hessenberg(H, mod)
+        lanes = _hessenberg_charpoly(H, mod)
+        start = 0
+        for j in js:
+            primes = images[j][0]
+            got = lanes[start:start + len(primes)]
+            out[j] = got[0].tolist() if prime is not None else _crt_signed(got, primes)
+            start += len(primes)
+    return out
+
+
 def charpoly_gq(
     M: IntMatrix, weights: np.ndarray | None = None, prime: int | None = None
 ) -> list[int]:
@@ -509,40 +586,6 @@ def charpoly_gq(
 
     With a prime p = 1 (mod 4) below 2^31, the one lane at p gives the a_k
     mod p, in [0, p), and no CRT is taken; the weighted-hermitian proof is
-    the same.
+    the same.  The one-matrix case of `charpolys_gq`.
     """
-    n = M.nrows
-    if n != M.ncols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    re, im = M.re, M.im
-    if weights is None:
-        if im.any():
-            raise ValueError("a complex matrix needs the weights that make it hermitian")
-    elif not weighted_hermitian(M, weights):
-        raise ArithmeticError("operator is not hermitian for its invariant weights")
-    if prime is not None and not (7 < prime < 2**31 and prime % 4 == 1 and _is_prime(prime)):
-        raise ValueError(f"{prime} is not a prime = 1 (mod 4) below 2^31")
-    if n == 0:
-        return [1]
-    if prime is not None:
-        primes = [(prime, _root_of_minus_one(prime) if im.any() else 0)]
-    else:
-        rowsum = np.zeros(n, dtype=re.dtype)
-        np.add.at(rowsum, M.rows, abs(re) + abs(im))
-        r = int(rowsum.max())
-        bound = max(math.comb(n, k) * r**k for k in range(n + 1))
-        primes, product = [], 1
-        while product <= 2 * bound:
-            primes = split_primes(len(primes) + 1)
-            product *= primes[-1][0]
-    plist = [p for p, _ in primes]
-    p = np.array(plist, dtype=np.int64)[:, None]
-    vals, mod = _mod(re, p), p[:, 0]
-    if im.any():
-        iota = np.array([root for _, root in primes], dtype=np.int64)[:, None]
-        vals = (vals + _mod(im, p) * iota % p) % p
-    H = np.zeros((len(mod), n, n), dtype=np.int64)
-    H[:, M.rows, M.cols] = vals
-    _hessenberg(H, mod)
-    lanes = _hessenberg_charpoly(H, mod)
-    return lanes[0].tolist() if prime is not None else _crt_signed(lanes, plist)
+    return charpolys_gq([M], [weights], prime)[0]

@@ -19,7 +19,7 @@ Each charpoly is carried in integer form.  With d the denominator of the
 tensor (`SymTensor.integer_form`), shared by all its labels, the charpoly
 P_V = det(X*I - d*D_V(s)) is monic with integer coefficients and
 p_V(X) = (-1)^n P_V(d*X) / d^n, n = deg P_V (`charpoly_real`, `CharPoly`).
-`CharPoly.read` takes the label's `norm_weights`, so that P_V is proved
+Every read takes the label's `norm_weights`, so that P_V is proved
 real by an exact weighted-hermitian check and taken from one modular
 image per prime.
 On a quaternionic label the structure J makes P_V = R_V^2 with R_V monic
@@ -41,12 +41,19 @@ quaternionic certificate, and every multiplicity profile, which
 A certificate is (kind, labels, prime, value).  The batteries of the
 witness search and of `certify`, and the pairs pipeline, read every
 charpoly at the one prime PRIME = 2147483629 (`split_primes(1)`): one
-Hessenberg lane of `charpoly_gq`, rescaled to the tensor's d as on the
-exact route, behind the same weighted-hermitian proof.  P is monic and
-PRIME exceeds every degree, so the leading coefficients of P, P' and R'
-(1, n and k) survive reduction, and reduction commutes with the
-resultant: res(P, Q) mod p = res(P mod p, Q mod p) (Collins, JACM 18,
-1971; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Each
+Hessenberg lane per charpoly, rescaled to the tensor's d as on the
+exact route, behind the same weighted-hermitian proof.  A battery reads
+all its labels at once (`char_polys_of`, `CharPoly.read_all`): one
+`charpolys_gq` call, whose lanes share one modular pass per dimension.
+The spectrum, the pipeline's alpha scan and `CharPoly.exact` read one
+label at a time (`char_poly_of`, `CharPoly.read`, `charpoly_real`).
+Both routes rescale by `_over` and read exactly where the prime divides
+d, and both keep the matrix and weights that `CharPoly.exact` reads
+again.  P is monic and PRIME exceeds every degree, so the leading
+coefficients of P, P' and R' (1, n and k) survive reduction, and
+reduction commutes with the resultant: res(P, Q) mod p =
+res(P mod p, Q mod p) (Collins, JACM 18, 1971; von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 6).  Each
 formula above, with d^(-1) mod p, then gives the residue mod p of the
 rational value, and a nonzero residue is an exact, deterministic proof
 that the value is nonzero; it is reported with its prime.  A zero residue
@@ -76,7 +83,7 @@ from functools import cached_property
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
-from .linalg import IntMatrix, charpoly_gq, split_primes
+from .linalg import IntMatrix, charpoly_gq, charpolys_gq, split_primes
 from .operator import OperatorMatrix, build_DV, norm_weights
 from .poly import IntPoly, derivative, mul, resultant, squarefree_decomposition
 
@@ -85,31 +92,38 @@ from .poly import IntPoly, derivative, mul, resultant, squarefree_decomposition
 PRIME = split_primes(1)[0][0]
 
 
-def charpoly_real(
-    M: IntMatrix, den: int | None = None, weights=None, prime: int | None = None
-) -> IntPoly:
-    """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
-
-    charpoly_gq gives det(X*I - M.den*M) with coefficients a_k, and with
-    t = den / M.den the k-th coefficient is a_k t^(n-k).  M is real, or
-    complex with weights (`operator.norm_weights` of the label's spins),
-    by which charpoly_gq proves the charpoly real exactly; a failed proof
-    raises ArithmeticError (the construction upstream is wrong), and a
-    complex M without weights ValueError.  With a prime, the coefficients
-    are taken mod prime from charpoly_gq's one lane there, in [0, prime).
-    """
-    den = M.den if den is None else den
+def _over(coeffs: list[int], den: int, M: IntMatrix, prime: int | None) -> IntPoly:
+    """det(X*I - M.den*M), coefficients a_k ascending, rescaled to
+    det(X*I - den*M): with t = den / M.den the k-th coefficient is
+    a_k t^(n-k), mod prime where there is one."""
     t, r = divmod(den, M.den)
     if r:
         raise ValueError(f"denominator {den} is not a multiple of {M.den}")
     out, pw = [], 1
-    for c in reversed(charpoly_gq(M, weights, prime)):
+    for c in reversed(coeffs):
         out.append(c * pw)
         pw *= t
         if prime is not None:
             out[-1] %= prime
             pw %= prime
     return IntPoly(tuple(reversed(out)), den)
+
+
+def charpoly_real(
+    M: IntMatrix, den: int | None = None, weights=None, prime: int | None = None
+) -> IntPoly:
+    """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
+
+    charpoly_gq gives det(X*I - M.den*M), rescaled to den by `_over`.  M
+    is real, or complex with weights (`operator.norm_weights` of the
+    label's spins), by which charpoly_gq proves the charpoly real
+    exactly; a failed proof raises ArithmeticError (the construction
+    upstream is wrong), and a complex M without weights ValueError.  With
+    a prime, the coefficients are taken mod prime from charpoly_gq's one
+    lane there, in [0, prime).
+    """
+    den = M.den if den is None else den
+    return _over(charpoly_gq(M, weights, prime), den, M, prime)
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,20 @@ class CharPoly:
         if prime is None or den % prime == 0:
             return cls(lab, th, charpoly_real(M, den, weights))
         return cls(lab, th, charpoly_real(M, den, weights, prime), prime, (M, weights))
+
+    @classmethod
+    def read_all(cls, labels, th: str, Ms, den: int, weights, prime: int) -> list["CharPoly"]:
+        """`read` of every (label, matrix, weights), with the residues of
+        all of them taken by one `charpolys_gq` call, which shares one
+        modular pass among the matrices of each dimension; each is
+        rescaled to den as `charpoly_real` does.  Where the prime divides
+        den, each is read exactly by `read`."""
+        if den % prime == 0:
+            return [cls.read(lab, th, M, den, w) for lab, M, w in zip(labels, Ms, weights)]
+        return [
+            cls(lab, th, _over(cs, den, M, prime), prime, (M, w))
+            for lab, M, w, cs in zip(labels, Ms, weights, charpolys_gq(Ms, weights, prime))
+        ]
 
     @property
     def degree(self) -> int:
@@ -206,6 +234,16 @@ def char_poly_of(
     op = build_DV(spec, lab, tensor)
     return CharPoly.read(
         lab, tensor_hash(tensor), op.matrix, tensor.integer_form[0], norm_weights(lab.spins), prime
+    )
+
+
+def char_polys_of(spec: GroupSpec, labels, tensor: SymTensor, prime: int) -> list[CharPoly]:
+    """`char_poly_of` at the prime on every label, by `CharPoly.read_all`:
+    one modular pass per dimension among the labels."""
+    ops = [build_DV(spec, lab, tensor) for lab in labels]
+    return CharPoly.read_all(
+        labels, tensor_hash(tensor), [op.matrix for op in ops], tensor.integer_form[0],
+        [norm_weights(lab.spins) for lab in labels], prime,
     )
 
 

@@ -13,10 +13,14 @@ only in every certificate's "value", now the residue mod 2147483629 of
 the exact value wherever that residue is nonzero, and its new "prime".  The t3 spectrum's
 digest was taken before coincidences were keyed by each root's nearest
 double: its 86 entries are rational roots shared by up to 72 labels.
-The two torus2 digests were taken before each operator class did its
+The two torus2 spectrum digests were taken before each operator class did its
 work on its member of least torus scalar instead of its first label, and
 the Berger digest at cutoff 300 before class members moved their
 representative's exact roots instead of shifting its factors.
+The level-6 witness digest and the torus2 certify digest were taken
+before the witness and certify batteries came to read all their charpolys
+in one modular pass per dimension; the certify run's tensor has operator
+dens apart from its own, and its battery fails (exit code 1).
 Each run writes its JSON document with --output and the file's bytes
 are hashed; the exit code is pinned too.
 """
@@ -78,9 +82,17 @@ RUNS = {
         ["witness", "--group", "spin4", "--level", "4", "--seed", "3"], 0,
         "22918fae1a0e93efe4cc166611dac55dc5a639f59ca3f99c5f34d158b67e5687",
     ),
+    "witness-spin4-l6-s0": (
+        ["witness", "--group", "spin4", "--level", "6", "--seed", "0"], 0,
+        "3c93d64ebc1c9ab272a57fa21c39fe121443bcf2db5ba32dc0f69a26745c3fc7",
+    ),
     "certify-u2-l4": (
         ["certify", "--group", "u2", "--level", "4"], 1,
         "4406b553e27f2a4eb627aed9d51c308580787dca0f4f15e97127d1a2292e5f8c",
+    ),
+    "certify-torus2-l3": (
+        ["certify", "--group-file", GROUP_FILE, "--tensor", TORUS2, "--level", "3"], 1,
+        "4ee7a23b8ee6fd343147b7538b935468ecdf70ed274a27050ca6e753d0021890",
     ),
     "spectrum-berger": (
         ["spectrum", "--group", "u2", "--gram", BERGER, "--max-eig", "80"], 0,

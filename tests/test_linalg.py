@@ -311,6 +311,28 @@ def test_one_prime_lane_is_the_charpoly_mod_that_prime():
             charpoly_gq(m, c, bad)
 
 
+def test_batched_kernel_reads_each_matrix_as_alone():
+    # equal and different dimensions, real and complex, entries small and
+    # past int64 (so different numbers of primes share one pass), and the
+    # 0 x 0 matrix: each block of lanes gives its own matrix's charpoly
+    rng = random.Random(31)
+    Ms, ws = [zero(0, 0)], [None]
+    for n in (3, 3, 5, 3, 1, 5):
+        for complex_entries in (False, True):
+            m, c = _random_matrix(rng, n, complex_entries, rng.choice((2, 120)))
+            Ms.append(m)
+            ws.append(c)
+    exact = linalg.charpolys_gq(Ms, ws)
+    assert exact[0] == [1] and exact[1:] == [faddeev_real(m) for m in Ms[1:]]
+    p = split_primes(1)[0][0]
+    assert linalg.charpolys_gq(Ms, ws, p) == [[x % p for x in e] for e in exact]
+    assert linalg.charpolys_gq([], [], p) == []
+    # a matrix that fails its proof fails the batch
+    bad, _ = weighted([[0, (0, Fraction(1, 2))], [0, 0]], [1, 4])
+    with pytest.raises(ArithmeticError):
+        linalg.charpolys_gq([Ms[1], bad], [None, np.ones(2, dtype=np.int64)], p)
+
+
 def test_charpoly_of_operators_matches_faddeev():
     # build_DV's integer form goes to charpoly_gq as it stands, with its
     # weights, on both routes, with imaginary entries.  The object route is taken when

@@ -28,6 +28,7 @@ from lielap.polycert import (
     cert_c_from_poly,
     char_poly_exact,
     char_poly_of,
+    char_polys_of,
     charpoly_from_eigenvalues,
     kramers_root,
     multiplicity_profile,
@@ -370,16 +371,25 @@ def _residue(q: Fraction) -> int:
     return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
 
 
+def _spec(group):
+    return preset(group) if isinstance(group, str) else group_from_json(group)
+
+
 @pytest.mark.parametrize("group, level", RESIDUE_CASES, ids=lambda x: str(x))
 def test_residue_battery_matches_exact_battery(group, level):
-    spec = preset(group) if isinstance(group, str) else group_from_json(group)
+    spec = _spec(group)
     labels = labels_up_to_level(spec, level)
     verdicts = set()
     for seed in range(24):
         tensor = sample_definite_tensor(spec.dim, random.Random(seed))
         assert tensor.integer_form[0] % PRIME
-        at_p = [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
+        # the battery's one kernel call gives, label by label, the CharPoly
+        # that char_poly_of reads alone (residues, prime and den), and
+        # the same exact charpoly read again from source
+        at_p = char_polys_of(spec, labels, tensor, PRIME)
+        assert at_p == [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
         exact = [p.exact for p in at_p]
+        assert exact == [char_poly_of(spec, lab, tensor) for lab in labels]
         assert all(p.prime == PRIME and e.prime is None for p, e in zip(at_p, exact))
         assert [p.poly.coeffs for p in at_p] == [
             tuple(c % PRIME for c in e.poly.coeffs) for e in exact
@@ -392,6 +402,33 @@ def test_residue_battery_matches_exact_battery(group, level):
                 assert r.prime == PRIME and r.value == _residue(e.value) != 0
             verdicts.add(r.verdict)
     assert True in verdicts
+
+
+@pytest.mark.parametrize(
+    "group, level", [c for c in RESIDUE_CASES if isinstance(c[0], dict)], ids=lambda x: str(x)
+)
+def test_torus_cases_have_operator_dens_apart_from_the_tensor_den(group, level):
+    # the battery's read rescales every residue charpoly to the tensor's
+    # den: on the torus groups some operator's den differs from it, so a
+    # read left at the operator's den fails the test above
+    spec = _spec(group)
+    labels = labels_up_to_level(spec, level)
+    tensor = sample_definite_tensor(spec.dim, random.Random(0))
+    dens = {build_DV(spec, lab, tensor).matrix.den for lab in labels}
+    assert dens - {tensor.integer_form[0]}
+
+
+def test_batched_reads_of_edge_batches():
+    tensor = sample_definite_tensor(6, random.Random(3))
+    assert char_polys_of(SPIN4, [], tensor, PRIME) == []
+    # the trivial label has the zero matrix of den 1, and a batch of one
+    # runs the one-element case of the kernel
+    for labs in ([label((0, 0))], [label((1, 2))], [label((0, 0)), label((1, 0)), label((0, 1))]):
+        batched = char_polys_of(SPIN4, labs, tensor, PRIME)
+        assert batched == [char_poly_of(SPIN4, lab, tensor, PRIME) for lab in labs]
+        assert [p.exact for p in batched] == [char_poly_of(SPIN4, lab, tensor) for lab in labs]
+    trivial = char_polys_of(SPIN4, [label((0, 0))], tensor, PRIME)[0]
+    assert trivial.poly == IntPoly((0, 1), tensor.integer_form[0])
 
 
 def test_zero_residue_is_decided_exactly():
@@ -421,6 +458,7 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
     at_p = [char_poly_of(SU2, lab, tensor, PRIME) for lab in labels]
     exact = [char_poly_of(SU2, lab, tensor) for lab in labels]
     assert at_p == exact and all(p.prime is None for p in at_p)
+    assert char_polys_of(SU2, labels, tensor, PRIME) == exact
     certs = certificate_battery(labels, at_p)
     assert certs == certificate_battery(labels, exact)
     assert {c.kind for c in certs} == {"a", "b", "c"}

@@ -1,6 +1,7 @@
 """Witness constructions and the randomized certificate search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
-from lielap.polycert import PRIME, char_poly_exact, multiplicity_profile
+from lielap.polycert import PRIME, CharPoly, char_poly_exact, charpoly_from_eigenvalues, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
     involution_branches,
@@ -250,6 +251,34 @@ def test_pipeline_branches_split_the_charpoly(m, mprime):
         Fraction(h_value)
     ] * 2
     assert resultant_sylvester(b_plus, b_minus) == Fraction(b_value)
+
+
+@pytest.mark.parametrize("m,mprime", [(m, mp) for m in (1, 3, 5, 7) for mp in (1, 3, 5, 7)])
+def test_pipeline_h_fields_match_the_charpoly_route(m, mprime):
+    # the pipeline reads D_h's eigenvalues off its diagonal; the exact
+    # charpoly, the product over the expected values and Yun agree
+    r = pairs_pipeline(m, mprime)
+    eps = r.epsilon
+    op = build_DV(preset("su2xsu2"), label((m, mprime)), square_of_vector([1, 0, 0, eps, 0, 0]))
+    expected = [
+        (Fraction(j) + eps * jp) ** 2 for j in range(-m, m + 1, 2) for jp in range(-mprime, mprime + 1, 2)
+    ]
+    p = char_poly_exact(op)
+    assert r.h_charpoly_matches == (p.poly == charpoly_from_eigenvalues(expected, p.poly.den))
+    assert r.h_all_double == multiplicity_profile(p).is_all_double
+
+
+def test_diagonal_read_matches_the_charpoly_route():
+    # multiplicities other than 2, a zero entry, a den, and what is refused
+    for values in ([4, 4, 1, 1], [4, 4, 4, 1], [0, 0, 3, 3], [Fraction(1, 3)] * 2 + [2, 2, 5]):
+        D = IntMatrix.from_dense(np.diag([Fraction(v) * 3 for v in values]).astype(np.int64), den=3)
+        got = witness._diagonal(D)
+        assert got == [Fraction(v) for v in values]
+        p = CharPoly(label((0,)), "h", charpoly_from_eigenvalues(values, 3))
+        assert (set(Counter(got).values()) == {2}) == multiplicity_profile(p).is_all_double
+    for bad in (IntMatrix.from_dense([[1, 1], [1, 1]]), IntMatrix.from_dense([[1, 0], [0, 1]], [[1, 0], [0, 0]])):
+        with pytest.raises(ArithmeticError, match="not real and diagonal"):
+            witness._diagonal(bad)
 
 
 def test_orbit_eigenbases_skip_fixed_points():
