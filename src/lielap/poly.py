@@ -204,10 +204,8 @@ def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
     res(A, B) = (-1)^(mn) res(B, A) = (-1)^(mn) lc(B)^(m - r) res(B, R),
     and res(A, b) = b^m for a constant b; a zero remainder of a
     nonconstant B, or a zero B, gives 0.  Each step takes one inverse,
-    of lc(B).  Where m = n + 1, as after most steps, the two quotient
-    terms q_1 X + q_0 are read off the top of A and R_k = A_k - q_0 B_k -
-    q_1 B_(k-1) is built in one pass; otherwise each quotient term takes
-    one pass over a copy of A, reduced mod p once at the end.
+    of lc(B); each quotient term takes one in-place pass over a copy of
+    A, reduced mod p once at the end.
     """
     A, B = _strip(A), _strip(B)
     res = 1
@@ -217,18 +215,12 @@ def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
             return 0 if min(m, n) < 0 else res * pow(B[0], m, p) % p
         lc = B[-1]
         inv = pow(lc, -1, p)
-        if m == n + 1:
-            q1 = A[m] * inv % p
-            q0 = (A[n] - q1 * B[n - 1]) * inv % p
-            R = [(A[0] - q0 * B[0]) % p]
-            R += [(a - q0 * b0 - q1 * b1) % p for a, b0, b1 in zip(A[1:n], B[1:], B)]
-        else:
-            R = A[:]
-            for top in range(m, n - 1, -1):
-                c = R[top] % p * inv % p
-                if c:
-                    R[top - n:top] = [x - c * b for x, b in zip(R[top - n:top], B)]
-            R = [x % p for x in R[:n]]
+        R = A[:]
+        for top in range(m, n - 1, -1):
+            c = R[top] % p * inv % p
+            if c:
+                R[top - n:top] = [x - c * b for x, b in zip(R[top - n:top], B)]
+        R = [x % p for x in R[:n]]
         _strip(R)
         if not R:
             return 0
