@@ -155,9 +155,7 @@ class SymTensor:
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, den * S as integers), den the least common denominator;
         computed on first use and kept on the tensor."""
-        den = math.lcm(*(x.denominator for row in self.entries for x in row))
-        return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
-                          for row in self.entries)
+        return _integer_rows(self.entries)
 
     @cached_property
     def digest(self) -> str:
@@ -220,74 +218,97 @@ def identity_tensor(n: int) -> SymTensor:
     )
 
 
-def _gauss_jordan(rows) -> list[list[Fraction]] | None:
-    """Gauss-Jordan over Q on the leading square block of rows, with no
-    row exchanges; None at the first pivot <= 0.
+def _integer_rows(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, den * rows as integers), den the least common denominator of
+    the rational entries."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                      for row in rows)
 
-    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
-    principal minor, so a run that finishes is Sylvester's criterion for a
-    symmetric block, and the columns to its right come out multiplied by
-    the block's inverse."""
+
+def _eliminate(rows) -> list[list[int]] | None:
+    """Fraction-free Gauss-Jordan (Bareiss) on the leading square block of
+    integer rows, with no row exchanges; None at the first pivot <= 0.
+
+    Every row but the pivot row becomes (pivot * row - f * pivot row) /
+    previous pivot.  After step k each entry is a minor of order k + 1 of
+    the input, so every division is exact, and the k-th pivot is the k-th
+    leading principal minor: a run that finishes is Sylvester's criterion
+    for a symmetric block.  It ends with det on the block's diagonal and
+    the columns to its right multiplied by det times the block's inverse,
+    det the determinant of the block."""
     work = [list(r) for r in rows]
-    for c in range(len(work)):
-        pivot = work[c][c]
-        if pivot <= 0:
+    prev = 1
+    for k, wk in enumerate(work):
+        p = wk[k]
+        if p <= 0:
             return None
-        wc = work[c] = [x / pivot for x in work[c]]
-        for r, wr in enumerate(work):
-            f = wr[c]
-            if r != c and f:
-                work[r] = [x - f * y for x, y in zip(wr, wc)]
+        for i, wi in enumerate(work):
+            if i != k:
+                f = wi[k]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(wi, wk)]
+        prev = p
     return work
 
 
 def is_positive_definite(entries) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive.
+    """Exact Sylvester criterion: all leading principal minors positive,
+    decided on the integer rows over their common denominator.
 
     Accepts a SymTensor, MetricSpec, or raw symmetric rows."""
     if isinstance(entries, SymTensor):
-        rows = entries.entries
+        rows = entries.integer_form[1]
     elif isinstance(entries, MetricSpec):
-        rows = entries.gram
+        rows = _integer_rows(entries.gram)[1]
     else:
-        rows = _freeze_symmetric(entries)
-    return _gauss_jordan(rows) is not None
+        rows = _integer_rows(_freeze_symmetric(entries))[1]
+    return _eliminate(rows) is not None
 
 
 def certified_lower_bound(tensor: SymTensor) -> Fraction:
-    """A positive rational c with tensor - c*I exactly positive definite."""
+    """A positive rational c with tensor - c*I exactly positive definite.
+
+    c = a/b is checked on the integer rows b den S - a den I, (den, den S)
+    the tensor's `integer_form`.  DomainError when no c down to 10^-40
+    passes: the smallest eigenvalue is too close to 0."""
     n = tensor.n
     dense = np.array([[float(tensor[i, j]) for j in range(n)] for i in range(n)])
     lam = float(np.linalg.eigvalsh(dense)[0])
     c = Fraction(max(lam, 0.0)).limit_denominator(10**12) * Fraction(999, 1000)
     if c <= 0:
         c = Fraction(1, 10**6)
+    den, rows = tensor.integer_form
 
     def shifted_ok(c: Fraction) -> bool:
-        rows = [
-            [tensor[i, j] - (c if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return is_positive_definite(rows)
+        a, b = c.numerator * den, c.denominator
+        return _eliminate(
+            [[b * x - (a if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate(rows)]
+        ) is not None
 
     while not shifted_ok(c):
         c /= 2
         if c < Fraction(1, 10**40):
-            raise ArithmeticError("failed to certify a spectral lower bound")
+            raise DomainError(
+                "cannot certify a lower bound of 1e-40 or more on the "
+                "tensor's smallest eigenvalue; it is too close to 0"
+            )
     return c
 
 
 def metric_to_tensor(metric: MetricSpec) -> SymTensor:
     """Exact inverse of the gram matrix: the tensor of a g-orthonormal
-    basis, so that the operator it induces is the metric Laplacian."""
+    basis, so that the operator it induces is the metric Laplacian.
+
+    `_eliminate` on [den G | I] gives det(den G) (den G)^-1 in integers, and
+    G^-1 is den times it over det."""
     n = metric.n
-    work = _gauss_jordan(
-        [list(r) + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(metric.gram)]
-    )
+    den, gram = _integer_rows(metric.gram)
+    work = _eliminate([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(gram)])
     if work is None:
         raise DomainError("gram matrix is not positive definite")
-    return SymTensor(tuple(tuple(row[n:]) for row in work))
+    det = work[-1][n - 1]
+    return SymTensor(tuple(tuple(Fraction(den * x, det) for x in row[n:]) for row in work))
 
 
 def symmetric_product(n: int, p: int, q: int, coeff=1) -> SymTensor:

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a check or search failed, 2 usage or input-file
-problems or an --output path that cannot be written, 3 mathematical domain
-violations (indefinite tensor, bad cutoff).
+Exit codes: 0 success, 1 a check or search failed or standard output was
+closed before the output ended, 2 usage or input-file problems or an
+--output path that cannot be written, 3 mathematical domain violations
+(indefinite tensor, bad cutoff, a smallest tensor eigenvalue too close to
+0 to bound).
 JSON output is deterministic: keys sorted, floats at fixed precision, and
 searches driven entirely by --seed.
 """
@@ -570,7 +572,14 @@ def main(argv=None) -> int:
         if tokens:
             args = parser.parse_args(argv[:1] + tokens + argv[1:])
         check_output(args.output)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output, which ends the output; what is
+        # left unwritten goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

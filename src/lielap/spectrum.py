@@ -231,6 +231,7 @@ class Root(NamedTuple):
 _NEG = 1 << 63
 _TOP = 0x7FEF_FFFF_FFFF_FFFF
 _MAX = sys.float_info.max
+_FRACTION_BITS = (1 << 52) - 1
 
 
 def _key(x: float) -> int:
@@ -244,19 +245,53 @@ def _double(key: int) -> float:
 
 
 def _midpoint(key: int) -> tuple[int, int]:
-    """The midpoint of the doubles with keys key and key + 1, as (m, k)
-    for m / 2^k."""
-    n1, d1 = _double(key).as_integer_ratio()
-    n2, d2 = _double(key + 1).as_integer_ratio()
-    d = max(d1, d2)
-    return n1 * (d // d1) + n2 * (d // d2), d.bit_length()
+    """The midpoint of the doubles with keys key and key + 1, as (m, k) for
+    m / 2^k with k >= 0, read off the bits of key; both doubles finite,
+    -_TOP <= key < _TOP.
+
+    A key u >= 0 has the exponent bits E = u >> 52 and the fraction bits F,
+    and its double is M 2^e with M = F + 2^52 and e = E - 1075, or M = F
+    and e = -1074 when E = 0.  The next double is (M + 1) 2^e, across the
+    edge of a binade too, so the midpoint is the integer dyadic
+    (2M + 1) 2^(e - 1).  The doubles of negative keys mirror those of
+    keys >= 0: key and key + 1 are minus the doubles of -key and -key - 1."""
+    if key < 0:
+        m, k = _midpoint(-key - 1)
+        return -m, k
+    e = key >> 52
+    m = 2 * (key & _FRACTION_BITS) + 1
+    if e:
+        m += 1 << 53
+        e -= 1076
+    else:
+        e = -1075
+    return (m, -e) if e < 0 else (m << e, 0)
 
 
-def _around(x: float) -> tuple[Fraction, Fraction]:
-    """The midpoints between the double x and its two neighbours."""
-    key = _key(x)
-    (m, k), (n, j) = _midpoint(key - 1), _midpoint(key)
-    return Fraction(m, 1 << k), Fraction(n, 1 << j)
+def _nearest_fraction(x: float, bound: int) -> Fraction:
+    """The fraction nearest x with denominator at most bound, of two at
+    equal distance the one with the smaller denominator (the lower of two
+    integers), as Fraction(x).limit_denominator(bound) gives it, found on
+    integers: the last convergent p1/q1 of x's continued fraction with
+    q1 <= bound, or the semiconvergent past it.  With the bound 1, as on a
+    monic factor, it is the integer nearest x."""
+    n, d = x.as_integer_ratio()
+    if d <= bound:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    u, v = n, d
+    while True:
+        t = u // v
+        if q0 + t * q1 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q0 + t * q1
+        u, v = v, u - t * v
+    k = (bound - q0) // q1
+    # p1/q1 lies v / (q1 d) from x, and 1 / (q1 (q0 + k q1)) from the
+    # semiconvergent, on the other side of x
+    if 2 * v * (q0 + k * q1) <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
 
 
 def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Root:
@@ -275,7 +310,8 @@ def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Ro
     2 s^2 ulp(x) < 1.  A root at b is searched for like any other, from
     the sign of cs just above b, so the result depends on the root alone,
     not on the cell it was isolated in, apart from the cut of its bracket
-    to (a, b].
+    to (a, b].  A root past the largest double rounds to it, and its
+    bracket keeps that end of (a, b].
     """
     sb = sb or int_sign_at(derivative(cs), b)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
@@ -316,12 +352,17 @@ def _round(cs: list[int], a: Fraction, b: Fraction, sb: int, start: float) -> Ro
     if hit:
         (r,) = hit
         return Root(float(r), r, r, r)
-    # the root lies strictly between the midpoints of lo and hi = lo + 1
+    # the root lies strictly between the midpoints of lo and hi = lo + 1;
+    # past the largest double the search stops, and the cell keeps its end
     x = _double(hi)
-    mid_lo, mid_hi = _around(x)
-    a, b = max(a, mid_lo), min(b, mid_hi)
+    if lo >= -_TOP:
+        m, k = _midpoint(lo)
+        a = max(a, Fraction(m, 1 << k))
+    if hi < _TOP:
+        m, k = _midpoint(hi)
+        b = min(b, Fraction(m, 1 << k))
     un, ud = math.ulp(x).as_integer_ratio()
-    r = Fraction(x).limit_denominator(max(1, min(abs(cs[-1]), math.isqrt(2 * ud // un))))
+    r = _nearest_fraction(x, max(1, min(abs(cs[-1]), math.isqrt(2 * ud // un))))
     if a < r <= b and int_sign_at(cs, r) == 0:
         return Root(float(r), r, r, r)
     return Root(x, None, a, b)

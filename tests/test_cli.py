@@ -83,6 +83,18 @@ def test_spectrum_indefinite_domain_error(capsys):
         assert "definite" in err
 
 
+def test_spectrum_tensor_too_close_to_semidefinite_domain_error(capsys):
+    # positive definite, with the smallest eigenvalue 10^-45 below the least
+    # lower bound the spectrum's label walk can certify
+    tiny = "1/1" + "0" * 45
+    rc, out, err = run(
+        capsys, "spectrum", "--group", "su2", "--tensor",
+        json.dumps([[tiny, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]), "--max-eig", "5",
+    )
+    assert rc == 3 and out == ""
+    assert err.startswith("domain error:") and "lower bound" in err and "Traceback" not in err
+
+
 def test_spectrum_tensor_object_without_data_usage_error(capsys):
     # an input-file problem, not a domain violation
     rc, out, err = run(
@@ -596,3 +608,30 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].startswith("group so3  cutoff 8")
+
+
+def test_closed_stdout_ends_the_output_without_a_traceback():
+    # the reader takes one line and closes the pipe, whose capacity is cut
+    # to a page where the platform allows it, so that the rest of the
+    # 14 kB table meets a closed pipe
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe capacity cannot be set on this platform")
+    src = str(Path(lielap.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    gram = '[["1","0","0","0"],["0","1","0","0"],["0","0","2/3","0"],["0","0","0","3"]]'
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lielap", "spectrum", "--group", "u2", "--gram", gram,
+         "--max-eig", "300", "--format", "csv"],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(w)
+    with os.fdopen(r, "rb") as out:
+        first = out.readline()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert first.startswith(b"eigenvalue,exact,multiplicity")
+    assert err == ""

@@ -43,6 +43,7 @@ from lielap.poly import (
     mul,
     real_root_brackets,
     root_bound,
+    shift_primitive,
 )
 from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
@@ -863,6 +864,90 @@ def test_pin_exact_value_up_to_the_denominator_bound():
         assert abs(x - r / s) <= math.ulp(x)
 
 
+def _branch_factors() -> list[list[int]]:
+    """Factors on both sides of the rational check of `_round`: monic ones,
+    whose denominator bound is 1, with integer roots and with irrational
+    roots next to integers; and shifted ones (`shift_primitive`, lc > 1):
+    the smaller suite factors and two with integer roots, moved by t/d."""
+    monic = [
+        mul(mul([1, 1], [-7, 1]), [3, 1]),
+        mul([-2, 0, 1], [-5, 1]),
+        mul(mul([-3, 0, 1], [-1, -1, 1]), [-2, 1]),
+        [-1, -3, 0, 1],
+        mul(mul(mul([0, 1], [-1, 1]), [4, 1]), [-10**6, 1]),
+    ]
+    small = [f for f in _random_suite_factors() if 3 <= len(f) <= 5][:8]
+    shifted = [shift_primitive(f, t, d) for f, (t, d) in zip(small, itertools.cycle([(1, 3), (5, 31), (2, 7)]))]
+    shifted += [shift_primitive(monic[0], 1, 3), shift_primitive(monic[4], -2, 5)]
+    # (2x - 1)(x - 3)(x^2 - 2) moved by 1/2: the roots 1 and 7/2 of a
+    # factor with lc 4
+    shifted.append(shift_primitive(mul(mul([-1, 2], [-3, 1]), [-2, 0, 1]), 1, 2))
+    return monic + shifted
+
+
+def test_rational_check_on_monic_and_shifted_factors_matches_the_oracle(monkeypatch):
+    """The Sturm brackets of every factor, rounded by `_round` from their
+    midpoints and by `real_roots`, give what the Fraction oracle gives;
+    the rational candidate is taken with the bound 1 and above it, and
+    each finds exact roots, integers and fractions."""
+    bounds = []
+    nearest = spectrum._nearest_fraction
+
+    def counted(x, bound):
+        bounds.append(bound)
+        return nearest(x, bound)
+
+    monkeypatch.setattr(spectrum, "_nearest_fraction", counted)
+    exact = set()
+    for cs in _branch_factors():
+        brackets = _unhinted_oracle_brackets(tuple(cs))
+        assert len(brackets) == len(cs) - 1
+        want = [pin_oracle(cs, a, b) for a, b in brackets]
+        del bounds[:]
+        got = [round_bracket(cs, a, b) for a, b in brackets]
+        assert got == want
+        assert len(bounds) == len(brackets) and len(set(bounds)) == 1
+        assert real_roots(cs) == want
+        exact |= {(bounds[0] == 1, r.exact.denominator == 1) for r in got if r.exact is not None}
+    assert exact == {(True, True), (False, True), (False, False)}
+
+
+def test_nearest_fraction_on_integers_is_limit_denominator():
+    rng = random.Random(11)
+    xs = [0.0, -0.0, 0.5, -0.5, 2.5, -2.5, 1 / 3, math.pi, 5e-324, -5e-324,
+          sys.float_info.max, -sys.float_info.max, 2.0**53 + 2, 1e-300]
+    xs += [rng.uniform(-100, 100) for _ in range(300)]
+    xs += [rng.randint(-10**6, 10**6) / rng.randint(1, 10**4) for _ in range(300)]
+    xs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(100)]
+    for x in xs:
+        for bound in (1, 2, 3, 31, 961, rng.randint(1, 10**9), 2**60):
+            assert spectrum._nearest_fraction(x, bound) == Fraction(x).limit_denominator(bound)
+
+
+def test_integer_midpoints_match_the_fraction_formula():
+    """`_midpoint` against the mean of the two doubles over Fractions: at
+    every binade edge, on subnormals, next to 0 and -0, on negative keys
+    and next to the largest double, at both signs."""
+    top = spectrum._TOP
+    keys = {(e << 52) + d for e in range(2047) for d in (-2, -1, 0, 1)}
+    keys |= {1, 2, 3, (1 << 51), top - 1, top - 2, spectrum._key(1.0), spectrum._key(math.pi)}
+    rng = random.Random(5)
+    keys |= {rng.randrange(top) for _ in range(2000)}
+    keys = {k for k in keys if 0 <= k < top}
+    # the negative keys mirror them: -1 is the key of minus the least
+    # subnormal, whose upper neighbour is -0, and -top that of minus the
+    # largest double
+    keys |= {-k - 1 for k in keys}
+    assert spectrum._key(0.0) == spectrum._key(-0.0) == 0
+    for key in keys:
+        x = spectrum._double(key)
+        y = math.nextafter(x, math.inf)
+        assert spectrum._key(y) == key + 1
+        m, k = spectrum._midpoint(key)
+        assert k >= 0 and Fraction(m, 1 << k) == (Fraction(x) + Fraction(y)) / 2
+    assert spectrum._midpoint(0) == (1, 1075) and spectrum._midpoint(-1) == (-1, 1075)
+
+
 def test_sturm_cell_from_past_the_largest_double():
     """(x + 1)(x - 2^1100): the root bound passes the largest double, and
     the Sturm bracket of the root -1 starts at minus it.  (x + 1) prod
@@ -872,6 +957,12 @@ def test_sturm_cell_from_past_the_largest_double():
     (a, b), _ = real_root_brackets(h)
     assert a < -sys.float_info.max < -1 <= b
     assert real_roots(h, Fraction(0)) == [(-1.0, -1, -1, -1)]
+    # the root 2^1100 takes the largest double, and its bracket keeps the
+    # end of its cell above it; the mirror image at -2^1100
+    for g, sign in ((h, 1), (mul([-1, 1], [2**1100, 1]), -1)):
+        (x, exact, lo, hi), = [r for r in real_roots(g) if abs(r.value) > 1]
+        assert x == sign * sys.float_info.max and exact is None
+        assert lo < sign * 2**1100 <= hi and int_sign_at(g, lo) * int_sign_at(g, hi) < 0
     h = [1, 1]
     for k in range(1, 17):
         h = mul(h, [-(10**20) * k, 1])
