@@ -251,18 +251,10 @@ def _eliminate(rows) -> list[list[int]] | None:
     return work
 
 
-def is_positive_definite(entries) -> bool:
+def is_positive_definite(tensor: SymTensor) -> bool:
     """Exact Sylvester criterion: all leading principal minors positive,
-    decided on the integer rows over their common denominator.
-
-    Accepts a SymTensor, MetricSpec, or raw symmetric rows."""
-    if isinstance(entries, SymTensor):
-        rows = entries.integer_form[1]
-    elif isinstance(entries, MetricSpec):
-        rows = _integer_rows(entries.gram)[1]
-    else:
-        rows = _integer_rows(_freeze_symmetric(entries))[1]
-    return _eliminate(rows) is not None
+    decided on the tensor's integer rows over their common denominator."""
+    return _eliminate(tensor.integer_form[1]) is not None
 
 
 def certified_lower_bound(tensor: SymTensor) -> Fraction:

@@ -37,6 +37,7 @@ from .irreps import (
     labels_up_to_level,
     quaternionic_structure,
 )
+from .linalg import IntMatrix
 from .operator import build_DV, casimir_tensor
 from .polycert import PRIME, cert_c_from_poly, char_poly_of, char_polys_of, multiplicity_profile
 from .spectrum import (
@@ -198,7 +199,7 @@ def cmd_certify(args) -> int:
     if not is_positive_definite(tensor):
         raise DomainError("coefficient tensor must be positive definite")
     labels = labels_up_to_level(spec, level)
-    certs = certificate_battery(labels, char_polys_of(spec, labels, tensor, PRIME))
+    certs = certificate_battery(char_polys_of(spec, labels, tensor, PRIME))
     verdict = all(c.verdict for c in certs)
     doc = {**battery_json(spec, level, tensor, labels, certs), "verdict": verdict}
     if args.format == "json":
@@ -305,13 +306,13 @@ def check_casimir(args):
     cas = casimir_tensor(spec)
     for m in range(0, args.max_m + 1):
         op = build_DV(spec, label((m,)), cas)
-        if not op.matrix.is_scalar(Fraction(m * (m + 2))):
+        if op.matrix != IntMatrix.identity(op.dim) * (m * (m + 2)):
             return False, f"scalar identity fails at m={m}"
     prod = preset("su2xsu2")
     for m, mp in [(1, 1), (2, 3), (0, 4)]:
         op = build_DV(prod, label((m, mp)), casimir_tensor(prod))
-        want = Fraction(m * (m + 2) + mp * (mp + 2))
-        if not op.matrix.is_scalar(want):
+        want = m * (m + 2) + mp * (mp + 2)
+        if op.matrix != IntMatrix.identity(op.dim) * want:
             return False, f"additivity fails at ({m},{mp})"
     return True, f"scalar m(m+2) for m <= {args.max_m}, additive on products"
 
@@ -390,7 +391,7 @@ def check_torus(args):
         want = sum(
             rows[i][j] * w[i] * w[j] for i in range(2) for j in range(2)
         )
-        if not op.matrix.is_scalar(Fraction(want)):
+        if op.matrix != IntMatrix.identity(op.dim) * want:
             return False, f"quadratic-form value differs at weight {w}"
     return True, (
         "scalar <w, S w> on characters; coordinates have period 2*pi, so "

@@ -31,7 +31,6 @@ equivariant map J with J^2 = (-1)^m, exposed for single factors.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -260,29 +259,20 @@ def labels_up_to_level(
 
     The walk keeps the Casimir budget left to each coordinate, so with a
     budget it visits the labels of the ball rather than the whole box.
-    Descent is decided on integers: per central element, D times the
-    phase mod D splits into a part of the spins and one of the weight
-    (`_central_phases`), so the weights are grouped by their part, and
-    each tuple of spins meets only the weights of its group that fit its
-    budget.  Only the labels kept are built."""
+    Each tuple of spins meets each weight tuple that fits the budget left
+    to it, and the pair is kept when its spin and weight phases agree, the
+    comparison `descends_to_quotient` makes.  Only the labels kept are
+    built."""
     if level < 0:
         raise DomainError("level must be nonnegative")
     budget = math.inf if casimir is None else casimir
     phases = _central_phases(spec)
-    spins = _bounded_tuples(range(level + 1), spec.k, lambda m: m * (m + 2), budget)
-    # weight phases -> (weights, their costs), in increasing cost
-    groups: dict[tuple[int, ...], tuple[list, list]] = {}
-    for w, c in sorted(
-        _bounded_tuples(range(-level, level + 1), spec.n, lambda l: l * l, budget),
-        key=lambda wc: wc[1],
-    ):
-        if next((l for l in w if l), 1) > 0:
-            ws, cs = groups.setdefault(_weight_phases(phases, w), ([], []))
-            ws.append(w)
-            cs.append(c)
-    out = []
-    for s, c in spins:
-        ws, cs = groups.get(_spin_phases(phases, s), ((), ()))
-        out += [(c + cw, s, w) for w, cw in zip(ws, cs[:bisect_right(cs, budget - c)])]
+    spins = [(s, c, _spin_phases(phases, s))
+             for s, c in _bounded_tuples(range(level + 1), spec.k, lambda m: m * (m + 2), budget)]
+    weights = [(w, c, _weight_phases(phases, w))
+               for w, c in _bounded_tuples(range(-level, level + 1), spec.n, lambda l: l * l, budget)
+               if next((l for l in w if l), 1) > 0]
+    out = [(cs + cw, s, w) for s, cs, ps in spins for w, cw, pw in weights
+           if cs + cw <= budget and ps == pw]
     out.sort()
     return [IrrepLabel(s, w) for _, s, w in out]

@@ -142,23 +142,6 @@ class IntMatrix:
                 v = made[x, y] = Gaussian(_rational(x, den), _rational(y, den))
             yield i, j, v
 
-    def is_scalar(self, c) -> bool:
-        """True iff self == c * identity, exactly, for a rational c."""
-        n = self.nrows
-        if n != self.ncols:
-            return False
-        x = Fraction(c) * self.den
-        if not x:
-            return self.re.size == 0
-        return (
-            x.denominator == 1
-            and self.re.size == n
-            and bool((self.rows == np.arange(n)).all())
-            and bool((self.cols == self.rows).all())
-            and bool((self.re == x.numerator).all())
-            and not self.im.any()
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

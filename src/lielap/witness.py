@@ -19,9 +19,10 @@ coincidences are gone.  Four devices:
     each operator on its +1 and -1 eigenspaces is read from the operator's
     entries over the orbits of the permutation.
   * witness_search: random definite perturbations of the round tensor,
-    with the full certificate battery (b/c per label, a per pair) decided
-    per trial at one prime, a nonzero residue being an exact proof; the
-    trial's charpolys are read in one batch (`char_polys_of`).
+    with the full certificate battery decided per trial at one prime, a
+    nonzero residue being an exact proof; the trial's charpolys are read
+    in one batch (`char_polys_of`), and `certificate_battery` reads each
+    label off its charpoly (b/c per label by its type, a per pair).
 
 Failure is an exception carrying the best partial report, never a report
 claiming success.
@@ -163,7 +164,6 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
 @dataclass(frozen=True)
 class MixedWitness:
     label: IrrepLabel
-    direction: tuple[Fraction, ...]
     pairing: Fraction
     tensor: SymTensor
     spectrum: tuple[Fraction, ...]
@@ -204,7 +204,6 @@ def pairs_mixed_witness(spec: GroupSpec, lab: IrrepLabel, direction) -> MixedWit
     cert = cert_b_from_poly(p)
     return MixedWitness(
         label=lab,
-        direction=tuple(y),
         pairing=pairing,
         tensor=tensor,
         spectrum=tuple(sorted(expected)),
@@ -456,21 +455,19 @@ class WitnessReport:
         return sum(1 for c in self.certificates if c.verdict)
 
 
-def certificate_battery(
-    labels, polys: list[CharPoly]
-) -> list[Certificate]:
-    """Kind b or c per label by type, kind a per unordered pair: exact on
-    exact charpolys, and on charpolys at a prime decided there wherever
-    the residue is nonzero (see `polycert`)."""
+def certificate_battery(polys: list[CharPoly]) -> list[Certificate]:
+    """Kind b or c per charpoly by the type of its label, kind a per
+    unordered pair: exact on exact charpolys, and on charpolys at a prime
+    decided there wherever the residue is nonzero (see `polycert`)."""
     certs: list[Certificate] = []
-    for lab, p in zip(labels, polys):
-        if classify_type(lab) == "quaternionic":
+    for p in polys:
+        if classify_type(p.label) == "quaternionic":
             certs.append(cert_c_from_poly(p))
         else:
             certs.append(cert_b_from_poly(p))
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            certs.append(cert_a_from_polys(polys[i], polys[j]))
+    for i, p in enumerate(polys):
+        for q in polys[i + 1:]:
+            certs.append(cert_a_from_polys(p, q))
     return certs
 
 
@@ -494,7 +491,7 @@ def witness_search(
     best: WitnessReport | None = None
     for trial in range(trials):
         tensor = sample_definite_tensor(spec.dim, rng)
-        certs = certificate_battery(labels, char_polys_of(spec, labels, tensor, PRIME))
+        certs = certificate_battery(char_polys_of(spec, labels, tensor, PRIME))
         report = WitnessReport(
             spec=spec,
             level=level,

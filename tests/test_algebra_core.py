@@ -74,7 +74,7 @@ def test_metric_rejects_indefinite():
     with pytest.raises(DomainError):
         metric_to_tensor(MetricSpec([[1, 2], [2, 1]]))
     # positive semidefinite and singular: the second pivot is 0
-    assert not is_positive_definite([[1, 1], [1, 1]])
+    assert not is_positive_definite(SymTensor([[1, 1], [1, 1]]))
     with pytest.raises(DomainError):
         metric_to_tensor(MetricSpec([[1, 1], [1, 1]]))
 
@@ -86,7 +86,7 @@ def test_positive_definite_matches_numeric():
         n = int(rng.integers(1, 6))
         a = rng.integers(-4, 5, size=(n, n))
         sym = [[Fraction(int(a[i][j] + a[j][i])) for j in range(n)] for i in range(n)]
-        exact = is_positive_definite(sym)
+        exact = is_positive_definite(SymTensor(sym))
         evals = np.linalg.eigvalsh(np.array(sym, dtype=float))
         # integer matrices this small have eigenvalues far from zero or
         # exactly zero; treat tiny as zero, which is not definite
@@ -236,8 +236,7 @@ def test_integer_elimination_decides_definiteness_as_the_fraction_oracle():
         n = rng.randint(1, 10)
         kind, rows = _random_symmetric(rng, n)
         definite = gauss_jordan_oracle(rows) is not None
-        assert is_positive_definite(rows) == definite
-        assert is_positive_definite(SymTensor(rows)) == is_positive_definite(MetricSpec(rows)) == definite
+        assert is_positive_definite(SymTensor(rows)) == definite
         seen[kind, definite] += 1
         if kind == "zero-first":
             assert not definite
@@ -258,8 +257,8 @@ def test_zero_or_negative_leading_minor_is_not_definite():
         [[2, 0], [0, Fraction(-1, 7)]],
     ):
         assert gauss_jordan_oracle(rows) is None
-        assert not is_positive_definite(rows)
-    assert is_positive_definite([[Fraction(1, 10**50)]])
+        assert not is_positive_definite(SymTensor(rows))
+    assert is_positive_definite(SymTensor([[Fraction(1, 10**50)]]))
 
 
 def test_integer_inverse_round_trips_as_the_fraction_oracle():

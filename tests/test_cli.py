@@ -174,9 +174,7 @@ def test_certify_json_past_int_str_digit_limit(capsys):
     tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
     assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(spec, 6)
-    certs = certificate_battery(
-        labels, [char_poly_of(spec, lab, tensor) for lab in labels]
-    )
+    certs = certificate_battery([char_poly_of(spec, lab, tensor) for lab in labels])
     assert len(certs) == len(doc["certificates"])
     assert all(c["prime"] is None for c in doc["certificates"])
     longest = max(len(c["value"]) for c in doc["certificates"])

@@ -7,8 +7,9 @@ is read by some module of the package, exported by `lielap._HOMES` or
 looked up by the benchmark's tracer.  The one kind of import allowed to
 go unread is a name the tracer (perfbench/tracer.py, `WRAPS`) looks up
 in that module, since the tracer wraps it where its callers would look
-for it.  Every public method or property of a class in src/lielap is read
-as an attribute somewhere in the package, the tests or the benchmark.
+for it.  Every public method or property of a class in src/lielap, and
+every field of a dataclass or NamedTuple there, is read as an attribute
+somewhere in the package, the tests or the benchmark.
 """
 
 import ast
@@ -114,18 +115,52 @@ def _public_methods(modules: dict[str, ast.Module]) -> list[tuple[str, str, str]
     ]
 
 
-def test_every_public_method_and_property_is_read():
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether the class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases
+    )
+
+
+def _fields(modules: dict[str, ast.Module]) -> list[tuple[str, str, str]]:
+    """(module, class, name) for every field of a top-level dataclass or
+    NamedTuple."""
+    return [
+        (module, cls.name, node.target.id)
+        for module, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+
+
+def _read_anywhere() -> set[str]:
+    """The attribute names read by the package, the tests or the benchmark."""
     readers = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    read = set().union(*(_read_attributes(ast.parse(path.read_text(), str(path))) for path in readers))
+    return set().union(*(_read_attributes(ast.parse(path.read_text(), str(path))) for path in readers))
+
+
+def test_every_public_method_and_property_is_read():
+    read = _read_anywhere()
     unread = [".".join(m) for m in _public_methods(_modules()) if m[2] not in read]
+    assert unread == []
+
+
+def test_every_record_field_is_read():
+    read = _read_anywhere()
+    unread = [".".join(f) for f in _fields(_modules()) if f[2] not in read]
     assert unread == []
 
 
 def test_the_check_sees_the_package():
     """The package is found, the one tracer-wrapped import the check
-    allows is among the names it collects, and so are the methods."""
+    allows is among the names it collects, and so are the methods and the
+    fields of dataclasses and NamedTuples."""
     modules = _modules()
     assert {"spectrum", "poly", "irreps"} <= set(modules)
     assert {("linalg", "IntMatrix", "kron"), ("irreps", "IrrepLabel", "dim")} <= set(_public_methods(modules))
+    assert {("irreps", "IrrepLabel", "weight"), ("linalg", "Gaussian", "im")} <= set(_fields(modules))
     assert "divides" in _imported(modules["spectrum"])
     assert ("spectrum", "divides") in _wrapped()

@@ -129,7 +129,7 @@ def test_label_dim_and_casimir():
     lab = label((2, 3), (1, -2))
     assert lab.dim == 12
     cas = build_DV(build_group_spec(2, 2), lab, identity_tensor(8))
-    assert cas.matrix.is_scalar(8 + 15 + 1 + 4)
+    assert cas.matrix == IntMatrix.identity(12) * (8 + 15 + 1 + 4)
 
 
 def test_format_label():

@@ -58,12 +58,13 @@ def zero(n, m):
 
 
 def test_identity_and_scalar():
+    # a scalar matrix is tested by equality with a multiple of the identity
     m = IntMatrix.identity(3)
-    assert m.is_scalar(Fraction(1))
-    assert (m * Fraction(5, 3)).is_scalar(Fraction(5, 3))
-    assert not (m * 5).is_scalar(Fraction(5, 3))
-    assert not mat([[1, 1], [0, 1]]).is_scalar(Fraction(1))
-    assert zero(2, 2).is_scalar(0)
+    assert m == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert m * Fraction(5, 3) == mat([[Fraction(5, 3), 0, 0], [0, Fraction(5, 3), 0], [0, 0, Fraction(5, 3)]])
+    assert m * 5 != m * Fraction(5, 3)
+    assert mat([[1, 1], [0, 1]]) != IntMatrix.identity(2)
+    assert zero(2, 2) == IntMatrix.identity(2) * 0
 
 
 def test_matmul_against_dense():
@@ -687,6 +688,14 @@ def test_proof_checks_any_proposal_exactly(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", fails)
     assert not eigenvalues_above(IntMatrix.identity(3), one, 0, 1.0)
+
+
+def test_empty_matrix_has_every_eigenvalue_above_any_cutoff():
+    # no eigenvalue, so none at or below the cutoff: proved with no work,
+    # once the estimate itself lies above the cutoff
+    empty, none = zero(0, 0), np.ones(0, dtype=np.int64)
+    assert eigenvalues_above(empty, none, 5, 6.0)
+    assert not eigenvalues_above(empty, none, 5, 4.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,6 +25,7 @@ from lielap.errors import DomainError
 from lielap.irreps import build_irrep, label, labels_up_to_level
 from lielap.linalg import IntMatrix
 from lielap.operator import (
+    OperatorMatrix,
     build_DV,
     casimir_tensor,
     cluster_values,
@@ -79,7 +80,7 @@ def listed(M):
 def test_casimir_scalar(m):
     spec = preset("su2")
     op = build_DV(spec, label((m,)), casimir_tensor(spec))
-    assert op.matrix.is_scalar(Fraction(m * (m + 2)))
+    assert op.matrix == IntMatrix.identity(m + 1) * (m * (m + 2))
 
 
 def test_square_of_h_diagonal():
@@ -180,15 +181,18 @@ def test_entries_match_generic_products_in_row_major_order():
 
 
 @pytest.mark.parametrize(
-    "k, n", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)]
+    "k, n", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (1, 3), (2, 3), (1, 4)]
 )
 def test_read_out_is_row_major_on_every_shape(k, n):
     # the bands are read out in one order per k whatever the spins; dims
     # below 5 are included, where two bands share a flat column offset.
     # Every label is checked against the reference, on three factors up to
-    # dim 216
+    # dim 216.  With n >= 3 the tensor form also reads a torus triple as a
+    # factor, and the coupled tensor gives it cross blocks with the SU(2)
+    # factors, which build_DV must pass over
     spec = build_group_spec(k, n)
     tensor = sample_definite_tensor(spec.dim, random.Random(10 * k + n))
+    assert (n >= 3) == any(j2 >= k for _, j2 in tensor.operator_form.cross)
     spins = list(itertools.product(range(6), repeat=k))
     weights = list(itertools.product(range(-2, 3), repeat=n))
     for i in range(max(len(spins), len(weights))):
@@ -280,7 +284,7 @@ def test_torus_operator_is_quadratic_form():
     for w in [(1, 0), (0, 1), (2, -3)]:
         op = build_DV(spec, label((), w), S)
         expect = sum(S[i, j] * w[i] * w[j] for i in range(2) for j in range(2))
-        assert op.matrix.is_scalar(expect)
+        assert op.matrix == IntMatrix.identity(1) * expect
 
 
 def test_numeric_spectrum_casimir():
@@ -305,6 +309,9 @@ def test_hermitian_eigenvalues_returns_one_value_per_dimension():
         spec, label((2, 1)), identity_tensor(6).scale(Fraction(1, 3))
     )
     assert len(hermitian_eigenvalues(op)) == 6
+    # and none on a dimension-0 operator
+    empty = OperatorMatrix(spec, op.label, op.tensor, IntMatrix.from_dense(np.zeros((0, 0), dtype=np.int64)))
+    assert hermitian_eigenvalues(empty).shape == (0,)
 
 
 def test_cluster_values_gap_logic():

@@ -396,7 +396,7 @@ def test_residue_battery_matches_exact_battery(group, level):
         assert [p.poly.coeffs for p in at_p] == [
             tuple(c % PRIME for c in e.poly.coeffs) for e in exact
         ]
-        for r, e in zip(certificate_battery(labels, at_p), certificate_battery(labels, exact)):
+        for r, e in zip(certificate_battery(at_p), certificate_battery(exact)):
             assert (r.kind, r.labels, r.verdict) == (e.kind, e.labels, e.verdict)
             if r.prime is None:
                 assert r.value == e.value
@@ -461,8 +461,8 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
     exact = [char_poly_of(SU2, lab, tensor) for lab in labels]
     assert at_p == exact and all(p.prime is None for p in at_p)
     assert char_polys_of(SU2, labels, tensor, PRIME) == exact
-    certs = certificate_battery(labels, at_p)
-    assert certs == certificate_battery(labels, exact)
+    certs = certificate_battery(at_p)
+    assert certs == certificate_battery(exact)
     assert {c.kind for c in certs} == {"a", "b", "c"}
     assert all(c.prime is None and c.verdict for c in certs)
 

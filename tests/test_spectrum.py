@@ -35,7 +35,7 @@ from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues, torus_scalar
 from fracpoly import Poly, clear_denominators, from_int, gcd, primitive_int
 from fracpoly import sturm_chain as fraction_sturm_chain
-from test_irreps import character_descends
+from test_irreps import TORUS_POINT_GROUPS, character_descends
 from lielap.poly import (
     divides,
     int_gcd,
@@ -101,15 +101,17 @@ def test_enumerate_walks_the_ball_not_the_box():
     assert elapsed < 1.5, f"{elapsed:.2f}s over the 1.5s budget"
 
 
-def brute_force_labels(spec, radius):
-    """Oracle for enumerate_irreps: every label with Casimir <= radius whose
+def brute_force_labels(spec, radius, level=math.inf):
+    """Oracle for enumerate_irreps and labels_up_to_level: every label with
+    Casimir <= radius, and every spin and |weight entry| <= level, whose
     central character is trivial, one per dual pair (first nonzero weight
-    entry positive), sorted by Casimir and then by label."""
+    entry positive), sorted by Casimir and then by label.  One of radius
+    and level must be finite."""
     top_spin = 0
-    while (top_spin + 1) * (top_spin + 3) <= radius:
+    while top_spin < level and (top_spin + 1) * (top_spin + 3) <= radius:
         top_spin += 1
     top_weight = 0
-    while (top_weight + 1) ** 2 <= radius:
+    while top_weight < level and (top_weight + 1) ** 2 <= radius:
         top_weight += 1
     found = []
     for spins in itertools.product(range(top_spin + 1), repeat=spec.k):
@@ -143,6 +145,42 @@ def test_enumerate_matches_brute_force_walk(spec):
         for cutoff in (0, Fraction(1, 3), 3, Fraction(123, 7), 24):
             radius = Fraction(cutoff) / tensor.lower_bound
             assert enumerate_irreps(spec, tensor, cutoff) == brute_force_labels(spec, radius)
+
+
+@pytest.mark.parametrize(
+    "group, level, casimir",
+    [
+        ("u2", 15, 240),
+        ("spin4", 7, 46),
+        ("u2", 60, 3600),
+        ({"k": 1, "n": 2}, 6, None),
+        ({"k": 1, "n": 3, "central": [{"signs": [-1], "torus": ["1/2", "1/3", "0"]}]}, 8, 60),
+        ("t3", 30, 900),
+    ],
+    ids=["u2-240", "spin4-46", "u2-3600", "k1n2-box", "k1n3-central-60", "t3-900"],
+)
+def test_walk_matches_brute_force_labels(group, level, casimir):
+    # the walks of the benchmark's spectra, a box with no budget, and a
+    # central element coupling the sign with three torus coordinates
+    spec = preset(group) if isinstance(group, str) else group_from_json(group)
+    radius = math.inf if casimir is None else casimir
+    assert labels_up_to_level(spec, level, casimir) == brute_force_labels(spec, radius, level)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [group_from_json(doc) for doc in TORUS_POINT_GROUPS]
+    + [preset(name) for name in ("t1", "t2", "t3")]
+    + [group_from_json({"k": 0, "n": 3, "central": [{"signs": [], "torus": ["1/3", "0", "2/5"]}]})],
+    ids=lambda spec: spec.display_name,
+)
+def test_walk_matches_brute_force_labels_at_every_level(spec):
+    # central torus points 1/3 and 2/5, groups with no SU(2) factor, and
+    # the box (casimir=None) beside budgets that cut it
+    for level in (0, 1, 2, 4, 6):
+        for casimir in (None, 0, 5, 17, 40):
+            radius = math.inf if casimir is None else casimir
+            assert labels_up_to_level(spec, level, casimir) == brute_force_labels(spec, radius, level), (level, casimir)
 
 
 def test_gcd_free_basis_splits_shared_factors():
@@ -1490,5 +1528,5 @@ def test_each_label_is_its_representative_plus_its_shift(case):
         for lab in members:
             t = scalar[lab] - scalar[rep]
             assert t >= 0
-            assert (build_DV(spec, lab, tensor).matrix + minus_rep).is_scalar(Fraction(t, den))
+            assert build_DV(spec, lab, tensor).matrix + minus_rep == IntMatrix.identity(lab.dim) * Fraction(t, den)
             assert works[lab].shift == (None if lab == rep else t)

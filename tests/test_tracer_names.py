@@ -171,7 +171,7 @@ def test_traced_battery_counts_every_resultant():
     tensor = sample_definite_tensor(group.dim, random.Random(0))
 
     def battery():
-        return certificate_battery(labels, [char_poly_of(group, l, tensor) for l in labels])
+        return certificate_battery([char_poly_of(group, l, tensor) for l in labels])
 
     traced, certs = _traced(battery)
     assert traced.values["poly.resultant_calls"] == len(certs) > 0
@@ -187,7 +187,7 @@ def test_traced_battery_at_the_prime_counts_one_residue_per_certificate():
     tensor = sample_definite_tensor(group.dim, random.Random(0))
 
     def battery():
-        return certificate_battery(labels, [char_poly_of(group, l, tensor, PRIME) for l in labels])
+        return certificate_battery([char_poly_of(group, l, tensor, PRIME) for l in labels])
 
     traced, certs = _traced(battery)
     assert all(c.prime == PRIME for c in certs)

@@ -404,7 +404,7 @@ def test_certificate_battery_round_metric_fails():
     labels = labels_up_to_level(spec, 3)
     tensor = identity_tensor(3)
     polys = [char_poly_of(spec, lab, tensor) for lab in labels]
-    certs = certificate_battery(labels, polys)
+    certs = certificate_battery(polys)
     assert not all(c.verdict for c in certs)
     # separation between distinct Casimirs still holds
     assert all(c.verdict for c in certs if c.kind == "a")
