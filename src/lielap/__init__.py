@@ -6,7 +6,8 @@ tensors; the induced operators on irreducible representations are built
 exactly, and every spectral claim (simplicity, separation, multiplicity)
 is decided in exact arithmetic rather than from floating-point
 eigenvalues: spectra by exact sign changes, exact values and gcds of
-integer charpolys, certificates by nonzero integer resultants.
+integer charpolys, certificates by nonzero residues of integer resultants
+at a prime, and exact zeros by gcds.
 Numerics supply hints only.
 """
 

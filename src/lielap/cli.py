@@ -505,6 +505,12 @@ def config_flags(args) -> list[str]:
             raise UsageError(f"config key {key!r} does not match any flag")
         if attr in ("group", "group_file") and (args.group or args.group_file):
             continue
+        # no flag takes null or a boolean; as text they would be the words
+        # null, true and false, which --output takes as a file name
+        if value is None or isinstance(value, bool):
+            raise UsageError(
+                f"config key {key!r} takes no null or boolean value, got {json.dumps(value)}"
+            )
         text = value if isinstance(value, str) else json.dumps(value)
         tokens += ["--" + attr.replace("_", "-"), text]
     return tokens

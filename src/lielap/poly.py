@@ -1,15 +1,14 @@
 """Exact univariate polynomials over the integers.
 
 A polynomial is a sequence of Python ints in ascending order, [] the zero
-polynomial.  The resultant is computed by a subresultant polynomial
-remainder sequence (contents stripped first), which keeps intermediate
-coefficient growth polynomial instead of exponential; the Sylvester
-determinant and the Fraction arithmetic that cross-check it live in the
-tests.  Asked for a prime, the resultant is taken over GF(p) by Euclid.
-The gcd, exact division and squarefree decomposition work on primitive
-lists (`int_gcd`, `int_div_exact`).  The gcd and the integer
-Sturm chain that isolates real roots, with signs taken at dyadic points,
-read one primitive remainder sequence.
+polynomial.  The resultant is taken over GF(p) by Euclid, at a prime the
+caller names: a nonzero residue proves the integer resultant nonzero, and
+an exact zero is proved by a nonconstant `int_gcd`.  The Sylvester
+determinant and the integer subresultant PRS that cross-check it live in
+the tests (`tests/fracpoly.py`).  The gcd, exact division and squarefree
+decomposition work on primitive lists (`int_gcd`, `int_div_exact`).  The
+gcd and the integer Sturm chain that isolates real roots, with signs
+taken at dyadic points, read one primitive remainder sequence.
 
 `IntPoly` carries a characteristic polynomial without a single Fraction.
 An operator D = A / den with A integral has the monic integer charpoly
@@ -142,63 +141,11 @@ def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
     return _strip(R)
 
 
-def resultant(A: Sequence[int], B: Sequence[int], prime: int | None = None) -> int:
-    """res(A, B) in the Sylvester convention,
-    res(A, B) = lc(A)^deg(B) * prod B(alpha) over the roots alpha of A,
-    via the subresultant PRS (Collins / Brown-Traub; content stripped up
-    front, the g*h^d divisors keep remainder coefficients at subresultant
-    size).
-
-    With a prime p, the resultant of A mod p and B mod p in GF(p), in
-    [0, p), by `_resultant_mod`.  It is res(A, B) mod p whenever neither
-    leading coefficient vanishes mod p.
-    """
-    if prime is not None:
-        return _resultant_mod([c % prime for c in A], [c % prime for c in B], prime)
-    A, B = _strip(list(A)), _strip(list(B))
-    dA, dB = len(A) - 1, len(B) - 1
-    s = 1
-    if dA < dB:
-        A, B, dA, dB = B, A, dB, dA
-        if (dA & 1) and (dB & 1):
-            s = -s
-    if dB < 0:
-        return 0
-    if dA == 0:
-        return 1
-    if dB == 0:
-        return s * B[0] ** dA
-    a, b = _content(A), _content(B)
-    A = [c // a for c in A]
-    B = [c // b for c in B]
-    t = a ** dB * b ** dA
-    g = h = 1
-    while True:
-        dA, dB = _deg(A), _deg(B)
-        delta = dA - dB
-        if (dA & 1) and (dB & 1):
-            s = -s
-        R = _prem(A, B)
-        A = B
-        divisor = g * h ** delta
-        B = R if divisor == 1 else [c // divisor for c in R]
-        g = A[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g ** delta // h ** (delta - 1)
-        dB = _deg(B)
-        if dB <= 0:
-            break
-    if dB < 0:
-        return 0
-    dA = _deg(A)
-    res = B[0] ** dA // h ** (dA - 1)
-    return s * t * res
-
-
-def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
-    """res(A, B) in GF(p) for coefficient lists in [0, p), by Euclid.
+def resultant(A: Sequence[int], B: Sequence[int], prime: int) -> int:
+    """res(A mod p, B mod p) in GF(p), in [0, p), by Euclid, in the
+    Sylvester convention res(A, B) = lc(A)^deg(B) * prod B(alpha) over
+    the roots alpha of A.  It is res(A, B) mod p whenever neither leading
+    coefficient vanishes mod p.
 
     With m = deg A, n = deg B and R = A mod B of degree r,
     res(A, B) = (-1)^(mn) res(B, A) = (-1)^(mn) lc(B)^(m - r) res(B, R),
@@ -207,7 +154,8 @@ def _resultant_mod(A: list[int], B: list[int], p: int) -> int:
     of lc(B); each quotient term takes one in-place pass over a copy of
     A, reduced mod p once at the end.
     """
-    A, B = _strip(A), _strip(B)
+    p = prime
+    A, B = _strip([c % p for c in A]), _strip([c % p for c in B])
     res = 1
     while True:
         m, n = len(A) - 1, len(B) - 1

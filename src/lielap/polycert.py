@@ -25,42 +25,44 @@ image per prime.
 On a quaternionic label the structure J makes P_V = R_V^2 with R_V monic
 and integral (`kramers_root`, taken once per label by the cached
 `CharPoly.power_form`; lc(p_V) = 1 there, since n is even).  With the
-power forms P_V = A^e and P_W = B^f, (R, 2) or (P, 1), the reported values
-of the rational p's are recovered from integer resultants:
+power forms P_V = A^e and P_W = B^f, (R, 2) or (P, 1), the values of the
+rational resultants are those of integer resultants:
 
   a   res(p_V, p_W) = res(A, B)^(ef) / d^(deg A * deg B * ef)
   b   res(p, p')    = (-1)^n res(P, P') / d^(n(n-1))
   c   res(p, p'')   = 2^n res(R, R')^4 / d^(4k(k-1)),  k = n / 2
 
 so every certificate touching a quaternionic label runs at half the
-degree.  On the exact route the square root is checked: R^2 must equal P
-exactly, and otherwise ArithmeticError is raised.  So every exact
-quaternionic certificate, and every multiplicity profile, which
-`spectrum` reads, is also a Kramers check on its operator.
+degree.
 
-A certificate is (kind, labels, prime, value).  The batteries of the
+A certificate is (kind, labels, prime, residue).  The batteries of the
 witness search and of `certify`, and the pairs pipeline, read every
 charpoly at the one prime PRIME = 2147483629 (`split_primes(1)`): one
-Hessenberg lane per charpoly, rescaled to the tensor's d as on the
-exact route, behind the same weighted-hermitian proof.  A battery reads
-all its labels at once (`char_polys_of`, `CharPoly.read_all`): one
-`charpolys_gq` call, whose lanes share one modular pass per dimension.
-The spectrum, the pipeline's alpha scan and `CharPoly.exact` read one
-label at a time (`char_poly_of`, `CharPoly.read`, `charpoly_real`).
-Both routes rescale by `_over` and read exactly where the prime divides
-d, and both keep the matrix and weights that `CharPoly.exact` reads
-again.  P is monic and PRIME exceeds every degree, so the leading
-coefficients of P, P' and R' (1, n and k) survive reduction, and
-reduction commutes with the resultant: res(P, Q) mod p =
-res(P mod p, Q mod p) (Collins, JACM 18, 1971; von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 6).  Each
+Hessenberg lane per charpoly, rescaled to the tensor's d, behind the
+weighted-hermitian proof.  A battery reads all its labels at once
+(`char_polys_of`, `CharPoly.read_all`): one `charpolys_gq` call, whose
+lanes share one modular pass per dimension.  The spectrum, the
+pipeline's alpha scan and `CharPoly.exact` read one label at a time
+(`char_poly_of`, `CharPoly.read`, `charpoly_real`).  P is monic and every
+split prime exceeds every degree, so the leading coefficients of P, P'
+and R' (1, n and k) survive reduction, and reduction commutes with the
+resultant: res(P, Q) mod p = res(P mod p, Q mod p) (Collins, JACM 18,
+1971; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Each
 formula above, with d^(-1) mod p, then gives the residue mod p of the
 rational value, and a nonzero residue is an exact, deterministic proof
-that the value is nonzero; it is reported with its prime.  A zero residue
-proves nothing: that certificate is decided again from the exact
-charpolys (`CharPoly.exact`) and reported with prime None, as is every
-certificate of a tensor whose d is a multiple of the prime, where d has
-no inverse.
+that the value is nonzero; it is reported with its prime.
+
+`_decide` takes the split primes in order from PRIME, skips any that
+divides d, and reports the first nonzero residue; a charpoly not read at
+a prime is the exact one reduced there, with no second read.  A zero
+residue proves nothing alone: the exact operands, (A, B), (P, P') or
+(R, R'), are then read (`CharPoly.exact`), and a nonconstant `int_gcd`
+of them proves the value an exact zero, reported as value 0 with prime
+None; otherwise their resultant is nonzero and only finitely many primes
+divide it, so the next prime is tried.  The exact Kramers root, taken
+for such a gcd and for every multiplicity profile (which `spectrum`
+reads), is checked as the residue one is: R^2 must equal P, and
+otherwise ArithmeticError is raised.
 
 On a quaternionic label R_p is taken by the same top-down recursion mod
 p, halving with the inverse of 2, and R_p^2 = P mod p is checked
@@ -76,16 +78,16 @@ over Q) makes every multiplicity exactly 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
 from .linalg import IntMatrix, charpoly_gq, charpolys_gq, split_primes
 from .operator import OperatorMatrix, build_DV, norm_weights
-from .poly import IntPoly, derivative, mul, resultant, squarefree_decomposition
+from .poly import IntPoly, derivative, int_gcd, mul, resultant, squarefree_decomposition
 
 
 # the prime at which the certificates of a battery are decided
@@ -131,7 +133,7 @@ class CharPoly:
     """Characteristic polynomial of D_V(s) with its provenance: poly is
     det(X*I - den*D_V(s)) over the denominator den of the tensor, which
     every label of one tensor shares.  With a prime, poly holds its
-    residues mod prime, and source the matrix and weights it was read
+    residues mod prime.  source is the matrix and weights it was read
     from, so that `exact` can read it exactly."""
 
     label: IrrepLabel
@@ -147,9 +149,7 @@ class CharPoly:
     ) -> "CharPoly":
         """The charpoly of M over den (`charpoly_real`) for the label lab
         of the tensor of hash th: its residues mod the prime, or exact
-        where the prime is None or divides den."""
-        if prime is None or den % prime == 0:
-            return cls(lab, th, charpoly_real(M, den, weights))
+        without one."""
         return cls(lab, th, charpoly_real(M, den, weights, prime), prime, (M, weights))
 
     @classmethod
@@ -157,10 +157,7 @@ class CharPoly:
         """`read` of every (label, matrix, weights), with the residues of
         all of them taken by one `charpolys_gq` call, which shares one
         modular pass among the matrices of each dimension; each is
-        rescaled to den as `charpoly_real` does.  Where the prime divides
-        den, each is read exactly by `read`."""
-        if den % prime == 0:
-            return [cls.read(lab, th, M, den, w) for lab, M, w in zip(labels, Ms, weights)]
+        rescaled to den as `charpoly_real` does."""
         return [
             cls(lab, th, _over(cs, den, M, prime), prime, (M, w))
             for lab, M, w, cs in zip(labels, Ms, weights, charpolys_gq(Ms, weights, prime))
@@ -177,6 +174,17 @@ class CharPoly:
             return self
         M, weights = self.source
         return CharPoly.read(self.label, self.tensor_hash, M, self.poly.den, weights)
+
+    def at(self, prime: int) -> "CharPoly":
+        """The residues mod prime: self where it is read there, and
+        otherwise the exact charpoly reduced, with no second read."""
+        if self.prime == prime:
+            return self
+        P = self.exact.poly
+        return CharPoly(
+            self.label, self.tensor_hash, IntPoly(tuple(c % prime for c in P.coeffs), P.den),
+            prime, self.source,
+        )
 
     @cached_property
     def power_form(self) -> tuple[IntPoly, int]:
@@ -282,24 +290,18 @@ def multiplicity_profile(p: CharPoly) -> MultiplicityProfile:
     )
 
 
-def _exact_str(q: Fraction) -> str:
-    """str(q) at any size: Python's str() of an int refuses to pass its
-    digit limit, but Decimal converts an int exactly without one."""
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
-
-
 @dataclass(frozen=True)
 class Certificate:
     """A resultant whose nonvanishing proves a spectral fact, as (kind,
     labels, prime, residue): with a prime, value is the residue mod prime
     of the rational resultant, and nonzero, which proves the resultant
-    nonzero; without one, value is the rational resultant itself."""
+    nonzero; without one, value is 0, an exact zero proved by a common
+    factor of the operands."""
 
     kind: str  # "a", "b", or "c"
     labels: tuple[IrrepLabel, ...]
     tensor_hash: str
-    value: Fraction
+    value: int
     prime: int | None = None
 
     @property
@@ -311,46 +313,55 @@ class Certificate:
             "kind": self.kind,
             "labels": [format_label(l) for l in self.labels],
             "tensor": self.tensor_hash,
-            "value": _exact_str(self.value),
+            "value": str(self.value),
             "prime": self.prime,
             "nonzero": self.verdict,
         }
 
 
-def _scaled(num: int, d: int, e: int, prime: int | None):
-    """num / d^e, or its residue mod prime."""
-    return Fraction(num, d**e) if prime is None else num * pow(d, -e, prime) % prime
+def _operands(kind: str, polys) -> tuple:
+    """The integer lists whose resultant decides the kind: (A, B), (P, P')
+    or (R, R'), from the power forms of polys."""
+    if kind == "a":
+        p, q = polys
+        return p.power_form[0].coeffs, q.power_form[0].coeffs
+    X = (polys[0].poly if kind == "b" else polys[0].power_form[0]).coeffs
+    return X, derivative(X)
 
 
-def _value_a(p: CharPoly, q: CharPoly):
-    A, e = p.power_form
-    B, f = q.power_form
-    r = resultant(A.coeffs, B.coeffs, p.prime)
-    return _scaled(r ** (e * f), A.den, p.degree * q.degree, p.prime)
+def _residue(kind: str, polys, r: int) -> int:
+    """The residue of the rational value of the kind on polys, read at one
+    prime, from the residue r of its operands' resultant (the formulas of
+    the module docstring)."""
+    p = polys[0]
+    prime, n = p.prime, p.degree
+    if kind == "a":
+        q = polys[1]
+        num, e = r ** (p.power_form[1] * q.power_form[1]), n * q.degree
+    elif kind == "b":
+        num, e = (-1) ** n * r, n * (n - 1)
+    else:
+        k = n // 2
+        num, e = pow(4, k, prime) * r**4, 4 * k * (k - 1)
+    return num * pow(p.poly.den, -e, prime) % prime
 
 
-def _value_b(p: CharPoly):
-    P, n = p.poly, p.degree
-    r = resultant(P.coeffs, derivative(P.coeffs), p.prime)
-    return _scaled((-1) ** n * r, P.den, n * (n - 1), p.prime)
-
-
-def _value_c(p: CharPoly):
-    R, _ = p.power_form
-    k = R.degree
-    r = resultant(R.coeffs, derivative(R.coeffs), p.prime)
-    return _scaled(4**k * r**4, R.den, 4 * k * (k - 1), p.prime)
-
-
-def _decide(kind: str, labels, polys: tuple[CharPoly, ...], value) -> Certificate:
-    """The certificate of value(*polys): their residue where they share a
-    prime and it is nonzero there, and otherwise the exact value."""
-    prime = polys[0].prime
-    if prime is not None and all(p.prime == prime for p in polys):
-        r = value(*polys)
+def _decide(kind: str, labels, polys: tuple[CharPoly, ...]) -> Certificate:
+    """The certificate of the kind on polys: the residue at the first split
+    prime from PRIME that leaves d invertible and the residue nonzero, or
+    the exact zero once a zero residue meets operands with a common
+    factor (see the module docstring)."""
+    th, d = polys[0].tensor_hash, polys[0].poly.den
+    for i in count(1):
+        prime = split_primes(i)[-1][0]
+        if d % prime == 0:
+            continue
+        at = tuple(p.at(prime) for p in polys)
+        r = resultant(*_operands(kind, at), prime)
         if r:
-            return Certificate(kind, labels, polys[0].tensor_hash, Fraction(r), prime)
-    return Certificate(kind, labels, polys[0].tensor_hash, value(*(p.exact for p in polys)))
+            return Certificate(kind, labels, th, _residue(kind, at, r), prime)
+        if len(int_gcd(*_operands(kind, [p.exact for p in polys]))) > 1:
+            return Certificate(kind, labels, th, 0)
 
 
 def cert_a_from_polys(p: CharPoly, q: CharPoly) -> Certificate:
@@ -368,7 +379,7 @@ def cert_a_from_polys(p: CharPoly, q: CharPoly) -> Certificate:
 def separation_certificate(labels, p: CharPoly, q: CharPoly) -> Certificate:
     """Kind a on p and q without the label checks of `cert_a_from_polys`:
     the pairs pipeline separates the two halves of one label."""
-    return _decide("a", labels, (p, q), _value_a)
+    return _decide("a", labels, (p, q))
 
 
 def cert_b_from_poly(p: CharPoly) -> Certificate:
@@ -377,7 +388,7 @@ def cert_b_from_poly(p: CharPoly) -> Certificate:
             f"certificate kind b does not apply to quaternionic labels, "
             f"got {format_label(p.label)}"
         )
-    return _decide("b", (p.label,), (p,), _value_b)
+    return _decide("b", (p.label,), (p,))
 
 
 def cert_c_from_poly(p: CharPoly) -> Certificate:
@@ -386,7 +397,7 @@ def cert_c_from_poly(p: CharPoly) -> Certificate:
             f"certificate kind c applies to quaternionic labels only, "
             f"got {format_label(p.label)}"
         )
-    return _decide("c", (p.label,), (p,), _value_c)
+    return _decide("c", (p.label,), (p,))
 
 
 def charpoly_from_eigenvalues(values, den: int = 1) -> IntPoly:

@@ -108,7 +108,8 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
     couples within each parity class only; the class spectra are disjoint
     integer sets at eps = 0 and each class becomes simple for any eps > 0,
     so small eps separates everything.  The returned certificate is the
-    exact squarefreeness resultant at the first eps that works.
+    squarefreeness resultant, nonzero at its prime, at the first eps that
+    works.
     """
     if m < 2 or m % 2:
         raise DomainError("even-spin witness needs even m >= 2")
@@ -141,7 +142,7 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
     best = None
     for eps in _EPS_GRID:
         tensor = symmetric_product(3, 0, 0, 1) + symmetric_product(3, 1, 1, eps)
-        cert = cert_b_from_poly(char_poly_of(spec, lab, tensor))
+        cert = cert_b_from_poly(char_poly_of(spec, lab, tensor, PRIME))
         if cert.verdict:
             return Su2EvenWitness(
                 m=m,
@@ -335,8 +336,8 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     from their entries over its orbits (`involution_branches`).  A
     final scan over convex combinations of the two tensors finds one
     operator with fully simple spectrum and certifies it by resultant.
-    Every certificate is decided at PRIME, and exactly where its residue
-    there is zero (`polycert`).
+    Every certificate is decided at PRIME, and past a zero residue there
+    by `polycert._decide`.
     """
     if m < 1 or mprime < 1 or m % 2 == 0 or mprime % 2 == 0:
         raise DomainError("pairs pipeline needs two odd spins")
@@ -457,8 +458,7 @@ class WitnessReport:
 
 def certificate_battery(polys: list[CharPoly]) -> list[Certificate]:
     """Kind b or c per charpoly by the type of its label, kind a per
-    unordered pair: exact on exact charpolys, and on charpolys at a prime
-    decided there wherever the residue is nonzero (see `polycert`)."""
+    unordered pair, each decided by `polycert._decide`."""
     certs: list[Certificate] = []
     for p in polys:
         if classify_type(p.label) == "quaternionic":
@@ -481,9 +481,8 @@ def witness_search(
     across every label up to the level bound.
 
     Each trial draws a random definite perturbation of the round tensor
-    and evaluates the complete certificate battery, at PRIME with exact
-    fallbacks (`polycert`).  All
-    certificates are computed even after a failure, so an exhausted
+    and evaluates the complete certificate battery at PRIME (`polycert`).
+    All certificates are computed even after a failure, so an exhausted
     search carries the best-scoring trial for diagnosis.
     """
     labels = tuple(labels_up_to_level(spec, level))

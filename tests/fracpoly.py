@@ -5,7 +5,8 @@ itself computes on integer lists only (`lielap.poly`); the tests rebuild
 the rational polynomials a certificate speaks about from an `IntPoly`
 (`from_int_poly`) and check the package's integer identities against the
 Sylvester determinant (`resultant_sylvester`) or the Fraction route that
-clears denominators before the subresultant PRS (`resultant`).
+clears denominators before the integer subresultant PRS (`resultant`,
+`int_resultant`), the exact oracles of the package's resultant mod p.
 """
 
 from __future__ import annotations
@@ -219,14 +220,72 @@ def from_int_poly(P) -> Poly:
     return Poly([Fraction(sign * c * den**k, den**n) for k, c in enumerate(P.coeffs)])
 
 
+def _strip(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _prem(A: Sequence[int], B: Sequence[int]) -> list[int]:
+    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A mod B, all over Z."""
+    dB, lc = len(B) - 1, B[-1]
+    R = list(A)
+    while len(R) > dB:
+        c = R.pop()
+        R = [lc * x for x in R]
+        for j in range(dB):
+            R[len(R) - dB + j] -= c * B[j]
+    return _strip(R)
+
+
+def int_resultant(A: Sequence[int], B: Sequence[int]) -> int:
+    """res(A, B) of two integer polynomials in the Sylvester convention,
+    res(A, B) = lc(A)^deg(B) * prod B(alpha) over the roots alpha of A,
+    by the subresultant PRS (Collins, Brown-Traub): contents stripped up
+    front, and the divisors g h^delta keep each remainder at subresultant
+    size.  The exact oracle of the package's resultant mod p."""
+    A, B = _strip(list(A)), _strip(list(B))
+    dA, dB = len(A) - 1, len(B) - 1
+    s = 1
+    if dA < dB:
+        A, B, dA, dB = B, A, dB, dA
+        if dA & dB & 1:
+            s = -s
+    if dB < 0:
+        return 0
+    if dA == 0:
+        return 1
+    if dB == 0:
+        return s * B[0] ** dA
+    a, b = math.gcd(*A), math.gcd(*B)
+    A, B = [c // a for c in A], [c // b for c in B]
+    t = a**dB * b**dA
+    g = h = 1
+    while True:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if dA & dB & 1:
+            s = -s
+        R = _prem(A, B)
+        A = B
+        B = [c // (g * h**delta) for c in R]
+        g = A[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+        if len(B) <= 1:
+            break
+    if not B:
+        return 0
+    return s * t * (B[0] ** (len(A) - 1) // h ** (len(A) - 2))
+
+
 def resultant(p: Poly, q: Poly) -> Fraction:
     """res(p, q) in the Sylvester convention, by clearing denominators and
-    the package's integer subresultant PRS."""
+    the integer subresultant PRS (`int_resultant`)."""
     if p.is_zero or q.is_zero:
         return Fraction(0)
     P, a = clear_denominators(p)
     Q, b = clear_denominators(q)
-    r = intpoly.resultant(P, Q)
+    r = int_resultant(P, Q)
     return Fraction(r) / (Fraction(a) ** q.degree * Fraction(b) ** p.degree)
 
 

@@ -37,10 +37,10 @@ from lielap import (
     witness_search,
 )
 from lielap.linalg import IntMatrix
-from fracpoly import Poly, clear_denominators
+from fracpoly import Poly, clear_denominators, int_resultant
 from lielap.poly import int_gcd, resultant
 from lielap.operator import cluster_values, hermitian_eigenvalues
-from lielap.polycert import cert_b_from_poly, cert_c_from_poly, charpoly_from_eigenvalues
+from lielap.polycert import PRIME, cert_b_from_poly, cert_c_from_poly, charpoly_from_eigenvalues
 from lielap.spectrum import real_roots
 
 H_SQUARED = square_of_vector([1, 0, 0])
@@ -259,7 +259,9 @@ def test_08_exact_profiles_match_numeric_and_resultant_matches_gcd():
             shared = Poly([Fraction(rng.randint(-3, 3)), 1])
             p, q = p * shared, q * shared
         P, Q = clear_denominators(p)[0], clear_denominators(q)[0]
-        assert (resultant(P, Q) != 0) == (int_gcd(P, Q) == [1])
+        exact = int_resultant(P, Q)
+        assert (exact != 0) == (int_gcd(P, Q) == [1])
+        assert resultant(P, Q, PRIME) == exact % PRIME
         agree += 1
 
     print(f"PASS 8/9 oracles: {len(trials)} random definite tensors of dim <= "

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import threading
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +17,10 @@ from lielap import cli
 from lielap.algebra_core import SymTensor, preset
 from lielap.cli import main
 from lielap.irreps import labels_up_to_level
+from lielap.linalg import split_primes
 from lielap.polycert import PRIME, char_poly_of
 from lielap.witness import certificate_battery
+from test_polycert import exact_value, oracle_battery
 
 
 def run(capsys, *argv):
@@ -153,10 +154,10 @@ def test_certify_json_structure(capsys):
 
 
 def test_certify_json_past_int_str_digit_limit(capsys):
-    # resultants of this tensor pass the 4300 digits that str() of an int
-    # allows; the JSON document still carries every value exactly.  Its
-    # denominator is a multiple of PRIME, so every certificate is decided
-    # exactly
+    # the exact resultants of this tensor pass the 4300 digits that str()
+    # of an int allows; its denominator is a multiple of PRIME, so every
+    # certificate is the residue at the second split prime, and the JSON
+    # document carries it as the oracle gives it
     d = 10**119
     off = {(0, 1): PRIME * (d + 1), (0, 2): d + 3, (1, 2): d + 7}
     diag = ["1", "3/2", "2"]
@@ -174,14 +175,16 @@ def test_certify_json_past_int_str_digit_limit(capsys):
     tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
     assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(spec, 6)
-    certs = certificate_battery([char_poly_of(spec, lab, tensor) for lab in labels])
-    assert len(certs) == len(doc["certificates"])
-    assert all(c["prime"] is None for c in doc["certificates"])
-    longest = max(len(c["value"]) for c in doc["certificates"])
-    assert longest > 2 * limit
-    for cert, entry in zip(certs, doc["certificates"]):
-        num, _, den = entry["value"].partition("/")
-        assert Fraction(int(Decimal(num)), int(Decimal(den or 1))) == cert.value
+    exact = [char_poly_of(spec, lab, tensor) for lab in labels]
+    second = split_primes(2)[1][0]
+    oracle = oracle_battery(exact, second)
+    assert len(oracle) == len(doc["certificates"])
+    assert doc["certificates"] == [c.to_json() for c in certificate_battery(exact)]
+    for entry, (_, residue, _) in zip(doc["certificates"], oracle):
+        assert residue and (entry["prime"], entry["value"]) == (second, str(residue))
+    # log10(2) > 0.3: the exact value of the last pair passes the limit
+    value = exact_value("a", exact[-2:])
+    assert 0.3 * max(abs(value.numerator), value.denominator).bit_length() > 2 * limit
 
 
 def test_witness_roundtrip_certify(capsys, tmp_path):
@@ -375,7 +378,7 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "bogus" in err
 
 
-def test_config_values_go_through_the_flag_checks(capsys, tmp_path):
+def test_config_values_go_through_the_flag_checks(capsys, tmp_path, monkeypatch):
     # --trials, --seed, --format and --max-m have defaults, and a config
     # file must still set them, through the same type and choice checks
     cfg = tmp_path / "cfg.json"
@@ -401,6 +404,15 @@ def test_config_values_go_through_the_flag_checks(capsys, tmp_path):
         main(["witness", "--group", "su2", "--level", "1", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "invalid choice: 'yaml'" in capsys.readouterr().err
+
+    # no flag takes null or a boolean: as text they would name the output
+    # file null or false
+    monkeypatch.chdir(tmp_path)
+    for value in (None, False, True):
+        cfg.write_text(json.dumps({"output": value, "max-eig": 3}))
+        rc, out, err = run(capsys, "spectrum", "--group", "su2", "--config", str(cfg))
+        assert rc == 2 and out == "" and "'output'" in err and json.dumps(value) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_group_file(capsys, tmp_path):

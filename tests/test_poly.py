@@ -1,7 +1,8 @@
 """Polynomial kernel: exact division, resultants, squarefree structure.
 
-The integer subresultant resultant is checked against a direct Sylvester-
-matrix determinant on random inputs; gcd and Yun decomposition are checked
+The resultant mod p is checked against the integer subresultant PRS of
+tests/fracpoly.py and a direct Sylvester-matrix determinant on random
+inputs, at p = 7, 11 and 2147483629; gcd and Yun decomposition are checked
 by their defining properties rather than against fixed strings.  The
 Fraction `Poly` of tests/fracpoly.py is the oracle's arithmetic and is
 checked here too.
@@ -21,6 +22,7 @@ from fracpoly import (
     divmod_exact,
     from_int,
     gcd,
+    int_resultant,
     monic,
     primitive_int,
     resultant_sylvester,
@@ -147,19 +149,36 @@ def test_monic():
     assert monic(Poly([2, 4])) == Poly([Fraction(1, 2), 1])
 
 
+PRIMES = (7, 11, 2147483629)
+
+
+def _reduced(cs, p: int) -> list[int]:
+    out = [c % p for c in cs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def test_resultant_known_values():
-    # res(x^2 - 1, x^2 - 4) = (1-4)(1-4)... product over roots of p of q
-    p = [-1, 0, 1]
-    assert resultant(p, [-4, 0, 1]) == 9
-    # shared root
-    assert resultant(p, [-1, 1]) == 0
-    # discriminant of x^2 + bx + c is b^2 - 4c up to the convention sign
-    assert resultant([3, -4, 1], [-4, 2]) != 0
-    assert resultant([1, 1], [5]) == resultant([5], [1, 1]) == 5
-    assert resultant([7], [5]) == 1
-    assert resultant([], [1, 2]) == resultant([1, 2], []) == 0
-    # trailing zeros are not a leading coefficient
-    assert resultant((-1, 0, 1, 0), (-4, 0, 1)) == 9
+    # (A, B, res(A, B)) over Z, and res(A mod p, B mod p) in GF(p)
+    cases = [
+        # res(x^2 - 1, x^2 - 4) = (1-4)(1-4)... product over roots of p of q
+        ([-1, 0, 1], [-4, 0, 1], 9),
+        ([-1, 0, 1], [-1, 1], 0),  # shared root
+        # discriminant of x^2 - 4x + 3, (-4)^2 - 4 * 3, up to the sign
+        ([3, -4, 1], [-4, 2], -4),
+        ([1, 1], [5], 5), ([5], [1, 1], 5), ([3], [5], 1),
+        ([], [1, 2], 0), ([1, 2], [], 0),
+        # trailing zeros are not a leading coefficient
+        ((-1, 0, 1, 0), (-4, 0, 1), 9),
+    ]
+    for A, B, want in cases:
+        assert int_resultant(A, B) == want
+        for p in PRIMES:
+            assert resultant(A, B, p) == want % p
+    # 7 is the leading coefficient of A: mod 7, A is the constant 1
+    assert int_resultant([1, 0, 7], [2, 1]) == 29
+    assert resultant([1, 0, 7], [2, 1], 7) == 1
 
 
 def _mod_p_coeffs(rng, n, p):
@@ -191,7 +210,7 @@ def test_resultant_mod_prime_is_the_exact_resultant_mod_prime(p):
         cases.append((A, _mod_p_coeffs(rng, rng.randint(0, 12), p) + [lc]))
     for A, B in cases:
         r = resultant(A, B, p)
-        assert 0 <= r < p and r == resultant(A, B) % p, (A, B)
+        assert 0 <= r < p and r == int_resultant(A, B) % p, (A, B)
 
 
 def test_resultant_rational_scaling():
@@ -203,7 +222,16 @@ def test_resultant_rational_scaling():
 @settings(max_examples=150, deadline=None)
 @given(int_poly_strategy(5), int_poly_strategy(5))
 def test_resultant_matches_sylvester(A, B):
-    assert resultant(A, B) == resultant_sylvester(from_int(A), from_int(B))
+    want = resultant_sylvester(from_int(A), from_int(B))
+    assert int_resultant(A, B) == want
+    for p in PRIMES:
+        # the resultant of the reductions; that of A and B wherever
+        # reduction keeps both degrees
+        Ap, Bp = _reduced(A, p), _reduced(B, p)
+        r = resultant(A, B, p)
+        assert r == resultant_sylvester(from_int(Ap), from_int(Bp)) % p
+        if (len(Ap) - 1, len(Bp) - 1) == (from_int(A).degree, from_int(B).degree):
+            assert r == want % p
 
 
 @settings(max_examples=80, deadline=None)
@@ -211,7 +239,9 @@ def test_resultant_matches_sylvester(A, B):
 def test_resultant_multiplicative(A, B, C):
     if min(len(primitive_int(from_int(x))) for x in (A, B, C)) < 2:
         return
-    assert resultant(A, mul(B, C)) == resultant(A, B) * resultant(A, C)
+    assert int_resultant(A, mul(B, C)) == int_resultant(A, B) * int_resultant(A, C)
+    for p in PRIMES:
+        assert resultant(A, mul(B, C), p) == resultant(A, B, p) * resultant(A, C, p) % p
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,10 +305,10 @@ def test_squarefree_part_has_no_repeated_factor(p, q, e):
 def test_squarefree_vs_derivative_gcd():
     # squarefree iff gcd(p, p') constant iff res(p, p') != 0
     p = [-1, 0, 1]
-    assert resultant(p, derivative(p)) != 0
+    assert resultant(p, derivative(p), 2147483629) != 0
     assert int_gcd(p, derivative(p)) == [1]
     d = mul(p, p)
-    assert resultant(d, derivative(d)) == 0
+    assert resultant(d, derivative(d), 2147483629) == 0
     assert len(int_gcd(d, derivative(d))) > 1
 
 

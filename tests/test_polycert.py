@@ -1,7 +1,9 @@
 """Characteristic polynomials, multiplicity profiles, certificates."""
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from fracpoly import from_int_poly, resultant, resultant_sylvester
@@ -16,7 +18,7 @@ from lielap.algebra_core import (
 )
 from lielap.errors import DomainError
 from lielap.irreps import classify_type, label, labels_up_to_level
-from lielap.linalg import IntMatrix
+from lielap.linalg import IntMatrix, split_primes
 from lielap.operator import OperatorMatrix, build_DV
 from lielap.poly import IntPoly, mul
 from lielap.polycert import (
@@ -95,9 +97,16 @@ def test_multiplicity_profile_zero_poly():
 
 
 def test_cert_b_zero_on_degenerate():
-    c = cert_b_from_poly(char_poly_of(SU2, label((2,)), SQ_H))
-    assert c.value == 0 and not c.verdict
-    assert c.kind == "b"
+    # H^2 has the double eigenvalue 4 on spin 2: a zero residue at PRIME,
+    # and gcd(P, P') nonconstant proves the exact zero, without a prime
+    for prime in (None, PRIME):
+        c = cert_b_from_poly(char_poly_of(SU2, label((2,)), SQ_H, prime))
+        assert c.value == 0 and c.prime is None and not c.verdict
+        assert c.kind == "b"
+        assert c.to_json() == {
+            "kind": "b", "labels": ["2"], "tensor": c.tensor_hash, "value": "0",
+            "prime": None, "nonzero": False,
+        }
 
 
 def test_cert_b_nonzero_on_simple():
@@ -259,20 +268,29 @@ def test_kramers_root_squares_back():
                 assert p.power_form == (p.poly, 1)
 
 
+def claims(cert, value: Fraction, prime: int = PRIME) -> bool:
+    """cert claims the rational value: the exact zero as value 0 with no
+    prime, any other value as its residue at the prime, PRIME unless the
+    value vanishes there."""
+    if value == 0:
+        return (cert.value, cert.prime) == (0, None)
+    return (cert.prime, cert.value) == (prime, _residue(value, prime))
+
+
 def test_half_degree_identities_match_full_degree():
     kinds = set()
     for _, polys in differential_polys():
         for p in polys:
             if classify_type(p.label) == "quaternionic":
-                assert cert_c_from_poly(p).value == full_degree_c(p)
+                assert claims(cert_c_from_poly(p), full_degree_c(p))
             else:
-                assert cert_b_from_poly(p).value == full_degree_b(p)
+                assert claims(cert_b_from_poly(p), full_degree_b(p))
                 if p.degree == 1:
-                    assert cert_b_from_poly(p).value == -1
+                    assert full_degree_b(p) == -1
         for i, p in enumerate(polys):
             for q in polys[i + 1:]:
-                assert cert_a_from_polys(p, q).value == full_degree_a(p, q)
-                assert cert_a_from_polys(q, p).value == full_degree_a(q, p)
+                assert claims(cert_a_from_polys(p, q), full_degree_a(p, q))
+                assert claims(cert_a_from_polys(q, p), full_degree_a(q, p))
                 kinds.add((p.power_form[1], q.power_form[1]))
     assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -285,14 +303,14 @@ def test_half_degree_identities_match_sylvester():
             P = from_int_poly(p.poly)
             if classify_type(p.label) == "quaternionic":
                 want = resultant_sylvester(P, P.derivative().derivative())
-                assert cert_c_from_poly(p).value == want
+                assert claims(cert_c_from_poly(p), want)
             else:
-                assert cert_b_from_poly(p).value == resultant_sylvester(P, P.derivative())
+                assert claims(cert_b_from_poly(p), resultant_sylvester(P, P.derivative()))
             checked += 1
         for i, p in enumerate(small):
             for q in small[i + 1:]:
                 want = resultant_sylvester(from_int_poly(p.poly), from_int_poly(q.poly))
-                assert cert_a_from_polys(p, q).value == want
+                assert claims(cert_a_from_polys(p, q), want)
                 checked += 1
     assert checked > 50
 
@@ -305,15 +323,16 @@ def test_kind_c_smallest_degree():
         P = from_int_poly(p.poly)
         assert p.degree == 2 and P.derivative().derivative().degree == 0
         c = cert_c_from_poly(p)
-        assert c.value == full_degree_c(p) == 4 * P.lc ** 2 == 4
-        assert c.value == resultant_sylvester(P, P.derivative().derivative())
+        assert (c.prime, c.value) == (PRIME, 4)
+        assert full_degree_c(p) == 4 * P.lc ** 2 == 4
+        assert resultant_sylvester(P, P.derivative().derivative()) == 4
 
 
 def test_half_degree_zero_values():
     # round tensor: (0,1) and (1,0) both have the single eigenvalue 3
     ident = identity_tensor(6)
     p, q = char_poly_of(SPIN4, label((0, 1)), ident), char_poly_of(SPIN4, label((1, 0)), ident)
-    assert cert_a_from_polys(p, q).value == full_degree_a(p, q) == 0
+    assert claims(cert_a_from_polys(p, q), 0) and full_degree_a(p, q) == 0
     # 8 Cas_1 + 3 Cas_2: quaternionic (1,0) and real (0,2) both give 24
     scaled = SymTensor(tuple(
         tuple(Fraction(8 if i < 3 else 3) if i == j else Fraction(0) for j in range(6))
@@ -321,14 +340,14 @@ def test_half_degree_zero_values():
     ))
     r = char_poly_of(SPIN4, label((1, 0)), scaled)
     s = char_poly_of(SPIN4, label((0, 2)), scaled)
-    assert cert_a_from_polys(r, s).value == full_degree_a(r, s) == 0
-    assert cert_a_from_polys(s, r).value == full_degree_a(s, r) == 0
+    assert claims(cert_a_from_polys(r, s), 0) and full_degree_a(r, s) == 0
+    assert claims(cert_a_from_polys(s, r), 0) and full_degree_a(s, r) == 0
     w = char_poly_of(SPIN4, label((1, 1)), scaled)
-    assert cert_a_from_polys(r, w).value == full_degree_a(r, w) != 0
+    assert full_degree_a(r, w) != 0 and claims(cert_a_from_polys(r, w), full_degree_a(r, w))
     # round su2, odd m >= 3: one eigenvalue of multiplicity m + 1 >= 4
     for m in (3, 5, 7):
         p = char_poly_of(SU2, label((m,)), identity_tensor(3))
-        assert cert_c_from_poly(p).value == full_degree_c(p) == 0
+        assert claims(cert_c_from_poly(p), 0) and full_degree_c(p) == 0
 
 
 def test_kramers_check_rejects_non_square():
@@ -355,10 +374,16 @@ def test_kramers_root_is_computed_once_per_charpoly():
 
 # -- certificates decided at one prime --------------------------------------------
 
-# (group, level): the residue battery against the exact one on the trial-0
-# tensors of seeds 0..23.  The torus groups are read as a --group-file
-# would give them.  There the operator dens differ most from the tensor's:
-# a mod-p charpoly left at its operator's den turns the battery verdict of
+# the certificate checks of the benchmark, which share no code with lielap
+_spec_file = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+_spec_obj = importlib.util.spec_from_file_location("perfbench_oracles", _spec_file)
+ORACLES = importlib.util.module_from_spec(_spec_obj)
+_spec_obj.loader.exec_module(ORACLES)
+
+# (group, level): the battery against the oracle on the trial-0 tensors of
+# seeds 0..23.  The torus groups are read as a --group-file would give
+# them.  There the operator dens differ most from the tensor's: a mod-p
+# charpoly left at its operator's den turns the battery verdict of
 # SU(2)^3 x T^1 at seed 15 and of SU(2) x T^2 at seed 4 into false
 # successes
 RESIDUE_CASES = [
@@ -367,16 +392,52 @@ RESIDUE_CASES = [
 ]
 
 
-def _residue(q: Fraction) -> int:
-    return q.numerator * pow(q.denominator, -1, PRIME) % PRIME
+def _residue(q: Fraction, prime: int = PRIME) -> int:
+    return q.numerator * pow(q.denominator, -1, prime) % prime
 
 
 def _spec(group):
     return preset(group) if isinstance(group, str) else group_from_json(group)
 
 
+def full_degree_mod(p: CharPoly, prime: int) -> list[int]:
+    """p_V = det(D_V - X I) = (-1)^n P(dX) / d^n mod prime, ascending, at
+    full degree, from the exact charpoly P over d."""
+    P, d, n = p.poly.coeffs, p.poly.den, p.degree
+    sign = -1 if n % 2 else 1
+    return [sign * c * pow(d, k - n, prime) % prime for k, c in enumerate(P)]
+
+
+def oracle_battery(exact: list[CharPoly], prime: int = PRIME) -> list[tuple]:
+    """((kind, labels), residue, exact polys) per certificate of the
+    battery on the exact charpolys, in battery order, with the residue of
+    the full-degree resultant mod the prime by the benchmark's Euclid:
+    res(p_V, p_V') or res(p_V, p_V'') per label by its type, res(p_V, p_W)
+    per pair."""
+    full = [full_degree_mod(p, prime) for p in exact]
+    out = []
+    for p, f in zip(exact, full):
+        g = ORACLES.derivative_mod_p(f, prime)
+        if ORACLES.rep_type(p.label.spins, p.label.weight) == "quaternionic":
+            key, g = ("c", (p.label,)), ORACLES.derivative_mod_p(g, prime)
+        else:
+            key = ("b", (p.label,))
+        out.append((key, ORACLES.resultant_mod_p(f, g, prime), (p,)))
+    for i, (p, f) in enumerate(zip(exact, full)):
+        for q, g in zip(exact[i + 1:], full[i + 1:]):
+            out.append((("a", (p.label, q.label)), ORACLES.resultant_mod_p(f, g, prime), (p, q)))
+    return out
+
+
+def exact_value(kind: str, polys) -> Fraction:
+    return {"a": full_degree_a, "b": full_degree_b, "c": full_degree_c}[kind](*polys)
+
+
 @pytest.mark.parametrize("group, level", RESIDUE_CASES, ids=lambda x: str(x))
 def test_residue_battery_matches_exact_battery(group, level):
+    # every certificate against the benchmark's mod-p resultant of the
+    # full-degree p_V built from the exact charpoly; the exact Fraction
+    # resultant only where that residue is 0
     spec = _spec(group)
     labels = labels_up_to_level(spec, level)
     verdicts = set()
@@ -396,13 +457,15 @@ def test_residue_battery_matches_exact_battery(group, level):
         assert [p.poly.coeffs for p in at_p] == [
             tuple(c % PRIME for c in e.poly.coeffs) for e in exact
         ]
-        for r, e in zip(certificate_battery(at_p), certificate_battery(exact)):
-            assert (r.kind, r.labels, r.verdict) == (e.kind, e.labels, e.verdict)
-            if r.prime is None:
-                assert r.value == e.value
+        certs = certificate_battery(at_p)
+        oracle = oracle_battery(exact)
+        assert [(c.kind, c.labels) for c in certs] == [key for key, _, _ in oracle]
+        for cert, (key, residue, polys) in zip(certs, oracle):
+            if residue:
+                assert (cert.prime, cert.value) == (PRIME, residue)
             else:
-                assert r.prime == PRIME and r.value == _residue(e.value) != 0
-            verdicts.add(r.verdict)
+                assert claims(cert, exact_value(key[0], polys))
+            verdicts.add(cert.verdict)
     assert True in verdicts
 
 
@@ -435,21 +498,45 @@ def test_batched_reads_of_edge_batches():
 
 def test_zero_residue_is_decided_exactly():
     # X^2 + PRIME is X^2 mod PRIME, whose kind-b residue is 0, while its
-    # exact value res(X^2 + PRIME, 2X) = 4 PRIME is not
+    # exact value res(X^2 + PRIME, 2X) = 4 PRIME is not: gcd(P, P') = 1,
+    # and the next split prime decides it
     M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
     p = CharPoly.read(label((2,)), "h", M, 1, prime=PRIME)
     assert (p.prime, p.poly.coeffs) == (PRIME, (0, 0, 1))
     assert p.exact.poly == IntPoly((PRIME, 0, 1), 1)
+    second = split_primes(2)[1][0]
     c = cert_b_from_poly(p)
-    assert (c.prime, c.value, c.verdict) == (None, 4 * PRIME, True)
-    assert c.to_json()["prime"] is None
+    assert (c.prime, c.value, c.verdict) == (second, 4 * PRIME % second, True)
+    assert c.to_json()["prime"] == second
+    # an exact charpoly is reduced at each prime, with the same decision
+    assert cert_b_from_poly(p.exact) == c
     # a nonzero residue is reported with its prime
     q = CharPoly.read(label((2,)), "h", IntMatrix.from_dense([[0, -2], [1, 0]]), 1, prime=PRIME)
-    assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", Fraction(8), PRIME)
+    assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", 8, PRIME)
+
+
+def test_zero_residue_of_every_kind_moves_to_the_next_prime():
+    # operands that vanish mod PRIME only: kind a on X^2 + PRIME and X^2,
+    # kind c on (X^2 + PRIME)^2, whose Kramers root is X^2 + PRIME; each
+    # certificate is the oracle's exact value at the second split prime
+    second = split_primes(2)[1][0]
+    shifted = IntPoly((PRIME, 0, 1), 1)
+    p = CharPoly(label((2,)), "h", shifted)
+    q = CharPoly(label((4,)), "h", IntPoly((0, 0, 1), 1))
+    r = CharPoly(label((3,)), "h", IntPoly(tuple(mul(shifted.coeffs, shifted.coeffs)), 1))
+    for cert, value in (
+        (cert_a_from_polys(p, q), full_degree_a(p, q)),
+        (cert_a_from_polys(q, p), full_degree_a(q, p)),
+        (cert_c_from_poly(r), full_degree_c(r)),
+    ):
+        assert value % PRIME == 0 and value != 0
+        assert claims(cert, value, second)
 
 
 def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
-    # d has no inverse mod PRIME: every charpoly and certificate is exact
+    # d has no inverse mod PRIME: the battery skips PRIME, and each
+    # certificate, read at PRIME or exactly, is the oracle's residue at
+    # the second split prime
     q = Fraction(1, PRIME)
     tensor = SymTensor((
         (Fraction(1), q, Fraction(0)), (q, Fraction(3, 2), Fraction(1, 5)),
@@ -457,14 +544,18 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
     ))
     assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(SU2, 4)
-    at_p = [char_poly_of(SU2, lab, tensor, PRIME) for lab in labels]
-    exact = [char_poly_of(SU2, lab, tensor) for lab in labels]
-    assert at_p == exact and all(p.prime is None for p in at_p)
-    assert char_polys_of(SU2, labels, tensor, PRIME) == exact
+    at_p = char_polys_of(SU2, labels, tensor, PRIME)
+    assert at_p == [char_poly_of(SU2, lab, tensor, PRIME) for lab in labels]
+    exact = [p.exact for p in at_p]
+    assert exact == [char_poly_of(SU2, lab, tensor) for lab in labels]
     certs = certificate_battery(at_p)
     assert certs == certificate_battery(exact)
     assert {c.kind for c in certs} == {"a", "b", "c"}
-    assert all(c.prime is None and c.verdict for c in certs)
+    second = split_primes(2)[1][0]
+    oracle = oracle_battery(exact, second)
+    assert [(c.kind, c.labels) for c in certs] == [key for key, _, _ in oracle]
+    for cert, (_, residue, _) in zip(certs, oracle):
+        assert (cert.prime, cert.value) == (second, residue) and residue
 
 
 def test_multiplicity_profile_of_residues_reads_the_exact_charpoly():
