@@ -62,14 +62,20 @@ class UsageError(Exception):
 
 
 def emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as e:
-            raise UsageError(f"cannot write --output {output}: {e}") from e
-    else:
-        print(text)
+    """Write text, ended by exactly one newline, to the --output path or
+    to stdout: the same bytes either way."""
+    text = text.rstrip("\n") + "\n"
+    if not output:
+        # a line at a time: one large write into a pipe that its reader
+        # closes can drop the rest with no error, while the flush of a
+        # full buffer raises BrokenPipeError
+        sys.stdout.writelines(text.splitlines(keepends=True))
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write --output {output}: {e}") from e
 
 
 def check_output(output: str | None) -> None:
@@ -343,7 +349,7 @@ def check_quaternionic_double(args):
             build_irrep(spec, label((m,)))
         ):
             return False, f"structure map fails at m={m}"
-        p = char_poly_of(spec, label((m,)), sq)
+        p = char_poly_of(build_DV(spec, label((m,)), sq))
         if not multiplicity_profile(p).is_all_double:
             return False, f"profile not all-double at m={m}"
         if not cert_c_from_poly(p).verdict:

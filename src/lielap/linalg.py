@@ -29,14 +29,14 @@ matrix.  The operators D_V(s) satisfy it with `operator.norm_weights`.  A
 complex matrix without weights is refused (ValueError).
 
 There is one kernel, `charpolys_gq`, over a sequence of matrices, each
-with its own weights, proof and primes; `charpoly_gq` is its one-matrix
-case.  The lanes of all matrices of one dimension, one per (matrix,
-prime), are stacked in one int64 array and reduced to Hessenberg form
-together, and no matrix is padded to another's size; the Hessenberg
-recurrence gives each charpoly mod p, and the CRT, taken over enough
-primes to exceed twice the matrix's bound, gives the exact integers.
-Asked for one prime, each matrix has the one lane of that prime and
-returns its residues, with no bound and no CRT.  The tests check it
+with its own weights, proof and primes (`polycert.charpoly_real` reads
+one matrix through it).  The lanes of all matrices of one dimension, one
+per (matrix, prime), are stacked in one int64 array and reduced to
+Hessenberg form together, and no matrix is padded to another's size; the
+Hessenberg recurrence gives each charpoly mod p, and the CRT, taken over
+enough primes to exceed twice the matrix's bound, gives the exact
+integers.  Asked for one prime, each matrix has the one lane of that
+prime and returns its residues, with no bound and no CRT.  The tests check it
 against Faddeev-LeVerrier, an independent route over Gaussian integers.
 
 `eigenvalues_above` proves, on the same weighted-hermitian matrices, that
@@ -511,11 +511,26 @@ def _images(
 def charpolys_gq(
     Ms: Sequence[IntMatrix], weights: Sequence[np.ndarray | None], prime: int | None = None
 ) -> list[list[int]]:
-    """`charpoly_gq` of every matrix of Ms, weights[j] the weights of Ms[j]
-    (None for a real matrix), in one modular pass per dimension.
+    """Coefficients (ascending) of det(X*I - den*M), den = M.den, for every
+    matrix M of Ms, weights[j] the weights of Ms[j] (None for a real
+    matrix), in one modular pass per dimension.  Each is monic of degree
+    n with integer coefficients, so that det(X*I - M) has the
+    coefficients a_k / den^(n-k).
 
-    Each matrix keeps its own checks and its own primes: with a prime,
-    its one lane there; otherwise as many primes as its own bound asks.
+    Each M must be real, or come with weights c for which it is weighted
+    hermitian (`weighted_hermitian`, ArithmeticError if not), so that its
+    charpoly is real; a complex M without weights raises ValueError.  A =
+    den*M has Gaussian integer entries (re + i im) and det(X*I - A) =
+    sum a_k X^k with |a_k| <= B = max_k C(n,k) r^k, r the largest row sum
+    of |Re| + |Im| (which bounds every eigenvalue).  For primes p = 1
+    (mod 4) below 2^31, taken until their product exceeds 2B, the map
+    i -> iota with iota^2 = -1 (mod p) sends A to a matrix mod p whose
+    charpoly is the image of the real det(X*I - A), so one lane per prime
+    gives it, and the CRT recovers the signed integers a_k.  With a prime
+    p = 1 (mod 4) below 2^31, each matrix has the one lane at p, which
+    gives the a_k mod p, in [0, p), with no bound and no CRT; the
+    weighted-hermitian proof is the same.
+
     The lanes of all matrices of one dimension, one per (matrix, prime),
     are stacked in one array, reduced to Hessenberg form together and
     read by one recurrence; no matrix is padded to another's size.
@@ -547,28 +562,3 @@ def charpolys_gq(
             start += len(primes)
     return out
 
-
-def charpoly_gq(
-    M: IntMatrix, weights: np.ndarray | None = None, prime: int | None = None
-) -> list[int]:
-    """Coefficients (ascending) of det(X*I - den*M), den = M.den: monic of
-    degree n with integer coefficients, so that det(X*I - M) has the
-    coefficients a_k / den^(n-k).
-
-    M must be real, or come with weights c for which it is weighted
-    hermitian (`weighted_hermitian`, ArithmeticError if not), so that its
-    charpoly is real; a complex M without weights raises ValueError.
-    Multimodular.  A = den*M has Gaussian integer entries (re + i im) and
-    det(X*I - A) = sum a_k X^k with |a_k| <= B = max_k C(n,k) r^k, r the
-    largest row sum of |Re| + |Im| (which bounds every eigenvalue).  For
-    primes p = 1 (mod 4) below 2^31, taken until their product exceeds 2B,
-    the map i -> iota with iota^2 = -1 (mod p) sends A to a matrix mod p
-    whose charpoly is the image of the real det(X*I - A), so one image per
-    prime gives it; all images are reduced to Hessenberg form at once.
-    CRT recovers the signed integers a_k.
-
-    With a prime p = 1 (mod 4) below 2^31, the one lane at p gives the a_k
-    mod p, in [0, p), and no CRT is taken; the weighted-hermitian proof is
-    the same.  The one-matrix case of `charpolys_gq`.
-    """
-    return charpolys_gq([M], [weights], prime)[0]

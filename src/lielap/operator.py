@@ -69,7 +69,7 @@ part of the result to the dense eigensolver (`hermitian_eigenvalues`);
 `cluster_values` groups eigenvalues by relative gap.  Their values are
 hints for root isolation only and check nothing: every operator passes
 the exact weighted-hermitian check (`linalg.weighted_hermitian`, in
-`linalg.charpoly_gq` and in `linalg.eigenvalues_above`) before
+`linalg.charpolys_gq` and in `linalg.eigenvalues_above`) before
 any verdict, and verdicts always come from the exact path.
 """
 

@@ -39,15 +39,16 @@ A certificate is (kind, labels, prime, residue).  The batteries of the
 witness search and of `certify`, and the pairs pipeline, read every
 charpoly at the one prime PRIME = 2147483629 (`split_primes(1)`): one
 Hessenberg lane per charpoly, rescaled to the tensor's d, behind the
-weighted-hermitian proof.  A battery reads all its labels at once
-(`char_polys_of`, `CharPoly.read_all`): one `charpolys_gq` call, whose
-lanes share one modular pass per dimension.  The spectrum, the
-pipeline's alpha scan and `CharPoly.exact` read one label at a time
-(`char_poly_of`, `CharPoly.read`, `charpoly_real`).  P is monic and every
-split prime exceeds every degree, so the leading coefficients of P, P'
-and R' (1, n and k) survive reduction, and reduction commutes with the
-resultant: res(P, Q) mod p = res(P mod p, Q mod p) (Collins, JACM 18,
-1971; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Each
+weighted-hermitian proof.  There are three readers, all over the one
+kernel `linalg.charpolys_gq`: `charpoly_real` reads one matrix (the
+pairs pipeline's branch matrices and `CharPoly.exact`), `char_poly_of`
+one operator through it (the spectrum and the eps and alpha scans), and
+`char_polys_of` a battery, in one kernel call whose lanes share one
+modular pass per dimension.  P is monic and every split prime exceeds
+every degree, so the leading coefficients of P, P' and R' (1, n and k)
+survive reduction, and reduction commutes with the resultant:
+res(P, Q) mod p = res(P mod p, Q mod p) (Collins, JACM 18, 1971; von zur
+Gathen and Gerhard, Modern Computer Algebra, ch. 6).  Each
 formula above, with d^(-1) mod p, then gives the residue mod p of the
 rational value, and a nonzero residue is an exact, deterministic proof
 that the value is nonzero; it is reported with its prime.
@@ -77,7 +78,7 @@ over Q) makes every multiplicity exactly 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
@@ -85,7 +86,7 @@ from itertools import count
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
 from .irreps import IrrepLabel, classify_type, dual_label, format_label
-from .linalg import IntMatrix, charpoly_gq, charpolys_gq, split_primes
+from .linalg import IntMatrix, charpolys_gq, split_primes
 from .operator import OperatorMatrix, build_DV, norm_weights
 from .poly import IntPoly, derivative, int_gcd, mul, resultant, squarefree_decomposition
 
@@ -116,16 +117,16 @@ def charpoly_real(
 ) -> IntPoly:
     """det(X*I - den*M) over den, a multiple of M.den (M.den if omitted).
 
-    charpoly_gq gives det(X*I - M.den*M), rescaled to den by `_over`.  M
-    is real, or complex with weights (`operator.norm_weights` of the
-    label's spins), by which charpoly_gq proves the charpoly real
-    exactly; a failed proof raises ArithmeticError (the construction
-    upstream is wrong), and a complex M without weights ValueError.  With
-    a prime, the coefficients are taken mod prime from charpoly_gq's one
-    lane there, in [0, prime).
+    `charpolys_gq` gives det(X*I - M.den*M), rescaled to den by `_over`.
+    M is real, or complex with weights (`operator.norm_weights` of the
+    label's spins), by which the kernel proves the charpoly real exactly;
+    a failed proof raises ArithmeticError (the construction upstream is
+    wrong), and a complex M without weights ValueError.  With a prime,
+    the coefficients are taken mod prime from the kernel's one lane
+    there, in [0, prime).
     """
     den = M.den if den is None else den
-    return _over(charpoly_gq(M, weights, prime), den, M, prime)
+    return _over(charpolys_gq([M], [weights], prime)[0], den, M, prime)
 
 
 @dataclass(frozen=True)
@@ -142,27 +143,6 @@ class CharPoly:
     prime: int | None = None
     source: tuple[IntMatrix, object] | None = field(default=None, compare=False, repr=False)
 
-    @classmethod
-    def read(
-        cls, lab: IrrepLabel, th: str, M: IntMatrix, den: int, weights=None,
-        prime: int | None = None,
-    ) -> "CharPoly":
-        """The charpoly of M over den (`charpoly_real`) for the label lab
-        of the tensor of hash th: its residues mod the prime, or exact
-        without one."""
-        return cls(lab, th, charpoly_real(M, den, weights, prime), prime, (M, weights))
-
-    @classmethod
-    def read_all(cls, labels, th: str, Ms, den: int, weights, prime: int) -> list["CharPoly"]:
-        """`read` of every (label, matrix, weights), with the residues of
-        all of them taken by one `charpolys_gq` call, which shares one
-        modular pass among the matrices of each dimension; each is
-        rescaled to den as `charpoly_real` does."""
-        return [
-            cls(lab, th, _over(cs, den, M, prime), prime, (M, w))
-            for lab, M, w, cs in zip(labels, Ms, weights, charpolys_gq(Ms, weights, prime))
-        ]
-
     @property
     def degree(self) -> int:
         return self.poly.degree
@@ -173,7 +153,7 @@ class CharPoly:
         if self.prime is None:
             return self
         M, weights = self.source
-        return CharPoly.read(self.label, self.tensor_hash, M, self.poly.den, weights)
+        return replace(self, poly=charpoly_real(M, self.poly.den, weights), prime=None)
 
     def at(self, prime: int) -> "CharPoly":
         """The residues mod prime: self where it is read there, and
@@ -226,33 +206,27 @@ def kramers_root(p: IntPoly, prime: int | None = None) -> IntPoly:
     return IntPoly(tuple(q), p.den)
 
 
-def char_poly_exact(op: OperatorMatrix) -> CharPoly:
-    """The exact CharPoly of the operator D_V(s)."""
-    return CharPoly.read(
-        op.label, tensor_hash(op.tensor), op.matrix, op.tensor.integer_form[0],
-        norm_weights(op.label.spins),
-    )
-
-
-def char_poly_of(
-    spec: GroupSpec, lab: IrrepLabel, tensor: SymTensor, prime: int | None = None
-) -> CharPoly:
-    """The CharPoly of D_V(s), read at the prime by `CharPoly.read`;
-    exact without one."""
-    op = build_DV(spec, lab, tensor)
-    return CharPoly.read(
-        lab, tensor_hash(tensor), op.matrix, tensor.integer_form[0], norm_weights(lab.spins), prime
-    )
+def char_poly_of(op: OperatorMatrix, prime: int | None = None) -> CharPoly:
+    """The CharPoly of the operator D_V(s) over its tensor's denominator
+    (`charpoly_real`, with the label's weights): its residues mod the
+    prime, or exact without one."""
+    M, w = op.matrix, norm_weights(op.label.spins)
+    poly = charpoly_real(M, op.tensor.integer_form[0], w, prime)
+    return CharPoly(op.label, tensor_hash(op.tensor), poly, prime, (M, w))
 
 
 def char_polys_of(spec: GroupSpec, labels, tensor: SymTensor, prime: int) -> list[CharPoly]:
-    """`char_poly_of` at the prime on every label, by `CharPoly.read_all`:
-    one modular pass per dimension among the labels."""
-    ops = [build_DV(spec, lab, tensor) for lab in labels]
-    return CharPoly.read_all(
-        labels, tensor_hash(tensor), [op.matrix for op in ops], tensor.integer_form[0],
-        [norm_weights(lab.spins) for lab in labels], prime,
-    )
+    """`char_poly_of` at the prime on every label, all read by one
+    `charpolys_gq` call, which shares one modular pass among the matrices
+    of each dimension; each is rescaled to the tensor's denominator as
+    `charpoly_real` does."""
+    th, den = tensor_hash(tensor), tensor.integer_form[0]
+    Ms = [build_DV(spec, lab, tensor).matrix for lab in labels]
+    ws = [norm_weights(lab.spins) for lab in labels]
+    return [
+        CharPoly(lab, th, _over(cs, den, M, prime), prime, (M, w))
+        for lab, M, w, cs in zip(labels, Ms, ws, charpolys_gq(Ms, ws, prime))
+    ]
 
 
 @dataclass(frozen=True)

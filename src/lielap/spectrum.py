@@ -113,7 +113,7 @@ from .operator import (
     torus_scalar,
     weight_is_scalar,
 )
-from .polycert import char_poly_exact, multiplicity_profile
+from .polycert import char_poly_of, multiplicity_profile
 
 
 def enumerate_irreps(
@@ -594,7 +594,7 @@ def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
     hints = root_hints(op)
     if hints and eigenvalues_above(op.matrix, norm_weights(op.label.spins), cutoff, hints[0]):
         return LabelWork(op.label, [], None)
-    cp = char_poly_exact(op)
+    cp = char_poly_of(op)
     base, e = cp.power_form
     P = base.primitive()
     # a linear factor needs no cells
@@ -604,12 +604,7 @@ def _direct_work(op: OperatorMatrix, cutoff: Fraction) -> LabelWork:
         # its own squarefree split and Yun's gcd is skipped
         split = [(e, P, cells)]
     else:
-        # P's proof failed just now, so a factor equal to P goes straight
-        # to its Sturm chain
-        split = [
-            (mult, f, _sturm_cells(f, hints) if f == P else proved_cells(f, hints))
-            for mult, f in multiplicity_profile(cp).entries
-        ]
+        split = [(mult, f, proved_cells(f, hints)) for mult, f in multiplicity_profile(cp).entries]
     return LabelWork(op.label, [(m, f, c, real_roots(f, cutoff, cells=c)) for m, f, c in split], None)
 
 

@@ -61,8 +61,8 @@ from .irreps import (
 )
 from .linalg import IntMatrix
 from .operator import build_DV
-# unused here; perfbench/tracer.py looks up witness.resultant and
-# witness.charpoly_real when it installs
+# unused here; perfbench/tracer.py looks up witness.resultant when it
+# installs
 from .poly import resultant  # noqa: F401
 from .polycert import (
     PRIME,
@@ -71,11 +71,10 @@ from .polycert import (
     cert_a_from_polys,
     cert_b_from_poly,
     cert_c_from_poly,
-    char_poly_exact,
     char_poly_of,
     char_polys_of,
     charpoly_from_eigenvalues,
-    charpoly_real,  # noqa: F401
+    charpoly_real,
     separation_certificate,
 )
 
@@ -142,7 +141,7 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
     best = None
     for eps in _EPS_GRID:
         tensor = symmetric_product(3, 0, 0, 1) + symmetric_product(3, 1, 1, eps)
-        cert = cert_b_from_poly(char_poly_of(spec, lab, tensor, PRIME))
+        cert = cert_b_from_poly(char_poly_of(build_DV(spec, lab, tensor), PRIME))
         if cert.verdict:
             return Su2EvenWitness(
                 m=m,
@@ -200,7 +199,7 @@ def pairs_mixed_witness(spec: GroupSpec, lab: IrrepLabel, direction) -> MixedWit
         tensor = term if tensor is None else tensor + term
     op = build_DV(spec, lab, tensor)
     expected = [Fraction(k) * pairing for k in range(m, -m - 2, -2)]
-    p = char_poly_exact(op)
+    p = char_poly_of(op)
     matches = p.poly == charpoly_from_eigenvalues(expected, p.poly.den)
     cert = cert_b_from_poly(p)
     return MixedWitness(
@@ -372,8 +371,10 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
 
     def branch_charpolys(tensor, plus, minus):
         # at the prime, over the lcm of the two denominators
-        den = math.lcm(plus.den, minus.den)
-        return CharPoly.read_all((lab, lab), tensor_hash(tensor), (plus, minus), den, (None, None), PRIME)
+        den, th = math.lcm(plus.den, minus.den), tensor_hash(tensor)
+        return [
+            CharPoly(lab, th, charpoly_real(R, den, None, PRIME), PRIME, (R, None)) for R in (plus, minus)
+        ]
 
     h_branches = involution_branches(T, D_h.matrix)
     branch_dims_ok = sum(R.nrows for R in h_branches) == T.nrows
@@ -386,7 +387,7 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     combined = None
     for alpha in _ALPHA_GRID:
         s_alpha = s_h.scale(1 - alpha) + s_b.scale(alpha)
-        cert = cert_b_from_poly(char_poly_of(spec, lab, s_alpha, PRIME))
+        cert = cert_b_from_poly(char_poly_of(build_DV(spec, lab, s_alpha), PRIME))
         if cert.verdict:
             alpha_found, combined = alpha, cert
             break

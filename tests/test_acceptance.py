@@ -18,7 +18,6 @@ from lielap import (
     build_group_spec,
     build_irrep,
     casimir_tensor,
-    char_poly_exact,
     char_poly_of,
     descends_to_quotient,
     dual_label,
@@ -85,7 +84,7 @@ def test_02_h_generator_spectrum_and_double_profile():
 
     for m in range(1, 16, 2):
         lab = label((m,))
-        p = char_poly_of(su2, lab, H_SQUARED)
+        p = char_poly_of(build_DV(su2, lab, H_SQUARED))
         doubled = [Fraction((m - 2 * l) ** 2) for l in range(m + 1)]
         assert p.poly == charpoly_from_eigenvalues(doubled, p.poly.den)
         assert multiplicity_profile(p).is_all_double
@@ -99,7 +98,7 @@ def test_03_even_spin_degenerate_square_and_witness():
     su2 = preset("su2")
     for m in range(2, 13, 2):
         lab = label((m,))
-        assert cert_b_from_poly(char_poly_of(su2, lab, H_SQUARED)).value == 0
+        assert cert_b_from_poly(char_poly_of(build_DV(su2, lab, H_SQUARED))).value == 0
 
         w = su2_even_b_witness(m)
         assert w.epsilon > 0
@@ -240,7 +239,7 @@ def test_08_exact_profiles_match_numeric_and_resultant_matches_gcd():
     for spec, lab in trials:
         op = build_DV(spec, lab, sample_definite_tensor(spec.dim, rng))
         max_dim = max(max_dim, op.dim)
-        profile = multiplicity_profile(char_poly_exact(op))
+        profile = multiplicity_profile(char_poly_of(op))
         eigenvalues = hermitian_eigenvalues(op).tolist()
         assert sorted(c for _, c in cluster_values(eigenvalues, 1e-8)) == \
             _profile_multiplicities(profile)
@@ -278,8 +277,8 @@ def test_09_duality_and_central_descent():
     while checked < 50:
         spec, lab = pool[checked % len(pool)]
         s = sample_definite_tensor(spec.dim, rng)
-        assert char_poly_of(spec, lab, s).poly == \
-            char_poly_of(spec, dual_label(lab), s).poly
+        assert char_poly_of(build_DV(spec, lab, s)).poly == \
+            char_poly_of(build_DV(spec, dual_label(lab), s)).poly
         checked += 1
 
     def character_trivial(spec, lab):

@@ -18,6 +18,7 @@ from lielap.algebra_core import SymTensor, preset
 from lielap.cli import main
 from lielap.irreps import labels_up_to_level
 from lielap.linalg import split_primes
+from lielap.operator import build_DV
 from lielap.polycert import PRIME, char_poly_of
 from lielap.witness import certificate_battery
 from test_polycert import exact_value, oracle_battery
@@ -175,7 +176,7 @@ def test_certify_json_past_int_str_digit_limit(capsys):
     tensor = SymTensor(tuple(tuple(Fraction(x) for x in r) for r in rows))
     assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(spec, 6)
-    exact = [char_poly_of(spec, lab, tensor) for lab in labels]
+    exact = [char_poly_of(build_DV(spec, lab, tensor)) for lab in labels]
     second = split_primes(2)[1][0]
     oracle = oracle_battery(exact, second)
     assert len(oracle) == len(doc["certificates"])
@@ -360,6 +361,20 @@ def test_output_file(capsys, tmp_path):
     )
     assert rc == 0 and out == ""
     assert target.read_text().startswith("eigenvalue,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json"])
+def test_stdout_and_output_file_get_the_same_bytes(capsys, tmp_path, fmt):
+    # the same table on stdout and in --output, ended by exactly one newline
+    args = ("spectrum", "--group", "su2", "--max-eig", "3", "--format", fmt)
+    target = tmp_path / "table"
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0
+    rc, empty, _ = run(capsys, *args, "--output", str(target))
+    assert rc == 0 and empty == ""
+    written = target.read_bytes()
+    assert written == out.encode()
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
 
 
 def test_config_file_supplies_defaults(capsys, tmp_path):

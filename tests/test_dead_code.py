@@ -7,7 +7,8 @@ is read by some module of the package, exported by `lielap._HOMES` or
 looked up by the benchmark's tracer.  The one kind of import allowed to
 go unread is a name the tracer (perfbench/tracer.py, `WRAPS`) looks up
 in that module, since the tracer wraps it where its callers would look
-for it.  Every public method or property of a class in src/lielap, and
+for it; an import marked `# noqa: F401` must be one that goes unread, so
+the mark does not outlive the reason for it.  Every public method or property of a class in src/lielap, and
 every field of a dataclass or NamedTuple there, is read as an attribute
 somewhere in the package, the tests or the benchmark.
 """
@@ -53,12 +54,17 @@ def _read_attributes(tree: ast.Module) -> set[str]:
 
 def _imported(tree: ast.Module) -> list[str]:
     """The names bound by the module's top-level imports."""
+    return [name for name, _ in _import_aliases(tree)]
+
+
+def _import_aliases(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for every name bound by the module's top-level imports."""
     names = []
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names += [a.asname or a.name for a in node.names]
+            names += [(a.asname or a.name, a.lineno) for a in node.names]
         elif isinstance(node, ast.Import):
-            names += [a.asname or a.name.split(".")[0] for a in node.names]
+            names += [(a.asname or a.name.split(".")[0], a.lineno) for a in node.names]
     return names
 
 
@@ -71,6 +77,32 @@ def test_every_module_level_import_is_read():
         if name not in _read_names(tree) and (module, name) not in wrapped
     ]
     assert unread == []
+
+
+def _noqa_imports() -> dict[str, list[str]]:
+    """The names of each module's top-level imports marked `# noqa: F401`
+    on their own line."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        out[path.stem] = [
+            name
+            for name, line in _import_aliases(ast.parse(text, str(path)))
+            if "# noqa: F401" in lines[line - 1]
+        ]
+    return out
+
+
+def test_an_import_marked_unused_is_unread():
+    modules = _modules()
+    stale = [
+        f"{module}.{name}"
+        for module, names in _noqa_imports().items()
+        for name in names
+        if name in _read_names(modules[module])
+    ]
+    assert stale == []
 
 
 def test_every_private_function_and_class_is_referenced():
@@ -164,3 +196,4 @@ def test_the_check_sees_the_package():
     assert {("irreps", "IrrepLabel", "weight"), ("linalg", "Gaussian", "im")} <= set(_fields(modules))
     assert "divides" in _imported(modules["spectrum"])
     assert ("spectrum", "divides") in _wrapped()
+    assert _noqa_imports()["spectrum"] == ["divides"] and _noqa_imports()["witness"] == ["resultant"]

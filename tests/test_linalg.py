@@ -13,7 +13,6 @@ from lielap.linalg import (
     IntMatrix,
     _hessenberg,
     _hessenberg_charpoly,
-    charpoly_gq,
     eigenvalues_above,
     split_primes,
     weighted_hermitian,
@@ -33,6 +32,11 @@ from lielap.poly import IntPoly, mul
 from lielap.witness import sample_definite_tensor
 
 I = (0, 1)
+
+
+def one_charpoly(M, weights=None, prime=None) -> list[int]:
+    """The kernel `charpolys_gq` on the one matrix M."""
+    return linalg.charpolys_gq([M], [weights], prime)[0]
 
 
 def mat(rows):
@@ -130,7 +134,7 @@ def test_kron_matches_dense_kron(seed):
 def test_charpoly_2x2():
     # [[2, 1], [1/2, 0]] over den 2: 2M has trace 4, det -2 -> X^2 - 4X - 2
     m = mat([[2, 1], [Fraction(1, 2), 0]])
-    assert charpoly_gq(m) == [-2, -4, 1]
+    assert one_charpoly(m) == [-2, -4, 1]
 
 
 def test_charpoly_diag_gaussian():
@@ -138,18 +142,18 @@ def test_charpoly_diag_gaussian():
     # that, and a complex matrix is refused before any modular work
     for m in (diagonal([I, (0, -1)]), mat([[I]]), mat([[1, I], [I, 1]])):
         with pytest.raises(ValueError):
-            charpoly_gq(m)
+            one_charpoly(m)
     # [[1, i], [-i, 1]] is hermitian: (X - 1)^2 - 1
-    assert charpoly_gq(mat([[1, I], [(0, -1), 1]]), np.array([1, 1])) == [0, -2, 1]
+    assert one_charpoly(mat([[1, I], [(0, -1), 1]]), np.array([1, 1])) == [0, -2, 1]
 
 
 def test_charpoly_companion():
     # companion matrix of X^3 - 7X + 6
     m = mat([[0, 0, -6], [1, 0, 7], [0, 1, 0]])
-    assert charpoly_gq(m) == [6, -7, 0, 1]
+    assert one_charpoly(m) == [6, -7, 0, 1]
 
 
-# -- Faddeev-LeVerrier: the differential oracle for charpoly_gq ----------------
+# -- Faddeev-LeVerrier: the differential oracle for charpolys_gq ---------------
 
 
 def charpoly_faddeev(M: IntMatrix) -> list[tuple[int, int]]:
@@ -240,7 +244,7 @@ def test_charpoly_matches_faddeev_on_random_matrices(complex_entries):
     imaginary = 0
     for _ in range(40):
         m, c = _random_matrix(rng, rng.randint(1, 9), complex_entries)
-        assert charpoly_gq(m, c) == faddeev_real(m)
+        assert one_charpoly(m, c) == faddeev_real(m)
         imaginary += bool(m.im.any())
     assert (imaginary > 30) == complex_entries
 
@@ -252,7 +256,7 @@ def test_charpoly_matches_faddeev_past_int64():
     for complex_entries in (False, True):
         m, c = _random_matrix(rng, 4, complex_entries, den_digits=120)
         assert m.re.dtype == object
-        assert charpoly_gq(m, c) == faddeev_real(m)
+        assert one_charpoly(m, c) == faddeev_real(m)
 
 
 def test_charpoly_zero_subdiagonals_swap_and_skip():
@@ -288,7 +292,7 @@ def test_charpoly_zero_subdiagonals_swap_and_skip():
         rows = [[(sparse(False), sparse(True) if i < j else 0) for j in range(n)] for i in range(n)]
         cases.append(weighted(rows, [rng.randint(1, 6) for _ in range(n)]))
     for m, c in cases:
-        assert charpoly_gq(m, c) == faddeev_real(m)
+        assert one_charpoly(m, c) == faddeev_real(m)
 
 
 def test_one_prime_lane_is_the_charpoly_mod_that_prime():
@@ -300,16 +304,16 @@ def test_one_prime_lane_is_the_charpoly_mod_that_prime():
         for den_digits in (2, 120):
             for _ in range(6):
                 m, c = _random_matrix(rng, rng.randint(1, 7), complex_entries, den_digits)
-                exact = charpoly_gq(m, c)
+                exact = one_charpoly(m, c)
                 for p in primes:
-                    assert charpoly_gq(m, c, p) == [x % p for x in exact]
+                    assert one_charpoly(m, c, p) == [x % p for x in exact]
     m, c = weighted([[0, (0, Fraction(1, 2))], [0, 0]], [1, 4])
     with pytest.raises(ArithmeticError):
-        charpoly_gq(m, np.ones(2, dtype=np.int64), primes[0])
+        one_charpoly(m, np.ones(2, dtype=np.int64), primes[0])
     # p = 3 (mod 4) has no square root of -1, and 2^31 - 3 = 5 * 429496729
     for bad in (2**31 - 1, 2**31 - 3, 2**31 + 11, 5):
         with pytest.raises(ValueError):
-            charpoly_gq(m, c, bad)
+            one_charpoly(m, c, bad)
 
 
 def test_batched_kernel_reads_each_matrix_as_alone():
@@ -335,7 +339,7 @@ def test_batched_kernel_reads_each_matrix_as_alone():
 
 
 def test_charpoly_of_operators_matches_faddeev():
-    # build_DV's integer form goes to charpoly_gq as it stands, with its
+    # build_DV's integer form goes to the kernel as it stands, with its
     # weights, on both routes, with imaginary entries.  The object route is taken when
     # den * S passes 2^63 (su2xsu2), or when den * S fits but the bound on
     # the operator's row sums does not (u2, den near 2^50)
@@ -352,7 +356,7 @@ def test_charpoly_of_operators_matches_faddeev():
     for spec, lab, tensor, dtype in cases:
         op = build_DV(spec, lab, tensor)
         assert op.matrix.re.dtype == dtype
-        assert charpoly_gq(op.matrix, norm_weights(lab.spins)) == faddeev_real(op.matrix)
+        assert one_charpoly(op.matrix, norm_weights(lab.spins)) == faddeev_real(op.matrix)
         assert op.matrix.im.any()
     assert max(abs(x) for x in op.matrix.re.tolist()) < 2**60
 
@@ -388,7 +392,7 @@ def test_one_image_route_matches_faddeev_on_operators(monkeypatch):
     for spec, tensor, level in cases:
         for lab in labels_up_to_level(spec, level):
             M = build_DV(spec, lab, tensor).matrix
-            assert charpoly_gq(M, norm_weights(lab.spins)) == faddeev_real(M)
+            assert one_charpoly(M, norm_weights(lab.spins)) == faddeev_real(M)
             assert len(set(lanes[-1])) == len(lanes[-1])
             if M.im.any():
                 types.add(classify_type(lab))
@@ -403,7 +407,7 @@ def test_one_image_route_past_int64():
     spec, lab = preset("spin4"), label((3, 2))
     M = build_DV(spec, lab, sample_definite_tensor(6, rng) + big).matrix
     assert M.re.dtype == object and M.im.any()
-    assert charpoly_gq(M, norm_weights(lab.spins)) == faddeev_real(M)
+    assert one_charpoly(M, norm_weights(lab.spins)) == faddeev_real(M)
 
 
 def test_weighted_hermitian_check_bounds_its_products():
@@ -422,7 +426,7 @@ def test_weighted_hermitian_check_bounds_its_products():
     with pytest.raises(ValueError):
         weighted_hermitian(zero(2, 2), np.array([1]))
     with pytest.raises(ArithmeticError):
-        charpoly_gq(mat([[1, 2], [3, 1]]), np.array([1, 1]))
+        one_charpoly(mat([[1, 2], [3, 1]]), np.array([1, 1]))
 
 
 def test_single_reduction_at_the_largest_residues():
@@ -445,7 +449,7 @@ def test_single_reduction_at_the_largest_residues():
     for rows in shapes:
         m = mat(rows)
         expected = faddeev_real(m)
-        assert charpoly_gq(m) == expected
+        assert one_charpoly(m) == expected
         n = len(rows)
         H = np.repeat(np.array(rows, dtype=np.int64)[None], len(primes), axis=0) % primes[:, None, None]
         _hessenberg(H, primes)
@@ -455,12 +459,12 @@ def test_single_reduction_at_the_largest_residues():
 
 
 def test_charpoly_small_and_zero_matrices():
-    assert charpoly_gq(zero(0, 0)) == [1]
-    assert charpoly_gq(zero(0, 0), np.array([], dtype=np.int64)) == [1]
+    assert one_charpoly(zero(0, 0)) == [1]
+    assert one_charpoly(zero(0, 0), np.array([], dtype=np.int64)) == [1]
     # den 7: X - 7 (-3/7)
-    assert charpoly_gq(mat([[Fraction(-3, 7)]])) == [3, 1]
-    assert charpoly_gq(mat([[Fraction(-3, 7)]]), np.array([5])) == [3, 1]
-    assert charpoly_gq(zero(4, 4)) == [0] * 4 + [1]
+    assert one_charpoly(mat([[Fraction(-3, 7)]])) == [3, 1]
+    assert one_charpoly(mat([[Fraction(-3, 7)]]), np.array([5])) == [3, 1]
+    assert one_charpoly(zero(4, 4)) == [0] * 4 + [1]
 
 
 def test_charpoly_at_the_coefficient_bound():
@@ -479,7 +483,7 @@ def test_charpoly_at_the_coefficient_bound():
         for n in (1, 2, 5, 9):
             for u in (1, -1):
                 expected = [math.comb(n, k) * (-u * r) ** (n - k) for k in range(n + 1)]
-                assert charpoly_gq(diagonal([u * r] * n)) == expected
+                assert one_charpoly(diagonal([u * r] * n)) == expected
                 rows = [[0] * n for _ in range(n)]
                 for i in range(0, n - 1, 2):
                     rows[i][i + 1] = (0, u * r)
@@ -491,7 +495,7 @@ def test_charpoly_at_the_coefficient_bound():
                 for _ in range(n // 2):
                     expected = mul(expected, [-r * r, 0, 1])
                 expected = mul(expected, [-u * r, 1] if n % 2 else [1])
-                assert charpoly_gq(m, c) == expected
+                assert one_charpoly(m, c) == expected
                 if r**n == max(math.comb(n, k) * r**k for k in range(n + 1)):
                     assert abs(expected[0]) == r**n
 
@@ -554,7 +558,7 @@ def exceeds_by_charpoly(M: IntMatrix, weights, cutoff) -> bool:
     the real roots d*lambda_i, so q(y) = (-1)^n P(d*L - y) = prod (y + d
     (lambda_i - L)) has only positive coefficients exactly when every
     lambda_i exceeds L."""
-    P = charpoly_gq(M, weights)
+    P = one_charpoly(M, weights)
     n, x = len(P) - 1, Fraction(cutoff) * M.den
     # Taylor shift to P(x - y), ascending in y
     q = [Fraction(0)] * (n + 1)

@@ -15,6 +15,7 @@ from lielap.algebra_core import (
     identity_tensor,
     preset,
     symmetric_product,
+    tensor_hash,
 )
 from lielap.errors import DomainError
 from lielap.irreps import classify_type, label, labels_up_to_level
@@ -28,10 +29,10 @@ from lielap.polycert import (
     cert_a_from_polys,
     cert_b_from_poly,
     cert_c_from_poly,
-    char_poly_exact,
     char_poly_of,
     char_polys_of,
     charpoly_from_eigenvalues,
+    charpoly_real,
     kramers_root,
     multiplicity_profile,
 )
@@ -44,19 +45,19 @@ SQ_H = symmetric_product(3, 0, 0, 1)
 def test_charpoly_sign_convention():
     # det(X - den D) is monic; the rational det(D - X) the certificates
     # speak about has constant term det(D) and leading coefficient (-1)^dim
-    p = char_poly_of(SU2, label((1,)), identity_tensor(3)).poly
+    p = char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))).poly
     assert p == charpoly_from_eigenvalues([3, 3]) == IntPoly((9, -6, 1), 1)
     assert from_int_poly(p).coeffs[0] == 9 and from_int_poly(p).lc == 1
-    q = char_poly_of(SU2, label((2,)), identity_tensor(3)).poly
+    q = char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3))).poly
     assert q.coeffs[-1] == 1 and from_int_poly(q).lc == -1
     # a tensor with denominator 10 scales every root by 10
     tensor = sample_definite_tensor(3, random.Random(0))
-    r = char_poly_of(SU2, label((2,)), tensor).poly
+    r = char_poly_of(build_DV(SU2, label((2,)), tensor)).poly
     assert r.den == tensor.integer_form[0] == 10 and r.coeffs[-1] == 1
 
 
 def test_charpoly_matches_explicit_eigenvalues():
-    p = char_poly_of(SU2, label((4,)), SQ_H).poly
+    p = char_poly_of(build_DV(SU2, label((4,)), SQ_H)).poly
     assert p == charpoly_from_eigenvalues([16, 4, 0, 4, 16])
     with pytest.raises(ValueError):
         charpoly_from_eigenvalues([Fraction(1, 3)], 2)
@@ -65,8 +66,8 @@ def test_charpoly_matches_explicit_eigenvalues():
 def test_charpoly_rejects_wrong_tensor_pairing():
     from lielap.polycert import cert_a_from_polys
 
-    p = char_poly_of(SU2, label((1,)), identity_tensor(3))
-    q = char_poly_of(SU2, label((2,)), SQ_H)
+    p = char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3)))
+    q = char_poly_of(build_DV(SU2, label((2,)), SQ_H))
     with pytest.raises(DomainError):
         cert_a_from_polys(p, q)
 
@@ -100,7 +101,7 @@ def test_cert_b_zero_on_degenerate():
     # H^2 has the double eigenvalue 4 on spin 2: a zero residue at PRIME,
     # and gcd(P, P') nonconstant proves the exact zero, without a prime
     for prime in (None, PRIME):
-        c = cert_b_from_poly(char_poly_of(SU2, label((2,)), SQ_H, prime))
+        c = cert_b_from_poly(char_poly_of(build_DV(SU2, label((2,)), SQ_H), prime))
         assert c.value == 0 and c.prime is None and not c.verdict
         assert c.kind == "b"
         assert c.to_json() == {
@@ -111,48 +112,48 @@ def test_cert_b_zero_on_degenerate():
 
 def test_cert_b_nonzero_on_simple():
     spec = preset("t1")
-    c = cert_b_from_poly(char_poly_of(spec, label((), (2,)), identity_tensor(1)))
+    c = cert_b_from_poly(char_poly_of(build_DV(spec, label((), (2,)), identity_tensor(1))))
     assert c.verdict
 
 
 def test_cert_c_on_quaternionic():
-    c = cert_c_from_poly(char_poly_of(SU2, label((1,)), identity_tensor(3)))
+    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
     assert c.value == 4  # res((3-X)^2, 2) = 2^2
-    c = cert_c_from_poly(char_poly_of(SU2, label((3,)), SQ_H))
+    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((3,)), SQ_H)))
     assert c.verdict
 
 
 def test_cert_c_domain():
     with pytest.raises(DomainError):
-        cert_c_from_poly(char_poly_of(SU2, label((2,)), identity_tensor(3)))
+        cert_c_from_poly(char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3))))
 
 
 def test_cert_b_domain():
     # p_V is a square on quaternionic type, so kind b would read 0 always
     for spec, lab, dim in [(SU2, (1,), 3), (preset("spin4"), (1, 2), 6)]:
         with pytest.raises(DomainError):
-            cert_b_from_poly(char_poly_of(spec, label(lab), identity_tensor(dim)))
+            cert_b_from_poly(char_poly_of(build_DV(spec, label(lab), identity_tensor(dim))))
 
 
 def test_cert_a_separates_casimirs():
-    p, q = (char_poly_of(SU2, label((m,)), identity_tensor(3)) for m in (1, 3))
+    p, q = (char_poly_of(build_DV(SU2, label((m,)), identity_tensor(3))) for m in (1, 3))
     c = cert_a_from_polys(p, q)
     assert c.value == Fraction(12) ** 8
     assert c.labels == (label((1,)), label((3,)))
 
 
 def test_cert_a_domain_rejects_self_and_dual():
-    p = char_poly_of(SU2, label((2,)), identity_tensor(3))
+    p = char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3)))
     with pytest.raises(DomainError):
         cert_a_from_polys(p, p)
     u2 = preset("u2")
-    p, q = (char_poly_of(u2, label((1,), (w,)), identity_tensor(4)) for w in (1, -1))
+    p, q = (char_poly_of(build_DV(u2, label((1,), (w,)), identity_tensor(4))) for w in (1, -1))
     with pytest.raises(DomainError):
         cert_a_from_polys(p, q)
 
 
 def test_certificate_json():
-    c = cert_c_from_poly(char_poly_of(SU2, label((1,)), identity_tensor(3)))
+    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
     doc = c.to_json()
     assert doc["kind"] == "c" and doc["nonzero"] is True
     assert doc["labels"] == ["1"]
@@ -161,15 +162,15 @@ def test_certificate_json():
 
 def test_quaternionic_all_double_identity_operator():
     for m in (1, 3, 5):
-        p = char_poly_of(SU2, label((m,)), SQ_H)
+        p = char_poly_of(build_DV(SU2, label((m,)), SQ_H))
         assert multiplicity_profile(p).is_all_double
 
 
-def test_char_poly_exact_carries_hash():
+def test_char_poly_of_carries_label_and_hash():
     op = build_DV(SU2, label((2,)), SQ_H)
-    p = char_poly_exact(op)
-    q = char_poly_of(SU2, label((2,)), SQ_H)
-    assert p.tensor_hash == q.tensor_hash and p.poly == q.poly
+    p, q = char_poly_of(op), char_poly_of(op, PRIME)
+    assert p.label == q.label == label((2,)) and p.tensor_hash == q.tensor_hash == tensor_hash(SQ_H)
+    assert (p.prime, q.prime) == (None, PRIME) and q.exact == p
 
 
 def _mutated(op, i, j, dre, dim):
@@ -181,7 +182,7 @@ def _mutated(op, i, j, dre, dim):
     return OperatorMatrix(op.spec, op.label, op.tensor, IntMatrix.from_dense(re, im, M.den))
 
 
-def test_char_poly_exact_rejects_a_non_hermitian_operator():
+def test_char_poly_of_rejects_a_non_hermitian_operator():
     # the one-image route takes the charpoly as real only after the exact
     # weighted-hermitian check, so a broken entry raises instead of giving
     # a wrong charpoly; on complex (1,2) and quaternionic (3,0) labels
@@ -189,16 +190,16 @@ def test_char_poly_exact_rejects_a_non_hermitian_operator():
     for lab in (label((1, 2)), label((3, 0))):
         op = build_DV(SPIN4, lab, tensor)
         assert op.matrix.im.any()
-        char_poly_exact(op)
+        char_poly_of(op)
         i, j = int(op.matrix.rows[1]), int(op.matrix.cols[1])
         assert i != j
         for broken in (_mutated(op, i, j, 1, 0), _mutated(op, i, j, 0, 1), _mutated(op, 0, 0, 0, 1)):
             with pytest.raises(ArithmeticError):
-                char_poly_exact(broken)
+                char_poly_of(broken)
     # a real operator is checked too
     op = build_DV(SU2, label((2,)), SQ_H)
     with pytest.raises(ArithmeticError):
-        char_poly_exact(_mutated(op, 0, 2, 1, 0))
+        char_poly_of(_mutated(op, 0, 2, 1, 0))
 
 
 # -- half-degree certificates on quaternionic labels ------------------------------
@@ -240,7 +241,7 @@ def differential_polys():
     for spec, labs, seeds in DIFFERENTIAL_CASES:
         for seed in seeds:
             tensor = sample_definite_tensor(spec.dim, random.Random(seed))
-            yield spec, [char_poly_of(spec, label(l), tensor) for l in labs]
+            yield spec, [char_poly_of(build_DV(spec, label(l), tensor)) for l in labs]
 
 
 def test_differential_cases_cover_mixed_denominators():
@@ -252,7 +253,7 @@ def test_differential_cases_cover_mixed_denominators():
             tensor = sample_definite_tensor(spec.dim, random.Random(seed))
             dens = {build_DV(spec, label(l), tensor).matrix.den for l in labs}
             assert len(dens) > 1 and (1 in dens) == (not any(labs[0]))
-            assert {char_poly_of(spec, label(l), tensor).poly.den for l in labs} == {
+            assert {char_poly_of(build_DV(spec, label(l), tensor)).poly.den for l in labs} == {
                 tensor.integer_form[0]
             }
 
@@ -319,7 +320,7 @@ def test_kind_c_smallest_degree():
     # n = 2: p'' = 2c is a constant and res(p, p'') = (2c)^2
     for seed in range(3):
         tensor = sample_definite_tensor(3, random.Random(seed))
-        p = char_poly_of(SU2, label((1,)), tensor)
+        p = char_poly_of(build_DV(SU2, label((1,)), tensor))
         P = from_int_poly(p.poly)
         assert p.degree == 2 and P.derivative().derivative().degree == 0
         c = cert_c_from_poly(p)
@@ -331,27 +332,27 @@ def test_kind_c_smallest_degree():
 def test_half_degree_zero_values():
     # round tensor: (0,1) and (1,0) both have the single eigenvalue 3
     ident = identity_tensor(6)
-    p, q = char_poly_of(SPIN4, label((0, 1)), ident), char_poly_of(SPIN4, label((1, 0)), ident)
+    p, q = (char_poly_of(build_DV(SPIN4, label(lab), ident)) for lab in ((0, 1), (1, 0)))
     assert claims(cert_a_from_polys(p, q), 0) and full_degree_a(p, q) == 0
     # 8 Cas_1 + 3 Cas_2: quaternionic (1,0) and real (0,2) both give 24
     scaled = SymTensor(tuple(
         tuple(Fraction(8 if i < 3 else 3) if i == j else Fraction(0) for j in range(6))
         for i in range(6)
     ))
-    r = char_poly_of(SPIN4, label((1, 0)), scaled)
-    s = char_poly_of(SPIN4, label((0, 2)), scaled)
+    r = char_poly_of(build_DV(SPIN4, label((1, 0)), scaled))
+    s = char_poly_of(build_DV(SPIN4, label((0, 2)), scaled))
     assert claims(cert_a_from_polys(r, s), 0) and full_degree_a(r, s) == 0
     assert claims(cert_a_from_polys(s, r), 0) and full_degree_a(s, r) == 0
-    w = char_poly_of(SPIN4, label((1, 1)), scaled)
+    w = char_poly_of(build_DV(SPIN4, label((1, 1)), scaled))
     assert full_degree_a(r, w) != 0 and claims(cert_a_from_polys(r, w), full_degree_a(r, w))
     # round su2, odd m >= 3: one eigenvalue of multiplicity m + 1 >= 4
     for m in (3, 5, 7):
-        p = char_poly_of(SU2, label((m,)), identity_tensor(3))
+        p = char_poly_of(build_DV(SU2, label((m,)), identity_tensor(3)))
         assert claims(cert_c_from_poly(p), 0) and full_degree_c(p) == 0
 
 
 def test_kramers_check_rejects_non_square():
-    good = char_poly_of(SU2, label((1,)), identity_tensor(3))
+    good = char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3)))
     for poly in (charpoly_from_eigenvalues([1, 2]), charpoly_from_eigenvalues([1, 1, 2, 3])):
         bad = CharPoly(label=label((3,)), tensor_hash=good.tensor_hash, poly=poly)
         with pytest.raises(ArithmeticError):
@@ -365,7 +366,7 @@ def test_kramers_check_rejects_non_square():
 
 
 def test_kramers_root_is_computed_once_per_charpoly():
-    p = char_poly_of(SPIN4, label((0, 3)), sample_definite_tensor(6, random.Random(4)))
+    p = char_poly_of(build_DV(SPIN4, label((0, 3)), sample_definite_tensor(6, random.Random(4))))
     assert "power_form" not in vars(p)
     first = p.power_form
     cert_c_from_poly(p)
@@ -449,10 +450,10 @@ def test_residue_battery_matches_exact_battery(group, level):
         # the same exact charpoly read again from source (checked on one
         # seed; the residues below are checked against it on every seed)
         at_p = char_polys_of(spec, labels, tensor, PRIME)
-        assert at_p == [char_poly_of(spec, lab, tensor, PRIME) for lab in labels]
+        assert at_p == [char_poly_of(build_DV(spec, lab, tensor), PRIME) for lab in labels]
         exact = [p.exact for p in at_p]
         if seed == 0:
-            assert exact == [char_poly_of(spec, lab, tensor) for lab in labels]
+            assert exact == [char_poly_of(build_DV(spec, lab, tensor)) for lab in labels]
         assert all(p.prime == PRIME and e.prime is None for p, e in zip(at_p, exact))
         assert [p.poly.coeffs for p in at_p] == [
             tuple(c % PRIME for c in e.poly.coeffs) for e in exact
@@ -490,18 +491,23 @@ def test_batched_reads_of_edge_batches():
     # runs the one-element case of the kernel
     for labs in ([label((0, 0))], [label((1, 2))], [label((0, 0)), label((1, 0)), label((0, 1))]):
         batched = char_polys_of(SPIN4, labs, tensor, PRIME)
-        assert batched == [char_poly_of(SPIN4, lab, tensor, PRIME) for lab in labs]
-        assert [p.exact for p in batched] == [char_poly_of(SPIN4, lab, tensor) for lab in labs]
+        assert batched == [char_poly_of(build_DV(SPIN4, lab, tensor), PRIME) for lab in labs]
+        assert [p.exact for p in batched] == [char_poly_of(build_DV(SPIN4, lab, tensor)) for lab in labs]
     trivial = char_polys_of(SPIN4, [label((0, 0))], tensor, PRIME)[0]
     assert trivial.poly == IntPoly((0, 1), tensor.integer_form[0])
+
+
+def at_prime(M: IntMatrix) -> CharPoly:
+    """The charpoly of the real matrix M over den 1 for the label (2),
+    read at PRIME, with M as its source."""
+    return CharPoly(label((2,)), "h", charpoly_real(M, 1, None, PRIME), PRIME, (M, None))
 
 
 def test_zero_residue_is_decided_exactly():
     # X^2 + PRIME is X^2 mod PRIME, whose kind-b residue is 0, while its
     # exact value res(X^2 + PRIME, 2X) = 4 PRIME is not: gcd(P, P') = 1,
     # and the next split prime decides it
-    M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
-    p = CharPoly.read(label((2,)), "h", M, 1, prime=PRIME)
+    p = at_prime(IntMatrix.from_dense([[0, -PRIME], [1, 0]]))
     assert (p.prime, p.poly.coeffs) == (PRIME, (0, 0, 1))
     assert p.exact.poly == IntPoly((PRIME, 0, 1), 1)
     second = split_primes(2)[1][0]
@@ -511,7 +517,7 @@ def test_zero_residue_is_decided_exactly():
     # an exact charpoly is reduced at each prime, with the same decision
     assert cert_b_from_poly(p.exact) == c
     # a nonzero residue is reported with its prime
-    q = CharPoly.read(label((2,)), "h", IntMatrix.from_dense([[0, -2], [1, 0]]), 1, prime=PRIME)
+    q = at_prime(IntMatrix.from_dense([[0, -2], [1, 0]]))
     assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", 8, PRIME)
 
 
@@ -545,9 +551,9 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
     assert tensor.integer_form[0] % PRIME == 0
     labels = labels_up_to_level(SU2, 4)
     at_p = char_polys_of(SU2, labels, tensor, PRIME)
-    assert at_p == [char_poly_of(SU2, lab, tensor, PRIME) for lab in labels]
+    assert at_p == [char_poly_of(build_DV(SU2, lab, tensor), PRIME) for lab in labels]
     exact = [p.exact for p in at_p]
-    assert exact == [char_poly_of(SU2, lab, tensor) for lab in labels]
+    assert exact == [char_poly_of(build_DV(SU2, lab, tensor)) for lab in labels]
     certs = certificate_battery(at_p)
     assert certs == certificate_battery(exact)
     assert {c.kind for c in certs} == {"a", "b", "c"}
@@ -561,19 +567,18 @@ def test_battery_at_a_prime_dividing_den_is_the_exact_battery():
 def test_multiplicity_profile_of_residues_reads_the_exact_charpoly():
     # Yun on residues would split X^2 + PRIME = X^2 mod PRIME as a double
     # root; the exact X^2 + PRIME is squarefree
-    M = IntMatrix.from_dense([[0, -PRIME], [1, 0]])
-    p = CharPoly.read(label((2,)), "h", M, 1, prime=PRIME)
+    p = at_prime(IntMatrix.from_dense([[0, -PRIME], [1, 0]]))
     assert multiplicity_profile(p).multiplicities == (1,)
     for lab in (label((2,)), label((3,))):
         tensor = sample_definite_tensor(3, random.Random(5))
-        at_p = char_poly_of(SU2, lab, tensor, PRIME)
+        at_p = char_poly_of(build_DV(SU2, lab, tensor), PRIME)
         assert at_p.prime == PRIME
-        assert multiplicity_profile(at_p) == multiplicity_profile(char_poly_of(SU2, lab, tensor))
+        assert multiplicity_profile(at_p) == multiplicity_profile(char_poly_of(build_DV(SU2, lab, tensor)))
 
 
 def test_kramers_root_mod_prime_checks_the_square():
     # R_p is taken with the inverse of 2 and squared back mod the prime
-    p = char_poly_of(SU2, label((3,)), sample_definite_tensor(3, random.Random(2)), PRIME)
+    p = char_poly_of(build_DV(SU2, label((3,)), sample_definite_tensor(3, random.Random(2))), PRIME)
     R, e = p.power_form
     assert e == 2 and all(0 <= c < PRIME for c in R.coeffs)
     assert tuple(c % PRIME for c in mul(R.coeffs, R.coeffs)) == p.poly.coeffs

@@ -45,7 +45,7 @@ from lielap.poly import (
     root_bound,
     shift_primitive,
 )
-from lielap.polycert import char_poly_exact, char_poly_of, multiplicity_profile
+from lielap.polycert import char_poly_of, multiplicity_profile
 from lielap.witness import sample_definite_tensor
 from lielap.spectrum import (
     _coincident_roots,
@@ -403,7 +403,7 @@ def all_pairs_spectrum(spec, tensor, cutoff):
     pieces = [
         (lab, mult, f)
         for lab in enumerate_irreps(spec, tensor, cutoff)
-        for mult, f in multiplicity_profile(char_poly_exact(build_DV(spec, lab, tensor))).entries
+        for mult, f in multiplicity_profile(char_poly_of(build_DV(spec, lab, tensor))).entries
     ]
     out = []
     for h, members in gcd_free_basis([f for _, _, f in pieces]):
@@ -628,7 +628,7 @@ def _hinted_factors(spec, tensor, labels):
     for lab in labels:
         op = build_DV(spec, lab, tensor)
         hints = root_hints(op)
-        out += [(f, hints) for _, f in multiplicity_profile(char_poly_exact(op)).entries]
+        out += [(f, hints) for _, f in multiplicity_profile(char_poly_of(op)).entries]
     return out
 
 
@@ -1218,11 +1218,13 @@ def test_bad_hints_give_the_same_roots(bad, monkeypatch):
 
 @pytest.mark.parametrize("every", [1, 2])
 @pytest.mark.parametrize("case", ["swap", "su2xt1"])
-def test_a_failed_hint_cell_proof_is_not_tried_again(case, every, monkeypatch):
+def test_a_failed_hint_cell_proof_is_retried_at_most_once(case, every, monkeypatch):
     """With a spectrum's hints and with every other hint dropped, so that
-    proofs fail, no label runs `hint_cells` twice on one factor with one
-    set of hints: a factor whose proof failed goes straight to the Sturm
-    route, once.  (On the swap-symmetric su2 x su2 tensor at cutoff 40,
+    proofs fail, a label runs `hint_cells` on one factor with one set of
+    hints once, except its whole charpoly P: when P's proof fails and
+    Yun's split gives P back as a factor, `proved_cells` tries that proof
+    once more, and it fails again.  Each factor no proof proved goes to
+    the Sturm route, once.  (On the swap-symmetric su2 x su2 tensor at cutoff 40,
     the labels (m, m') and (m', m) have one charpoly and one set of hints,
     so the same pair does recur across labels.)  A class member (su2 x T^1)
     calls neither `hint_cells` nor `real_root_brackets`: it moves the
@@ -1277,8 +1279,13 @@ def test_a_failed_hint_cell_proof_is_not_tried_again(case, every, monkeypatch):
     assert (members > 0) == (case == "su2xt1")
     assert member_calls == []
     fell_back = 0
+    retried = 0
     for rep in reps:
-        assert len({c[:2] for c in rep["proofs"]}) == len(rep["proofs"])
+        # the first proof is P's; only a failed one comes back, failed
+        repeats = [c for c in rep["proofs"][1:] if c[:2] == rep["proofs"][0][:2]]
+        assert len({c[:2] for c in rep["proofs"]}) == len(rep["proofs"]) - len(repeats)
+        assert len(repeats) <= 1 and all(c[2] and c == rep["proofs"][0] for c in repeats)
+        retried += len(repeats)
         # the Sturm route isolates each factor of degree > 1 that no hint
         # proof of this label proved, once
         proved = {c[0] for c in rep["proofs"] if not c[2]}
@@ -1289,6 +1296,7 @@ def test_a_failed_hint_cell_proof_is_not_tried_again(case, every, monkeypatch):
     sturm_runs = sum(len(rep["sturm"]) for rep in reps)
     assert sturm_runs == fell_back
     assert bool(sturm_runs) == (every == 2)
+    assert (0 < retried <= fell_back) if every == 2 else (retried == 0)
 
 
 def test_no_sturm_chain_on_generic_and_berger_spectra(monkeypatch):
@@ -1473,10 +1481,10 @@ def test_a_non_hermitian_operator_is_refused_exactly(spins, above, monkeypatch):
 
     def charpoly(op):
         charpolys.append(op.label)
-        return char_poly_exact(op)
+        return char_poly_of(op)
 
     monkeypatch.setattr(polycert, "build_DV", corrupt)
-    monkeypatch.setattr(spectrum, "char_poly_exact", charpoly)
+    monkeypatch.setattr(spectrum, "char_poly_of", charpoly)
     with pytest.raises(ArithmeticError, match="not hermitian"):
         assemble_spectrum(spec, tensor, cutoff)
     assert (target in charpolys) != above

@@ -3,10 +3,11 @@
 perfbench/tracer.py looks every wrapped name up with getattr when a traced
 run starts, so a refactor that removes or renames one would only show up as
 a traced run exiting with an error.  This loads the tracer by path, checks
-that each name it wraps still resolves, and runs four small traced spectra
-and one traced certificate battery, so that a change to what the size hooks
-read (the charpoly's matrix `.nrows`, its polynomial's `.coeffs`, the
-resultant's value) or a resultant the wraps do not see fails here too.
+that each name it wraps still resolves, and runs four small traced spectra,
+two traced certificate batteries and one traced pairs pipeline, so that a
+change to what the size hooks read (the charpoly's matrix `.nrows`, its
+polynomial's `.coeffs`, the resultant's value), or a charpoly or a
+resultant the wraps do not see, fails here too.
 """
 
 import importlib
@@ -17,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from lielap import polycert, spectrum
+from lielap import polycert, spectrum, witness
 from lielap.algebra_core import MetricSpec, SymTensor, metric_to_tensor, preset
 from lielap.irreps import labels_up_to_level
+from lielap.operator import build_DV
 from lielap.polycert import PRIME, char_poly_of, multiplicity_profile
-from lielap.witness import certificate_battery, sample_definite_tensor
+from lielap.witness import certificate_battery, pairs_pipeline, sample_definite_tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -123,7 +125,7 @@ def test_traced_spectrum_sees_the_exact_coincidence_route():
     pinned = sum(
         len(spectrum.real_roots(f, cutoff))
         for lab in spectrum.enumerate_irreps(group, tensor, cutoff)
-        for _, f in multiplicity_profile(char_poly_of(group, lab, tensor)).entries
+        for _, f in multiplicity_profile(char_poly_of(build_DV(group, lab, tensor))).entries
     )
     assert any(len(e.contributions) > 1 and e.exact_value is None for e in table.entries)
     assert traced.values["spectrum.basis_size"] > 0
@@ -171,7 +173,7 @@ def test_traced_battery_counts_every_resultant():
     tensor = sample_definite_tensor(group.dim, random.Random(0))
 
     def battery():
-        return certificate_battery([char_poly_of(group, l, tensor) for l in labels])
+        return certificate_battery([char_poly_of(build_DV(group, l, tensor)) for l in labels])
 
     traced, certs = _traced(battery)
     assert traced.values["poly.resultant_calls"] == len(certs) > 0
@@ -187,7 +189,7 @@ def test_traced_battery_at_the_prime_counts_one_residue_per_certificate():
     tensor = sample_definite_tensor(group.dim, random.Random(0))
 
     def battery():
-        return certificate_battery([char_poly_of(group, l, tensor, PRIME) for l in labels])
+        return certificate_battery([char_poly_of(build_DV(group, l, tensor), PRIME) for l in labels])
 
     traced, certs = _traced(battery)
     assert all(c.prime == PRIME for c in certs)
@@ -195,3 +197,24 @@ def test_traced_battery_at_the_prime_counts_one_residue_per_certificate():
     assert 0 < traced.values["poly.resultant_max_bits"] <= 31
     assert traced.values["linalg.charpoly_calls"] == len(labels)
     assert traced.values["linalg.charpoly_max_bits"] <= 31
+
+
+
+def test_traced_pairs_pipeline_counts_its_branch_charpolys(monkeypatch):
+    # the pipeline reads its four branch matrices (two halves of two
+    # operators, dim 4 each on the spins (1, 3)) through
+    # witness.charpoly_real, and one operator per alpha tried through
+    # polycert.charpoly_real
+    dims = []
+    read = witness.charpoly_real
+
+    def counted(M, *args):
+        dims.append(M.nrows)
+        return read(M, *args)
+
+    monkeypatch.setattr(witness, "charpoly_real", counted)
+    traced, report = _traced(lambda: pairs_pipeline(1, 3))
+    tried = witness._ALPHA_GRID.index(report.alpha) + 1
+    assert report.ok and dims == [4, 4, 4, 4]
+    assert traced.values["linalg.charpoly_calls"] == len(dims) + tried
+    assert traced.values["linalg.charpoly_max_dim"] == 8

@@ -19,7 +19,7 @@ from lielap.errors import DomainError, WitnessSearchExhausted
 from lielap.irreps import build_irrep, label, rotation_half_pi
 from lielap.linalg import IntMatrix
 from lielap.operator import build_DV, cluster_values, hermitian_eigenvalues
-from lielap.polycert import PRIME, CharPoly, char_poly_exact, charpoly_from_eigenvalues, multiplicity_profile
+from lielap.polycert import PRIME, CharPoly, char_poly_of, charpoly_from_eigenvalues, multiplicity_profile
 from lielap.witness import (
     certificate_battery,
     involution_branches,
@@ -132,7 +132,7 @@ def test_pipeline_h_spectrum_values():
 
     s_h = square_of_vector([1, 0, 0, Fraction(1, 2), 0, 0])
     op = build_DV(spec, label((1, 1)), s_h)
-    prof = multiplicity_profile(char_poly_exact(op))
+    prof = multiplicity_profile(char_poly_of(op))
     assert prof.is_all_double
     clusters = cluster_values(hermitian_eigenvalues(op).tolist(), 1e-8)
     assert [round(c[0], 6) for c in clusters] == [0.25, 2.25]
@@ -263,7 +263,7 @@ def test_pipeline_h_fields_match_the_charpoly_route(m, mprime):
     expected = [
         (Fraction(j) + eps * jp) ** 2 for j in range(-m, m + 1, 2) for jp in range(-mprime, mprime + 1, 2)
     ]
-    p = char_poly_exact(op)
+    p = char_poly_of(op)
     assert r.h_charpoly_matches == (p.poly == charpoly_from_eigenvalues(expected, p.poly.den))
     assert r.h_all_double == multiplicity_profile(p).is_all_double
 
@@ -398,12 +398,10 @@ def test_witness_search_exhaustion():
 def test_certificate_battery_round_metric_fails():
     from lielap.algebra_core import identity_tensor
     from lielap.irreps import labels_up_to_level
-    from lielap.polycert import char_poly_of
-
     spec = preset("su2")
     labels = labels_up_to_level(spec, 3)
     tensor = identity_tensor(3)
-    polys = [char_poly_of(spec, lab, tensor) for lab in labels]
+    polys = [char_poly_of(build_DV(spec, lab, tensor)) for lab in labels]
     certs = certificate_battery(polys)
     assert not all(c.verdict for c in certs)
     # separation between distinct Casimirs still holds
