@@ -30,7 +30,8 @@ _HOMES = {
     ),
     "operator": ("OperatorMatrix", "build_DV", "casimir_tensor"),
     "polycert": (
-        "Certificate", "CharPoly", "MultiplicityProfile", "char_poly_of", "multiplicity_profile",
+        "Certificate", "CharPoly", "MultiplicityProfile", "certificate", "char_poly_of",
+        "multiplicity_profile",
     ),
     "spectrum": (
         "SpectrumEntry", "SpectrumTable", "assemble_spectrum", "enumerate_irreps",

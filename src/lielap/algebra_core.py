@@ -389,6 +389,8 @@ def group_from_json(doc: dict) -> GroupSpec:
     elements = doc.get("central", [])
     if not isinstance(elements, list) or not all(isinstance(g, dict) for g in elements):
         raise ValueError('"central" must be a list of JSON objects')
+    if not isinstance(doc.get("name", ""), str):
+        raise ValueError('"name" must be a string')
     central = []
     for g in elements:
         central.append(

@@ -39,7 +39,7 @@ from .irreps import (
 )
 from .linalg import IntMatrix
 from .operator import build_DV, casimir_tensor
-from .polycert import PRIME, cert_c_from_poly, char_poly_of, char_polys_of, multiplicity_profile
+from .polycert import PRIME, certificate, char_poly_of, char_polys_of
 from .spectrum import (
     assemble_spectrum,
     table_to_csv,
@@ -195,6 +195,8 @@ def cmd_spectrum(args) -> int:
 def _require_level(args) -> int:
     if args.level is None:
         raise UsageError("--level is required")
+    if args.level < 0:
+        raise UsageError(f"--level must be nonnegative, got {args.level}")
     return args.level
 
 
@@ -349,10 +351,9 @@ def check_quaternionic_double(args):
             build_irrep(spec, label((m,)))
         ):
             return False, f"structure map fails at m={m}"
-        p = char_poly_of(build_DV(spec, label((m,)), sq))
-        if not multiplicity_profile(p).is_all_double:
-            return False, f"profile not all-double at m={m}"
-        if not cert_c_from_poly(p).verdict:
+        # with J^2 = -1 the charpoly is a square (Kramers), and a nonzero
+        # kind-c residue leaves every multiplicity exactly 2
+        if not certificate(char_poly_of(build_DV(spec, label((m,)), sq), PRIME)).verdict:
             return False, f"third-order certificate vanishes at m={m}"
     return True, f"all-double with nonzero cert_c for odd m <= {args.max_m}"
 

@@ -181,11 +181,22 @@ def build_irrep(spec: GroupSpec, lab: IrrepLabel) -> tuple[IntMatrix, ...]:
 @dataclass(eq=False)
 class QuaternionicStructure:
     """Conjugate-linear equivariant map J(v) = P * conj(v) on the spin-m
-    irreducible; square_sign = (-1)^m is the sign of J^2."""
+    irreducible."""
 
     m: int
     matrix: IntMatrix
-    square_sign: int
+
+    @property
+    def square_sign(self) -> int:
+        """The sign of J^2 = P conj(P), read off the matrix: 1 or -1 where
+        it is that multiple of the identity; ArithmeticError otherwise."""
+        P = self.matrix
+        square, one = P @ P.conj(), IntMatrix.identity(P.nrows)
+        if square == one:
+            return 1
+        if square == -one:
+            return -1
+        raise ArithmeticError("J^2 is not a sign times the identity")
 
     def is_equivariant(self, generators) -> bool:
         """P conj(G) == G P for every generator G (conjugate-linearity)."""
@@ -195,9 +206,7 @@ class QuaternionicStructure:
 
 def quaternionic_structure(m: int) -> QuaternionicStructure:
     """J(sum c_l v_l) = sum conj(c_l) (-1)^l v_{m-l}; J^2 = (-1)^m."""
-    return QuaternionicStructure(
-        m=m, matrix=rotation_half_pi(m), square_sign=(-1) ** m
-    )
+    return QuaternionicStructure(m=m, matrix=rotation_half_pi(m))
 
 
 # -- central characters and quotient descent ----------------------------------

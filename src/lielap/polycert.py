@@ -8,12 +8,13 @@ Every certificate of a witness battery claims that a resultant is nonzero
   b  res(p_V, p_V') != 0       p_V is squarefree (all eigenvalues simple)
   c  res(p_V, p_V'') != 0      no eigenvalue of multiplicity >= 3
 
-Kind a is only meaningful when W is neither V nor its dual (those always
-share the full spectrum); kind c is only meaningful on quaternionic type,
-where every eigenvalue is forced to even multiplicity and "all double" is
-the best possible, and kind b only off it, since there p_V is a square and
-its kind-b value is 0 for every tensor.  The domain checks below enforce
-exactly that.
+The label fixes the kind, so `certificate(p, q=None)` takes it from its
+operands: kind a on two charpolys, and on one, kind c on quaternionic
+type, where every eigenvalue is forced to even multiplicity and "all
+double" is the best possible, and kind b off it (on quaternionic type p_V
+is a square, and its kind-b value would be 0 for every tensor).  Kind a
+on V and W = V or its dual, which always share the full spectrum, is an
+exact zero; a battery holds one label per dual pair and never asks it.
 
 Each charpoly is carried in integer form.  With d the denominator of the
 tensor (`SymTensor.integer_form`), shared by all its labels, the charpoly
@@ -53,7 +54,7 @@ formula above, with d^(-1) mod p, then gives the residue mod p of the
 rational value, and a nonzero residue is an exact, deterministic proof
 that the value is nonzero; it is reported with its prime.
 
-`_decide` takes the split primes in order from PRIME, skips any that
+`certificate` takes the split primes in order from PRIME, skips any that
 divides d, and reports the first nonzero residue; a charpoly not read at
 a prime is the exact one reduced there, with no second read.  A zero
 residue proves nothing alone: the exact operands, (A, B), (P, P') or
@@ -85,7 +86,7 @@ from itertools import count
 
 from .algebra_core import GroupSpec, SymTensor, tensor_hash
 from .errors import DomainError
-from .irreps import IrrepLabel, classify_type, dual_label, format_label
+from .irreps import IrrepLabel, classify_type, format_label
 from .linalg import IntMatrix, charpolys_gq, split_primes
 from .operator import OperatorMatrix, build_DV, norm_weights
 from .poly import IntPoly, derivative, int_gcd, mul, resultant, squarefree_decomposition
@@ -245,10 +246,6 @@ class MultiplicityProfile:
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
 
-    @property
-    def is_all_double(self) -> bool:
-        return self.multiplicities in ((), (2,))
-
 
 def multiplicity_profile(p: CharPoly) -> MultiplicityProfile:
     """Yun on the primitive form of the power form's base B, with the
@@ -293,13 +290,13 @@ class Certificate:
         }
 
 
-def _operands(kind: str, polys) -> tuple:
-    """The integer lists whose resultant decides the kind: (A, B), (P, P')
-    or (R, R'), from the power forms of polys."""
-    if kind == "a":
-        p, q = polys
-        return p.power_form[0].coeffs, q.power_form[0].coeffs
-    X = (polys[0].poly if kind == "b" else polys[0].power_form[0]).coeffs
+def _operands(polys) -> tuple:
+    """The integer lists whose resultant decides the certificate on polys:
+    the bases (A, B) of two power forms, or the base X of one with X',
+    which is (P, P') off quaternionic type and (R, R') on it."""
+    if len(polys) == 2:
+        return tuple(p.power_form[0].coeffs for p in polys)
+    X = polys[0].power_form[0].coeffs
     return X, derivative(X)
 
 
@@ -320,58 +317,28 @@ def _residue(kind: str, polys, r: int) -> int:
     return num * pow(p.poly.den, -e, prime) % prime
 
 
-def _decide(kind: str, labels, polys: tuple[CharPoly, ...]) -> Certificate:
-    """The certificate of the kind on polys: the residue at the first split
-    prime from PRIME that leaves d invertible and the residue nonzero, or
-    the exact zero once a zero residue meets operands with a common
-    factor (see the module docstring)."""
-    th, d = polys[0].tensor_hash, polys[0].poly.den
+def certificate(p: CharPoly, q: CharPoly | None = None) -> Certificate:
+    """Kind a on p and q; on p alone, kind c on a quaternionic label and
+    kind b on any other.  The residue at the first split prime from PRIME
+    that leaves d invertible and the residue nonzero, or the exact zero
+    once a zero residue meets operands with a common factor (see the
+    module docstring).  DomainError if p and q come from different tensors
+    or denominators."""
+    if q is not None and (p.tensor_hash != q.tensor_hash or p.poly.den != q.poly.den):
+        raise DomainError("certificate operands use different coefficient tensors")
+    polys = (p,) if q is None else (p, q)
+    kind = "a" if q is not None else "c" if classify_type(p.label) == "quaternionic" else "b"
+    labels, th, d = tuple(x.label for x in polys), p.tensor_hash, p.poly.den
     for i in count(1):
         prime = split_primes(i)[-1][0]
         if d % prime == 0:
             continue
-        at = tuple(p.at(prime) for p in polys)
-        r = resultant(*_operands(kind, at), prime)
+        at = tuple(x.at(prime) for x in polys)
+        r = resultant(*_operands(at), prime)
         if r:
             return Certificate(kind, labels, th, _residue(kind, at, r), prime)
-        if len(int_gcd(*_operands(kind, [p.exact for p in polys]))) > 1:
+        if len(int_gcd(*_operands([x.exact for x in polys]))) > 1:
             return Certificate(kind, labels, th, 0)
-
-
-def cert_a_from_polys(p: CharPoly, q: CharPoly) -> Certificate:
-    # a label and its dual share their spins
-    if q.label.spins == p.label.spins and q.label in (p.label, dual_label(p.label)):
-        raise DomainError(
-            "separation certificate needs distinct, non-dual labels; "
-            f"got {format_label(p.label)} and {format_label(q.label)}"
-        )
-    if p.tensor_hash != q.tensor_hash or p.poly.den != q.poly.den:
-        raise DomainError("certificate operands use different coefficient tensors")
-    return separation_certificate((p.label, q.label), p, q)
-
-
-def separation_certificate(labels, p: CharPoly, q: CharPoly) -> Certificate:
-    """Kind a on p and q without the label checks of `cert_a_from_polys`:
-    the pairs pipeline separates the two halves of one label."""
-    return _decide("a", labels, (p, q))
-
-
-def cert_b_from_poly(p: CharPoly) -> Certificate:
-    if classify_type(p.label) == "quaternionic":
-        raise DomainError(
-            f"certificate kind b does not apply to quaternionic labels, "
-            f"got {format_label(p.label)}"
-        )
-    return _decide("b", (p.label,), (p,))
-
-
-def cert_c_from_poly(p: CharPoly) -> Certificate:
-    if classify_type(p.label) != "quaternionic":
-        raise DomainError(
-            f"certificate kind c applies to quaternionic labels only, "
-            f"got {format_label(p.label)}"
-        )
-    return _decide("c", (p.label,), (p,))
 
 
 def charpoly_from_eigenvalues(values, den: int = 1) -> IntPoly:

@@ -53,7 +53,6 @@ from .errors import DomainError, WitnessSearchExhausted
 from .irreps import (
     IrrepLabel,
     build_irrep,
-    classify_type,
     format_label,
     label,
     labels_up_to_level,
@@ -68,14 +67,11 @@ from .polycert import (
     PRIME,
     CharPoly,
     Certificate,
-    cert_a_from_polys,
-    cert_b_from_poly,
-    cert_c_from_poly,
+    certificate,
     char_poly_of,
     char_polys_of,
     charpoly_from_eigenvalues,
     charpoly_real,
-    separation_certificate,
 )
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
@@ -95,7 +91,6 @@ class Su2EvenWitness:
     certificate: Certificate
     even_block_offdiag: tuple[int, ...]
     odd_block_offdiag: tuple[int, ...]
-    blocks_disjoint_at_zero: bool
 
 
 def su2_even_b_witness(m: int) -> Su2EvenWitness:
@@ -134,14 +129,13 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
 
     even_vals = {(m - 2 * l) ** 2 for l in range(0, m + 1, 2)}
     odd_vals = {(m - 2 * l) ** 2 for l in range(1, m + 1, 2)}
-    disjoint = not (even_vals & odd_vals)
-    if not disjoint:
+    if even_vals & odd_vals:
         raise ArithmeticError("parity class spectra collide at eps = 0")
 
     best = None
     for eps in _EPS_GRID:
         tensor = symmetric_product(3, 0, 0, 1) + symmetric_product(3, 1, 1, eps)
-        cert = cert_b_from_poly(char_poly_of(build_DV(spec, lab, tensor), PRIME))
+        cert = certificate(char_poly_of(build_DV(spec, lab, tensor), PRIME))
         if cert.verdict:
             return Su2EvenWitness(
                 m=m,
@@ -150,7 +144,6 @@ def su2_even_b_witness(m: int) -> Su2EvenWitness:
                 certificate=cert,
                 even_block_offdiag=even_off,
                 odd_block_offdiag=odd_off,
-                blocks_disjoint_at_zero=disjoint,
             )
         best = cert
     raise WitnessSearchExhausted(
@@ -201,7 +194,7 @@ def pairs_mixed_witness(spec: GroupSpec, lab: IrrepLabel, direction) -> MixedWit
     expected = [Fraction(k) * pairing for k in range(m, -m - 2, -2)]
     p = char_poly_of(op)
     matches = p.poly == charpoly_from_eigenvalues(expected, p.poly.den)
-    cert = cert_b_from_poly(p)
+    cert = certificate(p)
     return MixedWitness(
         label=lab,
         pairing=pairing,
@@ -336,7 +329,7 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
     final scan over convex combinations of the two tensors finds one
     operator with fully simple spectrum and certifies it by resultant.
     Every certificate is decided at PRIME, and past a zero residue there
-    by `polycert._decide`.
+    at the next split primes (`polycert.certificate`).
     """
     if m < 1 or mprime < 1 or m % 2 == 0 or mprime % 2 == 0:
         raise DomainError("pairs pipeline needs two odd spins")
@@ -378,16 +371,14 @@ def pairs_pipeline(m: int, mprime: int) -> PairsPipelineReport:
 
     h_branches = involution_branches(T, D_h.matrix)
     branch_dims_ok = sum(R.nrows for R in h_branches) == T.nrows
-    h_simple = tuple(cert_b_from_poly(h) for h in branch_charpolys(s_h, *h_branches))
-    b_disjoint = separation_certificate(
-        (lab, lab), *branch_charpolys(s_b, *involution_branches(T, D_b.matrix))
-    )
+    h_simple = tuple(certificate(h) for h in branch_charpolys(s_h, *h_branches))
+    b_disjoint = certificate(*branch_charpolys(s_b, *involution_branches(T, D_b.matrix)))
 
     alpha_found = None
     combined = None
     for alpha in _ALPHA_GRID:
         s_alpha = s_h.scale(1 - alpha) + s_b.scale(alpha)
-        cert = cert_b_from_poly(char_poly_of(build_DV(spec, lab, s_alpha), PRIME))
+        cert = certificate(char_poly_of(build_DV(spec, lab, s_alpha), PRIME))
         if cert.verdict:
             alpha_found, combined = alpha, cert
             break
@@ -458,18 +449,11 @@ class WitnessReport:
 
 
 def certificate_battery(polys: list[CharPoly]) -> list[Certificate]:
-    """Kind b or c per charpoly by the type of its label, kind a per
-    unordered pair, each decided by `polycert._decide`."""
-    certs: list[Certificate] = []
-    for p in polys:
-        if classify_type(p.label) == "quaternionic":
-            certs.append(cert_c_from_poly(p))
-        else:
-            certs.append(cert_b_from_poly(p))
-    for i, p in enumerate(polys):
-        for q in polys[i + 1:]:
-            certs.append(cert_a_from_polys(p, q))
-    return certs
+    """`polycert.certificate` per charpoly (kind b or c, by the type of its
+    label), then per unordered pair (kind a)."""
+    return [certificate(p) for p in polys] + [
+        certificate(p, q) for i, p in enumerate(polys) for q in polys[i + 1:]
+    ]
 
 
 def witness_search(

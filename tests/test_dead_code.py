@@ -10,11 +10,16 @@ in that module, since the tracer wraps it where its callers would look
 for it; an import marked `# noqa: F401` must be one that goes unread, so
 the mark does not outlive the reason for it.  Every public method or property of a class in src/lielap, and
 every field of a dataclass or NamedTuple there, is read as an attribute
-somewhere in the package, the tests or the benchmark.
+somewhere in the package, the tests or the benchmark.  And every bare
+identifier in backticks in README's "Library tour" table names something
+the package or the tests define, a module they import, a CLI subcommand
+or a Python builtin, so the tour names nothing that is gone.
 """
 
 import ast
+import builtins
 import importlib.util
+import re
 from pathlib import Path
 
 import lielap
@@ -197,3 +202,48 @@ def test_the_check_sees_the_package():
     assert "divides" in _imported(modules["spectrum"])
     assert ("spectrum", "divides") in _wrapped()
     assert _noqa_imports()["spectrum"] == ["divides"] and _noqa_imports()["witness"] == ["resultant"]
+
+
+def _library_tour_identifiers() -> list[str]:
+    """Every bare identifier in backticks in the rows of README's "Library
+    tour" table, as `charpoly_real` but not `lielap.poly` or `f(x)`."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library tour", 1)[1].split("\n## ", 1)[0]
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    return sorted(set(re.findall(r"`([A-Za-z_]\w*)`", rows)))
+
+
+def _known_names() -> set[str]:
+    """The names src/lielap and tests/ give a meaning: their modules, every
+    function, class and method they define, every module-level or class
+    name they assign, every attribute they read, every module they
+    import, and the CLI's subcommands; and the Python builtins."""
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    names = {path.stem for path in paths} | set(dir(builtins))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.Import):
+                names |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.split(".")[0])
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_parser"
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names.add(node.args[0].value)
+    return names
+
+
+def test_readme_library_tour_names_only_what_exists():
+    tour = _library_tour_identifiers()
+    assert {"charpoly_real", "IntMatrix", "ValueError", "_sha2", "certify"} <= set(tour)
+    assert [name for name in tour if name not in _known_names()] == []

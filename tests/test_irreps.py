@@ -14,6 +14,7 @@ from lielap.irreps import (
     GAMMA,
     PHASES,
     IrrepLabel,
+    QuaternionicStructure,
     build_irrep,
     classify_type,
     descends_to_quotient,
@@ -172,6 +173,17 @@ def test_structure_map_oracle_matches_type(m):
     assert J.is_equivariant(build_irrep(spec, label((m,))))
     expected = "real" if J.square_sign == 1 else "quaternionic"
     assert classify_type(label((m,))) == expected
+
+
+def test_square_sign_is_read_off_the_matrix():
+    # the unsigned reversal v_l -> v_{m-l} squares to +I at every m, so at
+    # m = 3 it reads 1 where the quarter turn reads -1
+    m = 3
+    reversal = IntMatrix.from_dense(np.eye(m + 1, dtype=np.int64)[::-1])
+    assert QuaternionicStructure(m, reversal).square_sign == 1
+    assert QuaternionicStructure(m, rotation_half_pi(m)).square_sign == -1
+    with pytest.raises(ArithmeticError):
+        QuaternionicStructure(m, IntMatrix.identity(m + 1) * 2).square_sign
 
 
 def test_rotation_half_pi_properties():
@@ -397,6 +409,8 @@ def test_labels_up_to_level():
     assert [l.weight[0] for l in labels_up_to_level(t1, 3)] == [0, 1, 2, 3]
     spin4 = preset("spin4")
     assert len(labels_up_to_level(spin4, 4)) == 25
+    with pytest.raises(DomainError):
+        labels_up_to_level(su2, -1)
 
 
 @pytest.mark.parametrize("name", ["su2", "so3", "u2", "spin4", "t3"])

@@ -26,9 +26,7 @@ from lielap.polycert import (
     PRIME,
     Certificate,
     CharPoly,
-    cert_a_from_polys,
-    cert_b_from_poly,
-    cert_c_from_poly,
+    certificate,
     char_poly_of,
     char_polys_of,
     charpoly_from_eigenvalues,
@@ -64,12 +62,10 @@ def test_charpoly_matches_explicit_eigenvalues():
 
 
 def test_charpoly_rejects_wrong_tensor_pairing():
-    from lielap.polycert import cert_a_from_polys
-
     p = char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3)))
     q = char_poly_of(build_DV(SU2, label((2,)), SQ_H))
     with pytest.raises(DomainError):
-        cert_a_from_polys(p, q)
+        certificate(p, q)
 
 
 def charpoly_with(values, lab=(2,), den=1):
@@ -81,9 +77,8 @@ def test_multiplicity_profile_shapes():
     assert prof.degree == 5
     assert prof.multiplicities == (1, 2)
     assert prof.entries == ((1, [-2, 1]), (2, [3, -4, 1]))
-    assert not prof.is_all_double
     assert multiplicity_profile(charpoly_with([-2])).multiplicities == (1,)
-    assert multiplicity_profile(charpoly_with([5, 5, 7, 7])).is_all_double
+    assert multiplicity_profile(charpoly_with([5, 5, 7, 7])).multiplicities == (2,)
     # quaternionic: Yun on the Kramers root, multiplicities doubled; the
     # factors are those of the charpoly of D, whatever the den
     prof = multiplicity_profile(charpoly_with([Fraction(1, 2)] * 4 + [3, 3], (3,), 6))
@@ -101,7 +96,7 @@ def test_cert_b_zero_on_degenerate():
     # H^2 has the double eigenvalue 4 on spin 2: a zero residue at PRIME,
     # and gcd(P, P') nonconstant proves the exact zero, without a prime
     for prime in (None, PRIME):
-        c = cert_b_from_poly(char_poly_of(build_DV(SU2, label((2,)), SQ_H), prime))
+        c = certificate(char_poly_of(build_DV(SU2, label((2,)), SQ_H), prime))
         assert c.value == 0 and c.prime is None and not c.verdict
         assert c.kind == "b"
         assert c.to_json() == {
@@ -112,48 +107,42 @@ def test_cert_b_zero_on_degenerate():
 
 def test_cert_b_nonzero_on_simple():
     spec = preset("t1")
-    c = cert_b_from_poly(char_poly_of(build_DV(spec, label((), (2,)), identity_tensor(1))))
+    c = certificate(char_poly_of(build_DV(spec, label((), (2,)), identity_tensor(1))))
     assert c.verdict
 
 
 def test_cert_c_on_quaternionic():
-    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
+    c = certificate(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
     assert c.value == 4  # res((3-X)^2, 2) = 2^2
-    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((3,)), SQ_H)))
+    c = certificate(char_poly_of(build_DV(SU2, label((3,)), SQ_H)))
     assert c.verdict
-
-
-def test_cert_c_domain():
-    with pytest.raises(DomainError):
-        cert_c_from_poly(char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3))))
-
-
-def test_cert_b_domain():
-    # p_V is a square on quaternionic type, so kind b would read 0 always
-    for spec, lab, dim in [(SU2, (1,), 3), (preset("spin4"), (1, 2), 6)]:
-        with pytest.raises(DomainError):
-            cert_b_from_poly(char_poly_of(build_DV(spec, label(lab), identity_tensor(dim))))
 
 
 def test_cert_a_separates_casimirs():
     p, q = (char_poly_of(build_DV(SU2, label((m,)), identity_tensor(3))) for m in (1, 3))
-    c = cert_a_from_polys(p, q)
+    c = certificate(p, q)
     assert c.value == Fraction(12) ** 8
     assert c.labels == (label((1,)), label((3,)))
 
 
-def test_cert_a_domain_rejects_self_and_dual():
+def test_certificate_takes_kind_from_operands():
+    # one charpoly: kind c exactly on quaternionic labels, where p_V is a
+    # square, and kind b on every other
+    spin4, u2 = preset("spin4"), preset("u2")
+    cases = [(SU2, label((1,)), "c"), (SU2, label((2,)), "b"), (spin4, label((1, 2)), "c"),
+             (spin4, label((1, 1)), "b"), (u2, label((1,), (1,)), "b")]
+    for spec, lab, kind in cases:
+        op = build_DV(spec, lab, identity_tensor(spec.dim))
+        assert certificate(char_poly_of(op)).kind == kind
+    # two: kind a, an exact zero on a label against itself or its dual
     p = char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3)))
-    with pytest.raises(DomainError):
-        cert_a_from_polys(p, p)
-    u2 = preset("u2")
-    p, q = (char_poly_of(build_DV(u2, label((1,), (w,)), identity_tensor(4))) for w in (1, -1))
-    with pytest.raises(DomainError):
-        cert_a_from_polys(p, q)
+    q, r = (char_poly_of(build_DV(u2, label((1,), (w,)), identity_tensor(4))) for w in (1, -1))
+    for c in (certificate(p, p), certificate(q, r)):
+        assert (c.kind, c.value, c.prime) == ("a", 0, None)
 
 
 def test_certificate_json():
-    c = cert_c_from_poly(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
+    c = certificate(char_poly_of(build_DV(SU2, label((1,)), identity_tensor(3))))
     doc = c.to_json()
     assert doc["kind"] == "c" and doc["nonzero"] is True
     assert doc["labels"] == ["1"]
@@ -163,7 +152,7 @@ def test_certificate_json():
 def test_quaternionic_all_double_identity_operator():
     for m in (1, 3, 5):
         p = char_poly_of(build_DV(SU2, label((m,)), SQ_H))
-        assert multiplicity_profile(p).is_all_double
+        assert multiplicity_profile(p).multiplicities == (2,)
 
 
 def test_char_poly_of_carries_label_and_hash():
@@ -283,15 +272,15 @@ def test_half_degree_identities_match_full_degree():
     for _, polys in differential_polys():
         for p in polys:
             if classify_type(p.label) == "quaternionic":
-                assert claims(cert_c_from_poly(p), full_degree_c(p))
+                assert claims(certificate(p), full_degree_c(p))
             else:
-                assert claims(cert_b_from_poly(p), full_degree_b(p))
+                assert claims(certificate(p), full_degree_b(p))
                 if p.degree == 1:
                     assert full_degree_b(p) == -1
         for i, p in enumerate(polys):
             for q in polys[i + 1:]:
-                assert claims(cert_a_from_polys(p, q), full_degree_a(p, q))
-                assert claims(cert_a_from_polys(q, p), full_degree_a(q, p))
+                assert claims(certificate(p, q), full_degree_a(p, q))
+                assert claims(certificate(q, p), full_degree_a(q, p))
                 kinds.add((p.power_form[1], q.power_form[1]))
     assert kinds == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
@@ -304,14 +293,14 @@ def test_half_degree_identities_match_sylvester():
             P = from_int_poly(p.poly)
             if classify_type(p.label) == "quaternionic":
                 want = resultant_sylvester(P, P.derivative().derivative())
-                assert claims(cert_c_from_poly(p), want)
+                assert claims(certificate(p), want)
             else:
-                assert claims(cert_b_from_poly(p), resultant_sylvester(P, P.derivative()))
+                assert claims(certificate(p), resultant_sylvester(P, P.derivative()))
             checked += 1
         for i, p in enumerate(small):
             for q in small[i + 1:]:
                 want = resultant_sylvester(from_int_poly(p.poly), from_int_poly(q.poly))
-                assert claims(cert_a_from_polys(p, q), want)
+                assert claims(certificate(p, q), want)
                 checked += 1
     assert checked > 50
 
@@ -323,7 +312,7 @@ def test_kind_c_smallest_degree():
         p = char_poly_of(build_DV(SU2, label((1,)), tensor))
         P = from_int_poly(p.poly)
         assert p.degree == 2 and P.derivative().derivative().degree == 0
-        c = cert_c_from_poly(p)
+        c = certificate(p)
         assert (c.prime, c.value) == (PRIME, 4)
         assert full_degree_c(p) == 4 * P.lc ** 2 == 4
         assert resultant_sylvester(P, P.derivative().derivative()) == 4
@@ -333,7 +322,7 @@ def test_half_degree_zero_values():
     # round tensor: (0,1) and (1,0) both have the single eigenvalue 3
     ident = identity_tensor(6)
     p, q = (char_poly_of(build_DV(SPIN4, label(lab), ident)) for lab in ((0, 1), (1, 0)))
-    assert claims(cert_a_from_polys(p, q), 0) and full_degree_a(p, q) == 0
+    assert claims(certificate(p, q), 0) and full_degree_a(p, q) == 0
     # 8 Cas_1 + 3 Cas_2: quaternionic (1,0) and real (0,2) both give 24
     scaled = SymTensor(tuple(
         tuple(Fraction(8 if i < 3 else 3) if i == j else Fraction(0) for j in range(6))
@@ -341,14 +330,14 @@ def test_half_degree_zero_values():
     ))
     r = char_poly_of(build_DV(SPIN4, label((1, 0)), scaled))
     s = char_poly_of(build_DV(SPIN4, label((0, 2)), scaled))
-    assert claims(cert_a_from_polys(r, s), 0) and full_degree_a(r, s) == 0
-    assert claims(cert_a_from_polys(s, r), 0) and full_degree_a(s, r) == 0
+    assert claims(certificate(r, s), 0) and full_degree_a(r, s) == 0
+    assert claims(certificate(s, r), 0) and full_degree_a(s, r) == 0
     w = char_poly_of(build_DV(SPIN4, label((1, 1)), scaled))
-    assert full_degree_a(r, w) != 0 and claims(cert_a_from_polys(r, w), full_degree_a(r, w))
+    assert full_degree_a(r, w) != 0 and claims(certificate(r, w), full_degree_a(r, w))
     # round su2, odd m >= 3: one eigenvalue of multiplicity m + 1 >= 4
     for m in (3, 5, 7):
         p = char_poly_of(build_DV(SU2, label((m,)), identity_tensor(3)))
-        assert claims(cert_c_from_poly(p), 0) and full_degree_c(p) == 0
+        assert claims(certificate(p), 0) and full_degree_c(p) == 0
 
 
 def test_kramers_check_rejects_non_square():
@@ -356,11 +345,11 @@ def test_kramers_check_rejects_non_square():
     for poly in (charpoly_from_eigenvalues([1, 2]), charpoly_from_eigenvalues([1, 1, 2, 3])):
         bad = CharPoly(label=label((3,)), tensor_hash=good.tensor_hash, poly=poly)
         with pytest.raises(ArithmeticError):
-            cert_c_from_poly(bad)
+            certificate(bad)
         with pytest.raises(ArithmeticError):
-            cert_a_from_polys(bad, good)
+            certificate(bad, good)
         with pytest.raises(ArithmeticError):
-            cert_a_from_polys(good, bad)
+            certificate(good, bad)
     with pytest.raises(ArithmeticError):
         kramers_root(charpoly_from_eigenvalues([1, 1, 2]))
 
@@ -369,7 +358,7 @@ def test_kramers_root_is_computed_once_per_charpoly():
     p = char_poly_of(build_DV(SPIN4, label((0, 3)), sample_definite_tensor(6, random.Random(4))))
     assert "power_form" not in vars(p)
     first = p.power_form
-    cert_c_from_poly(p)
+    certificate(p)
     assert p.power_form is first
 
 
@@ -511,14 +500,14 @@ def test_zero_residue_is_decided_exactly():
     assert (p.prime, p.poly.coeffs) == (PRIME, (0, 0, 1))
     assert p.exact.poly == IntPoly((PRIME, 0, 1), 1)
     second = split_primes(2)[1][0]
-    c = cert_b_from_poly(p)
+    c = certificate(p)
     assert (c.prime, c.value, c.verdict) == (second, 4 * PRIME % second, True)
     assert c.to_json()["prime"] == second
     # an exact charpoly is reduced at each prime, with the same decision
-    assert cert_b_from_poly(p.exact) == c
+    assert certificate(p.exact) == c
     # a nonzero residue is reported with its prime
     q = at_prime(IntMatrix.from_dense([[0, -2], [1, 0]]))
-    assert cert_b_from_poly(q) == Certificate("b", (label((2,)),), "h", 8, PRIME)
+    assert certificate(q) == Certificate("b", (label((2,)),), "h", 8, PRIME)
 
 
 def test_zero_residue_of_every_kind_moves_to_the_next_prime():
@@ -531,9 +520,9 @@ def test_zero_residue_of_every_kind_moves_to_the_next_prime():
     q = CharPoly(label((4,)), "h", IntPoly((0, 0, 1), 1))
     r = CharPoly(label((3,)), "h", IntPoly(tuple(mul(shifted.coeffs, shifted.coeffs)), 1))
     for cert, value in (
-        (cert_a_from_polys(p, q), full_degree_a(p, q)),
-        (cert_a_from_polys(q, p), full_degree_a(q, p)),
-        (cert_c_from_poly(r), full_degree_c(r)),
+        (certificate(p, q), full_degree_a(p, q)),
+        (certificate(q, p), full_degree_a(q, p)),
+        (certificate(r), full_degree_c(r)),
     ):
         assert value % PRIME == 0 and value != 0
         assert claims(cert, value, second)
