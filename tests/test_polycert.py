@@ -125,20 +125,29 @@ def test_cert_a_separates_casimirs():
     assert c.labels == (label((1,)), label((3,)))
 
 
-def test_certificate_takes_kind_from_operands():
-    # one charpoly: kind c exactly on quaternionic labels, where p_V is a
-    # square, and kind b on every other
-    spin4, u2 = preset("spin4"), preset("u2")
-    cases = [(SU2, label((1,)), "c"), (SU2, label((2,)), "b"), (spin4, label((1, 2)), "c"),
-             (spin4, label((1, 1)), "b"), (u2, label((1,), (1,)), "b")]
-    for spec, lab, kind in cases:
-        op = build_DV(spec, lab, identity_tensor(spec.dim))
-        assert certificate(char_poly_of(op)).kind == kind
-    # two: kind a, an exact zero on a label against itself or its dual
+def test_cert_c_domain():
+    # one charpoly on a quaternionic label, where p_V is a square, takes kind c
+    for spec, lab in [(SU2, (1,)), (preset("spin4"), (1, 2))]:
+        op = build_DV(spec, label(lab), identity_tensor(spec.dim))
+        assert certificate(char_poly_of(op)).kind == "c"
+
+
+def test_cert_b_domain():
+    # one charpoly on any other label takes kind b
+    for spec, lab in [(SU2, ((2,),)), (preset("spin4"), ((1, 1),)), (preset("u2"), ((1,), (1,)))]:
+        op = build_DV(spec, label(*lab), identity_tensor(spec.dim))
+        assert certificate(char_poly_of(op)).kind == "b"
+
+
+def test_cert_a_domain_rejects_self_and_dual():
+    # two charpolys take kind a: a label against itself or its dual is an
+    # exact zero, proved without a prime
     p = char_poly_of(build_DV(SU2, label((2,)), identity_tensor(3)))
+    u2 = preset("u2")
     q, r = (char_poly_of(build_DV(u2, label((1,), (w,)), identity_tensor(4))) for w in (1, -1))
     for c in (certificate(p, p), certificate(q, r)):
         assert (c.kind, c.value, c.prime) == ("a", 0, None)
+        assert not c.verdict
 
 
 def test_certificate_json():
